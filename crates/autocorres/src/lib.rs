@@ -40,7 +40,6 @@ pub mod l1;
 pub mod l2;
 pub mod phase;
 pub mod pipeline;
-pub mod schedule;
 pub mod session;
 pub mod stats;
 pub mod store;

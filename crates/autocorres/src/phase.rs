@@ -9,7 +9,7 @@
 //! `workers × 4` scheduled units), expands the phase list into one node
 //! per `(phase, batch)` pair plus one barrier node per phase, wires the
 //! edges from the declared [`DepScope`]s, and hands the whole graph to
-//! the generic [`crate::schedule::run_dag_tagged`] work-stealing
+//! the generic [`ir::sched::run_dag_tagged`] work-stealing
 //! scheduler. There is no barrier between phases: a batch's L2 node runs
 //! the moment its own dependencies finish, even while other batches are
 //! still in L1. No phase owns its own scheduling code: adding a phase
@@ -51,13 +51,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ir::diag::{Diag, DiagKind};
+use ir::sched::{plan_workers, run_dag_tagged, topo_order, PoolStats, TASKS_PER_WORKER};
 use ir::ty::Ty;
 use kernel::{CheckCtx, Thm};
 use monadic::{MonadicFn, Prog, ProgramCtx};
 use simpl::stmt::{SimplProgram, SimplStmt};
 
 use crate::pipeline::{derive_seed, Options, Output, PhaseTheorems};
-use crate::schedule::{plan_workers, run_dag_tagged, topo_order, PoolStats, TASKS_PER_WORKER};
 use crate::stats::{PhaseStat, PipelineStats};
 
 /// Which nodes of a dependency phase a node waits for.

@@ -3,7 +3,7 @@
 //! The phase logic itself lives in [`crate::phase`]: L1, L2, HL, WA and
 //! caller adaptation are uniform [`crate::phase::Phase`] nodes in a
 //! per-function dependency graph executed by the generic
-//! [`crate::schedule::run_dag`] scheduler. This module keeps the stable
+//! [`ir::sched::run_dag`] scheduler. This module keeps the stable
 //! surface — [`Options`], [`Output`], [`PhaseTheorems`], the one-shot
 //! [`translate`]/[`translate_program`] entry points — and the
 //! seed-derivation shared by every testing-validated rule. Incremental
@@ -14,7 +14,7 @@
 //!
 //! Within the graph, functions are independent (L1/L2/HL) or ordered by
 //! the call graph (WA and caller adaptation). [`Options::workers`] asks
-//! for a pool width; [`crate::schedule::plan_workers`] grants at most the
+//! for a pool width; [`ir::sched::plan_workers`] grants at most the
 //! host CPU count (and `1` when the estimated work would not amortize a
 //! pool), and the granted width drives a work-stealing scheduler over the
 //! whole phase graph with functions grouped into cost-balanced batches
@@ -54,7 +54,7 @@ pub struct Options {
     pub seed: u64,
     /// Worker threads for the per-function phases and theorem replay
     /// (`0` or `1` = run inline on the calling thread). This is a
-    /// *request*: [`crate::schedule::plan_workers`] may grant fewer —
+    /// *request*: [`ir::sched::plan_workers`] may grant fewer —
     /// never more than the host has CPUs, and `1` when the estimated
     /// work is too small to amortize a pool. Output is byte-identical at
     /// every worker count, requested or granted.

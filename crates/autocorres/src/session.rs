@@ -25,8 +25,9 @@
 //!
 //! With [`Options::cache_dir`] set, both caches additionally persist to
 //! disk through a [`DiskStore`] (DESIGN.md §6g): `Session::new` preloads
-//! every valid on-disk entry — so a *fresh process* warm-starts exactly
-//! like a long-lived session — and each successful `translate` (and each
+//! every valid on-disk entry, decoded at the width [`Options::workers`]
+//! is granted — so a *fresh process* warm-starts exactly like a
+//! long-lived session — and each successful `translate` (and each
 //! `check_all_report`) writes the caches back, best-effort. Disk problems
 //! never fail a translation; they surface as [`LoadReport`] warnings and
 //! degrade to recomputation.
@@ -74,7 +75,7 @@ impl Session {
             None => None,
             Some(dir) => match DiskStore::open(dir) {
                 Ok(d) => {
-                    load = d.load_into(&store, &replay);
+                    load = d.load_into(&store, &replay, opts.workers);
                     Some(d)
                 }
                 Err(e) => {

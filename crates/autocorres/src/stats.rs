@@ -8,7 +8,7 @@
 //! deterministic and is compared by the determinism test suite.
 //!
 //! Worker counts are reported twice: `requested` (what the caller asked
-//! for) and `workers` (what [`crate::schedule::plan_workers`] actually
+//! for) and `workers` (what [`ir::sched::plan_workers`] actually
 //! granted). Utilization is busy time over `wall × effective workers`,
 //! deliberately *unclamped* — a ratio above `1.0` or a big
 //! requested/effective gap is a scheduling pathology that must stay
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::schedule::PoolStats;
+use ir::sched::PoolStats;
 
 /// One pipeline phase's measurements.
 #[derive(Clone, Debug, Default)]

@@ -55,6 +55,7 @@ use std::sync::Arc;
 
 use ir::codec::{digest128_bytes, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
+use ir::sched::{par_map, plan_workers, MIN_TASK_COST};
 use kernel::{ReplayCache, Thm};
 use monadic::MonadicFn;
 
@@ -245,10 +246,16 @@ impl DiskStore {
         Diag::new(ir::diag::Phase::Kernel, DiagKind::Lint, msg)
     }
 
-    /// Loads every valid on-disk entry into the session caches. Never
-    /// fails: anything unreadable or invalid is counted in
+    /// Loads every valid on-disk entry into the session caches, decoding
+    /// at the width [`plan_workers`] grants `workers`. Never fails:
+    /// anything unreadable or invalid is counted in
     /// [`LoadReport::rejected`] and recomputed by the pipeline instead.
-    pub fn load_into(&self, store: &ArtifactStore, replay: &ReplayCache) -> LoadReport {
+    pub fn load_into(
+        &self,
+        store: &ArtifactStore,
+        replay: &ReplayCache,
+        workers: usize,
+    ) -> LoadReport {
         let mut rep = LoadReport::default();
         match std::fs::read(self.dir.join("meta")) {
             Ok(bytes) => {
@@ -298,7 +305,7 @@ impl DiskStore {
         // In-flight temporaries of a concurrent writer are not entries;
         // anything else that fails to parse is.
         paths.retain(|p| p.extension().and_then(|e| e.to_str()) != Some("tmp"));
-        for decoded in decode_all(&paths) {
+        for decoded in decode_all(&paths, workers) {
             match decoded {
                 Some((phase, name, artifact)) => {
                     store.preload(phase, &name, Arc::new(artifact));
@@ -388,54 +395,23 @@ impl DiskStore {
     }
 }
 
-/// Reads and decodes every entry file, in parallel for large stores:
-/// decoding is pure per file (the interner is sharded and thread-safe),
-/// so only the read+decode fans out — results scatter back into path
-/// order and the caller's accept/reject walk stays deterministic. On a
-/// seL4-scale store (~3 900 entries, ~270 k proof nodes) the sequential
-/// decode dominated warm start; fanning it out is what keeps a fresh
-/// process's warm start well under the bench's 25 %-of-cold gate.
-fn decode_all(paths: &[PathBuf]) -> Vec<Option<(&'static str, String, PhaseArtifact)>> {
-    let decode_one = |path: &PathBuf| {
-        std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|b| decode_entry(&b).map_err(|e| e.0))
+/// Reads and decodes every entry file on the shared executor, at the
+/// width [`plan_workers`] grants `workers` for the entry count: decoding
+/// is pure per file (the interner is sharded and thread-safe), so only
+/// the read+decode fans out — results come back in path order and the
+/// caller's accept/reject walk stays deterministic. On a seL4-scale store
+/// (~3 900 entries, ~270 k proof nodes) the sequential decode dominated
+/// warm start. A decode that panics rejects its own entry only — load
+/// never fails, it degrades.
+fn decode_all(
+    paths: &[PathBuf],
+    workers: usize,
+) -> Vec<Option<(&'static str, String, PhaseArtifact)>> {
+    let cost = paths.len() as u64 * MIN_TASK_COST;
+    let (decoded, _) = par_map(paths, plan_workers(workers, cost, false), |_, path| {
+        std::panic::catch_unwind(|| decode_entry(&std::fs::read(path).ok()?).ok())
             .ok()
-    };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    if workers <= 1 || paths.len() < 32 {
-        return paths.iter().map(decode_one).collect();
-    }
-    let mut decoded: Vec<Option<(&'static str, String, PhaseArtifact)>> = Vec::new();
-    decoded.resize_with(paths.len(), || None);
-    let next = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    // Per-thread read-through intern caches, as in the
-                    // phase pool and parallel replay.
-                    let _intern_scope = ir::intern::ParallelScope::enter();
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        let Some(path) = paths.get(i) else { break };
-                        mine.push((i, decode_one(path)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            // A panicked worker's slots stay `None` and count as rejected
-            // — load never fails, it degrades.
-            for (i, r) in h.join().unwrap_or_default() {
-                decoded[i] = r;
-            }
-        }
+            .flatten()
     });
     decoded
 }

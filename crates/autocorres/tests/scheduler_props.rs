@@ -9,7 +9,7 @@
 //! callee's WA theorem) — and (3) terminate (no deadlock; the test would
 //! hang otherwise).
 
-use autocorres::schedule::{par_map, run_dag};
+use ir::sched::{par_map, run_dag};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -18,10 +18,11 @@
 //! (requested vs effective workers, busy/wall, batch and steal counts)
 //! and the parallel wall time at each gated worker count.
 //!
-//! Every row is gated: parallel translation must cost at most
-//! [`PAR_OVERHEAD_GATE`]× sequential at every [`GATE_WORKER_COUNTS`]
-//! entry, so a scheduler whose overhead makes parallelism a pessimization
-//! fails the bench instead of silently landing in the JSON.
+//! Every row is gated: parallel translation and parallel proof replay
+//! must each cost at most [`PAR_OVERHEAD_GATE`]× sequential at every
+//! [`GATE_WORKER_COUNTS`] entry, so a scheduler whose overhead makes
+//! parallelism a pessimization fails the bench instead of silently
+//! landing in the JSON.
 //!
 //! The two large profiles run once (they are minutes-scale workloads, like
 //! the paper's 1443s/2368s seL4 row); Criterion measures the smaller ones.
@@ -30,6 +31,7 @@ use autocorres::{translate_program, Options, Output, PhaseStat, Session};
 use bench::time_once;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ir::metrics::SpecMetrics;
+use ir::sched::host_cpus;
 use std::fmt::Write as _;
 
 /// Worker counts the overhead gate is measured at. All of them
@@ -38,9 +40,10 @@ use std::fmt::Write as _;
 /// sequential by more than the gate, no matter what the caller asked for.
 const GATE_WORKER_COUNTS: [usize; 3] = [2, 4, 8];
 
-/// Parallel translation may cost at most this factor over sequential at
-/// *every* measured worker count (the regression this harness exists to
-/// catch ran at 2.16× on a 1-CPU host before the adaptive planner).
+/// Parallel translation and replay may each cost at most this factor
+/// over sequential at *every* measured worker count (the regression this
+/// harness exists to catch ran at 2.16× on a 1-CPU host before the
+/// adaptive planner).
 const PAR_OVERHEAD_GATE: f64 = 1.05;
 
 /// Absolute noise floor added to the gate bound: shared-container timing
@@ -53,6 +56,42 @@ const GATE_NOISE_FLOOR_S: f64 = 0.030;
 /// The gate bound for a given sequential time.
 fn gate_bound(t_seq: f64) -> f64 {
     PAR_OVERHEAD_GATE * t_seq + GATE_NOISE_FLOOR_S
+}
+
+/// The overhead gate for one parallel path (`what`): at every entry of
+/// `counts` the best of up to three `par(workers)` samples must land
+/// within [`gate_bound`] of `t_seq`, which each failing round refines with
+/// a fresh `seq()` sample — one timing is noisy on the millisecond-scale
+/// rows, so one lucky or unlucky sample on either side can't decide the
+/// gate. Returns the best parallel time per worker count.
+fn overhead_gate(
+    row: &str,
+    what: &str,
+    counts: &[usize],
+    t_seq: &mut f64,
+    mut seq: impl FnMut() -> f64,
+    mut par: impl FnMut(usize) -> f64,
+) -> Vec<(usize, f64)> {
+    counts
+        .iter()
+        .map(|&w| {
+            let mut best = f64::INFINITY;
+            for _ in 0..3 {
+                best = best.min(par(w));
+                if best <= gate_bound(*t_seq) {
+                    break;
+                }
+                *t_seq = t_seq.min(seq());
+            }
+            assert!(
+                best <= gate_bound(*t_seq),
+                "{row}: parallel {what} overhead gate failed at workers={w} \
+                 (par {best:.3}s vs seq {:.3}s, gate {PAR_OVERHEAD_GATE}× + {GATE_NOISE_FLOOR_S}s)",
+                *t_seq
+            );
+            (w, best)
+        })
+        .collect()
 }
 
 struct RowOut {
@@ -120,10 +159,6 @@ fn edit_one_fn(src: &str) -> String {
         return src.to_owned();
     };
     format!("{}{{ return 42u; }}\n", &src[..pos + open])
-}
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn pool_workers() -> usize {
@@ -229,22 +264,24 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
         "{}: --no-absint must empty the discharge report",
         p.name
     );
-    // The overhead gate: at every measured worker count a parallel
-    // request must land within PAR_OVERHEAD_GATE of sequential (the
-    // adaptive planner shrinks the pool on small hosts, so the parallel
-    // path *is* near-sequential there). One timing is noisy on the
-    // millisecond-scale rows, so before the gate decides, a failing
-    // sample gets a best-of-3 retry — and the *sequential* baseline is
-    // refined with the same budget (min of repeated runs), so one
-    // lucky/unlucky sample on either side can't decide the gate.
-    let mut par_by_workers = Vec::new();
-    for w in GATE_WORKER_COUNTS {
-        let o = Options {
-            workers: w,
-            ..seq_opts.clone()
-        };
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
+    // The overhead gate (see `overhead_gate`): the adaptive planner
+    // shrinks the pool on small hosts, so the parallel path *is*
+    // near-sequential there.
+    let par_by_workers = overhead_gate(
+        p.name,
+        "translation",
+        &GATE_WORKER_COUNTS,
+        &mut t_seq,
+        || {
+            let (out, t) = time_once(|| translate_program(&typed, &seq_opts).unwrap());
+            assert_eq!(seq_fp, fingerprint(&out), "{}: seq retry diverges", p.name);
+            t
+        },
+        |w| {
+            let o = Options {
+                workers: w,
+                ..seq_opts.clone()
+            };
             let (out, t) = time_once(|| translate_program(&typed, &o).unwrap());
             assert_eq!(
                 seq_fp,
@@ -252,22 +289,9 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
                 "{}: workers={w} diverges from sequential",
                 p.name
             );
-            best = best.min(t);
-            if best <= gate_bound(t_seq) {
-                break;
-            }
-            let (out, t) = time_once(|| translate_program(&typed, &seq_opts).unwrap());
-            assert_eq!(seq_fp, fingerprint(&out), "{}: seq retry diverges", p.name);
-            t_seq = t_seq.min(t);
-        }
-        assert!(
-            best <= gate_bound(t_seq),
-            "{}: parallel overhead gate failed at workers={w} \
-             (par {best:.3}s vs seq {t_seq:.3}s, gate {PAR_OVERHEAD_GATE}× + {GATE_NOISE_FLOOR_S}s)",
-            p.name
-        );
-        par_by_workers.push((w, best));
-    }
+            t
+        },
+    );
     let workers = pool_workers();
     let par_opts = Options {
         workers,
@@ -354,10 +378,42 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
     assert_eq!(warm_out.stats.store_misses, 0, "{}: warm start missed", p.name);
     assert!(warm_out.stats.warm_start_ms.is_some(), "{}: warm run not stamped", p.name);
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let (replay_seq, t_replay_seq) = time_once(|| seq.check_all_report(1).unwrap());
-    let (replay_par, t_replay_par) = time_once(|| par.check_all_report(workers).unwrap());
-    assert_eq!(replay_seq.checked, replay_par.checked);
-    assert_eq!(replay_seq.proof_nodes, replay_par.proof_nodes);
+    // Replay joins the overhead gate, measured at the recorded pool width
+    // too; both recorded replay times are the gate's own samples. Each
+    // `check_all_report` starts from an empty replay cache, so every
+    // sample does equal work.
+    let (replay_seq, mut t_replay_seq) = time_once(|| seq.check_all_report(1).unwrap());
+    assert_eq!(replay_seq.proof_nodes, seq.total_proof_size());
+    let mut replay_counts = GATE_WORKER_COUNTS.to_vec();
+    if !replay_counts.contains(&workers) {
+        replay_counts.push(workers);
+    }
+    let mut replay_par = None;
+    let replay_by_workers = overhead_gate(
+        p.name,
+        "replay",
+        &replay_counts,
+        &mut t_replay_seq,
+        || time_once(|| seq.check_all_report(1).unwrap()).1,
+        |w| {
+            let (rep, t) = time_once(|| par.check_all_report(w).unwrap());
+            assert_eq!(
+                (rep.checked, rep.proof_nodes),
+                (replay_seq.checked, replay_seq.proof_nodes),
+                "{}: replay at workers={w} diverges from sequential",
+                p.name
+            );
+            if w == workers {
+                replay_par = Some(rep);
+            }
+            t
+        },
+    );
+    let replay_par = replay_par.expect("the pool width is among the replay gate counts");
+    let t_replay_par = replay_by_workers
+        .iter()
+        .find_map(|&(w, t)| (w == workers).then_some(t))
+        .expect("the pool width is among the replay gate counts");
     RowOut {
         name: p.name,
         loc,

@@ -75,14 +75,15 @@ fn parallel_mode() -> bool {
 /// scope is alive (on *any* thread — the counter is global), intern calls
 /// route through the per-thread [`LocalCache`]s so repeat interns of hot
 /// terms skip the shard locks that pool workers would otherwise contend
-/// on. The scheduler enters a scope when it actually spawns workers;
-/// sequential runs never pay the cache's bookkeeping.
-pub struct ParallelScope(());
+/// on. Only the executor ([`crate::sched`]) enters a scope, and only when
+/// it actually spawns workers; sequential runs never pay the cache's
+/// bookkeeping.
+pub(crate) struct ParallelScope(());
 
 impl ParallelScope {
     /// Enters a scope; interning is cache-routed until the value drops.
     #[must_use]
-    pub fn enter() -> ParallelScope {
+    pub(crate) fn enter() -> ParallelScope {
         PARALLEL_SCOPES.fetch_add(1, Ordering::Relaxed);
         ParallelScope(())
     }
@@ -458,7 +459,7 @@ mod tests {
 
     #[test]
     fn local_cache_is_read_through_and_canonical() {
-        // Two threads interning the same fresh term must end up with the
+        // Two pool workers interning the same fresh term must end up with the
         // same allocation: the local caches accelerate lookups but never
         // allocate privately, so `ptr_eq`/`key` stay canonical.
         let build = || {
@@ -468,13 +469,16 @@ mod tests {
                 Expr::u32(0x5EED),
             )
         };
-        let _scope = ParallelScope::enter();
-        assert!(parallel_mode());
-        let (a, b) = std::thread::scope(|s| {
-            let ha = s.spawn(|| Interned::new(build()));
-            let hb = s.spawn(|| Interned::new(build()));
-            (ha.join().unwrap(), hb.join().unwrap())
+        // The barrier holds each job until the other has started, so the
+        // two interns run on different workers at the same time.
+        let both_started = std::sync::Barrier::new(2);
+        let (handles, pool) = crate::sched::par_map(&[(), ()], 2, |_, ()| {
+            assert!(parallel_mode());
+            both_started.wait();
+            Interned::new(build())
         });
+        assert_eq!(pool.workers, 2);
+        let (a, b) = (handles[0].clone(), handles[1].clone());
         assert!(Interned::ptr_eq(&a, &b), "cross-thread canonicalization");
         assert_eq!(a.key(), b.key());
         // And a same-thread repeat is served (locally or globally) as the

@@ -42,6 +42,7 @@ pub mod mem;
 pub mod metrics;
 pub mod names;
 pub mod pretty;
+pub mod sched;
 pub mod state;
 pub mod ty;
 pub mod typing;

@@ -2,6 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use ir::sched::{par_map, plan_workers, PoolStats};
 
 use crate::judgment::{AbsFun, Judgment};
 
@@ -557,14 +560,9 @@ pub struct ReplayReport {
     pub cache_hits: u64,
     /// Proof nodes that had to be validated.
     pub cache_misses: u64,
-    /// Workers the caller asked for (before clamping to the item count).
-    pub requested: usize,
-    /// Workers actually used.
-    pub workers: usize,
-    /// Sum of per-worker busy time (≤ `workers` × wall time).
-    pub busy: std::time::Duration,
-    /// Wall-clock time of the whole replay.
-    pub wall: std::time::Duration,
+    /// Occupancy of the replay: requested vs granted workers, busy and
+    /// wall time.
+    pub pool: PoolStats,
 }
 
 impl ReplayReport {
@@ -580,11 +578,13 @@ impl ReplayReport {
     }
 }
 
-/// Replays a batch of theorems through [`check`], fanning the work across
-/// `workers` scoped threads (`workers <= 1` replays on the caller's
-/// thread). Theorems are independent per-function certificates, so replay
-/// order is irrelevant to soundness; on failure the error reported is the
-/// *first* failing theorem in input order, independent of scheduling.
+/// Replays a batch of theorems through [`check`] on the shared executor
+/// ([`ir::sched::par_map`]), at the width [`plan_workers`] grants
+/// `workers` for the batch's proof-node count (`workers <= 1` replays on
+/// the caller's thread). Theorems are independent per-function
+/// certificates, so replay order is irrelevant to soundness; on failure
+/// the error reported is the *first* failing theorem in input order,
+/// independent of scheduling.
 ///
 /// # Errors
 ///
@@ -618,88 +618,34 @@ where
     I: IntoIterator<Item = (&'a str, &'a Thm)>,
 {
     let items: Vec<(&str, &Thm)> = items.into_iter().collect();
-    let start = std::time::Instant::now();
     let (hits0, misses0) = cache.counters();
     let proof_nodes: usize = items.iter().map(|(_, t)| t.proof_size()).sum();
-    let requested = workers.max(1);
-    let workers = requested.clamp(1, items.len().max(1));
-    let mut first_failure: Option<(usize, String, KernelError)> = None;
-    if workers <= 1 {
-        for (name, thm) in &items {
-            if let Err(e) = check_cached(thm, cx, Some(cache)) {
-                return Err(((*name).to_owned(), e));
-            }
+    let width = plan_workers(workers, proof_nodes as u64, false);
+    // Only the first failure in input order is reported, so theorems
+    // after a known failure need not be replayed.
+    let first_failure = AtomicUsize::new(usize::MAX);
+    let (results, mut pool) = par_map(&items, width, |i, (_, thm)| {
+        if i > first_failure.load(Ordering::Relaxed) {
+            return Ok(());
         }
-        let wall = start.elapsed();
-        let (hits1, misses1) = cache.counters();
-        return Ok(ReplayReport {
-            checked: items.len(),
-            proof_nodes,
-            cache_hits: hits1 - hits0,
-            cache_misses: misses1 - misses0,
-            requested,
-            workers: 1,
-            busy: wall,
-            wall,
-        });
-    }
-    // Claim contiguous chunks (≈4 per worker) instead of single items:
-    // the shared counter is touched O(workers) times rather than O(items),
-    // while stragglers can still rebalance across the last few chunks.
-    // Replay interns terms while rebuilding rule conclusions, so route
-    // interning through the per-thread caches for the pool's lifetime.
-    let _intern_scope = ir::intern::ParallelScope::enter();
-    let chunk = items.len().div_ceil(workers * 4).max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut busy = std::time::Duration::ZERO;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let t0 = std::time::Instant::now();
-                    let mut failures: Vec<(usize, String, KernelError)> = Vec::new();
-                    loop {
-                        let lo = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                        if lo >= items.len() {
-                            break;
-                        }
-                        let hi = (lo + chunk).min(items.len());
-                        for (i, (name, thm)) in
-                            items[lo..hi].iter().enumerate().map(|(o, it)| (lo + o, it))
-                        {
-                            if let Err(e) = check_cached(thm, cx, Some(cache)) {
-                                failures.push((i, (*name).to_owned(), e));
-                            }
-                        }
-                    }
-                    (failures, t0.elapsed())
-                })
-            })
-            .collect();
-        for h in handles {
-            let (failures, worker_busy) = h.join().expect("replay worker panicked");
-            busy += worker_busy;
-            for f in failures {
-                if first_failure.as_ref().is_none_or(|(j, _, _)| f.0 < *j) {
-                    first_failure = Some(f);
-                }
-            }
+        let r = check_cached(thm, cx, Some(cache));
+        if r.is_err() {
+            first_failure.fetch_min(i, Ordering::Relaxed);
         }
+        r
     });
-    let (hits1, misses1) = cache.counters();
-    match first_failure {
-        Some((_, name, e)) => Err((name, e)),
-        None => Ok(ReplayReport {
-            checked: items.len(),
-            proof_nodes,
-            cache_hits: hits1 - hits0,
-            cache_misses: misses1 - misses0,
-            requested,
-            workers,
-            busy,
-            wall: start.elapsed(),
-        }),
+    pool.requested = workers.max(1);
+    for (r, (name, _)) in results.into_iter().zip(&items) {
+        r.map_err(|e| ((*name).to_owned(), e))?;
     }
+    let (hits1, misses1) = cache.counters();
+    Ok(ReplayReport {
+        checked: items.len(),
+        proof_nodes,
+        cache_hits: hits1 - hits0,
+        cache_misses: misses1 - misses0,
+        pool,
+    })
 }
 
 // The parallel pipeline shares theorems, contexts, and programs across

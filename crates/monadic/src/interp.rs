@@ -81,28 +81,10 @@ struct Budget {
     depth: u32,
 }
 
-/// Maximum interpreted call depth (see [`Budget`]).
+/// Maximum interpreted call depth (see [`Budget`]). Execution runs on an
+/// [`ir::sched::with_stack`] thread, so deeply recursive subject programs
+/// hit this clean bound instead of overflowing the caller's stack.
 const MAX_CALL_DEPTH: u32 = 300;
-
-/// Stack size for the dedicated interpreter thread. Debug builds spend on
-/// the order of 100 KiB of host stack per interpreted call level, so the
-/// worst case at [`MAX_CALL_DEPTH`] needs far more than a default 2 MiB
-/// thread stack.
-const INTERP_STACK_BYTES: usize = 64 * 1024 * 1024;
-
-/// Runs `f` on a thread with a large stack, so deeply recursive subject
-/// programs hit the clean [`MAX_CALL_DEPTH`] bound instead of overflowing
-/// the caller's stack.
-fn with_interp_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(INTERP_STACK_BYTES)
-            .spawn_scoped(scope, f)
-            .expect("spawn interpreter thread")
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e))
-    })
-}
 
 /// Executes a program in environment `env` and state `st`.
 ///
@@ -112,7 +94,7 @@ fn with_interp_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// other variants are meta-level faults that cannot occur on well-formed
 /// translated programs.
 pub fn exec(ctx: &ProgramCtx, p: &Prog, env: &Env, st: State, fuel: u64) -> ExecResult {
-    with_interp_stack(move || {
+    ir::sched::with_stack(move || {
         let mut budget = Budget { fuel, depth: 0 };
         exec_inner(ctx, p, env, st, &mut budget)
     })
@@ -310,7 +292,7 @@ pub fn exec_fn(
     let f = ctx
         .function(name)
         .ok_or_else(|| MonadFault::UnknownFunction(name.to_owned()))?;
-    with_interp_stack(move || {
+    ir::sched::with_stack(move || {
         let mut budget = Budget { fuel, depth: 0 };
         exec_call(ctx, f, args, st, &mut budget)
     })

@@ -63,26 +63,9 @@ struct Budget {
     depth: u32,
 }
 
-/// Maximum interpreted call depth (see [`Budget`]).
+/// Maximum interpreted call depth (see [`Budget`]). Execution runs on an
+/// [`ir::sched::with_stack`] thread, whose stack fits this depth.
 const MAX_CALL_DEPTH: u32 = 300;
-
-/// Stack size for the dedicated interpreter thread (deep interpreted
-/// recursion would otherwise overflow a default 2 MiB thread stack long
-/// before [`MAX_CALL_DEPTH`]).
-const INTERP_STACK_BYTES: usize = 64 * 1024 * 1024;
-
-/// Runs `f` on a thread with a large stack (see [`INTERP_STACK_BYTES`]).
-fn with_interp_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(INTERP_STACK_BYTES)
-            .spawn_scoped(scope, f)
-            .expect("spawn interpreter thread")
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e))
-    })
-}
-
 
 /// Executes a statement, mutating `st`.
 ///
@@ -200,7 +183,7 @@ pub fn exec_stmt(
     st: &mut State,
     fuel: &mut u64,
 ) -> Result<Outcome, Fault> {
-    with_interp_stack(move || {
+    ir::sched::with_stack(move || {
         let mut budget = Budget { fuel: *fuel, depth: 0 };
         let r = exec_stmt_b(prog, stmt, st, &mut budget);
         *fuel = budget.fuel;

@@ -47,7 +47,7 @@ fn main() {
         .expect("every theorem replays through the checker");
     println!(
         "\n{} theorems ({} rule applications) replayed by the proof checker on {} worker(s) ✓",
-        report.checked, report.proof_nodes, report.workers
+        report.checked, report.proof_nodes, report.pool.workers
     );
 
     let pm = out.parser_metrics();

@@ -17,6 +17,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One executor (DESIGN.md §6e): every thread is spawned by `ir::sched`,
+# so every pool width comes from its planner.
+if grep -rnE 'thread::scope|thread::spawn|spawn_scoped' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/ir/src/sched\.rs:'; then
+    echo "tier1: thread spawned outside crates/ir/src/sched.rs" >&2; exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 

@@ -70,21 +70,62 @@ fn every_theorem_in_every_map_replays_individually() {
     }
 }
 
+/// An eChronos-sized generated program: enough proof nodes that replay
+/// gets a real pool (more than one worker) on any multi-CPU host, so the
+/// parallel replay paths below are exercised rather than planned inline.
+fn pool_sized_output() -> Output {
+    let profile = codegen::Profile {
+        name: "replay-pool",
+        loc: 563,
+        functions: 40,
+    };
+    let src = codegen::generate(&profile, 0xAC);
+    translate(&src, &Options::default()).unwrap()
+}
+
+/// Asserts that a replay requested at `workers` really ran on a pool
+/// whenever the host can run one.
+fn assert_pooled(pool: &ir::sched::PoolStats, workers: usize, proof_nodes: usize) {
+    if ir::sched::host_cpus() >= 2 {
+        assert!(
+            pool.workers > 1,
+            "workers={workers}: replay of {proof_nodes} proof nodes ran inline"
+        );
+    }
+}
+
 #[test]
 fn parallel_replay_covers_every_theorem() {
-    let opts = Options {
-        workers: 4,
-        ..Options::default()
-    };
-    let out = translate(casestudies::sources::REVERSE, &opts).unwrap();
-    let report = out.check_all_report(4).unwrap();
-    assert_eq!(report.checked, out.thms.len());
-    assert_eq!(report.proof_nodes, out.total_proof_size());
-    assert!(report.workers >= 1 && report.workers <= 4);
-    // And the sequential replay agrees.
+    let out = pool_sized_output();
     let seq = out.check_all_report(1).unwrap();
-    assert_eq!(seq.checked, report.checked);
-    assert_eq!(seq.proof_nodes, report.proof_nodes);
+    assert_eq!(seq.checked, out.thms.len());
+    assert_eq!(seq.proof_nodes, out.total_proof_size());
+    assert_eq!(seq.pool.workers, 1);
+    for workers in [2usize, 4] {
+        let report = out.check_all_report(workers).unwrap();
+        assert_pooled(&report.pool, workers, report.proof_nodes);
+        assert!(report.pool.workers <= workers);
+        // The sequential replay agrees.
+        assert_eq!(report.checked, seq.checked);
+        assert_eq!(report.proof_nodes, seq.proof_nodes);
+    }
+}
+
+#[test]
+fn replay_never_oversubscribes() {
+    // Schorr-Waite's few hundred proof nodes are far below what one extra
+    // worker needs to pay off, so replay must run inline whatever the
+    // request — never one thread per theorem.
+    let out = translate(casestudies::sources::SCHORR_WAITE, &Options::default()).unwrap();
+    let items = out.thms.iter().map(|(_, n, t)| (n, t));
+    let report = kernel::check_all(items, &out.check_ctx, 8).unwrap();
+    assert_eq!(report.proof_nodes, 628);
+    assert_eq!(report.pool.requested, 8);
+    assert_eq!(
+        report.pool.workers, 1,
+        "planned width for {} nodes",
+        report.proof_nodes
+    );
 }
 
 #[test]
@@ -92,20 +133,31 @@ fn parallel_replay_reports_first_error_in_theorem_order() {
     // Theorems can't be forged from outside the kernel (LCF), so induce
     // failures by replaying layout-dependent derivations against a context
     // without the struct layouts. Whatever fails first sequentially must be
-    // the reported error at every worker count.
-    let out = translate(casestudies::sources::REVERSE, &Options::default()).unwrap();
+    // the reported error at every worker count — on a program large enough
+    // that the parallel counts really run a pool.
+    let out = pool_sized_output();
     let empty_cx = CheckCtx::default();
     let items: Vec<(&str, &kernel::Thm)> = out.thms.iter().map(|(_, n, t)| (n, t)).collect();
-    let first_failing = items
+    let failing: Vec<&str> = items
         .iter()
-        .find(|(_, t)| check(t, &empty_cx).is_err())
-        .map(|(n, _)| (*n).to_owned())
-        .expect("some derivation must depend on the layouts");
+        .filter(|(_, t)| check(t, &empty_cx).is_err())
+        .map(|(n, _)| *n)
+        .collect();
+    assert!(
+        failing.len() >= 2,
+        "several derivations must depend on the layouts, got {failing:?}"
+    );
     for workers in [1usize, 2, 8] {
+        // Same items, same proof-node count: the valid replay shows the
+        // width the failing one is planned at.
+        let ok = kernel::check_all(items.iter().copied(), &out.check_ctx, workers).unwrap();
+        if workers > 1 {
+            assert_pooled(&ok.pool, workers, ok.proof_nodes);
+        }
         let err = kernel::check_all(items.iter().copied(), &empty_cx, workers)
             .expect_err("replay without layouts must fail");
         assert_eq!(
-            err.0, first_failing,
+            err.0, failing[0],
             "workers={workers}: error is not the first in theorem order"
         );
     }
