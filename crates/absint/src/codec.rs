@@ -1,106 +1,33 @@
 //! Binary codec impls for abstract-interpretation results (see
 //! `ir::codec`), so `absint` phase artifacts can live in the disk store.
 
-use ir::codec::{Codec, DecodeError, Decoder, Encoder};
-use ir::diag::Span;
-use ir::expr::Expr;
-use ir::guard::GuardKind;
-
 use crate::lint::{Lint, LintKind};
 use crate::{FnAbsint, GuardInfo, Verdict};
 
-impl Codec for Verdict {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Verdict::ProvedTrue { hyp } => {
-                e.u8(0);
-                hyp.encode(e);
-            }
-            Verdict::ProvedFalse => e.u8(1),
-            Verdict::Unknown => e.u8(2),
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => Verdict::ProvedTrue {
-                hyp: Expr::decode(d)?,
-            },
-            1 => Verdict::ProvedFalse,
-            2 => Verdict::Unknown,
-            b => return Err(DecodeError(format!("invalid Verdict tag {b}"))),
-        })
+ir::codec! { enum Verdict { 0 => ProvedTrue { hyp }, 1 => ProvedFalse, 2 => Unknown } }
+
+ir::codec! { struct GuardInfo { index, kind, guard, verdict } }
+
+ir::codec! {
+    enum LintKind {
+        0 => DeadStore,
+        1 => UnreachableCode,
+        2 => UseBeforeInit,
+        3 => DefiniteOverflow,
     }
 }
 
-impl Codec for GuardInfo {
-    fn encode(&self, e: &mut Encoder) {
-        self.index.encode(e);
-        self.kind.encode(e);
-        self.guard.encode(e);
-        self.verdict.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(GuardInfo {
-            index: usize::decode(d)?,
-            kind: GuardKind::decode(d)?,
-            guard: Expr::decode(d)?,
-            verdict: Verdict::decode(d)?,
-        })
-    }
-}
+ir::codec! { struct Lint { kind, message, span } }
 
-impl Codec for LintKind {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            LintKind::DeadStore => 0,
-            LintKind::UnreachableCode => 1,
-            LintKind::UseBeforeInit => 2,
-            LintKind::DefiniteOverflow => 3,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => LintKind::DeadStore,
-            1 => LintKind::UnreachableCode,
-            2 => LintKind::UseBeforeInit,
-            3 => LintKind::DefiniteOverflow,
-            b => return Err(DecodeError(format!("invalid LintKind tag {b}"))),
-        })
-    }
-}
-
-impl Codec for Lint {
-    fn encode(&self, e: &mut Encoder) {
-        self.kind.encode(e);
-        e.str(&self.message);
-        self.span.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Lint {
-            kind: LintKind::decode(d)?,
-            message: d.str()?,
-            span: Span::decode(d)?,
-        })
-    }
-}
-
-impl Codec for FnAbsint {
-    fn encode(&self, e: &mut Encoder) {
-        self.guards.encode(e);
-        self.lints.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(FnAbsint {
-            guards: Vec::decode(d)?,
-            lints: Vec::decode(d)?,
-        })
-    }
-}
+ir::codec! { struct FnAbsint { guards, lints } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ir::codec::{decode_from_slice, encode_to_vec};
+    use ir::diag::Span;
+    use ir::expr::Expr;
+    use ir::guard::GuardKind;
 
     #[test]
     fn fn_absint_round_trips() {

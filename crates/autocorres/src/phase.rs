@@ -288,6 +288,8 @@ struct PhaseClock {
     end: AtomicU64,
     /// Nodes answered from the artifact store.
     cached: AtomicUsize,
+    /// Nodes the store had no entry for, so their job ran.
+    computed: AtomicUsize,
     /// Batch nodes of this phase executed by a worker other than the one
     /// that made them ready.
     steals: AtomicU64,
@@ -300,6 +302,7 @@ impl Default for PhaseClock {
             start: AtomicU64::new(u64::MAX),
             end: AtomicU64::new(0),
             cached: AtomicUsize::new(0),
+            computed: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
         }
     }
@@ -1214,6 +1217,7 @@ fn exec_node(cx: &PhaseCx<'_>, store: &ArtifactStore, p: usize, i: usize) -> Nod
         return Ok(hit);
     }
     cx.dirty[i].store(1, Ordering::Relaxed);
+    cx.clocks[p].computed.fetch_add(1, Ordering::Relaxed);
     let value = phase.run(cx, i)?;
     let artifact = Arc::new(PhaseArtifact { digest, value });
     store.put(phase.name(), name, Arc::clone(&artifact));
@@ -1248,6 +1252,8 @@ pub(crate) struct GraphRun {
     pub dirty_fns: usize,
     /// Total nodes answered from the artifact store.
     pub cached_nodes: usize,
+    /// Total nodes the artifact store missed, whose jobs ran.
+    pub computed_nodes: usize,
 }
 
 /// Collects errors/clock data after [`run_phases`] finished.
@@ -1308,11 +1314,17 @@ pub(crate) fn graph_outcome(cx: &PhaseCx<'_>) -> GraphRun {
         .iter()
         .map(|c| c.cached.load(Ordering::Relaxed))
         .sum();
+    let computed_nodes = cx
+        .clocks
+        .iter()
+        .map(|c| c.computed.load(Ordering::Relaxed))
+        .sum();
     GraphRun {
         error,
         clocks,
         dirty_fns,
         cached_nodes,
+        computed_nodes,
     }
 }
 
@@ -1489,6 +1501,7 @@ pub(crate) fn run_pipeline(
         total_wall: total_start.elapsed(),
         dirty_fns: outcome.dirty_fns,
         cached_nodes: outcome.cached_nodes,
+        computed_nodes: outcome.computed_nodes,
         guards_total: absint_map.values().map(|a| a.report.guards.len()).sum(),
         guards_discharged: absint_map.values().map(|a| a.report.discharged()).sum(),
         guards_refuted: absint_map.values().map(|a| a.report.refuted()).sum(),

@@ -45,7 +45,7 @@
 use ir::diag::Diag;
 use kernel::{KernelError, ReplayCache, ReplayReport};
 
-use crate::phase::{run_pipeline, ArtifactStore, PHASES};
+use crate::phase::{run_pipeline, ArtifactStore};
 use crate::pipeline::{Options, Output};
 use crate::store::{DiskStore, LoadReport};
 
@@ -165,27 +165,11 @@ impl Session {
     ///
     /// As for [`Session::translate`].
     pub fn translate_program(&self, typed: &cparser::TProgram) -> Result<Output, Diag> {
-        let mut out = run_pipeline(typed, &self.opts, &self.store)?;
+        let out = run_pipeline(typed, &self.opts, &self.store)?;
         if self.disk.is_some() {
-            self.stamp_store_stats(&mut out);
             let _ = self.persist();
         }
         Ok(out)
-    }
-
-    /// Fills the persistence fields of `out.stats` for a disk-backed run.
-    fn stamp_store_stats(&self, out: &mut Output) {
-        let stats = &mut out.stats;
-        stats.store_rejected = self.load.rejected;
-        let total_jobs = out.wa.fns.len() * PHASES.len();
-        stats.store_hits = stats.cached_nodes.min(total_jobs);
-        stats.store_misses = total_jobs.saturating_sub(stats.store_hits);
-        let ms = stats.total_wall.as_millis().min(u128::from(u64::MAX)) as u64;
-        if self.load.artifacts > 0 {
-            stats.warm_start_ms = Some(ms);
-        } else {
-            stats.cold_start_ms = Some(ms);
-        }
     }
 
     /// Replays `out`'s theorems through the independent checker, skipping

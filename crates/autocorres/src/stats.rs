@@ -116,6 +116,10 @@ pub struct PipelineStats {
     /// phases. Excluded from [`PipelineStats::deterministic_summary`]:
     /// cache occupancy varies between runs, output bytes must not.
     pub cached_nodes: usize,
+    /// Phase jobs the session artifact store had no entry for, so they
+    /// ran, summed over phases. Excluded from the deterministic summary
+    /// like `cached_nodes`.
+    pub computed_nodes: usize,
     /// Guards the abstract-interpretation phase saw on reachable paths
     /// (0 with `--no-absint`).
     pub guards_total: usize,
@@ -124,22 +128,6 @@ pub struct PipelineStats {
     pub guards_discharged: usize,
     /// Guards proved *false* — definite faults, surfaced as lints.
     pub guards_refuted: usize,
-    /// Phase jobs answered from artifacts the [`crate::DiskStore`] loaded
-    /// (a subset of `cached_nodes`; 0 without `--cache-dir`). Excluded
-    /// from [`PipelineStats::deterministic_summary`] like `cached_nodes`.
-    pub store_hits: usize,
-    /// Phase jobs a disk-backed run still had to compute (0 without
-    /// `--cache-dir`).
-    pub store_misses: usize,
-    /// On-disk entries rejected at load (corrupt, truncated, foreign, or
-    /// version-skewed) — each degraded to recomputation.
-    pub store_rejected: usize,
-    /// Wall-clock milliseconds of a translation that warm-started from a
-    /// disk store (`Some` only when `--cache-dir` held usable artifacts).
-    pub warm_start_ms: Option<u64>,
-    /// Wall-clock milliseconds of a translation that started cold while
-    /// persistence was enabled (`Some` only with `--cache-dir`).
-    pub cold_start_ms: Option<u64>,
 }
 
 impl PipelineStats {

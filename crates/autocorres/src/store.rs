@@ -19,11 +19,12 @@
 //!
 //! # Integrity and trust model
 //!
-//! Every file carries a magic header and a trailing
-//! [`ir::codec::digest128_bytes`] over its payload; a corrupt, truncated,
-//! or foreign file fails one of the checks and is **rejected
-//! individually** — the pipeline recomputes that entry from source, so
-//! damage degrades warm starts, never verdicts. The store is part of the
+//! Every entry and `replay.bin` is an [`ir::codec::seal`]ed container (a
+//! magic header, the payload, and a trailing
+//! [`ir::codec::digest128_bytes`] over it, the framing `cert-v1` uses
+//! too); a corrupt, truncated, or foreign file fails one of the checks
+//! and is **rejected individually** — the pipeline recomputes that entry
+//! from source, so damage degrades warm starts, never verdicts. The store is part of the
 //! *local trusted base* (like the in-memory session caches it mirrors):
 //! the integrity digest defends against accidental corruption, not an
 //! adversary with write access to the cache directory — adversarial
@@ -53,11 +54,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ir::codec::{digest128_bytes, Codec, DecodeError, Decoder, Encoder};
+use ir::codec::{digest128_bytes, seal, unseal, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{par_map, plan_workers, MIN_TASK_COST};
-use kernel::{ReplayCache, Thm};
-use monadic::MonadicFn;
+use kernel::ReplayCache;
 
 use crate::phase::{AbsintFn, AdaptedFn, Artifact, ArtifactStore, PhaseArtifact, PHASES};
 
@@ -70,88 +70,19 @@ const RPL_MAGIC: &[u8; 8] = b"ACRSRPL1";
 
 // ---- artifact codecs --------------------------------------------------------
 
-impl Codec for AdaptedFn {
-    fn encode(&self, e: &mut Encoder) {
-        self.body.encode(e);
-        self.thm.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(AdaptedFn {
-            body: Codec::decode(d)?,
-            thm: Thm::decode(d)?,
-        })
-    }
-}
+ir::codec! { struct AdaptedFn { body, thm } }
 
-impl Codec for AbsintFn {
-    fn encode(&self, e: &mut Encoder) {
-        self.report.encode(e);
-        self.thms.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(AbsintFn {
-            report: Codec::decode(d)?,
-            thms: Vec::decode(d)?,
-        })
-    }
-}
+ir::codec! { struct AbsintFn { report, thms } }
 
-impl Codec for Artifact {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Artifact::L1 { fun, thm } => {
-                e.u8(0);
-                fun.encode(e);
-                thm.encode(e);
-            }
-            Artifact::L2Fn(fun) => {
-                e.u8(1);
-                fun.encode(e);
-            }
-            Artifact::L2Thm(thm) => {
-                e.u8(2);
-                thm.encode(e);
-            }
-            Artifact::Hl { fun, thm } => {
-                e.u8(3);
-                fun.encode(e);
-                thm.encode(e);
-            }
-            Artifact::Wa { fun, thm } => {
-                e.u8(4);
-                fun.encode(e);
-                thm.encode(e);
-            }
-            Artifact::Adapt(a) => {
-                e.u8(5);
-                a.encode(e);
-            }
-            Artifact::Absint(a) => {
-                e.u8(6);
-                a.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => Artifact::L1 {
-                fun: MonadicFn::decode(d)?,
-                thm: Thm::decode(d)?,
-            },
-            1 => Artifact::L2Fn(MonadicFn::decode(d)?),
-            2 => Artifact::L2Thm(Thm::decode(d)?),
-            3 => Artifact::Hl {
-                fun: MonadicFn::decode(d)?,
-                thm: Option::decode(d)?,
-            },
-            4 => Artifact::Wa {
-                fun: MonadicFn::decode(d)?,
-                thm: Option::decode(d)?,
-            },
-            5 => Artifact::Adapt(Option::decode(d)?),
-            6 => Artifact::Absint(AbsintFn::decode(d)?),
-            b => return Err(DecodeError(format!("invalid Artifact tag {b}"))),
-        })
+ir::codec! {
+    enum Artifact {
+        0 => L1 { fun, thm },
+        1 => L2Fn(fun),
+        2 => L2Thm(thm),
+        3 => Hl { fun, thm },
+        4 => Wa { fun, thm },
+        5 => Adapt(a),
+        6 => Absint(a),
     }
 }
 
@@ -433,7 +364,7 @@ fn encode_entry(phase: &str, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
     e.str(name);
     e.u128_fixed(artifact.digest);
     artifact.value.encode(&mut e);
-    seal(ART_MAGIC, e.finish())
+    seal(ART_MAGIC, &e.finish())
 }
 
 fn decode_entry(bytes: &[u8]) -> Result<(&'static str, String, PhaseArtifact), DecodeError> {
@@ -462,7 +393,7 @@ fn encode_replay(digests: &[u128]) -> Vec<u8> {
     for &d in digests {
         e.u128_fixed(d);
     }
-    seal(RPL_MAGIC, e.finish())
+    seal(RPL_MAGIC, &e.finish())
 }
 
 fn decode_replay(bytes: &[u8]) -> Result<Vec<u128>, DecodeError> {
@@ -479,37 +410,11 @@ fn decode_replay(bytes: &[u8]) -> Result<Vec<u128>, DecodeError> {
     Ok(out)
 }
 
-/// `magic + payload + digest128(payload)`.
-fn seal(magic: &[u8; 8], payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len() + 16);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&digest128_bytes(&payload).to_le_bytes());
-    out
-}
-
-/// Inverse of [`seal`]: checks magic and integrity digest, returns the
-/// payload slice.
-fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], DecodeError> {
-    if bytes.len() < 24 {
-        return Err(DecodeError("file too short".into()));
-    }
-    if &bytes[..8] != magic {
-        return Err(DecodeError("bad magic".into()));
-    }
-    let payload = &bytes[8..bytes.len() - 16];
-    let mut stored = [0u8; 16];
-    stored.copy_from_slice(&bytes[bytes.len() - 16..]);
-    if digest128_bytes(payload) != u128::from_le_bytes(stored) {
-        return Err(DecodeError("integrity digest mismatch".into()));
-    }
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Options, Session};
+    use monadic::MonadicFn;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -536,8 +441,8 @@ mod tests {
         let dir = tmpdir("rt");
         let out1 = {
             let sess = Session::new(opts(&dir));
+            assert_eq!(sess.load_report().artifacts, 0, "first run is cold");
             let out = sess.translate(SRC).expect("translate");
-            assert!(out.stats.cold_start_ms.is_some(), "first run is cold");
             assert_eq!(out.stats.dirty_fns, 1, "everything recomputed cold");
             out
         };
@@ -547,8 +452,6 @@ mod tests {
         assert_eq!(sess.load_report().rejected, 0);
         let out2 = sess.translate(SRC).expect("translate warm");
         assert_eq!(out2.stats.dirty_fns, 0, "warm start recomputes nothing");
-        assert!(out2.stats.warm_start_ms.is_some());
-        assert_eq!(out2.stats.store_misses, 0);
         assert_eq!(
             out1.wa.function("inc").unwrap().to_string(),
             out2.wa.function("inc").unwrap().to_string()
@@ -622,7 +525,6 @@ mod tests {
             assert_eq!(rep.artifacts, 0);
             assert!(!rep.warnings.is_empty());
             let out = sess.translate(SRC).expect("translate cold");
-            assert!(out.stats.cold_start_ms.is_some());
             assert!(out.stats.dirty_fns > 0);
         }
         // The save above healed the meta header; loads are warm again.
@@ -655,7 +557,7 @@ mod tests {
         .encode(&mut e);
         std::fs::write(
             dir.join("artifacts/l9-inc-0000.bin"),
-            seal(ART_MAGIC, e.finish()),
+            seal(ART_MAGIC, &e.finish()),
         )
         .unwrap();
         let sess = Session::new(opts(&dir));

@@ -358,10 +358,10 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
     };
     let (cold_out, t_cold) = time_once(|| {
         let s = Session::new(disk_opts.clone());
+        assert_eq!(s.load_report().artifacts, 0, "{}: cold run loaded artifacts", p.name);
         s.translate_program(&typed).unwrap()
     });
     assert_eq!(seq_fp, fingerprint(&cold_out), "{}: disk cold run diverges", p.name);
-    assert!(cold_out.stats.cold_start_ms.is_some(), "{}: cold run not stamped", p.name);
     // A fresh process carries none of the cold run's heap. Holding the
     // cold output alive while the warm load re-allocates an equal-sized
     // working set times allocator growth (seconds of page faults at
@@ -371,12 +371,11 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
     let (warm_out, t_warm) = time_once(|| {
         let s = Session::new(disk_opts.clone());
         assert_eq!(s.load_report().rejected, 0, "{}: clean store rejected entries", p.name);
+        assert!(s.load_report().artifacts > 0, "{}: warm run loaded nothing", p.name);
         s.translate_program(&typed).unwrap()
     });
     assert_eq!(seq_fp, fingerprint(&warm_out), "{}: warm start diverges", p.name);
     assert_eq!(warm_out.stats.dirty_fns, 0, "{}: warm start recomputed", p.name);
-    assert_eq!(warm_out.stats.store_misses, 0, "{}: warm start missed", p.name);
-    assert!(warm_out.stats.warm_start_ms.is_some(), "{}: warm run not stamped", p.name);
     let _ = std::fs::remove_dir_all(&cache_dir);
     // Replay joins the overhead gate, measured at the recorded pool width
     // too; both recorded replay times are the gate's own samples. Each

@@ -7,20 +7,25 @@
 //!
 //! * the [`Codec`] trait (`encode`/`decode`) with implementations for the
 //!   `ir` types and the usual containers,
+//! * the [`codec!`](crate::codec!) macro, which writes the impl of every
+//!   plain struct (its fields in order) and enum (an explicit `u8` tag,
+//!   then the variant's fields) across the workspace; only encodings that
+//!   are not "tag, then fields" are written by hand (see DESIGN.md §6g),
 //! * [`Encoder`]/[`Decoder`] with varint integers, length-prefixed
 //!   strings, and **DAG-aware back-references** so hash-consed subterms
 //!   ([`Interned`] handles) are written once and shared on reload — the
 //!   on-disk size mirrors the in-memory DAG, not the expanded tree,
-//! * [`digest128_bytes`], the stable 128-bit content digest used for
-//!   per-entry integrity checks.
+//! * [`digest128_bytes`], the stable 128-bit content digest, and the
+//!   [`seal`]/[`unseal`] framing (magic, payload, digest) that the store
+//!   entries and `cert-v1` certificates share.
 //!
 //! Decoding is **total**: corrupt, truncated, or adversarial input
 //! produces a [`DecodeError`], never a panic, unbounded allocation, or
-//! unbounded recursion (lengths are bounded by the remaining input and
-//! nesting depth is capped). Callers that need integrity (the store, the
-//! certificate checker) additionally verify a whole-payload
-//! [`digest128_bytes`] before decoding; the decoder's own checks are the
-//! second line of defence, not the first.
+//! unbounded recursion (lengths are bounded by the remaining input, and
+//! every recursive type charges one level per node against `MAX_DEPTH`).
+//! Callers that need integrity (the store, the certificate checker)
+//! additionally [`unseal`] a whole-payload digest before decoding; the
+//! decoder's own checks are the second line of defence, not the first.
 
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap};
@@ -38,12 +43,16 @@ use crate::update::Update;
 use crate::value::{Ptr, Value};
 use crate::word::Word;
 
-/// Maximum nesting depth the decoder will follow. Valid pipeline terms
-/// are nowhere near this deep (hash-consed children make first-visit
-/// depth the term depth, and every other recursive traversal in the
-/// pipeline shares the same practical bound); the cap turns maliciously
-/// nested input into an error while the unwind still fits a default
-/// 2 MiB test-thread stack in debug builds.
+/// Maximum nesting depth the decoder will follow. Each node of a
+/// recursive type (`@depth` in [`codec!`](crate::codec!)) costs one
+/// level, also when it sits behind an [`Interned`] handle, so valid terms
+/// up to this depth decode. Past it, maliciously nested input is an error
+/// rather than a stack overflow, provided the decoding thread can hold
+/// this many levels: about 6.5 MiB of stack in a debug build and under
+/// 1 MiB in a release build (measured on `Expr`, `Prog` and `SimplStmt`
+/// chains, x86-64). Decoding runs on an 8 MiB main thread or on an
+/// `ir::sched` thread with [`crate::sched::BIG_STACK_BYTES`]; a default
+/// 2 MiB test thread is too small for debug builds.
 const MAX_DEPTH: usize = 1024;
 
 /// Error produced by [`Codec::decode`] on malformed input.
@@ -122,6 +131,62 @@ pub fn digest128_bytes(bytes: &[u8]) -> u128 {
     let lo = fnv(bytes, 0xcbf2_9ce4_8422_2325);
     let hi = fnv(bytes, 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15);
     (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// Frames `payload` as a sealed container: the 8-byte `magic`, the
+/// payload, then [`digest128_bytes`] of the payload (16 bytes,
+/// little-endian).
+#[must_use]
+pub fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + payload.len() + 16);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&digest128_bytes(payload).to_le_bytes());
+    out
+}
+
+/// Why [`unseal`] refused a container.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SealError {
+    /// Shorter than the framing, or a different magic.
+    Format(String),
+    /// The trailing digest does not match the payload.
+    Digest,
+}
+
+impl From<SealError> for DecodeError {
+    fn from(e: SealError) -> DecodeError {
+        match e {
+            SealError::Format(msg) => DecodeError(msg),
+            SealError::Digest => DecodeError::new("integrity digest mismatch"),
+        }
+    }
+}
+
+/// Inverse of [`seal`]: checks the magic and the integrity digest and
+/// returns the payload.
+///
+/// # Errors
+///
+/// [`SealError::Digest`] when the digest does not match the payload,
+/// [`SealError::Format`] for anything else.
+pub fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], SealError> {
+    if bytes.len() < 8 + 16 {
+        return Err(SealError::Format("file too short".into()));
+    }
+    if &bytes[..8] != magic {
+        return Err(SealError::Format(format!(
+            "bad magic (expected {})",
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    let (payload, digest) = bytes[8..].split_at(bytes.len() - 8 - 16);
+    let mut stored = [0u8; 16];
+    stored.copy_from_slice(digest);
+    if digest128_bytes(payload) != u128::from_le_bytes(stored) {
+        return Err(SealError::Digest);
+    }
+    Ok(payload)
 }
 
 /// Serialisation sink: a byte buffer plus per-type back-reference tables
@@ -571,11 +636,9 @@ where
                 let id = d.varint()?;
                 d.shared_get::<Interned<T>>(id)
             }
+            // The body's own decoder charges the nesting level.
             0 => {
-                d.enter()?;
-                let body = T::decode(d);
-                d.exit();
-                let node = Interned::new(body?);
+                let node = Interned::new(T::decode(d)?);
                 d.shared_push(node.clone());
                 Ok(node)
             }
@@ -585,127 +648,214 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// ir type impls
+// Plain structs and enums
 // ---------------------------------------------------------------------------
 
-impl Codec for Width {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            Width::W8 => 0,
-            Width::W16 => 1,
-            Width::W32 => 2,
-            Width::W64 => 3,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => Width::W8,
-            1 => Width::W16,
-            2 => Width::W32,
-            3 => Width::W64,
-            b => return Err(DecodeError::new(format!("invalid Width tag {b}"))),
-        })
-    }
-}
-
-impl Codec for Signedness {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            Signedness::Signed => 0,
-            Signedness::Unsigned => 1,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => Signedness::Signed,
-            1 => Signedness::Unsigned,
-            b => return Err(DecodeError::new(format!("invalid Signedness tag {b}"))),
-        })
-    }
-}
-
-impl Codec for Ty {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Ty::Unit => e.u8(0),
-            Ty::Bool => e.u8(1),
-            Ty::Word(w, s) => {
-                e.u8(2);
-                w.encode(e);
-                s.encode(e);
+/// Writes the [`Codec`] impl of a plain struct or enum.
+///
+/// * `codec! { struct T { f, g } }` encodes the fields in the order
+///   listed, which must name every field.
+/// * `codec! { enum T @depth? { 0 => A, 1 => B(x, y), 2 => C { f, g } } }`
+///   writes the variant's explicit `u8` tag, then its fields in order
+///   (tuple-variant names are just bindings). Decoding an unlisted tag is
+///   an error. Tags are spelled out, so reordering a type's variants
+///   cannot silently change the format.
+///
+/// `@depth` charges one [`Decoder::enter`] level per decoded node. Every
+/// recursive type says it, which is what bounds decoder recursion.
+#[macro_export]
+macro_rules! codec {
+    (struct $T:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::codec::Codec for $T {
+            fn encode(&self, e: &mut $crate::codec::Encoder) {
+                $( $crate::codec::Codec::encode(&self.$f, e); )*
             }
-            Ty::Nat => e.u8(3),
-            Ty::Int => e.u8(4),
-            Ty::Ptr(t) => {
-                e.u8(5);
-                t.encode(e);
-            }
-            Ty::Struct(n) => {
-                e.u8(6);
-                e.str(n);
-            }
-            Ty::Tuple(ts) => {
-                e.u8(7);
-                ts.encode(e);
-            }
-            Ty::Arr(t, n) => {
-                e.u8(8);
-                t.encode(e);
-                e.varint(*n);
+            fn decode(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::DecodeError> {
+                $( let $f = $crate::codec::Codec::decode(d)?; )*
+                Ok(Self { $($f),* })
             }
         }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Ok(Ty::Unit),
-            1 => Ok(Ty::Bool),
-            2 => Ok(Ty::Word(Width::decode(d)?, Signedness::decode(d)?)),
-            3 => Ok(Ty::Nat),
-            4 => Ok(Ty::Int),
-            5 => Ok(Ty::Ptr(Box::decode(d)?)),
-            6 => Ok(Ty::Struct(d.str()?)),
-            7 => Ok(Ty::Tuple(Vec::decode(d)?)),
-            8 => Ok(Ty::Arr(Box::decode(d)?, d.varint()?)),
-            b => Err(DecodeError::new(format!("invalid Ty tag {b}"))),
-        };
-        d.exit();
-        out
+    };
+    (enum $T:ident @depth { $($variants:tt)* }) => {
+        $crate::codec!(@enum $T true { $($variants)* });
+    };
+    (enum $T:ident { $($variants:tt)* }) => {
+        $crate::codec!(@enum $T false { $($variants)* });
+    };
+    (@enum $T:ident $depth:literal {
+        $( $tag:literal => $V:ident $( ( $($x:ident),* ) )? $( { $($f:ident),* } )? ),* $(,)?
+    }) => {
+        impl $crate::codec::Codec for $T {
+            fn encode(&self, e: &mut $crate::codec::Encoder) {
+                match self {
+                    $( Self::$V $( ( $($x),* ) )? $( { $($f),* } )? => {
+                        e.u8($tag);
+                        $( $( $crate::codec::Codec::encode($x, e); )* )?
+                        $( $( $crate::codec::Codec::encode($f, e); )* )?
+                    } )*
+                }
+            }
+            fn decode(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::DecodeError> {
+                if $depth {
+                    d.enter()?;
+                }
+                let v = match d.u8()? {
+                    $( $tag => {
+                        $( $( let $x = $crate::codec::Codec::decode(d)?; )* )?
+                        $( $( let $f = $crate::codec::Codec::decode(d)?; )* )?
+                        Self::$V $( ( $($x),* ) )? $( { $($f),* } )?
+                    } )*
+                    b => {
+                        return Err($crate::codec::DecodeError(format!(
+                            concat!("invalid ", stringify!($T), " tag {}"),
+                            b
+                        )))
+                    }
+                };
+                if $depth {
+                    d.exit();
+                }
+                Ok(v)
+            }
+        }
+    };
+}
+
+codec! { enum Width { 0 => W8, 1 => W16, 2 => W32, 3 => W64 } }
+
+codec! { enum Signedness { 0 => Signed, 1 => Unsigned } }
+
+codec! {
+    enum Ty @depth {
+        0 => Unit,
+        1 => Bool,
+        2 => Word(w, s),
+        3 => Nat,
+        4 => Int,
+        5 => Ptr(t),
+        6 => Struct(n),
+        7 => Tuple(ts),
+        8 => Arr(t, n),
     }
 }
 
-impl Codec for StructField {
-    fn encode(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        self.ty.encode(e);
-        e.varint(self.offset);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(StructField {
-            name: d.str()?,
-            ty: Ty::decode(d)?,
-            offset: d.varint()?,
-        })
+codec! { struct StructField { name, ty, offset } }
+
+codec! { struct StructDef { name, fields, size, align } }
+
+codec! {
+    enum Value @depth {
+        0 => Unit,
+        1 => Bool(b),
+        2 => Word(w),
+        3 => Nat(n),
+        4 => Int(i),
+        5 => Ptr(p),
+        6 => Struct(n, fs),
+        7 => Tuple(vs),
+        8 => Arr(t, vs),
     }
 }
 
-impl Codec for StructDef {
-    fn encode(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        self.fields.encode(e);
-        e.varint(self.size);
-        e.varint(self.align);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(StructDef {
-            name: d.str()?,
-            fields: Vec::decode(d)?,
-            size: d.varint()?,
-            align: d.varint()?,
-        })
+codec! { enum UnOp { 0 => Not, 1 => BitNot, 2 => Neg } }
+
+codec! {
+    enum BinOp {
+        0 => Add,
+        1 => Sub,
+        2 => Mul,
+        3 => Div,
+        4 => Mod,
+        5 => BitAnd,
+        6 => BitOr,
+        7 => BitXor,
+        8 => Shl,
+        9 => Shr,
+        10 => Eq,
+        11 => Ne,
+        12 => Lt,
+        13 => Le,
+        14 => And,
+        15 => Or,
+        16 => Implies,
+        17 => PtrAdd,
     }
 }
 
+codec! {
+    enum CastKind {
+        0 => WordToWord(w, s),
+        1 => Unat,
+        2 => Sint,
+        3 => OfNat(w, s),
+        4 => OfInt(w, s),
+        5 => NatToInt,
+        6 => IntToNat,
+        7 => PtrToWord,
+        8 => WordToPtr(t),
+        9 => PtrRetype(t),
+    }
+}
+
+codec! {
+    enum Expr @depth {
+        0 => Lit(v),
+        1 => Var(s),
+        2 => Local(s),
+        3 => Global(s),
+        4 => ReadHeap(t, p),
+        5 => ReadByte(p),
+        6 => IsValid(t, p),
+        7 => PtrAligned(t, p),
+        8 => NullFree(t, p),
+        9 => Field(s, f),
+        10 => UpdateField(s, f, v),
+        11 => UnOp(op, a),
+        12 => BinOp(op, a, b),
+        13 => Cast(k, a),
+        14 => Ite(c, t, f),
+        15 => Tuple(vs),
+        16 => Proj(i, a),
+        17 => Index(a, i),
+        18 => ArrUpd(a, i, v),
+    }
+}
+
+codec! {
+    enum GuardKind {
+        0 => SignedOverflow,
+        1 => DivByZero,
+        2 => ShiftBound,
+        3 => PtrValid,
+        4 => DontReach,
+        5 => UnsignedOverflow,
+        6 => HeapValid,
+        7 => WordAbs,
+        8 => ArrayBounds,
+    }
+}
+
+codec! {
+    enum Update {
+        0 => Local(n, x),
+        1 => Global(n, x),
+        2 => Heap(t, p, x),
+        3 => Byte(p, x),
+        4 => TagRegion(t, p),
+    }
+}
+
+codec! { struct Span { offset, line, col } }
+
+// ---------------------------------------------------------------------------
+// Hand-written ir impls: encodings that are not "tag, then fields"
+// ---------------------------------------------------------------------------
+
+// The struct table, rebuilt through `insert_struct_def` on decode.
 impl Codec for TypeEnv {
     fn encode(&self, e: &mut Encoder) {
         let defs: Vec<&StructDef> = self.structs().collect();
@@ -775,418 +925,12 @@ impl Codec for Ptr {
     }
 }
 
-impl Codec for Value {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Value::Unit => e.u8(0),
-            Value::Bool(b) => {
-                e.u8(1);
-                b.encode(e);
-            }
-            Value::Word(w) => {
-                e.u8(2);
-                w.encode(e);
-            }
-            Value::Nat(n) => {
-                e.u8(3);
-                n.encode(e);
-            }
-            Value::Int(i) => {
-                e.u8(4);
-                i.encode(e);
-            }
-            Value::Ptr(p) => {
-                e.u8(5);
-                p.encode(e);
-            }
-            Value::Struct(n, fs) => {
-                e.u8(6);
-                e.str(n);
-                fs.encode(e);
-            }
-            Value::Tuple(vs) => {
-                e.u8(7);
-                vs.encode(e);
-            }
-            Value::Arr(t, vs) => {
-                e.u8(8);
-                t.encode(e);
-                vs.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Ok(Value::Unit),
-            1 => Ok(Value::Bool(bool::decode(d)?)),
-            2 => Ok(Value::Word(Word::decode(d)?)),
-            3 => Ok(Value::Nat(Nat::decode(d)?)),
-            4 => Ok(Value::Int(Int::decode(d)?)),
-            5 => Ok(Value::Ptr(Ptr::decode(d)?)),
-            6 => Ok(Value::Struct(d.str()?, Vec::decode(d)?)),
-            7 => Ok(Value::Tuple(Vec::decode(d)?)),
-            8 => Ok(Value::Arr(Box::decode(d)?, Vec::decode(d)?)),
-            b => Err(DecodeError::new(format!("invalid Value tag {b}"))),
-        };
-        d.exit();
-        out
-    }
-}
-
 impl Codec for Symbol {
     fn encode(&self, e: &mut Encoder) {
         e.str(self.as_str());
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(Symbol::intern(&d.str()?))
-    }
-}
-
-impl Codec for UnOp {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            UnOp::Not => 0,
-            UnOp::BitNot => 1,
-            UnOp::Neg => 2,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => UnOp::Not,
-            1 => UnOp::BitNot,
-            2 => UnOp::Neg,
-            b => return Err(DecodeError::new(format!("invalid UnOp tag {b}"))),
-        })
-    }
-}
-
-impl Codec for BinOp {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            BinOp::Add => 0,
-            BinOp::Sub => 1,
-            BinOp::Mul => 2,
-            BinOp::Div => 3,
-            BinOp::Mod => 4,
-            BinOp::BitAnd => 5,
-            BinOp::BitOr => 6,
-            BinOp::BitXor => 7,
-            BinOp::Shl => 8,
-            BinOp::Shr => 9,
-            BinOp::Eq => 10,
-            BinOp::Ne => 11,
-            BinOp::Lt => 12,
-            BinOp::Le => 13,
-            BinOp::And => 14,
-            BinOp::Or => 15,
-            BinOp::Implies => 16,
-            BinOp::PtrAdd => 17,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => BinOp::Add,
-            1 => BinOp::Sub,
-            2 => BinOp::Mul,
-            3 => BinOp::Div,
-            4 => BinOp::Mod,
-            5 => BinOp::BitAnd,
-            6 => BinOp::BitOr,
-            7 => BinOp::BitXor,
-            8 => BinOp::Shl,
-            9 => BinOp::Shr,
-            10 => BinOp::Eq,
-            11 => BinOp::Ne,
-            12 => BinOp::Lt,
-            13 => BinOp::Le,
-            14 => BinOp::And,
-            15 => BinOp::Or,
-            16 => BinOp::Implies,
-            17 => BinOp::PtrAdd,
-            b => return Err(DecodeError::new(format!("invalid BinOp tag {b}"))),
-        })
-    }
-}
-
-impl Codec for CastKind {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            CastKind::WordToWord(w, s) => {
-                e.u8(0);
-                w.encode(e);
-                s.encode(e);
-            }
-            CastKind::Unat => e.u8(1),
-            CastKind::Sint => e.u8(2),
-            CastKind::OfNat(w, s) => {
-                e.u8(3);
-                w.encode(e);
-                s.encode(e);
-            }
-            CastKind::OfInt(w, s) => {
-                e.u8(4);
-                w.encode(e);
-                s.encode(e);
-            }
-            CastKind::NatToInt => e.u8(5),
-            CastKind::IntToNat => e.u8(6),
-            CastKind::PtrToWord => e.u8(7),
-            CastKind::WordToPtr(t) => {
-                e.u8(8);
-                t.encode(e);
-            }
-            CastKind::PtrRetype(t) => {
-                e.u8(9);
-                t.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => CastKind::WordToWord(Width::decode(d)?, Signedness::decode(d)?),
-            1 => CastKind::Unat,
-            2 => CastKind::Sint,
-            3 => CastKind::OfNat(Width::decode(d)?, Signedness::decode(d)?),
-            4 => CastKind::OfInt(Width::decode(d)?, Signedness::decode(d)?),
-            5 => CastKind::NatToInt,
-            6 => CastKind::IntToNat,
-            7 => CastKind::PtrToWord,
-            8 => CastKind::WordToPtr(Ty::decode(d)?),
-            9 => CastKind::PtrRetype(Ty::decode(d)?),
-            b => return Err(DecodeError::new(format!("invalid CastKind tag {b}"))),
-        })
-    }
-}
-
-impl Codec for Expr {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Expr::Lit(v) => {
-                e.u8(0);
-                v.encode(e);
-            }
-            Expr::Var(s) => {
-                e.u8(1);
-                s.encode(e);
-            }
-            Expr::Local(s) => {
-                e.u8(2);
-                s.encode(e);
-            }
-            Expr::Global(s) => {
-                e.u8(3);
-                s.encode(e);
-            }
-            Expr::ReadHeap(t, p) => {
-                e.u8(4);
-                t.encode(e);
-                p.encode(e);
-            }
-            Expr::ReadByte(p) => {
-                e.u8(5);
-                p.encode(e);
-            }
-            Expr::IsValid(t, p) => {
-                e.u8(6);
-                t.encode(e);
-                p.encode(e);
-            }
-            Expr::PtrAligned(t, p) => {
-                e.u8(7);
-                t.encode(e);
-                p.encode(e);
-            }
-            Expr::NullFree(t, p) => {
-                e.u8(8);
-                t.encode(e);
-                p.encode(e);
-            }
-            Expr::Field(s, f) => {
-                e.u8(9);
-                s.encode(e);
-                e.str(f);
-            }
-            Expr::UpdateField(s, f, v) => {
-                e.u8(10);
-                s.encode(e);
-                e.str(f);
-                v.encode(e);
-            }
-            Expr::UnOp(op, a) => {
-                e.u8(11);
-                op.encode(e);
-                a.encode(e);
-            }
-            Expr::BinOp(op, a, b) => {
-                e.u8(12);
-                op.encode(e);
-                a.encode(e);
-                b.encode(e);
-            }
-            Expr::Cast(k, a) => {
-                e.u8(13);
-                k.encode(e);
-                a.encode(e);
-            }
-            Expr::Ite(c, t, f) => {
-                e.u8(14);
-                c.encode(e);
-                t.encode(e);
-                f.encode(e);
-            }
-            Expr::Tuple(vs) => {
-                e.u8(15);
-                vs.encode(e);
-            }
-            Expr::Proj(i, a) => {
-                e.u8(16);
-                i.encode(e);
-                a.encode(e);
-            }
-            Expr::Index(a, i) => {
-                e.u8(17);
-                a.encode(e);
-                i.encode(e);
-            }
-            Expr::ArrUpd(a, i, v) => {
-                e.u8(18);
-                a.encode(e);
-                i.encode(e);
-                v.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Ok(Expr::Lit(Value::decode(d)?)),
-            1 => Ok(Expr::Var(Symbol::decode(d)?)),
-            2 => Ok(Expr::Local(Symbol::decode(d)?)),
-            3 => Ok(Expr::Global(Symbol::decode(d)?)),
-            4 => Ok(Expr::ReadHeap(Ty::decode(d)?, Codec::decode(d)?)),
-            5 => Ok(Expr::ReadByte(Codec::decode(d)?)),
-            6 => Ok(Expr::IsValid(Ty::decode(d)?, Codec::decode(d)?)),
-            7 => Ok(Expr::PtrAligned(Ty::decode(d)?, Codec::decode(d)?)),
-            8 => Ok(Expr::NullFree(Ty::decode(d)?, Codec::decode(d)?)),
-            9 => Ok(Expr::Field(Codec::decode(d)?, d.str()?)),
-            10 => Ok(Expr::UpdateField(
-                Codec::decode(d)?,
-                d.str()?,
-                Codec::decode(d)?,
-            )),
-            11 => Ok(Expr::UnOp(UnOp::decode(d)?, Codec::decode(d)?)),
-            12 => Ok(Expr::BinOp(
-                BinOp::decode(d)?,
-                Codec::decode(d)?,
-                Codec::decode(d)?,
-            )),
-            13 => Ok(Expr::Cast(CastKind::decode(d)?, Codec::decode(d)?)),
-            14 => Ok(Expr::Ite(
-                Codec::decode(d)?,
-                Codec::decode(d)?,
-                Codec::decode(d)?,
-            )),
-            15 => Ok(Expr::Tuple(Vec::decode(d)?)),
-            16 => Ok(Expr::Proj(usize::decode(d)?, Codec::decode(d)?)),
-            17 => Ok(Expr::Index(Codec::decode(d)?, Codec::decode(d)?)),
-            18 => Ok(Expr::ArrUpd(
-                Codec::decode(d)?,
-                Codec::decode(d)?,
-                Codec::decode(d)?,
-            )),
-            b => Err(DecodeError::new(format!("invalid Expr tag {b}"))),
-        };
-        d.exit();
-        out
-    }
-}
-
-impl Codec for GuardKind {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            GuardKind::SignedOverflow => 0,
-            GuardKind::DivByZero => 1,
-            GuardKind::ShiftBound => 2,
-            GuardKind::PtrValid => 3,
-            GuardKind::DontReach => 4,
-            GuardKind::UnsignedOverflow => 5,
-            GuardKind::HeapValid => 6,
-            GuardKind::WordAbs => 7,
-            GuardKind::ArrayBounds => 8,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => GuardKind::SignedOverflow,
-            1 => GuardKind::DivByZero,
-            2 => GuardKind::ShiftBound,
-            3 => GuardKind::PtrValid,
-            4 => GuardKind::DontReach,
-            5 => GuardKind::UnsignedOverflow,
-            6 => GuardKind::HeapValid,
-            7 => GuardKind::WordAbs,
-            8 => GuardKind::ArrayBounds,
-            b => return Err(DecodeError::new(format!("invalid GuardKind tag {b}"))),
-        })
-    }
-}
-
-impl Codec for Update {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Update::Local(n, x) => {
-                e.u8(0);
-                e.str(n);
-                x.encode(e);
-            }
-            Update::Global(n, x) => {
-                e.u8(1);
-                e.str(n);
-                x.encode(e);
-            }
-            Update::Heap(t, p, x) => {
-                e.u8(2);
-                t.encode(e);
-                p.encode(e);
-                x.encode(e);
-            }
-            Update::Byte(p, x) => {
-                e.u8(3);
-                p.encode(e);
-                x.encode(e);
-            }
-            Update::TagRegion(t, p) => {
-                e.u8(4);
-                t.encode(e);
-                p.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => Update::Local(d.str()?, Expr::decode(d)?),
-            1 => Update::Global(d.str()?, Expr::decode(d)?),
-            2 => Update::Heap(Ty::decode(d)?, Expr::decode(d)?, Expr::decode(d)?),
-            3 => Update::Byte(Expr::decode(d)?, Expr::decode(d)?),
-            4 => Update::TagRegion(Ty::decode(d)?, Expr::decode(d)?),
-            b => return Err(DecodeError::new(format!("invalid Update tag {b}"))),
-        })
-    }
-}
-
-impl Codec for Span {
-    fn encode(&self, e: &mut Encoder) {
-        self.offset.encode(e);
-        self.line.encode(e);
-        self.col.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Span {
-            offset: u32::decode(d)?,
-            line: u32::decode(d)?,
-            col: u32::decode(d)?,
-        })
     }
 }
 
@@ -1314,11 +1058,49 @@ mod tests {
         assert_eq!(d1, d2);
         assert_ne!(d1, digest128_bytes(b"hello worlc"));
         assert_ne!(d1, digest128_bytes(b""));
-        // Pinned value: a change here breaks every persisted store entry,
-        // so it must be an intentional format bump.
+        // Pinned values: a change here breaks every persisted store entry
+        // and certificate, so it must be an intentional format bump.
         assert_eq!(
             digest128_bytes(b""),
-            digest128_bytes(b"").wrapping_mul(1), // self-consistency
+            0xe9d3_2759_6b86_9820_f52a_15e9_a9b5_e89b
         );
+        assert_eq!(d1, 0x3969_2385_cbee_4815_05cb_5851_12be_1151);
+    }
+
+    #[test]
+    fn unseal_tells_digest_mismatch_from_bad_framing() {
+        let sealed = seal(b"TESTMAG1", b"payload");
+        assert_eq!(sealed.len(), 8 + 7 + 16);
+        assert_eq!(unseal(b"TESTMAG1", &sealed), Ok(&b"payload"[..]));
+        assert!(matches!(
+            unseal(b"OTHERMAG", &sealed),
+            Err(SealError::Format(_))
+        ));
+        assert!(matches!(
+            unseal(b"TESTMAG1", &sealed[..23]),
+            Err(SealError::Format(_))
+        ));
+        for i in 8..sealed.len() {
+            let mut m = sealed.clone();
+            m[i] ^= 1;
+            assert_eq!(
+                unseal(b"TESTMAG1", &m),
+                Err(SealError::Digest),
+                "flip at {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_consed_depth_counts_once_per_level() {
+        // 600 nested `!` nodes: each level is one `Expr` behind one
+        // interned handle and must cost one level of `MAX_DEPTH`, not two.
+        crate::sched::with_stack(|| {
+            let mut e = Expr::var("x");
+            for _ in 0..600 {
+                e = Expr::UnOp(UnOp::Not, IExpr::new(e));
+            }
+            roundtrip(&e);
+        });
     }
 }

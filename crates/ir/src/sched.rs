@@ -135,10 +135,12 @@ where
     run_dag(items.len(), &no_edges, workers, |i| job(i, &items[i]))
 }
 
-/// Stack size of a [`with_stack`] thread. Debug builds spend on the order
-/// of 100 KiB of host stack per interpreted call level, so the
-/// interpreters' call-depth caps need far more than a default 2 MiB
-/// thread stack.
+/// Stack size of a [`with_stack`] thread and of every [`run_dag`] pool
+/// worker. Debug builds spend on the order of 100 KiB of host stack per
+/// interpreted call level, so the interpreters' call-depth caps need far
+/// more than a default 2 MiB thread stack; the translation phases recurse
+/// on term depth too, and a worker must hold whatever the caller's own
+/// thread holds inline.
 pub const BIG_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 /// Runs `f` on a fresh thread with a [`BIG_STACK_BYTES`] stack and returns
@@ -296,7 +298,10 @@ where
                     let pool = &pool;
                     let dependents = &dependents;
                     let job = &job;
-                    s.spawn(move || {
+                    // A job that fits the caller's stack inline must fit
+                    // a worker's, so workers get the `with_stack` size.
+                    let worker = std::thread::Builder::new().stack_size(BIG_STACK_BYTES);
+                    let spawned = worker.spawn_scoped(s, move || {
                         let t0 = Instant::now();
                         let mut mine: Vec<(usize, R)> = Vec::new();
                         while let Some((i, stolen)) = pool.acquire(w) {
@@ -310,7 +315,8 @@ where
                             pool.complete(w, i, dependents);
                         }
                         Ok((mine, t0.elapsed()))
-                    })
+                    });
+                    spawned.expect("spawn pool worker")
                 })
                 .collect();
             for h in handles {

@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use ir::codec::{digest128_bytes, Codec, Decoder, Encoder};
+use ir::codec::{seal, unseal, Codec, Decoder, Encoder, SealError};
 
 use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
 use crate::Judgment;
@@ -130,12 +130,7 @@ pub fn encode_cert(cx: &CheckCtx, roots: &[(&str, &Thm)]) -> Vec<u8> {
         e.varint(ids[&key]);
     }
 
-    let payload = e.finish();
-    let mut out = Vec::with_capacity(8 + payload.len() + 16);
-    out.extend_from_slice(CERT_MAGIC);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&digest128_bytes(&payload).to_le_bytes());
-    out
+    seal(CERT_MAGIC, &e.finish())
 }
 
 /// Replays a `cert-v1` file, re-admitting every node through the
@@ -147,20 +142,10 @@ pub fn encode_cert(cx: &CheckCtx, roots: &[(&str, &Thm)]) -> Vec<u8> {
 /// certificate, [`CertError::Digest`] if the payload was corrupted, and
 /// [`CertError::Replay`] if any node fails rule validation.
 pub fn check_cert(bytes: &[u8]) -> Result<CertReport, CertError> {
-    if bytes.len() < CERT_MAGIC.len() + 16 {
-        return Err(CertError::Format("file too short".into()));
-    }
-    if &bytes[..CERT_MAGIC.len()] != CERT_MAGIC {
-        return Err(CertError::Format(
-            "bad magic (not a cert-v1 file)".into(),
-        ));
-    }
-    let payload = &bytes[CERT_MAGIC.len()..bytes.len() - 16];
-    let mut stored = [0u8; 16];
-    stored.copy_from_slice(&bytes[bytes.len() - 16..]);
-    if digest128_bytes(payload) != u128::from_le_bytes(stored) {
-        return Err(CertError::Digest);
-    }
+    let payload = unseal(CERT_MAGIC, bytes).map_err(|e| match e {
+        SealError::Digest => CertError::Digest,
+        SealError::Format(msg) => CertError::Format(msg),
+    })?;
 
     let fmt_err = |e: ir::codec::DecodeError| CertError::Format(e.0);
     let mut d = Decoder::new(payload);

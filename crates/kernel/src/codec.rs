@@ -120,195 +120,30 @@ impl Codec for Rule {
     }
 }
 
-impl Codec for Side {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Side::None => e.u8(0),
-            Side::Tested { trials, seed } => {
-                e.u8(1);
-                trials.encode(e);
-                seed.encode(e);
-            }
-            Side::SampledWVal { vars, trials, seed } => {
-                e.u8(2);
-                vars.encode(e);
-                trials.encode(e);
-                seed.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => Side::None,
-            1 => Side::Tested {
-                trials: u32::decode(d)?,
-                seed: u64::decode(d)?,
-            },
-            2 => Side::SampledWVal {
-                vars: Codec::decode(d)?,
-                trials: u32::decode(d)?,
-                seed: u64::decode(d)?,
-            },
-            b => return Err(DecodeError(format!("invalid Side tag {b}"))),
-        })
+ir::codec! {
+    enum Side {
+        0 => None,
+        1 => Tested { trials, seed },
+        2 => SampledWVal { vars, trials, seed },
     }
 }
 
-impl Codec for AbsFun {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            AbsFun::Id => e.u8(0),
-            AbsFun::Unat => e.u8(1),
-            AbsFun::Sint => e.u8(2),
-            AbsFun::Tuple(fs) => {
-                e.u8(3);
-                fs.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Ok(AbsFun::Id),
-            1 => Ok(AbsFun::Unat),
-            2 => Ok(AbsFun::Sint),
-            3 => Ok(AbsFun::Tuple(Vec::decode(d)?)),
-            b => Err(DecodeError(format!("invalid AbsFun tag {b}"))),
-        };
-        d.exit();
-        out
+ir::codec! { enum AbsFun @depth { 0 => Id, 1 => Unat, 2 => Sint, 3 => Tuple(fs) } }
+
+ir::codec! {
+    enum Judgment @depth {
+        0 => WVal { ctx, pre, f, abs, conc },
+        1 => WStmt { ctx, rx, ex, abs, conc },
+        2 => HVal { pre, abs, conc },
+        3 => HUpd { pre, abs, conc },
+        4 => HStmt { abs, conc },
+        5 => L1 { prog, simpl },
+        6 => Refines { abs, conc },
+        7 => AbsGuard { hyp, kind, guard },
     }
 }
 
-impl Codec for Judgment {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Judgment::WVal {
-                ctx,
-                pre,
-                f,
-                abs,
-                conc,
-            } => {
-                e.u8(0);
-                ctx.encode(e);
-                pre.encode(e);
-                f.encode(e);
-                abs.encode(e);
-                conc.encode(e);
-            }
-            Judgment::WStmt {
-                ctx,
-                rx,
-                ex,
-                abs,
-                conc,
-            } => {
-                e.u8(1);
-                ctx.encode(e);
-                rx.encode(e);
-                ex.encode(e);
-                abs.encode(e);
-                conc.encode(e);
-            }
-            Judgment::HVal { pre, abs, conc } => {
-                e.u8(2);
-                pre.encode(e);
-                abs.encode(e);
-                conc.encode(e);
-            }
-            Judgment::HUpd { pre, abs, conc } => {
-                e.u8(3);
-                pre.encode(e);
-                abs.encode(e);
-                conc.encode(e);
-            }
-            Judgment::HStmt { abs, conc } => {
-                e.u8(4);
-                abs.encode(e);
-                conc.encode(e);
-            }
-            Judgment::L1 { prog, simpl } => {
-                e.u8(5);
-                prog.encode(e);
-                simpl.encode(e);
-            }
-            Judgment::Refines { abs, conc } => {
-                e.u8(6);
-                abs.encode(e);
-                conc.encode(e);
-            }
-            Judgment::AbsGuard { hyp, kind, guard } => {
-                e.u8(7);
-                hyp.encode(e);
-                kind.encode(e);
-                guard.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Ok(Judgment::WVal {
-                ctx: Codec::decode(d)?,
-                pre: Codec::decode(d)?,
-                f: Codec::decode(d)?,
-                abs: Codec::decode(d)?,
-                conc: Codec::decode(d)?,
-            }),
-            1 => Ok(Judgment::WStmt {
-                ctx: Codec::decode(d)?,
-                rx: Codec::decode(d)?,
-                ex: Codec::decode(d)?,
-                abs: Codec::decode(d)?,
-                conc: Codec::decode(d)?,
-            }),
-            2 => Ok(Judgment::HVal {
-                pre: Codec::decode(d)?,
-                abs: Codec::decode(d)?,
-                conc: Codec::decode(d)?,
-            }),
-            3 => Ok(Judgment::HUpd {
-                pre: Codec::decode(d)?,
-                abs: Codec::decode(d)?,
-                conc: Codec::decode(d)?,
-            }),
-            4 => Ok(Judgment::HStmt {
-                abs: Codec::decode(d)?,
-                conc: Codec::decode(d)?,
-            }),
-            5 => Ok(Judgment::L1 {
-                prog: Codec::decode(d)?,
-                simpl: Codec::decode(d)?,
-            }),
-            6 => Ok(Judgment::Refines {
-                abs: Codec::decode(d)?,
-                conc: Codec::decode(d)?,
-            }),
-            7 => Ok(Judgment::AbsGuard {
-                hyp: Codec::decode(d)?,
-                kind: Codec::decode(d)?,
-                guard: Codec::decode(d)?,
-            }),
-            b => Err(DecodeError(format!("invalid Judgment tag {b}"))),
-        };
-        d.exit();
-        out
-    }
-}
-
-impl Codec for CheckCtx {
-    fn encode(&self, e: &mut Encoder) {
-        self.tenv.encode(e);
-        self.fn_abs.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(CheckCtx {
-            tenv: Codec::decode(d)?,
-            fn_abs: Codec::decode(d)?,
-        })
-    }
-}
+ir::codec! { struct CheckCtx { tenv, fn_abs } }
 
 /// Store-only theorem codec (`persist` feature): derivations are written
 /// as a DAG — premise slices shared between parents (`Arc<[Thm]>` clones)
@@ -344,19 +179,12 @@ impl Codec for Thm {
             }
             0 => {
                 d.enter()?;
-                let body = (|| {
-                    let judgment = Judgment::decode(d)?;
-                    let rule = Rule::decode(d)?;
-                    let side = Side::decode(d)?;
-                    let n = d.seq_len()?;
-                    let mut premises = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        premises.push(Thm::decode(d)?);
-                    }
-                    Ok(Thm::from_persisted(rule, premises, judgment, side))
-                })();
+                let judgment = Judgment::decode(d)?;
+                let rule = Rule::decode(d)?;
+                let side = Side::decode(d)?;
+                let premises = Vec::decode(d)?;
                 d.exit();
-                let t: Thm = body?;
+                let t = Thm::from_persisted(rule, premises, judgment, side);
                 d.shared_push(t.clone());
                 Ok(t)
             }

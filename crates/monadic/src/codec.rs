@@ -4,173 +4,40 @@
 //! `Interned` codec gives DAG sharing for free: a subprogram shared by
 //! several functions is written once per encoder.
 
-use ir::codec::{Codec, DecodeError, Decoder, Encoder};
-use ir::expr::Expr;
-use ir::guard::GuardKind;
-use ir::ty::{Ty, TypeEnv};
-use ir::update::Update;
-use ir::value::Value;
-
 use crate::prog::{MonadicFn, Prog, ProgramCtx};
 
-impl Codec for Prog {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Prog::Return(x) => {
-                e.u8(0);
-                x.encode(e);
-            }
-            Prog::Gets(x) => {
-                e.u8(1);
-                x.encode(e);
-            }
-            Prog::Modify(u) => {
-                e.u8(2);
-                u.encode(e);
-            }
-            Prog::Guard(k, g) => {
-                e.u8(3);
-                k.encode(e);
-                g.encode(e);
-            }
-            Prog::Throw(x) => {
-                e.u8(4);
-                x.encode(e);
-            }
-            Prog::Fail => e.u8(5),
-            Prog::Bind(l, v, r) => {
-                e.u8(6);
-                l.encode(e);
-                e.str(v);
-                r.encode(e);
-            }
-            Prog::BindTuple(l, vs, r) => {
-                e.u8(7);
-                l.encode(e);
-                vs.encode(e);
-                r.encode(e);
-            }
-            Prog::Condition(c, t, f) => {
-                e.u8(8);
-                c.encode(e);
-                t.encode(e);
-                f.encode(e);
-            }
-            Prog::While {
-                vars,
-                cond,
-                body,
-                init,
-            } => {
-                e.u8(9);
-                vars.encode(e);
-                cond.encode(e);
-                body.encode(e);
-                init.encode(e);
-            }
-            Prog::Catch(l, v, r) => {
-                e.u8(10);
-                l.encode(e);
-                e.str(v);
-                r.encode(e);
-            }
-            Prog::Call { fname, args } => {
-                e.u8(11);
-                e.str(fname);
-                args.encode(e);
-            }
-            Prog::ExecConcrete(p) => {
-                e.u8(12);
-                p.encode(e);
-            }
-            Prog::ExecAbstract(p) => {
-                e.u8(13);
-                p.encode(e);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Expr::decode(d).map(Prog::Return),
-            1 => Expr::decode(d).map(Prog::Gets),
-            2 => Update::decode(d).map(Prog::Modify),
-            3 => Ok(Prog::Guard(GuardKind::decode(d)?, Expr::decode(d)?)),
-            4 => Expr::decode(d).map(Prog::Throw),
-            5 => Ok(Prog::Fail),
-            6 => Ok(Prog::Bind(Codec::decode(d)?, d.str()?, Codec::decode(d)?)),
-            7 => Ok(Prog::BindTuple(
-                Codec::decode(d)?,
-                Vec::decode(d)?,
-                Codec::decode(d)?,
-            )),
-            8 => Ok(Prog::Condition(
-                Expr::decode(d)?,
-                Codec::decode(d)?,
-                Codec::decode(d)?,
-            )),
-            9 => Ok(Prog::While {
-                vars: Vec::decode(d)?,
-                cond: Expr::decode(d)?,
-                body: Codec::decode(d)?,
-                init: Vec::decode(d)?,
-            }),
-            10 => Ok(Prog::Catch(Codec::decode(d)?, d.str()?, Codec::decode(d)?)),
-            11 => Ok(Prog::Call {
-                fname: d.str()?,
-                args: Vec::decode(d)?,
-            }),
-            12 => Ok(Prog::ExecConcrete(Codec::decode(d)?)),
-            13 => Ok(Prog::ExecAbstract(Codec::decode(d)?)),
-            b => Err(DecodeError(format!("invalid Prog tag {b}"))),
-        };
-        d.exit();
-        out
+ir::codec! {
+    enum Prog @depth {
+        0 => Return(x),
+        1 => Gets(x),
+        2 => Modify(u),
+        3 => Guard(k, g),
+        4 => Throw(x),
+        5 => Fail,
+        6 => Bind(l, v, r),
+        7 => BindTuple(l, vs, r),
+        8 => Condition(c, t, f),
+        9 => While { vars, cond, body, init },
+        10 => Catch(l, v, r),
+        11 => Call { fname, args },
+        12 => ExecConcrete(p),
+        13 => ExecAbstract(p),
     }
 }
 
-impl Codec for MonadicFn {
-    fn encode(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        self.params.encode(e);
-        self.ret_ty.encode(e);
-        self.frame.encode(e);
-        self.body.encode(e);
-    }
+ir::codec! { struct MonadicFn { name, params, ret_ty, frame, body } }
 
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MonadicFn {
-            name: d.str()?,
-            params: Vec::decode(d)?,
-            ret_ty: Ty::decode(d)?,
-            frame: Option::decode(d)?,
-            body: Prog::decode(d)?,
-        })
-    }
-}
-
-impl Codec for ProgramCtx {
-    fn encode(&self, e: &mut Encoder) {
-        self.tenv.encode(e);
-        self.fns.encode(e);
-        self.globals.encode(e);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ProgramCtx {
-            tenv: TypeEnv::decode(d)?,
-            fns: Codec::decode(d)?,
-            globals: Vec::<(String, Value)>::decode(d)?,
-        })
-    }
-}
+ir::codec! { struct ProgramCtx { tenv, fns, globals } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prog::IProg;
     use ir::codec::{decode_from_slice, encode_to_vec};
+    use ir::expr::Expr;
+    use ir::guard::GuardKind;
+    use ir::ty::Ty;
+    use ir::update::Update;
 
     #[test]
     fn prog_round_trips_with_sharing() {

@@ -4,96 +4,29 @@
 //! monadic program was translated from, so persisted theorems carry
 //! Simpl terms.
 
-use ir::codec::{Codec, DecodeError, Decoder, Encoder};
-use ir::expr::Expr;
-use ir::update::Update;
+use crate::stmt::SimplStmt;
 
-use crate::stmt::{GuardKind, SimplStmt};
-
-impl Codec for SimplStmt {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            SimplStmt::Skip => e.u8(0),
-            SimplStmt::Basic(u) => {
-                e.u8(1);
-                u.encode(e);
-            }
-            SimplStmt::Seq(a, b) => {
-                e.u8(2);
-                a.encode(e);
-                b.encode(e);
-            }
-            SimplStmt::Cond(c, a, b) => {
-                e.u8(3);
-                c.encode(e);
-                a.encode(e);
-                b.encode(e);
-            }
-            SimplStmt::While(c, b) => {
-                e.u8(4);
-                c.encode(e);
-                b.encode(e);
-            }
-            SimplStmt::Guard(k, g, c) => {
-                e.u8(5);
-                k.encode(e);
-                g.encode(e);
-                c.encode(e);
-            }
-            SimplStmt::Throw => e.u8(6),
-            SimplStmt::TryCatch(a, b) => {
-                e.u8(7);
-                a.encode(e);
-                b.encode(e);
-            }
-            SimplStmt::Call {
-                fname,
-                args,
-                ret_local,
-            } => {
-                e.u8(8);
-                e.str(fname);
-                args.encode(e);
-                ret_local.encode(e);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.enter()?;
-        let out = match d.u8()? {
-            0 => Ok(SimplStmt::Skip),
-            1 => Update::decode(d).map(SimplStmt::Basic),
-            2 => Ok(SimplStmt::Seq(Box::decode(d)?, Box::decode(d)?)),
-            3 => Ok(SimplStmt::Cond(
-                Expr::decode(d)?,
-                Box::decode(d)?,
-                Box::decode(d)?,
-            )),
-            4 => Ok(SimplStmt::While(Expr::decode(d)?, Box::decode(d)?)),
-            5 => Ok(SimplStmt::Guard(
-                GuardKind::decode(d)?,
-                Expr::decode(d)?,
-                Box::decode(d)?,
-            )),
-            6 => Ok(SimplStmt::Throw),
-            7 => Ok(SimplStmt::TryCatch(Box::decode(d)?, Box::decode(d)?)),
-            8 => Ok(SimplStmt::Call {
-                fname: d.str()?,
-                args: Vec::decode(d)?,
-                ret_local: Option::decode(d)?,
-            }),
-            b => Err(DecodeError(format!("invalid SimplStmt tag {b}"))),
-        };
-        d.exit();
-        out
+ir::codec! {
+    enum SimplStmt @depth {
+        0 => Skip,
+        1 => Basic(u),
+        2 => Seq(a, b),
+        3 => Cond(c, a, b),
+        4 => While(c, b),
+        5 => Guard(k, g, c),
+        6 => Throw,
+        7 => TryCatch(a, b),
+        8 => Call { fname, args, ret_local },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stmt::GuardKind;
     use ir::codec::{decode_from_slice, encode_to_vec};
+    use ir::expr::Expr;
+    use ir::update::Update;
 
     #[test]
     fn simpl_round_trips() {

@@ -24,6 +24,14 @@ if grep -rnE 'thread::scope|thread::spawn|spawn_scoped' crates/*/src src --inclu
     echo "tier1: thread spawned outside crates/ir/src/sched.rs" >&2; exit 1
 fi
 
+# One codec macro (DESIGN.md §6g): plain struct/enum codecs are
+# `ir::codec!` invocations; hand-written `Codec` impls (encodings that are
+# not "tag, then fields") live only in the ir and kernel codec modules.
+if grep -rnE 'impl(<[^>]*>)? +([A-Za-z_]+::)*Codec +for' crates/*/src src --include='*.rs' \
+    | grep -vE '^crates/(ir|kernel)/src/codec\.rs:'; then
+    echo "tier1: hand-written Codec impl outside crates/{ir,kernel}/src/codec.rs; use ir::codec!" >&2; exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 

@@ -353,7 +353,10 @@ fn run(cli: &Cli) -> Result<(), String> {
             let s = &out.stats;
             println!(
                 "store: hits={} misses={} rejected={} dirty_fns={}",
-                s.store_hits, s.store_misses, s.store_rejected, s.dirty_fns
+                s.cached_nodes,
+                s.computed_nodes,
+                sess.load_report().rejected,
+                s.dirty_fns
             );
         }
         return Ok(());

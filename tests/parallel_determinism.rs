@@ -58,27 +58,45 @@ fn translate_with(src: &str, seed: u64, workers: usize, concrete: &[&str]) -> Ou
 const MIXED_CALLER: &str = "unsigned inc(unsigned x) { return x + 1u; }\n\
      unsigned twice(unsigned x) { return inc(inc(x)); }\n";
 
+/// One function of `n` straight-line statements: the phases recurse on
+/// the resulting statement chain, so a pool worker needs as much stack as
+/// the thread that runs the same job inline.
+fn straight_line(n: usize) -> String {
+    let mut s = String::from("unsigned straight(unsigned x) {\n    unsigned r = x;\n");
+    for k in 0..n {
+        let _ = writeln!(s, "    r = r ^ {}u;", k + 1);
+    }
+    s.push_str("    return r;\n}\n");
+    s
+}
+
 #[test]
 fn parallel_output_is_byte_identical_to_sequential() {
+    let straight = straight_line(60);
     let cases: &[(&str, &str, &[&str])] = &[
         ("max", casestudies::sources::MAX, &[]),
         ("gcd", casestudies::sources::GCD, &[]),
         ("midpoint", casestudies::sources::MIDPOINT, &[]),
         ("swap", casestudies::sources::SWAP, &[]),
         ("mixed_caller", MIXED_CALLER, &["twice"]),
+        ("straight_line_60", &straight, &[]),
     ];
-    for (name, src, concrete) in cases {
-        for seed in [0u64, 7, 0xDEAD_BEEF] {
-            let reference = render(&translate_with(src, seed, 1, concrete));
-            for workers in [2usize, 4, 8] {
-                let parallel = render(&translate_with(src, seed, workers, concrete));
-                assert_eq!(
-                    reference, parallel,
-                    "{name}: workers={workers} seed={seed} diverges from sequential"
-                );
+    // The workers-1 reference runs inline on this thread: give it the
+    // stack a pool worker gets.
+    ir::sched::with_stack(|| {
+        for (name, src, concrete) in cases {
+            for seed in [0u64, 7, 0xDEAD_BEEF] {
+                let reference = render(&translate_with(src, seed, 1, concrete));
+                for workers in [2usize, 4, 8] {
+                    let parallel = render(&translate_with(src, seed, workers, concrete));
+                    assert_eq!(
+                        reference, parallel,
+                        "{name}: workers={workers} seed={seed} diverges from sequential"
+                    );
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
