@@ -3,27 +3,22 @@
 //! Each pipeline phase implements the [`Phase`] trait — a name, a static
 //! dependency shape ([`Dep`]), a content digest of everything its
 //! per-function job consumes, and the job itself. The driver
-//! ([`run_phases`]) groups the functions into cost-balanced *batches*
-//! (contiguous slices of a deterministic topological order of the call
-//! graph, sized from the Simpl term sizes so each phase yields about
-//! `workers × 4` scheduled units), expands the phase list into one node
-//! per `(phase, batch)` pair plus one barrier node per phase, wires the
-//! edges from the declared [`DepScope`]s, and hands the whole graph to
-//! the generic [`ir::sched::run_dag_tagged`] work-stealing
-//! scheduler. There is no barrier between phases: a batch's L2 node runs
-//! the moment its own dependencies finish, even while other batches are
-//! still in L1. No phase owns its own scheduling code: adding a phase
-//! means adding a `Phase` impl and listing it in [`PHASES`].
+//! ([`run_phases`]) expands the phase list into one node per `(phase,
+//! function)` pair plus one barrier node per phase, wires the edges from
+//! the declared [`DepScope`]s, and hands the whole graph to the generic
+//! [`ir::sched::run_dag`] work-stealing scheduler. There is no barrier
+//! between phases unless a phase declares one: a function's HL node runs
+//! the moment its own L2 node finishes, even while other functions are
+//! still in L1. The graph is acyclic — no phase waits on a callee's node —
+//! so recursion needs no special case. No phase owns its own scheduling
+//! code: adding a phase means adding a `Phase` impl and listing it in
+//! [`PHASES`].
 //!
-//! Batching is pure scheduling: results still land in per-`(phase,
-//! function)` slots, cache hits are still counted per function, and error
-//! selection still follows the fixed per-phase orders — so output bytes
-//! are identical at every worker count and batch shape. The partition is
-//! safe by construction: within the topological order every callee sits
-//! in the same batch or an earlier one, and a batch executes its own
-//! functions in that order, so `Callees` edges never point forward
-//! (recursion cycles excepted — the scheduler breaks those
-//! deterministically, exactly as the per-function graph did).
+//! Each node returns its start, duration and store outcome through
+//! `run_dag`; the per-phase stats and cache counts are folds over those
+//! records. Results land in per-`(phase, function)` slots and error
+//! selection follows fixed per-phase orders, so output bytes are identical
+//! at every worker count.
 //!
 //! # Content-addressed incremental recomputation
 //!
@@ -46,12 +41,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ir::diag::{Diag, DiagKind};
-use ir::sched::{plan_workers, run_dag_tagged, topo_order, PoolStats, TASKS_PER_WORKER};
+use ir::sched::{plan_workers, run_dag, PoolStats};
 use ir::ty::Ty;
 use kernel::{CheckCtx, Thm};
 use monadic::{MonadicFn, Prog, ProgramCtx};
@@ -65,9 +61,6 @@ use crate::stats::{PhaseStat, PipelineStats};
 pub enum DepScope {
     /// The dependency phase's node for the *same* function.
     SameFn,
-    /// The dependency phase's nodes for the function's direct callees
-    /// (per the static call graph; recursion edges impose no ordering).
-    Callees,
     /// The dependency phase's barrier — every function's node.
     AllFns,
 }
@@ -278,36 +271,6 @@ pub(crate) fn effective_l2_trials(opts: &Options) -> u32 {
 
 // ---- the shared per-run context ---------------------------------------------
 
-/// Per-phase wall/busy clocks, accumulated lock-free by the node jobs.
-struct PhaseClock {
-    /// Sum of node durations (nanoseconds).
-    busy: AtomicU64,
-    /// Earliest node start, nanoseconds since the graph epoch.
-    start: AtomicU64,
-    /// Latest node end, nanoseconds since the graph epoch.
-    end: AtomicU64,
-    /// Nodes answered from the artifact store.
-    cached: AtomicUsize,
-    /// Nodes the store had no entry for, so their job ran.
-    computed: AtomicUsize,
-    /// Batch nodes of this phase executed by a worker other than the one
-    /// that made them ready.
-    steals: AtomicU64,
-}
-
-impl Default for PhaseClock {
-    fn default() -> PhaseClock {
-        PhaseClock {
-            busy: AtomicU64::new(0),
-            start: AtomicU64::new(u64::MAX),
-            end: AtomicU64::new(0),
-            cached: AtomicUsize::new(0),
-            computed: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Everything the phase jobs share: the inputs, the precomputed digests,
 /// the per-node result slots, and the lazily-built cross-function contexts
 /// of the barrier-dependent phases.
@@ -324,8 +287,6 @@ pub struct PhaseCx<'a> {
     pub names: Vec<String>,
     /// For each name index, the index into `typed.functions`.
     pub typed_idx: Vec<usize>,
-    /// Static call graph over name indices (from the Simpl bodies).
-    pub callees: Vec<Vec<usize>>,
     /// Per-function term digest (typed def + Simpl translation).
     pub fn_digests: Vec<u128>,
     /// Per-function transitive-callee cone digest (includes the function).
@@ -335,13 +296,9 @@ pub struct PhaseCx<'a> {
     /// Digest of the normalized options.
     pub opts_digest: u128,
     slots: Vec<OnceLock<NodeResult>>,
-    /// Per-function "some node was recomputed" flags (0/1).
-    dirty: Vec<AtomicUsize>,
     l2sh: OnceLock<Result<L2Shared, Failure>>,
     wash: OnceLock<Result<WaShared, Failure>>,
     adsh: OnceLock<Result<AdaptShared, Failure>>,
-    clocks: Vec<PhaseClock>,
-    epoch: Instant,
 }
 
 /// L2-theorem shared state: the complete L1/L2 contexts and the heap
@@ -448,10 +405,6 @@ impl<'a> PhaseCx<'a> {
         let n_slots = PHASES.len() * names.len();
         let mut slots = Vec::with_capacity(n_slots);
         slots.resize_with(n_slots, OnceLock::new);
-        let mut dirty = Vec::with_capacity(names.len());
-        dirty.resize_with(names.len(), || AtomicUsize::new(0));
-        let mut clocks = Vec::with_capacity(PHASES.len());
-        clocks.resize_with(PHASES.len(), PhaseClock::default);
         PhaseCx {
             typed,
             sp,
@@ -462,18 +415,14 @@ impl<'a> PhaseCx<'a> {
             },
             names,
             typed_idx,
-            callees,
             fn_digests,
             cone_digests,
             env_digest,
             opts_digest: options_digest(opts),
             slots,
-            dirty,
             l2sh: OnceLock::new(),
             wash: OnceLock::new(),
             adsh: OnceLock::new(),
-            clocks,
-            epoch: Instant::now(),
         }
     }
 
@@ -790,8 +739,9 @@ impl Phase for HlPhase {
     }
 }
 
-/// Machine words → ideal `nat`/`int` arithmetic (Sec 3). Scheduled over
-/// the call graph so a caller's job never starts before its callees'.
+/// Machine words → ideal `nat`/`int` arithmetic (Sec 3). A job reads only
+/// the complete HL context and the signature table `wa_signatures` builds
+/// behind the HL barrier, so the functions run in any order.
 struct WaPhase;
 
 impl Phase for WaPhase {
@@ -799,16 +749,10 @@ impl Phase for WaPhase {
         "wa"
     }
     fn deps(&self) -> &'static [Dep] {
-        &[
-            Dep {
-                phase: "hl",
-                scope: DepScope::AllFns,
-            },
-            Dep {
-                phase: "wa",
-                scope: DepScope::Callees,
-            },
-        ]
+        &[Dep {
+            phase: "hl",
+            scope: DepScope::AllFns,
+        }]
     }
     fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
         Ok(cx.cone_scope_digest("wa", f, 0))
@@ -1063,269 +1007,131 @@ impl ArtifactStore {
 
 // ---- the generic driver -----------------------------------------------------
 
-/// The function batches one pipeline run schedules: contiguous slices of
-/// a deterministic topological order of the call graph, cut so each batch
-/// carries roughly `total cost / batch count` Simpl term-size units.
-/// Shared by every phase, so `SameFn` edges map batch `k` to batch `k`
-/// and — callees preceding callers in the order — `Callees` edges only
-/// ever reach the same or an earlier batch (recursion cycles excepted).
-pub(crate) struct BatchPlan {
-    /// Function indices per batch, each in intra-batch execution order.
-    batches: Vec<Vec<usize>>,
-    /// Inverse map: `batch_of[f]` is the batch holding function `f`.
-    batch_of: Vec<usize>,
-    /// Summed Simpl term size over all functions — the pool-sizing
-    /// estimate fed to [`plan_workers`] (per phase; multiply by the phase
-    /// count for the whole graph).
-    pub cost: u64,
+/// What one node of the phase graph did, as [`run_phases`] returns it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct NodeRun {
+    /// When the job started, measured from the start of the graph.
+    start: Duration,
+    /// How long the job ran (zero for a barrier).
+    busy: Duration,
+    /// The artifact store's answer: `Some(true)` for a hit, `Some(false)`
+    /// for a miss (the job ran), `None` when no lookup happened (a barrier,
+    /// or a node whose dependency failed).
+    hit: Option<bool>,
 }
 
-impl BatchPlan {
-    /// Cuts the call-graph topological order into at most
-    /// `workers × TASKS_PER_WORKER` cost-balanced contiguous batches.
-    pub(crate) fn new(cx: &PhaseCx<'_>, workers: usize) -> BatchPlan {
-        let n = cx.names.len();
-        let costs: Vec<u64> = cx
-            .names
-            .iter()
-            .map(|name| cx.sp.fns[name].body.term_size() as u64 + 1)
-            .collect();
-        let cost: u64 = costs.iter().sum();
-        let order = topo_order(&cx.callees);
-        let max_batches = (workers * TASKS_PER_WORKER).clamp(1, n.max(1));
-        let target = cost.div_ceil(max_batches as u64).max(1);
-        let mut batches: Vec<Vec<usize>> = Vec::with_capacity(max_batches);
-        let mut cur: Vec<usize> = Vec::new();
-        let mut acc = 0u64;
-        for &i in &order {
-            cur.push(i);
-            acc += costs[i];
-            if acc >= target && batches.len() + 1 < max_batches {
-                batches.push(std::mem::take(&mut cur));
-                acc = 0;
-            }
-        }
-        if !cur.is_empty() {
-            batches.push(cur);
-        }
-        let mut batch_of = vec![0usize; n];
-        for (k, b) in batches.iter().enumerate() {
-            for &i in b {
-                batch_of[i] = k;
-            }
-        }
-        BatchPlan {
-            batches,
-            batch_of,
-            cost,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.batches.len()
-    }
-}
-
-/// Expands [`PHASES`] into the per-batch node graph (with one barrier
-/// node per phase encoding `AllFns` edges linearly) and executes it on
-/// the work-stealing [`run_dag_tagged`] scheduler. Results land in `cx`'s
-/// per-function slots; per-phase clocks, cache and steal counters
-/// accumulate in `cx`.
+/// Expands [`PHASES`] into one node per `(phase, function)` pair plus one
+/// barrier node per phase (encoding `AllFns` edges linearly) and executes
+/// the graph on [`run_dag`]. Results land in `cx`'s slots; the returned
+/// records are indexed `phase × (functions + 1) + function`, each phase's
+/// barrier last.
 pub(crate) fn run_phases(
     cx: &PhaseCx<'_>,
     store: &ArtifactStore,
-    plan: &BatchPlan,
     workers: usize,
-) -> PoolStats {
-    let nb = plan.len();
-    if nb == 0 {
-        return PoolStats {
-            requested: workers.max(1),
-            workers: 1,
-            ..PoolStats::default()
-        };
-    }
-    let stride = nb + 1;
-    let n_nodes = PHASES.len() * stride;
-    let mut deps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n_nodes];
+) -> (Vec<NodeRun>, PoolStats) {
+    let n = cx.names.len();
+    let stride = n + 1;
+    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); PHASES.len() * stride];
     for (p, phase) in PHASES.iter().enumerate() {
-        // Barrier: waits for every batch of its phase.
-        deps[p * stride + nb].extend((0..nb).map(|k| p * stride + k));
+        deps[p * stride + n] = (p * stride..p * stride + n).collect();
         for d in phase.deps() {
-            let q = phase_index(d.phase);
-            for k in 0..nb {
-                let node = p * stride + k;
-                match d.scope {
-                    DepScope::SameFn => {
-                        // The partition is shared across phases, so the
-                        // same function lives in the same batch there.
-                        deps[node].insert(q * stride + k);
-                    }
-                    DepScope::AllFns => {
-                        deps[node].insert(q * stride + nb);
-                    }
-                    DepScope::Callees => {
-                        for &i in &plan.batches[k] {
-                            for &c in &cx.callees[i] {
-                                deps[node].insert(q * stride + plan.batch_of[c]);
-                            }
-                        }
-                    }
-                }
+            let q = phase_index(d.phase) * stride;
+            for f in 0..n {
+                deps[p * stride + f].push(match d.scope {
+                    DepScope::SameFn => q + f,
+                    DepScope::AllFns => q + n,
+                });
             }
         }
     }
-    let deps: Vec<Vec<usize>> = deps
-        .into_iter()
-        .map(|s| s.into_iter().collect())
-        .collect();
-    let (_, pool) = run_dag_tagged(n_nodes, &deps, workers, |node, stolen| {
-        let (p, k) = (node / stride, node % stride);
-        if k == nb {
+    let epoch = Instant::now();
+    run_dag(deps.len(), &deps, workers, |node| {
+        let (p, f) = (node / stride, node % stride);
+        if f == n {
             // Barriers do no work.
-            return;
+            return NodeRun::default();
         }
-        let clock = &cx.clocks[p];
-        if stolen {
-            clock.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        // Intra-batch order is the topological order, so a callee in the
-        // same batch always runs before its caller.
-        for &i in &plan.batches[k] {
-            let t0 = Instant::now();
-            let started = cx.epoch.elapsed().as_nanos() as u64;
-            let result = exec_node(cx, store, p, i);
-            clock
-                .busy
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            clock.start.fetch_min(started, Ordering::Relaxed);
-            clock
-                .end
-                .fetch_max(cx.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let _ = cx.slots[cx.slot_id(p, i)].set(result);
-        }
-    });
-    pool
+        let start = epoch.elapsed();
+        let (result, hit) = exec_node(cx, store, PHASES[p], f);
+        let busy = epoch.elapsed() - start;
+        let _ = cx.slots[cx.slot_id(p, f)].set(result);
+        NodeRun { start, busy, hit }
+    })
 }
 
-fn exec_node(cx: &PhaseCx<'_>, store: &ArtifactStore, p: usize, i: usize) -> NodeResult {
-    let phase = PHASES[p];
-    let digest = phase.input_digest(cx, i)?;
-    let name = &cx.names[i];
-    if let Some(hit) = store.get(phase.name(), name, digest) {
-        cx.clocks[p].cached.fetch_add(1, Ordering::Relaxed);
-        return Ok(hit);
-    }
-    cx.dirty[i].store(1, Ordering::Relaxed);
-    cx.clocks[p].computed.fetch_add(1, Ordering::Relaxed);
-    let value = phase.run(cx, i)?;
-    let artifact = Arc::new(PhaseArtifact { digest, value });
-    store.put(phase.name(), name, Arc::clone(&artifact));
-    Ok(artifact)
+/// Runs one `(phase, function)` node: the input digest, the store lookup,
+/// and on a miss the job. Returns the result and the store's answer (see
+/// [`NodeRun::hit`]). A panic in the digest or the job becomes this node's
+/// root failure, so it fails one function instead of the whole run.
+fn exec_node(
+    cx: &PhaseCx<'_>,
+    store: &ArtifactStore,
+    phase: &dyn Phase,
+    f: usize,
+) -> (NodeResult, Option<bool>) {
+    let name = &cx.names[f];
+    let mut hit = None;
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let digest = phase.input_digest(cx, f)?;
+        if let Some(cached) = store.get(phase.name(), name, digest) {
+            hit = Some(true);
+            return Ok(cached);
+        }
+        hit = Some(false);
+        let value = phase.run(cx, f)?;
+        let artifact = Arc::new(PhaseArtifact { digest, value });
+        store.put(phase.name(), name, Arc::clone(&artifact));
+        Ok(artifact)
+    }))
+    .unwrap_or_else(|payload| {
+        let text = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        let stage = match phase.name() {
+            "l1" => ir::diag::Phase::L1,
+            "l2" | "l2thm" => ir::diag::Phase::L2,
+            "hl" => ir::diag::Phase::Hl,
+            "wa" | "adapt" => ir::diag::Phase::Wa,
+            "absint" => ir::diag::Phase::Absint,
+            _ => ir::diag::Phase::Kernel,
+        };
+        let message = format!("{name}: `{}` job panicked: {text}", phase.name());
+        Err(Failure::from(
+            Diag::new(stage, DiagKind::Internal, message).with_function(name),
+        ))
+    });
+    (result, hit)
 }
 
 // ---- assembly ---------------------------------------------------------------
 
-/// One phase's clock snapshot after the graph ran.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ClockSnap {
-    /// Summed per-function job time, nanoseconds.
-    pub busy: u64,
-    /// Earliest job start, nanoseconds since the graph epoch.
-    pub start: u64,
-    /// Latest job end, nanoseconds since the graph epoch.
-    pub end: u64,
-    /// Per-function jobs answered from the artifact store.
-    pub cached: usize,
-    /// Batch nodes of the phase executed by a thief worker.
-    pub steals: u64,
-}
-
-/// Per-phase outcome summary used by the pipeline to build the output and
-/// the stats.
-pub(crate) struct GraphRun {
-    /// First root failure in phase order, if any.
-    pub error: Option<Diag>,
-    /// Per-phase clock snapshots, indexed like [`PHASES`].
-    pub clocks: Vec<ClockSnap>,
-    /// Functions with at least one recomputed (non-cached) node.
-    pub dirty_fns: usize,
-    /// Total nodes answered from the artifact store.
-    pub cached_nodes: usize,
-    /// Total nodes the artifact store missed, whose jobs ran.
-    pub computed_nodes: usize,
-}
-
-/// Collects errors/clock data after [`run_phases`] finished.
-pub(crate) fn graph_outcome(cx: &PhaseCx<'_>) -> GraphRun {
+/// The error a failed run reports: the first root failure of the earliest
+/// failing phase, in that phase's fixed iteration order (source order for
+/// the L2 phases, name order elsewhere) — the error the old strictly-phased
+/// pipeline reported. Falls back to the first inherited failure.
+fn first_error(cx: &PhaseCx<'_>) -> Option<Diag> {
     let n = cx.names.len();
-    // Error selection mirrors the old strictly-phased pipeline: the first
-    // failing function of the earliest failing phase, in that phase's
-    // fixed iteration order (source order for the L2 phases, name order
-    // elsewhere).
-    let mut error: Option<Diag> = None;
     let mut fallback: Option<Diag> = None;
     for (p, phase) in PHASES.iter().enumerate() {
-        let src_order = matches!(phase.name(), "l2" | "l2thm");
-        let order: Vec<usize> = if src_order {
-            let mut by_src: Vec<usize> = (0..n).collect();
-            by_src.sort_by_key(|&i| cx.typed_idx[i]);
-            by_src
-        } else {
-            (0..n).collect()
-        };
+        let mut order: Vec<usize> = (0..n).collect();
+        if matches!(phase.name(), "l2" | "l2thm") {
+            order.sort_by_key(|&i| cx.typed_idx[i]);
+        }
         for i in order {
-            if let Some(Err(f)) = cx.slots[p * n + i].get() {
+            if let Some(Err(f)) = cx.slots[cx.slot_id(p, i)].get() {
                 if f.root {
-                    error = Some(f.diag.clone());
-                    break;
+                    return Some(f.diag.clone());
                 }
                 if fallback.is_none() {
                     fallback = Some(f.diag.clone());
                 }
             }
         }
-        if error.is_some() {
-            break;
-        }
     }
-    let error = error.or(fallback);
-    let clocks: Vec<ClockSnap> = cx
-        .clocks
-        .iter()
-        .map(|c| {
-            let start = c.start.load(Ordering::Relaxed);
-            ClockSnap {
-                busy: c.busy.load(Ordering::Relaxed),
-                start: if start == u64::MAX { 0 } else { start },
-                end: c.end.load(Ordering::Relaxed),
-                cached: c.cached.load(Ordering::Relaxed),
-                steals: c.steals.load(Ordering::Relaxed),
-            }
-        })
-        .collect();
-    let dirty_fns = cx
-        .dirty
-        .iter()
-        .filter(|d| d.load(Ordering::Relaxed) != 0)
-        .count();
-    let cached_nodes = cx
-        .clocks
-        .iter()
-        .map(|c| c.cached.load(Ordering::Relaxed))
-        .sum();
-    let computed_nodes = cx
-        .clocks
-        .iter()
-        .map(|c| c.computed.load(Ordering::Relaxed))
-        .sum();
-    GraphRun {
-        error,
-        clocks,
-        dirty_fns,
-        cached_nodes,
-        computed_nodes,
-    }
+    fallback
 }
 
 // ---- the pipeline entry point -----------------------------------------------
@@ -1358,23 +1164,16 @@ pub(crate) fn run_pipeline(
         vec![PhaseStat::from_pool("parse", parse_pool, sp.fns.len(), 0, 0)];
 
     let cx = PhaseCx::new(typed, &sp, opts);
-    // Size the pool from the estimated work (term sizes × phase count),
-    // then cut the batches for the width actually granted.
-    let plan = BatchPlan::new(&cx, requested);
+    // Size the pool from the estimated work: Simpl term sizes × phases.
+    let cost: u64 = sp.fns.values().map(|f| f.body.term_size() as u64 + 1).sum();
     let workers = plan_workers(
         requested,
-        plan.cost.saturating_mul(PHASES.len() as u64),
+        cost.saturating_mul(PHASES.len() as u64),
         opts.force_pool,
     );
-    let plan = if workers == requested {
-        plan
-    } else {
-        BatchPlan::new(&cx, workers)
-    };
-    let graph_pool = run_phases(&cx, store, &plan, workers);
+    let (runs, graph_pool) = run_phases(&cx, store, workers);
     let workers = graph_pool.workers;
-    let outcome = graph_outcome(&cx);
-    if let Some(d) = outcome.error {
+    if let Some(d) = first_error(&cx) {
         return Err(d);
     }
     let n = cx.names.len();
@@ -1435,58 +1234,50 @@ pub(crate) fn run_pipeline(
         absint_map.insert(cx.names[i].clone(), a.clone());
     }
 
-    // Per-phase stats from the node clocks; `l2`/`l2thm` merge into the
-    // single legacy `l2` entry so the deterministic summary is unchanged.
-    let batches = plan.len();
-    let pool = |c: ClockSnap| PoolStats {
-        requested,
-        workers,
-        busy: Duration::from_nanos(c.busy),
-        wall: Duration::from_nanos(c.end.saturating_sub(c.start)),
-        steals: c.steals,
-        tasks: batches,
-    };
-    let mk = |name, pool: PoolStats, fns, thms: &[(String, Thm)], cached| {
-        let proof_nodes = thms.iter().map(|(_, t)| t.proof_size()).sum();
+    // Per-phase rows fold the function nodes' records; `l2`/`l2thm` share
+    // the single legacy `l2` row so the deterministic summary is unchanged.
+    let fn_runs = |ps: Range<usize>| ps.flat_map(|p| &runs[p * (n + 1)..p * (n + 1) + n]);
+    let row = |name, ps: Range<usize>, fns, thms: &[(String, Thm)]| {
+        let start = fn_runs(ps.clone())
+            .map(|r| r.start)
+            .min()
+            .unwrap_or_default();
+        let end = fn_runs(ps.clone())
+            .map(|r| r.start + r.busy)
+            .max()
+            .unwrap_or_default();
         PhaseStat {
-            cached,
-            ..PhaseStat::from_pool(name, pool, fns, thms.len(), proof_nodes)
+            name,
+            wall: end - start,
+            busy: fn_runs(ps.clone()).map(|r| r.busy).sum(),
+            workers,
+            requested,
+            fns,
+            thms: thms.len(),
+            proof_nodes: thms.iter().map(|(_, t)| t.proof_size()).sum(),
+            cached: fn_runs(ps).filter(|r| r.hit == Some(true)).count(),
         }
     };
-    let c = &outcome.clocks;
-    phases.push(mk("l1", pool(c[0]), n, &l1_thms, c[0].cached));
-    let l2_pool = PoolStats {
-        requested,
-        workers,
-        busy: Duration::from_nanos(c[1].busy + c[2].busy),
-        wall: Duration::from_nanos(
-            c[1].end.max(c[2].end).saturating_sub(c[1].start.min(c[2].start)),
-        ),
-        steals: c[1].steals + c[2].steals,
-        tasks: batches * 2,
-    };
-    phases.push(mk("l2", l2_pool, n, &l2_thms, c[1].cached + c[2].cached));
-    phases.push(mk("hl", pool(c[3]), n, &hl_thms, c[3].cached));
-    phases.push(mk("wa", pool(c[4]), n, &wa_thms, c[4].cached));
-    phases.push(mk(
-        "adapt",
-        pool(c[5]),
-        adapt_thms.len(),
-        &adapt_thms,
-        c[5].cached,
-    ));
+    phases.push(row("l1", 0..1, n, &l1_thms));
+    phases.push(row("l2", 1..3, n, &l2_thms));
+    phases.push(row("hl", 3..4, n, &hl_thms));
+    phases.push(row("wa", 4..5, n, &wa_thms));
+    phases.push(row("adapt", 5..6, adapt_thms.len(), &adapt_thms));
     wa_thms.extend(adapt_thms);
     // Discharge theorems are (guard index, Thm) pairs and stay out of the
-    // refinement-theorem lists: the row is built by hand, not via `mk`.
-    let absint_thms: usize = absint_map.values().map(|a| a.thms.len()).sum();
-    let absint_nodes: usize = absint_map
-        .values()
-        .flat_map(|a| a.thms.iter().map(|(_, t)| t.proof_size()))
-        .sum();
+    // refinement-theorem lists, so their counts are filled in by hand.
     phases.push(PhaseStat {
-        cached: c[6].cached,
-        ..PhaseStat::from_pool("absint", pool(c[6]), n, absint_thms, absint_nodes)
+        thms: absint_map.values().map(|a| a.thms.len()).sum(),
+        proof_nodes: absint_map
+            .values()
+            .flat_map(|a| a.thms.iter().map(|(_, t)| t.proof_size()))
+            .sum(),
+        ..row("absint", 6..7, n, &[])
     });
+    let all_runs = || fn_runs(0..PHASES.len());
+    let dirty_fns = (0..n)
+        .filter(|&f| (0..PHASES.len()).any(|p| runs[p * (n + 1) + f].hit == Some(false)))
+        .count();
 
     let thms = PhaseTheorems {
         l1: l1_thms,
@@ -1499,9 +1290,9 @@ pub(crate) fn run_pipeline(
         requested_workers: requested,
         phases,
         total_wall: total_start.elapsed(),
-        dirty_fns: outcome.dirty_fns,
-        cached_nodes: outcome.cached_nodes,
-        computed_nodes: outcome.computed_nodes,
+        dirty_fns,
+        cached_nodes: all_runs().filter(|r| r.hit == Some(true)).count(),
+        computed_nodes: all_runs().filter(|r| r.hit == Some(false)).count(),
         guards_total: absint_map.values().map(|a| a.report.guards.len()).sum(),
         guards_discharged: absint_map.values().map(|a| a.report.discharged()).sum(),
         guards_refuted: absint_map.values().map(|a| a.report.refuted()).sum(),
@@ -1776,5 +1567,56 @@ mod tests {
         assert_ne!(cx_a.fn_digests[0], cx_b.fn_digests[0], "f was edited");
         assert_eq!(cx_a.fn_digests[1], cx_b.fn_digests[1], "g was not");
         assert_eq!(cx_a.env_digest, cx_b.env_digest, "signatures unchanged");
+    }
+
+    /// A phase whose job panics for every function.
+    struct PanicPhase;
+
+    impl Phase for PanicPhase {
+        fn name(&self) -> &'static str {
+            "boom"
+        }
+        fn deps(&self) -> &'static [Dep] {
+            &[]
+        }
+        fn input_digest(&self, _: &PhaseCx<'_>, _: usize) -> Result<u128, Failure> {
+            Ok(0)
+        }
+        fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+            panic!("injected fault in {}", cx.names[f])
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_own_node() {
+        let typed = cparser::parse_and_check(
+            "unsigned f(unsigned x) { return x + 1u; }
+             unsigned g(unsigned x) { return x * 2u; }
+",
+        )
+        .unwrap();
+        let sp = simpl::translate_program(&typed).unwrap();
+        let opts = Options::default();
+        let cx = PhaseCx::new(&typed, &sp, &opts);
+        let store = ArtifactStore::new();
+        // names are sorted: [f, g]. Both pool workers hit the panic, and
+        // each node still returns its own failure.
+        let (results, _) = run_dag(2, &[vec![], vec![]], 2, |f| {
+            exec_node(&cx, &store, &PanicPhase, f)
+        });
+        for (f, (result, hit)) in results.into_iter().enumerate() {
+            let failure = result.expect_err("the job panicked");
+            assert!(failure.root, "a panic is the root cause");
+            assert_eq!(failure.diag.kind, DiagKind::Internal);
+            assert_eq!(failure.diag.function.as_deref(), Some(cx.names[f].as_str()));
+            let payload = format!("injected fault in {}", cx.names[f]);
+            assert!(
+                failure.diag.message.contains("`boom`") && failure.diag.message.contains(&payload),
+                "{}",
+                failure.diag.message
+            );
+            assert_eq!(hit, Some(false), "the store missed, so the job ran");
+        }
+        assert!(store.is_empty(), "a panicked job stores nothing");
     }
 }

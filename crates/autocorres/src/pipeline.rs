@@ -12,20 +12,20 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Within the graph, functions are independent (L1/L2/HL) or ordered by
-//! the call graph (WA and caller adaptation). [`Options::workers`] asks
-//! for a pool width; [`ir::sched::plan_workers`] grants at most the
+//! Within the graph, a function's jobs are independent of other
+//! functions' jobs except behind the whole-program barriers (L2 theorems,
+//! WA and caller adaptation read complete contexts). [`Options::workers`]
+//! asks for a pool width; [`ir::sched::plan_workers`] grants at most the
 //! host CPU count (and `1` when the estimated work would not amortize a
 //! pool), and the granted width drives a work-stealing scheduler over the
-//! whole phase graph with functions grouped into cost-balanced batches
-//! (see [`crate::phase`]). `0`/`1` runs everything inline on the calling
+//! whole phase graph, one node per `(phase, function)` (see
+//! [`crate::phase`]). `0`/`1` runs everything inline on the calling
 //! thread. All schedules execute the *same* per-function jobs with
-//! per-function
-//! RNG streams derived by [`derive_seed`] from `(seed, fn_name)`, and
-//! results are collected in fixed name/source order — so for a fixed seed
-//! the output (specs, theorem statements, guards, metrics) is
-//! byte-identical at any worker count, cached or not. The determinism
-//! test suite asserts this.
+//! per-function RNG streams derived by [`derive_seed`] from
+//! `(seed, fn_name)`, and results are collected in fixed name/source order
+//! — so for a fixed seed the output (specs, theorem statements, guards,
+//! metrics) is byte-identical at any worker count, cached or not. The
+//! determinism test suite asserts this.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

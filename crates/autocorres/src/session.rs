@@ -15,11 +15,9 @@
 //! else is answered from the store — and because every phase job is a
 //! deterministic pure function of exactly its digested inputs, the output
 //! is byte-identical to a from-scratch run. Scheduling is equally
-//! invisible: the work-stealing phase executor and its batching plan
-//! (see [`crate::phase`]) key nothing into the digests, so the same
-//! session produces the same bytes at any worker count, and cache hits
-//! are counted per function regardless of how functions were batched
-//! onto scheduled nodes. Likewise
+//! invisible: the work-stealing phase executor (see [`crate::phase`])
+//! keys nothing into the digests, so the same session produces the same
+//! bytes at any worker count. Likewise
 //! [`Session::check_all_report`] replays only theorems whose derivations
 //! contain proof nodes not yet seen by this session's replay cache.
 //!

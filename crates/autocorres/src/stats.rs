@@ -42,12 +42,6 @@ pub struct PhaseStat {
     /// Per-function jobs answered from the session artifact store instead
     /// of being recomputed (always `0` for one-shot `translate` runs).
     pub cached: usize,
-    /// Scheduled batch nodes of this phase (functions are grouped into
-    /// cost-balanced batches; see `crate::phase`).
-    pub batches: usize,
-    /// Batch nodes of this phase executed by a worker other than the one
-    /// that made them ready.
-    pub steals: u64,
 }
 
 impl PhaseStat {
@@ -70,23 +64,26 @@ impl PhaseStat {
             thms,
             proof_nodes,
             cached: 0,
-            batches: pool.tasks,
-            steals: pool.steals,
         }
     }
 
-    /// Raw busy time over capacity (`wall × effective workers`). Not
-    /// clamped: values above `1.0` expose a wrong effective-worker count,
-    /// values far below `1.0` expose starvation or oversubscription.
+    /// Raw busy time over capacity, as [`PoolStats::utilization`].
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let capacity = self.wall.as_secs_f64() * self.workers.max(1) as f64;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / capacity
-        }
+        utilization(self.busy, self.wall, self.workers)
     }
+}
+
+/// [`PoolStats::utilization`] of a pool that was `busy` for `wall` on
+/// `workers` workers — the one definition every stats row reports.
+fn utilization(busy: Duration, wall: Duration, workers: usize) -> f64 {
+    PoolStats {
+        busy,
+        wall,
+        workers,
+        ..PoolStats::default()
+    }
+    .utilization()
 }
 
 /// Observability of one pipeline run.
@@ -143,29 +140,19 @@ impl PipelineStats {
         self.phases.iter().map(|p| p.proof_nodes).sum()
     }
 
-    /// Total batch nodes stolen across phases.
-    #[must_use]
-    pub fn total_steals(&self) -> u64 {
-        self.phases.iter().map(|p| p.steals).sum()
-    }
-
-    /// Overall worker utilization across the timed phases (raw, unclamped
-    /// — see [`PhaseStat::utilization`]).
+    /// Overall worker utilization across the timed phases: summed busy
+    /// time over summed phase wall time × `workers` (raw, unclamped — see
+    /// [`PoolStats::utilization`]).
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let wall: f64 = self.phases.iter().map(|p| p.wall.as_secs_f64()).sum();
-        let busy: f64 = self.phases.iter().map(|p| p.busy.as_secs_f64()).sum();
-        let capacity = wall * self.workers.max(1) as f64;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            busy / capacity
-        }
+        let wall = self.phases.iter().map(|p| p.wall).sum();
+        let busy = self.phases.iter().map(|p| p.busy).sum();
+        utilization(busy, wall, self.workers)
     }
 
     /// The deterministic subset of the stats (counts, no timings, no
-    /// scheduling artifacts like batch or steal counts), for
-    /// byte-comparison between sequential and parallel runs.
+    /// scheduling artifacts like worker counts), for byte-comparison
+    /// between sequential and parallel runs.
     #[must_use]
     pub fn deterministic_summary(&self) -> String {
         use fmt::Write as _;
@@ -190,31 +177,28 @@ impl fmt::Display for PipelineStats {
         writeln!(
             f,
             "pipeline: {} workers ({} requested), {:.1?} wall, {} theorems, {} proof nodes, \
-             {:.0}% utilization, {} steals",
+             {:.0}% utilization",
             self.workers,
             self.requested_workers,
             self.total_wall,
             self.total_theorems(),
             self.total_proof_nodes(),
             self.utilization() * 100.0,
-            self.total_steals()
         )?;
         writeln!(
             f,
-            "  {:<8} {:>10} {:>6} {:>6} {:>12} {:>7} {:>6} {:>6}",
-            "phase", "wall", "fns", "thms", "proof nodes", "batches", "steals", "util"
+            "  {:<8} {:>10} {:>6} {:>6} {:>12} {:>6}",
+            "phase", "wall", "fns", "thms", "proof nodes", "util"
         )?;
         for p in &self.phases {
             writeln!(
                 f,
-                "  {:<8} {:>10.1?} {:>6} {:>6} {:>12} {:>7} {:>6} {:>5.0}%",
+                "  {:<8} {:>10.1?} {:>6} {:>6} {:>12} {:>5.0}%",
                 p.name,
                 p.wall,
                 p.fns,
                 p.thms,
                 p.proof_nodes,
-                p.batches,
-                p.steals,
                 p.utilization() * 100.0
             )?;
         }
@@ -274,8 +258,7 @@ mod tests {
         let p = PhaseStat::from_pool("wa", pool, 10, 10, 100);
         assert_eq!(p.requested, 8);
         assert_eq!(p.workers, 2);
-        assert_eq!(p.steals, 3);
-        assert_eq!(p.batches, 7);
+        assert_eq!(p.utilization(), pool.utilization());
     }
 
     #[test]
@@ -290,8 +273,6 @@ mod tests {
             fns: 2,
             thms: 2,
             proof_nodes: 17,
-            batches: 3,
-            steals: 1,
             ..PhaseStat::default()
         });
         s.fn_theorems.insert("f".into(), 4);
@@ -300,7 +281,7 @@ mod tests {
         assert!(a.contains("l1: fns=2 thms=2 proof_nodes=17"));
         assert!(a.contains("fn f: thms=4 proof_nodes=21"));
         assert!(
-            !a.contains("steals") && !a.contains("batches"),
+            !a.contains("workers"),
             "scheduling artifacts vary with worker count and must stay out \
              of the byte-compared summary"
         );

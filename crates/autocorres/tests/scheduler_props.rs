@@ -1,13 +1,13 @@
 //! Property tests of the work scheduler over random call graphs.
 //!
 //! The graphs come from `codegen::gen_call_graph` — the same acyclic
-//! caller-calls-lower-index shape the synthetic Table 5 code bases have.
-//! For every graph and worker count the scheduler must (1) run each
-//! function exactly once, (2) never start a caller's job before all of its
-//! callees' jobs have finished — the invariant the pipeline's WA/adaptation
-//! phase relies on (a caller's adaptation is never derived before its
-//! callee's WA theorem) — and (3) terminate (no deadlock; the test would
-//! hang otherwise).
+//! caller-calls-lower-index shape the synthetic Table 5 code bases have —
+//! used here as generic dependency graphs. For every graph and worker
+//! count the scheduler must (1) run each node exactly once, (2) never
+//! start a node before all of its dependencies have finished — the
+//! invariant every `SameFn` and barrier edge of the pipeline's phase
+//! graph relies on — and (3) terminate (no deadlock; the test would hang
+//! otherwise).
 
 use ir::sched::{par_map, run_dag};
 use proptest::prelude::*;
@@ -86,7 +86,9 @@ proptest! {
 fn pipeline_wa_phase_orders_adaptations_after_callee_theorems() {
     // End-to-end shape check on a mixed-level program: the concrete-kept
     // caller's adaptation theorem exists, and the abstracted callee's WA
-    // theorem exists — i.e. the dependency the scheduler orders is real.
+    // theorem exists. WA jobs run in any order (they read only the HL
+    // context and the signature table); adaptation waits for the WA
+    // barrier, so it always sees every callee's WA result.
     let src = "unsigned inc(unsigned x) { return x + 1u; }\n\
                unsigned twice(unsigned x) { return inc(inc(x)); }\n";
     let opts = autocorres::Options {

@@ -15,8 +15,8 @@
 //!
 //! Besides the stdout table the run writes `BENCH_table5.json` at the
 //! workspace root with the raw numbers, including per-phase pool stats
-//! (requested vs effective workers, busy/wall, batch and steal counts)
-//! and the parallel wall time at each gated worker count.
+//! (requested vs effective workers, busy/wall, utilization) and the
+//! parallel wall time at each gated worker count.
 //!
 //! Every row is gated: parallel translation and parallel proof replay
 //! must each cost at most [`PAR_OVERHEAD_GATE`]× sequential at every
@@ -133,8 +133,7 @@ struct RowOut {
     /// entry (best of the gate's retry budget).
     par_by_workers: Vec<(usize, f64)>,
     /// Per-phase scheduler observability of the recorded parallel run:
-    /// requested vs effective workers, busy/wall occupancy, batch and
-    /// steal counts.
+    /// requested vs effective workers and busy/wall occupancy.
     phase_stats: Vec<PhaseStat>,
     /// Guards the abstract-interpretation phase saw on reachable paths.
     vc_count_total: usize,
@@ -524,15 +523,13 @@ fn json_row(r: &RowOut) -> String {
                 concat!(
                     "{{\"phase\": \"{}\", \"busy_s\": {:.4}, \"wall_s\": {:.4}, ",
                     "\"requested_workers\": {}, \"effective_workers\": {}, ",
-                    "\"batches\": {}, \"steals\": {}, \"utilization\": {:.3}}}"
+                    "\"utilization\": {:.3}}}"
                 ),
                 p.name,
                 p.busy.as_secs_f64(),
                 p.wall.as_secs_f64(),
                 p.requested,
                 p.workers,
-                p.batches,
-                p.steals,
                 p.utilization(),
             )
         })

@@ -170,14 +170,6 @@ impl Internable for Expr {
         static INTERNER: std::sync::OnceLock<Interner<Expr>> = std::sync::OnceLock::new();
         INTERNER.get_or_init(Interner::new)
     }
-
-    fn with_local<R>(f: impl FnOnce(&mut crate::intern::LocalCache<Expr>) -> R) -> R {
-        thread_local! {
-            static CACHE: std::cell::RefCell<crate::intern::LocalCache<Expr>> =
-                std::cell::RefCell::new(crate::intern::LocalCache::new());
-        }
-        CACHE.with(|c| f(&mut c.borrow_mut()))
-    }
 }
 
 impl Expr {

@@ -6,12 +6,8 @@
 //! is (mostly) pointer comparison and sizes need no traversal. This module
 //! is the deep-embedding analogue: a concurrent hash-consing table that
 //! stores each distinct node once behind an [`std::sync::Arc`], with its
-//! structural hash and subterm size precomputed at construction. While a
-//! multi-worker pool is running (a [`ParallelScope`] is alive), a
-//! per-thread read-through [`LocalCache`] sits in front of the sharded
-//! global table so repeat interns of hot terms (the common case inside
-//! one phase job) never touch a lock; sequential runs skip the cache,
-//! whose bookkeeping would only cost them.
+//! structural hash and subterm size precomputed at construction. The table
+//! is sharded so concurrent pool workers rarely contend on one lock.
 //!
 //! [`Interned<T>`] replaces `Box<T>` for the children of [`crate::Expr`]
 //! (and `monadic::Prog`, which implements [`Internable`] in its own crate):
@@ -47,7 +43,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked table shards. A power of two large
@@ -55,45 +51,6 @@ use std::sync::{Arc, Mutex};
 /// interns on every node it builds) rarely collides on one lock; the
 /// empty table is still negligible (64 mutexes + empty maps).
 const SHARDS: usize = 64;
-
-/// Entries a thread-local read-through cache may hold before it is
-/// cleared. Bounds per-thread memory; clearing is safe because the cache
-/// is a pure accelerator over the global table.
-const LOCAL_CAP: usize = 8192;
-
-/// Live [`ParallelScope`] count. While zero (the common sequential case)
-/// intern calls go straight to the global table: an uncontended shard
-/// lock is cheaper than double bookkeeping, and measuring showed the
-/// always-on local cache taxing cold sequential translation by ~65%.
-static PARALLEL_SCOPES: AtomicUsize = AtomicUsize::new(0);
-
-fn parallel_mode() -> bool {
-    PARALLEL_SCOPES.load(Ordering::Relaxed) > 0
-}
-
-/// RAII marker that a multi-worker pool is running. While at least one
-/// scope is alive (on *any* thread — the counter is global), intern calls
-/// route through the per-thread [`LocalCache`]s so repeat interns of hot
-/// terms skip the shard locks that pool workers would otherwise contend
-/// on. Only the executor ([`crate::sched`]) enters a scope, and only when
-/// it actually spawns workers; sequential runs never pay the cache's
-/// bookkeeping.
-pub(crate) struct ParallelScope(());
-
-impl ParallelScope {
-    /// Enters a scope; interning is cache-routed until the value drops.
-    #[must_use]
-    pub(crate) fn enter() -> ParallelScope {
-        PARALLEL_SCOPES.fetch_add(1, Ordering::Relaxed);
-        ParallelScope(())
-    }
-}
-
-impl Drop for ParallelScope {
-    fn drop(&mut self) {
-        PARALLEL_SCOPES.fetch_sub(1, Ordering::Relaxed);
-    }
-}
 
 /// A type whose values can be hash-consed.
 ///
@@ -107,60 +64,6 @@ pub trait Internable: Hash + Eq + Clone + Send + Sync + 'static {
 
     /// The global interner for this type.
     fn interner() -> &'static Interner<Self>;
-
-    /// Runs `f` on this thread's [`LocalCache`] for the type. Implement
-    /// with a `thread_local!` `RefCell` — see `ir::Expr` for the idiom.
-    fn with_local<R>(f: impl FnOnce(&mut LocalCache<Self>) -> R) -> R;
-}
-
-/// A per-thread *read-through* cache in front of the global table: hash →
-/// handles this thread already interned. A hit skips the shard lock
-/// entirely; a miss falls through to the global table and the canonical
-/// handle is remembered locally.
-///
-/// Deliberately read-through rather than write-buffered: every allocation
-/// still goes through the global table, so two threads interning the same
-/// term always end up with the *same* allocation and the
-/// [`Interned::ptr_eq`] / [`Interned::key`] canonicalization guarantee
-/// (one allocation per distinct term, relied on by sharing-aware
-/// memoisation) survives. Only the lock traffic is thread-local.
-pub struct LocalCache<T: Internable> {
-    map: HashMap<u64, Vec<Interned<T>>>,
-    len: usize,
-}
-
-impl<T: Internable> Default for LocalCache<T> {
-    fn default() -> Self {
-        LocalCache {
-            map: HashMap::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T: Internable> LocalCache<T> {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> LocalCache<T> {
-        LocalCache::default()
-    }
-
-    fn get(&self, hash: u64, val: &T) -> Option<Interned<T>> {
-        self.map
-            .get(&hash)?
-            .iter()
-            .find(|h| ***h == *val)
-            .cloned()
-    }
-
-    fn put(&mut self, hash: u64, handle: Interned<T>) {
-        if self.len >= LOCAL_CAP {
-            self.map.clear();
-            self.len = 0;
-        }
-        self.map.entry(hash).or_default().push(handle);
-        self.len += 1;
-    }
 }
 
 /// An interned node: the value plus its precomputed structural hash and
@@ -252,9 +155,9 @@ impl<T> Interner<T> {
 }
 
 impl<T: Internable> Interner<T> {
-    /// Interns against the global table only (the caller has already
-    /// missed the thread-local cache and computed the hash).
-    fn intern_hashed(&self, hash: u64, val: T) -> Interned<T> {
+    /// Interns `val`: the existing node for an equal term, else a new one.
+    fn intern(&self, val: T) -> Interned<T> {
+        let hash = structural_hash(&val);
         let shard = &self.shards[(hash as usize) % SHARDS];
         let mut table = shard.lock().expect("interner shard poisoned");
         let bucket = table.entry(hash).or_default();
@@ -289,25 +192,11 @@ fn structural_hash<T: Hash>(val: &T) -> u64 {
 pub struct Interned<T: Internable>(Arc<Node<T>>);
 
 impl<T: Internable> Interned<T> {
-    /// Interns `val`, returning the canonical shared handle. Inside a
-    /// [`ParallelScope`] the thread-local read-through cache is checked
-    /// first (no lock), then the sharded global table; either way the
-    /// handle returned is the one canonical allocation for this term.
+    /// Interns `val` in the sharded global table, returning the one
+    /// canonical shared handle for this term.
     #[must_use]
     pub fn new(val: T) -> Interned<T> {
-        let hash = structural_hash(&val);
-        if parallel_mode() {
-            if let Some(hit) = T::with_local(|c| c.get(hash, &val)) {
-                // Still a sharing win; keep the global counters
-                // authoritative.
-                T::interner().hits.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
-            let handle = T::interner().intern_hashed(hash, val);
-            T::with_local(|c| c.put(hash, handle.clone()));
-            return handle;
-        }
-        T::interner().intern_hashed(hash, val)
+        T::interner().intern(val)
     }
 
     /// The cached term size (number of AST nodes, Table 5 metric).
@@ -458,14 +347,13 @@ mod tests {
     }
 
     #[test]
-    fn local_cache_is_read_through_and_canonical() {
+    fn concurrent_interns_share_one_allocation() {
         // Two pool workers interning the same fresh term must end up with the
-        // same allocation: the local caches accelerate lookups but never
-        // allocate privately, so `ptr_eq`/`key` stay canonical.
+        // same allocation, so `ptr_eq`/`key` stay canonical across threads.
         let build = || {
             Expr::binop(
                 BinOp::Mul,
-                Expr::var("local_cache_canonical_probe"),
+                Expr::var("concurrent_intern_probe"),
                 Expr::u32(0x5EED),
             )
         };
@@ -473,7 +361,6 @@ mod tests {
         // two interns run on different workers at the same time.
         let both_started = std::sync::Barrier::new(2);
         let (handles, pool) = crate::sched::par_map(&[(), ()], 2, |_, ()| {
-            assert!(parallel_mode());
             both_started.wait();
             Interned::new(build())
         });
@@ -481,8 +368,7 @@ mod tests {
         let (a, b) = (handles[0].clone(), handles[1].clone());
         assert!(Interned::ptr_eq(&a, &b), "cross-thread canonicalization");
         assert_eq!(a.key(), b.key());
-        // And a same-thread repeat is served (locally or globally) as the
-        // very same allocation again.
+        // And a same-thread repeat is the very same allocation again.
         let c = Interned::new(build());
         assert!(Interned::ptr_eq(&a, &c));
     }

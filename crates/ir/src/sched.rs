@@ -1,12 +1,12 @@
 //! The one executor: every thread the workspace spawns is spawned here.
 //!
-//! * [`run_dag`] / [`run_dag_tagged`] — the scheduling primitive, a
-//!   dependency-respecting scheduler. With `workers <= 1` it runs a
-//!   deterministic lowest-index topological order inline on the calling
-//!   thread — zero pool setup. With more workers it runs a *work-stealing*
-//!   pool: each worker owns a deque, pushes the nodes it unblocks onto its
-//!   own deque (LIFO, cache-warm), and steals from the front of a victim's
-//!   deque (FIFO, oldest first) only when its own runs dry. There is no
+//! * [`run_dag`] — the scheduling primitive, a dependency-respecting
+//!   scheduler. With `workers <= 1` it runs a deterministic lowest-index
+//!   topological order inline on the calling thread — zero pool setup.
+//!   With more workers it runs a *work-stealing* pool: each worker owns a
+//!   deque, pushes the nodes it unblocks onto its own deque (LIFO,
+//!   cache-warm), and steals from the front of a victim's deque (FIFO,
+//!   oldest first) only when its own runs dry. There is no
 //!   barrier anywhere: a node runs the moment its last dependency
 //!   finishes, whichever phase it belongs to.
 //! * [`par_map`] — [`run_dag`] without edges: an order-preserving map for
@@ -31,8 +31,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::intern::ParallelScope;
-
 /// Worker-pool occupancy of one scheduled graph (or map).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolStats {
@@ -48,7 +46,7 @@ pub struct PoolStats {
     pub wall: Duration,
     /// Tasks executed by a worker other than the one that made them ready.
     pub steals: u64,
-    /// Scheduled units (batch nodes for the pipeline graph, items for
+    /// Scheduled units (graph nodes for [`run_dag`], items for
     /// [`par_map`]).
     pub tasks: usize,
 }
@@ -78,12 +76,12 @@ pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Target scheduled units per worker: enough slack for stealing to balance
-/// uneven batch costs, few enough that per-unit scheduling cost stays
-/// negligible.
+/// Target scheduled units per worker: the work a pool is sized for is
+/// enough to hand each worker this many [`MIN_TASK_COST`]-sized shares,
+/// so stealing has slack to balance uneven job costs.
 pub const TASKS_PER_WORKER: usize = 4;
 
-/// Minimum estimated cost (term-size units) one batch must carry before a
+/// Minimum estimated cost (term-size units) per scheduled share before a
 /// worker is worth adding. Calibrated so a workload measured in
 /// milliseconds stays inline while anything seconds-scale fans out fully
 /// on real cores.
@@ -100,8 +98,8 @@ pub const MIN_TASK_COST: u64 = 500;
 ///   overhead.
 /// * otherwise `min(requested, host_cpus, cost / (MIN_TASK_COST ×
 ///   TASKS_PER_WORKER))` — never more workers than cores (oversubscription
-///   never helps a CPU-bound pipeline) and never so many that batches drop
-///   below [`MIN_TASK_COST`].
+///   never helps a CPU-bound pipeline) and never so many that a worker's
+///   share drops below [`MIN_TASK_COST`].
 ///
 /// The choice never affects output bytes — only wall-clock time — so it is
 /// free to depend on the host.
@@ -161,11 +159,9 @@ pub fn with_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 const SCHEDULED: usize = usize::MAX;
 
 /// A deterministic, cycle-tolerant lowest-index topological order of a
-/// dependency graph: the exact order the sequential scheduler executes, and
-/// the order batches are cut from. Cycles (legal in C call graphs:
-/// recursion) are broken at the lowest-index stuck node.
-#[must_use]
-pub fn topo_order(deps: &[Vec<usize>]) -> Vec<usize> {
+/// dependency graph: the exact order the sequential scheduler executes.
+/// Cycles are broken at the lowest-index stuck node.
+fn topo_order(deps: &[Vec<usize>]) -> Vec<usize> {
     let n = deps.len();
     let (dependents, mut indegree) = reverse_edges(deps);
     let mut ready: BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
@@ -219,39 +215,22 @@ fn reverse_edges(deps: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) {
     (dependents, indegree)
 }
 
-/// Runs one job per node of a dependency graph, never starting a node
-/// before all of `deps[node]` have finished. Results are returned in node
-/// order. See [`run_dag_tagged`] for the scheduling discipline; the job
-/// here does not learn whether its node was stolen.
-///
-/// # Panics
-///
-/// Panics if `deps.len() != n` or an edge index is out of range, and
-/// re-raises a job's panic with its original payload.
-pub fn run_dag<R, F>(n: usize, deps: &[Vec<usize>], workers: usize, job: F) -> (Vec<R>, PoolStats)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_dag_tagged(n, deps, workers, |i, _stolen| job(i))
-}
-
 /// A job's panic caught on a pool worker: the node it hit and its payload.
 type Caught = (usize, Box<dyn Any + Send>);
 
-/// [`run_dag`] where the job also learns whether its node was *stolen*
-/// (executed by a worker other than the one that made it ready) — the
-/// pipeline attributes steal counts to phases this way.
+/// Runs one job per node of a dependency graph, never starting a node
+/// before all of `deps[node]` have finished. Results are returned in node
+/// order.
 ///
-/// With `workers <= 1` this degenerates to the deterministic
-/// lowest-index topological order of [`topo_order`], inline on the calling
-/// thread, with zero pool setup. Otherwise each worker owns a deque:
-/// finishing a node pushes the nodes it unblocked onto the finisher's own
-/// deque (popped LIFO), and a worker whose deque is empty steals the
-/// oldest node from a victim's deque. Workers with nothing to run or steal
-/// park on a condvar; the last parked worker breaks dependency cycles
-/// deterministically at the lowest-index stuck node (recursion in the call
-/// graph), exactly as the sequential order does.
+/// With `workers <= 1` this runs the deterministic lowest-index
+/// topological order inline on the calling thread, with zero pool setup.
+/// Otherwise each worker owns a deque: finishing a node pushes the nodes
+/// it unblocked onto the finisher's own deque (popped LIFO), and a worker
+/// whose deque is empty steals the oldest node from a victim's deque
+/// (counted in [`PoolStats::steals`]). Workers with nothing to run or
+/// steal park on a condvar; the last parked worker breaks dependency
+/// cycles deterministically at the lowest-index stuck node, exactly as the
+/// sequential order does.
 ///
 /// A panicking job stops the pool: no new node starts, and once the
 /// running ones finish the panic of the lowest-index node that panicked is
@@ -261,15 +240,10 @@ type Caught = (usize, Box<dyn Any + Send>);
 ///
 /// Panics if `deps.len() != n` or an edge index is out of range, and
 /// re-raises a job's panic.
-pub fn run_dag_tagged<R, F>(
-    n: usize,
-    deps: &[Vec<usize>],
-    workers: usize,
-    job: F,
-) -> (Vec<R>, PoolStats)
+pub fn run_dag<R, F>(n: usize, deps: &[Vec<usize>], workers: usize, job: F) -> (Vec<R>, PoolStats)
 where
     R: Send,
-    F: Fn(usize, bool) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
     assert_eq!(deps.len(), n, "run_dag: deps length mismatch");
     let start = Instant::now();
@@ -282,14 +256,11 @@ where
 
     if workers <= 1 {
         for i in topo_order(deps) {
-            slots[i] = Some(job(i, false));
+            slots[i] = Some(job(i));
         }
         busy = start.elapsed();
     } else {
         let (dependents, indegree) = reverse_edges(deps);
-        // Workers will intern concurrently: route interning through the
-        // per-thread caches for the duration of the pool.
-        let _intern_scope = ParallelScope::enter();
         let pool = WsPool::new(workers, indegree);
         let mut panicked: Option<Caught> = None;
         std::thread::scope(|s| {
@@ -304,8 +275,8 @@ where
                     let spawned = worker.spawn_scoped(s, move || {
                         let t0 = Instant::now();
                         let mut mine: Vec<(usize, R)> = Vec::new();
-                        while let Some((i, stolen)) = pool.acquire(w) {
-                            match catch_unwind(AssertUnwindSafe(|| job(i, stolen))) {
+                        while let Some(i) = pool.acquire(w) {
+                            match catch_unwind(AssertUnwindSafe(|| job(i))) {
                                 Ok(r) => mine.push((i, r)),
                                 Err(payload) => {
                                     pool.abort();
@@ -406,16 +377,14 @@ impl WsPool {
     /// Pops the next node for worker `w`: own deque first (newest),
     /// then steal (oldest) from the other deques, then park. Returns
     /// `None` when the whole graph has finished.
-    fn acquire(&self, w: usize) -> Option<(usize, bool)> {
+    fn acquire(&self, w: usize) -> Option<usize> {
         loop {
             if self.finished.load(Ordering::Acquire) >= self.n {
                 return None;
             }
-            if let Some(i) = self.deques[w].lock().expect("deque poisoned").pop_back() {
-                return Some((i, false));
-            }
-            if let Some(i) = self.try_steal(w) {
-                return Some((i, true));
+            let own = self.deques[w].lock().expect("deque poisoned").pop_back();
+            if let Some(i) = own.or_else(|| self.try_steal(w)) {
+                return Some(i);
             }
             self.park(w);
         }
@@ -599,7 +568,7 @@ mod tests {
         // the seeded round-robin spread means most nodes run un-stolen,
         // but the counter must stay coherent (0 ≤ steals ≤ n).
         let deps = vec![Vec::new(); 64];
-        let (_, stats) = run_dag_tagged(64, &deps, 4, |_, _| {
+        let (_, stats) = run_dag(64, &deps, 4, |_| {
             std::thread::yield_now();
         });
         assert!(stats.steals <= 64);

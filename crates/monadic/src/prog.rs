@@ -77,14 +77,6 @@ impl Internable for Prog {
         static INTERNER: std::sync::OnceLock<Interner<Prog>> = std::sync::OnceLock::new();
         INTERNER.get_or_init(Interner::new)
     }
-
-    fn with_local<R>(f: impl FnOnce(&mut ir::intern::LocalCache<Prog>) -> R) -> R {
-        thread_local! {
-            static CACHE: std::cell::RefCell<ir::intern::LocalCache<Prog>> =
-                std::cell::RefCell::new(ir::intern::LocalCache::new());
-        }
-        CACHE.with(|c| f(&mut c.borrow_mut()))
-    }
 }
 
 /// Counters of the `Prog` interner (the `Expr` counters live in

@@ -35,6 +35,11 @@ fi
 cargo build --release
 cargo test -q --workspace
 
+# Benchmark smoke: acbench (its own workspace, outside this one) calls the
+# crates' public API; build and test it here so an API break fails tier-1
+# instead of the benchmark run.
+cargo test --offline -q --manifest-path acbench/Cargo.toml
+
 # Incremental smoke: the session store must re-run only the dirty cone and
 # stay byte-identical to from-scratch translation (tests/incremental.rs
 # asserts both; run it by name so a filtered workspace run can't skip it).

@@ -12,7 +12,8 @@
 //!   --trials N               differential-test budget per theorem (default 60)
 //!   --seed N                 RNG seed for testing-validated rules
 //!   --workers N              worker threads for the phase graph (default:
-//!                            adaptive; output is identical at any count)
+//!                            the host's CPUs, granted adaptively; output is
+//!                            identical at any count)
 //!   --metrics                print Table 5-style size metrics and exit
 //!   --check                  replay all theorems through the proof checker
 //!   --lint[=deny]            print static-analysis lints (dead stores,
@@ -85,7 +86,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         word_abs: None,
         trials: 60,
         seed: 2014,
-        workers: 0,
+        workers: ir::sched::host_cpus(),
         metrics: false,
         check: false,
         lint: false,
@@ -334,13 +335,13 @@ fn run(cli: &Cli) -> Result<(), String> {
         }
     }
     let out = sess.translate(&src).map_err(|e| e.to_string())?;
+    // Refinement theorems plus absint discharge theorems: what a
+    // certificate holds and what `--check` replays.
+    let all_thms = out.thms.len() + out.absint.values().map(|a| a.thms.len()).sum::<usize>();
     if let Some(path) = &cli.emit_cert {
         emit_cert(path, &out)?;
         if !cli.quiet {
-            eprintln!(
-                "wrote certificate: {} theorem(s) to {path}",
-                out.thms.len() + out.absint.values().map(|a| a.thms.len()).sum::<usize>()
-            );
+            eprintln!("wrote certificate: {all_thms} theorem(s) to {path}");
         }
     }
     if cli.metrics {
@@ -384,8 +385,10 @@ fn run(cli: &Cli) -> Result<(), String> {
         // run persists the newly validated replay digests too.
         sess.check_all_report(&out, out.stats.workers)
             .map_err(|(f, e)| format!("proof check failed: {f}: {e}"))?;
+        out.check_absint()
+            .map_err(|e| format!("proof check failed: absint discharge: {e}"))?;
         if !cli.quiet {
-            eprintln!("all theorems replayed through the checker: OK");
+            eprintln!("all {all_thms} theorem(s) replayed through the checker: OK");
         }
     }
     Ok(())

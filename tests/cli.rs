@@ -32,6 +32,37 @@ fn translates_and_checks_a_file() {
 }
 
 #[test]
+fn check_replays_every_theorem_the_certificate_holds() {
+    // The certificate carries the absint discharge theorems as well as the
+    // refinement theorems; `--check` must replay the same set.
+    let cert = std::env::temp_dir().join("cli_ring_buffer.cert");
+    let out = bin()
+        .args(["--check", "--emit-cert"])
+        .arg(&cert)
+        .arg(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/corpus/c/ring_buffer.c"
+        ))
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("wrote certificate: 28 theorem(s)"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("all 28 theorem(s) replayed through the checker: OK"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(cert);
+}
+
+#[test]
 fn level_and_fn_filters() {
     let path = write_temp(
         "cli_two.c",

@@ -118,6 +118,31 @@ fn editing_one_function_reruns_exactly_the_dirty_cone() {
 }
 
 #[test]
+fn cache_counts_are_folds_over_every_graph_node() {
+    // Every `(phase, function)` node either hits the store or runs, so the
+    // per-phase `cached` rows and the two totals must account for exactly
+    // `PHASES.len()` nodes per function — cold, and after an edit.
+    let fns = 4;
+    for workers in [1usize, 2] {
+        let sess = Session::new(Options {
+            force_pool: true,
+            ..opts(workers)
+        });
+        for leaf_const in [1, 9] {
+            let out = sess.translate(&diamond(leaf_const)).unwrap();
+            let s = &out.stats;
+            let per_phase: usize = s.phases.iter().map(|p| p.cached).sum();
+            assert_eq!(per_phase, s.cached_nodes, "workers={workers}");
+            assert_eq!(
+                s.cached_nodes + s.computed_nodes,
+                autocorres::PHASES.len() * fns,
+                "workers={workers}, leaf_const={leaf_const}"
+            );
+        }
+    }
+}
+
+#[test]
 fn session_replay_skips_previously_checked_proofs() {
     let sess = Session::new(opts(2));
     let out = sess.translate(&diamond(1)).unwrap();
