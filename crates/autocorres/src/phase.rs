@@ -38,14 +38,14 @@
 //! skip *re-construction* and *re-replay* of an unchanged derivation, but
 //! it can never mint a theorem — `Thm` has no public constructor.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use ir::codec::digest128;
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{plan_workers, run_dag, PoolStats};
 use ir::ty::Ty;
@@ -212,19 +212,6 @@ fn phase_index(name: &str) -> usize {
 }
 
 // ---- digests ----------------------------------------------------------------
-
-/// Two independent fixed-key `DefaultHasher` passes, concatenated to 128
-/// bits (the same construction as the kernel's `ReplayCache`).
-fn digest128(write: impl Fn(&mut DefaultHasher)) -> u128 {
-    fn pass(seed: u64, write: &impl Fn(&mut DefaultHasher)) -> u64 {
-        let mut h = DefaultHasher::new();
-        seed.hash(&mut h);
-        write(&mut h);
-        h.finish()
-    }
-    (u128::from(pass(0x9E37_79B9_7F4A_7C15, &write)) << 64)
-        | u128::from(pass(0xC2B2_AE3D_27D4_EB4F, &write))
-}
 
 /// Digest of the normalized [`Options`]: the per-function selections (both
 /// `BTreeSet`s iterate sorted, so insertion order cannot leak), the custom

@@ -26,7 +26,8 @@
 //! every valid on-disk entry, decoded at the width [`Options::workers`]
 //! is granted — so a *fresh process* warm-starts exactly like a
 //! long-lived session — and each successful `translate` (and each
-//! `check_all_report`) writes the caches back, best-effort. Disk problems
+//! `check_all_report`) that added an artifact or a replay digest writes
+//! the caches back, best-effort. Disk problems
 //! never fail a translation; they surface as [`LoadReport`] warnings and
 //! degrade to recomputation.
 //!
@@ -39,6 +40,8 @@
 //! assert_eq!(out1.wa.function("one").unwrap().to_string(),
 //!            out2.wa.function("one").unwrap().to_string());
 //! ```
+
+use std::sync::Mutex;
 
 use ir::diag::Diag;
 use kernel::{KernelError, ReplayCache, ReplayReport};
@@ -56,6 +59,9 @@ pub struct Session {
     disk: Option<DiskStore>,
     /// What `Session::new` found on disk (empty default without a disk).
     load: LoadReport,
+    /// `(artifacts, replay digests)` the caches held after the load or the
+    /// last save: a save with nothing new is skipped.
+    saved: Mutex<(usize, usize)>,
 }
 
 impl Session {
@@ -86,12 +92,14 @@ impl Session {
                 }
             },
         };
+        let saved = Mutex::new((store.len(), replay.len()));
         Session {
             opts,
             store,
             replay,
             disk,
             load,
+            saved,
         }
     }
 
@@ -114,18 +122,26 @@ impl Session {
         &self.load
     }
 
-    /// Writes the session caches back to the disk store now. Called
-    /// automatically (best-effort, errors swallowed) after successful
-    /// translations; call explicitly when a write failure must surface.
+    /// Writes the session caches back to the disk store now, unless they
+    /// gained no artifact and no replay digest since the load or the last
+    /// save. Called automatically (best-effort, errors swallowed) after
+    /// successful translations; call explicitly when a write failure must
+    /// surface.
     ///
     /// # Errors
     ///
     /// Filesystem errors, or a no-op `Ok` without a `cache_dir`.
     pub fn persist(&self) -> std::io::Result<()> {
-        match &self.disk {
-            Some(d) => d.save(&self.store, &self.replay),
-            None => Ok(()),
+        let Some(disk) = &self.disk else {
+            return Ok(());
+        };
+        let mut saved = self.saved.lock().expect("session lock poisoned");
+        let now = (self.store.len(), self.replay.len());
+        if *saved != now {
+            disk.save(&self.store, &self.replay)?;
+            *saved = now;
         }
+        Ok(())
     }
 
     /// Audit-only (`audit` feature): direct access to the session's
@@ -164,9 +180,7 @@ impl Session {
     /// As for [`Session::translate`].
     pub fn translate_program(&self, typed: &cparser::TProgram) -> Result<Output, Diag> {
         let out = run_pipeline(typed, &self.opts, &self.store)?;
-        if self.disk.is_some() {
-            let _ = self.persist();
-        }
+        let _ = self.persist();
         Ok(out)
     }
 
@@ -189,9 +203,7 @@ impl Session {
             workers,
             &self.replay,
         )?;
-        if self.disk.is_some() {
-            let _ = self.persist();
-        }
+        let _ = self.persist();
         Ok(rep)
     }
 }

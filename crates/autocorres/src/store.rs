@@ -12,20 +12,27 @@
 //!
 //! ```text
 //! meta                          b"ACRSTOR1" + two 16-byte scheme probes
-//! replay.bin                    b"ACRSRPL1" + digests + integrity digest
+//! replay.bin                    b"ACRSRPL2" + digests + integrity digest
 //! artifacts/<phase>-<fn>-<digest>.bin
-//!                               b"ACRSART1" + payload + integrity digest
+//!                               b"ACRSART2" + payload + integrity digest
 //! ```
+//!
+//! An entry's theorems are written in the kernel's one derivation
+//! encoding, a node table per theorem (`kernel::codec`), the encoding
+//! certificates use. Replay digests are bound to the checking context
+//! they were validated under (`kernel::ReplayCache`).
 //!
 //! # Integrity and trust model
 //!
 //! Every entry and `replay.bin` is an [`ir::codec::seal`]ed container (a
 //! magic header, the payload, and a trailing
-//! [`ir::codec::digest128_bytes`] over it, the framing `cert-v1` uses
+//! [`ir::codec::digest128_bytes`] over it, the framing `cert-v2` uses
 //! too); a corrupt, truncated, or foreign file fails one of the checks
-//! and is **rejected individually** — the pipeline recomputes that entry
-//! from source, so damage degrades warm starts, never verdicts. The store is part of the
+//! and is **rejected individually** — the load deletes it and the
+//! pipeline recomputes that entry from source, so damage degrades one
+//! warm start, never verdicts. The store is part of the
 //! *local trusted base* (like the in-memory session caches it mirrors):
+//! its theorems are rebuilt without validation and replay covers them;
 //! the integrity digest defends against accidental corruption, not an
 //! adversary with write access to the cache directory — adversarial
 //! transport is what proof certificates (`kernel::cert`) are for, and
@@ -54,7 +61,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ir::codec::{digest128_bytes, seal, unseal, Codec, DecodeError, Decoder, Encoder};
+use ir::codec::{digest128, digest128_bytes, seal, unseal, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{par_map, plan_workers, MIN_TASK_COST};
 use kernel::ReplayCache;
@@ -64,9 +71,9 @@ use crate::phase::{AbsintFn, AdaptedFn, Artifact, ArtifactStore, PhaseArtifact, 
 /// Magic + version of the store's `meta` file.
 const META_MAGIC: &[u8; 8] = b"ACRSTOR1";
 /// Magic + version of one artifact entry file.
-const ART_MAGIC: &[u8; 8] = b"ACRSART1";
+const ART_MAGIC: &[u8; 8] = b"ACRSART2";
 /// Magic + version of the replay-digest file.
-const RPL_MAGIC: &[u8; 8] = b"ACRSRPL1";
+const RPL_MAGIC: &[u8; 8] = b"ACRSRPL2";
 
 // ---- artifact codecs --------------------------------------------------------
 
@@ -88,29 +95,24 @@ ir::codec! {
 
 // ---- scheme probes ----------------------------------------------------------
 
-/// Probe of the `DefaultHasher`-based digest scheme used by the phase
-/// input digests and the replay cache. `DefaultHasher::new()` is SipHash
+/// Probe of [`ir::codec::digest128`], the `DefaultHasher`-based scheme of
+/// the phase input digests and the replay cache. `DefaultHasher::new()` is SipHash
 /// with a fixed key — deterministic across processes of one Rust release,
 /// but free to change between releases; this probe hashes a fixed
 /// structured value (including an interned term, covering the
 /// content-based `Symbol` hash) so any scheme change flips it.
 fn hasher_probe() -> u128 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    fn pass(seed: u64) -> u64 {
-        let mut h = DefaultHasher::new();
-        seed.hash(&mut h);
-        0xACu64.hash(&mut h);
-        "autocorres-store-probe".hash(&mut h);
-        ir::expr::Expr::binop(
-            ir::expr::BinOp::Add,
-            ir::expr::Expr::var("store_probe"),
-            ir::expr::Expr::u32(1),
-        )
-        .hash(&mut h);
-        h.finish()
-    }
-    (u128::from(pass(0x9E37_79B9_7F4A_7C15)) << 64) | u128::from(pass(0xC2B2_AE3D_27D4_EB4F))
+    use std::hash::Hash;
+    let probe = ir::expr::Expr::binop(
+        ir::expr::BinOp::Add,
+        ir::expr::Expr::var("store_probe"),
+        ir::expr::Expr::u32(1),
+    );
+    digest128(|h| {
+        0xACu64.hash(h);
+        "autocorres-store-probe".hash(h);
+        probe.hash(h);
+    })
 }
 
 /// Probe of the codec's own FNV-based integrity digest.
@@ -236,31 +238,37 @@ impl DiskStore {
         // In-flight temporaries of a concurrent writer are not entries;
         // anything else that fails to parse is.
         paths.retain(|p| p.extension().and_then(|e| e.to_str()) != Some("tmp"));
-        for decoded in decode_all(&paths, workers) {
+        // A rejected file is removed, so it is counted once: the save
+        // after its recomputation writes it afresh.
+        for (decoded, path) in decode_all(&paths, workers).into_iter().zip(&paths) {
             match decoded {
                 Some((phase, name, artifact)) => {
                     store.preload(phase, &name, Arc::new(artifact));
                     rep.artifacts += 1;
                 }
-                None => rep.rejected += 1,
+                None => {
+                    rep.rejected += 1;
+                    let _ = std::fs::remove_file(path);
+                }
             }
         }
 
-        match std::fs::read(self.dir.join("replay.bin")) {
-            Ok(bytes) => match decode_replay(&bytes) {
-                Ok(digests) => {
-                    replay.preload(&digests);
-                    rep.replay_digests = digests.len();
-                }
-                Err(_) => rep.rejected += 1,
-            },
+        let replay_path = self.dir.join("replay.bin");
+        match std::fs::read(&replay_path).map(|bytes| decode_replay(&bytes)) {
+            Ok(Ok(digests)) => {
+                replay.preload(&digests);
+                rep.replay_digests = digests.len();
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(_) => rep.rejected += 1,
+            _ => {
+                rep.rejected += 1;
+                let _ = std::fs::remove_file(&replay_path);
+            }
         }
 
         if rep.rejected > 0 {
             rep.warnings.push(Self::warn(format!(
-                "cache {}: rejected {} corrupt or foreign entr{} (recomputing)",
+                "cache {}: rejected {} corrupt or foreign entr{} (removed; recomputing)",
                 self.dir.display(),
                 rep.rejected,
                 if rep.rejected == 1 { "y" } else { "ies" }
@@ -493,6 +501,77 @@ mod tests {
             assert_eq!(out.wa.function("inc").unwrap().to_string(), clean);
             std::fs::write(&path, &orig).unwrap();
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rejected_files_are_removed_and_rewritten() {
+        let dir = tmpdir("rewrite");
+        {
+            let sess = Session::new(opts(&dir));
+            sess.translate(SRC).expect("translate");
+        }
+        let flip = |path: &Path| {
+            let mut bad = std::fs::read(path).unwrap();
+            let mid = bad.len() / 2;
+            bad[mid] ^= 0x01;
+            std::fs::write(path, &bad).unwrap();
+        };
+        let entry = std::fs::read_dir(dir.join("artifacts"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .min()
+            .unwrap();
+        flip(&entry);
+        {
+            let sess = Session::new(opts(&dir));
+            assert_eq!(sess.load_report().rejected, 1);
+            assert!(sess.translate(SRC).expect("translate").stats.dirty_fns > 0);
+        }
+        // The load removed the rejected entry; the save wrote it afresh.
+        let sess = Session::new(opts(&dir));
+        assert_eq!(sess.load_report().rejected, 0);
+        assert_eq!(sess.translate(SRC).expect("translate").stats.dirty_fns, 0);
+        drop(sess);
+
+        // A rejected `replay.bin` is counted once, even by warm starts
+        // that compute nothing and so save nothing.
+        flip(&dir.join("replay.bin"));
+        for rejected in [1, 0] {
+            let sess = Session::new(opts(&dir));
+            assert_eq!(sess.load_report().rejected, rejected);
+            assert_eq!(sess.translate(SRC).expect("translate").stats.dirty_fns, 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_warm_start_that_computes_nothing_writes_nothing() {
+        let dir = tmpdir("nowrite");
+        {
+            let sess = Session::new(opts(&dir));
+            let out = sess.translate(SRC).expect("translate");
+            sess.check_all_report(&out, 1).expect("check");
+        }
+        let stamp = |file: &str| {
+            let path = dir.join(file);
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (std::fs::read(&path).unwrap(), modified)
+        };
+        let before = (stamp("meta"), stamp("replay.bin"));
+        // Filesystem clocks can be coarse: leave time for a rewrite to show.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let sess = Session::new(opts(&dir));
+        let out = sess.translate(SRC).expect("translate");
+        assert_eq!(out.stats.dirty_fns, 0);
+        assert_eq!(
+            sess.check_all_report(&out, 1).expect("check").cache_misses,
+            0
+        );
+        assert!(
+            (stamp("meta"), stamp("replay.bin")) == before,
+            "a warm start rewrote the store"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

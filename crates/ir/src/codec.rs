@@ -17,7 +17,8 @@
 //!   on-disk size mirrors the in-memory DAG, not the expanded tree,
 //! * [`digest128_bytes`], the stable 128-bit content digest, and the
 //!   [`seal`]/[`unseal`] framing (magic, payload, digest) that the store
-//!   entries and `cert-v1` certificates share.
+//!   entries and `cert-v2` certificates share, and [`digest128`], the
+//!   in-process 128-bit hash of phase input digests and replay keys.
 //!
 //! Decoding is **total**: corrupt, truncated, or adversarial input
 //! produces a [`DecodeError`], never a panic, unbounded allocation, or
@@ -28,8 +29,10 @@
 //! decoder's own checks are the second line of defence, not the first.
 
 use std::any::{Any, TypeId};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use bignum::{Int, Nat};
 
@@ -131,6 +134,23 @@ pub fn digest128_bytes(bytes: &[u8]) -> u128 {
     let lo = fnv(bytes, 0xcbf2_9ce4_8422_2325);
     let hi = fnv(bytes, 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15);
     (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// The 128-bit digest of whatever `write` feeds a hasher: two independent
+/// fixed-key [`DefaultHasher`] passes, each seeded with its own constant,
+/// concatenated. It hashes values through their `Hash` impls without
+/// encoding them (phase input digests, replay-cache keys), so unlike
+/// [`digest128_bytes`] it is stable only within one Rust release: the
+/// store's `meta` probe records it.
+#[must_use]
+pub fn digest128(write: impl Fn(&mut DefaultHasher)) -> u128 {
+    let pass = |seed: u64| {
+        let mut h = DefaultHasher::new();
+        seed.hash(&mut h);
+        write(&mut h);
+        h.finish()
+    };
+    (u128::from(pass(0x9E37_79B9_7F4A_7C15)) << 64) | u128::from(pass(0xC2B2_AE3D_27D4_EB4F))
 }
 
 /// Frames `payload` as a sealed container: the 8-byte `magic`, the
@@ -1065,6 +1085,18 @@ mod tests {
             0xe9d3_2759_6b86_9820_f52a_15e9_a9b5_e89b
         );
         assert_eq!(d1, 0x3969_2385_cbee_4815_05cb_5851_12be_1151);
+    }
+
+    #[test]
+    fn hasher_digest_is_pinned() {
+        let d = digest128(|h| {
+            0xACu64.hash(h);
+            "autocorres".hash(h);
+        });
+        // Pinned: a change means the Rust release changed `DefaultHasher`,
+        // which every phase input digest and replay key depends on.
+        assert_eq!(d, 0xbf43_db9c_1bce_1a27_6033_ac8a_fcda_6f19);
+        assert_ne!(d, digest128(|h| 0xACu64.hash(h)));
     }
 
     #[test]

@@ -1,27 +1,28 @@
-//! Self-contained proof certificates (`cert-v1`).
+//! Self-contained proof certificates (`cert-v2`).
 //!
 //! A certificate packages checked theorems for transport to an
 //! *independent* checker (`certcheck`): the file carries the checking
-//! context, every derivation node, and named roots — nothing else is
-//! needed to replay it. Layout:
+//! context, one node table holding every distinct derivation node once
+//! (`kernel::codec`), and named roots — nothing else is needed to replay
+//! it. Layout:
 //!
 //! ```text
-//! b"ACRCERT1"                                  8-byte magic + version
+//! b"ACRCERT2"                                  8-byte magic + version
 //! payload:
 //!   CheckCtx                                   layouts + fn signatures
-//!   varint node-count
-//!   node*        judgment, rule, side, varint premise-count,
-//!                premise ids (varints, each < the node's own index —
-//!                the DAG is stored in postorder, so premises always
-//!                precede their conclusion)
+//!   node table   varint row-count, then per row: judgment, rule, side,
+//!                varint premise-count, premise row ids (varints, each
+//!                < the row's own id)
 //!   varint root-count
-//!   root*        label (string), varint node id
+//!   root*        label (string), varint row id
 //! digest128(payload)                           16 bytes, little-endian
 //! ```
 //!
-//! Trust model: **nothing in the file is trusted.** The checker rebuilds
-//! every node through [`Thm::admit`], which runs the full rule
-//! validation, so a certificate for a false judgment is structurally
+//! Trust model: **nothing in the file is trusted.** The checker admits
+//! every row through the validating kernel (`Thm::admit`) as it reads it,
+//! in row order: a row's premises are earlier rows, already admitted, so
+//! each rule step is checked exactly once, and no hash or cache ever
+//! decides acceptance. A certificate for a false judgment is structurally
 //! impossible to accept — at worst a forged file names a *different*
 //! theorem than the producer intended, which the caller detects by
 //! reading the replayed root judgments. The trailing digest is not a
@@ -30,24 +31,24 @@
 
 use std::fmt;
 
-use ir::codec::{seal, unseal, Codec, Decoder, Encoder, SealError};
+use ir::codec::{seal, unseal, Codec, DecodeError, Decoder, Encoder, SealError};
 
-use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
-use crate::Judgment;
+use crate::codec::{read_table, write_table};
+use crate::thm::{CheckCtx, KernelError, Thm};
 
-/// Magic + version prefix of a `cert-v1` file.
-pub const CERT_MAGIC: &[u8; 8] = b"ACRCERT1";
+/// Magic + version prefix of a `cert-v2` file.
+pub const CERT_MAGIC: &[u8; 8] = b"ACRCERT2";
 
 /// Why a certificate was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CertError {
-    /// Not a `cert-v1` file, or the structure is malformed.
+    /// Not a `cert-v2` file, or the structure is malformed.
     Format(String),
     /// The payload digest does not match — the file was corrupted.
     Digest,
-    /// A node failed rule validation during replay.
+    /// A row failed rule validation.
     Replay {
-        /// Postorder index of the failing node.
+        /// Row id of the failing row.
         node: usize,
         /// The kernel's rejection.
         err: KernelError,
@@ -68,6 +69,12 @@ impl fmt::Display for CertError {
 
 impl std::error::Error for CertError {}
 
+impl From<DecodeError> for CertError {
+    fn from(e: DecodeError) -> Self {
+        CertError::Format(e.0)
+    }
+}
+
 /// Result of a successful certificate replay.
 #[derive(Clone, Debug)]
 pub struct CertReport {
@@ -79,105 +86,52 @@ pub struct CertReport {
     pub cx: CheckCtx,
 }
 
-/// Serializes checked theorems into a `cert-v1` byte vector.
-///
-/// The derivation DAG is linearized in postorder with pointer-identity
-/// dedup, so a sub-derivation shared by several roots (or several times
-/// within one — hash-consed programs produce hash-consed proofs) is
-/// written once.
+/// Serializes checked theorems into a `cert-v2` byte vector: the context,
+/// one node table for all roots, and the labelled root ids.
 #[must_use]
 pub fn encode_cert(cx: &CheckCtx, roots: &[(&str, &Thm)]) -> Vec<u8> {
-    // Iterative postorder: derivations for large functions can be deeper
-    // than the default stack allows.
-    let mut ids: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-    let mut order: Vec<&Thm> = Vec::new();
-    for &(_, root) in roots {
-        let mut stack: Vec<(&Thm, bool)> = vec![(root, false)];
-        while let Some((t, expanded)) = stack.pop() {
-            let key = std::ptr::from_ref(t) as usize;
-            if ids.contains_key(&key) {
-                continue;
-            }
-            if expanded {
-                ids.insert(key, order.len() as u64);
-                order.push(t);
-            } else {
-                stack.push((t, true));
-                for p in t.premises() {
-                    stack.push((p, false));
-                }
-            }
-        }
-    }
-
     let mut e = Encoder::new();
     cx.encode(&mut e);
-    e.varint(order.len() as u64);
-    for t in &order {
-        t.judgment().encode(&mut e);
-        t.rule().encode(&mut e);
-        t.side().encode(&mut e);
-        e.varint(t.premises().len() as u64);
-        for p in t.premises() {
-            let key = std::ptr::from_ref(p) as usize;
-            e.varint(ids[&key]);
-        }
-    }
+    let thms: Vec<&Thm> = roots.iter().map(|&(_, t)| t).collect();
+    let ids = write_table(&mut e, &thms);
     e.varint(roots.len() as u64);
-    for (label, root) in roots {
+    for ((label, _), id) in roots.iter().zip(ids) {
         e.str(label);
-        let key = std::ptr::from_ref(*root) as usize;
-        e.varint(ids[&key]);
+        e.varint(id);
     }
-
     seal(CERT_MAGIC, &e.finish())
 }
 
-/// Replays a `cert-v1` file, re-admitting every node through the
-/// validating kernel.
+/// Replays a `cert-v2` file, admitting every row of its node table
+/// through the validating kernel as it is read.
 ///
 /// # Errors
 ///
 /// [`CertError::Format`] for anything that is not a well-formed
-/// certificate, [`CertError::Digest`] if the payload was corrupted, and
-/// [`CertError::Replay`] if any node fails rule validation.
+/// certificate (a premise id not below its row's own, a root id out of
+/// range, another version's magic), [`CertError::Digest`] if the payload
+/// was corrupted, and [`CertError::Replay`] if any row fails rule
+/// validation.
 pub fn check_cert(bytes: &[u8]) -> Result<CertReport, CertError> {
     let payload = unseal(CERT_MAGIC, bytes).map_err(|e| match e {
         SealError::Digest => CertError::Digest,
         SealError::Format(msg) => CertError::Format(msg),
     })?;
 
-    let fmt_err = |e: ir::codec::DecodeError| CertError::Format(e.0);
     let mut d = Decoder::new(payload);
-    let cx = CheckCtx::decode(&mut d).map_err(fmt_err)?;
-    let n = d.seq_len().map_err(fmt_err)?;
-    let mut thms: Vec<Thm> = Vec::with_capacity(n);
-    for i in 0..n {
-        let judgment = Judgment::decode(&mut d).map_err(fmt_err)?;
-        let rule = Rule::decode(&mut d).map_err(fmt_err)?;
-        let side = Side::decode(&mut d).map_err(fmt_err)?;
-        let np = d.seq_len().map_err(fmt_err)?;
-        let mut premises = Vec::with_capacity(np);
-        for _ in 0..np {
-            let id = d.varint().map_err(fmt_err)? as usize;
-            if id >= i {
-                return Err(CertError::Format(format!(
-                    "node {i} references premise {id} (not in postorder)"
-                )));
-            }
-            premises.push(thms[id].clone());
-        }
-        let thm = Thm::admit(rule, premises, judgment, side, &cx)
-            .map_err(|err| CertError::Replay { node: i, err })?;
-        thms.push(thm);
-    }
-    let nroots = d.seq_len().map_err(fmt_err)?;
-    let mut roots = Vec::with_capacity(nroots);
+    let cx = CheckCtx::decode(&mut d)?;
+    let rows = read_table(&mut d, |node, rule, premises, judgment, side| {
+        Thm::admit(rule, premises, judgment, side, &cx)
+            .map_err(|err| CertError::Replay { node, err })
+    })?;
+    let nroots = d.seq_len()?;
+    let mut roots = Vec::new();
     for _ in 0..nroots {
-        let label = d.str().map_err(fmt_err)?;
-        let id = d.varint().map_err(fmt_err)? as usize;
-        let thm = thms
-            .get(id)
+        let label = d.str()?;
+        let id = d.varint()?;
+        let thm = usize::try_from(id)
+            .ok()
+            .and_then(|id| rows.get(id))
             .cloned()
             .ok_or_else(|| CertError::Format(format!("root {label:?} id {id} out of range")))?;
         roots.push((label, thm));
@@ -189,7 +143,7 @@ pub fn check_cert(bytes: &[u8]) -> Result<CertReport, CertError> {
         )));
     }
     Ok(CertReport {
-        nodes: n,
+        nodes: rows.len(),
         roots,
         cx,
     })
@@ -197,7 +151,14 @@ pub fn check_cert(bytes: &[u8]) -> Result<CertReport, CertError> {
 
 #[cfg(test)]
 mod tests {
+    use std::hash::Hash;
+
+    use ir::codec::digest128;
+    use ir::expr::Expr;
+    use monadic::Prog;
+
     use super::*;
+    use crate::{Judgment, Rule, Side};
 
     fn sample() -> (CheckCtx, Thm) {
         let cx = CheckCtx::default();
@@ -236,6 +197,121 @@ mod tests {
                     "flip of byte {i} bit {bit} was accepted"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn each_distinct_row_is_checked_once() {
+        let (cx, lit) = sample();
+        let sum = |a: Thm, b: Thm| {
+            crate::rules::word::w_arith(&cx, Rule::WSum, ir::ty::Width::W32, a, b).expect("w_arith")
+        };
+        let (a, b) = (sum(lit.clone(), lit.clone()), sum(lit.clone(), lit));
+        let bytes = encode_cert(&cx, &[("a", &a), ("b", &b)]);
+        let report = check_cert(&bytes).expect("replay");
+        assert_eq!(report.nodes, 2, "one row for the literal, one for the sum");
+        assert_eq!(report.roots[0].1, a);
+        assert_eq!(report.roots[1].1.proof_size(), 3);
+    }
+
+    /// A sealed certificate under `cx` with the node table `rows`
+    /// (judgment, rule, premise ids; no side data) and the roots `roots`.
+    fn forge(cx: &CheckCtx, rows: &[(&Judgment, Rule, &[u64])], roots: &[u64]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        cx.encode(&mut e);
+        e.varint(rows.len() as u64);
+        for (judgment, rule, premises) in rows {
+            judgment.encode(&mut e);
+            rule.encode(&mut e);
+            Side::None.encode(&mut e);
+            e.varint(premises.len() as u64);
+            for &p in *premises {
+                e.varint(p);
+            }
+        }
+        e.varint(roots.len() as u64);
+        for &r in roots {
+            e.str(&format!("row{r}"));
+            e.varint(r);
+        }
+        seal(CERT_MAGIC, &e.finish())
+    }
+
+    /// `refines (return abs) (return conc)`.
+    fn refines(abs: &Expr, conc: &Expr) -> Judgment {
+        Judgment::Refines {
+            abs: Prog::ret(abs.clone()),
+            conc: Prog::ret(conc.clone()),
+        }
+    }
+
+    #[test]
+    fn malformed_tables_and_other_versions_are_format_errors() {
+        let (cx, t) = sample();
+        let j = t.judgment();
+        let self_premise = forge(&cx, &[(j, Rule::WLit, &[0])], &[]);
+        let root_out_of_range = forge(&cx, &[(j, Rule::WLit, &[])], &[1]);
+        assert!(check_cert(&forge(&cx, &[(j, Rule::WLit, &[])], &[0])).is_ok());
+        let mut v1 = encode_cert(&cx, &[("lit5", &t)]);
+        v1[..8].copy_from_slice(b"ACRCERT1");
+        for bytes in [self_premise, root_out_of_range, v1] {
+            assert!(matches!(check_cert(&bytes), Err(CertError::Format(_))));
+        }
+    }
+
+    #[test]
+    fn a_false_row_is_rejected_wherever_it_sits() {
+        let cx = CheckCtx::default();
+        let (five, six) = (Expr::u32(5), Expr::u32(6));
+        let truth = refines(&five, &five);
+        // `return 6` refines `return 5`, "by reflexivity".
+        let lie = refines(&six, &five);
+        let refl = |j| (j, Rule::ReflRefines, &[][..]);
+        assert!(check_cert(&forge(&cx, &[refl(&truth)], &[0])).is_ok());
+        // The lie as a root, as the only premise path of a root whose own
+        // step is valid, and in a row no root reaches.
+        let as_root = forge(&cx, &[refl(&truth), refl(&lie)], &[1]);
+        let as_premise = forge(
+            &cx,
+            &[
+                refl(&lie),
+                refl(&truth),
+                (&lie, Rule::TransRefines, &[0, 1]),
+            ],
+            &[2],
+        );
+        let unreachable = forge(&cx, &[refl(&truth), refl(&lie)], &[0]);
+        for (bytes, row) in [(as_root, 1), (as_premise, 0), (unreachable, 1)] {
+            match check_cert(&bytes) {
+                Err(CertError::Replay { node, .. }) => assert_eq!(node, row),
+                other => panic!("row {row} was not rejected by replay: {other:?}"),
+            }
+        }
+    }
+
+    /// Two identifiers whose `Symbol` content hashes (64-bit FNV-1a) are
+    /// equal, found by `cargo run --release -p ir --example
+    /// symbol_collision`.
+    const COLLIDING: (&str, &str) = ("vvzzknxxcn2uon", "vzdstvzqfrpefm");
+
+    #[test]
+    fn a_row_that_hashes_like_a_checked_row_is_still_checked() {
+        let cx = CheckCtx::default();
+        let (x, y) = (Expr::var(COLLIDING.0), Expr::var(COLLIDING.1));
+        let valid = refines(&x, &x);
+        let forged = refines(&x, &y);
+        // Different judgments that feed a hasher the same bytes: a check
+        // keyed by a digest of the row would take the forged row for the
+        // valid one.
+        assert_ne!(valid, forged);
+        assert_eq!(digest128(|h| valid.hash(h)), digest128(|h| forged.hash(h)));
+        let rows = [
+            (&valid, Rule::ReflRefines, &[][..]),
+            (&forged, Rule::ReflRefines, &[]),
+        ];
+        match check_cert(&forge(&cx, &rows, &[0, 1])) {
+            Err(CertError::Replay { node, .. }) => assert_eq!(node, 1),
+            other => panic!("the forged row was not rejected: {other:?}"),
         }
     }
 

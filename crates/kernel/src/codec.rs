@@ -1,23 +1,24 @@
 //! Binary codec impls for kernel statements and derivations.
 //!
-//! Judgments, rules, and side data are plain data and always
-//! serialisable — the certificate format (`kernel::cert`) is built from
-//! them, and reconstructing a [`Thm`] *from* them goes through
-//! [`Thm::admit`], i.e. through full rule validation.
+//! Judgments, rules, and side data are plain data. Derivations have one
+//! encoding, the *node table* ([`write_table`], [`read_table`]): one row
+//! per structurally distinct subtree, in postorder. Certificates
+//! (`kernel::cert`) write one table for all their roots; the store writes
+//! one per theorem through the [`Thm`] codec at the bottom.
 //!
-//! The direct [`Thm`] codec at the bottom is different: its decoder
-//! rebuilds theorems **without** re-validating, so it is gated behind the
-//! `persist` feature and reserved for the disk-backed artifact store,
-//! where every entry is protected by a whole-payload integrity digest and
-//! the store directory is part of the trusted base (see DESIGN.md §6g).
-//! Adversarial-grade transport is the certificate path, never this one.
+//! The reader takes each row's constructor from its caller: certificates
+//! admit every row through the validating kernel, while the
+//! `persist`-gated [`Thm`] codec rebuilds rows **without** validation for
+//! the disk-backed store, whose entries carry an integrity digest and sit
+//! in the trusted base (see DESIGN.md §6g). Adversarial-grade transport is
+//! the certificate path, never the store.
+
+use std::collections::HashMap;
 
 use ir::codec::{Codec, DecodeError, Decoder, Encoder};
 
 use crate::judgment::{AbsFun, Judgment};
-use crate::thm::{CheckCtx, Rule, Side};
-#[cfg(feature = "persist")]
-use crate::thm::Thm;
+use crate::thm::{CheckCtx, Rule, Side, Thm};
 
 /// Every rule, in a fixed order that defines the on-disk tag. Append new
 /// rules at the end — reordering is a format break.
@@ -145,51 +146,101 @@ ir::codec! {
 
 ir::codec! { struct CheckCtx { tenv, fn_abs } }
 
-/// Store-only theorem codec (`persist` feature): derivations are written
-/// as a DAG — premise slices shared between parents (`Arc<[Thm]>` clones)
-/// are encoded once and back-referenced — and **rebuilt without
-/// re-validation** on decode. Trust rests on the store's per-entry
-/// integrity digest; replay through `kernel::check` (or warm-start's
-/// preloaded replay digests) still covers the result. The adversarial
-/// path is `kernel::cert`, whose reconstruction validates every node.
+/// One row of a node table: judgment, rule, side and premise row ids.
+type Row<'a> = (&'a Judgment, Rule, &'a Side, Vec<u64>);
+
+/// Writes the node table of `roots` (a varint row count, then per row its
+/// judgment, rule, side, varint premise count and premise row ids) and
+/// returns each root's row id. Rows are in postorder, so a premise id is
+/// below its row's own. A node's row is found by hashing (rule, judgment,
+/// side, premise ids) and comparing rows, so equal sub-derivations share
+/// a row whether or not they share an allocation, and reading the table
+/// rebuilds every theorem exactly, `proof_size` included. The walk is
+/// iterative: derivations can be deeper than the stack.
+pub(crate) fn write_table(e: &mut Encoder, roots: &[&Thm]) -> Vec<u64> {
+    // Row ids by node address, so a premise slice shared between clones
+    // is walked once.
+    let mut by_addr: HashMap<*const Thm, u64> = HashMap::new();
+    let mut rows: HashMap<Row<'_>, u64> = HashMap::new();
+    let mut root_ids = Vec::with_capacity(roots.len());
+    for &root in roots {
+        let mut stack = vec![(root, false)];
+        while let Some((t, expanded)) = stack.pop() {
+            let addr = std::ptr::from_ref(t);
+            if by_addr.contains_key(&addr) {
+                continue;
+            }
+            if !expanded {
+                stack.push((t, true));
+                stack.extend(t.premises().iter().rev().map(|p| (p, false)));
+                continue;
+            }
+            let premises = t.premises().iter().map(|p| by_addr[&std::ptr::from_ref(p)]);
+            let row = (t.judgment(), t.rule(), t.side(), premises.collect());
+            let next = rows.len() as u64;
+            by_addr.insert(addr, *rows.entry(row).or_insert(next));
+        }
+        root_ids.push(by_addr[&std::ptr::from_ref(root)]);
+    }
+    let mut table: Vec<(Row<'_>, u64)> = rows.into_iter().collect();
+    table.sort_unstable_by_key(|&(_, id)| id);
+    e.varint(table.len() as u64);
+    for ((judgment, rule, side, premises), _) in &table {
+        judgment.encode(e);
+        rule.encode(e);
+        side.encode(e);
+        e.varint(premises.len() as u64);
+        for &p in premises {
+            e.varint(p);
+        }
+    }
+    root_ids
+}
+
+/// Reads a table [`write_table`] wrote, one theorem per row in row order:
+/// `build(id, rule, premises, judgment, side)` makes row `id`'s theorem,
+/// its premises being the earlier rows it names. A premise id not below
+/// its row's own is an error.
+pub(crate) fn read_table<E: From<DecodeError>>(
+    d: &mut Decoder<'_>,
+    mut build: impl FnMut(usize, Rule, Vec<Thm>, Judgment, Side) -> Result<Thm, E>,
+) -> Result<Vec<Thm>, E> {
+    let n = d.seq_len()?;
+    let mut rows: Vec<Thm> = Vec::new();
+    for i in 0..n {
+        let judgment = Judgment::decode(d)?;
+        let rule = Rule::decode(d)?;
+        let side = Side::decode(d)?;
+        let np = d.seq_len()?;
+        let mut premises = Vec::new();
+        for _ in 0..np {
+            let id = d.varint()?;
+            let p = usize::try_from(id).ok().and_then(|id| rows.get(id));
+            premises.push(p.cloned().ok_or_else(|| {
+                DecodeError(format!(
+                    "row {i} references premise {id} (not in postorder)"
+                ))
+            })?);
+        }
+        rows.push(build(i, rule, premises, judgment, side)?);
+    }
+    Ok(rows)
+}
+
+/// Store-only theorem codec (`persist` feature): one node table per
+/// theorem, whose last row is the theorem, read back **without
+/// validation** (see [`Thm::from_row`]).
 #[cfg(feature = "persist")]
 impl Codec for Thm {
     fn encode(&self, e: &mut Encoder) {
-        let key = self as *const Thm as usize;
-        if let Some(id) = e.backref::<Thm>(key) {
-            e.u8(1);
-            e.varint(id);
-            return;
-        }
-        e.u8(0);
-        self.judgment().encode(e);
-        self.rule().encode(e);
-        self.side().encode(e);
-        e.varint(self.premises().len() as u64);
-        for p in self.premises() {
-            p.encode(e);
-        }
-        e.define::<Thm>(key);
+        write_table(e, &[self]);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            1 => {
-                let id = d.varint()?;
-                d.shared_get::<Thm>(id)
-            }
-            0 => {
-                d.enter()?;
-                let judgment = Judgment::decode(d)?;
-                let rule = Rule::decode(d)?;
-                let side = Side::decode(d)?;
-                let premises = Vec::decode(d)?;
-                d.exit();
-                let t = Thm::from_persisted(rule, premises, judgment, side);
-                d.shared_push(t.clone());
-                Ok(t)
-            }
-            b => Err(DecodeError(format!("invalid Thm tag {b}"))),
-        }
+        read_table(d, |_, rule, premises, judgment, side| {
+            Ok::<_, DecodeError>(Thm::from_row(rule, premises, judgment, side))
+        })?
+        .pop()
+        .ok_or_else(|| DecodeError("empty node table".into()))
     }
 }
 
@@ -234,9 +285,8 @@ mod tests {
     #[cfg(feature = "persist")]
     #[test]
     fn thm_round_trips_with_dag_sharing() {
-        use crate::thm::{CheckCtx, Thm};
         let cx = CheckCtx::default();
-        let leaf = || {
+        let lit = || {
             crate::rules::word::w_lit(
                 &cx,
                 &Default::default(),
@@ -245,30 +295,22 @@ mod tests {
             )
             .expect("w_lit")
         };
-        let hval = || crate::Judgment::HVal {
-            pre: ir::expr::Expr::tt(),
-            abs: ir::expr::Expr::var("a"),
-            conc: ir::expr::Expr::var("a"),
+        let sum = |a: Thm, b: Thm| {
+            crate::rules::word::w_arith(&cx, Rule::WSum, ir::ty::Width::W32, a, b).expect("w_arith")
         };
-        let mid = |l: Thm| Thm::from_persisted(Rule::WIdCong, vec![l], hval(), Side::None);
-        let top = |a: Thm, b: Thm| {
-            Thm::from_persisted(Rule::WIdCong, vec![a, b], hval(), Side::None)
-        };
-        // Cloning a mid shares its premises Arc, so the leaf below it is
-        // written once; structurally equal but unshared mids are not.
-        let shared_mid = mid(leaf());
-        let t = top(shared_mid.clone(), shared_mid);
-        let bytes = encode_to_vec(&t);
-        let unshared = encode_to_vec(&top(mid(leaf()), mid(leaf())));
-        assert!(
-            bytes.len() < unshared.len(),
-            "shared sub-derivation not deduplicated ({} vs {})",
-            bytes.len(),
-            unshared.len()
-        );
+        // Equal sub-derivations share a row whether they share an
+        // allocation (clones of `inner` share its premise slice) or not.
+        let inner = sum(lit(), lit());
+        let shared = sum(inner.clone(), inner);
+        let unshared = sum(sum(lit(), lit()), sum(lit(), lit()));
+        let bytes = encode_to_vec(&shared);
+        assert_eq!(bytes, encode_to_vec(&unshared));
+        let rows = Decoder::new(&bytes).seq_len().expect("row count");
+        assert_eq!(rows, 3, "leaf, inner sum, outer sum");
         let back: Thm = decode_from_slice(&bytes).expect("decode");
-        assert_eq!(back, t);
-        assert_eq!(back.proof_size(), t.proof_size());
+        assert_eq!(back, unshared);
+        assert_eq!(back.proof_size(), 7);
+        assert_eq!(back.proof_size(), unshared.proof_size());
         for i in 0..bytes.len() {
             let mut m = bytes.clone();
             m[i] ^= 0x81;

@@ -2,8 +2,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ir::codec::digest128;
 use ir::sched::{par_map, plan_workers, PoolStats};
 
 use crate::judgment::{AbsFun, Judgment};
@@ -227,8 +229,8 @@ pub struct Thm {
     /// retrieval.
     premises: std::sync::Arc<[Thm]>,
     side: Side,
-    /// Rule applications in the derivation, computed once at `admit` time
-    /// (derived from the other fields, so excluded from comparisons).
+    /// Rule applications in the derivation, computed once at construction
+    /// (saturating, so a hostile node table cannot overflow it).
     proof_size: usize,
 }
 
@@ -275,35 +277,28 @@ impl Thm {
     #[cfg(feature = "forge")]
     #[must_use]
     pub fn forge(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
-        let proof_size = 1 + premises.iter().map(Thm::proof_size).sum::<usize>();
-        Thm {
-            judgment,
-            rule,
-            premises: premises.into(),
-            side,
-            proof_size,
-        }
+        Thm::assemble(rule, premises, judgment, side)
     }
 
     /// Store-only constructor (`persist` feature) that rebuilds a theorem
-    /// from its serialized parts **without re-validating**.
+    /// from one row of a node table **without validating it**.
     ///
-    /// Only the disk-artifact codec (`kernel::codec`) may call this: disk
-    /// entries sit behind a whole-payload integrity digest and the cache
-    /// directory is part of the local trusted base, so re-running every
-    /// rule on load would forfeit the warm start the store exists for.
-    /// `check`/`check_all` still replay reconstructed theorems like any
-    /// other. Certificates never take this path — `kernel::cert` rebuilds
+    /// Only the store's node-table reader (the `Thm` codec in
+    /// `kernel::codec`) calls this (`scripts/tier1.sh` checks): a store
+    /// entry is part of the local trusted base, behind its integrity
+    /// digest, and `check`/`check_all` replay its theorems like any other.
+    /// Certificates never take this path — `kernel::cert` admits every row
     /// through the validating [`Thm::admit`].
     #[cfg(feature = "persist")]
     #[must_use]
-    pub(crate) fn from_persisted(
-        rule: Rule,
-        premises: Vec<Thm>,
-        judgment: Judgment,
-        side: Side,
-    ) -> Thm {
-        let proof_size = 1 + premises.iter().map(Thm::proof_size).sum::<usize>();
+    pub(crate) fn from_row(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
+        Thm::assemble(rule, premises, judgment, side)
+    }
+
+    fn assemble(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
+        let proof_size = premises
+            .iter()
+            .fold(1, |n: usize, p| n.saturating_add(p.proof_size));
         Thm {
             judgment,
             rule,
@@ -325,14 +320,7 @@ impl Thm {
         let prem_judgments: Vec<&Judgment> = premises.iter().map(Thm::judgment).collect();
         crate::rules::validate(rule, &prem_judgments, &judgment, &side, cx)
             .map_err(|msg| KernelError { rule, msg })?;
-        let proof_size = 1 + premises.iter().map(Thm::proof_size).sum::<usize>();
-        Ok(Thm {
-            judgment,
-            rule,
-            premises: premises.into(),
-            side,
-            proof_size,
-        })
+        Ok(Thm::assemble(rule, premises, judgment, side))
     }
 }
 
@@ -367,7 +355,7 @@ impl std::error::Error for KernelError {}
 
 /// The checking context: structure layouts and the signatures of abstracted
 /// functions, needed by layout-dependent and call rules.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct CheckCtx {
     /// Structure layouts (for field-offset rules).
     pub tenv: ir::ty::TypeEnv,
@@ -388,9 +376,16 @@ pub fn check(thm: &Thm, cx: &CheckCtx) -> Result<(), KernelError> {
     check_cached(thm, cx, None)
 }
 
-fn check_cached(thm: &Thm, cx: &CheckCtx, cache: Option<&ReplayCache>) -> Result<(), KernelError> {
-    if let Some(c) = cache {
-        if c.contains(thm) {
+/// [`check`], skipping nodes `cache` holds. The cache comes with the
+/// digest of `cx`, which joins every key.
+fn check_cached(
+    thm: &Thm,
+    cx: &CheckCtx,
+    cache: Option<(&ReplayCache, u128)>,
+) -> Result<(), KernelError> {
+    let key = cache.map(|(c, cx_digest)| (c, ReplayCache::digest(thm, cx_digest)));
+    if let Some((c, d)) = key {
+        if c.contains(d) {
             return Ok(());
         }
     }
@@ -404,15 +399,16 @@ fn check_cached(thm: &Thm, cx: &CheckCtx, cache: Option<&ReplayCache>) -> Result
             msg,
         },
     )?;
-    if let Some(c) = cache {
-        c.insert(thm);
+    if let Some((c, d)) = key {
+        c.insert(d);
     }
     Ok(())
 }
 
 /// A replay-side cache of validated proof nodes, shared across theorems and
 /// workers. A node is identified by a 128-bit structural digest of
-/// everything `rules::validate` consumes — the rule, the conclusion
+/// everything `rules::validate` consumes — the checking context (one
+/// digest per [`check_all_with`] call), the rule, the conclusion
 /// judgment, the premise judgments, and the side data — so an identical
 /// `(rule, premises)` application appearing in several derivations (common
 /// once terms are hash-consed: shared subprograms produce shared
@@ -420,10 +416,14 @@ fn check_cached(thm: &Thm, cx: &CheckCtx, cache: Option<&ReplayCache>) -> Result
 ///
 /// Soundness: `validate` is a deterministic pure function of exactly the
 /// digested data, so skipping a re-run cannot change any verdict; only
-/// *successful* validations are inserted. The digest is two independent
-/// fixed-key hash passes (collision probability ~2⁻¹²⁸ per pair — far below
-/// any hardware error rate). Determinism: cache state never affects output,
-/// only whether a validation is re-executed.
+/// *successful* validations are inserted. The digest is
+/// [`ir::codec::digest128`] (collision probability ~2⁻¹²⁸ per pair — far below
+/// any hardware error rate). That bound holds for theorems the pipeline
+/// derives, not for ones an adversary picks: symbols and interned terms
+/// reach the hasher as 64-bit values, so colliding names are cheap to
+/// find. Certificates therefore never consult a cache (`kernel::cert`).
+/// Determinism: cache state never affects output, only whether a
+/// validation is re-executed.
 #[derive(Default)]
 pub struct ReplayCache {
     shards: [std::sync::Mutex<std::collections::HashSet<u128>>; 16],
@@ -438,25 +438,21 @@ impl ReplayCache {
         ReplayCache::default()
     }
 
-    fn digest(thm: &Thm) -> u128 {
-        fn pass(seed: u64, thm: &Thm) -> u64 {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            seed.hash(&mut h);
-            thm.rule.hash(&mut h);
-            thm.judgment.hash(&mut h);
+    /// The key of `thm`'s root node checked under the context whose
+    /// digest is `cx`.
+    fn digest(thm: &Thm, cx: u128) -> u128 {
+        digest128(|h| {
+            cx.hash(h);
+            thm.rule.hash(h);
+            thm.judgment.hash(h);
             for p in thm.premises.iter() {
-                p.judgment.hash(&mut h);
+                p.judgment.hash(h);
             }
-            thm.side.hash(&mut h);
-            h.finish()
-        }
-        (u128::from(pass(0x9E37_79B9_7F4A_7C15, thm)) << 64)
-            | u128::from(pass(0xC2B2_AE3D_27D4_EB4F, thm))
+            thm.side.hash(h);
+        })
     }
 
-    fn contains(&self, thm: &Thm) -> bool {
-        let d = Self::digest(thm);
+    fn contains(&self, d: u128) -> bool {
         let shard = &self.shards[(d as usize) % self.shards.len()];
         let hit = shard.lock().expect("replay cache poisoned").contains(&d);
         let ctr = if hit { &self.hits } else { &self.misses };
@@ -464,18 +460,24 @@ impl ReplayCache {
         hit
     }
 
-    fn insert(&self, thm: &Thm) {
-        let d = Self::digest(thm);
+    fn insert(&self, d: u128) {
         let shard = &self.shards[(d as usize) % self.shards.len()];
         shard.lock().expect("replay cache poisoned").insert(d);
     }
 
-    /// Audit-only (`forge` feature): the digest of a theorem's root node,
-    /// as stored by this cache.
-    #[cfg(feature = "forge")]
+    /// Validated nodes held, preloaded digests included.
     #[must_use]
-    pub fn forge_digest_of(thm: &Thm) -> u128 {
-        Self::digest(thm)
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("replay cache poisoned").len())
+            .sum()
+    }
+
+    /// Is the cache empty?
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Audit-only (`forge` feature): snapshot of every stored digest.
@@ -500,8 +502,7 @@ impl ReplayCache {
     /// cache-corruption attack of the audit harness.
     #[cfg(feature = "forge")]
     pub fn forge_insert(&self, d: u128) {
-        let shard = &self.shards[(d as usize) % self.shards.len()];
-        shard.lock().expect("replay cache poisoned").insert(d);
+        self.insert(d);
     }
 
     /// Persistence (`persist` feature): snapshot of every stored digest,
@@ -533,8 +534,7 @@ impl ReplayCache {
     #[cfg(feature = "persist")]
     pub fn preload(&self, digests: &[u128]) {
         for &d in digests {
-            let shard = &self.shards[(d as usize) % self.shards.len()];
-            shard.lock().expect("replay cache poisoned").insert(d);
+            self.insert(d);
         }
     }
 
@@ -602,8 +602,10 @@ where
 
 /// [`check_all`] against a caller-supplied [`ReplayCache`]. A session-scoped
 /// cache lets incremental re-checks skip proof nodes validated by earlier
-/// runs; the report's hit/miss counters cover *this run only* (counter
-/// deltas), not the cache's lifetime totals.
+/// runs under the same `cx` (its digest joins every key, so a node
+/// validated under one context is checked again under another); the
+/// report's hit/miss counters cover *this run only* (counter deltas), not
+/// the cache's lifetime totals.
 ///
 /// # Errors
 ///
@@ -619,7 +621,10 @@ where
 {
     let items: Vec<(&str, &Thm)> = items.into_iter().collect();
     let (hits0, misses0) = cache.counters();
-    let proof_nodes: usize = items.iter().map(|(_, t)| t.proof_size()).sum();
+    let bound = Some((cache, digest128(|h| cx.hash(h))));
+    let proof_nodes = items
+        .iter()
+        .fold(0, |n: usize, (_, t)| n.saturating_add(t.proof_size()));
     let width = plan_workers(workers, proof_nodes as u64, false);
     // Only the first failure in input order is reported, so theorems
     // after a known failure need not be replayed.
@@ -628,7 +633,7 @@ where
         if i > first_failure.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let r = check_cached(thm, cx, Some(cache));
+        let r = check_cached(thm, cx, bound);
         if r.is_err() {
             first_failure.fetch_min(i, Ordering::Relaxed);
         }

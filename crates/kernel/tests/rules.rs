@@ -334,3 +334,23 @@ fn congruence_rules_compose() {
     };
     assert_eq!(abs, conc);
 }
+
+#[test]
+fn replay_cache_is_bound_to_the_checking_context() {
+    // `HReadField` depends on the struct layout, so a node validated under
+    // one context must be checked again under another.
+    let mut cx = CheckCtx::default();
+    cx.tenv
+        .define_struct("S", vec![("a".into(), Ty::U32), ("b".into(), Ty::U32)])
+        .unwrap();
+    let p = heap::h_leaf(&cx, &Expr::var("p")).unwrap();
+    let fread = heap::h_read_field(&cx, "S", &Ty::U32, 4, p).unwrap();
+    let cache = kernel::ReplayCache::new();
+    let items = || std::iter::once(("fread", &fread));
+    kernel::check_all_with(items(), &cx, 1, &cache).unwrap();
+    let empty = CheckCtx::default();
+    let (_, err) = kernel::check_all(items(), &empty, 1).unwrap_err();
+    assert!(err.msg.contains("no field of `S` at offset 4"), "{err}");
+    let (_, err) = kernel::check_all_with(items(), &empty, 1, &cache).unwrap_err();
+    assert!(err.msg.contains("no field of `S` at offset 4"), "{err}");
+}

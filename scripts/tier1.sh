@@ -32,6 +32,21 @@ if grep -rnE 'impl(<[^>]*>)? +([A-Za-z_]+::)*Codec +for' crates/*/src src --incl
     echo "tier1: hand-written Codec impl outside crates/{ir,kernel}/src/codec.rs; use ir::codec!" >&2; exit 1
 fi
 
+# One checker (DESIGN.md §6g): rules are validated only in kernel::thm
+# (`Thm::admit` and replay), and the one unvalidated constructor,
+# `Thm::from_row`, has one caller: the store's node-table reader, the
+# `Thm` codec in kernel::codec (certificates admit every row instead).
+if grep -rn 'rules::validate(' crates src tests --include='*.rs' \
+    | grep -v '^crates/kernel/src/thm\.rs:'; then
+    echo "tier1: rules::validate called outside crates/kernel/src/thm.rs" >&2; exit 1
+fi
+from_row=$(grep -rn 'from_row(' crates src tests --include='*.rs' \
+    | grep -v '^crates/kernel/src/thm\.rs:[0-9]*: *pub(crate) fn from_row(' || true)
+if [[ $(grep -c . <<< "$from_row") -ne 1 ]] || ! grep -q '^crates/kernel/src/codec\.rs:' <<< "$from_row"; then
+    echo "tier1: Thm::from_row must be called only by the store's node-table reader:" >&2
+    echo "$from_row" >&2; exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 
@@ -100,7 +115,7 @@ diff -u "$golden" "$tmp_out" \
     || { echo "tier1: warm start recomputed work" >&2; exit 1; }
 
 # Certificate smoke: the exported proof certificate must replay through
-# the independent certcheck binary, match the golden cert-v1 snapshot,
+# the independent certcheck binary, match the golden cert-v2 snapshot,
 # and any mutation must be rejected.
 cert="$cache_dir/quickstart.cert"
 ./target/release/autocorres --quiet --emit-cert "$cert" "$tmp_c" > /dev/null

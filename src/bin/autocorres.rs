@@ -289,7 +289,7 @@ fn run_corpus(dir: &str, opts: &Options) -> Result<(), String> {
 }
 
 /// Exports every theorem of `out` (refinement phases + absint discharge)
-/// as a `cert-v1` proof certificate, independently replayable with the
+/// as a `cert-v2` proof certificate, independently replayable with the
 /// `certcheck` binary.
 fn emit_cert(path: &str, out: &autocorres::Output) -> Result<(), String> {
     let mut labels: Vec<(String, &kernel::Thm)> = out

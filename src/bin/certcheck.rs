@@ -4,14 +4,14 @@
 //! certcheck FILE.cert [--quiet]
 //! ```
 //!
-//! Reads a `cert-v1` file produced by `autocorres --emit-cert`, replays
-//! every proof node bottom-up through the validating kernel
-//! ([`kernel::cert::check_cert`]), and exits 0 iff the whole derivation
-//! checks. The binary links only the term language (`ir`) and the proof
-//! kernel — none of the translation pipeline — so a certificate's
-//! acceptance depends on nothing but the kernel's rule checker: a
-//! mutated, truncated, or forged certificate cannot pass, because every
-//! node is reconstructed through `Thm::admit` (DESIGN.md §6g).
+//! Reads a `cert-v2` file produced by `autocorres --emit-cert`, admits
+//! every row of its node table through the validating kernel in row order
+//! ([`kernel::cert::check_cert`]), and exits 0 iff every row checks. The
+//! binary links only the term language (`ir`) and the proof kernel — none
+//! of the translation pipeline — so a certificate's acceptance depends on
+//! nothing but the kernel's rule checker: a mutated, truncated, or forged
+//! certificate cannot pass, because every row is rebuilt through
+//! `Thm::admit` (DESIGN.md §6g).
 
 use std::process::ExitCode;
 
