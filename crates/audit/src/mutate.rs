@@ -30,7 +30,6 @@ use autocorres::{Options, Output, Session};
 use ir::expr::Expr;
 use ir::intern::Interned;
 use ir::names::Symbol;
-use ir::update::Update;
 use kernel::{check, check_all_with, Judgment, Rule, Side, Thm};
 use monadic::Prog;
 use rand::rngs::StdRng;
@@ -446,7 +445,7 @@ fn conc_symbol(j: &Judgment) -> Option<Symbol> {
         | Judgment::WStmt { conc, .. }
         | Judgment::HStmt { conc, .. } => first_symbol_prog(conc),
         Judgment::WVal { conc, .. } | Judgment::HVal { conc, .. } => first_symbol_expr(conc),
-        Judgment::HUpd { conc, .. } => first_symbol_update(conc),
+        Judgment::HUpd { conc, .. } => conc.exprs().into_iter().find_map(first_symbol_expr),
         Judgment::AbsGuard { guard, .. } => first_symbol_expr(guard),
     }
 }
@@ -454,48 +453,56 @@ fn conc_symbol(j: &Judgment) -> Option<Symbol> {
 /// Renames `from` to `to` throughout the concrete side only, leaving the
 /// abstract side (and, for L1, the Simpl side) untouched.
 fn rename_conc(j: &Judgment, from: Symbol, to: Symbol) -> Judgment {
+    let rename = |e: &Expr| {
+        e.map(&|x| match x {
+            Expr::Var(s) if s == from => Expr::Var(to),
+            Expr::Local(s) if s == from => Expr::Local(to),
+            Expr::Global(s) if s == from => Expr::Global(to),
+            other => other,
+        })
+    };
     match j {
         Judgment::L1 { prog, simpl } => Judgment::L1 {
-            prog: rename_prog(prog, from, to),
+            prog: prog.map_exprs(&rename),
             simpl: simpl.clone(),
         },
         Judgment::Refines { abs, conc } => Judgment::Refines {
             abs: abs.clone(),
-            conc: rename_prog(conc, from, to),
+            conc: conc.map_exprs(&rename),
         },
         Judgment::WStmt { ctx, rx, ex, abs, conc } => Judgment::WStmt {
             ctx: ctx.clone(),
             rx: rx.clone(),
             ex: ex.clone(),
             abs: abs.clone(),
-            conc: rename_prog(conc, from, to),
+            conc: conc.map_exprs(&rename),
         },
         Judgment::HStmt { abs, conc } => Judgment::HStmt {
             abs: abs.clone(),
-            conc: rename_prog(conc, from, to),
+            conc: conc.map_exprs(&rename),
         },
         Judgment::WVal { ctx, pre, f, abs, conc } => Judgment::WVal {
             ctx: ctx.clone(),
             pre: pre.clone(),
             f: f.clone(),
             abs: abs.clone(),
-            conc: rename_expr(conc, from, to),
+            conc: rename(conc),
         },
         Judgment::HVal { pre, abs, conc } => Judgment::HVal {
             pre: pre.clone(),
             abs: abs.clone(),
-            conc: rename_expr(conc, from, to),
+            conc: rename(conc),
         },
         Judgment::HUpd { pre, abs, conc } => Judgment::HUpd {
             pre: pre.clone(),
             abs: abs.clone(),
-            conc: rename_update(conc, from, to),
+            conc: conc.map_exprs(&rename),
         },
         Judgment::AbsGuard { hyp, kind, guard } => Judgment::AbsGuard {
             // Rename in the guard only: the hypothesis no longer bounds it.
             hyp: hyp.clone(),
             kind: kind.clone(),
-            guard: rename_expr(guard, from, to),
+            guard: rename(guard),
         },
     }
 }
@@ -520,90 +527,6 @@ fn first_symbol_prog(p: &Prog) -> Option<Symbol> {
         }
     });
     found
-}
-
-fn first_symbol_update(u: &Update) -> Option<Symbol> {
-    match u {
-        Update::Local(_, e) | Update::Global(_, e) | Update::TagRegion(_, e) => {
-            first_symbol_expr(e)
-        }
-        Update::Heap(_, p, v) | Update::Byte(p, v) => {
-            first_symbol_expr(p).or_else(|| first_symbol_expr(v))
-        }
-    }
-}
-
-fn ie(e: Expr) -> ir::expr::IExpr {
-    Interned::new(e)
-}
-
-fn rename_expr(e: &Expr, from: Symbol, to: Symbol) -> Expr {
-    let r = |x: &Expr| ie(rename_expr(x, from, to));
-    match e {
-        Expr::Lit(_) => e.clone(),
-        Expr::Var(s) => Expr::Var(if *s == from { to } else { *s }),
-        Expr::Local(s) => Expr::Local(if *s == from { to } else { *s }),
-        Expr::Global(s) => Expr::Global(if *s == from { to } else { *s }),
-        Expr::ReadHeap(t, p) => Expr::ReadHeap(t.clone(), r(p)),
-        Expr::ReadByte(p) => Expr::ReadByte(r(p)),
-        Expr::IsValid(t, p) => Expr::IsValid(t.clone(), r(p)),
-        Expr::PtrAligned(t, p) => Expr::PtrAligned(t.clone(), r(p)),
-        Expr::NullFree(t, p) => Expr::NullFree(t.clone(), r(p)),
-        Expr::Field(a, f) => Expr::Field(r(a), f.clone()),
-        Expr::UpdateField(a, f, v) => Expr::UpdateField(r(a), f.clone(), r(v)),
-        Expr::UnOp(op, a) => Expr::UnOp(*op, r(a)),
-        Expr::BinOp(op, a, b) => Expr::BinOp(*op, r(a), r(b)),
-        Expr::Cast(k, a) => Expr::Cast(k.clone(), r(a)),
-        Expr::Ite(c, t, f) => Expr::Ite(r(c), r(t), r(f)),
-        Expr::Tuple(vs) => Expr::Tuple(vs.iter().map(|v| rename_expr(v, from, to)).collect()),
-        Expr::Proj(i, a) => Expr::Proj(*i, r(a)),
-        Expr::Index(a, i) => Expr::Index(r(a), r(i)),
-        Expr::ArrUpd(a, i, v) => Expr::ArrUpd(r(a), r(i), r(v)),
-    }
-}
-
-fn rename_update(u: &Update, from: Symbol, to: Symbol) -> Update {
-    let r = |e: &Expr| rename_expr(e, from, to);
-    match u {
-        Update::Local(n, e) => Update::Local(n.clone(), r(e)),
-        Update::Global(n, e) => Update::Global(n.clone(), r(e)),
-        Update::Heap(t, p, v) => Update::Heap(t.clone(), r(p), r(v)),
-        Update::Byte(p, v) => Update::Byte(r(p), r(v)),
-        Update::TagRegion(t, p) => Update::TagRegion(t.clone(), r(p)),
-    }
-}
-
-fn ip(p: Prog) -> monadic::IProg {
-    Interned::new(p)
-}
-
-fn rename_prog(p: &Prog, from: Symbol, to: Symbol) -> Prog {
-    let re = |e: &Expr| rename_expr(e, from, to);
-    let rp = |q: &Prog| ip(rename_prog(q, from, to));
-    match p {
-        Prog::Return(e) => Prog::Return(re(e)),
-        Prog::Gets(e) => Prog::Gets(re(e)),
-        Prog::Modify(u) => Prog::Modify(rename_update(u, from, to)),
-        Prog::Guard(k, e) => Prog::Guard(k.clone(), re(e)),
-        Prog::Throw(e) => Prog::Throw(re(e)),
-        Prog::Fail => Prog::Fail,
-        Prog::Bind(l, v, r) => Prog::Bind(rp(l), v.clone(), rp(r)),
-        Prog::BindTuple(l, vs, r) => Prog::BindTuple(rp(l), vs.clone(), rp(r)),
-        Prog::Condition(c, t, e) => Prog::Condition(re(c), rp(t), rp(e)),
-        Prog::While { vars, cond, body, init } => Prog::While {
-            vars: vars.clone(),
-            cond: re(cond),
-            body: rp(body),
-            init: init.iter().map(|e| rename_expr(e, from, to)).collect(),
-        },
-        Prog::Catch(l, v, r) => Prog::Catch(rp(l), v.clone(), rp(r)),
-        Prog::Call { fname, args } => Prog::Call {
-            fname: fname.clone(),
-            args: args.iter().map(|e| rename_expr(e, from, to)).collect(),
-        },
-        Prog::ExecConcrete(q) => Prog::ExecConcrete(rp(q)),
-        Prog::ExecAbstract(q) => Prog::ExecAbstract(rp(q)),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -967,39 +967,7 @@ fn discharge_guards(p: &Prog, var_tys: &std::collections::HashMap<String, ir::ty
         }
         None
     };
-    map_prog(p, &rewrite)
-}
-
-/// Structural map over programs (post-order), applying `f` where it yields
-/// a replacement.
-fn map_prog(p: &Prog, f: &impl Fn(&Prog) -> Option<Prog>) -> Prog {
-    let rebuilt = match p {
-        Prog::Bind(l, v, r) => Prog::bind(map_prog(l, f), v.clone(), map_prog(r, f)),
-        Prog::BindTuple(l, vs, r) => {
-            Prog::bind_tuple(map_prog(l, f), vs.clone(), map_prog(r, f))
-        }
-        Prog::Catch(l, v, r) => Prog::Catch(
-            ir::intern::Interned::new(map_prog(l, f)),
-            v.clone(),
-            ir::intern::Interned::new(map_prog(r, f)),
-        ),
-        Prog::Condition(c, t, e) => Prog::cond(c.clone(), map_prog(t, f), map_prog(e, f)),
-        Prog::While {
-            vars,
-            cond,
-            body,
-            init,
-        } => Prog::While {
-            vars: vars.clone(),
-            cond: cond.clone(),
-            body: ir::intern::Interned::new(map_prog(body, f)),
-            init: init.clone(),
-        },
-        Prog::ExecConcrete(q) => Prog::ExecConcrete(ir::intern::Interned::new(map_prog(q, f))),
-        Prog::ExecAbstract(q) => Prog::ExecAbstract(ir::intern::Interned::new(map_prog(q, f))),
-        other => other.clone(),
-    };
-    f(&rebuilt).unwrap_or(rebuilt)
+    p.rewrite(&rewrite)
 }
 
 /// Drops a guard when an identical, state-independent guard has already
@@ -1142,23 +1110,4 @@ fn subst_free(p: &Prog, v: &str, e: &Expr) -> Option<Prog> {
         })
     }
     go(p, v, e, &efv)
-}
-
-/// Does the program rebind `name` anywhere (so substitution would capture)?
-#[allow(dead_code)]
-fn binds_name(p: &Prog, name: &str) -> bool {
-    match p {
-        Prog::Bind(l, v, r) | Prog::Catch(l, v, r) => {
-            v == name || binds_name(l, name) || binds_name(r, name)
-        }
-        Prog::BindTuple(l, vs, r) => {
-            vs.iter().any(|v| v == name) || binds_name(l, name) || binds_name(r, name)
-        }
-        Prog::Condition(_, t, e) => binds_name(t, name) || binds_name(e, name),
-        Prog::While { vars, body, .. } => {
-            vars.iter().any(|v| v == name) || binds_name(body, name)
-        }
-        Prog::ExecConcrete(q) | Prog::ExecAbstract(q) => binds_name(q, name),
-        _ => false,
-    }
 }

@@ -1340,82 +1340,36 @@ fn plan_caller_adaptations(
             _ => a.clone(),
         }
     };
-    let rewrite_calls = |p: &Prog, hl_f: &dyn Fn(&str) -> Option<MonadicFn>| -> Prog {
-        fn go(
-            p: &Prog,
-            abstracted: &BTreeSet<String>,
-            hl_f: &dyn Fn(&str) -> Option<MonadicFn>,
-            lift_arg: &dyn Fn(&Expr, &Ty) -> Expr,
-        ) -> Prog {
-            match p {
-                Prog::Call { fname, args } if abstracted.contains(fname) => {
-                    let Some(callee) = hl_f(fname) else {
-                        return p.clone();
-                    };
-                    let new_args: Vec<Expr> = args
-                        .iter()
-                        .zip(&callee.params)
-                        .map(|(a, (_, t))| lift_arg(a, t))
-                        .collect();
-                    let call = Prog::Call {
-                        fname: fname.clone(),
-                        args: new_args,
-                    };
-                    match &callee.ret_ty {
-                        Ty::Word(w, s @ Signedness::Unsigned) => Prog::bind(
-                            call,
-                            "·r",
-                            Prog::ret(Expr::cast(CastKind::OfNat(*w, *s), Expr::var("·r"))),
-                        ),
-                        Ty::Word(w, s @ Signedness::Signed) => Prog::bind(
-                            call,
-                            "·r",
-                            Prog::ret(Expr::cast(CastKind::OfInt(*w, *s), Expr::var("·r"))),
-                        ),
-                        _ => call,
-                    }
-                }
-                Prog::Bind(l, v, r) => Prog::bind(
-                    go(l, abstracted, hl_f, lift_arg),
-                    v.clone(),
-                    go(r, abstracted, hl_f, lift_arg),
-                ),
-                Prog::BindTuple(l, vs, r) => Prog::bind_tuple(
-                    go(l, abstracted, hl_f, lift_arg),
-                    vs.clone(),
-                    go(r, abstracted, hl_f, lift_arg),
-                ),
-                Prog::Catch(l, v, r) => Prog::Catch(
-                    ir::intern::Interned::new(go(l, abstracted, hl_f, lift_arg)),
-                    v.clone(),
-                    ir::intern::Interned::new(go(r, abstracted, hl_f, lift_arg)),
-                ),
-                Prog::Condition(c, t, e) => Prog::cond(
-                    c.clone(),
-                    go(t, abstracted, hl_f, lift_arg),
-                    go(e, abstracted, hl_f, lift_arg),
-                ),
-                Prog::While {
-                    vars,
-                    cond,
-                    body,
-                    init,
-                } => Prog::While {
-                    vars: vars.clone(),
-                    cond: cond.clone(),
-                    body: ir::intern::Interned::new(go(body, abstracted, hl_f, lift_arg)),
-                    init: init.clone(),
-                },
-                Prog::ExecConcrete(q) => {
-                    Prog::ExecConcrete(ir::intern::Interned::new(go(q, abstracted, hl_f, lift_arg)))
-                }
-                Prog::ExecAbstract(q) => {
-                    Prog::ExecAbstract(ir::intern::Interned::new(go(q, abstracted, hl_f, lift_arg)))
-                }
-                other => other.clone(),
-            }
+    let rewrite_call = |p: &Prog| -> Option<Prog> {
+        let Prog::Call { fname, args } = p else {
+            return None;
+        };
+        if !abstracted.contains(fname) {
+            return None;
         }
-        go(p, &abstracted, hl_f, &lift_arg)
+        let callee = hlctx.fns.get(fname)?;
+        let new_args: Vec<Expr> = args
+            .iter()
+            .zip(&callee.params)
+            .map(|(a, (_, t))| lift_arg(a, t))
+            .collect();
+        let call = Prog::Call {
+            fname: fname.clone(),
+            args: new_args,
+        };
+        Some(match &callee.ret_ty {
+            Ty::Word(w, s @ Signedness::Unsigned) => Prog::bind(
+                call,
+                "·r",
+                Prog::ret(Expr::cast(CastKind::OfNat(*w, *s), Expr::var("·r"))),
+            ),
+            Ty::Word(w, s @ Signedness::Signed) => Prog::bind(
+                call,
+                "·r",
+                Prog::ret(Expr::cast(CastKind::OfInt(*w, *s), Expr::var("·r"))),
+            ),
+            _ => call,
+        })
     };
 
     wactx
@@ -1423,7 +1377,7 @@ fn plan_caller_adaptations(
         .iter()
         .filter(|(name, _)| !abstracted.contains(*name))
         .filter_map(|(name, old)| {
-            let new_body = rewrite_calls(&old.body, &|f| hlctx.fns.get(f).cloned());
+            let new_body = old.body.rewrite(&rewrite_call);
             if new_body == old.body {
                 None
             } else {

@@ -163,27 +163,11 @@ fn collect_prog_heap_types(p: &monadic::Prog, out: &mut std::collections::BTreeS
         });
     });
     // Heap updates carry their type directly.
-    collect_updates(p, out);
-}
-
-fn collect_updates(p: &monadic::Prog, out: &mut std::collections::BTreeSet<Ty>) {
-    use monadic::Prog;
-    match p {
-        Prog::Modify(ir::update::Update::Heap(t, ..)) => {
+    p.visit(&mut |q| {
+        if let monadic::Prog::Modify(ir::update::Update::Heap(t, ..)) = q {
             out.insert(t.clone());
         }
-        Prog::Bind(l, _, r) | Prog::BindTuple(l, _, r) | Prog::Catch(l, _, r) => {
-            collect_updates(l, out);
-            collect_updates(r, out);
-        }
-        Prog::Condition(_, t, e) => {
-            collect_updates(t, out);
-            collect_updates(e, out);
-        }
-        Prog::While { body, .. } => collect_updates(body, out),
-        Prog::ExecConcrete(q) | Prog::ExecAbstract(q) => collect_updates(q, out),
-        _ => {}
-    }
+    });
 }
 
 /// End-to-end differential refinement check between the Simpl (parser)

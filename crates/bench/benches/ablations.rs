@@ -16,24 +16,7 @@ use std::collections::HashMap;
 
 fn count_guards(p: &monadic::Prog) -> usize {
     let mut n = 0;
-    fn walk(p: &monadic::Prog, n: &mut usize) {
-        use monadic::Prog;
-        match p {
-            Prog::Guard(..) => *n += 1,
-            Prog::Bind(l, _, r) | Prog::BindTuple(l, _, r) | Prog::Catch(l, _, r) => {
-                walk(l, n);
-                walk(r, n);
-            }
-            Prog::Condition(_, t, e) => {
-                walk(t, n);
-                walk(e, n);
-            }
-            Prog::While { body, .. } => walk(body, n),
-            Prog::ExecConcrete(q) | Prog::ExecAbstract(q) => walk(q, n),
-            _ => {}
-        }
-    }
-    walk(p, &mut n);
+    p.visit(&mut |q| n += usize::from(matches!(q, monadic::Prog::Guard(..))));
     n
 }
 

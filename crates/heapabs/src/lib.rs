@@ -18,6 +18,10 @@
 //!
 //! Functions that use byte-level operations (`memset`-style code) cannot be
 //! abstracted and must be listed in [`HlOptions::concrete_fns`].
+//!
+//! The engine splits expressions with [`Expr::children`], the decomposition
+//! the kernel's `HCong` rebuilds with, and rewrites call sites with
+//! [`Prog::rewrite`].
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -112,50 +116,13 @@ pub fn hl_program(
 #[must_use]
 pub fn hl_keep_concrete(f: &MonadicFn, opts: &HlOptions) -> MonadicFn {
     let mut kept = f.clone();
-    kept.body = wrap_abstract_calls(&kept.body, opts);
-    kept
-}
-
-/// Wraps calls from byte-level code to heap-abstracted callees in
-/// `exec_abstract` markers (Sec 4.6's second direction).
-fn wrap_abstract_calls(p: &Prog, opts: &HlOptions) -> Prog {
-    match p {
+    kept.body = f.body.rewrite(&|p| match p {
         Prog::Call { fname, .. } if !opts.concrete_fns.contains(fname) => {
-            Prog::ExecAbstract(ir::intern::Interned::new(p.clone()))
+            Some(Prog::ExecAbstract(ir::intern::Interned::new(p.clone())))
         }
-        Prog::Bind(l, v, r) => Prog::bind(
-            wrap_abstract_calls(l, opts),
-            v.clone(),
-            wrap_abstract_calls(r, opts),
-        ),
-        Prog::BindTuple(l, vs, r) => Prog::bind_tuple(
-            wrap_abstract_calls(l, opts),
-            vs.clone(),
-            wrap_abstract_calls(r, opts),
-        ),
-        Prog::Catch(l, v, r) => Prog::Catch(
-            ir::intern::Interned::new(wrap_abstract_calls(l, opts)),
-            v.clone(),
-            ir::intern::Interned::new(wrap_abstract_calls(r, opts)),
-        ),
-        Prog::Condition(c, t, e) => Prog::cond(
-            c.clone(),
-            wrap_abstract_calls(t, opts),
-            wrap_abstract_calls(e, opts),
-        ),
-        Prog::While {
-            vars,
-            cond,
-            body,
-            init,
-        } => Prog::While {
-            vars: vars.clone(),
-            cond: cond.clone(),
-            body: ir::intern::Interned::new(wrap_abstract_calls(body, opts)),
-            init: init.clone(),
-        },
-        other => other.clone(),
-    }
+        _ => None,
+    });
+    kept
 }
 
 /// Abstracts one function.
@@ -258,7 +225,7 @@ impl<'a> Engine<'a> {
 
     /// Congruence: abstract all children.
     fn cong(&mut self, e: &Expr) -> R<Thm> {
-        let kids = kernel_children(e);
+        let kids = e.children();
         let mut thms = Vec::with_capacity(kids.len());
         for k in kids {
             thms.push(self.val(k)?);
@@ -459,25 +426,5 @@ impl<'a> Engine<'a> {
             Some(t) if n == 1 => vec![Some(t)],
             _ => vec![None; n],
         }
-    }
-}
-
-/// Immediate children of an expression (mirrors the kernel's view used by
-/// the congruence rule).
-fn kernel_children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => vec![],
-        Expr::ReadHeap(_, a)
-        | Expr::ReadByte(a)
-        | Expr::IsValid(_, a)
-        | Expr::PtrAligned(_, a)
-        | Expr::NullFree(_, a)
-        | Expr::Field(a, _)
-        | Expr::UnOp(_, a)
-        | Expr::Cast(_, a)
-        | Expr::Proj(_, a) => vec![a],
-        Expr::UpdateField(a, _, b) | Expr::BinOp(_, a, b) | Expr::Index(a, b) => vec![a, b],
-        Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c],
-        Expr::Tuple(es) => es.iter().collect(),
     }
 }

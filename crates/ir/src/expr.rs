@@ -408,6 +408,61 @@ impl Expr {
         found
     }
 
+    /// The immediate subexpressions, in the order [`Expr::with_children`]
+    /// takes them back. This is the one decomposition the kernel's
+    /// congruence rules and every engine share: a congruence step has one
+    /// premise per entry, in this order.
+    #[must_use]
+    pub fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => vec![],
+            Expr::ReadHeap(_, a)
+            | Expr::ReadByte(a)
+            | Expr::IsValid(_, a)
+            | Expr::PtrAligned(_, a)
+            | Expr::NullFree(_, a)
+            | Expr::Field(a, _)
+            | Expr::UnOp(_, a)
+            | Expr::Cast(_, a)
+            | Expr::Proj(_, a) => vec![a],
+            Expr::UpdateField(a, _, b) | Expr::BinOp(_, a, b) | Expr::Index(a, b) => vec![a, b],
+            Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c],
+            Expr::Tuple(es) => es.iter().collect(),
+        }
+    }
+
+    /// Rebuilds this node with new children (same operator, same shape).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `kids` does not hold one expression per
+    /// [`Expr::children`] entry.
+    pub fn with_children(&self, kids: &[Expr]) -> Result<Expr, String> {
+        let expect = self.children().len();
+        if kids.len() != expect {
+            return Err(format!("expected {expect} children, got {}", kids.len()));
+        }
+        let k = |i: usize| IExpr::new(kids[i].clone());
+        Ok(match self {
+            Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => self.clone(),
+            Expr::ReadHeap(t, _) => Expr::ReadHeap(t.clone(), k(0)),
+            Expr::ReadByte(_) => Expr::ReadByte(k(0)),
+            Expr::IsValid(t, _) => Expr::IsValid(t.clone(), k(0)),
+            Expr::PtrAligned(t, _) => Expr::PtrAligned(t.clone(), k(0)),
+            Expr::NullFree(t, _) => Expr::NullFree(t.clone(), k(0)),
+            Expr::Field(_, n) => Expr::Field(k(0), n.clone()),
+            Expr::UnOp(op, _) => Expr::UnOp(*op, k(0)),
+            Expr::Cast(c, _) => Expr::Cast(c.clone(), k(0)),
+            Expr::Proj(i, _) => Expr::Proj(*i, k(0)),
+            Expr::UpdateField(_, n, _) => Expr::UpdateField(k(0), n.clone(), k(1)),
+            Expr::BinOp(op, _, _) => Expr::BinOp(*op, k(0), k(1)),
+            Expr::Index(..) => Expr::Index(k(0), k(1)),
+            Expr::Ite(..) => Expr::Ite(k(0), k(1), k(2)),
+            Expr::ArrUpd(..) => Expr::ArrUpd(k(0), k(1), k(2)),
+            Expr::Tuple(_) => Expr::Tuple(kids.to_vec()),
+        })
+    }
+
     /// Applies `f` to every subexpression (preorder). Shared subterms are
     /// visited once per occurrence (tree semantics, as before interning).
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {

@@ -111,29 +111,48 @@ impl Update {
         }
     }
 
+    /// The contained expressions, in the order [`Update::with_exprs`] takes
+    /// them back (the kernel's `WsModify` has one premise per entry).
+    #[must_use]
+    pub fn exprs(&self) -> Vec<&Expr> {
+        match self {
+            Update::Local(_, e) | Update::Global(_, e) | Update::TagRegion(_, e) => vec![e],
+            Update::Heap(_, p, e) | Update::Byte(p, e) => vec![p, e],
+        }
+    }
+
+    /// Rebuilds the update with new expressions (same target, same shape).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `es` does not hold one expression per [`Update::exprs`]
+    /// entry.
+    pub fn with_exprs(&self, es: &[Expr]) -> Result<Update, String> {
+        let expect = self.exprs().len();
+        if es.len() != expect {
+            return Err(format!("expected {expect} expressions, got {}", es.len()));
+        }
+        Ok(match self {
+            Update::Local(n, _) => Update::Local(n.clone(), es[0].clone()),
+            Update::Global(n, _) => Update::Global(n.clone(), es[0].clone()),
+            Update::TagRegion(t, _) => Update::TagRegion(t.clone(), es[0].clone()),
+            Update::Heap(t, _, _) => Update::Heap(t.clone(), es[0].clone(), es[1].clone()),
+            Update::Byte(_, _) => Update::Byte(es[0].clone(), es[1].clone()),
+        })
+    }
+
     /// The free lambda-bound variables of the contained expressions.
     #[must_use]
     pub fn free_vars(&self) -> std::collections::BTreeSet<String> {
-        match self {
-            Update::Local(_, e) | Update::Global(_, e) | Update::TagRegion(_, e) => e.free_vars(),
-            Update::Heap(_, p, e) | Update::Byte(p, e) => {
-                let mut s = p.free_vars();
-                s.extend(e.free_vars());
-                s
-            }
-        }
+        self.exprs().into_iter().flat_map(Expr::free_vars).collect()
     }
 
     /// Rewrites contained expressions with `f`.
     #[must_use]
     pub fn map_exprs(&self, f: &impl Fn(&Expr) -> Expr) -> Update {
-        match self {
-            Update::Local(n, e) => Update::Local(n.clone(), f(e)),
-            Update::Global(n, e) => Update::Global(n.clone(), f(e)),
-            Update::Heap(t, p, e) => Update::Heap(t.clone(), f(p), f(e)),
-            Update::Byte(p, e) => Update::Byte(f(p), f(e)),
-            Update::TagRegion(t, e) => Update::TagRegion(t.clone(), f(e)),
-        }
+        let es: Vec<Expr> = self.exprs().into_iter().map(f).collect();
+        self.with_exprs(&es)
+            .expect("one rewritten expression per contained expression")
     }
 
     /// Total number of expression AST nodes (for the term-size metric).

@@ -59,6 +59,17 @@ impl AbsFun {
         }
     }
 
+    /// Is the abstraction (recursively) the identity: `id`, or a tuple of
+    /// identities? `WTupleId` collapses such an abstraction to `id`.
+    #[must_use]
+    pub fn is_identity(&self) -> bool {
+        match self {
+            AbsFun::Id => true,
+            AbsFun::Tuple(fs) => fs.iter().all(AbsFun::is_identity),
+            AbsFun::Unat | AbsFun::Sint => false,
+        }
+    }
+
     /// The cast that *undoes* this abstraction on expressions
     /// (`of_nat`/`of_int`), given the concrete word shape.
     #[must_use]

@@ -13,7 +13,7 @@ use ir::update::Update;
 use monadic::Prog;
 
 use crate::judgment::{guarded, Judgment};
-use crate::rules::{children, pre_all, with_children, V};
+use crate::rules::{pre_all, V};
 use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
 
 fn as_hval(j: &Judgment) -> Result<(&Expr, &Expr, &Expr), String> {
@@ -127,7 +127,7 @@ pub(crate) fn validate_val(rule: Rule, prems: &[&Judgment], concl: &Judgment, cx
             ) {
                 return Err("HCong does not apply to heap operators".into());
             }
-            let conc_kids = children(conc);
+            let conc_kids = conc.children();
             if conc_kids.len() != prems.len() {
                 return Err("HCong arity mismatch".into());
             }
@@ -141,7 +141,7 @@ pub(crate) fn validate_val(rule: Rule, prems: &[&Judgment], concl: &Judgment, cx
                 abs_kids.push(pa.clone());
                 pres.push(pp.clone());
             }
-            if *abs != with_children(conc, &abs_kids)? {
+            if *abs != conc.with_children(&abs_kids)? {
                 return Err("HCong abstract side must be the rebuilt operator".into());
             }
             if *pre != pre_all(pres) {
@@ -626,7 +626,9 @@ pub fn h_cong(cx: &CheckCtx, conc: &Expr, kids: Vec<Thm>) -> R {
         abs_kids.push(pa.clone());
         pres.push(pp.clone());
     }
-    let abs = with_children(conc, &abs_kids).map_err(|m| err(Rule::HCong, m))?;
+    let abs = conc
+        .with_children(&abs_kids)
+        .map_err(|m| err(Rule::HCong, m))?;
     Thm::admit(
         Rule::HCong,
         kids,

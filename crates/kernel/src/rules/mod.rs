@@ -5,6 +5,11 @@
 //! the proof checker — and (ii) a public *constructor* that builds the
 //! conclusion from premises and admits the theorem. Constructors are the
 //! only way to obtain a [`Thm`](crate::Thm).
+//!
+//! The congruence rules (`WIdCong`, `HCong`, `WsModify`) split and rebuild
+//! terms with [`Expr::children`]/[`Expr::with_children`] and
+//! [`Update::exprs`](ir::update::Update::exprs)/[`Update::with_exprs`](ir::update::Update::with_exprs),
+//! the decomposition the engines use to order their premises.
 
 pub mod heap;
 pub mod refine;
@@ -56,68 +61,4 @@ pub(crate) fn validate(
 #[must_use]
 pub fn pre_all(pres: impl IntoIterator<Item = Expr>) -> Expr {
     pres.into_iter().fold(Expr::tt(), Expr::and)
-}
-
-// ---- expression skeleton helpers (shared by the congruence rules) --------
-
-/// The immediate subexpressions of `e`.
-pub(crate) fn children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => vec![],
-        Expr::ReadHeap(_, a)
-        | Expr::ReadByte(a)
-        | Expr::IsValid(_, a)
-        | Expr::PtrAligned(_, a)
-        | Expr::NullFree(_, a)
-        | Expr::Field(a, _)
-        | Expr::UnOp(_, a)
-        | Expr::Cast(_, a)
-        | Expr::Proj(_, a) => vec![a],
-        Expr::UpdateField(a, _, b) | Expr::BinOp(_, a, b) | Expr::Index(a, b) => vec![a, b],
-        Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c],
-        Expr::Tuple(es) => es.iter().collect(),
-    }
-}
-
-/// Rebuilds `e` with new children (same shape).
-pub(crate) fn with_children(e: &Expr, kids: &[Expr]) -> Result<Expr, String> {
-    let expect = children(e).len();
-    if kids.len() != expect {
-        return Err(format!("expected {expect} children, got {}", kids.len()));
-    }
-    Ok(match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => e.clone(),
-        Expr::ReadHeap(t, _) => Expr::ReadHeap(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::ReadByte(_) => Expr::ReadByte(ir::intern::Interned::new(kids[0].clone())),
-        Expr::IsValid(t, _) => Expr::IsValid(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::PtrAligned(t, _) => Expr::PtrAligned(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::NullFree(t, _) => Expr::NullFree(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::Field(_, n) => Expr::Field(ir::intern::Interned::new(kids[0].clone()), n.clone()),
-        Expr::UnOp(op, _) => Expr::UnOp(*op, ir::intern::Interned::new(kids[0].clone())),
-        Expr::Cast(k, _) => Expr::Cast(k.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::Proj(i, _) => Expr::Proj(*i, ir::intern::Interned::new(kids[0].clone())),
-        Expr::UpdateField(_, n, _) => Expr::UpdateField(
-            ir::intern::Interned::new(kids[0].clone()),
-            n.clone(),
-            ir::intern::Interned::new(kids[1].clone()),
-        ),
-        Expr::BinOp(op, _, _) => {
-            Expr::BinOp(*op, ir::intern::Interned::new(kids[0].clone()), ir::intern::Interned::new(kids[1].clone()))
-        }
-        Expr::Ite(..) => Expr::Ite(
-            ir::intern::Interned::new(kids[0].clone()),
-            ir::intern::Interned::new(kids[1].clone()),
-            ir::intern::Interned::new(kids[2].clone()),
-        ),
-        Expr::Tuple(_) => Expr::Tuple(kids.to_vec()),
-        Expr::Index(..) => Expr::Index(
-            ir::intern::Interned::new(kids[0].clone()),
-            ir::intern::Interned::new(kids[1].clone()),
-        ),
-        Expr::ArrUpd(..) => Expr::ArrUpd(
-            ir::intern::Interned::new(kids[0].clone()),
-            ir::intern::Interned::new(kids[1].clone()),
-            ir::intern::Interned::new(kids[2].clone()),
-        ),
-    })
 }

@@ -16,7 +16,7 @@ use ir::value::Value;
 use monadic::Prog;
 
 use crate::judgment::{guarded, AbsFun, Judgment, VarCtx};
-use crate::rules::{children, pre_all, with_children, V};
+use crate::rules::{pre_all, V};
 use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
 
 const WIDTHS: [Width; 4] = [Width::W8, Width::W16, Width::W32, Width::W64];
@@ -34,15 +34,6 @@ fn tuple_wrap_expr(fs: &[AbsFun], a: &Expr) -> Option<Expr> {
         });
     }
     Some(Expr::Tuple(comps))
-}
-
-/// Is the abstraction (recursively) the identity?
-fn absfun_id_like(f: &AbsFun) -> bool {
-    match f {
-        AbsFun::Id => true,
-        AbsFun::Tuple(fs) => fs.iter().all(absfun_id_like),
-        _ => false,
-    }
 }
 
 fn as_wval(j: &Judgment) -> Result<(&VarCtx, &Expr, &AbsFun, &Expr, &Expr), String> {
@@ -333,7 +324,7 @@ pub(crate) fn validate_val(
             if *f != AbsFun::Id {
                 return Err("WIdCong concludes id abstraction".into());
             }
-            let conc_kids = children(conc);
+            let conc_kids = conc.children();
             if conc_kids.len() != prems.len() {
                 return Err("WIdCong premise count must match the operator arity".into());
             }
@@ -350,7 +341,7 @@ pub(crate) fn validate_val(
                 abs_kids.push(pa.clone());
                 pres.push(pp.clone());
             }
-            if *abs != with_children(conc, &abs_kids)? {
+            if *abs != conc.with_children(&abs_kids)? {
                 return Err("WIdCong abstract side must be the rebuilt operator".into());
             }
             if *pre != pre_all(pres) {
@@ -435,7 +426,7 @@ pub(crate) fn validate_val(
                 return Err("WTupleId takes one premise".into());
             };
             let (tctx, tp, tf, ta, tc) = as_wval(t)?;
-            if !absfun_id_like(tf) {
+            if !tf.is_identity() {
                 return Err("WTupleId premise must be identity-like".into());
             }
             let (ctx, pre, f, abs, conc) = as_wval(concl)?;
@@ -520,7 +511,7 @@ pub(crate) fn validate_stmt(
             let Prog::Modify(cu) = conc else {
                 return Err("WsModify concrete side must be modify".into());
             };
-            let cu_exprs = update_exprs(cu);
+            let cu_exprs = cu.exprs();
             if prems.len() != cu_exprs.len() {
                 return Err("WsModify premise count mismatch".into());
             }
@@ -537,7 +528,7 @@ pub(crate) fn validate_stmt(
             if *rx != AbsFun::Id {
                 return Err("modify yields unit (rx = id)".into());
             }
-            let au = update_with_exprs(cu, &abs_exprs);
+            let au = cu.with_exprs(&abs_exprs)?;
             let expect = guarded(GuardKind::WordAbs, &pre_all(pres), Prog::Modify(au));
             if *abs == expect {
                 Ok(())
@@ -865,23 +856,6 @@ fn strip_guard(p: &Prog) -> &Prog {
     }
 }
 
-fn update_exprs(u: &Update) -> Vec<&Expr> {
-    match u {
-        Update::Local(_, e) | Update::Global(_, e) | Update::TagRegion(_, e) => vec![e],
-        Update::Heap(_, p, e) | Update::Byte(p, e) => vec![p, e],
-    }
-}
-
-fn update_with_exprs(u: &Update, es: &[Expr]) -> Update {
-    match u {
-        Update::Local(n, _) => Update::Local(n.clone(), es[0].clone()),
-        Update::Global(n, _) => Update::Global(n.clone(), es[0].clone()),
-        Update::TagRegion(t, _) => Update::TagRegion(t.clone(), es[0].clone()),
-        Update::Heap(t, _, _) => Update::Heap(t.clone(), es[0].clone(), es[1].clone()),
-        Update::Byte(_, _) => Update::Byte(es[0].clone(), es[1].clone()),
-    }
-}
-
 // ---- public constructors ---------------------------------------------------
 
 type R = Result<Thm, KernelError>;
@@ -1055,7 +1029,7 @@ pub fn w_id_cong(cx: &CheckCtx, ctx: &VarCtx, conc: &Expr, kids: Vec<Thm>) -> R 
         abs_kids.push(pa.clone());
         pres.push(pp.clone());
     }
-    let abs = with_children(conc, &abs_kids).map_err(|msg| KernelError {
+    let abs = conc.with_children(&abs_kids).map_err(|msg| KernelError {
         rule: Rule::WIdCong,
         msg,
     })?;
@@ -1297,7 +1271,10 @@ pub fn ws_modify(cx: &CheckCtx, ctx: &VarCtx, ex: AbsFun, conc_upd: &Update, kid
         abs_exprs.push(pa.clone());
         pres.push(pp.clone());
     }
-    let au = update_with_exprs(conc_upd, &abs_exprs);
+    let au = conc_upd.with_exprs(&abs_exprs).map_err(|msg| KernelError {
+        rule: Rule::WsModify,
+        msg,
+    })?;
     let concl = Judgment::WStmt {
         ctx: ctx.clone(),
         rx: AbsFun::Id,

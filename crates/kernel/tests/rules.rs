@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use ir::expr::{BinOp, CastKind, Expr};
 use ir::guard::GuardKind;
 use ir::ty::{Ty, Width};
+use ir::update::Update;
 use ir::value::Value;
 use kernel::rules::{heap, refine, word};
 use kernel::semantics::sample_wval;
@@ -152,6 +153,24 @@ fn kernel_rejects_bogus_applications() {
     // SNeg on an unsigned premise.
     let x = word::w_var(&cx, &vctx, "x").unwrap();
     assert!(word::s_neg(&cx, Width::W32, x).is_err());
+}
+
+#[test]
+fn ws_modify_rejects_missing_premises() {
+    // `WsModify` takes one premise per expression of the update; fewer is
+    // a kernel error, not a panic.
+    let cx = CheckCtx::default();
+    let vctx = ctx_with(&[("x", AbsFun::Id)]);
+    let global = Update::Global("g".into(), Expr::var("x"));
+    let err = word::ws_modify(&cx, &vctx, AbsFun::Id, &global, vec![]).unwrap_err();
+    assert_eq!(err.rule, kernel::Rule::WsModify);
+    let heap = Update::Heap(Ty::U32, Expr::var("x"), Expr::var("x"));
+    let x = word::w_var(&cx, &vctx, "x").unwrap();
+    let err = word::ws_modify(&cx, &vctx, AbsFun::Id, &heap, vec![x.clone()]).unwrap_err();
+    assert_eq!(err.rule, kernel::Rule::WsModify);
+    // The full premise list is admitted.
+    let t = word::ws_modify(&cx, &vctx, AbsFun::Id, &heap, vec![x.clone(), x]).unwrap();
+    check(&t, &cx).unwrap();
 }
 
 #[test]

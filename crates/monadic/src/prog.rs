@@ -225,13 +225,7 @@ impl Prog {
     pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
         match self {
             Prog::Return(e) | Prog::Gets(e) | Prog::Throw(e) | Prog::Guard(_, e) => f(e),
-            Prog::Modify(u) => match u {
-                Update::Local(_, e) | Update::Global(_, e) | Update::TagRegion(_, e) => f(e),
-                Update::Heap(_, p, e) | Update::Byte(p, e) => {
-                    f(p);
-                    f(e);
-                }
-            },
+            Prog::Modify(u) => u.exprs().into_iter().for_each(f),
             Prog::Fail => {}
             Prog::Bind(l, _, r) | Prog::BindTuple(l, _, r) | Prog::Catch(l, _, r) => {
                 l.visit_exprs(f);
@@ -318,38 +312,75 @@ impl Prog {
         self.map_exprs(&|e| e.subst_local(name, repl))
     }
 
-    /// The names of all functions this program calls (directly, at any
-    /// nesting depth, including inside `exec_concrete`/`exec_abstract`
-    /// level-mixing markers).
-    pub fn calls_into(&self, out: &mut BTreeSet<String>) {
+    /// Applies `f` to this program and every sub-program (preorder),
+    /// including those under `exec_concrete`/`exec_abstract` markers.
+    pub fn visit(&self, f: &mut impl FnMut(&Prog)) {
+        f(self);
         match self {
             Prog::Return(_)
             | Prog::Gets(_)
             | Prog::Modify(_)
             | Prog::Guard(..)
             | Prog::Throw(_)
-            | Prog::Fail => {}
-            Prog::Bind(l, _, r) | Prog::BindTuple(l, _, r) | Prog::Catch(l, _, r) => {
-                l.calls_into(out);
-                r.calls_into(out);
+            | Prog::Fail
+            | Prog::Call { .. } => {}
+            Prog::Bind(l, _, r)
+            | Prog::BindTuple(l, _, r)
+            | Prog::Catch(l, _, r)
+            | Prog::Condition(_, l, r) => {
+                l.visit(f);
+                r.visit(f);
             }
-            Prog::Condition(_, t, e) => {
-                t.calls_into(out);
-                e.calls_into(out);
+            Prog::While { body: p, .. } | Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => {
+                p.visit(f);
             }
-            Prog::While { body, .. } => body.calls_into(out),
-            Prog::Call { fname, .. } => {
-                out.insert(fname.clone());
-            }
-            Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => p.calls_into(out),
         }
     }
 
-    /// The set of directly called function names.
+    /// Rebuilds the program bottom-up: every sub-program is rewritten
+    /// first, then `f` may replace the rebuilt node (`None` keeps it). The
+    /// replacement is not rewritten again. Expressions and binder names
+    /// are left untouched.
+    #[must_use]
+    pub fn rewrite(&self, f: &impl Fn(&Prog) -> Option<Prog>) -> Prog {
+        let rebuilt = match self {
+            Prog::Bind(l, v, r) => Prog::bind(l.rewrite(f), v.clone(), r.rewrite(f)),
+            Prog::BindTuple(l, vs, r) => Prog::bind_tuple(l.rewrite(f), vs.clone(), r.rewrite(f)),
+            Prog::Catch(l, v, r) => Prog::Catch(
+                IProg::new(l.rewrite(f)),
+                v.clone(),
+                IProg::new(r.rewrite(f)),
+            ),
+            Prog::Condition(c, t, e) => Prog::cond(c.clone(), t.rewrite(f), e.rewrite(f)),
+            Prog::While {
+                vars,
+                cond,
+                body,
+                init,
+            } => Prog::While {
+                vars: vars.clone(),
+                cond: cond.clone(),
+                body: IProg::new(body.rewrite(f)),
+                init: init.clone(),
+            },
+            Prog::ExecConcrete(q) => Prog::ExecConcrete(IProg::new(q.rewrite(f))),
+            Prog::ExecAbstract(q) => Prog::ExecAbstract(IProg::new(q.rewrite(f))),
+            other => other.clone(),
+        };
+        f(&rebuilt).unwrap_or(rebuilt)
+    }
+
+    /// The names of all functions this program calls (directly, at any
+    /// nesting depth, including inside `exec_concrete`/`exec_abstract`
+    /// level-mixing markers).
     #[must_use]
     pub fn calls(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.calls_into(&mut out);
+        self.visit(&mut |p| {
+            if let Prog::Call { fname, .. } = p {
+                out.insert(fname.clone());
+            }
+        });
         out
     }
 

@@ -393,11 +393,12 @@ impl<'a> Wp<'a> {
             }
             _ => {
                 // Generic recursion.
-                let kids: Vec<Expr> = children(e)
+                let kids: Vec<Expr> = e
+                    .children()
                     .into_iter()
                     .map(|k| self.read_over_write(k, ty, p, v, obligations))
                     .collect();
-                with_children(e, &kids)
+                e.with_children(&kids).expect("one rewritten child per child")
             }
         }
     }
@@ -448,61 +449,5 @@ impl<'a> Wp<'a> {
         } else {
             disjoint
         }
-    }
-}
-
-fn children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => vec![],
-        Expr::ReadHeap(_, a)
-        | Expr::ReadByte(a)
-        | Expr::IsValid(_, a)
-        | Expr::PtrAligned(_, a)
-        | Expr::NullFree(_, a)
-        | Expr::Field(a, _)
-        | Expr::UnOp(_, a)
-        | Expr::Cast(_, a)
-        | Expr::Proj(_, a) => vec![a],
-        Expr::UpdateField(a, _, b) | Expr::BinOp(_, a, b) | Expr::Index(a, b) => vec![a, b],
-        Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c],
-        Expr::Tuple(es) => es.iter().collect(),
-    }
-}
-
-fn with_children(e: &Expr, kids: &[Expr]) -> Expr {
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => e.clone(),
-        Expr::ReadHeap(t, _) => Expr::ReadHeap(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::ReadByte(_) => Expr::ReadByte(ir::intern::Interned::new(kids[0].clone())),
-        Expr::IsValid(t, _) => Expr::IsValid(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::PtrAligned(t, _) => Expr::PtrAligned(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::NullFree(t, _) => Expr::NullFree(t.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::Field(_, n) => Expr::Field(ir::intern::Interned::new(kids[0].clone()), n.clone()),
-        Expr::UnOp(op, _) => Expr::UnOp(*op, ir::intern::Interned::new(kids[0].clone())),
-        Expr::Cast(k, _) => Expr::Cast(k.clone(), ir::intern::Interned::new(kids[0].clone())),
-        Expr::Proj(i, _) => Expr::Proj(*i, ir::intern::Interned::new(kids[0].clone())),
-        Expr::UpdateField(_, n, _) => Expr::UpdateField(
-            ir::intern::Interned::new(kids[0].clone()),
-            n.clone(),
-            ir::intern::Interned::new(kids[1].clone()),
-        ),
-        Expr::BinOp(op, _, _) => {
-            Expr::BinOp(*op, ir::intern::Interned::new(kids[0].clone()), ir::intern::Interned::new(kids[1].clone()))
-        }
-        Expr::Ite(..) => Expr::Ite(
-            ir::intern::Interned::new(kids[0].clone()),
-            ir::intern::Interned::new(kids[1].clone()),
-            ir::intern::Interned::new(kids[2].clone()),
-        ),
-        Expr::Tuple(_) => Expr::Tuple(kids.to_vec()),
-        Expr::Index(..) => Expr::Index(
-            ir::intern::Interned::new(kids[0].clone()),
-            ir::intern::Interned::new(kids[1].clone()),
-        ),
-        Expr::ArrUpd(..) => Expr::ArrUpd(
-            ir::intern::Interned::new(kids[0].clone()),
-            ir::intern::Interned::new(kids[1].clone()),
-            ir::intern::Interned::new(kids[2].clone()),
-        ),
     }
 }

@@ -15,6 +15,11 @@
 //! Abstraction is selectable per function ([`WaOptions::abstract_fns`]);
 //! calls from abstracted to non-abstracted functions re-concretise their
 //! arguments with `of_nat`/`of_int` and wrap results in `unat`/`sint`.
+//!
+//! The engine splits terms with the kernel's own decomposition
+//! ([`Expr::children`], [`ir::update::Update::exprs`],
+//! [`AbsFun::is_identity`]), so its `WIdCong`/`WsModify` premises come in
+//! the order the rules expect by construction.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -283,7 +288,7 @@ impl<'a> Engine<'a> {
             (AbsFun::Id, AbsFun::Unat | AbsFun::Sint) => {
                 Ok(wr::w_wrap(self.cx, want.clone(), t)?)
             }
-            (AbsFun::Tuple(fs), AbsFun::Id) if fs.iter().all(absfun_id_like) => {
+            (AbsFun::Tuple(_), AbsFun::Id) if have.is_identity() => {
                 Ok(wr::w_tuple_id(self.cx, t)?)
             }
             (AbsFun::Id, AbsFun::Tuple(fs)) => Ok(wr::w_tuple_wrap(self.cx, fs, t)?),
@@ -433,7 +438,7 @@ impl<'a> Engine<'a> {
     /// Identity congruence: rebuild the operator with id-abstracted
     /// children.
     fn id_cong(&mut self, e: &Expr) -> R<Thm> {
-        let kids = expr_children(e);
+        let kids = e.children();
         if kids.is_empty() {
             // Leaves in id mode.
             return match e {
@@ -483,7 +488,7 @@ impl<'a> Engine<'a> {
             }
             Prog::Modify(u) => {
                 let mut kids = Vec::new();
-                for x in update_exprs(u) {
+                for x in u.exprs() {
                     kids.push(self.val(x, &AbsFun::Id)?);
                 }
                 Ok(wr::ws_modify(self.cx, &self.ctx, AbsFun::Id, u, kids)?)
@@ -727,41 +732,6 @@ impl<'a> Engine<'a> {
             Some(t) if n == 1 => vec![Some(t)],
             _ => vec![None; n],
         }
-    }
-}
-
-/// Is the abstraction (recursively) the identity?
-fn absfun_id_like(f: &AbsFun) -> bool {
-    match f {
-        AbsFun::Id => true,
-        AbsFun::Tuple(fs) => fs.iter().all(absfun_id_like),
-        _ => false,
-    }
-}
-
-fn update_exprs(u: &ir::update::Update) -> Vec<&Expr> {
-    use ir::update::Update;
-    match u {
-        Update::Local(_, e) | Update::Global(_, e) | Update::TagRegion(_, e) => vec![e],
-        Update::Heap(_, p, e) | Update::Byte(p, e) => vec![p, e],
-    }
-}
-
-fn expr_children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Local(_) | Expr::Global(_) => vec![],
-        Expr::ReadHeap(_, a)
-        | Expr::ReadByte(a)
-        | Expr::IsValid(_, a)
-        | Expr::PtrAligned(_, a)
-        | Expr::NullFree(_, a)
-        | Expr::Field(a, _)
-        | Expr::UnOp(_, a)
-        | Expr::Cast(_, a)
-        | Expr::Proj(_, a) => vec![a],
-        Expr::UpdateField(a, _, b) | Expr::BinOp(_, a, b) | Expr::Index(a, b) => vec![a, b],
-        Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c],
-        Expr::Tuple(es) => es.iter().collect(),
     }
 }
 

@@ -47,6 +47,20 @@ if [[ $(grep -c . <<< "$from_row") -ne 1 ]] || ! grep -q '^crates/kernel/src/cod
     echo "$from_row" >&2; exit 1
 fi
 
+# One term decomposition (DESIGN.md §2): the kernel's congruence rules and
+# every engine split terms with `Expr::children`/`with_children` (ir::expr),
+# `Update::exprs`/`with_exprs` (ir::update), `AbsFun::is_identity`
+# (kernel::judgment) and `Prog::rewrite`/`visit` (monadic::prog), so a
+# second child list or a revived private copy fails here.
+if grep -rnF 'Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c]' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/ir/src/expr\.rs:'; then
+    echo "tier1: second Expr child list outside crates/ir/src/expr.rs; use Expr::children" >&2; exit 1
+fi
+if grep -rnE 'fn +(expr_children|kernel_children|update_exprs|update_with_exprs|map_prog|absfun_id_like)\b' \
+    crates/*/src src --include='*.rs'; then
+    echo "tier1: private copy of a shared term decomposition; use the ir/kernel/monadic methods" >&2; exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 

@@ -50,6 +50,10 @@ fn deep_eq(a: &Expr, b: &Expr) -> bool {
             xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| deep_eq(x, y))
         }
         (Expr::Proj(i, e), Expr::Proj(j, f)) => i == j && deep_eq(e, f),
+        (Expr::Index(a, i), Expr::Index(a2, i2)) => deep_eq(a, a2) && deep_eq(i, i2),
+        (Expr::ArrUpd(a, i, v), Expr::ArrUpd(a2, i2, v2)) => {
+            deep_eq(a, a2) && deep_eq(i, i2) && deep_eq(v, v2)
+        }
         _ => false,
     }
 }
@@ -306,6 +310,10 @@ fn check_prog(p: &Prog) {
 // equal pairs (the interesting case for Eq/Hash agreement) actually occur.
 // ---------------------------------------------------------------------------
 
+fn arb_ty() -> BoxedStrategy<Ty> {
+    sample::select(vec![Ty::U32, Ty::U8]).boxed()
+}
+
 fn arb_expr() -> BoxedStrategy<Expr> {
     let leaf = prop_oneof![
         (0u32..4).prop_map(Expr::u32),
@@ -328,8 +336,17 @@ fn arb_expr() -> BoxedStrategy<Expr> {
             inner
                 .clone()
                 .prop_map(|e| Expr::ReadHeap(Ty::U32, IExpr::new(e))),
+            inner.clone().prop_map(|e| Expr::ReadByte(IExpr::new(e))),
+            (arb_ty(), inner.clone()).prop_map(|(t, e)| Expr::IsValid(t, IExpr::new(e))),
+            (arb_ty(), inner.clone()).prop_map(|(t, e)| Expr::PtrAligned(t, IExpr::new(e))),
+            (arb_ty(), inner.clone()).prop_map(|(t, e)| Expr::NullFree(t, IExpr::new(e))),
+            (inner.clone(), "[xy]", inner.clone()).prop_map(|(s, f, v)| {
+                Expr::UpdateField(IExpr::new(s), f, IExpr::new(v))
+            }),
             proptest::collection::vec(inner.clone(), 0..3).prop_map(Expr::Tuple),
-            (0usize..2, inner).prop_map(|(i, e)| Expr::Proj(i, IExpr::new(e))),
+            (0usize..2, inner.clone()).prop_map(|(i, e)| Expr::Proj(i, IExpr::new(e))),
+            (inner.clone(), inner.clone()).prop_map(|(a, i)| Expr::index(a, i)),
+            (inner.clone(), inner.clone(), inner).prop_map(|(a, i, v)| Expr::arr_upd(a, i, v)),
         ]
     })
     .boxed()
@@ -340,7 +357,9 @@ fn arb_update() -> BoxedStrategy<Update> {
     prop_oneof![
         ("[ab]", e.clone()).prop_map(|(n, x)| Update::Local(n, x)),
         ("[gh]", e.clone()).prop_map(|(n, x)| Update::Global(n, x)),
-        (e.clone(), e).prop_map(|(p, x)| Update::Heap(Ty::U32, p, x)),
+        (e.clone(), e.clone()).prop_map(|(p, x)| Update::Heap(Ty::U32, p, x)),
+        (e.clone(), e.clone()).prop_map(|(p, x)| Update::Byte(p, x)),
+        (arb_ty(), e).prop_map(|(t, p)| Update::TagRegion(t, p)),
     ]
 }
 
@@ -357,6 +376,8 @@ fn arb_prog() -> BoxedStrategy<Prog> {
         prop_oneof![
             (inner.clone(), "[vw]", inner.clone())
                 .prop_map(|(l, v, r)| Prog::Bind(IProg::new(l), v, IProg::new(r))),
+            (inner.clone(), proptest::collection::vec("[vw]", 1..3), inner.clone())
+                .prop_map(|(l, vs, r)| Prog::BindTuple(IProg::new(l), vs, IProg::new(r))),
             (arb_expr(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Prog::Condition(
                 c,
                 IProg::new(t),
@@ -373,6 +394,7 @@ fn arb_prog() -> BoxedStrategy<Prog> {
             (inner.clone(), "[vw]", inner.clone())
                 .prop_map(|(l, v, r)| Prog::Catch(IProg::new(l), v, IProg::new(r))),
             inner.clone().prop_map(|p| Prog::ExecConcrete(IProg::new(p))),
+            inner.clone().prop_map(|p| Prog::ExecAbstract(IProg::new(p))),
             ("[fg]", proptest::collection::vec(arb_expr(), 0..3))
                 .prop_map(|(fname, args)| Prog::Call { fname, args }),
         ]
@@ -400,6 +422,44 @@ proptest! {
             prop_assert_eq!(std_hash(&a), std_hash(&b));
         }
         check_prog(&a);
+    }
+
+    /// The shared decomposition round-trips: a node rebuilt from its own
+    /// children is the node, and a child list of another length is refused.
+    #[test]
+    fn expr_with_children_inverts_children(e in arb_expr(), extra in arb_expr()) {
+        let kids: Vec<Expr> = e.children().into_iter().cloned().collect();
+        let rebuilt = e.with_children(&kids).expect("own children have the right arity");
+        prop_assert!(deep_eq(&e, &rebuilt), "round trip changed {:?}", e);
+        prop_assert!(e.with_children(&[kids.as_slice(), &[extra]].concat()).is_err());
+        if let Some((_, fewer)) = kids.split_first() {
+            prop_assert!(e.with_children(fewer).is_err());
+        }
+    }
+
+    /// Same for the expressions of an update.
+    #[test]
+    fn update_with_exprs_inverts_exprs(u in arb_update(), extra in arb_expr()) {
+        let es: Vec<Expr> = u.exprs().into_iter().cloned().collect();
+        let rebuilt = u.with_exprs(&es).expect("own expressions have the right arity");
+        prop_assert!(deep_eq_update(&u, &rebuilt), "round trip changed {:?}", u);
+        prop_assert!(u.with_exprs(&[es.as_slice(), &[extra]].concat()).is_err());
+        prop_assert!(u.with_exprs(&es[1..]).is_err());
+    }
+
+    /// A sub-program rewrite that replaces nothing returns an equal
+    /// program, and offers its callback every node the visitor reaches.
+    #[test]
+    fn prog_rewrite_replacing_nothing_is_identity(p in arb_prog()) {
+        let offered = std::cell::Cell::new(0usize);
+        let same = p.rewrite(&|_| {
+            offered.set(offered.get() + 1);
+            None
+        });
+        prop_assert!(deep_eq_prog(&p, &same), "rewrite changed {:?}", p);
+        let mut visited = 0usize;
+        p.visit(&mut |_| visited += 1);
+        prop_assert_eq!(offered.get(), visited);
     }
 }
 
