@@ -4,10 +4,11 @@
 //! and `kernel::check` replays every rule application bottom-up. This
 //! module attacks that story head-on. Using the kernel's audit-only
 //! `forge` backdoor it mints derivations that are *lies* — a swapped rule
-//! name, a perturbed conclusion, a dropped or reordered premise, zeroed
-//! testing evidence, a renamed symbol on one side of a correspondence —
-//! and asserts the checker rejects **every single one** (a 100%
-//! mutation-kill rate, reported per mutation kind × pipeline phase).
+//! name, a perturbed conclusion, a dropped, extra or reordered premise,
+//! zeroed testing evidence, a renamed symbol on one side of a
+//! correspondence — and asserts the checker rejects **every single one**
+//! (a 100% mutation-kill rate, reported per mutation kind × pipeline
+//! phase).
 //!
 //! Two mutation classes are deliberately *not* in the matrix and covered
 //! elsewhere (DESIGN.md §6c):
@@ -48,6 +49,8 @@ pub enum Mutation {
     PerturbJudgment,
     /// Drop the first premise.
     DropPremise,
+    /// Append a copy of the node itself as an extra premise.
+    AddPremise,
     /// Swap the first two (distinct) premises.
     ReorderPremises,
     /// Zero out randomized-testing evidence (`trials = 0`, or strip the
@@ -64,6 +67,7 @@ pub const MUTATIONS: &[Mutation] = &[
     Mutation::SwapRuleShape,
     Mutation::PerturbJudgment,
     Mutation::DropPremise,
+    Mutation::AddPremise,
     Mutation::ReorderPremises,
     Mutation::ZeroTestEvidence,
     Mutation::CorruptSymbol,
@@ -76,6 +80,7 @@ impl fmt::Display for Mutation {
             Mutation::SwapRuleShape => "swap-rule-shape",
             Mutation::PerturbJudgment => "perturb-judgment",
             Mutation::DropPremise => "drop-premise",
+            Mutation::AddPremise => "add-premise",
             Mutation::ReorderPremises => "reorder-premises",
             Mutation::ZeroTestEvidence => "zero-test-evidence",
             Mutation::CorruptSymbol => "corrupt-symbol",
@@ -277,6 +282,9 @@ fn applicable(thm: &Thm, kind: Mutation) -> bool {
         // excluded by design (covered by the differential oracle).
         Mutation::PerturbJudgment => structural(thm.rule()),
         Mutation::DropPremise => structural(thm.rule()) && !thm.premises().is_empty(),
+        // Every rule fixes its premise count, oracle rules included: an
+        // `ExecTested` leaf with valid theorems hung under it is a lie too.
+        Mutation::AddPremise => true,
         // A premise swap that still validates implies the swapped premise
         // *judgments* were equal (validators destructure positionally), so
         // equal-judgment pairs are no-ops, not mutations.
@@ -347,6 +355,11 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
         }
         Mutation::DropPremise => {
             Some(Thm::forge(thm.rule(), prems[1..].to_vec(), j, side))
+        }
+        Mutation::AddPremise => {
+            let mut prems = prems;
+            prems.push(thm.clone());
+            Some(Thm::forge(thm.rule(), prems, j, side))
         }
         Mutation::ReorderPremises => {
             let mut prems = prems;

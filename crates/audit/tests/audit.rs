@@ -25,6 +25,7 @@ fn mutation_kill_rate_is_total_on_the_signed_mix() {
         Mutation::SwapRuleFamily,
         Mutation::PerturbJudgment,
         Mutation::DropPremise,
+        Mutation::AddPremise,
         Mutation::CorruptSymbol,
     ] {
         assert!(

@@ -2,11 +2,13 @@
 //! by the L2 rewrites.
 
 use ir::expr::Expr;
+use ir::guard::GuardKind;
+use ir::intern::Interned;
 use monadic::Prog;
 use simpl::stmt::SimplStmt;
 
 use crate::judgment::Judgment;
-use crate::rules::V;
+use crate::rules::{premises, Concl};
 use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
 
 fn as_l1(j: &Judgment) -> Result<(&Prog, &SimplStmt), String> {
@@ -23,15 +25,55 @@ fn as_refines(j: &Judgment) -> Result<(&Prog, &Prog), String> {
     }
 }
 
-/// The canonical L1 image of a Simpl statement given the images of its
-/// sub-statements (the content of Table 1).
-fn l1_image(simpl: &SimplStmt, sub: &[&Prog]) -> Result<Prog, String> {
-    let arity = sub_stmts(simpl).len();
-    if sub.len() != arity {
-        return Err(format!(
-            "statement has {arity} sub-statements, got {} premises",
-            sub.len()
-        ));
+/// The Table 1 rule for a statement's shape.
+fn l1_rule(simpl: &SimplStmt) -> Rule {
+    match simpl {
+        SimplStmt::Skip => Rule::L1Skip,
+        SimplStmt::Basic(_) => Rule::L1Basic,
+        SimplStmt::Seq(..) => Rule::L1Seq,
+        SimplStmt::Cond(..) => Rule::L1Cond,
+        SimplStmt::While(..) => Rule::L1While,
+        SimplStmt::Guard(..) => Rule::L1Guard,
+        SimplStmt::Throw => Rule::L1Throw,
+        SimplStmt::TryCatch(..) => Rule::L1Catch,
+        SimplStmt::Call { .. } => Rule::L1Call,
+    }
+}
+
+fn sub_stmts(simpl: &SimplStmt) -> Vec<&SimplStmt> {
+    match simpl {
+        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => vec![a, b],
+        SimplStmt::Cond(_, a, b) => vec![a, b],
+        SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => vec![b],
+        _ => vec![],
+    }
+}
+
+// ---- conclusion functions --------------------------------------------------
+//
+// One per rule (the nine L1 rules share one): premises and parameters in,
+// side conditions checked, conclusion out. The public constructors below
+// apply them through `Thm::infer`; `rules::validate` recomputes them.
+
+/// `L1Skip` … `L1Call`: the canonical L1 image of `simpl` (the content of
+/// Table 1), given `l1corres` premises for its sub-statements in order.
+/// The statement is the rule's parameter, so this returns the monadic
+/// program only; `l1_concl` pairs the two.
+pub(super) fn l1_prog(prems: &[&Judgment], rule: Rule, simpl: &SimplStmt) -> Result<Prog, String> {
+    if rule != l1_rule(simpl) {
+        return Err(format!("rule {rule:?} does not apply to this statement"));
+    }
+    let subs = sub_stmts(simpl);
+    if prems.len() != subs.len() {
+        return Err("premise count must match sub-statement count".into());
+    }
+    let mut sub = Vec::with_capacity(subs.len());
+    for (p, s) in prems.iter().zip(subs) {
+        let (pp, ps) = as_l1(p)?;
+        if ps != s {
+            return Err("premise Simpl side must be the sub-statement".into());
+        }
+        sub.push(pp);
     }
     Ok(match simpl {
         SimplStmt::Skip => Prog::skip(),
@@ -41,15 +83,15 @@ fn l1_image(simpl: &SimplStmt, sub: &[&Prog]) -> Result<Prog, String> {
         SimplStmt::While(c, _) => Prog::While {
             vars: vec!["_".to_owned()],
             cond: c.clone(),
-            body: ir::intern::Interned::new(Prog::then(sub[0].clone(), Prog::skip())),
+            body: Interned::new(Prog::then(sub[0].clone(), Prog::skip())),
             init: vec![Expr::unit()],
         },
         SimplStmt::Guard(k, g, _) => Prog::then(Prog::Guard(k.clone(), g.clone()), sub[0].clone()),
         SimplStmt::Throw => Prog::Throw(Expr::unit()),
         SimplStmt::TryCatch(..) => Prog::Catch(
-            ir::intern::Interned::new(sub[0].clone()),
+            Interned::new(sub[0].clone()),
             "_".to_owned(),
-            ir::intern::Interned::new(sub[1].clone()),
+            Interned::new(sub[1].clone()),
         ),
         SimplStmt::Call {
             fname,
@@ -72,205 +114,147 @@ fn l1_image(simpl: &SimplStmt, sub: &[&Prog]) -> Result<Prog, String> {
     })
 }
 
-fn sub_stmts(simpl: &SimplStmt) -> Vec<&SimplStmt> {
-    match simpl {
-        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => vec![a, b],
-        SimplStmt::Cond(_, a, b) => vec![a, b],
-        SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => vec![b],
-        _ => vec![],
-    }
+/// The L1 rules' conclusion: `simpl` and its image.
+fn l1_concl(prems: &[&Judgment], rule: Rule, simpl: &SimplStmt) -> Concl {
+    Ok(Judgment::L1 {
+        prog: l1_prog(prems, rule, simpl)?,
+        simpl: simpl.clone(),
+    })
 }
 
-/// Validates an L1 rule.
-pub(crate) fn validate_l1(rule: Rule, prems: &[&Judgment], concl: &Judgment) -> V {
-    let (prog, simpl) = as_l1(concl)?;
-    // Check the rule applies to this statement shape.
-    let shape_ok = matches!(
-        (rule, simpl),
-        (Rule::L1Skip, SimplStmt::Skip)
-            | (Rule::L1Basic, SimplStmt::Basic(_))
-            | (Rule::L1Seq, SimplStmt::Seq(..))
-            | (Rule::L1Cond, SimplStmt::Cond(..))
-            | (Rule::L1While, SimplStmt::While(..))
-            | (Rule::L1Guard, SimplStmt::Guard(..))
-            | (Rule::L1Throw, SimplStmt::Throw)
-            | (Rule::L1Catch, SimplStmt::TryCatch(..))
-            | (Rule::L1Call, SimplStmt::Call { .. })
-    );
-    if !shape_ok {
-        return Err(format!("rule {rule:?} does not apply to this statement"));
-    }
-    let subs = sub_stmts(simpl);
-    if prems.len() != subs.len() {
-        return Err("premise count must match sub-statement count".into());
-    }
-    let mut sub_progs = Vec::new();
-    for (p, s) in prems.iter().zip(&subs) {
-        let (pp, ps) = as_l1(p)?;
-        if ps != *s {
-            return Err("premise Simpl side must be the sub-statement".into());
-        }
-        sub_progs.push(pp);
-    }
-    let expect = l1_image(simpl, &sub_progs)?;
-    if *prog == expect {
-        Ok(())
-    } else {
-        Err("monadic side is not the canonical L1 image".into())
-    }
+/// `ReflRefines`: `p` refines itself.
+pub(super) fn refl(prems: &[&Judgment], p: &Prog) -> Concl {
+    let [] = premises(prems)?;
+    Ok(Judgment::Refines {
+        abs: p.clone(),
+        conc: p.clone(),
+    })
 }
 
-/// Validates a monadic refinement rule.
-pub(crate) fn validate_refines(
-    rule: Rule,
-    prems: &[&Judgment],
-    concl: &Judgment,
-    side: &Side,
-) -> V {
-    let (abs, conc) = as_refines(concl)?;
-    match rule {
-        Rule::ReflRefines => {
-            if prems.is_empty() && abs == conc {
-                Ok(())
-            } else {
-                Err("reflexivity requires identical sides".into())
-            }
-        }
-        Rule::TransRefines => {
-            let [a, b] = prems else {
-                return Err("transitivity takes two premises".into());
-            };
-            let (a1, a2) = as_refines(a)?;
-            let (b1, b2) = as_refines(b)?;
-            if a2 == b1 && abs == a1 && conc == b2 {
-                Ok(())
-            } else {
-                Err("transitivity sides do not chain".into())
-            }
-        }
-        Rule::BindCong => {
-            let [l, r] = prems else {
-                return Err("bind congruence takes two premises".into());
-            };
-            let (la, lc) = as_refines(l)?;
-            let (ra, rc) = as_refines(r)?;
-            let (Prog::Bind(aa, v, ab), Prog::Bind(ca, v2, cb)) = (abs, conc) else {
-                return Err("bind congruence relates binds".into());
-            };
-            if v == v2 && **aa == *la && **ca == *lc && **ab == *ra && **cb == *rc {
-                Ok(())
-            } else {
-                Err("bind congruence components mismatch".into())
-            }
-        }
-        Rule::CondCong => {
-            let [t, e] = prems else {
-                return Err("condition congruence takes two premises".into());
-            };
-            let (ta, tc) = as_refines(t)?;
-            let (ea, ec) = as_refines(e)?;
-            let (Prog::Condition(ac, at, ae), Prog::Condition(cc, ct, ce)) = (abs, conc) else {
-                return Err("condition congruence relates conditions".into());
-            };
-            if ac == cc && **at == *ta && **ct == *tc && **ae == *ea && **ce == *ec {
-                Ok(())
-            } else {
-                Err("condition congruence components mismatch".into())
-            }
-        }
-        Rule::CatchCong => {
-            let [l, r] = prems else {
-                return Err("catch congruence takes two premises".into());
-            };
-            let (la, lc) = as_refines(l)?;
-            let (ra, rc) = as_refines(r)?;
-            let (Prog::Catch(aa, v, ab), Prog::Catch(ca, v2, cb)) = (abs, conc) else {
-                return Err("catch congruence relates catches".into());
-            };
-            if v == v2 && **aa == *la && **ca == *lc && **ab == *ra && **cb == *rc {
-                Ok(())
-            } else {
-                Err("catch congruence components mismatch".into())
-            }
-        }
-        Rule::WhileCong => {
-            let [b] = prems else {
-                return Err("while congruence takes a body premise".into());
-            };
-            let (ba, bc) = as_refines(b)?;
-            let (
-                Prog::While {
-                    vars: av,
-                    cond: ac,
-                    body: ab,
-                    init: ai,
-                },
-                Prog::While {
-                    vars: cv,
-                    cond: cc,
-                    body: cb,
-                    init: ci,
-                },
-            ) = (abs, conc)
-            else {
-                return Err("while congruence relates loops".into());
-            };
-            if av == cv && ac == cc && ai == ci && **ab == *ba && **cb == *bc {
-                Ok(())
-            } else {
-                Err("while congruence components mismatch".into())
-            }
-        }
-        Rule::DischargeGuard => {
-            // conc = guard g with g provably true; abs = skip.
-            let Prog::Guard(_, g) = conc else {
-                return Err("guard discharge applies to guards".into());
-            };
-            if *abs != Prog::skip() {
-                return Err("guard discharge concludes skip".into());
-            }
-            if solver::simplify::simplify(g).is_true_lit() {
-                Ok(())
-            } else {
-                Err(format!("simplifier cannot prove guard `{g}`"))
-            }
-        }
-        Rule::ExecTested => match side {
-            Side::Tested { trials, .. } if *trials > 0 => Ok(()),
-            _ => Err("ExecTested requires recorded testing evidence".into()),
-        },
-        other => Err(format!("not a refinement rule: {other:?}")),
+/// `TransRefines`: the premises chain through their shared middle program.
+pub(super) fn trans(prems: &[&Judgment]) -> Concl {
+    let [a, b] = premises(prems)?;
+    let (a1, a2) = as_refines(a)?;
+    let (b1, b2) = as_refines(b)?;
+    if a2 != b1 {
+        return Err("transitivity sides do not chain".into());
     }
+    Ok(Judgment::Refines {
+        abs: a1.clone(),
+        conc: b2.clone(),
+    })
 }
 
-/// Validates an abstract-interpretation guard discharge: the recorded
-/// hypothesis must entail the guard by interval reasoning alone. The
-/// judgment is self-contained, so replay needs nothing from the engine
-/// that produced it.
-pub(crate) fn validate_absint(prems: &[&Judgment], concl: &Judgment) -> V {
-    let Judgment::AbsGuard { hyp, guard, .. } = concl else {
-        return Err(format!("expected abs_guard, got {}", concl.describe()));
+/// `BindCong`: congruence under `bind` with bound variable `v`.
+pub(super) fn bind(prems: &[&Judgment], v: &str) -> Concl {
+    let [l, r] = premises(prems)?;
+    let (la, lc) = as_refines(l)?;
+    let (ra, rc) = as_refines(r)?;
+    Ok(Judgment::Refines {
+        abs: Prog::bind(la.clone(), v, ra.clone()),
+        conc: Prog::bind(lc.clone(), v, rc.clone()),
+    })
+}
+
+/// `CondCong`: congruence under `condition c`.
+pub(super) fn cond(prems: &[&Judgment], c: &Expr) -> Concl {
+    let [t, e] = premises(prems)?;
+    let (ta, tc) = as_refines(t)?;
+    let (ea, ec) = as_refines(e)?;
+    Ok(Judgment::Refines {
+        abs: Prog::cond(c.clone(), ta.clone(), ea.clone()),
+        conc: Prog::cond(c.clone(), tc.clone(), ec.clone()),
+    })
+}
+
+/// `CatchCong`: congruence under `catch` with handler variable `v`.
+pub(super) fn catch(prems: &[&Judgment], v: &str) -> Concl {
+    let [l, r] = premises(prems)?;
+    let (la, lc) = as_refines(l)?;
+    let (ra, rc) = as_refines(r)?;
+    let catch = |l: &Prog, r: &Prog| {
+        Prog::Catch(
+            Interned::new(l.clone()),
+            v.to_owned(),
+            Interned::new(r.clone()),
+        )
     };
-    if !prems.is_empty() {
-        return Err("absint discharge is a leaf rule".into());
+    Ok(Judgment::Refines {
+        abs: catch(la, ra),
+        conc: catch(lc, rc),
+    })
+}
+
+/// `WhileCong`: congruence under `whileLoop` with the same iterators,
+/// condition and initialisers.
+pub(super) fn while_loop(
+    prems: &[&Judgment],
+    vars: &[String],
+    cond: &Expr,
+    init: &[Expr],
+) -> Concl {
+    let [b] = premises(prems)?;
+    let (ba, bc) = as_refines(b)?;
+    let with_body = |body: &Prog| Prog::While {
+        vars: vars.to_vec(),
+        cond: cond.clone(),
+        body: Interned::new(body.clone()),
+        init: init.to_vec(),
+    };
+    Ok(Judgment::Refines {
+        abs: with_body(ba),
+        conc: with_body(bc),
+    })
+}
+
+/// `DischargeGuard`: `skip` refines a guard the simplifier proves true.
+pub(super) fn discharge(prems: &[&Judgment], conc: &Prog) -> Concl {
+    let [] = premises(prems)?;
+    let Prog::Guard(_, g) = conc else {
+        return Err("guard discharge applies to guards".into());
+    };
+    if !solver::simplify::simplify(g).is_true_lit() {
+        return Err(format!("simplifier cannot prove guard `{g}`"));
     }
-    if solver::interval::entails(hyp, guard) {
-        Ok(())
-    } else {
-        Err(format!("interval reasoning cannot derive `{guard}` from `{hyp}`"))
+    Ok(Judgment::Refines {
+        abs: Prog::skip(),
+        conc: conc.clone(),
+    })
+}
+
+/// `AbsintDischarge`: `hyp ⟹ guard` when interval reasoning alone derives
+/// it (the judgment is self-contained, so replay needs nothing from the
+/// analysis that produced it).
+pub(super) fn absint(prems: &[&Judgment], hyp: &Expr, kind: &GuardKind, guard: &Expr) -> Concl {
+    let [] = premises(prems)?;
+    if !solver::interval::entails(hyp, guard) {
+        return Err(format!(
+            "interval reasoning cannot derive `{guard}` from `{hyp}`"
+        ));
     }
+    Ok(Judgment::AbsGuard {
+        hyp: hyp.clone(),
+        kind: kind.clone(),
+        guard: guard.clone(),
+    })
+}
+
+/// `ExecTested`: `abs` refines `conc` on the testing evidence `side`
+/// records, which must be at least one trial.
+pub(super) fn tested(prems: &[&Judgment], abs: &Prog, conc: &Prog, side: &Side) -> Concl {
+    let [] = premises(prems)?;
+    if !matches!(side, Side::Tested { trials, .. } if *trials > 0) {
+        return Err("ExecTested requires recorded testing evidence".into());
+    }
+    Ok(Judgment::Refines {
+        abs: abs.clone(),
+        conc: conc.clone(),
+    })
 }
 
 // ---- public constructors ---------------------------------------------------
 
 type R = Result<Thm, KernelError>;
-
-fn err(rule: Rule, msg: impl Into<String>) -> KernelError {
-    KernelError {
-        rule,
-        msg: msg.into(),
-    }
-}
 
 /// L1 translation of one Simpl statement given premises for its
 /// sub-statements; picks the matching Table 1 rule.
@@ -278,34 +262,9 @@ fn err(rule: Rule, msg: impl Into<String>) -> KernelError {
 /// # Errors
 ///
 /// Fails when the premises do not match the statement's children.
-pub fn l1(cx: &CheckCtx, simpl: &SimplStmt, subs: Vec<Thm>) -> R {
-    let rule = match simpl {
-        SimplStmt::Skip => Rule::L1Skip,
-        SimplStmt::Basic(_) => Rule::L1Basic,
-        SimplStmt::Seq(..) => Rule::L1Seq,
-        SimplStmt::Cond(..) => Rule::L1Cond,
-        SimplStmt::While(..) => Rule::L1While,
-        SimplStmt::Guard(..) => Rule::L1Guard,
-        SimplStmt::Throw => Rule::L1Throw,
-        SimplStmt::TryCatch(..) => Rule::L1Catch,
-        SimplStmt::Call { .. } => Rule::L1Call,
-    };
-    let sub_progs: Vec<&Prog> = subs
-        .iter()
-        .map(|t| as_l1(t.judgment()).map(|(p, _)| p))
-        .collect::<Result<_, _>>()
-        .map_err(|m| err(rule, m))?;
-    let prog = l1_image(simpl, &sub_progs).map_err(|m| err(rule, m))?;
-    Thm::admit(
-        rule,
-        subs,
-        Judgment::L1 {
-            prog,
-            simpl: simpl.clone(),
-        },
-        Side::None,
-        cx,
-    )
+pub fn l1(_cx: &CheckCtx, simpl: &SimplStmt, subs: Vec<Thm>) -> R {
+    let rule = l1_rule(simpl);
+    Thm::infer(rule, subs, Side::None, |p| l1_concl(p, rule, simpl))
 }
 
 /// Reflexivity.
@@ -313,17 +272,8 @@ pub fn l1(cx: &CheckCtx, simpl: &SimplStmt, subs: Vec<Thm>) -> R {
 /// # Errors
 ///
 /// Infallible in practice.
-pub fn refines_refl(cx: &CheckCtx, p: &Prog) -> R {
-    Thm::admit(
-        Rule::ReflRefines,
-        vec![],
-        Judgment::Refines {
-            abs: p.clone(),
-            conc: p.clone(),
-        },
-        Side::None,
-        cx,
-    )
+pub fn refines_refl(_cx: &CheckCtx, p: &Prog) -> R {
+    Thm::infer(Rule::ReflRefines, vec![], Side::None, |ps| refl(ps, p))
 }
 
 /// Transitivity.
@@ -331,14 +281,8 @@ pub fn refines_refl(cx: &CheckCtx, p: &Prog) -> R {
 /// # Errors
 ///
 /// Fails when the middle programs differ.
-pub fn refines_trans(cx: &CheckCtx, a: Thm, b: Thm) -> R {
-    let (a1, _) = as_refines(a.judgment()).map_err(|m| err(Rule::TransRefines, m))?;
-    let (_, b2) = as_refines(b.judgment()).map_err(|m| err(Rule::TransRefines, m))?;
-    let concl = Judgment::Refines {
-        abs: a1.clone(),
-        conc: b2.clone(),
-    };
-    Thm::admit(Rule::TransRefines, vec![a, b], concl, Side::None, cx)
+pub fn refines_trans(_cx: &CheckCtx, a: Thm, b: Thm) -> R {
+    Thm::infer(Rule::TransRefines, vec![a, b], Side::None, trans)
 }
 
 /// Congruence under `bind`.
@@ -346,14 +290,8 @@ pub fn refines_trans(cx: &CheckCtx, a: Thm, b: Thm) -> R {
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn bind_cong(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
-    let (la, lc) = as_refines(l.judgment()).map_err(|m| err(Rule::BindCong, m))?;
-    let (ra, rc) = as_refines(r.judgment()).map_err(|m| err(Rule::BindCong, m))?;
-    let concl = Judgment::Refines {
-        abs: Prog::bind(la.clone(), v, ra.clone()),
-        conc: Prog::bind(lc.clone(), v, rc.clone()),
-    };
-    Thm::admit(Rule::BindCong, vec![l, r], concl, Side::None, cx)
+pub fn bind_cong(_cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
+    Thm::infer(Rule::BindCong, vec![l, r], Side::None, |p| bind(p, v))
 }
 
 /// Congruence under `condition` (same condition).
@@ -361,14 +299,8 @@ pub fn bind_cong(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn cond_cong(cx: &CheckCtx, c: &Expr, t: Thm, e: Thm) -> R {
-    let (ta, tc) = as_refines(t.judgment()).map_err(|m| err(Rule::CondCong, m))?;
-    let (ea, ec) = as_refines(e.judgment()).map_err(|m| err(Rule::CondCong, m))?;
-    let concl = Judgment::Refines {
-        abs: Prog::cond(c.clone(), ta.clone(), ea.clone()),
-        conc: Prog::cond(c.clone(), tc.clone(), ec.clone()),
-    };
-    Thm::admit(Rule::CondCong, vec![t, e], concl, Side::None, cx)
+pub fn cond_cong(_cx: &CheckCtx, c: &Expr, t: Thm, e: Thm) -> R {
+    Thm::infer(Rule::CondCong, vec![t, e], Side::None, |p| cond(p, c))
 }
 
 /// Congruence under `catch`.
@@ -376,14 +308,8 @@ pub fn cond_cong(cx: &CheckCtx, c: &Expr, t: Thm, e: Thm) -> R {
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn catch_cong(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
-    let (la, lc) = as_refines(l.judgment()).map_err(|m| err(Rule::CatchCong, m))?;
-    let (ra, rc) = as_refines(r.judgment()).map_err(|m| err(Rule::CatchCong, m))?;
-    let concl = Judgment::Refines {
-        abs: Prog::Catch(ir::intern::Interned::new(la.clone()), v.to_owned(), ir::intern::Interned::new(ra.clone())),
-        conc: Prog::Catch(ir::intern::Interned::new(lc.clone()), v.to_owned(), ir::intern::Interned::new(rc.clone())),
-    };
-    Thm::admit(Rule::CatchCong, vec![l, r], concl, Side::None, cx)
+pub fn catch_cong(_cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
+    Thm::infer(Rule::CatchCong, vec![l, r], Side::None, |p| catch(p, v))
 }
 
 /// Congruence under `whileLoop` (same condition/initialisers).
@@ -391,29 +317,10 @@ pub fn catch_cong(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn while_cong(
-    cx: &CheckCtx,
-    vars: &[String],
-    cond: &Expr,
-    init: &[Expr],
-    body: Thm,
-) -> R {
-    let (ba, bc) = as_refines(body.judgment()).map_err(|m| err(Rule::WhileCong, m))?;
-    let concl = Judgment::Refines {
-        abs: Prog::While {
-            vars: vars.to_vec(),
-            cond: cond.clone(),
-            body: ir::intern::Interned::new(ba.clone()),
-            init: init.to_vec(),
-        },
-        conc: Prog::While {
-            vars: vars.to_vec(),
-            cond: cond.clone(),
-            body: ir::intern::Interned::new(bc.clone()),
-            init: init.to_vec(),
-        },
-    };
-    Thm::admit(Rule::WhileCong, vec![body], concl, Side::None, cx)
+pub fn while_cong(_cx: &CheckCtx, vars: &[String], cond: &Expr, init: &[Expr], body: Thm) -> R {
+    Thm::infer(Rule::WhileCong, vec![body], Side::None, |p| {
+        while_loop(p, vars, cond, init)
+    })
 }
 
 /// Guard discharge: the simplifier proves the guard condition.
@@ -421,17 +328,10 @@ pub fn while_cong(
 /// # Errors
 ///
 /// Fails when the simplifier cannot reduce the guard to `true`.
-pub fn discharge_guard(cx: &CheckCtx, conc: &Prog) -> R {
-    Thm::admit(
-        Rule::DischargeGuard,
-        vec![],
-        Judgment::Refines {
-            abs: Prog::skip(),
-            conc: conc.clone(),
-        },
-        Side::None,
-        cx,
-    )
+pub fn discharge_guard(_cx: &CheckCtx, conc: &Prog) -> R {
+    Thm::infer(Rule::DischargeGuard, vec![], Side::None, |p| {
+        discharge(p, conc)
+    })
 }
 
 /// Abstract-interpretation guard discharge: admits `hyp ⟹ guard` when
@@ -442,18 +342,10 @@ pub fn discharge_guard(cx: &CheckCtx, conc: &Prog) -> R {
 ///
 /// Fails when interval reasoning cannot derive the guard from the
 /// hypothesis.
-pub fn absint_discharge(cx: &CheckCtx, hyp: &Expr, kind: ir::guard::GuardKind, guard: &Expr) -> R {
-    Thm::admit(
-        Rule::AbsintDischarge,
-        vec![],
-        Judgment::AbsGuard {
-            hyp: hyp.clone(),
-            kind,
-            guard: guard.clone(),
-        },
-        Side::None,
-        cx,
-    )
+pub fn absint_discharge(_cx: &CheckCtx, hyp: &Expr, kind: GuardKind, guard: &Expr) -> R {
+    Thm::infer(Rule::AbsintDischarge, vec![], Side::None, |p| {
+        absint(p, hyp, &kind, guard)
+    })
 }
 
 /// Refinement admitted after randomized differential testing: runs
@@ -464,22 +356,19 @@ pub fn absint_discharge(cx: &CheckCtx, hyp: &Expr, kind: ir::guard::GuardKind, g
 ///
 /// Fails when a trial finds a violation.
 pub fn exec_tested(
-    cx: &CheckCtx,
+    _cx: &CheckCtx,
     abs: &Prog,
     conc: &Prog,
     trials: u32,
     seed: u64,
     validate: impl FnOnce() -> Result<(), ir::diag::Diag>,
 ) -> R {
-    validate().map_err(|d| err(Rule::ExecTested, d.message))?;
-    Thm::admit(
-        Rule::ExecTested,
-        vec![],
-        Judgment::Refines {
-            abs: abs.clone(),
-            conc: conc.clone(),
-        },
-        Side::Tested { trials, seed },
-        cx,
-    )
+    validate().map_err(|d| KernelError {
+        rule: Rule::ExecTested,
+        msg: d.message,
+    })?;
+    let side = Side::Tested { trials, seed };
+    Thm::infer(Rule::ExecTested, vec![], side.clone(), |p| {
+        tested(p, abs, conc, &side)
+    })
 }

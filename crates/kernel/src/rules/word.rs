@@ -10,16 +10,15 @@ use std::collections::BTreeMap;
 use bignum::{Int, Nat};
 use ir::expr::{BinOp, CastKind, Expr, UnOp};
 use ir::guard::GuardKind;
+use ir::names::Symbol;
 use ir::ty::{Signedness, Ty, Width};
 use ir::update::Update;
 use ir::value::Value;
 use monadic::Prog;
 
 use crate::judgment::{guarded, AbsFun, Judgment, VarCtx};
-use crate::rules::{pre_all, V};
+use crate::rules::{pre_all, premises, Concl};
 use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
-
-const WIDTHS: [Width; 4] = [Width::W8, Width::W16, Width::W32, Width::W64];
 
 /// `(wrap₀ (π0 a), …, wrapₙ (πn a))` for componentwise wraps.
 fn tuple_wrap_expr(fs: &[AbsFun], a: &Expr) -> Option<Expr> {
@@ -38,16 +37,38 @@ fn tuple_wrap_expr(fs: &[AbsFun], a: &Expr) -> Option<Expr> {
 
 fn as_wval(j: &Judgment) -> Result<(&VarCtx, &Expr, &AbsFun, &Expr, &Expr), String> {
     match j {
-        Judgment::WVal { ctx, pre, f, abs, conc } => Ok((ctx, pre, f, abs, conc)),
+        Judgment::WVal {
+            ctx,
+            pre,
+            f,
+            abs,
+            conc,
+        } => Ok((ctx, pre, f, abs, conc)),
         other => Err(format!("expected abs_w_val, got {}", other.describe())),
     }
 }
 
 fn as_wstmt(j: &Judgment) -> Result<(&VarCtx, &AbsFun, &AbsFun, &Prog, &Prog), String> {
     match j {
-        Judgment::WStmt { ctx, rx, ex, abs, conc } => Ok((ctx, rx, ex, abs, conc)),
+        Judgment::WStmt {
+            ctx,
+            rx,
+            ex,
+            abs,
+            conc,
+        } => Ok((ctx, rx, ex, abs, conc)),
         other => Err(format!("expected abs_w_stmt, got {}", other.describe())),
     }
+}
+
+/// `ctx` with `binds` added: the context a continuation, handler or loop
+/// body sees.
+fn extend<'a>(ctx: &VarCtx, binds: impl IntoIterator<Item = (&'a str, &'a AbsFun)>) -> VarCtx {
+    let mut ctx = ctx.clone();
+    for (v, f) in binds {
+        ctx.insert(v.to_owned(), f.clone());
+    }
+    ctx
 }
 
 /// `UINT_MAX` for a width, as a nat literal expression.
@@ -57,10 +78,9 @@ fn nat_max(w: Width) -> Expr {
 
 /// `INT_MIN ≤ t ∧ t ≤ INT_MAX` for a width.
 fn in_range(t: Expr, w: Width) -> Expr {
-    let min = Expr::int(-Int::from_nat(Nat::pow2(w.bits() - 1)));
     let max = Expr::int(Int::from_nat(Nat::pow2(w.bits() - 1)) - Int::one());
     Expr::and(
-        Expr::binop(BinOp::Le, min, t.clone()),
+        Expr::binop(BinOp::Le, int_min_lit(w), t.clone()),
         Expr::binop(BinOp::Le, t, max),
     )
 }
@@ -78,16 +98,46 @@ fn weaken(c: &Expr, p: &Expr) -> Expr {
     }
 }
 
-/// Builds the conclusion of a binary arithmetic rule for one width.
-#[allow(clippy::too_many_lines)]
-fn arith_conclusion(
-    rule: Rule,
-    w: Width,
-    a: &Judgment,
-    b: Option<&Judgment>,
-) -> Result<Judgment, String> {
-    let (ctx, pa, fa, aa, ac) = as_wval(a)?;
+// ---- conclusion functions --------------------------------------------------
+//
+// One per rule (the arithmetic and the value-statement families share one):
+// premises and parameters in, side conditions checked, conclusion out. The
+// public constructors below apply them through `Thm::infer`; `rules::validate`
+// recomputes them.
+
+/// `WVar`: `abs_w_val True f v v`, with `f` the context's abstraction of
+/// `v` (`id` when absent: variables outside the context are not
+/// abstracted).
+pub(super) fn var(prems: &[&Judgment], ctx: &VarCtx, name: Symbol) -> Concl {
+    let [] = premises(prems)?;
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: Expr::tt(),
+        f: ctx.get(name.as_str()).cloned().unwrap_or(AbsFun::Id),
+        abs: Expr::Var(name),
+        conc: Expr::Var(name),
+    })
+}
+
+/// `WLit`: `abs_w_val True f (f v) v`.
+pub(super) fn lit(prems: &[&Judgment], ctx: &VarCtx, f: &AbsFun, v: &Value) -> Concl {
+    let [] = premises(prems)?;
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: Expr::tt(),
+        f: f.clone(),
+        abs: Expr::Lit(f.apply(v)?),
+        conc: Expr::Lit(v.clone()),
+    })
+}
+
+/// The arithmetic rules (`WSum` … `SMod`, `SNeg`) at width `w`: the
+/// operator on the abstract sides, under the premises' preconditions and
+/// the rule's overflow condition.
+pub(super) fn arith(prems: &[&Judgment], rule: Rule, w: Width) -> Concl {
     if rule == Rule::SNeg {
+        let [a] = premises(prems)?;
+        let (ctx, pa, fa, aa, ac) = as_wval(a)?;
         if *fa != AbsFun::Sint {
             return Err("SNeg premise must be sint".into());
         }
@@ -102,7 +152,8 @@ fn arith_conclusion(
             conc: Expr::unop(UnOp::Neg, ac.clone()),
         });
     }
-    let b = b.ok_or_else(|| "binary rule needs two premises".to_string())?;
+    let [a, b] = premises(prems)?;
+    let (ctx, pa, fa, aa, ac) = as_wval(a)?;
     let (ctxb, pb, fb, ba, bc) = as_wval(b)?;
     if ctx != ctxb {
         return Err("premise variable contexts differ".into());
@@ -110,7 +161,10 @@ fn arith_conclusion(
     if fa != fb {
         return Err("premise abstraction functions differ".into());
     }
-    let unsigned = matches!(rule, Rule::WSum | Rule::WSub | Rule::WMul | Rule::WDiv | Rule::WMod);
+    let unsigned = matches!(
+        rule,
+        Rule::WSum | Rule::WSub | Rule::WMul | Rule::WDiv | Rule::WMod
+    );
     let expect_f = if unsigned { AbsFun::Unat } else { AbsFun::Sint };
     if *fa != expect_f {
         return Err(format!("rule {rule:?} expects {expect_f:?} premises"));
@@ -148,7 +202,11 @@ fn arith_conclusion(
             in_range(Expr::binop(BinOp::Mul, aa.clone(), ba.clone()), w),
         ),
         Rule::SDiv | Rule::SMod => (
-            if rule == Rule::SDiv { BinOp::Div } else { BinOp::Mod },
+            if rule == Rule::SDiv {
+                BinOp::Div
+            } else {
+                BinOp::Mod
+            },
             Expr::not(Expr::and(
                 Expr::eq(aa.clone(), int_min_lit(w)),
                 Expr::eq(ba.clone(), Expr::int(-1)),
@@ -165,695 +223,570 @@ fn arith_conclusion(
     })
 }
 
-/// Validates a word-abstraction *value* rule.
-pub(crate) fn validate_val(
-    rule: Rule,
-    prems: &[&Judgment],
-    concl: &Judgment,
-    side: &Side,
-) -> V {
-    match rule {
-        Rule::WVar => {
-            let (ctx, pre, f, abs, conc) = as_wval(concl)?;
-            let Expr::Var(n) = conc else {
-                return Err("WVar concrete side must be a variable".into());
-            };
-            if abs != conc {
-                return Err("WVar abstract side must be the same variable".into());
-            }
-            if !pre.is_true_lit() {
-                return Err("WVar precondition must be trivial".into());
-            }
-            match ctx.get(n.as_str()) {
-                Some(g) if g == f => Ok(()),
-                Some(g) => Err(format!("variable `{n}` has context abstraction {g}, not {f}")),
-                // Variables absent from the context are not abstracted.
-                None if *f == AbsFun::Id => Ok(()),
-                None => Err(format!("variable `{n}` not in the abstraction context")),
-            }
-        }
-        Rule::WLit => {
-            let (_, pre, f, abs, conc) = as_wval(concl)?;
-            if !pre.is_true_lit() {
-                return Err("WLit precondition must be trivial".into());
-            }
-            let (Expr::Lit(va), Expr::Lit(vc)) = (abs, conc) else {
-                return Err("WLit relates literals".into());
-            };
-            let expect = f.apply(vc)?;
-            if *va == expect {
-                Ok(())
-            } else {
-                Err(format!("literal mismatch: {va} ≠ {f} {vc}"))
-            }
-        }
-        Rule::WSum
-        | Rule::WSub
-        | Rule::WMul
-        | Rule::WDiv
-        | Rule::WMod
-        | Rule::SSum
-        | Rule::SSub
-        | Rule::SMul
-        | Rule::SDiv
-        | Rule::SMod => {
-            let [a, b] = prems else {
-                return Err("arithmetic rules take two premises".into());
-            };
-            for w in WIDTHS {
-                if arith_conclusion(rule, w, a, Some(b)).as_ref() == Ok(concl) {
-                    return Ok(());
-                }
-            }
-            Err("conclusion does not match the rule at any width".into())
-        }
-        Rule::SNeg => {
-            let [a] = prems else {
-                return Err("SNeg takes one premise".into());
-            };
-            for w in WIDTHS {
-                if arith_conclusion(rule, w, a, None).as_ref() == Ok(concl) {
-                    return Ok(());
-                }
-            }
-            Err("conclusion does not match SNeg at any width".into())
-        }
-        Rule::WCmp => {
-            let [a, b] = prems else {
-                return Err("WCmp takes two premises".into());
-            };
-            let (ctx, pa, fa, aa, ac) = as_wval(a)?;
-            let (ctxb, pb, fb, ba, bc) = as_wval(b)?;
-            if ctx != ctxb || fa != fb {
-                return Err("WCmp premises must share context and abstraction".into());
-            }
-            if !matches!(fa, AbsFun::Unat | AbsFun::Sint | AbsFun::Id) {
-                return Err("WCmp premises must be value abstractions".into());
-            }
-            let (cctx, pre, f, abs, conc) = as_wval(concl)?;
-            if cctx != ctx || *f != AbsFun::Id {
-                return Err("WCmp concludes an id-abstracted boolean".into());
-            }
-            let Expr::BinOp(op, la, ra) = abs else {
-                return Err("WCmp abstract side must be a comparison".into());
-            };
-            if !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::Ne) {
-                return Err("WCmp operator must be a comparison".into());
-            }
-            // Equality is injective for unat/sint; order is monotone.
-            let expected_conc = Expr::BinOp(*op, ir::intern::Interned::new(ac.clone()), ir::intern::Interned::new(bc.clone()));
-            if **la != *aa || **ra != *ba || *conc != expected_conc {
-                return Err("WCmp sides do not match the premises".into());
-            }
-            if *pre != pre_all([pa.clone(), pb.clone()]) {
-                return Err("WCmp precondition must be the conjunction of the premises'".into());
-            }
-            Ok(())
-        }
-        Rule::WOfNat | Rule::WOfInt => {
-            let [a] = prems else {
-                return Err("re-concretisation takes one premise".into());
-            };
-            let (ctx, pa, fa, aa, ac) = as_wval(a)?;
-            let expect_f = if rule == Rule::WOfNat { AbsFun::Unat } else { AbsFun::Sint };
-            if *fa != expect_f {
-                return Err(format!("premise must be {expect_f:?}"));
-            }
-            let (cctx, pre, f, abs, conc) = as_wval(concl)?;
-            if cctx != ctx || *f != AbsFun::Id || pre != pa || conc != ac {
-                return Err("re-concretisation changes only the abstract side".into());
-            }
-            match abs {
-                Expr::Cast(CastKind::OfNat(..), inner) if rule == Rule::WOfNat && **inner == *aa => {
-                    Ok(())
-                }
-                Expr::Cast(CastKind::OfInt(..), inner) if rule == Rule::WOfInt && **inner == *aa => {
-                    Ok(())
-                }
-                _ => Err("abstract side must be of_nat/of_int of the premise".into()),
-            }
-        }
-        Rule::WUnatWrap | Rule::WSintWrap => {
-            let [a] = prems else {
-                return Err("wrap takes one premise".into());
-            };
-            let (ctx, pa, fa, aa, ac) = as_wval(a)?;
-            if *fa != AbsFun::Id {
-                return Err("wrap premise must be id-abstracted".into());
-            }
-            let (cctx, pre, f, abs, conc) = as_wval(concl)?;
-            if cctx != ctx || pre != pa || conc != ac {
-                return Err("wrap changes only the abstract side".into());
-            }
-            let (expect_f, kind) = if rule == Rule::WUnatWrap {
-                (AbsFun::Unat, CastKind::Unat)
-            } else {
-                (AbsFun::Sint, CastKind::Sint)
-            };
-            if *f != expect_f {
-                return Err(format!("wrap concludes {expect_f:?}"));
-            }
-            if *abs == Expr::Cast(kind, ir::intern::Interned::new(aa.clone())) {
-                Ok(())
-            } else {
-                Err("abstract side must be unat/sint of the premise".into())
-            }
-        }
-        Rule::WIdCong => {
-            let (ctx, pre, f, abs, conc) = as_wval(concl)?;
-            if *f != AbsFun::Id {
-                return Err("WIdCong concludes id abstraction".into());
-            }
-            let conc_kids = conc.children();
-            if conc_kids.len() != prems.len() {
-                return Err("WIdCong premise count must match the operator arity".into());
-            }
-            let mut abs_kids = Vec::new();
-            let mut pres = Vec::new();
-            for (p, ck) in prems.iter().zip(&conc_kids) {
-                let (pctx, pp, pf, pa, pc) = as_wval(p)?;
-                if pctx != ctx || *pf != AbsFun::Id {
-                    return Err("WIdCong premises must be id-abstracted in the same context".into());
-                }
-                if pc != *ck {
-                    return Err("WIdCong premise concrete side must be the child".into());
-                }
-                abs_kids.push(pa.clone());
-                pres.push(pp.clone());
-            }
-            if *abs != conc.with_children(&abs_kids)? {
-                return Err("WIdCong abstract side must be the rebuilt operator".into());
-            }
-            if *pre != pre_all(pres) {
-                return Err("WIdCong precondition must be the conjunction".into());
-            }
-            Ok(())
-        }
-        Rule::WIte => {
-            let [c, t, e] = prems else {
-                return Err("WIte takes three premises".into());
-            };
-            let (ctx, pc, fc, ca, cc) = as_wval(c)?;
-            let (ctxt, pt, ft, ta, tc) = as_wval(t)?;
-            let (ctxe, pe, fe, ea, ec) = as_wval(e)?;
-            if *fc != AbsFun::Id || ctx != ctxt || ctx != ctxe || ft != fe {
-                return Err("WIte premise shapes wrong".into());
-            }
-            let (cctx, pre, f, abs, conc) = as_wval(concl)?;
-            if cctx != ctx || f != ft {
-                return Err("WIte conclusion context/abstraction mismatch".into());
-            }
-            let expect_abs = Expr::ite(ca.clone(), ta.clone(), ea.clone());
-            let expect_conc = Expr::ite(cc.clone(), tc.clone(), ec.clone());
-            let expect_pre = pre_all([
-                pc.clone(),
-                weaken(ca, pt),
-                weaken(&Expr::not(ca.clone()), pe),
-            ]);
-            if *abs == expect_abs && *conc == expect_conc && *pre == expect_pre {
-                Ok(())
-            } else {
-                Err("WIte conclusion does not match".into())
-            }
-        }
-        Rule::WTuple => {
-            let (ctx, pre, f, abs, conc) = as_wval(concl)?;
-            let (Expr::Tuple(cas), Expr::Tuple(aas)) = (conc, abs) else {
-                return Err("WTuple relates tuples".into());
-            };
-            let AbsFun::Tuple(fs) = f else {
-                return Err("WTuple concludes a tuple abstraction".into());
-            };
-            if prems.len() != cas.len() || fs.len() != cas.len() || aas.len() != cas.len() {
-                return Err("WTuple arity mismatch".into());
-            }
-            let mut pres = Vec::new();
-            for (i, p) in prems.iter().enumerate() {
-                let (pctx, pp, pf, pa, pc) = as_wval(p)?;
-                if pctx != ctx || *pf != fs[i] || *pa != aas[i] || *pc != cas[i] {
-                    return Err("WTuple component mismatch".into());
-                }
-                pres.push(pp.clone());
-            }
-            if *pre == pre_all(pres) {
-                Ok(())
-            } else {
-                Err("WTuple precondition must be the conjunction".into())
-            }
-        }
-        Rule::WProj => {
-            let [t] = prems else {
-                return Err("WProj takes one premise".into());
-            };
-            let (tctx, tp, tf, ta, tc) = as_wval(t)?;
-            let AbsFun::Tuple(fs) = tf else {
-                return Err("WProj premise must be tuple-abstracted".into());
-            };
-            let (ctx, pre, f, abs, conc) = as_wval(concl)?;
-            let (Expr::Proj(i, ca), Expr::Proj(j, aa)) = (conc, abs) else {
-                return Err("WProj relates projections".into());
-            };
-            if i != j || *i >= fs.len() {
-                return Err("WProj index mismatch".into());
-            }
-            if ctx != tctx || pre != tp || *f != fs[*i] || **aa != *ta || **ca != *tc {
-                return Err("WProj conclusion does not match".into());
-            }
-            Ok(())
-        }
-        Rule::WTupleId => {
-            let [t] = prems else {
-                return Err("WTupleId takes one premise".into());
-            };
-            let (tctx, tp, tf, ta, tc) = as_wval(t)?;
-            if !tf.is_identity() {
-                return Err("WTupleId premise must be identity-like".into());
-            }
-            let (ctx, pre, f, abs, conc) = as_wval(concl)?;
-            if ctx != tctx || pre != tp || *f != AbsFun::Id || abs != ta || conc != tc {
-                return Err("WTupleId changes only the abstraction function".into());
-            }
-            Ok(())
-        }
-        Rule::WTupleWrap => {
-            let [t] = prems else {
-                return Err("WTupleWrap takes one premise".into());
-            };
-            let (tctx, tp, tf, ta, tc) = as_wval(t)?;
-            if *tf != AbsFun::Id {
-                return Err("WTupleWrap premise must be id-abstracted".into());
-            }
-            let (ctx, pre, f, abs, conc) = as_wval(concl)?;
-            let AbsFun::Tuple(fs) = f else {
-                return Err("WTupleWrap concludes a tuple abstraction".into());
-            };
-            if ctx != tctx || pre != tp || conc != tc {
-                return Err("WTupleWrap changes only the abstract side".into());
-            }
-            let expect = tuple_wrap_expr(fs, ta)
-                .ok_or("WTupleWrap supports unat/sint/id components")?;
-            if *abs == expect {
-                Ok(())
-            } else {
-                Err("WTupleWrap abstract side must be the projected casts".into())
-            }
-        }
-        Rule::WCustomSampled => {
-            let Side::SampledWVal { vars, trials, seed } = side else {
-                return Err("WCustomSampled needs sampling side data".into());
-            };
-            crate::semantics::sample_wval(concl, vars, *trials, *seed)
-                .map_err(|e| e.message)
-        }
-        other => Err(format!("not a word-value rule: {other:?}")),
+/// The width an arithmetic conclusion's precondition names: the bound in
+/// its last conjunct (`UINT_MAX`, `INT_MAX` or `INT_MIN`). `WSub`, `WDiv`
+/// and `WMod` name none and conclude the same at every width.
+pub(super) fn arith_width(pre: &Expr) -> Width {
+    let mut last = pre;
+    while let Expr::BinOp(BinOp::And, _, r) = last {
+        last = r;
     }
+    // `SDiv`/`SMod`: `¬(a = INT_MIN ∧ b = -1)`.
+    if let Expr::UnOp(UnOp::Not, e) = last {
+        if let Expr::BinOp(BinOp::And, l, _) = &**e {
+            last = l;
+        }
+    }
+    let bits = match last {
+        Expr::BinOp(BinOp::Le | BinOp::Ne | BinOp::Eq, _, bound) => match &**bound {
+            Expr::Lit(Value::Nat(n)) => n.bit_len(),
+            Expr::Lit(Value::Int(i)) if i.is_negative() => i.magnitude().bit_len(),
+            Expr::Lit(Value::Int(i)) => i.magnitude().bit_len() + 1,
+            _ => 0,
+        },
+        _ => 0,
+    };
+    [Width::W8, Width::W16, Width::W64]
+        .into_iter()
+        .find(|w| w.bits() as usize == bits)
+        .unwrap_or(Width::W32)
 }
 
-/// Validates a word-abstraction *statement* rule.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn validate_stmt(
-    rule: Rule,
+/// `WCmp`: a comparison of two values under one abstraction is an
+/// id-abstracted boolean (order is monotone and equality injective under
+/// `unat`/`sint`).
+pub(super) fn cmp(prems: &[&Judgment], op: BinOp) -> Concl {
+    let [a, b] = premises(prems)?;
+    let (ctx, pa, fa, aa, ac) = as_wval(a)?;
+    let (ctxb, pb, fb, ba, bc) = as_wval(b)?;
+    if ctx != ctxb || fa != fb {
+        return Err("WCmp premises must share context and abstraction".into());
+    }
+    if !matches!(fa, AbsFun::Unat | AbsFun::Sint | AbsFun::Id) {
+        return Err("WCmp premises must be value abstractions".into());
+    }
+    if !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::Ne) {
+        return Err("WCmp operator must be a comparison".into());
+    }
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: pre_all([pa.clone(), pb.clone()]),
+        f: AbsFun::Id,
+        abs: Expr::binop(op, aa.clone(), ba.clone()),
+        conc: Expr::binop(op, ac.clone(), bc.clone()),
+    })
+}
+
+/// `WOfNat`/`WOfInt`: `of_nat`/`of_int` at the word shape `(w, s)` undoes
+/// `unat`/`sint`.
+pub(super) fn reconcretize(prems: &[&Judgment], rule: Rule, w: Width, s: Signedness) -> Concl {
+    let [a] = premises(prems)?;
+    let (ctx, pa, fa, aa, ac) = as_wval(a)?;
+    let (expect_f, kind) = if rule == Rule::WOfNat {
+        (AbsFun::Unat, CastKind::OfNat(w, s))
+    } else {
+        (AbsFun::Sint, CastKind::OfInt(w, s))
+    };
+    if *fa != expect_f {
+        return Err(format!("premise must be {expect_f:?}"));
+    }
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: pa.clone(),
+        f: AbsFun::Id,
+        abs: Expr::cast(kind, aa.clone()),
+        conc: ac.clone(),
+    })
+}
+
+/// `WUnatWrap`/`WSintWrap`: `unat`/`sint` of an id-abstracted word is its
+/// `unat`/`sint` abstraction.
+pub(super) fn wrap(prems: &[&Judgment], rule: Rule) -> Concl {
+    let [a] = premises(prems)?;
+    let (ctx, pa, fa, aa, ac) = as_wval(a)?;
+    if *fa != AbsFun::Id {
+        return Err("wrap premise must be id-abstracted".into());
+    }
+    let (f, kind) = if rule == Rule::WUnatWrap {
+        (AbsFun::Unat, CastKind::Unat)
+    } else {
+        (AbsFun::Sint, CastKind::Sint)
+    };
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: pa.clone(),
+        f,
+        abs: Expr::cast(kind, aa.clone()),
+        conc: ac.clone(),
+    })
+}
+
+/// `WIdCong`: `conc`'s operator over id-abstracted operands, one premise
+/// per child in [`Expr::children`] order.
+pub(super) fn id_cong(prems: &[&Judgment], ctx: &VarCtx, conc: &Expr) -> Concl {
+    let kids = conc.children();
+    if kids.len() != prems.len() {
+        return Err("WIdCong premise count must match the operator arity".into());
+    }
+    let mut abs_kids = Vec::with_capacity(kids.len());
+    let mut pres = Vec::with_capacity(kids.len());
+    for (p, ck) in prems.iter().zip(kids) {
+        let (pctx, pp, pf, pa, pc) = as_wval(p)?;
+        if pctx != ctx || *pf != AbsFun::Id {
+            return Err("WIdCong premises must be id-abstracted in the same context".into());
+        }
+        if pc != ck {
+            return Err("WIdCong premise concrete side must be the child".into());
+        }
+        abs_kids.push(pa.clone());
+        pres.push(pp.clone());
+    }
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: pre_all(pres),
+        f: AbsFun::Id,
+        abs: conc.with_children(&abs_kids)?,
+        conc: conc.clone(),
+    })
+}
+
+/// `WIte`: a conditional expression, each branch's precondition weakened by
+/// its side of the condition.
+pub(super) fn ite(prems: &[&Judgment]) -> Concl {
+    let [c, t, e] = premises(prems)?;
+    let (ctx, pc, fc, ca, cc) = as_wval(c)?;
+    let (ctxt, pt, ft, ta, tc) = as_wval(t)?;
+    let (ctxe, pe, fe, ea, ec) = as_wval(e)?;
+    if *fc != AbsFun::Id || ctx != ctxt || ctx != ctxe || ft != fe {
+        return Err("WIte premise shapes wrong".into());
+    }
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: pre_all([
+            pc.clone(),
+            weaken(ca, pt),
+            weaken(&Expr::not(ca.clone()), pe),
+        ]),
+        f: ft.clone(),
+        abs: Expr::ite(ca.clone(), ta.clone(), ea.clone()),
+        conc: Expr::ite(cc.clone(), tc.clone(), ec.clone()),
+    })
+}
+
+/// `WTuple`: componentwise abstraction of a tuple whose components are the
+/// premises, all in `ctx` (the empty tuple takes any context).
+pub(super) fn tuple(prems: &[&Judgment], ctx: &VarCtx) -> Concl {
+    let n = prems.len();
+    let (mut pres, mut fs, mut abss, mut concs) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for p in prems {
+        let (pctx, pp, pf, pa, pc) = as_wval(p)?;
+        if pctx != ctx {
+            return Err("WTuple component mismatch".into());
+        }
+        pres.push(pp.clone());
+        fs.push(pf.clone());
+        abss.push(pa.clone());
+        concs.push(pc.clone());
+    }
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: pre_all(pres),
+        f: AbsFun::Tuple(fs),
+        abs: Expr::Tuple(abss),
+        conc: Expr::Tuple(concs),
+    })
+}
+
+/// `WProj`: component `i` of a componentwise-abstracted tuple.
+pub(super) fn proj(prems: &[&Judgment], i: usize) -> Concl {
+    let [t] = premises(prems)?;
+    let (ctx, tp, tf, ta, tc) = as_wval(t)?;
+    let AbsFun::Tuple(fs) = tf else {
+        return Err("WProj premise must be tuple-abstracted".into());
+    };
+    let f = fs.get(i).ok_or("projection out of range")?;
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: tp.clone(),
+        f: f.clone(),
+        abs: Expr::proj(i, ta.clone()),
+        conc: Expr::proj(i, tc.clone()),
+    })
+}
+
+/// `WTupleId`: a tuple of identity abstractions is the identity.
+pub(super) fn tuple_id(prems: &[&Judgment]) -> Concl {
+    let [t] = premises(prems)?;
+    let (ctx, tp, tf, ta, tc) = as_wval(t)?;
+    if !tf.is_identity() {
+        return Err("WTupleId premise must be identity-like".into());
+    }
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: tp.clone(),
+        f: AbsFun::Id,
+        abs: ta.clone(),
+        conc: tc.clone(),
+    })
+}
+
+/// `WTupleWrap`: an id-abstracted tuple under the componentwise
+/// abstraction `fs`, each component projected and cast.
+pub(super) fn tuple_wrap(prems: &[&Judgment], fs: &[AbsFun]) -> Concl {
+    let [t] = premises(prems)?;
+    let (ctx, tp, tf, ta, tc) = as_wval(t)?;
+    if *tf != AbsFun::Id {
+        return Err("WTupleWrap premise must be id-abstracted".into());
+    }
+    let abs = tuple_wrap_expr(fs, ta).ok_or("WTupleWrap supports unat/sint/id components")?;
+    Ok(Judgment::WVal {
+        ctx: ctx.clone(),
+        pre: tp.clone(),
+        f: AbsFun::Tuple(fs.to_vec()),
+        abs,
+        conc: tc.clone(),
+    })
+}
+
+/// `WCustomSampled`: a user-supplied `abs_w_val` judgment `j` (the rule's
+/// parameter), concluded when sampling its semantics as `side` records
+/// finds no violation.
+pub(super) fn custom_sampled(prems: &[&Judgment], j: Judgment, side: &Side) -> Concl {
+    let [] = premises(prems)?;
+    let Side::SampledWVal { vars, trials, seed } = side else {
+        return Err("WCustomSampled needs sampling side data".into());
+    };
+    crate::semantics::sample_wval(&j, vars, *trials, *seed).map_err(|e| e.message)?;
+    Ok(j)
+}
+
+/// `WsRet`/`WsGets`/`WsThrow`: a value abstraction lifted to a statement
+/// behind the guard of its precondition. The value fixes `rx` (`ex` for
+/// `throw`); `other` is the remaining one.
+pub(super) fn value_stmt(prems: &[&Judgment], rule: Rule, other: &AbsFun) -> Concl {
+    let [v] = premises(prems)?;
+    let (ctx, pre, f, va, vc) = as_wval(v)?;
+    let (mk, rx, ex): (fn(Expr) -> Prog, _, _) = match rule {
+        Rule::WsRet => (Prog::Return, f, other),
+        Rule::WsGets => (Prog::Gets, f, other),
+        _ => (Prog::Throw, other, f),
+    };
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: rx.clone(),
+        ex: ex.clone(),
+        abs: guarded(GuardKind::WordAbs, pre, mk(va.clone())),
+        conc: mk(vc.clone()),
+    })
+}
+
+/// `WsModify`: the update `cu` with its expressions id-abstracted, one
+/// premise per [`Update::exprs`] entry.
+pub(super) fn modify(prems: &[&Judgment], ctx: &VarCtx, ex: &AbsFun, cu: &Update) -> Concl {
+    let exprs = cu.exprs();
+    if prems.len() != exprs.len() {
+        return Err("WsModify premise count mismatch".into());
+    }
+    let mut abs_exprs = Vec::with_capacity(exprs.len());
+    let mut pres = Vec::with_capacity(exprs.len());
+    for (p, ce) in prems.iter().zip(exprs) {
+        let (pctx, pp, pf, pa, pc) = as_wval(p)?;
+        if pctx != ctx || *pf != AbsFun::Id || pc != ce {
+            return Err("WsModify premises must be id-abstractions of the update".into());
+        }
+        abs_exprs.push(pa.clone());
+        pres.push(pp.clone());
+    }
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: AbsFun::Id,
+        ex: ex.clone(),
+        abs: guarded(
+            GuardKind::WordAbs,
+            &pre_all(pres),
+            Prog::Modify(cu.with_exprs(&abs_exprs)?),
+        ),
+        conc: Prog::Modify(cu.clone()),
+    })
+}
+
+/// `WsGuard`: a guard on an id-abstracted boolean.
+pub(super) fn guard(prems: &[&Judgment], kind: &GuardKind, ex: &AbsFun) -> Concl {
+    let [v] = premises(prems)?;
+    let (ctx, pre, f, va, vc) = as_wval(v)?;
+    if *f != AbsFun::Id {
+        return Err("WsGuard premise must be an id-abstracted boolean".into());
+    }
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: AbsFun::Id,
+        ex: ex.clone(),
+        abs: guarded(
+            GuardKind::WordAbs,
+            pre,
+            Prog::Guard(kind.clone(), va.clone()),
+        ),
+        conc: Prog::Guard(kind.clone(), vc.clone()),
+    })
+}
+
+/// `WsFail`: `fail` abstracts `fail` at any abstractions.
+pub(super) fn fail(prems: &[&Judgment], ctx: &VarCtx, rx: &AbsFun, ex: &AbsFun) -> Concl {
+    let [] = premises(prems)?;
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: rx.clone(),
+        ex: ex.clone(),
+        abs: Prog::Fail,
+        conc: Prog::Fail,
+    })
+}
+
+/// `WsBind`: the continuation is abstracted with `v` bound at the left
+/// side's return abstraction.
+pub(super) fn bind(prems: &[&Judgment], v: &str) -> Concl {
+    let [l, r] = premises(prems)?;
+    let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
+    let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
+    if *rctx != extend(lctx, [(v, lrx)]) {
+        return Err("WsBind context discipline violated".into());
+    }
+    if rex != lex {
+        return Err("WsBind rx/ex mismatch".into());
+    }
+    Ok(Judgment::WStmt {
+        ctx: lctx.clone(),
+        rx: rrx.clone(),
+        ex: lex.clone(),
+        abs: Prog::bind(la.clone(), v, ra.clone()),
+        conc: Prog::bind(lc.clone(), v, rc.clone()),
+    })
+}
+
+/// `WsBindTuple`: [`bind`] with a tuple pattern; the components of the left
+/// side's return abstraction bind the pattern variables.
+pub(super) fn bind_tuple(prems: &[&Judgment], vs: &[String]) -> Concl {
+    let [l, r] = premises(prems)?;
+    let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
+    let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
+    let fs = match lrx {
+        AbsFun::Tuple(fs) if fs.len() == vs.len() => fs.as_slice(),
+        f if vs.len() == 1 => std::slice::from_ref(f),
+        _ => return Err("WsBindTuple rx arity mismatch".into()),
+    };
+    if *rctx != extend(lctx, vs.iter().map(String::as_str).zip(fs)) {
+        return Err("WsBindTuple context discipline violated".into());
+    }
+    if rex != lex {
+        return Err("WsBindTuple rx/ex mismatch".into());
+    }
+    Ok(Judgment::WStmt {
+        ctx: lctx.clone(),
+        rx: rrx.clone(),
+        ex: lex.clone(),
+        abs: Prog::bind_tuple(la.clone(), vs.to_vec(), ra.clone()),
+        conc: Prog::bind_tuple(lc.clone(), vs.to_vec(), rc.clone()),
+    })
+}
+
+/// `WsCond`: `condition` on an id-abstracted boolean, behind the guard of
+/// its precondition.
+pub(super) fn cond(prems: &[&Judgment]) -> Concl {
+    let [c, t, e] = premises(prems)?;
+    let (ctx, pc, fc, ca, cc) = as_wval(c)?;
+    let (tctx, trx, tex, ta, tc) = as_wstmt(t)?;
+    let (ectx, erx, eex, ea, ec) = as_wstmt(e)?;
+    if tctx != ctx || ectx != ctx || *fc != AbsFun::Id {
+        return Err("WsCond contexts mismatch".into());
+    }
+    if erx != trx || eex != tex {
+        return Err("WsCond rx/ex mismatch".into());
+    }
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: trx.clone(),
+        ex: tex.clone(),
+        abs: guarded(
+            GuardKind::WordAbs,
+            pc,
+            Prog::cond(ca.clone(), ta.clone(), ea.clone()),
+        ),
+        conc: Prog::cond(cc.clone(), tc.clone(), ec.clone()),
+    })
+}
+
+/// `WsWhile`: premises are the condition, the body, then one value per
+/// initialiser, whose abstractions bind the iterators `vars` for the
+/// condition and the body. The condition has a trivial precondition; the
+/// initialisers' preconditions guard the loop.
+pub(super) fn while_loop(prems: &[&Judgment], ctx: &VarCtx, vars: &[String]) -> Concl {
+    let [c, b, inits @ ..] = prems else {
+        return Err("WsWhile takes cond, body and initialisers".into());
+    };
+    if inits.is_empty() || inits.len() != vars.len() {
+        return Err("WsWhile initialiser count mismatch".into());
+    }
+    let n = inits.len();
+    let (mut fs, mut pres, mut ainit, mut cinit) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for p in inits {
+        let (pctx, pp, pf, pa, pc) = as_wval(p)?;
+        if pctx != ctx {
+            return Err("WsWhile initialiser premise mismatch".into());
+        }
+        fs.push(pf.clone());
+        pres.push(pp.clone());
+        ainit.push(pa.clone());
+        cinit.push(pc.clone());
+    }
+    let inner = extend(ctx, vars.iter().map(String::as_str).zip(&fs));
+    let packed = if fs.len() == 1 {
+        fs[0].clone()
+    } else {
+        AbsFun::Tuple(fs)
+    };
+    let (cvctx, cvpre, cvf, cva, cvc) = as_wval(c)?;
+    if *cvctx != inner || !cvpre.is_true_lit() || *cvf != AbsFun::Id {
+        return Err("WsWhile condition must be id-abstracted with trivial precondition".into());
+    }
+    let (bctx, brx, bex, ba, bc) = as_wstmt(b)?;
+    if *bctx != inner || *brx != packed {
+        return Err("WsWhile body context/abstraction mismatch".into());
+    }
+    let abs_loop = Prog::While {
+        vars: vars.to_vec(),
+        cond: cva.clone(),
+        body: ir::intern::Interned::new(ba.clone()),
+        init: ainit,
+    };
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: packed,
+        ex: bex.clone(),
+        abs: guarded(GuardKind::WordAbs, &pre_all(pres), abs_loop),
+        conc: Prog::While {
+            vars: vars.to_vec(),
+            cond: cvc.clone(),
+            body: ir::intern::Interned::new(bc.clone()),
+            init: cinit,
+        },
+    })
+}
+
+/// `WsCall`: one premise per argument. A word-abstracted callee fixes the
+/// argument, return and exception abstractions (`cx.fn_abs`); any other
+/// callee takes id arguments and has its result wrapped at `conc_rx`.
+pub(super) fn call(
     prems: &[&Judgment],
-    concl: &Judgment,
     cx: &CheckCtx,
-) -> V {
-    let (ctx, rx, ex, abs, conc) = as_wstmt(concl)?;
-    match rule {
-        Rule::WsRet | Rule::WsGets | Rule::WsThrow => {
-            let [v] = prems else {
-                return Err("rule takes one value premise".into());
-            };
-            let (vctx, pre, f, va, vc) = as_wval(v)?;
-            if vctx != ctx {
-                return Err("context mismatch".into());
-            }
-            type MkProg = fn(Expr) -> Prog;
-            let (mk_abs, mk_conc): (MkProg, MkProg) = match rule {
-                Rule::WsRet => (Prog::Return, Prog::Return),
-                Rule::WsGets => (Prog::Gets, Prog::Gets),
-                _ => (Prog::Throw, Prog::Throw),
-            };
-            if rule == Rule::WsThrow {
-                if ex != f {
-                    return Err("throw abstraction must match ex".into());
-                }
-            } else if rx != f {
-                return Err("value abstraction must match rx".into());
-            }
-            let expect_abs = guarded(GuardKind::WordAbs, pre, mk_abs(va.clone()));
-            if *abs == expect_abs && *conc == mk_conc(vc.clone()) {
-                Ok(())
-            } else {
-                Err("conclusion does not match the guarded return/gets/throw".into())
-            }
+    ctx: &VarCtx,
+    fname: &str,
+    conc_rx: &AbsFun,
+) -> Concl {
+    let n = prems.len();
+    let (mut pres, mut abs_args, mut conc_args, mut arg_fs) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for p in prems {
+        let (pctx, pp, pf, pa, pc) = as_wval(p)?;
+        if pctx != ctx {
+            return Err("WsCall argument premise mismatch".into());
         }
-        Rule::WsModify => {
-            let Prog::Modify(cu) = conc else {
-                return Err("WsModify concrete side must be modify".into());
-            };
-            let cu_exprs = cu.exprs();
-            if prems.len() != cu_exprs.len() {
-                return Err("WsModify premise count mismatch".into());
-            }
-            let mut abs_exprs = Vec::new();
-            let mut pres = Vec::new();
-            for (p, ce) in prems.iter().zip(&cu_exprs) {
-                let (pctx, pp, pf, pa, pc) = as_wval(p)?;
-                if pctx != ctx || *pf != AbsFun::Id || pc != *ce {
-                    return Err("WsModify premises must be id-abstractions of the update".into());
-                }
-                abs_exprs.push(pa.clone());
-                pres.push(pp.clone());
-            }
-            if *rx != AbsFun::Id {
-                return Err("modify yields unit (rx = id)".into());
-            }
-            let au = cu.with_exprs(&abs_exprs)?;
-            let expect = guarded(GuardKind::WordAbs, &pre_all(pres), Prog::Modify(au));
-            if *abs == expect {
-                Ok(())
-            } else {
-                Err("WsModify conclusion does not match".into())
-            }
-        }
-        Rule::WsGuard => {
-            let [v] = prems else {
-                return Err("WsGuard takes one premise".into());
-            };
-            let (vctx, pre, f, va, vc) = as_wval(v)?;
-            if vctx != ctx || *f != AbsFun::Id || *rx != AbsFun::Id {
-                return Err("WsGuard premise must be an id-abstracted boolean".into());
-            }
-            let Prog::Guard(kind, gc) = conc else {
-                return Err("WsGuard concrete side must be a guard".into());
-            };
-            if gc != vc {
-                return Err("guard expression mismatch".into());
-            }
-            let expect = guarded(
-                GuardKind::WordAbs,
-                pre,
-                Prog::Guard(kind.clone(), va.clone()),
-            );
-            if *abs == expect {
-                Ok(())
-            } else {
-                Err("WsGuard conclusion does not match".into())
-            }
-        }
-        Rule::WsFail => {
-            if prems.is_empty() && *abs == Prog::Fail && *conc == Prog::Fail {
-                Ok(())
-            } else {
-                Err("WsFail relates fail to fail".into())
-            }
-        }
-        Rule::WsBind => {
-            let [l, r] = prems else {
-                return Err("WsBind takes two premises".into());
-            };
-            let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
-            let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
-            let (Prog::Bind(ca, v, cb), Prog::Bind(aa, v2, ab)) = (conc, abs) else {
-                return Err("WsBind relates binds".into());
-            };
-            if v != v2 {
-                return Err("WsBind variable mismatch".into());
-            }
-            let mut expect_rctx = lctx.clone();
-            expect_rctx.insert(v.clone(), lrx.clone());
-            if lctx != ctx || *rctx != expect_rctx {
-                return Err("WsBind context discipline violated".into());
-            }
-            if lex != ex || rex != ex || rrx != rx {
-                return Err("WsBind rx/ex mismatch".into());
-            }
-            if **ca == *lc && **cb == *rc && **aa == *la && **ab == *ra {
-                Ok(())
-            } else {
-                Err("WsBind components do not match premises".into())
-            }
-        }
-        Rule::WsBindTuple => {
-            let [l, r] = prems else {
-                return Err("WsBindTuple takes two premises".into());
-            };
-            let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
-            let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
-            let (Prog::BindTuple(ca, vs, cb), Prog::BindTuple(aa, vs2, ab)) = (conc, abs) else {
-                return Err("WsBindTuple relates tuple binds".into());
-            };
-            if vs != vs2 {
-                return Err("WsBindTuple pattern mismatch".into());
-            }
-            // Components of the left rx bind the pattern variables.
-            let fs: Vec<AbsFun> = match lrx {
-                AbsFun::Tuple(fs) if fs.len() == vs.len() => fs.clone(),
-                f if vs.len() == 1 => vec![f.clone()],
-                _ => return Err("WsBindTuple rx arity mismatch".into()),
-            };
-            let mut expect_rctx = lctx.clone();
-            for (v, f) in vs.iter().zip(&fs) {
-                expect_rctx.insert(v.clone(), f.clone());
-            }
-            if lctx != ctx || *rctx != expect_rctx {
-                return Err("WsBindTuple context discipline violated".into());
-            }
-            if lex != ex || rex != ex || rrx != rx {
-                return Err("WsBindTuple rx/ex mismatch".into());
-            }
-            if **ca == *lc && **cb == *rc && **aa == *la && **ab == *ra {
-                Ok(())
-            } else {
-                Err("WsBindTuple components do not match".into())
-            }
-        }
-        Rule::WsCond => {
-            let [c, t, e] = prems else {
-                return Err("WsCond takes three premises".into());
-            };
-            let (cctx, pc, fc, ca, cc) = as_wval(c)?;
-            let (tctx, trx, tex, ta, tc) = as_wstmt(t)?;
-            let (ectx, erx, eex, ea, ec) = as_wstmt(e)?;
-            if cctx != ctx || tctx != ctx || ectx != ctx || *fc != AbsFun::Id {
-                return Err("WsCond contexts mismatch".into());
-            }
-            if trx != rx || erx != rx || tex != ex || eex != ex {
-                return Err("WsCond rx/ex mismatch".into());
-            }
-            let expect_abs = guarded(
-                GuardKind::WordAbs,
-                pc,
-                Prog::cond(ca.clone(), ta.clone(), ea.clone()),
-            );
-            let expect_conc = Prog::cond(cc.clone(), tc.clone(), ec.clone());
-            if *abs == expect_abs && *conc == expect_conc {
-                Ok(())
-            } else {
-                Err("WsCond conclusion does not match".into())
-            }
-        }
-        Rule::WsWhile => {
-            // premises: cond val, body stmt, then one val per initialiser
-            if prems.len() < 3 {
-                return Err("WsWhile takes cond, body and initialisers".into());
-            }
-            let (
-                Prog::While {
-                    vars: cvars,
-                    cond: ccond,
-                    body: cbody,
-                    init: cinit,
-                },
-                abs_inner,
-            ) = (conc, strip_guard(abs))
-            else {
-                return Err("WsWhile concrete side must be a loop".into());
-            };
-            let Prog::While {
-                vars: avars,
-                cond: acond,
-                body: abody,
-                init: ainit,
-            } = abs_inner
-            else {
-                return Err("WsWhile abstract side must be a loop".into());
-            };
-            if cvars != avars {
-                return Err("WsWhile iterator names must be preserved".into());
-            }
-            let init_prems = &prems[2..];
-            if init_prems.len() != cinit.len() || cinit.len() != cvars.len() {
-                return Err("WsWhile initialiser count mismatch".into());
-            }
-            let mut fs = Vec::new();
-            let mut pres = Vec::new();
-            for (p, (ci, ai)) in init_prems.iter().zip(cinit.iter().zip(ainit)) {
-                let (pctx, pp, pf, pa, pc) = as_wval(p)?;
-                if pctx != ctx || pc != ci || pa != ai {
-                    return Err("WsWhile initialiser premise mismatch".into());
-                }
-                fs.push(pf.clone());
-                pres.push(pp.clone());
-            }
-            let packed = if fs.len() == 1 {
-                fs[0].clone()
-            } else {
-                AbsFun::Tuple(fs.clone())
-            };
-            let mut ctx2 = ctx.clone();
-            for (v, f) in cvars.iter().zip(&fs) {
-                ctx2.insert(v.clone(), f.clone());
-            }
-            let (cvctx, cvpre, cvf, cva, cvc) = as_wval(prems[0])?;
-            if *cvctx != ctx2 || !cvpre.is_true_lit() || *cvf != AbsFun::Id {
-                return Err(
-                    "WsWhile condition must be id-abstracted with trivial precondition".into(),
-                );
-            }
-            if cva != acond || cvc != ccond {
-                return Err("WsWhile condition mismatch".into());
-            }
-            let (bctx, brx, bex, ba, bc) = as_wstmt(prems[1])?;
-            if *bctx != ctx2 || bex != ex || *brx != packed {
-                return Err("WsWhile body context/abstraction mismatch".into());
-            }
-            if ba != &**abody || bc != &**cbody {
-                return Err("WsWhile body mismatch".into());
-            }
-            if rx != &packed {
-                return Err("WsWhile rx must be the packed iterator abstraction".into());
-            }
-            // the guard prefix must be exactly the initialiser preconditions
-            let expect = guarded(GuardKind::WordAbs, &pre_all(pres), abs_inner.clone());
-            if *abs == expect {
-                Ok(())
-            } else {
-                Err("WsWhile initialiser guards do not match".into())
-            }
-        }
-        Rule::WsCall => {
-            let (Prog::Call { fname, args: cargs }, abs_inner) = (conc, strip_guard(abs)) else {
-                return Err("WsCall concrete side must be a call".into());
-            };
-            let mut pres = Vec::new();
-            let mut abs_args = Vec::new();
-            let mut arg_fs = Vec::new();
-            if prems.len() != cargs.len() {
-                return Err("WsCall premise count mismatch".into());
-            }
-            for (p, ca) in prems.iter().zip(cargs) {
-                let (pctx, pp, pf, pa, pc) = as_wval(p)?;
-                if pctx != ctx || pc != ca {
-                    return Err("WsCall argument premise mismatch".into());
-                }
-                pres.push(pp.clone());
-                abs_args.push(pa.clone());
-                arg_fs.push(pf.clone());
-            }
-            match cx.fn_abs.get(fname) {
-                Some((param_fs, f_rx, f_ex)) => {
-                    if *param_fs != arg_fs {
-                        return Err("WsCall argument abstractions do not match the callee".into());
-                    }
-                    if rx != f_rx || ex != f_ex {
-                        return Err("WsCall rx/ex must match the callee".into());
-                    }
-                    let expect = Prog::Call {
-                        fname: fname.clone(),
-                        args: abs_args,
-                    };
-                    if *abs_inner == expect
-                        && *abs == guarded(GuardKind::WordAbs, &pre_all(pres), expect.clone())
-                    {
-                        Ok(())
-                    } else {
-                        Err("WsCall conclusion does not match".into())
-                    }
-                }
-                None => {
-                    // Call to a non-abstracted function: arguments must be
-                    // id-abstracted; the result may be wrapped.
-                    if arg_fs.iter().any(|f| *f != AbsFun::Id) {
-                        return Err(
-                            "WsCall to non-abstracted callee requires id arguments".into()
-                        );
-                    }
-                    if *ex != AbsFun::Id {
-                        return Err("non-abstracted callee has id exceptions".into());
-                    }
-                    let call = Prog::Call {
-                        fname: fname.clone(),
-                        args: abs_args,
-                    };
-                    let expect_inner = match rx.forward_cast() {
-                        None if *rx == AbsFun::Id => call,
-                        Some(cast) => Prog::bind(
-                            call,
-                            "·r",
-                            Prog::ret(Expr::cast(cast, Expr::var("·r"))),
-                        ),
-                        _ => return Err("WsCall cannot wrap with tuple abstraction".into()),
-                    };
-                    if *abs == guarded(GuardKind::WordAbs, &pre_all(pres), expect_inner) {
-                        Ok(())
-                    } else {
-                        Err("WsCall (concrete callee) conclusion does not match".into())
-                    }
-                }
-            }
-        }
-        Rule::WsCatch => {
-            let [l, r] = prems else {
-                return Err("WsCatch takes two premises".into());
-            };
-            let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
-            let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
-            let (Prog::Catch(ca, v, cb), Prog::Catch(aa, v2, ab)) = (conc, abs) else {
-                return Err("WsCatch relates catches".into());
-            };
-            if v != v2 {
-                return Err("WsCatch variable mismatch".into());
-            }
-            let mut expect_rctx = lctx.clone();
-            expect_rctx.insert(v.clone(), lex.clone());
-            if lctx != ctx || *rctx != expect_rctx {
-                return Err("WsCatch context discipline violated".into());
-            }
-            if lrx != rx || rrx != rx || rex != ex {
-                return Err("WsCatch rx/ex mismatch".into());
-            }
-            if **ca == *lc && **cb == *rc && **aa == *la && **ab == *ra {
-                Ok(())
-            } else {
-                Err("WsCatch components do not match premises".into())
-            }
-        }
-        Rule::WsExecConcrete => {
-            if !prems.is_empty() {
-                return Err("WsExecConcrete takes no premises".into());
-            }
-            if abs != conc {
-                return Err("WsExecConcrete passes the program through unchanged".into());
-            }
-            if !matches!(conc, Prog::ExecConcrete(_) | Prog::ExecAbstract(_)) {
-                return Err("WsExecConcrete applies to level-mixing markers".into());
-            }
-            if *rx != AbsFun::Id || *ex != AbsFun::Id {
-                return Err("concrete-level programs have id abstractions".into());
-            }
-            Ok(())
-        }
-        other => Err(format!("not a word-statement rule: {other:?}")),
+        pres.push(pp.clone());
+        abs_args.push(pa.clone());
+        conc_args.push(pc.clone());
+        arg_fs.push(pf.clone());
     }
+    let call = Prog::Call {
+        fname: fname.to_owned(),
+        args: abs_args,
+    };
+    let (rx, ex, inner) = match cx.fn_abs.get(fname) {
+        Some((param_fs, f_rx, f_ex)) => {
+            if *param_fs != arg_fs {
+                return Err("WsCall argument abstractions do not match the callee".into());
+            }
+            (f_rx.clone(), f_ex.clone(), call)
+        }
+        None => {
+            if arg_fs.iter().any(|f| *f != AbsFun::Id) {
+                return Err("WsCall to non-abstracted callee requires id arguments".into());
+            }
+            let inner = match conc_rx.forward_cast() {
+                None if *conc_rx == AbsFun::Id => call,
+                Some(cast) => Prog::bind(call, "·r", Prog::ret(Expr::cast(cast, Expr::var("·r")))),
+                None => return Err("WsCall cannot wrap with tuple abstraction".into()),
+            };
+            (conc_rx.clone(), AbsFun::Id, inner)
+        }
+    };
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx,
+        ex,
+        abs: guarded(GuardKind::WordAbs, &pre_all(pres), inner),
+        conc: Prog::Call {
+            fname: fname.to_owned(),
+            args: conc_args,
+        },
+    })
 }
 
-/// Strips a leading `guard P;` from a program (returns the continuation).
-fn strip_guard(p: &Prog) -> &Prog {
-    match p {
-        Prog::Bind(l, _, r) if matches!(**l, Prog::Guard(..)) => r,
-        other => other,
+/// `WsCatch`: the handler is abstracted with `v` bound at the body's
+/// exception abstraction.
+pub(super) fn catch(prems: &[&Judgment], v: &str) -> Concl {
+    let [l, r] = premises(prems)?;
+    let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
+    let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
+    if *rctx != extend(lctx, [(v, lex)]) {
+        return Err("WsCatch context discipline violated".into());
     }
+    if rrx != lrx {
+        return Err("WsCatch rx/ex mismatch".into());
+    }
+    Ok(Judgment::WStmt {
+        ctx: lctx.clone(),
+        rx: lrx.clone(),
+        ex: rex.clone(),
+        abs: Prog::Catch(
+            ir::intern::Interned::new(la.clone()),
+            v.to_owned(),
+            ir::intern::Interned::new(ra.clone()),
+        ),
+        conc: Prog::Catch(
+            ir::intern::Interned::new(lc.clone()),
+            v.to_owned(),
+            ir::intern::Interned::new(rc.clone()),
+        ),
+    })
+}
+
+/// `WsExecConcrete`: a level-mixing marker passes through unchanged, with
+/// id abstractions.
+pub(super) fn exec_concrete(prems: &[&Judgment], ctx: &VarCtx, p: &Prog) -> Concl {
+    let [] = premises(prems)?;
+    if !matches!(p, Prog::ExecConcrete(_) | Prog::ExecAbstract(_)) {
+        return Err("WsExecConcrete applies to level-mixing markers".into());
+    }
+    Ok(Judgment::WStmt {
+        ctx: ctx.clone(),
+        rx: AbsFun::Id,
+        ex: AbsFun::Id,
+        abs: p.clone(),
+        conc: p.clone(),
+    })
 }
 
 // ---- public constructors ---------------------------------------------------
@@ -864,22 +797,11 @@ type R = Result<Thm, KernelError>;
 ///
 /// # Errors
 ///
-/// Fails when `name` is not in `ctx` with abstraction `f`.
-pub fn w_var(cx: &CheckCtx, ctx: &VarCtx, name: &str) -> R {
-    let f = ctx.get(name).cloned().unwrap_or(AbsFun::Id);
-    Thm::admit(
-        Rule::WVar,
-        vec![],
-        Judgment::WVal {
-            ctx: ctx.clone(),
-            pre: Expr::tt(),
-            f,
-            abs: Expr::var(name),
-            conc: Expr::var(name),
-        },
-        Side::None,
-        cx,
-    )
+/// Infallible in practice: a variable absent from `ctx` is id-abstracted.
+pub fn w_var(_cx: &CheckCtx, ctx: &VarCtx, name: &str) -> R {
+    Thm::infer(Rule::WVar, vec![], Side::None, |p| {
+        var(p, ctx, Symbol::from(name))
+    })
 }
 
 /// `abs_w_val True f (f v) v` for a literal.
@@ -887,23 +809,8 @@ pub fn w_var(cx: &CheckCtx, ctx: &VarCtx, name: &str) -> R {
 /// # Errors
 ///
 /// Fails when `f` does not apply to the value.
-pub fn w_lit(cx: &CheckCtx, ctx: &VarCtx, f: AbsFun, v: &Value) -> R {
-    let abs = f
-        .apply(v)
-        .map_err(|msg| KernelError { rule: Rule::WLit, msg })?;
-    Thm::admit(
-        Rule::WLit,
-        vec![],
-        Judgment::WVal {
-            ctx: ctx.clone(),
-            pre: Expr::tt(),
-            f,
-            abs: Expr::Lit(abs),
-            conc: Expr::Lit(v.clone()),
-        },
-        Side::None,
-        cx,
-    )
+pub fn w_lit(_cx: &CheckCtx, ctx: &VarCtx, f: AbsFun, v: &Value) -> R {
+    Thm::infer(Rule::WLit, vec![], Side::None, |p| lit(p, ctx, &f, v))
 }
 
 /// A binary arithmetic rule at width `w` (see [`Rule`] for the variants).
@@ -911,10 +818,8 @@ pub fn w_lit(cx: &CheckCtx, ctx: &VarCtx, f: AbsFun, v: &Value) -> R {
 /// # Errors
 ///
 /// Fails when the premises do not have the required abstraction functions.
-pub fn w_arith(cx: &CheckCtx, rule: Rule, w: Width, a: Thm, b: Thm) -> R {
-    let concl = arith_conclusion(rule, w, a.judgment(), Some(b.judgment()))
-        .map_err(|msg| KernelError { rule, msg })?;
-    Thm::admit(rule, vec![a, b], concl, Side::None, cx)
+pub fn w_arith(_cx: &CheckCtx, rule: Rule, w: Width, a: Thm, b: Thm) -> R {
+    Thm::infer(rule, vec![a, b], Side::None, |p| arith(p, rule, w))
 }
 
 /// Signed negation at width `w`.
@@ -922,10 +827,8 @@ pub fn w_arith(cx: &CheckCtx, rule: Rule, w: Width, a: Thm, b: Thm) -> R {
 /// # Errors
 ///
 /// Fails when the premise is not a `sint` abstraction.
-pub fn s_neg(cx: &CheckCtx, w: Width, a: Thm) -> R {
-    let concl = arith_conclusion(Rule::SNeg, w, a.judgment(), None)
-        .map_err(|msg| KernelError { rule: Rule::SNeg, msg })?;
-    Thm::admit(Rule::SNeg, vec![a], concl, Side::None, cx)
+pub fn s_neg(_cx: &CheckCtx, w: Width, a: Thm) -> R {
+    Thm::infer(Rule::SNeg, vec![a], Side::None, |p| arith(p, Rule::SNeg, w))
 }
 
 /// Comparison under value abstraction (`f = id` on the boolean result).
@@ -933,23 +836,8 @@ pub fn s_neg(cx: &CheckCtx, w: Width, a: Thm) -> R {
 /// # Errors
 ///
 /// Fails on mismatched premise contexts or non-comparison operators.
-pub fn w_cmp(cx: &CheckCtx, op: BinOp, a: Thm, b: Thm) -> R {
-    let (ctx, pa, _, aa, ac) = as_wval(a.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WCmp,
-        msg,
-    })?;
-    let (_, pb, _, ba, bc) = as_wval(b.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WCmp,
-        msg,
-    })?;
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: pre_all([pa.clone(), pb.clone()]),
-        f: AbsFun::Id,
-        abs: Expr::binop(op, aa.clone(), ba.clone()),
-        conc: Expr::binop(op, ac.clone(), bc.clone()),
-    };
-    Thm::admit(Rule::WCmp, vec![a, b], concl, Side::None, cx)
+pub fn w_cmp(_cx: &CheckCtx, op: BinOp, a: Thm, b: Thm) -> R {
+    Thm::infer(Rule::WCmp, vec![a, b], Side::None, |p| cmp(p, op))
 }
 
 /// `of_nat`/`of_int` re-concretisation of an abstracted value.
@@ -957,29 +845,14 @@ pub fn w_cmp(cx: &CheckCtx, op: BinOp, a: Thm, b: Thm) -> R {
 /// # Errors
 ///
 /// Fails when the premise has the wrong abstraction function.
-pub fn w_reconcretize(cx: &CheckCtx, w: Width, s: Signedness, a: Thm) -> R {
-    let (ctx, pa, fa, aa, ac) = as_wval(a.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WOfNat,
-        msg,
-    })?;
-    let (rule, kind) = match fa {
-        AbsFun::Unat => (Rule::WOfNat, CastKind::OfNat(w, s)),
-        AbsFun::Sint => (Rule::WOfInt, CastKind::OfInt(w, s)),
-        other => {
-            return Err(KernelError {
-                rule: Rule::WOfNat,
-                msg: format!("cannot re-concretise {other}"),
-            })
-        }
+pub fn w_reconcretize(_cx: &CheckCtx, w: Width, s: Signedness, a: Thm) -> R {
+    let rule = match a.judgment() {
+        Judgment::WVal {
+            f: AbsFun::Sint, ..
+        } => Rule::WOfInt,
+        _ => Rule::WOfNat,
     };
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: pa.clone(),
-        f: AbsFun::Id,
-        abs: Expr::cast(kind, aa.clone()),
-        conc: ac.clone(),
-    };
-    Thm::admit(rule, vec![a], concl, Side::None, cx)
+    Thm::infer(rule, vec![a], Side::None, |p| reconcretize(p, rule, w, s))
 }
 
 /// Wraps an id-abstracted word term in `unat`/`sint`.
@@ -987,14 +860,10 @@ pub fn w_reconcretize(cx: &CheckCtx, w: Width, s: Signedness, a: Thm) -> R {
 /// # Errors
 ///
 /// Fails when the premise is not id-abstracted.
-pub fn w_wrap(cx: &CheckCtx, f: AbsFun, a: Thm) -> R {
-    let (ctx, pa, _, aa, ac) = as_wval(a.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WUnatWrap,
-        msg,
-    })?;
-    let (rule, kind) = match f {
-        AbsFun::Unat => (Rule::WUnatWrap, CastKind::Unat),
-        AbsFun::Sint => (Rule::WSintWrap, CastKind::Sint),
+pub fn w_wrap(_cx: &CheckCtx, f: AbsFun, a: Thm) -> R {
+    let rule = match f {
+        AbsFun::Unat => Rule::WUnatWrap,
+        AbsFun::Sint => Rule::WSintWrap,
         other => {
             return Err(KernelError {
                 rule: Rule::WUnatWrap,
@@ -1002,14 +871,7 @@ pub fn w_wrap(cx: &CheckCtx, f: AbsFun, a: Thm) -> R {
             })
         }
     };
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: pa.clone(),
-        f,
-        abs: Expr::cast(kind, aa.clone()),
-        conc: ac.clone(),
-    };
-    Thm::admit(rule, vec![a], concl, Side::None, cx)
+    Thm::infer(rule, vec![a], Side::None, |p| wrap(p, rule))
 }
 
 /// Congruence for id-abstracted operators: rebuilds `conc`'s operator with
@@ -1018,29 +880,8 @@ pub fn w_wrap(cx: &CheckCtx, f: AbsFun, a: Thm) -> R {
 /// # Errors
 ///
 /// Fails when the premises do not match `conc`'s children.
-pub fn w_id_cong(cx: &CheckCtx, ctx: &VarCtx, conc: &Expr, kids: Vec<Thm>) -> R {
-    let mut abs_kids = Vec::new();
-    let mut pres = Vec::new();
-    for k in &kids {
-        let (_, pp, _, pa, _) = as_wval(k.judgment()).map_err(|msg| KernelError {
-            rule: Rule::WIdCong,
-            msg,
-        })?;
-        abs_kids.push(pa.clone());
-        pres.push(pp.clone());
-    }
-    let abs = conc.with_children(&abs_kids).map_err(|msg| KernelError {
-        rule: Rule::WIdCong,
-        msg,
-    })?;
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: pre_all(pres),
-        f: AbsFun::Id,
-        abs,
-        conc: conc.clone(),
-    };
-    Thm::admit(Rule::WIdCong, kids, concl, Side::None, cx)
+pub fn w_id_cong(_cx: &CheckCtx, ctx: &VarCtx, conc: &Expr, kids: Vec<Thm>) -> R {
+    Thm::infer(Rule::WIdCong, kids, Side::None, |p| id_cong(p, ctx, conc))
 }
 
 /// Conditional expression with branch-weakened preconditions.
@@ -1048,31 +889,8 @@ pub fn w_id_cong(cx: &CheckCtx, ctx: &VarCtx, conc: &Expr, kids: Vec<Thm>) -> R 
 /// # Errors
 ///
 /// Fails on mismatched branch abstractions.
-pub fn w_ite(cx: &CheckCtx, c: Thm, t: Thm, e: Thm) -> R {
-    let (ctx, pc, _, ca, cc) = as_wval(c.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WIte,
-        msg,
-    })?;
-    let (_, pt, ft, ta, tc) = as_wval(t.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WIte,
-        msg,
-    })?;
-    let (_, pe, _, ea, ec) = as_wval(e.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WIte,
-        msg,
-    })?;
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: pre_all([
-            pc.clone(),
-            weaken(ca, pt),
-            weaken(&Expr::not(ca.clone()), pe),
-        ]),
-        f: ft.clone(),
-        abs: Expr::ite(ca.clone(), ta.clone(), ea.clone()),
-        conc: Expr::ite(cc.clone(), tc.clone(), ec.clone()),
-    };
-    Thm::admit(Rule::WIte, vec![c, t, e], concl, Side::None, cx)
+pub fn w_ite(_cx: &CheckCtx, c: Thm, t: Thm, e: Thm) -> R {
+    Thm::infer(Rule::WIte, vec![c, t, e], Side::None, ite)
 }
 
 /// Componentwise tuple abstraction.
@@ -1080,31 +898,12 @@ pub fn w_ite(cx: &CheckCtx, c: Thm, t: Thm, e: Thm) -> R {
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn w_tuple(cx: &CheckCtx, kids: Vec<Thm>) -> R {
-    let mut ctx0 = None;
-    let mut pres = Vec::new();
-    let mut fs = Vec::new();
-    let mut abss = Vec::new();
-    let mut concs = Vec::new();
-    for k in &kids {
-        let (ctx, pp, pf, pa, pc) = as_wval(k.judgment()).map_err(|msg| KernelError {
-            rule: Rule::WTuple,
-            msg,
-        })?;
-        ctx0.get_or_insert_with(|| ctx.clone());
-        pres.push(pp.clone());
-        fs.push(pf.clone());
-        abss.push(pa.clone());
-        concs.push(pc.clone());
-    }
-    let concl = Judgment::WVal {
-        ctx: ctx0.unwrap_or_default(),
-        pre: pre_all(pres),
-        f: AbsFun::Tuple(fs),
-        abs: Expr::Tuple(abss),
-        conc: Expr::Tuple(concs),
+pub fn w_tuple(_cx: &CheckCtx, kids: Vec<Thm>) -> R {
+    let ctx = match kids.first().map(Thm::judgment) {
+        Some(Judgment::WVal { ctx, .. }) => ctx.clone(),
+        _ => VarCtx::default(),
     };
-    Thm::admit(Rule::WTuple, kids, concl, Side::None, cx)
+    Thm::infer(Rule::WTuple, kids, Side::None, |p| tuple(p, &ctx))
 }
 
 /// Tuple projection.
@@ -1112,31 +911,8 @@ pub fn w_tuple(cx: &CheckCtx, kids: Vec<Thm>) -> R {
 /// # Errors
 ///
 /// Fails when the premise is not tuple-abstracted.
-pub fn w_proj(cx: &CheckCtx, i: usize, t: Thm) -> R {
-    let (ctx, tp, tf, ta, tc) = as_wval(t.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WProj,
-        msg,
-    })?;
-    let AbsFun::Tuple(fs) = tf else {
-        return Err(KernelError {
-            rule: Rule::WProj,
-            msg: "premise must be tuple-abstracted".into(),
-        });
-    };
-    if i >= fs.len() {
-        return Err(KernelError {
-            rule: Rule::WProj,
-            msg: "projection out of range".into(),
-        });
-    }
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: tp.clone(),
-        f: fs[i].clone(),
-        abs: Expr::proj(i, ta.clone()),
-        conc: Expr::proj(i, tc.clone()),
-    };
-    Thm::admit(Rule::WProj, vec![t], concl, Side::None, cx)
+pub fn w_proj(_cx: &CheckCtx, i: usize, t: Thm) -> R {
+    Thm::infer(Rule::WProj, vec![t], Side::None, |p| proj(p, i))
 }
 
 /// `exec_concrete`/`exec_abstract` pass-through.
@@ -1144,20 +920,10 @@ pub fn w_proj(cx: &CheckCtx, i: usize, t: Thm) -> R {
 /// # Errors
 ///
 /// Fails when `p` is not a level-mixing marker.
-pub fn ws_exec_concrete(cx: &CheckCtx, ctx: &VarCtx, p: &Prog) -> R {
-    Thm::admit(
-        Rule::WsExecConcrete,
-        vec![],
-        Judgment::WStmt {
-            ctx: ctx.clone(),
-            rx: AbsFun::Id,
-            ex: AbsFun::Id,
-            abs: p.clone(),
-            conc: p.clone(),
-        },
-        Side::None,
-        cx,
-    )
+pub fn ws_exec_concrete(_cx: &CheckCtx, ctx: &VarCtx, p: &Prog) -> R {
+    Thm::infer(Rule::WsExecConcrete, vec![], Side::None, |ps| {
+        exec_concrete(ps, ctx, p)
+    })
 }
 
 /// Collapses a tuple of identity abstractions to the identity.
@@ -1165,19 +931,8 @@ pub fn ws_exec_concrete(cx: &CheckCtx, ctx: &VarCtx, p: &Prog) -> R {
 /// # Errors
 ///
 /// Fails when the premise is not identity-like.
-pub fn w_tuple_id(cx: &CheckCtx, t: Thm) -> R {
-    let (ctx, tp, _, ta, tc) = as_wval(t.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WTupleId,
-        msg,
-    })?;
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: tp.clone(),
-        f: AbsFun::Id,
-        abs: ta.clone(),
-        conc: tc.clone(),
-    };
-    Thm::admit(Rule::WTupleId, vec![t], concl, Side::None, cx)
+pub fn w_tuple_id(_cx: &CheckCtx, t: Thm) -> R {
+    Thm::infer(Rule::WTupleId, vec![t], Side::None, tuple_id)
 }
 
 /// Wraps an id-abstracted tuple into a componentwise abstraction.
@@ -1185,23 +940,8 @@ pub fn w_tuple_id(cx: &CheckCtx, t: Thm) -> R {
 /// # Errors
 ///
 /// Fails for nested-tuple components.
-pub fn w_tuple_wrap(cx: &CheckCtx, fs: &[AbsFun], t: Thm) -> R {
-    let (ctx, tp, _, ta, tc) = as_wval(t.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WTupleWrap,
-        msg,
-    })?;
-    let abs = tuple_wrap_expr(fs, ta).ok_or_else(|| KernelError {
-        rule: Rule::WTupleWrap,
-        msg: "unsupported component abstraction".into(),
-    })?;
-    let concl = Judgment::WVal {
-        ctx: ctx.clone(),
-        pre: tp.clone(),
-        f: AbsFun::Tuple(fs.to_vec()),
-        abs,
-        conc: tc.clone(),
-    };
-    Thm::admit(Rule::WTupleWrap, vec![t], concl, Side::None, cx)
+pub fn w_tuple_wrap(_cx: &CheckCtx, fs: &[AbsFun], t: Thm) -> R {
+    Thm::infer(Rule::WTupleWrap, vec![t], Side::None, |p| tuple_wrap(p, fs))
 }
 
 /// A user-supplied idiom rule (Sec 3.3), admitted after randomized sampling
@@ -1211,19 +951,16 @@ pub fn w_tuple_wrap(cx: &CheckCtx, fs: &[AbsFun], t: Thm) -> R {
 ///
 /// Fails when sampling finds a violation.
 pub fn w_custom_sampled(
-    cx: &CheckCtx,
+    _cx: &CheckCtx,
     judgment: Judgment,
     vars: BTreeMap<String, Ty>,
     trials: u32,
     seed: u64,
 ) -> R {
-    Thm::admit(
-        Rule::WCustomSampled,
-        vec![],
-        judgment,
-        Side::SampledWVal { vars, trials, seed },
-        cx,
-    )
+    let side = Side::SampledWVal { vars, trials, seed };
+    Thm::infer(Rule::WCustomSampled, vec![], side.clone(), |p| {
+        custom_sampled(p, judgment, &side)
+    })
 }
 
 /// `WRET`/`WGETS`/`WTHROW`: lifts a value abstraction to a statement,
@@ -1232,27 +969,14 @@ pub fn w_custom_sampled(
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn ws_value_stmt(cx: &CheckCtx, rule: Rule, ex: AbsFun, v: Thm) -> R {
-    let (ctx, pre, f, va, vc) = as_wval(v.judgment()).map_err(|msg| KernelError { rule, msg })?;
-    let (mk, rx, ex) = match rule {
-        Rule::WsRet => (Prog::Return as fn(Expr) -> Prog, f.clone(), ex),
-        Rule::WsGets => (Prog::Gets as fn(Expr) -> Prog, f.clone(), ex),
-        Rule::WsThrow => (Prog::Throw as fn(Expr) -> Prog, ex, f.clone()),
-        other => {
-            return Err(KernelError {
-                rule: other,
-                msg: "not a value-statement rule".into(),
-            })
-        }
-    };
-    let concl = Judgment::WStmt {
-        ctx: ctx.clone(),
-        rx,
-        ex,
-        abs: guarded(GuardKind::WordAbs, pre, mk(va.clone())),
-        conc: mk(vc.clone()),
-    };
-    Thm::admit(rule, vec![v], concl, Side::None, cx)
+pub fn ws_value_stmt(_cx: &CheckCtx, rule: Rule, ex: AbsFun, v: Thm) -> R {
+    if !matches!(rule, Rule::WsRet | Rule::WsGets | Rule::WsThrow) {
+        return Err(KernelError {
+            rule,
+            msg: "not a value-statement rule".into(),
+        });
+    }
+    Thm::infer(rule, vec![v], Side::None, |p| value_stmt(p, rule, &ex))
 }
 
 /// `modify` abstraction.
@@ -1260,29 +984,10 @@ pub fn ws_value_stmt(cx: &CheckCtx, rule: Rule, ex: AbsFun, v: Thm) -> R {
 /// # Errors
 ///
 /// Fails when the premises do not match the update's expressions.
-pub fn ws_modify(cx: &CheckCtx, ctx: &VarCtx, ex: AbsFun, conc_upd: &Update, kids: Vec<Thm>) -> R {
-    let mut abs_exprs = Vec::new();
-    let mut pres = Vec::new();
-    for k in &kids {
-        let (_, pp, _, pa, _) = as_wval(k.judgment()).map_err(|msg| KernelError {
-            rule: Rule::WsModify,
-            msg,
-        })?;
-        abs_exprs.push(pa.clone());
-        pres.push(pp.clone());
-    }
-    let au = conc_upd.with_exprs(&abs_exprs).map_err(|msg| KernelError {
-        rule: Rule::WsModify,
-        msg,
-    })?;
-    let concl = Judgment::WStmt {
-        ctx: ctx.clone(),
-        rx: AbsFun::Id,
-        ex,
-        abs: guarded(GuardKind::WordAbs, &pre_all(pres), Prog::Modify(au)),
-        conc: Prog::Modify(conc_upd.clone()),
-    };
-    Thm::admit(Rule::WsModify, kids, concl, Side::None, cx)
+pub fn ws_modify(_cx: &CheckCtx, ctx: &VarCtx, ex: AbsFun, conc_upd: &Update, kids: Vec<Thm>) -> R {
+    Thm::infer(Rule::WsModify, kids, Side::None, |p| {
+        modify(p, ctx, &ex, conc_upd)
+    })
 }
 
 /// Guard-statement abstraction.
@@ -1290,23 +995,8 @@ pub fn ws_modify(cx: &CheckCtx, ctx: &VarCtx, ex: AbsFun, conc_upd: &Update, kid
 /// # Errors
 ///
 /// Fails on malformed premises.
-pub fn ws_guard(cx: &CheckCtx, kind: GuardKind, ex: AbsFun, v: Thm) -> R {
-    let (ctx, pre, _, va, vc) = as_wval(v.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WsGuard,
-        msg,
-    })?;
-    let concl = Judgment::WStmt {
-        ctx: ctx.clone(),
-        rx: AbsFun::Id,
-        ex,
-        abs: guarded(
-            GuardKind::WordAbs,
-            pre,
-            Prog::Guard(kind.clone(), va.clone()),
-        ),
-        conc: Prog::Guard(kind, vc.clone()),
-    };
-    Thm::admit(Rule::WsGuard, vec![v], concl, Side::None, cx)
+pub fn ws_guard(_cx: &CheckCtx, kind: GuardKind, ex: AbsFun, v: Thm) -> R {
+    Thm::infer(Rule::WsGuard, vec![v], Side::None, |p| guard(p, &kind, &ex))
 }
 
 /// `fail ⊑ fail`.
@@ -1314,20 +1004,8 @@ pub fn ws_guard(cx: &CheckCtx, kind: GuardKind, ex: AbsFun, v: Thm) -> R {
 /// # Errors
 ///
 /// Never fails in practice (infallible side conditions).
-pub fn ws_fail(cx: &CheckCtx, ctx: &VarCtx, rx: AbsFun, ex: AbsFun) -> R {
-    Thm::admit(
-        Rule::WsFail,
-        vec![],
-        Judgment::WStmt {
-            ctx: ctx.clone(),
-            rx,
-            ex,
-            abs: Prog::Fail,
-            conc: Prog::Fail,
-        },
-        Side::None,
-        cx,
-    )
+pub fn ws_fail(_cx: &CheckCtx, ctx: &VarCtx, rx: AbsFun, ex: AbsFun) -> R {
+    Thm::infer(Rule::WsFail, vec![], Side::None, |p| fail(p, ctx, &rx, &ex))
 }
 
 /// `WBIND`.
@@ -1335,17 +1013,8 @@ pub fn ws_fail(cx: &CheckCtx, ctx: &VarCtx, rx: AbsFun, ex: AbsFun) -> R {
 /// # Errors
 ///
 /// Fails when the continuation's context does not extend the left side's.
-pub fn ws_bind(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
-    let (ctx, _, ex, la, lc) = clone_wstmt(&l)?;
-    let (_, rrx, _, ra, rc) = clone_wstmt(&r)?;
-    let concl = Judgment::WStmt {
-        ctx,
-        rx: rrx,
-        ex,
-        abs: Prog::bind(la, v, ra),
-        conc: Prog::bind(lc, v, rc),
-    };
-    Thm::admit(Rule::WsBind, vec![l, r], concl, Side::None, cx)
+pub fn ws_bind(_cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
+    Thm::infer(Rule::WsBind, vec![l, r], Side::None, |p| bind(p, v))
 }
 
 /// `condition` abstraction.
@@ -1353,28 +1022,8 @@ pub fn ws_bind(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
 /// # Errors
 ///
 /// Fails on mismatched branches.
-pub fn ws_cond(cx: &CheckCtx, c: Thm, t: Thm, e: Thm) -> R {
-    let (ctx, pc, _, ca, cc) = match c.judgment() {
-        Judgment::WVal { ctx, pre, f, abs, conc } => {
-            (ctx.clone(), pre.clone(), f.clone(), abs.clone(), conc.clone())
-        }
-        other => {
-            return Err(KernelError {
-                rule: Rule::WsCond,
-                msg: format!("expected abs_w_val, got {}", other.describe()),
-            })
-        }
-    };
-    let (_, rx, ex, ta, tc) = clone_wstmt(&t)?;
-    let (_, _, _, ea, ec) = clone_wstmt(&e)?;
-    let concl = Judgment::WStmt {
-        ctx,
-        rx,
-        ex,
-        abs: guarded(GuardKind::WordAbs, &pc, Prog::cond(ca, ta, ea)),
-        conc: Prog::cond(cc, tc, ec),
-    };
-    Thm::admit(Rule::WsCond, vec![c, t, e], concl, Side::None, cx)
+pub fn ws_cond(_cx: &CheckCtx, c: Thm, t: Thm, e: Thm) -> R {
+    Thm::infer(Rule::WsCond, vec![c, t, e], Side::None, cond)
 }
 
 /// `whileLoop` abstraction.
@@ -1384,61 +1033,18 @@ pub fn ws_cond(cx: &CheckCtx, c: Thm, t: Thm, e: Thm) -> R {
 /// Fails when the condition has a non-trivial precondition or the iterator
 /// contexts are inconsistent.
 pub fn ws_while(
-    cx: &CheckCtx,
+    _cx: &CheckCtx,
     ctx: &VarCtx,
     vars: &[String],
     cond: Thm,
     body: Thm,
     inits: Vec<Thm>,
 ) -> R {
-    let (_, _, cvf, cva, cvc) = as_wval(cond.judgment()).map_err(|msg| KernelError {
-        rule: Rule::WsWhile,
-        msg,
-    })?;
-    let _ = cvf;
-    let (_, brx, bex, ba, bc) = clone_wstmt(&body)?;
-    let _ = brx;
-    let mut fs = Vec::new();
-    let mut pres = Vec::new();
-    let mut ainit = Vec::new();
-    let mut cinit = Vec::new();
-    for i in &inits {
-        let (_, pp, pf, pa, pc) = as_wval(i.judgment()).map_err(|msg| KernelError {
-            rule: Rule::WsWhile,
-            msg,
-        })?;
-        fs.push(pf.clone());
-        pres.push(pp.clone());
-        ainit.push(pa.clone());
-        cinit.push(pc.clone());
-    }
-    let packed = if fs.len() == 1 {
-        fs[0].clone()
-    } else {
-        AbsFun::Tuple(fs)
-    };
-    let abs_loop = Prog::While {
-        vars: vars.to_vec(),
-        cond: cva.clone(),
-        body: ir::intern::Interned::new(ba),
-        init: ainit,
-    };
-    let conc_loop = Prog::While {
-        vars: vars.to_vec(),
-        cond: cvc.clone(),
-        body: ir::intern::Interned::new(bc),
-        init: cinit,
-    };
-    let concl = Judgment::WStmt {
-        ctx: ctx.clone(),
-        rx: packed,
-        ex: bex,
-        abs: guarded(GuardKind::WordAbs, &pre_all(pres), abs_loop),
-        conc: conc_loop,
-    };
     let mut prems = vec![cond, body];
     prems.extend(inits);
-    Thm::admit(Rule::WsWhile, prems, concl, Side::None, cx)
+    Thm::infer(Rule::WsWhile, prems, Side::None, |p| {
+        while_loop(p, ctx, vars)
+    })
 }
 
 /// Call abstraction (both abstracted and non-abstracted callees).
@@ -1453,47 +1059,9 @@ pub fn ws_call(
     args: Vec<Thm>,
     rx_for_conc_callee: AbsFun,
 ) -> R {
-    let mut pres = Vec::new();
-    let mut abs_args = Vec::new();
-    let mut conc_args = Vec::new();
-    for a in &args {
-        let (_, pp, _, pa, pc) = as_wval(a.judgment()).map_err(|msg| KernelError {
-            rule: Rule::WsCall,
-            msg,
-        })?;
-        pres.push(pp.clone());
-        abs_args.push(pa.clone());
-        conc_args.push(pc.clone());
-    }
-    let call = Prog::Call {
-        fname: fname.to_owned(),
-        args: abs_args,
-    };
-    let (rx, ex, abs_inner) = match cx.fn_abs.get(fname) {
-        Some((_, f_rx, f_ex)) => (f_rx.clone(), f_ex.clone(), call),
-        None => {
-            let inner = match rx_for_conc_callee.forward_cast() {
-                None => call,
-                Some(cast) => Prog::bind(
-                    call,
-                    "·r",
-                    Prog::ret(Expr::cast(cast, Expr::var("·r"))),
-                ),
-            };
-            (rx_for_conc_callee, AbsFun::Id, inner)
-        }
-    };
-    let concl = Judgment::WStmt {
-        ctx: ctx.clone(),
-        rx,
-        ex,
-        abs: guarded(GuardKind::WordAbs, &pre_all(pres), abs_inner),
-        conc: Prog::Call {
-            fname: fname.to_owned(),
-            args: conc_args,
-        },
-    };
-    Thm::admit(Rule::WsCall, args, concl, Side::None, cx)
+    Thm::infer(Rule::WsCall, args, Side::None, |p| {
+        call(p, cx, ctx, fname, &rx_for_conc_callee)
+    })
 }
 
 /// `catch` abstraction.
@@ -1501,17 +1069,8 @@ pub fn ws_call(
 /// # Errors
 ///
 /// Fails when the handler's context does not bind the exception variable.
-pub fn ws_catch(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
-    let (ctx, rx, _, la, lc) = clone_wstmt(&l)?;
-    let (_, _, rex, ra, rc) = clone_wstmt(&r)?;
-    let concl = Judgment::WStmt {
-        ctx,
-        rx,
-        ex: rex,
-        abs: Prog::Catch(ir::intern::Interned::new(la), v.to_owned(), ir::intern::Interned::new(ra)),
-        conc: Prog::Catch(ir::intern::Interned::new(lc), v.to_owned(), ir::intern::Interned::new(rc)),
-    };
-    Thm::admit(Rule::WsCatch, vec![l, r], concl, Side::None, cx)
+pub fn ws_catch(_cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
+    Thm::infer(Rule::WsCatch, vec![l, r], Side::None, |p| catch(p, v))
 }
 
 /// `WBIND` with a tuple pattern.
@@ -1520,31 +1079,8 @@ pub fn ws_catch(cx: &CheckCtx, v: &str, l: Thm, r: Thm) -> R {
 ///
 /// Fails when the continuation's context does not extend the left side's
 /// componentwise.
-pub fn ws_bind_tuple(cx: &CheckCtx, vs: &[String], l: Thm, r: Thm) -> R {
-    let (ctx, _, ex, la, lc) = clone_wstmt(&l)?;
-    let (_, rrx, _, ra, rc) = clone_wstmt(&r)?;
-    let concl = Judgment::WStmt {
-        ctx,
-        rx: rrx,
-        ex,
-        abs: Prog::bind_tuple(la, vs.to_vec(), ra),
-        conc: Prog::bind_tuple(lc, vs.to_vec(), rc),
-    };
-    Thm::admit(Rule::WsBindTuple, vec![l, r], concl, Side::None, cx)
-}
-
-fn clone_wstmt(t: &Thm) -> Result<(VarCtx, AbsFun, AbsFun, Prog, Prog), KernelError> {
-    match t.judgment() {
-        Judgment::WStmt { ctx, rx, ex, abs, conc } => Ok((
-            ctx.clone(),
-            rx.clone(),
-            ex.clone(),
-            abs.clone(),
-            conc.clone(),
-        )),
-        other => Err(KernelError {
-            rule: Rule::WsBind,
-            msg: format!("expected abs_w_stmt, got {}", other.describe()),
-        }),
-    }
+pub fn ws_bind_tuple(_cx: &CheckCtx, vs: &[String], l: Thm, r: Thm) -> R {
+    Thm::infer(Rule::WsBindTuple, vec![l, r], Side::None, |p| {
+        bind_tuple(p, vs)
+    })
 }

@@ -11,7 +11,7 @@ use ir::sched::{par_map, plan_workers, PoolStats};
 use crate::judgment::{AbsFun, Judgment};
 
 /// The inference rules of the kernel. Every theorem records which rule
-/// admitted it; the checker replays the rule's validation.
+/// admitted it; the checker recomputes the rule's conclusion and compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
     // --- word abstraction: values (Table 3 and Sec 3.3) ---
@@ -218,8 +218,8 @@ pub enum Side {
 /// A theorem: a judgment together with its full derivation.
 ///
 /// `Thm` has no public constructor; instances can only be produced by the
-/// rule functions in [`crate::rules`], each of which validates its side
-/// conditions first (the LCF discipline).
+/// rule functions in [`crate::rules`], each of which checks its side
+/// conditions while it computes the conclusion (the LCF discipline).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Thm {
     judgment: Judgment,
@@ -308,8 +308,27 @@ impl Thm {
         }
     }
 
-    /// Kernel-internal constructor (`pub(crate)`) — validates before
-    /// admitting.
+    /// Kernel-internal constructor for the rule constructors in
+    /// [`crate::rules`]: applies the rule's conclusion function `concl` to
+    /// the premises' judgments once. The function checks the rule's side
+    /// conditions and its result is the theorem's judgment, with no second
+    /// derivation (`scripts/tier1.sh` keeps every caller in `kernel::rules`).
+    pub(crate) fn infer(
+        rule: Rule,
+        premises: Vec<Thm>,
+        side: Side,
+        concl: impl FnOnce(&[&Judgment]) -> Result<Judgment, String>,
+    ) -> Result<Thm, KernelError> {
+        let prem_judgments: Vec<&Judgment> = premises.iter().map(Thm::judgment).collect();
+        let judgment = concl(&prem_judgments).map_err(|msg| KernelError { rule, msg })?;
+        Ok(Thm::assemble(rule, premises, judgment, side))
+    }
+
+    /// Kernel-internal constructor for a *proposed* derivation node (the
+    /// certificate reader's, `kernel::cert`): admits it only if
+    /// `rules::validate` accepts it, i.e. the rule's conclusion function,
+    /// recomputed from the premises and the parameters read off
+    /// `judgment`, gives back `judgment`.
     pub(crate) fn admit(
         rule: Rule,
         premises: Vec<Thm>,
@@ -364,7 +383,8 @@ pub struct CheckCtx {
     pub fn_abs: BTreeMap<String, (Vec<AbsFun>, AbsFun, AbsFun)>,
 }
 
-/// Replays a theorem's entire derivation through the rule validations.
+/// Replays a theorem's entire derivation: every node's rule recomputes its
+/// conclusion from the node's premises, and the node must state it.
 ///
 /// This is the independent proof checker: it does not trust the engine that
 /// constructed the theorem, only the kernel rules.

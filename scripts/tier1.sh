@@ -47,6 +47,25 @@ if [[ $(grep -c . <<< "$from_row") -ne 1 ]] || ! grep -q '^crates/kernel/src/cod
     echo "$from_row" >&2; exit 1
 fi
 
+# One rule definition (DESIGN.md §2): each rule is one conclusion function,
+# applied once by its constructor through `Thm::infer` and recomputed by
+# `rules::validate`. Only the certificate reader proposes nodes through
+# `Thm::admit` (besides the per-rule table in kernel::rules, which
+# proposes broken ones), only the rule constructors call `Thm::infer`, and
+# the hand-written second copies of the rules stay deleted.
+if grep -rn 'Thm::admit(' crates src tests --include='*.rs' \
+    | grep -vE '^crates/kernel/src/(cert|rules/tests)\.rs:'; then
+    echo "tier1: Thm::admit called outside crates/kernel/src/cert.rs" >&2; exit 1
+fi
+if grep -rn 'Thm::infer(' crates src tests --include='*.rs' \
+    | grep -v '^crates/kernel/src/rules/'; then
+    echo "tier1: Thm::infer called outside crates/kernel/src/rules/" >&2; exit 1
+fi
+if grep -rnE 'fn +(validate_val|validate_stmt|validate_l1|validate_refines|validate_absint|clone_wstmt)\b' \
+    crates/kernel/src --include='*.rs'; then
+    echo "tier1: second copy of a kernel rule; a rule is one conclusion function" >&2; exit 1
+fi
+
 # One term decomposition (DESIGN.md §2): the kernel's congruence rules and
 # every engine split terms with `Expr::children`/`with_children` (ir::expr),
 # `Update::exprs`/`with_exprs` (ir::update), `AbsFun::is_identity`
