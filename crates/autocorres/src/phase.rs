@@ -26,12 +26,17 @@
 //! double-pass hash over the function's typed + Simpl terms, the global
 //! environment (layouts, globals, the signature table), the normalized
 //! driver options, and — for the exec-testing phases — the transitive
-//! callee cone. The [`ArtifactStore`] (owned by [`crate::Session`]) maps
+//! callee cone. The typed terms are hashed position-free
+//! ([`cparser::TFunDef::hash_position_free`]: statement spans relative to
+//! the function's header), so moving a function in the file changes no
+//! digest. The [`ArtifactStore`] (owned by [`crate::Session`]) maps
 //! `(phase, function, input_digest)` to the artifact produced last time;
 //! a hit returns the cached artifact without re-running the job. Because
 //! every job is a deterministic pure function of exactly the digested
 //! inputs, a cache hit is byte-identical to a re-run — the incremental
-//! test suite asserts this.
+//! test suite asserts this. The one artifact that holds spans, absint's
+//! lint list, holds them header-relative too; `run_pipeline` anchors
+//! them at the current header when it assembles the output.
 //!
 //! Soundness (DESIGN.md §7): artifacts store [`kernel::Thm`] values that
 //! were constructed through the kernel on the original run; the cache can
@@ -112,7 +117,10 @@ pub enum Artifact {
 /// The abstract-interpretation artifact for one function.
 #[derive(Clone, Debug, Default)]
 pub struct AbsintFn {
-    /// Guard verdicts and lints from the flow-sensitive analysis.
+    /// Guard verdicts and lints from the flow-sensitive analysis. Lint
+    /// spans are relative to the function's header span in a stored
+    /// artifact ([`ir::diag::Span::relative_to`]) and absolute in
+    /// [`Output::absint`].
     pub report: absint::FnAbsint,
     /// One `absint_discharge` theorem per statically proved guard, keyed
     /// by the guard's index in `report.guards`. Kept separate from the
@@ -274,7 +282,8 @@ pub struct PhaseCx<'a> {
     pub names: Vec<String>,
     /// For each name index, the index into `typed.functions`.
     pub typed_idx: Vec<usize>,
-    /// Per-function term digest (typed def + Simpl translation).
+    /// Per-function term digest (position-free typed def + Simpl
+    /// translation).
     pub fn_digests: Vec<u128>,
     /// Per-function transitive-callee cone digest (includes the function).
     pub cone_digests: Vec<u128>,
@@ -353,7 +362,7 @@ impl<'a> PhaseCx<'a> {
             .enumerate()
             .map(|(i, n)| {
                 digest128(|h| {
-                    typed.functions[typed_idx[i]].hash(h);
+                    typed.functions[typed_idx[i]].hash_position_free(h);
                     sp.fns[n].hash(h);
                 })
             })
@@ -852,7 +861,14 @@ impl Phase for AbsintPhase {
         let name = &cx.names[f];
         let fun = &sh.wactx.fns[name];
         let mut report = absint::analyze_fn(fun, &cx.sp.tenv);
-        report.lints = absint::lint_fn(&cx.typed.functions[cx.typed_idx[f]]);
+        // Lint spans are stored relative to the header, like the spans in
+        // the function digest, so a hit after the function moved stays
+        // right; `run_pipeline` anchors them at the current header.
+        let tf = &cx.typed.functions[cx.typed_idx[f]];
+        report.lints = absint::lint_fn(tf);
+        for l in &mut report.lints {
+            l.span = l.span.relative_to(tf.span);
+        }
         let mut thms = Vec::new();
         for g in &report.guards {
             if let absint::Verdict::ProvedTrue { hyp } = &g.verdict {
@@ -1218,7 +1234,12 @@ pub(crate) fn run_pipeline(
         let Artifact::Absint(a) = &take("absint", i).value else {
             unreachable!("absint nodes produce Absint artifacts");
         };
-        absint_map.insert(cx.names[i].clone(), a.clone());
+        let mut a = a.clone();
+        let header = typed.functions[cx.typed_idx[i]].span;
+        for l in &mut a.report.lints {
+            l.span = l.span.anchored_at(header);
+        }
+        absint_map.insert(cx.names[i].clone(), a);
     }
 
     // Per-phase rows fold the function nodes' records; `l2`/`l2thm` share
@@ -1489,25 +1510,33 @@ mod tests {
 
     #[test]
     fn fn_digests_are_per_function_content() {
-        let typed_a = cparser::parse_and_check(
-            "unsigned f(unsigned x) { return x + 1u; }\n\
-             unsigned g(unsigned x) { return x * 2u; }\n",
-        )
-        .unwrap();
-        let typed_b = cparser::parse_and_check(
-            "unsigned f(unsigned x) { return x + 9u; }\n\
-             unsigned g(unsigned x) { return x * 2u; }\n",
-        )
-        .unwrap();
-        let sp_a = simpl::translate_program(&typed_a).unwrap();
-        let sp_b = simpl::translate_program(&typed_b).unwrap();
-        let opts = Options::default();
-        let cx_a = PhaseCx::new(&typed_a, &sp_a, &opts);
-        let cx_b = PhaseCx::new(&typed_b, &sp_b, &opts);
-        // names are sorted: [f, g].
-        assert_ne!(cx_a.fn_digests[0], cx_b.fn_digests[0], "f was edited");
-        assert_eq!(cx_a.fn_digests[1], cx_b.fn_digests[1], "g was not");
-        assert_eq!(cx_a.env_digest, cx_b.env_digest, "signatures unchanged");
+        const F: &str = "unsigned f(unsigned x) {\n    unsigned y = x + 1u;\n    return y;\n}\n";
+        const G: &str = "unsigned g(unsigned x) { return x * 2u; }\n";
+        let digests = |src: &str| {
+            let typed = cparser::parse_and_check(src).unwrap();
+            let sp = simpl::translate_program(&typed).unwrap();
+            let opts = Options::default();
+            let cx = PhaseCx::new(&typed, &sp, &opts);
+            // names are sorted: [f, g].
+            (cx.fn_digests.clone(), cx.env_digest)
+        };
+        let (base, env) = digests(&format!("{F}{G}"));
+        let (edited, edited_env) = digests(&format!("{}{G}", F.replace("1u", "9u")));
+        assert_ne!(base[0], edited[0], "f was edited");
+        assert_eq!(base[1], edited[1], "g was not");
+        assert_eq!(env, edited_env, "signatures unchanged");
+
+        // Position-free: moving a function leaves its digest alone.
+        let (commented, _) = digests(&format!("/* a comment */\n\n{F}{G}"));
+        assert_eq!(base, commented, "a prepended comment moved nothing");
+        let (swapped, _) = digests(&format!("{G}{F}"));
+        assert_eq!(base, swapped, "the order of functions in the file");
+        // A blank line between two statements moves f's later statements
+        // (and so its lint spans) relative to its header.
+        let spread = F.replace("1u;\n", "1u;\n\n");
+        let (blank, _) = digests(&format!("{spread}{G}"));
+        assert_ne!(base[0], blank[0], "f's relative spans moved");
+        assert_eq!(base[1], blank[1], "g only moved down");
     }
 
     /// A phase whose job panics for every function.

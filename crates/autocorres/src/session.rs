@@ -11,13 +11,15 @@
 //! Translating edited source through the same session therefore re-runs
 //! only the *dirty cone*: the edited function in every phase, plus its
 //! transitive callers in the exec-testing phases (whose differential tests
-//! execute calls, so their input digests cover the callee cone). Everything
-//! else is answered from the store — and because every phase job is a
-//! deterministic pure function of exactly its digested inputs, the output
-//! is byte-identical to a from-scratch run. Scheduling is equally
-//! invisible: the work-stealing phase executor (see [`crate::phase`])
-//! keys nothing into the digests, so the same session produces the same
-//! bytes at any worker count. Likewise
+//! execute calls, so their input digests cover the callee cone). Function
+//! digests are position-free, so the functions the edit merely moved (a
+//! longer body above them, a comment, blank lines) are not in the cone.
+//! Everything else is answered from the store — and because every phase
+//! job is a deterministic pure function of exactly its digested inputs,
+//! the output is byte-identical to a from-scratch run. Scheduling is
+//! equally invisible: the work-stealing phase executor (see
+//! [`crate::phase`]) keys nothing into the digests, so the same session
+//! produces the same bytes at any worker count. Likewise
 //! [`Session::check_all_report`] replays only theorems whose derivations
 //! contain proof nodes not yet seen by this session's replay cache.
 //!
@@ -39,6 +41,9 @@
 //! assert_eq!(out2.stats.dirty_fns, 0); // nothing changed: full cache hit
 //! assert_eq!(out1.wa.function("one").unwrap().to_string(),
 //!            out2.wa.function("one").unwrap().to_string());
+//! // Moving the function down the file changes no digest either.
+//! let out3 = sess.translate("/* moved */\n\nint one(void) { return 1; }").unwrap();
+//! assert_eq!(out3.stats.dirty_fns, 0);
 //! ```
 
 use std::sync::Mutex;

@@ -11,7 +11,7 @@
 //! Layout under the cache directory:
 //!
 //! ```text
-//! meta                          b"ACRSTOR1" + two 16-byte scheme probes
+//! meta                          b"ACRSTOR2" + two 16-byte scheme probes
 //! replay.bin                    b"ACRSRPL2" + digests + integrity digest
 //! artifacts/<phase>-<fn>-<digest>.bin
 //!                               b"ACRSART2" + payload + integrity digest
@@ -39,14 +39,18 @@
 //! those revalidate every node.
 //!
 //! Version skew is safe by construction, twice over. First, the `meta`
-//! file records probes of the digest schemes (the codec's FNV construction
-//! and the standard library's `DefaultHasher`, whose fixed SipHash key may
-//! change between Rust releases); a mismatch makes the whole directory
-//! load as a cold start with a diagnostic. Second, even if the probe
-//! missed, a stale entry's *key* digest could never equal one freshly
-//! computed under a different scheme — lookups simply miss and recompute,
-//! and stale replay digests never match a real validation's digest, so a
-//! preload can only skip re-runs of validations that actually succeeded.
+//! file records the store version (`META_MAGIC`, bumped whenever what a
+//! key digest covers changes: `ACRSTOR2` digests functions position-free)
+//! and probes of the digest schemes (the codec's FNV construction and the
+//! standard library's `DefaultHasher`, whose fixed SipHash key may change
+//! between Rust releases); a mismatch makes the whole directory load as a
+//! cold start with one diagnostic, and the load removes every entry file
+//! and `replay.bin`, so the save that heals `meta` leaves no dead entry
+//! for later loads to decode. Second, even if the probe missed, a stale
+//! entry's *key* digest could never equal one freshly computed under a
+//! different scheme — lookups simply miss and recompute, and stale replay
+//! digests never match a real validation's digest, so a preload can only
+//! skip re-runs of validations that actually succeeded.
 //!
 //! # Concurrency
 //!
@@ -69,7 +73,7 @@ use kernel::ReplayCache;
 use crate::phase::{AbsintFn, AdaptedFn, Artifact, ArtifactStore, PhaseArtifact, PHASES};
 
 /// Magic + version of the store's `meta` file.
-const META_MAGIC: &[u8; 8] = b"ACRSTOR1";
+const META_MAGIC: &[u8; 8] = b"ACRSTOR2";
 /// Magic + version of one artifact entry file.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
 /// Magic + version of the replay-digest file.
@@ -196,9 +200,10 @@ impl DiskStore {
                     rep.version_skew = true;
                     rep.warnings.push(Self::warn(format!(
                         "cache {}: format or digest-scheme mismatch (written by a \
-                         different build?); starting cold",
+                         different build?); cleared, starting cold",
                         self.dir.display()
                     )));
+                    self.clear();
                     return rep;
                 }
             }
@@ -208,9 +213,10 @@ impl DiskStore {
                 if self.has_entries() {
                     rep.version_skew = true;
                     rep.warnings.push(Self::warn(format!(
-                        "cache {}: entries present but no meta header; starting cold",
+                        "cache {}: entries present but no meta header; cleared, starting cold",
                         self.dir.display()
                     )));
+                    self.clear();
                 }
                 return rep;
             }
@@ -307,6 +313,21 @@ impl DiskStore {
         digests.sort_unstable();
         self.write_atomic(&self.dir.join("replay.bin"), &encode_replay(&digests))?;
         Ok(())
+    }
+
+    /// Removes every entry file and `replay.bin` of a version-skewed
+    /// directory. None of them can ever hit, and once the next save heals
+    /// `meta`, every later load would decode them again. A concurrent
+    /// writer's in-flight temporaries are left alone.
+    fn clear(&self) {
+        if let Ok(rd) = std::fs::read_dir(self.dir.join("artifacts")) {
+            for path in rd.filter_map(|e| e.ok().map(|e| e.path())) {
+                if path.extension().and_then(|e| e.to_str()) != Some("tmp") {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
+        }
+        let _ = std::fs::remove_file(self.dir.join("replay.bin"));
     }
 
     fn has_entries(&self) -> bool {
@@ -592,8 +613,29 @@ mod tests {
             let out = sess.translate(SRC).expect("translate");
             assert_eq!(out.stats.dirty_fns, 0);
         }
-        // Version-skewed meta: the whole directory loads cold, with a
-        // warning, and the next save rewrites the header.
+        // A directory another build wrote: beside each live entry, one
+        // under a key digest this build never computes.
+        let entries = |dir: &Path| -> Vec<PathBuf> {
+            std::fs::read_dir(dir.join("artifacts"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect()
+        };
+        let live = entries(&dir);
+        for path in &live {
+            let (phase, name, a) = decode_entry(&std::fs::read(path).unwrap()).unwrap();
+            let dead = PhaseArtifact {
+                digest: !a.digest,
+                value: a.value,
+            };
+            let file = entry_filename(phase, &name, dead.digest);
+            std::fs::write(dir.join("artifacts").join(file), encode_entry(phase, &name, &dead))
+                .unwrap();
+        }
+        assert_eq!(entries(&dir).len(), 2 * live.len());
+        // Version-skewed meta: the whole directory loads cold, with one
+        // warning, and the load clears it; the next save rewrites the
+        // header and exactly this build's entries.
         let mut meta = std::fs::read(dir.join("meta")).unwrap();
         meta[9] ^= 0xff;
         std::fs::write(dir.join("meta"), &meta).unwrap();
@@ -602,14 +644,19 @@ mod tests {
             let rep = sess.load_report();
             assert!(rep.version_skew);
             assert_eq!(rep.artifacts, 0);
-            assert!(!rep.warnings.is_empty());
+            assert_eq!(rep.warnings.len(), 1);
+            assert!(entries(&dir).is_empty(), "a skewed load clears the entries");
+            assert!(!dir.join("replay.bin").exists(), "and replay.bin");
             let out = sess.translate(SRC).expect("translate cold");
             assert!(out.stats.dirty_fns > 0);
+            assert_eq!(sess.artifacts(), live.len());
         }
-        // The save above healed the meta header; loads are warm again.
+        // The save above healed the meta header; loads are warm again and
+        // find no dead entry.
         let sess = Session::new(opts(&dir));
         assert!(!sess.load_report().version_skew);
-        assert!(sess.load_report().artifacts > 0);
+        assert_eq!(sess.load_report().artifacts, live.len());
+        assert_eq!(sess.load_report().rejected, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

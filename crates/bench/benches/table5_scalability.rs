@@ -326,10 +326,13 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
          (par {t_par:.3}s vs seq {t_seq:.3}s, gate {PAR_OVERHEAD_GATE}× + {GATE_NOISE_FLOOR_S}s)",
         p.name
     );
-    // Incremental: edit one function, re-translate through the warm
-    // session, and byte-compare against a from-scratch run of the edited
-    // program at the same worker count.
-    let edited_src = edit_one_fn(&src);
+    // Incremental: edit one function and move every function down a line,
+    // re-translate through the warm session, and byte-compare against a
+    // from-scratch run of the edited program at the same worker count.
+    // Function digests are position-free, so only the edit re-runs.
+    let edited_fn = edit_one_fn(&src);
+    let edits = usize::from(edited_fn != src);
+    let edited_src = format!("/* edited below */\n{edited_fn}");
     let edited = cparser::parse_and_check(&edited_src).unwrap();
     let (incr, t_incr) = time_once(|| sess.translate_program(&edited).unwrap());
     let (scratch, t_scratch) = time_once(|| translate_program(&edited, &par_opts).unwrap());
@@ -337,6 +340,11 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
         fingerprint(&incr),
         fingerprint(&scratch),
         "{}: incremental translation diverges from scratch",
+        p.name
+    );
+    assert_eq!(
+        incr.stats.dirty_fns, edits,
+        "{}: the shifted lines re-ran more than the edited function",
         p.name
     );
     // Disk-backed persistence (DESIGN.md §6g): a cold run persists its

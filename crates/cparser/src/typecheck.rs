@@ -15,6 +15,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use ir::diag::Span;
 use ir::ty::{Signedness, Ty, TypeEnv, Width};
@@ -123,7 +124,7 @@ impl TExpr {
 }
 
 /// A typed statement.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TStmt {
     /// Local declaration (name already unique within the function).
     Decl {
@@ -188,8 +189,9 @@ pub enum TStmt {
     Block(Vec<TStmt>),
 }
 
-/// A typechecked function.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// A typechecked function. It has no `Hash`: its content is hashed
+/// through [`TFunDef::hash_position_free`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TFunDef {
     /// Function name.
     pub name: String,
@@ -206,6 +208,83 @@ pub struct TFunDef {
     pub body: Vec<TStmt>,
     /// Position of the function name in the source (the header span).
     pub span: Span,
+}
+
+impl TFunDef {
+    /// Feeds `h` the function's content without its place in the file:
+    /// each statement span is taken [`Span::relative_to`] the header span,
+    /// and the header span itself is left out. Text added above the
+    /// function, or before its name on the header's line, leaves the hash
+    /// unchanged; a line added inside the body changes it, because the
+    /// statements below that line moved relative to the header.
+    pub fn hash_position_free<H: Hasher>(&self, h: &mut H) {
+        self.name.hash(h);
+        self.ret.hash(h);
+        self.params.hash(h);
+        self.locals.hash(h);
+        self.volatile_locals.hash(h);
+        hash_stmts(&self.body, self.span, h);
+    }
+}
+
+/// The statement walk of [`TFunDef::hash_position_free`]: per statement
+/// its variant, its fields and its span relative to `header`, with each
+/// list's length first.
+fn hash_stmts<H: Hasher>(stmts: &[TStmt], header: Span, h: &mut H) {
+    stmts.len().hash(h);
+    for s in stmts {
+        std::mem::discriminant(s).hash(h);
+        let span = match s {
+            TStmt::Decl {
+                name,
+                ty,
+                init,
+                span,
+            } => {
+                name.hash(h);
+                ty.hash(h);
+                init.hash(h);
+                Some(span)
+            }
+            TStmt::Assign { lhs, rhs, span } => {
+                lhs.hash(h);
+                rhs.hash(h);
+                Some(span)
+            }
+            TStmt::ExprCall(e, span) => {
+                e.hash(h);
+                Some(span)
+            }
+            TStmt::If {
+                cond,
+                then_branch,
+                else_branch,
+                span,
+            } => {
+                cond.hash(h);
+                hash_stmts(then_branch, header, h);
+                hash_stmts(else_branch, header, h);
+                Some(span)
+            }
+            TStmt::While { cond, body, span } | TStmt::DoWhile { body, cond, span } => {
+                cond.hash(h);
+                hash_stmts(body, header, h);
+                Some(span)
+            }
+            TStmt::Return(e, span) => {
+                e.hash(h);
+                Some(span)
+            }
+            TStmt::Break(span) | TStmt::Continue(span) => Some(span),
+            TStmt::Block(b) => {
+                hash_stmts(b, header, h);
+                None
+            }
+        };
+        if let Some(span) = span {
+            span.relative_to(header).hash(h);
+        }
+    }
 }
 
 /// A typechecked global.

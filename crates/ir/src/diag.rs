@@ -80,6 +80,40 @@ impl Span {
     pub fn new(offset: u32, line: u32, col: u32) -> Self {
         Span { offset, line, col }
     }
+
+    /// This span measured from `base` (a function's header span): offset
+    /// and line become differences, and so does the column on `base`'s own
+    /// line. Text added before `base` moves both spans alike and leaves the
+    /// result unchanged. [`Span::anchored_at`] is the exact inverse; the
+    /// arithmetic wraps, so both are total.
+    #[must_use]
+    pub fn relative_to(self, base: Span) -> Span {
+        let line = self.line.wrapping_sub(base.line);
+        Span {
+            offset: self.offset.wrapping_sub(base.offset),
+            line,
+            col: if line == 0 {
+                self.col.wrapping_sub(base.col)
+            } else {
+                self.col
+            },
+        }
+    }
+
+    /// Places a span taken [`Span::relative_to`] a base back onto `base`:
+    /// `s.relative_to(b).anchored_at(b) == s` for every `s` and `b`.
+    #[must_use]
+    pub fn anchored_at(self, base: Span) -> Span {
+        Span {
+            offset: self.offset.wrapping_add(base.offset),
+            line: self.line.wrapping_add(base.line),
+            col: if self.line == 0 {
+                self.col.wrapping_add(base.col)
+            } else {
+                self.col
+            },
+        }
+    }
 }
 
 impl fmt::Display for Span {
@@ -287,5 +321,41 @@ mod tests {
         assert_eq!(d.span, Some(inner));
         assert_eq!(d.function.as_deref(), Some("f"));
         assert_eq!(format!("{}", inner), "2:3");
+    }
+
+    #[test]
+    fn relative_spans_survive_a_shift_and_invert_exactly() {
+        let header = Span::new(40, 3, 10);
+        let same_line = Span::new(52, 3, 22);
+        let below = Span::new(90, 5, 5);
+        assert_eq!(same_line.relative_to(header), Span::new(12, 0, 12));
+        assert_eq!(below.relative_to(header), Span::new(50, 2, 5));
+        // A comment line above moves offsets and lines, not columns; a
+        // comment before the header on its own line moves the header's
+        // line's columns too. Neither changes a relative span.
+        for (d_off, d_line, d_col) in [(8u32, 1u32, 0u32), (8, 0, 8)] {
+            let shift = |s: Span, col: u32| Span::new(s.offset + d_off, s.line + d_line, col);
+            let header2 = shift(header, header.col + d_col);
+            assert_eq!(
+                shift(same_line, same_line.col + d_col).relative_to(header2),
+                same_line.relative_to(header)
+            );
+            assert_eq!(
+                shift(below, below.col).relative_to(header2),
+                below.relative_to(header)
+            );
+        }
+        let edge = [0, 1, 2, 7, u32::MAX - 1, u32::MAX];
+        for &a in &edge {
+            for &b in &edge {
+                for &c in &edge {
+                    let s = Span::new(a, b, c);
+                    for base in [header, Span::new(c, a, b), Span::default()] {
+                        assert_eq!(s.relative_to(base).anchored_at(base), s);
+                        assert_eq!(s.anchored_at(base).relative_to(base), s);
+                    }
+                }
+            }
+        }
     }
 }

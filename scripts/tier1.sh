@@ -147,6 +147,24 @@ diff -u "$golden" "$tmp_out" \
     | grep -q 'misses=0 rejected=0 dirty_fns=0' \
     || { echo "tier1: warm start recomputed work" >&2; exit 1; }
 
+# Shifted warm start (DESIGN.md §6b): function digests are position-free,
+# so the lint demo with a comment line prepended warm-starts in a fresh
+# process from a cache written for the unshifted file, recomputes nothing,
+# and prints the lints (spans included) of a run without a cache.
+lint_cache="$cache_dir/lint"
+shifted_c="$cache_dir/lint_demo_shifted.c"
+{ echo '/* one line above every function */'; cat tests/golden/lint_demo.c; } > "$shifted_c"
+./target/release/autocorres --quiet --lint --cache-dir "$lint_cache" tests/golden/lint_demo.c > /dev/null
+./target/release/autocorres --quiet --metrics --cache-dir "$lint_cache" "$shifted_c" \
+    | grep -q 'rejected=0 dirty_fns=0' \
+    || { echo "tier1: a shifted file recomputed work" >&2; exit 1; }
+./target/release/autocorres --quiet --lint "$shifted_c" > "$tmp_out"
+grep -q '^warning' "$tmp_out" \
+    || { echo "tier1: the shifted lint demo printed no lints" >&2; exit 1; }
+./target/release/autocorres --quiet --lint --cache-dir "$lint_cache" "$shifted_c" \
+    | diff -u "$tmp_out" - \
+    || { echo "tier1: shifted warm-start lints diverged from a run without a cache" >&2; exit 1; }
+
 # Certificate smoke: the exported proof certificate must replay through
 # the independent certcheck binary, match the golden cert-v2 snapshot,
 # and any mutation must be rejected.

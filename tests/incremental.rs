@@ -9,6 +9,7 @@
 //! byte-identical to a from-scratch translation at any worker count.
 
 use autocorres::{translate_program, Options, Output, Session};
+use ir::diag::{Diag, Span};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -33,6 +34,9 @@ fn render(out: &Output) -> String {
     let _ = writeln!(s, "parser metrics: {:?}", out.parser_metrics());
     let _ = writeln!(s, "output metrics: {:?}", out.output_metrics());
     let _ = writeln!(s, "proof size: {}", out.total_proof_size());
+    for d in out.lint_diags() {
+        let _ = writeln!(s, "lint {:?} {d}", d.span);
+    }
     s.push_str(&out.stats.deterministic_summary());
     s
 }
@@ -164,18 +168,71 @@ fn session_replay_skips_previously_checked_proofs() {
 /// A call-graph-shaped program: `fn_i` calls exactly `deps[i]` (all lower
 /// indices), plus a per-function constant that `bump` edits.
 fn src_from_graph(g: &[Vec<usize>], bump: Option<usize>) -> String {
-    let mut s = String::new();
-    for (i, deps) in g.iter().enumerate() {
-        let c = if bump == Some(i) { 7 } else { 1 };
-        let _ = writeln!(s, "unsigned fn_{i}(unsigned x) {{");
-        let _ = writeln!(s, "    unsigned r = x + {c}u;");
-        for d in deps {
-            let _ = writeln!(s, "    r = r ^ fn_{d}(r % 13u + 1u);");
-        }
-        let _ = writeln!(s, "    return r;");
-        let _ = writeln!(s, "}}");
+    let consts: Vec<u64> = (0..g.len())
+        .map(|i| if bump == Some(i) { 7 } else { 1 })
+        .collect();
+    layout(g, &consts, &[])
+}
+
+/// Lines that move code and change nothing else.
+const FILLER: [&str; 4] = ["", "/* filler */", "// filler", "    "];
+
+/// The program of [`src_from_graph`] with `consts[i]` as `fn_i`'s
+/// constant, and each `(i, j, text)` of `inserts` spliced in as a line
+/// before line `j` of `fn_i` (line 0 is its header, then one statement a
+/// line, then the closing brace), or after the last function when
+/// `i == g.len()`.
+fn layout(g: &[Vec<usize>], consts: &[u64], inserts: &[(usize, usize, &str)]) -> String {
+    let mut fns: Vec<Vec<String>> = g
+        .iter()
+        .enumerate()
+        .map(|(i, deps)| {
+            let mut lines = vec![
+                format!("unsigned fn_{i}(unsigned x) {{"),
+                format!("    unsigned r = x + {}u;", consts[i]),
+            ];
+            lines.extend(
+                deps.iter()
+                    .map(|d| format!("    r = r ^ fn_{d}(r % 13u + 1u);")),
+            );
+            lines.push("    return r;".to_owned());
+            lines.push("}".to_owned());
+            lines
+        })
+        .collect();
+    fns.push(Vec::new());
+    for &(i, j, text) in inserts {
+        let lines = &mut fns[i];
+        lines.insert(j.min(lines.len()), text.to_owned());
     }
-    s
+    fns.concat().into_iter().map(|l| l + "\n").collect()
+}
+
+/// Translates `before` and then `after` (`n` functions) through one
+/// session, checks that the second run re-ran `dirty` functions, and at
+/// most one of them in the translation phases, and that its output is
+/// byte-identical to fresh translations of `after` at one and two workers.
+fn retranslate(before: &str, after: &str, dirty: usize, n: usize) {
+    let o = |workers| Options {
+        l2_trials: 2,
+        seed: 3,
+        workers,
+        ..Options::default()
+    };
+    let sess = Session::new(o(2));
+    sess.translate(before).unwrap();
+    let incr = sess.translate(after).unwrap();
+    assert_eq!(incr.stats.dirty_fns, dirty, "{after}");
+    // Only the function whose own text changed re-translates.
+    assert_eq!(phase_cached(&incr, "l1"), n - dirty.min(1), "{after}");
+    for workers in [1, 2] {
+        let fresh = Session::new(o(workers)).translate(after).unwrap();
+        assert_eq!(
+            render(&incr),
+            render(&fresh),
+            "incremental output diverges from scratch (workers={workers}):\n{after}"
+        );
+    }
 }
 
 /// The edited function plus its transitive callers.
@@ -234,4 +291,92 @@ proptest! {
             "incremental output diverges from scratch"
         );
     }
+
+    #[test]
+    fn filler_between_functions_dirties_nothing(
+        seed in 0u64..1_000_000,
+        n in 2usize..7,
+        density_pct in 20usize..101,
+        gaps in proptest::collection::vec((0usize..8, 0usize..FILLER.len()), 1..6),
+    ) {
+        let g = codegen::gen_call_graph(seed, n, density_pct as f64 / 100.0);
+        let consts = vec![1; n];
+        let inserts: Vec<(usize, usize, &str)> =
+            gaps.iter().map(|&(i, k)| (i % (n + 1), 0, FILLER[k])).collect();
+        retranslate(
+            &layout(&g, &consts, &[]),
+            &layout(&g, &consts, &inserts),
+            0,
+            n,
+        );
+    }
+
+    #[test]
+    fn filler_inside_a_body_dirties_its_caller_cone(
+        seed in 0u64..1_000_000,
+        n in 2usize..7,
+        density_pct in 20usize..101,
+        pick in 0usize..1_000,
+        at in 0usize..1_000,
+        k in 0usize..FILLER.len(),
+    ) {
+        let g = codegen::gen_call_graph(seed, n, density_pct as f64 / 100.0);
+        let f = pick % n;
+        // Before one of the statements (lines 1..=deps+2), so at least the
+        // `return` moves relative to the header.
+        let line = 1 + at % (g[f].len() + 2);
+        let consts = vec![1; n];
+        retranslate(
+            &layout(&g, &consts, &[]),
+            &layout(&g, &consts, &[(f, line, FILLER[k])]),
+            caller_cone(&g, f).len(),
+            n,
+        );
+    }
+
+    #[test]
+    fn a_body_edit_that_changes_its_length_dirties_only_its_caller_cone(
+        seed in 0u64..1_000_000,
+        n in 2usize..7,
+        density_pct in 20usize..101,
+        pick in 0usize..1_000,
+        c in 10u64..1_000_000_000,
+    ) {
+        let g = codegen::gen_call_graph(seed, n, density_pct as f64 / 100.0);
+        let f = pick % n;
+        let mut consts = vec![1; n];
+        let before = layout(&g, &consts, &[]);
+        consts[f] = c;
+        retranslate(&before, &layout(&g, &consts, &[]), caller_cone(&g, f).len(), n);
+    }
+}
+
+#[test]
+fn lint_spans_follow_a_shifted_file() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/lint_demo.c"
+    ))
+    .unwrap();
+    let prefix = "/* a comment and blank lines above every function */\n\n\n";
+    let shifted = format!("{prefix}{src}");
+    let sess = Session::new(opts(2));
+    let first = sess.translate(&src).unwrap();
+    assert!(!first.lint_diags().is_empty(), "the demo has lints");
+    let incr = sess.translate(&shifted).unwrap();
+    assert_eq!(incr.stats.dirty_fns, 0, "nothing but positions changed");
+    let fresh = translate_program(&cparser::parse_and_check(&shifted).unwrap(), &opts(2)).unwrap();
+    assert_eq!(incr.lint_diags(), fresh.lint_diags());
+    // Every lint moved down by exactly the prefix.
+    let down = |s: Span| Span::new(s.offset + prefix.len() as u32, s.line + 3, s.col);
+    let moved: Vec<_> = first
+        .lint_diags()
+        .into_iter()
+        .map(|d| Diag {
+            span: d.span.map(down),
+            ..d
+        })
+        .collect();
+    assert_eq!(incr.lint_diags(), moved);
+    assert_eq!(render(&incr), render(&fresh));
 }
