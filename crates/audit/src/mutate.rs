@@ -696,8 +696,8 @@ fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
 /// Result of the on-disk store corruption campaign.
 #[derive(Clone, Debug)]
 pub struct DiskAttackReport {
-    /// On-disk mutations performed (bit flips, truncations, garbage
-    /// rewrites, deletions — including of `meta` and `replay.bin`).
+    /// Segment mutations performed (a bit flip inside a random record,
+    /// truncation — into the header too —, appended garbage, deletion).
     pub mutations: usize,
     /// Rounds in which the loader visibly degraded (rejected entries or
     /// declared version skew). Deletions load cleanly as misses, so this
@@ -719,12 +719,13 @@ impl DiskAttackReport {
 }
 
 /// Translates `src` through a disk-backed session, then runs `rounds` of
-/// randomized on-disk corruption — each round mutates one stored file
-/// (bit flip, truncation, garbage overwrite, or deletion), warm-starts a
-/// fresh session from the damaged directory, and requires byte-identical
-/// WA output plus a passing checker replay. The disk path must uphold the
-/// same property as the in-memory caches: corruption may cost cache
-/// misses, never a changed verdict or changed output bytes.
+/// randomized on-disk corruption — each round mutates the store's segment
+/// (a bit flip inside a random record, truncation, appended garbage, or
+/// deletion), warm-starts a fresh session from the damaged directory, and
+/// requires byte-identical WA output plus a passing checker replay. The
+/// disk path must uphold the same property as the in-memory caches:
+/// corruption may cost cache misses, never a changed verdict or changed
+/// output bytes.
 ///
 /// # Panics
 ///
@@ -763,32 +764,29 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
         output_stable: true,
         verdicts_stable: true,
     };
+    let segment = dir.join(autocorres::store::SEGMENT);
     for _ in 0..rounds {
-        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("artifacts"))
-            .expect("store populated")
-            .map(|e| e.expect("readable dir").path())
-            .collect();
-        files.push(dir.join("replay.bin"));
-        files.push(dir.join("meta"));
-        files.sort();
-        let target = &files[rng.gen_range(0..files.len())];
-        let orig = std::fs::read(target).expect("entry readable");
+        let orig = std::fs::read(&segment).expect("store populated");
         match rng.gen_range(0..4u8) {
             0 => {
+                let records: Vec<_> = autocorres::store::frames(&orig)
+                    .into_iter()
+                    .filter_map(Result::ok)
+                    .collect();
+                let span = records[rng.gen_range(0..records.len())].clone();
                 let mut bad = orig.clone();
-                let pos = rng.gen_range(0..bad.len());
-                bad[pos] ^= 1 << rng.gen_range(0..8u8);
-                std::fs::write(target, &bad).expect("writable");
+                bad[rng.gen_range(span)] ^= 1 << rng.gen_range(0..8u8);
+                std::fs::write(&segment, &bad).expect("writable");
             }
             1 => {
                 let keep = rng.gen_range(0..orig.len());
-                std::fs::write(target, &orig[..keep]).expect("writable");
+                std::fs::write(&segment, &orig[..keep]).expect("writable");
             }
             2 => {
                 let garbage: Vec<u8> = (0..rng.gen_range(1..128u8)).map(|_| rng.gen()).collect();
-                std::fs::write(target, &garbage).expect("writable");
+                std::fs::write(&segment, [&orig[..], &garbage].concat()).expect("writable");
             }
-            _ => std::fs::remove_file(target).expect("removable"),
+            _ => std::fs::remove_file(&segment).expect("removable"),
         }
         report.mutations += 1;
 
@@ -804,10 +802,10 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
         if sess.check_all_report(&out, 1).is_err() {
             report.verdicts_stable = false;
         }
-        // Restore for the next round (the session's own save may already
-        // have healed parts of the store; the explicit restore makes the
-        // rounds independent).
-        std::fs::write(target, &orig).expect("writable");
+        // Restore for the next round (the load healed the segment and the
+        // session's own save appended what it recomputed; the explicit
+        // restore makes the rounds independent).
+        std::fs::write(&segment, &orig).expect("writable");
     }
     let _ = std::fs::remove_dir_all(&dir);
     report

@@ -114,10 +114,11 @@ fn disk_store_corruption_never_changes_output_or_verdicts() {
 }
 
 proptest::proptest! {
-    /// Randomized persistence fuzz: under any seed, bit-flipping,
-    /// truncating, overwriting, or deleting on-disk store entries (meta
-    /// and replay file included) must only ever cost recomputation —
-    /// never different output bytes, never a flipped verdict.
+    /// Randomized persistence fuzz: under any seed, bit-flipping a
+    /// record of the store's segment, truncating it (header included),
+    /// appending garbage to it, or deleting it must only ever cost
+    /// recomputation — never different output bytes, never a flipped
+    /// verdict.
     #[test]
     fn disk_store_fuzz_is_sound_under_any_seed(seed in 0u64..1u64 << 32) {
         let opts = Options {

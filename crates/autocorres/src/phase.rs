@@ -894,7 +894,7 @@ impl Phase for AbsintPhase {
 // ---- the artifact store -----------------------------------------------------
 
 /// `(phase name, function name, input digest)` — the store key.
-type ArtifactKey = (&'static str, String, u128);
+pub(crate) type ArtifactKey = (&'static str, String, u128);
 
 /// Session-scoped artifact store: `(phase, function, input_digest)` →
 /// artifact. Lookups that hit skip the phase job entirely.

@@ -46,8 +46,6 @@
 //! assert_eq!(out3.stats.dirty_fns, 0);
 //! ```
 
-use std::sync::Mutex;
-
 use ir::diag::Diag;
 use kernel::{KernelError, ReplayCache, ReplayReport};
 
@@ -64,9 +62,6 @@ pub struct Session {
     disk: Option<DiskStore>,
     /// What `Session::new` found on disk (empty default without a disk).
     load: LoadReport,
-    /// `(artifacts, replay digests)` the caches held after the load or the
-    /// last save: a save with nothing new is skipped.
-    saved: Mutex<(usize, usize)>,
 }
 
 impl Session {
@@ -97,14 +92,12 @@ impl Session {
                 }
             },
         };
-        let saved = Mutex::new((store.len(), replay.len()));
         Session {
             opts,
             store,
             replay,
             disk,
             load,
-            saved,
         }
     }
 
@@ -127,26 +120,19 @@ impl Session {
         &self.load
     }
 
-    /// Writes the session caches back to the disk store now, unless they
-    /// gained no artifact and no replay digest since the load or the last
-    /// save. Called automatically (best-effort, errors swallowed) after
-    /// successful translations; call explicitly when a write failure must
-    /// surface.
+    /// Appends the artifacts and replay digests the disk store does not
+    /// hold yet; with none, writes nothing. Called automatically
+    /// (best-effort, errors swallowed) after successful translations; call
+    /// explicitly when a write failure must surface.
     ///
     /// # Errors
     ///
     /// Filesystem errors, or a no-op `Ok` without a `cache_dir`.
     pub fn persist(&self) -> std::io::Result<()> {
-        let Some(disk) = &self.disk else {
-            return Ok(());
-        };
-        let mut saved = self.saved.lock().expect("session lock poisoned");
-        let now = (self.store.len(), self.replay.len());
-        if *saved != now {
-            disk.save(&self.store, &self.replay)?;
-            *saved = now;
+        match &self.disk {
+            Some(disk) => disk.save(&self.store, &self.replay, self.opts.workers),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Audit-only (`audit` feature): direct access to the session's

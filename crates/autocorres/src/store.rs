@@ -1,83 +1,88 @@
 //! Disk-backed artifact persistence: warm-starting a fresh process from an
 //! earlier run's proof state (DESIGN.md §6g).
 //!
-//! A [`DiskStore`] mirrors the two session caches onto disk:
-//!
-//! * every [`ArtifactStore`] entry — `(phase, function, input digest)` →
-//!   phase artifact — as one content-addressed file under `artifacts/`,
-//! * the [`kernel::ReplayCache`]'s successful-validation digests in
-//!   `replay.bin`.
-//!
-//! Layout under the cache directory:
+//! A [`DiskStore`] mirrors the two session caches onto one append-only
+//! file per cache directory, `DIR/segment`: every [`ArtifactStore`] entry
+//! — `(phase, function, input digest)` → phase artifact — is one record,
+//! and each save that found new [`kernel::ReplayCache`] digests adds one
+//! record holding them.
 //!
 //! ```text
-//! meta                          b"ACRSTOR2" + two 16-byte scheme probes
-//! replay.bin                    b"ACRSRPL2" + digests + integrity digest
-//! artifacts/<phase>-<fn>-<digest>.bin
-//!                               b"ACRSART2" + payload + integrity digest
+//! b"ACRSTOR2" + two 16-byte scheme probes                  header
+//! per record: len, !len (u64 LE), then one sealed container:
+//!   b"ACRSART2" + (phase, fn, digest, artifact) + digest   an artifact
+//!   b"ACRSRPL2" + replay digests + digest                  a digest batch
 //! ```
 //!
-//! An entry's theorems are written in the kernel's one derivation
-//! encoding, a node table per theorem (`kernel::codec`), the encoding
-//! certificates use. Replay digests are bound to the checking context
-//! they were validated under (`kernel::ReplayCache`).
+//! Theorems are written in the kernel's one derivation encoding, a node
+//! table per theorem (`kernel::codec`), the encoding certificates use.
+//! Replay digests are bound to the checking context they were validated
+//! under (`kernel::ReplayCache`).
 //!
 //! # Integrity and trust model
 //!
-//! Every entry and `replay.bin` is an [`ir::codec::seal`]ed container (a
-//! magic header, the payload, and a trailing
-//! [`ir::codec::digest128_bytes`] over it, the framing `cert-v2` uses
-//! too); a corrupt, truncated, or foreign file fails one of the checks
-//! and is **rejected individually** — the load deletes it and the
-//! pipeline recomputes that entry from source, so damage degrades one
-//! warm start, never verdicts. The store is part of the
-//! *local trusted base* (like the in-memory session caches it mirrors):
-//! its theorems are rebuilt without validation and replay covers them;
-//! the integrity digest defends against accidental corruption, not an
-//! adversary with write access to the cache directory — adversarial
-//! transport is what proof certificates (`kernel::cert`) are for, and
-//! those revalidate every node.
+//! Every record is an [`ir::codec::seal`]ed container (magic, payload,
+//! and a trailing [`ir::codec::digest128_bytes`], the framing `cert-v2`
+//! uses too) behind a frame that stores its length with the length's
+//! complement. A corrupt or foreign record is **rejected individually**;
+//! damage that breaks a frame (a torn tail, appended garbage, a flipped
+//! length) is one rejected span, and the loader resumes at the next
+//! well-framed record. The load cuts what it rejected out of the file, so
+//! each rejection is counted once, and the pipeline recomputes it: damage
+//! degrades one warm start, never verdicts. The store is part of the
+//! *local trusted base* (like the in-memory caches it mirrors): its
+//! theorems are rebuilt without validation and replay covers them; the
+//! digest defends against accidental corruption, not an adversary with
+//! write access to the directory — that is what proof certificates
+//! (`kernel::cert`) are for, and those revalidate every node.
 //!
-//! Version skew is safe by construction, twice over. First, the `meta`
-//! file records the store version (`META_MAGIC`, bumped whenever what a
-//! key digest covers changes: `ACRSTOR2` digests functions position-free)
-//! and probes of the digest schemes (the codec's FNV construction and the
-//! standard library's `DefaultHasher`, whose fixed SipHash key may change
-//! between Rust releases); a mismatch makes the whole directory load as a
-//! cold start with one diagnostic, and the load removes every entry file
-//! and `replay.bin`, so the save that heals `meta` leaves no dead entry
-//! for later loads to decode. Second, even if the probe missed, a stale
-//! entry's *key* digest could never equal one freshly computed under a
-//! different scheme — lookups simply miss and recompute, and stale replay
-//! digests never match a real validation's digest, so a preload can only
-//! skip re-runs of validations that actually succeeded.
+//! Version skew is safe twice over. The header records the store version
+//! (`META_MAGIC`, bumped whenever what a key digest covers changes:
+//! `ACRSTOR2` digests functions position-free) and probes of the digest
+//! schemes (the codec's FNV construction and `DefaultHasher`, whose fixed
+//! SipHash key may change between Rust releases). A mismatch, or an older
+//! build's per-file layout (`meta`, `replay.bin`, `artifacts/`), loads the
+//! directory as a cold start with one diagnostic, and the load empties the
+//! segment and removes the old files, so no dead record is decoded again.
+//! And even if a probe missed, a stale key digest never equals one
+//! computed under another scheme, and a stale replay digest matches no
+//! real validation: lookups miss and recompute.
 //!
 //! # Concurrency
 //!
-//! Writers create a uniquely named temporary file and `rename` it into
-//! place — atomic on POSIX — so concurrent readers only ever observe
-//! complete files and concurrent writers race to last-writer-wins on
-//! byte-identical content (entries are content-addressed by their key).
+//! Loads and saves hold an exclusive [`File::lock`] on the segment. A save
+//! appends only the records its process has not seen on disk, in one
+//! write and one `sync_data`, so processes sharing a directory keep each
+//! other's work; a save with nothing new touches nothing.
 
 use std::collections::HashSet;
-use std::io::{self, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read as _, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ir::codec::{digest128, digest128_bytes, seal, unseal, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{par_map, plan_workers, MIN_TASK_COST};
 use kernel::ReplayCache;
 
-use crate::phase::{AbsintFn, AdaptedFn, Artifact, ArtifactStore, PhaseArtifact, PHASES};
+use crate::phase::{
+    AbsintFn, AdaptedFn, Artifact, ArtifactKey, ArtifactStore, PhaseArtifact, PHASES,
+};
 
-/// Magic + version of the store's `meta` file.
+/// Magic + version of the segment header.
 const META_MAGIC: &[u8; 8] = b"ACRSTOR2";
-/// Magic + version of one artifact entry file.
+/// Magic + version of one artifact record.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
-/// Magic + version of the replay-digest file.
+/// Magic + version of one batch of replay digests.
 const RPL_MAGIC: &[u8; 8] = b"ACRSRPL2";
+/// The segment's file name in the cache directory.
+pub const SEGMENT: &str = "segment";
+/// Bytes of a record's frame: the sealed record's length and that
+/// length's complement, so a damaged length is caught before it misplaces
+/// the records after it.
+const FRAME: usize = 16;
 
 // ---- artifact codecs --------------------------------------------------------
 
@@ -124,7 +129,8 @@ fn codec_probe() -> u128 {
     digest128_bytes(b"autocorres-store-probe")
 }
 
-fn meta_bytes() -> Vec<u8> {
+/// The segment header: the store version and both scheme probes.
+fn header() -> Vec<u8> {
     let mut v = Vec::with_capacity(40);
     v.extend_from_slice(META_MAGIC);
     v.extend_from_slice(&hasher_probe().to_le_bytes());
@@ -137,15 +143,16 @@ fn meta_bytes() -> Vec<u8> {
 /// What a [`DiskStore::load_into`] found.
 #[derive(Clone, Debug, Default)]
 pub struct LoadReport {
-    /// Artifact entries accepted into the session store.
+    /// Artifact records accepted into the session store.
     pub artifacts: usize,
     /// Replay-cache digests preloaded.
     pub replay_digests: usize,
-    /// On-disk entries rejected (corrupt, truncated, foreign, or
-    /// version-skewed) — each falls back to recomputation.
+    /// Records or damaged spans rejected (corrupt, truncated, foreign) —
+    /// each falls back to recomputation.
     pub rejected: usize,
-    /// The whole directory was skipped because its `meta` header did not
-    /// match this build's format/digest schemes.
+    /// The whole directory was skipped because its header did not match
+    /// this build's format/digest schemes, or an older build's per-file
+    /// layout was found.
     pub version_skew: bool,
     /// Non-fatal diagnostics (rejections, skew) for the caller to surface.
     pub warnings: Vec<Diag>,
@@ -154,7 +161,15 @@ pub struct LoadReport {
 /// A disk-backed mirror of the session caches. See the module docs.
 pub struct DiskStore {
     dir: PathBuf,
-    tmp_seq: AtomicU64,
+    /// The artifact keys and replay digests known to be in the segment,
+    /// filled by the load and by every save: a save appends the rest.
+    on_disk: Mutex<(HashSet<ArtifactKey>, HashSet<u128>)>,
+}
+
+/// One decoded record.
+enum Record {
+    Artifact(&'static str, String, Arc<PhaseArtifact>),
+    Replay(Vec<u128>),
 }
 
 impl DiskStore {
@@ -162,12 +177,12 @@ impl DiskStore {
     ///
     /// # Errors
     ///
-    /// Filesystem errors creating the directory tree.
+    /// Filesystem errors creating the directory.
     pub fn open(dir: &Path) -> io::Result<DiskStore> {
-        std::fs::create_dir_all(dir.join("artifacts"))?;
+        std::fs::create_dir_all(dir)?;
         Ok(DiskStore {
             dir: dir.to_path_buf(),
-            tmp_seq: AtomicU64::new(0),
+            on_disk: Mutex::default(),
         })
     }
 
@@ -183,9 +198,21 @@ impl DiskStore {
         Diag::new(ir::diag::Phase::Kernel, DiagKind::Lint, msg)
     }
 
-    /// Loads every valid on-disk entry into the session caches, decoding
-    /// at the width [`plan_workers`] grants `workers`. Never fails:
-    /// anything unreadable or invalid is counted in
+    /// The segment, opened for reading and appending and locked until the
+    /// returned handle is dropped.
+    fn lock_segment(&self) -> io::Result<File> {
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(self.dir.join(SEGMENT))?;
+        file.lock()?;
+        Ok(file)
+    }
+
+    /// Loads every valid record into the session caches, decoding at the
+    /// width [`plan_workers`] grants `workers`, and heals the segment.
+    /// Never fails: anything unreadable or invalid is counted in
     /// [`LoadReport::rejected`] and recomputed by the pipeline instead.
     pub fn load_into(
         &self,
@@ -194,249 +221,214 @@ impl DiskStore {
         workers: usize,
     ) -> LoadReport {
         let mut rep = LoadReport::default();
-        match std::fs::read(self.dir.join("meta")) {
-            Ok(bytes) => {
-                if bytes != meta_bytes() {
-                    rep.version_skew = true;
-                    rep.warnings.push(Self::warn(format!(
-                        "cache {}: format or digest-scheme mismatch (written by a \
-                         different build?); cleared, starting cold",
-                        self.dir.display()
-                    )));
-                    self.clear();
-                    return rep;
+        let dir = self.dir.display();
+        let (keys, digests) = &mut *self.on_disk.lock().expect("disk store poisoned");
+        let mut load = || -> io::Result<()> {
+            // An older build's per-file layout always has `meta`.
+            let legacy = std::fs::remove_file(self.dir.join("meta")).is_ok();
+            if legacy {
+                let _ = std::fs::remove_file(self.dir.join("replay.bin"));
+                let _ = std::fs::remove_dir_all(self.dir.join("artifacts"));
+            }
+            let mut file = self.lock_segment()?;
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            if legacy || !(bytes.is_empty() || bytes.starts_with(&header())) {
+                rep.version_skew = true;
+                rep.warnings.push(Self::warn(format!(
+                    "cache {dir}: format or digest-scheme mismatch (written by a \
+                     different build?); cleared, starting cold"
+                )));
+                return file.set_len(0);
+            }
+            // Decoding is pure per record (the interner is sharded and
+            // thread-safe), so it fans out; results come back in file
+            // order. A decode that panics rejects its own record only.
+            let frames = frames(&bytes);
+            let cost = frames.len() as u64 * MIN_TASK_COST;
+            let (decoded, _) = par_map(&frames, plan_workers(workers, cost, false), |_, frame| {
+                let range = frame.as_ref().ok()?;
+                let sealed = &bytes[range.start + FRAME..range.end];
+                std::panic::catch_unwind(|| decode_record(sealed).ok())
+                    .ok()
+                    .flatten()
+            });
+            // Where the first rejected span starts, and the records after
+            // it that are kept.
+            let (mut cut, mut kept) = (None, Vec::new());
+            for (frame, record) in frames.into_iter().zip(decoded) {
+                let range = frame.unwrap_or_else(|damage| damage);
+                match record {
+                    Some(Record::Artifact(phase, name, artifact)) => {
+                        keys.insert((phase, name.clone(), artifact.digest));
+                        store.preload(phase, &name, artifact);
+                        rep.artifacts += 1;
+                    }
+                    Some(Record::Replay(batch)) => {
+                        replay.preload(&batch);
+                        rep.replay_digests += batch.len();
+                        digests.extend(batch);
+                    }
+                    None => {
+                        rep.rejected += 1;
+                        cut.get_or_insert(range.start);
+                        continue;
+                    }
+                }
+                if cut.is_some() {
+                    kept.extend_from_slice(&bytes[range]);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                // A fresh (or pre-meta) directory: nothing trustworthy to
-                // load. Entries and meta will be written on save.
-                if self.has_entries() {
-                    rep.version_skew = true;
-                    rep.warnings.push(Self::warn(format!(
-                        "cache {}: entries present but no meta header; cleared, starting cold",
-                        self.dir.display()
-                    )));
-                    self.clear();
-                }
-                return rep;
+            // Cut the rejected spans out (a torn tail is a pure
+            // truncation): the save after the recomputation appends their
+            // contents afresh.
+            if let Some(at) = cut {
+                file.set_len(at as u64)?;
+                file.write_all(&kept)?;
+                file.sync_data()?;
             }
-            Err(e) => {
-                rep.warnings.push(Self::warn(format!(
-                    "cache {}: meta unreadable ({e}); starting cold",
-                    self.dir.display()
-                )));
-                return rep;
-            }
-        }
-
-        let art_dir = self.dir.join("artifacts");
-        let mut paths: Vec<PathBuf> = match std::fs::read_dir(&art_dir) {
-            Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
-            Err(e) => {
-                rep.warnings.push(Self::warn(format!(
-                    "cache {}: artifacts unreadable ({e})",
-                    self.dir.display()
-                )));
-                return rep;
-            }
+            Ok(())
         };
-        paths.sort();
-        // In-flight temporaries of a concurrent writer are not entries;
-        // anything else that fails to parse is.
-        paths.retain(|p| p.extension().and_then(|e| e.to_str()) != Some("tmp"));
-        // A rejected file is removed, so it is counted once: the save
-        // after its recomputation writes it afresh.
-        for (decoded, path) in decode_all(&paths, workers).into_iter().zip(&paths) {
-            match decoded {
-                Some((phase, name, artifact)) => {
-                    store.preload(phase, &name, Arc::new(artifact));
-                    rep.artifacts += 1;
-                }
-                None => {
-                    rep.rejected += 1;
-                    let _ = std::fs::remove_file(path);
-                }
-            }
+        if let Err(e) = load() {
+            rep.warnings.push(Self::warn(format!(
+                "cache {dir}: segment unreadable ({e}); starting cold"
+            )));
         }
-
-        let replay_path = self.dir.join("replay.bin");
-        match std::fs::read(&replay_path).map(|bytes| decode_replay(&bytes)) {
-            Ok(Ok(digests)) => {
-                replay.preload(&digests);
-                rep.replay_digests = digests.len();
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            _ => {
-                rep.rejected += 1;
-                let _ = std::fs::remove_file(&replay_path);
-            }
-        }
-
         if rep.rejected > 0 {
             rep.warnings.push(Self::warn(format!(
-                "cache {}: rejected {} corrupt or foreign entr{} (removed; recomputing)",
-                self.dir.display(),
+                "cache {dir}: rejected {} corrupt or foreign record{} (removed; recomputing)",
                 rep.rejected,
-                if rep.rejected == 1 { "y" } else { "ies" }
+                if rep.rejected == 1 { "" } else { "s" }
             )));
         }
         rep
     }
 
-    /// Writes the session caches back to disk. Existing entry files are
-    /// kept (content-addressed: same key, same bytes); `meta` and
-    /// `replay.bin` are replaced atomically, the latter merged with
-    /// concurrent writers' digests.
+    /// Appends the session caches' new contents to the segment: every
+    /// artifact and replay digest not yet on disk, encoded at the width
+    /// [`plan_workers`] grants `workers`, in one write and one
+    /// `sync_data`. A session with nothing new writes nothing.
     ///
     /// # Errors
     ///
-    /// Filesystem errors; the store on disk stays consistent (every file
-    /// is complete) even on failure.
-    pub fn save(&self, store: &ArtifactStore, replay: &ReplayCache) -> io::Result<()> {
-        self.write_atomic(&self.dir.join("meta"), &meta_bytes())?;
-        for ((phase, name, digest), artifact) in store.entries() {
-            let path = self.dir.join("artifacts").join(entry_filename(phase, &name, digest));
-            if path.exists() {
-                continue;
-            }
-            self.write_atomic(&path, &encode_entry(phase, &name, &artifact))?;
+    /// Filesystem errors; a partly written append is a torn tail, which
+    /// the next load cuts off.
+    pub fn save(
+        &self,
+        store: &ArtifactStore,
+        replay: &ReplayCache,
+        workers: usize,
+    ) -> io::Result<()> {
+        let (keys, digests) = &mut *self.on_disk.lock().expect("disk store poisoned");
+        // Everything on disk was loaded into (or saved from) the caches,
+        // and neither forgets an entry: equal counts mean nothing is new.
+        if store.len() == keys.len() && replay.len() == digests.len() {
+            return Ok(());
         }
-        // Merge-on-write: a concurrent process may have persisted digests
-        // this session never saw; last-writer-wins must not drop them.
-        let mut digests: HashSet<u128> = std::fs::read(self.dir.join("replay.bin"))
-            .ok()
-            .and_then(|b| decode_replay(&b).ok())
-            .map(|v| v.into_iter().collect())
-            .unwrap_or_default();
-        digests.extend(replay.export_digests());
-        let mut digests: Vec<u128> = digests.into_iter().collect();
-        digests.sort_unstable();
-        self.write_atomic(&self.dir.join("replay.bin"), &encode_replay(&digests))?;
+        let mut entries = store.entries();
+        entries.retain(|(key, _)| !keys.contains(key));
+        let mut batch = replay.export_digests();
+        batch.retain(|d| !digests.contains(d));
+        batch.sort_unstable();
+        let width = plan_workers(workers, entries.len() as u64 * MIN_TASK_COST, false);
+        let (mut records, _) = par_map(&entries, width, |_, ((phase, name, _), artifact)| {
+            record(ART_MAGIC, |e| {
+                e.str(phase);
+                e.str(name);
+                e.u128_fixed(artifact.digest);
+                artifact.value.encode(e);
+            })
+        });
+        if !batch.is_empty() {
+            records.push(record(RPL_MAGIC, |e| batch.encode(e)));
+        }
+        let mut file = self.lock_segment()?;
+        if file.metadata()?.len() == 0 {
+            records.insert(0, header());
+        }
+        file.write_all(&records.concat())?;
+        file.sync_data()?;
+        keys.extend(entries.into_iter().map(|(key, _)| key));
+        digests.extend(batch);
         Ok(())
     }
-
-    /// Removes every entry file and `replay.bin` of a version-skewed
-    /// directory. None of them can ever hit, and once the next save heals
-    /// `meta`, every later load would decode them again. A concurrent
-    /// writer's in-flight temporaries are left alone.
-    fn clear(&self) {
-        if let Ok(rd) = std::fs::read_dir(self.dir.join("artifacts")) {
-            for path in rd.filter_map(|e| e.ok().map(|e| e.path())) {
-                if path.extension().and_then(|e| e.to_str()) != Some("tmp") {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-        }
-        let _ = std::fs::remove_file(self.dir.join("replay.bin"));
-    }
-
-    fn has_entries(&self) -> bool {
-        std::fs::read_dir(self.dir.join("artifacts"))
-            .map(|mut rd| rd.next().is_some())
-            .unwrap_or(false)
-    }
-
-    /// Writes `bytes` to a unique temporary sibling, then renames it over
-    /// `path` — readers never see a partial file; racing writers settle on
-    /// last-writer-wins.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("{}-{}.tmp", std::process::id(), seq));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        let res = std::fs::rename(&tmp, path);
-        if res.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        res
-    }
 }
 
-/// Reads and decodes every entry file on the shared executor, at the
-/// width [`plan_workers`] grants `workers` for the entry count: decoding
-/// is pure per file (the interner is sharded and thread-safe), so only
-/// the read+decode fans out — results come back in path order and the
-/// caller's accept/reject walk stays deterministic. On a seL4-scale store
-/// (~3 900 entries, ~270 k proof nodes) the sequential decode dominated
-/// warm start. A decode that panics rejects its own entry only — load
-/// never fails, it degrades.
-fn decode_all(
-    paths: &[PathBuf],
-    workers: usize,
-) -> Vec<Option<(&'static str, String, PhaseArtifact)>> {
-    let cost = paths.len() as u64 * MIN_TASK_COST;
-    let (decoded, _) = par_map(paths, plan_workers(workers, cost, false), |_, path| {
-        std::panic::catch_unwind(|| decode_entry(&std::fs::read(path).ok()?).ok())
-            .ok()
-            .flatten()
-    });
-    decoded
+/// Splits a segment's records after the header into byte spans: `Ok` for
+/// a well-framed record (frame included), `Err` for damage — a torn tail,
+/// garbage, a record whose frame broke — which ends at the next
+/// well-framed record, so it costs one rejection.
+#[must_use]
+pub fn frames(bytes: &[u8]) -> Vec<Result<Range<usize>, Range<usize>>> {
+    let mut out = Vec::new();
+    let (mut pos, mut damage) = (header().len(), None);
+    while pos < bytes.len() {
+        let Some(end) = frame_end(bytes, pos) else {
+            damage.get_or_insert(pos);
+            pos += 1;
+            continue;
+        };
+        out.extend(damage.take().map(|start| Err(start..pos)));
+        out.push(Ok(pos..end));
+        pos = end;
+    }
+    out.extend(damage.map(|start| Err(start..pos)));
+    out
 }
 
-/// `<phase>-<fn>-<digest>.bin`, with the function name sanitized for the
-/// filesystem (C identifiers pass through unchanged; the digest keeps
-/// sanitized names collision-free regardless).
-fn entry_filename(phase: &str, name: &str, digest: u128) -> String {
-    let safe: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '-' })
-        .collect();
-    format!("{phase}-{safe}-{digest:032x}.bin")
+/// The end of the record framed at `pos`: its length and complement
+/// agree, it fits in `bytes`, and it opens with a record magic.
+fn frame_end(bytes: &[u8], pos: usize) -> Option<usize> {
+    let word = |at: usize| Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
+    let len = word(pos)?;
+    if word(pos + 8)? != !len {
+        return None;
+    }
+    let end = pos
+        .checked_add(FRAME)?
+        .checked_add(usize::try_from(len).ok()?)?;
+    let sealed = bytes.get(pos + FRAME..end)?;
+    (sealed.starts_with(ART_MAGIC) || sealed.starts_with(RPL_MAGIC)).then_some(end)
 }
 
-fn encode_entry(phase: &str, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
+/// One record: what `write` encodes, sealed under `magic`, behind its
+/// frame.
+fn record(magic: &[u8; 8], write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.str(phase);
-    e.str(name);
-    e.u128_fixed(artifact.digest);
-    artifact.value.encode(&mut e);
-    seal(ART_MAGIC, &e.finish())
+    write(&mut e);
+    let sealed = seal(magic, &e.finish());
+    let len = sealed.len() as u64;
+    [&len.to_le_bytes()[..], &(!len).to_le_bytes(), &sealed].concat()
 }
 
-fn decode_entry(bytes: &[u8]) -> Result<(&'static str, String, PhaseArtifact), DecodeError> {
-    let payload = unseal(ART_MAGIC, bytes)?;
-    let mut d = Decoder::new(payload);
-    let phase_name = d.str()?;
-    // The store key's phase component is `&'static str`; an entry naming
-    // an unknown phase (a future format, a renamed phase) is rejected.
-    let phase = PHASES
-        .iter()
-        .map(|p| p.name())
-        .find(|n| *n == phase_name)
-        .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
-    let name = d.str()?;
-    let digest = d.u128_fixed()?;
-    let value = Artifact::decode(&mut d)?;
+fn decode_record(sealed: &[u8]) -> Result<Record, DecodeError> {
+    let magic = if sealed.starts_with(RPL_MAGIC) {
+        RPL_MAGIC
+    } else {
+        ART_MAGIC
+    };
+    let mut d = Decoder::new(unseal(magic, sealed)?);
+    let record = if magic == RPL_MAGIC {
+        Record::Replay(Vec::decode(&mut d)?)
+    } else {
+        let phase_name = d.str()?;
+        // The store key's phase component is `&'static str`; a record
+        // naming an unknown phase (a future format, a renamed phase) is
+        // rejected.
+        let phase = PHASES
+            .iter()
+            .map(|p| p.name())
+            .find(|n| *n == phase_name)
+            .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
+        let name = d.str()?;
+        let digest = d.u128_fixed()?;
+        let value = Artifact::decode(&mut d)?;
+        Record::Artifact(phase, name, Arc::new(PhaseArtifact { digest, value }))
+    };
     if d.remaining() != 0 {
         return Err(DecodeError(format!("{} trailing bytes", d.remaining())));
     }
-    Ok((phase, name, PhaseArtifact { digest, value }))
-}
-
-fn encode_replay(digests: &[u128]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.varint(digests.len() as u64);
-    for &d in digests {
-        e.u128_fixed(d);
-    }
-    seal(RPL_MAGIC, &e.finish())
-}
-
-fn decode_replay(bytes: &[u8]) -> Result<Vec<u128>, DecodeError> {
-    let payload = unseal(RPL_MAGIC, bytes)?;
-    let mut d = Decoder::new(payload);
-    let n = d.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d.u128_fixed()?);
-    }
-    if d.remaining() != 0 {
-        return Err(DecodeError(format!("{} trailing bytes", d.remaining())));
-    }
-    Ok(out)
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -463,6 +455,38 @@ mod tests {
             cache_dir: Some(dir.to_path_buf()),
             ..Options::default()
         }
+    }
+
+    /// A cold, checked run of `SRC` into `dir`: its WA output.
+    fn cold(dir: &Path) -> String {
+        let sess = Session::new(opts(dir));
+        let out = sess.translate(SRC).expect("translate");
+        sess.check_all_report(&out, 1).expect("check");
+        out.wa.function("inc").unwrap().to_string()
+    }
+
+    fn warm(sess: &Session) -> String {
+        sess.translate(SRC)
+            .expect("translate")
+            .wa
+            .function("inc")
+            .unwrap()
+            .to_string()
+    }
+
+    fn segment(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join(SEGMENT)).unwrap()
+    }
+
+    fn records(bytes: &[u8]) -> Vec<Range<usize>> {
+        frames(bytes)
+            .into_iter()
+            .map(|f| f.expect("a clean segment"))
+            .collect()
+    }
+
+    fn is_artifact(bytes: &[u8], span: &Range<usize>) -> bool {
+        bytes[span.start + FRAME..].starts_with(ART_MAGIC)
     }
 
     #[test]
@@ -493,71 +517,84 @@ mod tests {
     }
 
     #[test]
+    fn saves_append_only_new_records() {
+        let dir = tmpdir("append");
+        const OTHER: &str = "unsigned dec(unsigned x) { return x - 1u; }";
+        // Two sessions load the empty directory before either saves, as
+        // two processes started together do: the second save appends
+        // behind the first's records and keeps every earlier byte.
+        let (a, b) = (Session::new(opts(&dir)), Session::new(opts(&dir)));
+        let clean = warm(&a);
+        let first = segment(&dir);
+        assert!(first.starts_with(&header()));
+        b.translate(OTHER).expect("translate");
+        let out = b.translate(SRC).expect("translate");
+        b.check_all_report(&out, 1).expect("check");
+        drop((a, b));
+        let second = segment(&dir);
+        assert!(second.starts_with(&first), "a save rewrote earlier records");
+        let spans = records(&second);
+        assert_eq!(spans.iter().filter(|s| !is_artifact(&second, s)).count(), 1);
+        // Each program warm-starts from the directory alone.
+        let sess = Session::new(opts(&dir));
+        assert_eq!(sess.load_report().rejected, 0);
+        assert_eq!(warm(&sess), clean);
+        let out = sess.translate(OTHER).expect("translate");
+        assert_eq!(out.stats.dirty_fns, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_entries_are_rejected_individually() {
         let dir = tmpdir("corrupt");
-        {
-            let sess = Session::new(opts(&dir));
-            sess.translate(SRC).expect("translate");
-        }
-        // Flip one byte in the middle of every artifact file in turn and
-        // in replay.bin: each load must reject it and still succeed.
-        let clean = {
-            let sess = Session::new(opts(&dir));
-            sess.translate(SRC).expect("translate").wa.function("inc").unwrap().to_string()
-        };
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir.join("artifacts"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        paths.push(dir.join("replay.bin"));
-        for path in paths {
-            let orig = std::fs::read(&path).unwrap();
+        let clean = cold(&dir);
+        let orig = segment(&dir);
+        let total = Session::new(opts(&dir)).load_report().artifacts;
+        // Flip one byte in the middle of every record in turn: each load
+        // must reject that record alone, keep the others, and still
+        // translate to the same bytes.
+        for span in records(&orig) {
             let mut bad = orig.clone();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0x01;
-            std::fs::write(&path, &bad).unwrap();
+            bad[(span.start + span.end) / 2] ^= 0x01;
+            std::fs::write(dir.join(SEGMENT), &bad).unwrap();
             let sess = Session::new(opts(&dir));
-            assert!(sess.load_report().rejected >= 1, "{}", path.display());
-            let out = sess.translate(SRC).expect("translate survives corruption");
-            assert_eq!(out.wa.function("inc").unwrap().to_string(), clean);
-            std::fs::write(&path, &orig).unwrap();
+            let rep = sess.load_report();
+            assert_eq!(rep.rejected, 1, "{span:?}");
+            let lost = usize::from(is_artifact(&orig, &span));
+            assert_eq!(rep.artifacts, total - lost, "{span:?}");
+            assert_eq!(warm(&sess), clean);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn rejected_files_are_removed_and_rewritten() {
+    fn rejected_records_are_removed_and_rewritten() {
         let dir = tmpdir("rewrite");
-        {
-            let sess = Session::new(opts(&dir));
-            sess.translate(SRC).expect("translate");
-        }
-        let flip = |path: &Path| {
-            let mut bad = std::fs::read(path).unwrap();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0x01;
-            std::fs::write(path, &bad).unwrap();
+        cold(&dir);
+        let flip = |pick: &dyn Fn(&[u8], &Range<usize>) -> bool| {
+            let mut bytes = segment(&dir);
+            let span = records(&bytes)
+                .into_iter()
+                .find(|s| pick(&bytes, s))
+                .unwrap();
+            bytes[(span.start + span.end) / 2] ^= 0x01;
+            std::fs::write(dir.join(SEGMENT), &bytes).unwrap();
         };
-        let entry = std::fs::read_dir(dir.join("artifacts"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .min()
-            .unwrap();
-        flip(&entry);
+        flip(&is_artifact);
         {
             let sess = Session::new(opts(&dir));
             assert_eq!(sess.load_report().rejected, 1);
             assert!(sess.translate(SRC).expect("translate").stats.dirty_fns > 0);
         }
-        // The load removed the rejected entry; the save wrote it afresh.
+        // The load cut the rejected record; the save appended it afresh.
         let sess = Session::new(opts(&dir));
         assert_eq!(sess.load_report().rejected, 0);
         assert_eq!(sess.translate(SRC).expect("translate").stats.dirty_fns, 0);
         drop(sess);
 
-        // A rejected `replay.bin` is counted once, even by warm starts
+        // A rejected replay batch is counted once, even by warm starts
         // that compute nothing and so save nothing.
-        flip(&dir.join("replay.bin"));
+        flip(&|bytes, span| !is_artifact(bytes, span));
         for rejected in [1, 0] {
             let sess = Session::new(opts(&dir));
             assert_eq!(sess.load_report().rejected, rejected);
@@ -567,19 +604,55 @@ mod tests {
     }
 
     #[test]
+    fn torn_tails_cost_one_record() {
+        let dir = tmpdir("torn");
+        let clean = {
+            let sess = Session::new(opts(&dir));
+            sess.translate(SRC)
+                .expect("translate")
+                .wa
+                .function("inc")
+                .unwrap()
+                .to_string()
+        };
+        let orig = segment(&dir);
+        let last = records(&orig).pop().unwrap();
+        let total = records(&orig).len();
+        let garbage = [&orig[..], b"\x07 not a record \xff\xff\xff\xff"].concat();
+        // A save cut short anywhere inside its last record, and garbage
+        // after the last record: every earlier record loads, the damage
+        // is one rejection that the load cuts off, the output is
+        // unchanged, and the next load finds a clean segment.
+        let torn = (last.start + 1..last.end).map(|cut| (&orig[..cut], last.start, 1));
+        for (bytes, kept, lost) in torn.chain([(&garbage[..], orig.len(), 0)]) {
+            std::fs::write(dir.join(SEGMENT), bytes).unwrap();
+            let sess = Session::new(opts(&dir));
+            let rep = sess.load_report();
+            assert_eq!(
+                (rep.rejected, rep.artifacts),
+                (1, total - lost),
+                "{}",
+                bytes.len()
+            );
+            assert_eq!(segment(&dir), orig[..kept], "{}", bytes.len());
+            assert_eq!(warm(&sess), clean);
+            drop(sess);
+            let rep = Session::new(opts(&dir)).load_report().clone();
+            assert_eq!((rep.rejected, rep.artifacts), (0, total), "{}", bytes.len());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_warm_start_that_computes_nothing_writes_nothing() {
         let dir = tmpdir("nowrite");
-        {
-            let sess = Session::new(opts(&dir));
-            let out = sess.translate(SRC).expect("translate");
-            sess.check_all_report(&out, 1).expect("check");
-        }
-        let stamp = |file: &str| {
-            let path = dir.join(file);
+        cold(&dir);
+        let stamp = || {
+            let path = dir.join(SEGMENT);
             let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
             (std::fs::read(&path).unwrap(), modified)
         };
-        let before = (stamp("meta"), stamp("replay.bin"));
+        let before = stamp();
         // Filesystem clocks can be coarse: leave time for a rewrite to show.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let sess = Session::new(opts(&dir));
@@ -589,103 +662,119 @@ mod tests {
             sess.check_all_report(&out, 1).expect("check").cache_misses,
             0
         );
-        assert!(
-            (stamp("meta"), stamp("replay.bin")) == before,
-            "a warm start rewrote the store"
-        );
+        assert!(stamp() == before, "a warm start rewrote the store");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_skew_and_garbage_degrade_to_cold_start() {
         let dir = tmpdir("skew");
-        {
-            let sess = Session::new(opts(&dir));
-            sess.translate(SRC).expect("translate");
-        }
-        // Foreign + empty files among the entries: rejected, not fatal.
-        std::fs::write(dir.join("artifacts/README.txt"), b"not an artifact").unwrap();
-        std::fs::write(dir.join("artifacts/empty.bin"), b"").unwrap();
+        cold(&dir);
+        let live = Session::new(opts(&dir)).load_report().artifacts;
+        // Two well-sealed records that decode to nothing among the others:
+        // rejected, not fatal.
+        let mut bytes = segment(&dir);
+        let at = records(&bytes)[1].start;
+        let foreign = [
+            record(ART_MAGIC, |e| e.str("not an artifact")),
+            record(RPL_MAGIC, |_| {}),
+        ]
+        .concat();
+        bytes.splice(at..at, foreign);
+        std::fs::write(dir.join(SEGMENT), &bytes).unwrap();
         {
             let sess = Session::new(opts(&dir));
             assert_eq!(sess.load_report().rejected, 2);
-            assert!(sess.load_report().artifacts > 0);
-            let out = sess.translate(SRC).expect("translate");
-            assert_eq!(out.stats.dirty_fns, 0);
+            assert_eq!(sess.load_report().artifacts, live);
+            assert_eq!(sess.translate(SRC).expect("translate").stats.dirty_fns, 0);
         }
-        // A directory another build wrote: beside each live entry, one
-        // under a key digest this build never computes.
-        let entries = |dir: &Path| -> Vec<PathBuf> {
-            std::fs::read_dir(dir.join("artifacts"))
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .collect()
-        };
-        let live = entries(&dir);
-        for path in &live {
-            let (phase, name, a) = decode_entry(&std::fs::read(path).unwrap()).unwrap();
-            let dead = PhaseArtifact {
-                digest: !a.digest,
-                value: a.value,
-            };
-            let file = entry_filename(phase, &name, dead.digest);
-            std::fs::write(dir.join("artifacts").join(file), encode_entry(phase, &name, &dead))
-                .unwrap();
-        }
-        assert_eq!(entries(&dir).len(), 2 * live.len());
-        // Version-skewed meta: the whole directory loads cold, with one
-        // warning, and the load clears it; the next save rewrites the
-        // header and exactly this build's entries.
-        let mut meta = std::fs::read(dir.join("meta")).unwrap();
-        meta[9] ^= 0xff;
-        std::fs::write(dir.join("meta"), &meta).unwrap();
+        // Version-skewed header: the whole directory loads cold, with one
+        // warning, and the load empties the segment; the next save
+        // rewrites the header and exactly this build's records.
+        let mut bytes = segment(&dir);
+        bytes[9] ^= 0xff;
+        std::fs::write(dir.join(SEGMENT), &bytes).unwrap();
         {
             let sess = Session::new(opts(&dir));
             let rep = sess.load_report();
             assert!(rep.version_skew);
             assert_eq!(rep.artifacts, 0);
             assert_eq!(rep.warnings.len(), 1);
-            assert!(entries(&dir).is_empty(), "a skewed load clears the entries");
-            assert!(!dir.join("replay.bin").exists(), "and replay.bin");
+            assert!(
+                segment(&dir).is_empty(),
+                "a skewed load empties the segment"
+            );
             let out = sess.translate(SRC).expect("translate cold");
             assert!(out.stats.dirty_fns > 0);
-            assert_eq!(sess.artifacts(), live.len());
+            assert_eq!(sess.artifacts(), live);
         }
-        // The save above healed the meta header; loads are warm again and
-        // find no dead entry.
         let sess = Session::new(opts(&dir));
         assert!(!sess.load_report().version_skew);
-        assert_eq!(sess.load_report().artifacts, live.len());
+        assert_eq!(sess.load_report().artifacts, live);
         assert_eq!(sess.load_report().rejected, 0);
+        assert_eq!(records(&segment(&dir)).len(), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_older_builds_directory_loads_cold_and_is_removed() {
+        let dir = tmpdir("legacy");
+        let clean = cold(&dir);
+        // The per-file layout of an older build: `meta`, `replay.bin` and
+        // one sealed file per artifact under `artifacts/`.
+        let bytes = segment(&dir);
+        std::fs::remove_file(dir.join(SEGMENT)).unwrap();
+        std::fs::create_dir_all(dir.join("artifacts")).unwrap();
+        std::fs::write(dir.join("meta"), header()).unwrap();
+        for (i, span) in records(&bytes).iter().enumerate() {
+            let sealed = &bytes[span.start + FRAME..span.end];
+            let path = if is_artifact(&bytes, span) {
+                dir.join(format!("artifacts/entry-{i}.bin"))
+            } else {
+                dir.join("replay.bin")
+            };
+            std::fs::write(path, sealed).unwrap();
+        }
+        {
+            let sess = Session::new(opts(&dir));
+            let rep = sess.load_report();
+            assert!(rep.version_skew);
+            assert_eq!((rep.artifacts, rep.warnings.len()), (0, 1));
+            for old in ["meta", "replay.bin", "artifacts"] {
+                assert!(!dir.join(old).exists(), "{old} survived the load");
+            }
+            let out = sess.translate(SRC).expect("translate cold");
+            assert!(out.stats.dirty_fns > 0);
+        }
+        let sess = Session::new(opts(&dir));
+        assert!(!sess.load_report().version_skew);
+        assert_eq!(sess.load_report().rejected, 0);
+        assert_eq!(warm(&sess), clean);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unknown_phase_entries_are_rejected() {
         let dir = tmpdir("phase");
-        {
-            let sess = Session::new(opts(&dir));
-            sess.translate(SRC).expect("translate");
-        }
-        // A self-consistent entry (valid magic + digest) naming a phase
-        // this build does not know: must be rejected by name, not trusted.
-        let mut e = Encoder::new();
-        e.str("l9");
-        e.str("inc");
-        e.u128_fixed(42);
-        Artifact::L2Fn(MonadicFn {
-            name: "inc".into(),
-            params: vec![],
-            ret_ty: ir::ty::Ty::Unit,
-            frame: None,
-            body: monadic::Prog::Fail,
-        })
-        .encode(&mut e);
-        std::fs::write(
-            dir.join("artifacts/l9-inc-0000.bin"),
-            seal(ART_MAGIC, &e.finish()),
-        )
-        .unwrap();
+        cold(&dir);
+        // A self-consistent record (valid frame, magic and digest) naming
+        // a phase this build does not know: must be rejected by name, not
+        // trusted.
+        let l9 = record(ART_MAGIC, |e| {
+            e.str("l9");
+            e.str("inc");
+            e.u128_fixed(42);
+            Artifact::L2Fn(MonadicFn {
+                name: "inc".into(),
+                params: vec![],
+                ret_ty: ir::ty::Ty::Unit,
+                frame: None,
+                body: monadic::Prog::Fail,
+            })
+            .encode(e);
+        });
+        let bytes = [segment(&dir), l9].concat();
+        std::fs::write(dir.join(SEGMENT), bytes).unwrap();
         let sess = Session::new(opts(&dir));
         assert_eq!(sess.load_report().rejected, 1);
         assert!(sess.translate(SRC).is_ok());

@@ -135,17 +135,26 @@ fi
 # Warm-start smoke (DESIGN.md §6g): translate the quickstart with a cache
 # directory, then re-run from a *fresh process* reusing the directory —
 # the warm output must be byte-identical and recompute nothing.
+# The store is one segment file per cache directory, with no per-file
+# layout beside it, and a warm start that computes and checks nothing new
+# leaves the segment's size unchanged.
 cache_dir=$(mktemp -d)
 trap 'rm -f "$tmp_c" "$tmp_out" "$golden"; rm -rf "$cache_dir"' EXIT
-./target/release/autocorres --quiet --level wa --fn max --cache-dir "$cache_dir" "$tmp_c" > "$tmp_out"
+./target/release/autocorres --quiet --level wa --fn max --check --cache-dir "$cache_dir" "$tmp_c" > "$tmp_out"
 diff -u "$golden" "$tmp_out" \
     || { echo "tier1: cold cache-dir run diverged" >&2; exit 1; }
+segment_bytes=$(stat -c %s "$cache_dir/segment")
 ./target/release/autocorres --quiet --level wa --fn max --cache-dir "$cache_dir" "$tmp_c" > "$tmp_out"
 diff -u "$golden" "$tmp_out" \
     || { echo "tier1: warm-start run diverged" >&2; exit 1; }
-./target/release/autocorres --quiet --metrics --cache-dir "$cache_dir" "$tmp_c" \
+./target/release/autocorres --quiet --metrics --check --cache-dir "$cache_dir" "$tmp_c" \
     | grep -q 'misses=0 rejected=0 dirty_fns=0' \
     || { echo "tier1: warm start recomputed work" >&2; exit 1; }
+if [[ -e "$cache_dir/artifacts" ]]; then
+    echo "tier1: the cache directory has an artifacts/ directory" >&2; exit 1
+fi
+[[ $(stat -c %s "$cache_dir/segment") == "$segment_bytes" ]] \
+    || { echo "tier1: a warm start wrote to the store's segment" >&2; exit 1; }
 
 # Shifted warm start (DESIGN.md §6b): function digests are position-free,
 # so the lint demo with a comment line prepended warm-starts in a fresh

@@ -14,7 +14,8 @@
 //!   --workers N              worker threads for the phase graph (default:
 //!                            the host's CPUs, granted adaptively; output is
 //!                            identical at any count)
-//!   --metrics                print Table 5-style size metrics and exit
+//!   --metrics                print Table 5-style size metrics instead of
+//!                            the specifications (lint and check still run)
 //!   --check                  replay all theorems through the proof checker
 //!   --lint[=deny]            print static-analysis lints (dead stores,
 //!                            unreachable code, use-before-init, definite
@@ -344,6 +345,11 @@ fn run(cli: &Cli) -> Result<(), String> {
             eprintln!("wrote certificate: {all_thms} theorem(s) to {path}");
         }
     }
+    if !cli.quiet {
+        let n = out.wa.fns.len();
+        let thms = out.thms.l1.len() + out.thms.l2.len() + out.thms.hl.len() + out.thms.wa.len();
+        eprintln!("translated {n} function(s); {thms} theorem(s) produced");
+    }
     if cli.metrics {
         let pm = out.parser_metrics();
         let am = out.output_metrics();
@@ -360,20 +366,15 @@ fn run(cli: &Cli) -> Result<(), String> {
                 s.dirty_fns
             );
         }
-        return Ok(());
+    } else {
+        let ctx = match cli.level.as_str() {
+            "l1" => &out.l1,
+            "l2" => &out.l2,
+            "hl" => &out.hl,
+            _ => &out.wa,
+        };
+        print_ctx(ctx, &cli.only)?;
     }
-    if !cli.quiet {
-        let n = out.wa.fns.len();
-        let thms = out.thms.l1.len() + out.thms.l2.len() + out.thms.hl.len() + out.thms.wa.len();
-        eprintln!("translated {n} function(s); {thms} theorem(s) produced");
-    }
-    let ctx = match cli.level.as_str() {
-        "l1" => &out.l1,
-        "l2" => &out.l2,
-        "hl" => &out.hl,
-        _ => &out.wa,
-    };
-    print_ctx(ctx, &cli.only)?;
     if cli.lint {
         let n = print_lints(&out)?;
         if cli.lint_deny && n > 0 {

@@ -92,6 +92,43 @@ fn metrics_mode_prints_both_rows() {
     assert!(stdout.contains("autocorres output"), "{stdout}");
 }
 
+/// `--metrics` replaces the specification printout only: `--check` still
+/// replays every theorem.
+#[test]
+fn metrics_with_check_still_replays() {
+    let path = write_temp(
+        "cli_mc.c",
+        "unsigned g(unsigned x) { if (x < 7u) { return x + 1u; } return x; }",
+    );
+    let out = bin().arg(&path).args(["--metrics", "--check"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("autocorres output"), "{stdout}");
+    assert!(!stdout.contains(" ≡"), "--metrics printed the spec: {stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("replayed through the checker: OK"),
+        "--metrics skipped --check: {stderr}"
+    );
+}
+
+/// `--metrics` replaces the specification printout only: `--lint=deny`
+/// still prints the lints and fails on them.
+#[test]
+fn metrics_with_lint_deny_still_fails_on_lints() {
+    let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint_demo.c");
+    let out = bin()
+        .args(["--quiet", "--metrics", "--lint=deny", demo])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--metrics skipped --lint=deny");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("autocorres output"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("warning")), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--lint=deny"), "{stderr}");
+}
+
 #[test]
 fn frontend_errors_are_reported_cleanly() {
     let path = write_temp("cli_bad.c", "void f(void) { goto x; }");

@@ -26,16 +26,20 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// word abstraction in play — large enough that every phase stores
 /// several artifacts, small enough for a debug-build test. Generated
 /// deterministically by the same generator the scalability benches use.
-fn gen_source(dir: &Path) -> PathBuf {
+fn gen_source(dir: &Path, seed: u64) -> PathBuf {
     let profile = codegen::Profile {
         name: "persistence-test",
         loc: 900,
         functions: 18,
     };
-    let src = codegen::generate(&profile, 0xAC);
-    let path = dir.join("gen.c");
-    std::fs::write(&path, src).unwrap();
+    let path = dir.join(format!("gen-{seed:x}.c"));
+    std::fs::write(&path, codegen::generate(&profile, seed)).unwrap();
     path
+}
+
+/// The store's one file in a cache directory.
+fn segment(cache: &Path) -> PathBuf {
+    cache.join(autocorres::store::SEGMENT)
 }
 
 fn run_ok(cmd: &mut Command) -> Output {
@@ -60,7 +64,7 @@ fn store_line(stdout: &[u8]) -> String {
 #[test]
 fn fresh_process_warm_start_is_byte_identical_across_worker_counts() {
     let dir = tmpdir("warm");
-    let src = gen_source(&dir);
+    let src = gen_source(&dir, 0xAC);
     let cache = dir.join("cache");
     let spec = |workers: &str| {
         let mut c = bin();
@@ -100,7 +104,7 @@ fn fresh_process_warm_start_is_byte_identical_across_worker_counts() {
 #[test]
 fn corrupt_cache_recomputes_with_identical_bytes() {
     let dir = tmpdir("corrupt");
-    let src = gen_source(&dir);
+    let src = gen_source(&dir, 0xAC);
     let cache = dir.join("cache");
     let run = |cache: &Path| {
         let mut c = bin();
@@ -112,33 +116,27 @@ fn corrupt_cache_recomputes_with_identical_bytes() {
     };
     let clean = run(&cache);
 
-    // Truncate one artifact, bit-flip another, empty a third, and delete
-    // a fourth: the warm start degrades for those functions only, and
-    // the output bytes cannot change.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(cache.join("artifacts"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    entries.sort();
-    assert!(entries.len() >= 4, "expected a populated store");
-    let bytes = std::fs::read(&entries[0]).unwrap();
-    std::fs::write(&entries[0], &bytes[..bytes.len() / 2]).unwrap();
-    let mut bytes = std::fs::read(&entries[1]).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&entries[1], &bytes).unwrap();
-    std::fs::write(&entries[2], b"").unwrap();
-    std::fs::remove_file(&entries[3]).unwrap();
-
+    // Bit-flip two records and tear the tail off a third: the warm start
+    // degrades for those functions only, and the output bytes cannot
+    // change. Deleting the segment is a cold start with the same bytes.
+    let mut bytes = std::fs::read(segment(&cache)).unwrap();
+    let len = bytes.len();
+    bytes[len / 4] ^= 0x40;
+    bytes[len / 2] ^= 0x01;
+    bytes.truncate(len - len / 8);
+    std::fs::write(segment(&cache), &bytes).unwrap();
     let damaged = run(&cache);
     assert_eq!(clean.stdout, damaged.stdout, "corruption changed output bytes");
+    std::fs::remove_file(segment(&cache)).unwrap();
+    let deleted = run(&cache);
+    assert_eq!(clean.stdout, deleted.stdout, "a deleted segment changed output bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn version_skewed_meta_degrades_to_cold_start() {
     let dir = tmpdir("skew");
-    let src = gen_source(&dir);
+    let src = gen_source(&dir, 0xAC);
     let cache = dir.join("cache");
     let run = |extra: &[&str]| {
         let mut c = bin();
@@ -152,11 +150,10 @@ fn version_skewed_meta_degrades_to_cold_start() {
     let clean = run(&["--quiet"]);
     assert!(clean.status.success());
 
-    // Rewrite the meta header as a future format version would.
-    let meta = cache.join("meta");
-    let mut m = std::fs::read(&meta).unwrap();
+    // Rewrite the segment header as a future format version would.
+    let mut m = std::fs::read(segment(&cache)).unwrap();
     m[7] = b'9';
-    std::fs::write(&meta, &m).unwrap();
+    std::fs::write(segment(&cache), &m).unwrap();
 
     let skew = run(&[]);
     assert!(skew.status.success(), "skew must never be fatal");
@@ -166,25 +163,83 @@ fn version_skewed_meta_degrades_to_cold_start() {
         stderr.contains("mismatch") && stderr.contains("cold"),
         "skew warning missing: {stderr}"
     );
+    // The skewed run's save rewrote the header: the next run is warm.
+    let line = store_line(&run(&["--quiet", "--metrics"]).stdout);
+    assert!(line.ends_with("misses=0 rejected=0 dirty_fns=0"), "{line}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn garbage_cache_directory_never_panics_or_fails() {
     let dir = tmpdir("garbage");
-    let src = gen_source(&dir);
+    let src = gen_source(&dir, 0xAC);
     let cache = dir.join("cache");
+    let run = || {
+        let mut c = bin();
+        c.arg(&src)
+            .args(["--quiet", "--level", "wa", "--trials", "2"])
+            .arg("--cache-dir")
+            .arg(&cache);
+        run_ok(&mut c)
+    };
+    // A segment of garbage beside the debris of an older build's layout.
     std::fs::create_dir_all(cache.join("artifacts")).unwrap();
     std::fs::write(cache.join("meta"), b"").unwrap();
     std::fs::write(cache.join("replay.bin"), b"\x00\x01\x02").unwrap();
     std::fs::write(cache.join("artifacts/notes.txt"), b"hello").unwrap();
-    std::fs::write(cache.join("artifacts/empty.bin"), b"").unwrap();
-    let mut c = bin();
-    c.arg(&src)
-        .args(["--quiet", "--level", "wa", "--trials", "2"])
-        .arg("--cache-dir")
-        .arg(&cache);
-    run_ok(&mut c);
+    std::fs::write(segment(&cache), b"\x00\x01\x02").unwrap();
+    let first = run();
+    // Garbage behind a valid header, and a segment that is a directory.
+    let mut bytes = std::fs::read(segment(&cache)).unwrap();
+    bytes.truncate(40);
+    bytes.extend_from_slice(&[0xff; 100]);
+    std::fs::write(segment(&cache), &bytes).unwrap();
+    assert_eq!(first.stdout, run().stdout);
+    std::fs::remove_file(segment(&cache)).unwrap();
+    std::fs::create_dir_all(segment(&cache)).unwrap();
+    assert_eq!(first.stdout, run().stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Processes sharing a cache directory keep each other's work: two
+/// programs translated and checked at the same time, then each
+/// warm-starts from the directory alone.
+#[test]
+fn concurrent_writers_keep_each_others_work() {
+    let dir = tmpdir("concurrent");
+    let cache = dir.join("cache");
+    let sources = [gen_source(&dir, 0xAC), gen_source(&dir, 0xBD)];
+    let writers: Vec<_> = sources
+        .iter()
+        .map(|src| {
+            bin()
+                .arg(src)
+                .args(["--quiet", "--check", "--trials", "2"])
+                .arg("--cache-dir")
+                .arg(&cache)
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    for w in writers {
+        let out = w.wait_with_output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    for src in &sources {
+        let mut c = bin();
+        c.arg(src)
+            .args(["--quiet", "--metrics", "--trials", "2"])
+            .arg("--cache-dir")
+            .arg(&cache);
+        let line = store_line(&run_ok(&mut c).stdout);
+        assert!(
+            line.ends_with("misses=0 rejected=0 dirty_fns=0"),
+            "{}: {line}",
+            src.display()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
