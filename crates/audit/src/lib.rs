@@ -31,8 +31,8 @@ pub use discharge::{
 };
 pub use layers::{first_divergence, run_all, Divergence, LayerRun};
 pub use mutate::{
-    attack_artifact_store, attack_disk_store, attack_replay_cache, attack_theorems,
-    CacheAttackReport, DiskAttackReport, KillMatrix, Mutation, StoreAttackReport, MUTATIONS,
+    attack_artifact_store, attack_disk_store, attack_theorems, DiskAttackReport, KillMatrix,
+    Mutation, StoreAttackReport, MUTATIONS,
 };
 
 /// Handcrafted audit source: signed arithmetic (SDiv/SNeg guards), struct

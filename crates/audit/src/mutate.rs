@@ -18,9 +18,9 @@
 //!   than recomputing the conclusion, so a judgment tweak is only caught
 //!   probabilistically. The cross-layer differential oracle
 //!   ([`crate::differential`]) owns that half of the trust argument.
-//! * Cache corruption ([`attack_replay_cache`], [`attack_artifact_store`]):
+//! * Cache corruption ([`attack_artifact_store`], [`attack_disk_store`]):
 //!   reported separately because the property is different — a corrupted
-//!   digest must never cause a forged theorem to be *accepted* (nor a
+//!   cache must never cause a forged theorem to be *accepted* (nor a
 //!   valid one to be rejected), but it is allowed to cost a cache miss.
 
 use std::collections::BTreeMap;
@@ -28,10 +28,11 @@ use std::fmt;
 
 use autocorres::phase::Artifact;
 use autocorres::{Options, Output, Session};
+use ir::codec::{seal, unseal, Codec, Decoder, Encoder};
 use ir::expr::Expr;
 use ir::intern::Interned;
 use ir::names::Symbol;
-use kernel::{check, check_all_with, Judgment, Rule, Side, Thm};
+use kernel::{check, Judgment, Rule, Side, Thm};
 use monadic::Prog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -546,71 +547,6 @@ fn first_symbol_prog(p: &Prog) -> Option<Symbol> {
 // Cache and store corruption
 // ---------------------------------------------------------------------------
 
-/// Result of the replay-cache bit-flip attack.
-#[derive(Clone, Debug)]
-pub struct CacheAttackReport {
-    /// Stored digests that were bit-flipped.
-    pub digests_corrupted: usize,
-    /// The session's *valid* theorems still check after corruption (the
-    /// flips only cost cache misses — they must never flip a verdict).
-    pub valid_still_accepted: bool,
-    /// A forged theorem checked against the corrupted cache is rejected.
-    pub forged_rejected: bool,
-}
-
-impl CacheAttackReport {
-    /// Did the cache uphold both properties?
-    #[must_use]
-    pub fn sound(&self) -> bool {
-        self.valid_still_accepted && self.forged_rejected
-    }
-}
-
-/// Translates `src` in a fresh session, populates the session replay
-/// cache, then flips one random bit in `flips` stored digests and asserts
-/// the corruption changes no verdict in either direction.
-///
-/// # Panics
-///
-/// Panics if `src` does not translate (audit inputs must be valid).
-#[must_use]
-pub fn attack_replay_cache(src: &str, opts: &Options, flips: usize, seed: u64) -> CacheAttackReport {
-    let sess = Session::new(opts.clone());
-    let out = sess.translate(src).expect("audit source translates");
-    sess.check_all_report(&out, 1).expect("valid theorems check");
-    let cache = sess.audit_replay();
-    let digests = cache.forge_digests();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut corrupted = 0;
-    for _ in 0..flips.min(digests.len()) {
-        let d = digests[rng.gen_range(0..digests.len())];
-        if cache.forge_remove(d) {
-            cache.forge_insert(d ^ (1u128 << rng.gen_range(0..128)));
-            corrupted += 1;
-        }
-    }
-    let valid_still_accepted = sess.check_all_report(&out, 1).is_ok();
-    // A forged theorem must still be rejected: its (mutated) root digest is
-    // a cache miss, so the validator runs and catches the lie.
-    let forged_rejected = out.thms.iter().any(|(_, _, thm)| {
-        let Some(mutant) = mutate_at(thm, &[], Mutation::SwapRuleFamily) else {
-            return false;
-        };
-        check_all_with(
-            std::iter::once(("forged", &mutant)),
-            &out.check_ctx,
-            1,
-            cache,
-        )
-        .is_err()
-    });
-    CacheAttackReport {
-        digests_corrupted: corrupted,
-        valid_still_accepted,
-        forged_rejected,
-    }
-}
-
 /// Result of one artifact-store corruption attack.
 #[derive(Clone, Debug)]
 pub struct StoreAttackReport {
@@ -645,15 +581,16 @@ pub fn attack_artifact_store(src: &str, opts: &Options) -> Vec<StoreAttackReport
             .into_iter()
             .find(|(phase, name, digest)| {
                 *phase == target
-                    && store
-                        .audit_get(phase, name, *digest)
-                        .is_some_and(|a| corrupt_artifact(&a.value).is_some())
+                    && store.audit_get(phase, name, *digest).is_some_and(|a| {
+                        corrupt_artifact(&a.value, Mutation::SwapRuleFamily).is_some()
+                    })
             })
             .unwrap_or_else(|| panic!("no theorem-bearing `{target}` artifact"));
         let art = store
             .audit_get(key.0, &key.1, key.2)
             .expect("artifact just found");
-        let poisoned = corrupt_artifact(&art.value).expect("artifact has a theorem");
+        let poisoned =
+            corrupt_artifact(&art.value, Mutation::SwapRuleFamily).expect("artifact has a theorem");
         assert!(store.audit_replace(key.0, &key.1, key.2, poisoned));
         let out2 = sess.translate(src).expect("cached re-translation");
         reports.push(StoreAttackReport {
@@ -666,24 +603,28 @@ pub fn attack_artifact_store(src: &str, opts: &Options) -> Vec<StoreAttackReport
     reports
 }
 
-/// Replaces the artifact's theorem with a rule-family-swapped forgery
-/// (applicable at any root, guaranteed rejectable). `None` if the artifact
-/// carries no theorem.
-fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
-    let swap = |thm: &Thm| mutate_at(thm, &[], Mutation::SwapRuleFamily).expect("swap applies");
+/// Replaces the artifact's theorem with a `kind` mutant of its root
+/// (`SwapRuleFamily` applies at any root). `None` if the artifact carries
+/// no theorem or `kind` does not apply to its root.
+fn corrupt_artifact(a: &Artifact, kind: Mutation) -> Option<Artifact> {
+    let forge = |thm: &Thm| {
+        applicable(thm, kind)
+            .then(|| mutate_at(thm, &[], kind))
+            .flatten()
+    };
     Some(match a {
         Artifact::L1 { fun, thm } => Artifact::L1 {
             fun: fun.clone(),
-            thm: swap(thm),
+            thm: forge(thm)?,
         },
-        Artifact::L2Thm(thm) => Artifact::L2Thm(swap(thm)),
+        Artifact::L2Thm(thm) => Artifact::L2Thm(forge(thm)?),
         Artifact::Hl { fun, thm: Some(thm) } => Artifact::Hl {
             fun: fun.clone(),
-            thm: Some(swap(thm)),
+            thm: Some(forge(thm)?),
         },
         Artifact::Wa { fun, thm: Some(thm) } => Artifact::Wa {
             fun: fun.clone(),
-            thm: Some(swap(thm)),
+            thm: Some(forge(thm)?),
         },
         _ => return None,
     })
@@ -708,24 +649,58 @@ pub struct DiskAttackReport {
     /// `check_all_report` accepted the (recomputed) theorems after every
     /// attack.
     pub verdicts_stable: bool,
+    /// A segment whose artifact record carries a forged false theorem,
+    /// re-sealed and re-framed, loaded without a rejection, and a warm
+    /// translation used it without recomputing anything.
+    pub forged_loaded: bool,
+    /// A fresh session's `check_all_report` rejected that translation.
+    pub forged_rejected: bool,
 }
 
 impl DiskAttackReport {
     /// Did the disk store uphold the persistence trust property?
     #[must_use]
     pub fn sound(&self) -> bool {
-        self.output_stable && self.verdicts_stable
+        self.output_stable && self.verdicts_stable && self.forged_loaded && self.forged_rejected
     }
 }
 
-/// Translates `src` through a disk-backed session, then runs `rounds` of
+/// The magic of an artifact record, as `autocorres::store` writes it.
+const ART_MAGIC: &[u8; 8] = b"ACRSART2";
+
+/// `segment` with its first artifact record whose theorem admits a
+/// `CorruptSymbol` mutant at the root rewritten to carry that mutant — a
+/// false theorem, written through the store's `Thm` codec — then re-sealed
+/// and re-framed (the sealed record's length and its complement) as the
+/// store writes records.
+fn forge_record(segment: &[u8]) -> Option<Vec<u8>> {
+    let records = autocorres::store::frames(segment).into_iter().flatten();
+    records.into_iter().find_map(|span| {
+        let mut d = Decoder::new(unseal(ART_MAGIC, &segment[span.start + 16..span.end]).ok()?);
+        let (phase, name, digest) = (d.str().ok()?, d.str().ok()?, d.u128_fixed().ok()?);
+        let forged = corrupt_artifact(&Artifact::decode(&mut d).ok()?, Mutation::CorruptSymbol)?;
+        let mut e = Encoder::new();
+        e.str(&phase);
+        e.str(&name);
+        e.u128_fixed(digest);
+        forged.encode(&mut e);
+        let sealed = seal(ART_MAGIC, &e.finish());
+        let len = sealed.len() as u64;
+        let framed = [&len.to_le_bytes()[..], &(!len).to_le_bytes(), &sealed].concat();
+        Some([&segment[..span.start], &framed, &segment[span.end..]].concat())
+    })
+}
+
+/// Translates `src` through a disk-backed session and checks it, then
+/// forges a false theorem into one artifact record (see
+/// [`DiskAttackReport::forged_rejected`]), then runs `rounds` of
 /// randomized on-disk corruption — each round mutates the store's segment
 /// (a bit flip inside a random record, truncation, appended garbage, or
 /// deletion), warm-starts a fresh session from the damaged directory, and
 /// requires byte-identical WA output plus a passing checker replay. The
 /// disk path must uphold the same property as the in-memory caches:
 /// corruption may cost cache misses, never a changed verdict or changed
-/// output bytes.
+/// output bytes, and the cache directory is never evidence.
 ///
 /// # Panics
 ///
@@ -757,14 +732,33 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
         render(&out)
     };
 
+    // A false theorem in the cache directory, under valid seals and
+    // frames: the warm translation takes it from the store, and the check
+    // of a fresh session, which remembers no earlier validation, must
+    // reject it.
+    let segment = dir.join(autocorres::store::SEGMENT);
+    let clean = std::fs::read(&segment).expect("store populated");
+    let forged = forge_record(&clean).expect("a record with a forgeable theorem");
+    std::fs::write(&segment, forged).expect("writable");
+    let (forged_loaded, forged_rejected) = {
+        let sess = Session::new(opts.clone());
+        let out = sess.translate(src).expect("a forged record translates");
+        (
+            sess.load_report().rejected == 0 && out.stats.dirty_fns == 0,
+            sess.check_all_report(&out, 1).is_err(),
+        )
+    };
+    std::fs::write(&segment, &clean).expect("writable");
+
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = DiskAttackReport {
         mutations: 0,
         loads_degraded: 0,
         output_stable: true,
         verdicts_stable: true,
+        forged_loaded,
+        forged_rejected,
     };
-    let segment = dir.join(autocorres::store::SEGMENT);
     for _ in 0..rounds {
         let orig = std::fs::read(&segment).expect("store populated");
         match rng.gen_range(0..4u8) {

@@ -3,11 +3,11 @@
 //! differential oracle must decide pairs with zero layer disagreements.
 
 use audit::{
-    attack_artifact_store, attack_replay_cache, attack_theorems, run_campaign, DiffConfig,
-    Mutation, SIGNED_MIX_SRC,
+    attack_artifact_store, attack_theorems, run_campaign, DiffConfig, Mutation, SIGNED_MIX_SRC,
 };
-use autocorres::{translate, Options};
+use autocorres::{translate, Options, Session};
 use codegen::{generate_mix, Mix, Profile};
+use kernel::{Rule, Thm};
 
 #[test]
 fn mutation_kill_rate_is_total_on_the_signed_mix() {
@@ -71,11 +71,32 @@ fn mutation_kill_rate_is_total_on_a_generated_program() {
 }
 
 #[test]
-fn replay_cache_corruption_never_flips_a_verdict() {
-    let report = attack_replay_cache(SIGNED_MIX_SRC, &Options::default(), 12, 0xFEED);
-    assert!(report.digests_corrupted > 0, "attack never fired");
-    assert!(report.valid_still_accepted, "bit-flip rejected a valid theorem");
-    assert!(report.forged_rejected, "bit-flip admitted a forged theorem");
+fn a_session_rejects_a_forged_mutant_of_a_theorem_it_validated() {
+    let sess = Session::new(Options::default());
+    let mut out = sess.translate(SIGNED_MIX_SRC).expect("translates");
+    sess.check_all_report(&out, 1)
+        .expect("valid theorems check");
+    // Each mutant keeps its theorem's premises, all validated by this
+    // session, and claims the theorem's conclusion by another family's
+    // rule: a node the session's replay cache has never validated.
+    for i in 0..out.thms.wa.len() {
+        let thm = out.thms.wa[i].1.clone();
+        let mutant = Thm::forge(
+            Rule::L1Skip,
+            thm.premises().to_vec(),
+            thm.judgment().clone(),
+            thm.side().clone(),
+        );
+        out.thms.wa[i].1 = mutant;
+        assert!(
+            sess.check_all_report(&out, 1).is_err(),
+            "mutant {i} accepted"
+        );
+        out.thms.wa[i].1 = thm;
+    }
+    assert!(!out.thms.wa.is_empty());
+    sess.check_all_report(&out, 1)
+        .expect("the valid theorems still check");
 }
 
 #[test]
@@ -109,8 +130,22 @@ fn disk_store_corruption_never_changes_output_or_verdicts() {
     let report = audit::attack_disk_store(SIGNED_MIX_SRC, &Options::default(), 8, 0xD15C);
     assert_eq!(report.mutations, 8, "attack rounds did not all fire");
     assert!(report.loads_degraded > 0, "no corruption was ever visible");
-    assert!(report.output_stable, "on-disk corruption changed output bytes");
-    assert!(report.verdicts_stable, "on-disk corruption flipped a verdict");
+    assert!(
+        report.output_stable,
+        "on-disk corruption changed output bytes"
+    );
+    assert!(
+        report.verdicts_stable,
+        "on-disk corruption flipped a verdict"
+    );
+    assert!(
+        report.forged_loaded,
+        "the forged record was rejected or recomputed"
+    );
+    assert!(
+        report.forged_rejected,
+        "a warm check accepted a forged theorem"
+    );
 }
 
 proptest::proptest! {

@@ -6,7 +6,9 @@
 //!   `(phase, function, input_digest)` to the phase artifact produced the
 //!   last time those exact inputs were seen, and
 //! * a **replay cache** ([`kernel::ReplayCache`]), remembering which proof
-//!   nodes the independent checker already validated.
+//!   nodes the independent checker already validated, by node identity
+//!   (theorems are hash-consed, so a node shared by several theorems is
+//!   one node).
 //!
 //! Translating edited source through the same session therefore re-runs
 //! only the *dirty cone*: the edited function in every phase, plus its
@@ -20,18 +22,19 @@
 //! equally invisible: the work-stealing phase executor (see
 //! [`crate::phase`]) keys nothing into the digests, so the same session
 //! produces the same bytes at any worker count. Likewise
-//! [`Session::check_all_report`] replays only theorems whose derivations
-//! contain proof nodes not yet seen by this session's replay cache.
+//! [`Session::check_all_report`] validates only the proof nodes this
+//! session's replay cache has not seen validated.
 //!
-//! With [`Options::cache_dir`] set, both caches additionally persist to
-//! disk through a [`DiskStore`] (DESIGN.md §6g): `Session::new` preloads
-//! every valid on-disk entry, decoded at the width [`Options::workers`]
-//! is granted — so a *fresh process* warm-starts exactly like a
-//! long-lived session — and each successful `translate` (and each
-//! `check_all_report`) that added an artifact or a replay digest writes
-//! the caches back, best-effort. Disk problems
-//! never fail a translation; they surface as [`LoadReport`] warnings and
-//! degrade to recomputation.
+//! With [`Options::cache_dir`] set, the artifact store additionally
+//! persists to disk through a [`DiskStore`] (DESIGN.md §6g):
+//! `Session::new` preloads every valid on-disk entry, decoded at the width
+//! [`Options::workers`] is granted — so a *fresh process* warm-starts its
+//! translation exactly like a long-lived session — and each successful
+//! `translate` that added an artifact writes the new ones back,
+//! best-effort. The replay cache never persists: a fresh process's check
+//! validates every node it replays. Disk problems never fail a
+//! translation; they surface as [`LoadReport`] warnings and degrade to
+//! recomputation.
 //!
 //! ```
 //! use autocorres::{Options, Session};
@@ -79,7 +82,7 @@ impl Session {
             None => None,
             Some(dir) => match DiskStore::open(dir) {
                 Ok(d) => {
-                    load = d.load_into(&store, &replay, opts.workers);
+                    load = d.load_into(&store, opts.workers);
                     Some(d)
                 }
                 Err(e) => {
@@ -120,8 +123,8 @@ impl Session {
         &self.load
     }
 
-    /// Appends the artifacts and replay digests the disk store does not
-    /// hold yet; with none, writes nothing. Called automatically
+    /// Appends the artifacts the disk store does not hold yet; with none,
+    /// writes nothing. Called automatically
     /// (best-effort, errors swallowed) after successful translations; call
     /// explicitly when a write failure must surface.
     ///
@@ -130,7 +133,7 @@ impl Session {
     /// Filesystem errors, or a no-op `Ok` without a `cache_dir`.
     pub fn persist(&self) -> std::io::Result<()> {
         match &self.disk {
-            Some(disk) => disk.save(&self.store, &self.replay, self.opts.workers),
+            Some(disk) => disk.save(&self.store, self.opts.workers),
             None => Ok(()),
         }
     }
@@ -141,14 +144,6 @@ impl Session {
     #[must_use]
     pub fn audit_store(&self) -> &ArtifactStore {
         &self.store
-    }
-
-    /// Audit-only (`audit` feature): direct access to the session's
-    /// replay cache, for the cache-corruption attacks.
-    #[cfg(feature = "audit")]
-    #[must_use]
-    pub fn audit_replay(&self) -> &ReplayCache {
-        &self.replay
     }
 
     /// Translates C source, reusing unchanged per-function artifacts from
@@ -176,9 +171,9 @@ impl Session {
     }
 
     /// Replays `out`'s theorems through the independent checker, skipping
-    /// proof nodes this session already validated (the reported
-    /// `cache_hits`/`cache_misses` cover this call only). With a cache
-    /// dir, newly validated digests persist for future processes.
+    /// proof nodes this session already validated under the same checking
+    /// context (the reported `cache_hits`/`cache_misses` cover this call
+    /// only). Persists nothing.
     ///
     /// # Errors
     ///
@@ -188,13 +183,11 @@ impl Session {
         out: &Output,
         workers: usize,
     ) -> Result<ReplayReport, (String, KernelError)> {
-        let rep = kernel::check_all_with(
+        kernel::check_all_with(
             out.thms.iter().map(|(_, n, t)| (n, t)),
             &out.check_ctx,
             workers,
             &self.replay,
-        )?;
-        let _ = self.persist();
-        Ok(rep)
+        )
     }
 }

@@ -1,23 +1,18 @@
 //! Disk-backed artifact persistence: warm-starting a fresh process from an
-//! earlier run's proof state (DESIGN.md §6g).
+//! earlier run's phase artifacts (DESIGN.md §6g).
 //!
-//! A [`DiskStore`] mirrors the two session caches onto one append-only
-//! file per cache directory, `DIR/segment`: every [`ArtifactStore`] entry
-//! — `(phase, function, input digest)` → phase artifact — is one record,
-//! and each save that found new [`kernel::ReplayCache`] digests adds one
-//! record holding them.
+//! A [`DiskStore`] mirrors the session's [`ArtifactStore`] onto one
+//! append-only file per cache directory, `DIR/segment`: every entry —
+//! `(phase, function, input digest)` → phase artifact — is one record.
 //!
 //! ```text
-//! b"ACRSTOR2" + two 16-byte scheme probes                  header
+//! b"ACRSTOR3" + two 16-byte scheme probes                  header
 //! per record: len, !len (u64 LE), then one sealed container:
 //!   b"ACRSART2" + (phase, fn, digest, artifact) + digest   an artifact
-//!   b"ACRSRPL2" + replay digests + digest                  a digest batch
 //! ```
 //!
 //! Theorems are written in the kernel's one derivation encoding, a node
 //! table per theorem (`kernel::codec`), the encoding certificates use.
-//! Replay digests are bound to the checking context they were validated
-//! under (`kernel::ReplayCache`).
 //!
 //! # Integrity and trust model
 //!
@@ -29,24 +24,25 @@
 //! length) is one rejected span, and the loader resumes at the next
 //! well-framed record. The load cuts what it rejected out of the file, so
 //! each rejection is counted once, and the pipeline recomputes it: damage
-//! degrades one warm start, never verdicts. The store is part of the
-//! *local trusted base* (like the in-memory caches it mirrors): its
-//! theorems are rebuilt without validation and replay covers them; the
-//! digest defends against accidental corruption, not an adversary with
-//! write access to the directory — that is what proof certificates
-//! (`kernel::cert`) are for, and those revalidate every node.
+//! degrades one warm start, never verdicts. The digest defends against
+//! accidental corruption, not an adversary with write access to the
+//! directory. At check time the store vouches for nothing: its theorems
+//! are rebuilt without validation and nothing records them as checked, so
+//! `Session::check_all_report` (`--check`) validates every node of a
+//! warm-started output like a cold one's. Proof certificates
+//! (`kernel::cert`) are the transport that revalidates on load.
 //!
 //! Version skew is safe twice over. The header records the store version
-//! (`META_MAGIC`, bumped whenever what a key digest covers changes:
-//! `ACRSTOR2` digests functions position-free) and probes of the digest
-//! schemes (the codec's FNV construction and `DefaultHasher`, whose fixed
-//! SipHash key may change between Rust releases). A mismatch, or an older
-//! build's per-file layout (`meta`, `replay.bin`, `artifacts/`), loads the
-//! directory as a cold start with one diagnostic, and the load empties the
-//! segment and removes the old files, so no dead record is decoded again.
-//! And even if a probe missed, a stale key digest never equals one
-//! computed under another scheme, and a stale replay digest matches no
-//! real validation: lookups miss and recompute.
+//! (`META_MAGIC`, bumped whenever what a key digest covers or what a
+//! segment holds changes: `ACRSTOR3` holds artifact records only) and
+//! probes of the digest schemes (the codec's FNV construction and
+//! `DefaultHasher`, whose fixed SipHash key may change between Rust
+//! releases). A mismatch, or an older build's per-file layout (`meta`,
+//! `replay.bin`, `artifacts/`), loads the directory as a cold start with
+//! one diagnostic, and the load empties the segment and removes the old
+//! files, so no dead record is decoded again. And even if a probe missed,
+//! a stale key digest never equals one computed under another scheme:
+//! lookups miss and recompute.
 //!
 //! # Concurrency
 //!
@@ -65,18 +61,15 @@ use std::sync::{Arc, Mutex};
 use ir::codec::{digest128, digest128_bytes, seal, unseal, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{par_map, plan_workers, MIN_TASK_COST};
-use kernel::ReplayCache;
 
 use crate::phase::{
     AbsintFn, AdaptedFn, Artifact, ArtifactKey, ArtifactStore, PhaseArtifact, PHASES,
 };
 
 /// Magic + version of the segment header.
-const META_MAGIC: &[u8; 8] = b"ACRSTOR2";
+const META_MAGIC: &[u8; 8] = b"ACRSTOR3";
 /// Magic + version of one artifact record.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
-/// Magic + version of one batch of replay digests.
-const RPL_MAGIC: &[u8; 8] = b"ACRSRPL2";
 /// The segment's file name in the cache directory.
 pub const SEGMENT: &str = "segment";
 /// Bytes of a record's frame: the sealed record's length and that
@@ -105,7 +98,7 @@ ir::codec! {
 // ---- scheme probes ----------------------------------------------------------
 
 /// Probe of [`ir::codec::digest128`], the `DefaultHasher`-based scheme of
-/// the phase input digests and the replay cache. `DefaultHasher::new()` is SipHash
+/// the phase input digests. `DefaultHasher::new()` is SipHash
 /// with a fixed key — deterministic across processes of one Rust release,
 /// but free to change between releases; this probe hashes a fixed
 /// structured value (including an interned term, covering the
@@ -145,8 +138,6 @@ fn header() -> Vec<u8> {
 pub struct LoadReport {
     /// Artifact records accepted into the session store.
     pub artifacts: usize,
-    /// Replay-cache digests preloaded.
-    pub replay_digests: usize,
     /// Records or damaged spans rejected (corrupt, truncated, foreign) —
     /// each falls back to recomputation.
     pub rejected: usize,
@@ -158,19 +149,17 @@ pub struct LoadReport {
     pub warnings: Vec<Diag>,
 }
 
-/// A disk-backed mirror of the session caches. See the module docs.
+/// A disk-backed mirror of the session's artifact store. See the module
+/// docs.
 pub struct DiskStore {
     dir: PathBuf,
-    /// The artifact keys and replay digests known to be in the segment,
-    /// filled by the load and by every save: a save appends the rest.
-    on_disk: Mutex<(HashSet<ArtifactKey>, HashSet<u128>)>,
+    /// The artifact keys known to be in the segment, filled by the load
+    /// and by every save: a save appends the rest.
+    on_disk: Mutex<HashSet<ArtifactKey>>,
 }
 
-/// One decoded record.
-enum Record {
-    Artifact(&'static str, String, Arc<PhaseArtifact>),
-    Replay(Vec<u128>),
-}
+/// One decoded artifact record.
+type Record = (&'static str, String, Arc<PhaseArtifact>);
 
 impl DiskStore {
     /// Opens (creating if needed) a cache directory.
@@ -210,19 +199,14 @@ impl DiskStore {
         Ok(file)
     }
 
-    /// Loads every valid record into the session caches, decoding at the
+    /// Loads every valid record into the session store, decoding at the
     /// width [`plan_workers`] grants `workers`, and heals the segment.
     /// Never fails: anything unreadable or invalid is counted in
     /// [`LoadReport::rejected`] and recomputed by the pipeline instead.
-    pub fn load_into(
-        &self,
-        store: &ArtifactStore,
-        replay: &ReplayCache,
-        workers: usize,
-    ) -> LoadReport {
+    pub fn load_into(&self, store: &ArtifactStore, workers: usize) -> LoadReport {
         let mut rep = LoadReport::default();
         let dir = self.dir.display();
-        let (keys, digests) = &mut *self.on_disk.lock().expect("disk store poisoned");
+        let keys = &mut *self.on_disk.lock().expect("disk store poisoned");
         let mut load = || -> io::Result<()> {
             // An older build's per-file layout always has `meta`.
             let legacy = std::fs::remove_file(self.dir.join("meta")).is_ok();
@@ -258,23 +242,14 @@ impl DiskStore {
             let (mut cut, mut kept) = (None, Vec::new());
             for (frame, record) in frames.into_iter().zip(decoded) {
                 let range = frame.unwrap_or_else(|damage| damage);
-                match record {
-                    Some(Record::Artifact(phase, name, artifact)) => {
-                        keys.insert((phase, name.clone(), artifact.digest));
-                        store.preload(phase, &name, artifact);
-                        rep.artifacts += 1;
-                    }
-                    Some(Record::Replay(batch)) => {
-                        replay.preload(&batch);
-                        rep.replay_digests += batch.len();
-                        digests.extend(batch);
-                    }
-                    None => {
-                        rep.rejected += 1;
-                        cut.get_or_insert(range.start);
-                        continue;
-                    }
-                }
+                let Some((phase, name, artifact)) = record else {
+                    rep.rejected += 1;
+                    cut.get_or_insert(range.start);
+                    continue;
+                };
+                keys.insert((phase, name.clone(), artifact.digest));
+                store.preload(phase, &name, artifact);
+                rep.artifacts += 1;
                 if cut.is_some() {
                     kept.extend_from_slice(&bytes[range]);
                 }
@@ -304,32 +279,24 @@ impl DiskStore {
         rep
     }
 
-    /// Appends the session caches' new contents to the segment: every
-    /// artifact and replay digest not yet on disk, encoded at the width
-    /// [`plan_workers`] grants `workers`, in one write and one
-    /// `sync_data`. A session with nothing new writes nothing.
+    /// Appends the session store's new contents to the segment: every
+    /// artifact not yet on disk, encoded at the width [`plan_workers`]
+    /// grants `workers`, in one write and one `sync_data`. A session with
+    /// nothing new writes nothing.
     ///
     /// # Errors
     ///
     /// Filesystem errors; a partly written append is a torn tail, which
     /// the next load cuts off.
-    pub fn save(
-        &self,
-        store: &ArtifactStore,
-        replay: &ReplayCache,
-        workers: usize,
-    ) -> io::Result<()> {
-        let (keys, digests) = &mut *self.on_disk.lock().expect("disk store poisoned");
-        // Everything on disk was loaded into (or saved from) the caches,
-        // and neither forgets an entry: equal counts mean nothing is new.
-        if store.len() == keys.len() && replay.len() == digests.len() {
+    pub fn save(&self, store: &ArtifactStore, workers: usize) -> io::Result<()> {
+        let keys = &mut *self.on_disk.lock().expect("disk store poisoned");
+        // Everything on disk was loaded into (or saved from) the store,
+        // which never forgets an entry: equal counts mean nothing is new.
+        if store.len() == keys.len() {
             return Ok(());
         }
         let mut entries = store.entries();
         entries.retain(|(key, _)| !keys.contains(key));
-        let mut batch = replay.export_digests();
-        batch.retain(|d| !digests.contains(d));
-        batch.sort_unstable();
         let width = plan_workers(workers, entries.len() as u64 * MIN_TASK_COST, false);
         let (mut records, _) = par_map(&entries, width, |_, ((phase, name, _), artifact)| {
             record(ART_MAGIC, |e| {
@@ -339,9 +306,6 @@ impl DiskStore {
                 artifact.value.encode(e);
             })
         });
-        if !batch.is_empty() {
-            records.push(record(RPL_MAGIC, |e| batch.encode(e)));
-        }
         let mut file = self.lock_segment()?;
         if file.metadata()?.len() == 0 {
             records.insert(0, header());
@@ -349,7 +313,6 @@ impl DiskStore {
         file.write_all(&records.concat())?;
         file.sync_data()?;
         keys.extend(entries.into_iter().map(|(key, _)| key));
-        digests.extend(batch);
         Ok(())
     }
 }
@@ -387,8 +350,10 @@ fn frame_end(bytes: &[u8], pos: usize) -> Option<usize> {
     let end = pos
         .checked_add(FRAME)?
         .checked_add(usize::try_from(len).ok()?)?;
-    let sealed = bytes.get(pos + FRAME..end)?;
-    (sealed.starts_with(ART_MAGIC) || sealed.starts_with(RPL_MAGIC)).then_some(end)
+    bytes
+        .get(pos + FRAME..end)?
+        .starts_with(ART_MAGIC)
+        .then_some(end)
 }
 
 /// One record: what `write` encodes, sealed under `magic`, behind its
@@ -402,33 +367,22 @@ fn record(magic: &[u8; 8], write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
 }
 
 fn decode_record(sealed: &[u8]) -> Result<Record, DecodeError> {
-    let magic = if sealed.starts_with(RPL_MAGIC) {
-        RPL_MAGIC
-    } else {
-        ART_MAGIC
-    };
-    let mut d = Decoder::new(unseal(magic, sealed)?);
-    let record = if magic == RPL_MAGIC {
-        Record::Replay(Vec::decode(&mut d)?)
-    } else {
-        let phase_name = d.str()?;
-        // The store key's phase component is `&'static str`; a record
-        // naming an unknown phase (a future format, a renamed phase) is
-        // rejected.
-        let phase = PHASES
-            .iter()
-            .map(|p| p.name())
-            .find(|n| *n == phase_name)
-            .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
-        let name = d.str()?;
-        let digest = d.u128_fixed()?;
-        let value = Artifact::decode(&mut d)?;
-        Record::Artifact(phase, name, Arc::new(PhaseArtifact { digest, value }))
-    };
+    let mut d = Decoder::new(unseal(ART_MAGIC, sealed)?);
+    let phase_name = d.str()?;
+    // The store key's phase component is `&'static str`; a record naming
+    // an unknown phase (a future format, a renamed phase) is rejected.
+    let phase = PHASES
+        .iter()
+        .map(|p| p.name())
+        .find(|n| *n == phase_name)
+        .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
+    let name = d.str()?;
+    let digest = d.u128_fixed()?;
+    let value = Artifact::decode(&mut d)?;
     if d.remaining() != 0 {
         return Err(DecodeError(format!("{} trailing bytes", d.remaining())));
     }
-    Ok(record)
+    Ok((phase, name, Arc::new(PhaseArtifact { digest, value })))
 }
 
 #[cfg(test)]
@@ -485,10 +439,6 @@ mod tests {
             .collect()
     }
 
-    fn is_artifact(bytes: &[u8], span: &Range<usize>) -> bool {
-        bytes[span.start + FRAME..].starts_with(ART_MAGIC)
-    }
-
     #[test]
     fn roundtrip_through_disk_warm_starts() {
         let dir = tmpdir("rt");
@@ -529,15 +479,16 @@ mod tests {
         assert!(first.starts_with(&header()));
         b.translate(OTHER).expect("translate");
         let out = b.translate(SRC).expect("translate");
-        b.check_all_report(&out, 1).expect("check");
-        drop((a, b));
         let second = segment(&dir);
         assert!(second.starts_with(&first), "a save rewrote earlier records");
-        let spans = records(&second);
-        assert_eq!(spans.iter().filter(|s| !is_artifact(&second, s)).count(), 1);
+        // A check persists nothing: the segment holds artifacts only.
+        b.check_all_report(&out, 1).expect("check");
+        drop((a, b));
+        assert!(segment(&dir) == second, "a check wrote to the store");
         // Each program warm-starts from the directory alone.
         let sess = Session::new(opts(&dir));
         assert_eq!(sess.load_report().rejected, 0);
+        assert_eq!(sess.load_report().artifacts, records(&second).len());
         assert_eq!(warm(&sess), clean);
         let out = sess.translate(OTHER).expect("translate");
         assert_eq!(out.stats.dirty_fns, 0);
@@ -560,8 +511,7 @@ mod tests {
             let sess = Session::new(opts(&dir));
             let rep = sess.load_report();
             assert_eq!(rep.rejected, 1, "{span:?}");
-            let lost = usize::from(is_artifact(&orig, &span));
-            assert_eq!(rep.artifacts, total - lost, "{span:?}");
+            assert_eq!(rep.artifacts, total - 1, "{span:?}");
             assert_eq!(warm(&sess), clean);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -571,16 +521,10 @@ mod tests {
     fn rejected_records_are_removed_and_rewritten() {
         let dir = tmpdir("rewrite");
         cold(&dir);
-        let flip = |pick: &dyn Fn(&[u8], &Range<usize>) -> bool| {
-            let mut bytes = segment(&dir);
-            let span = records(&bytes)
-                .into_iter()
-                .find(|s| pick(&bytes, s))
-                .unwrap();
-            bytes[(span.start + span.end) / 2] ^= 0x01;
-            std::fs::write(dir.join(SEGMENT), &bytes).unwrap();
-        };
-        flip(&is_artifact);
+        let mut bytes = segment(&dir);
+        let span = records(&bytes)[0].clone();
+        bytes[(span.start + span.end) / 2] ^= 0x01;
+        std::fs::write(dir.join(SEGMENT), &bytes).unwrap();
         {
             let sess = Session::new(opts(&dir));
             assert_eq!(sess.load_report().rejected, 1);
@@ -590,16 +534,6 @@ mod tests {
         let sess = Session::new(opts(&dir));
         assert_eq!(sess.load_report().rejected, 0);
         assert_eq!(sess.translate(SRC).expect("translate").stats.dirty_fns, 0);
-        drop(sess);
-
-        // A rejected replay batch is counted once, even by warm starts
-        // that compute nothing and so save nothing.
-        flip(&|bytes, span| !is_artifact(bytes, span));
-        for rejected in [1, 0] {
-            let sess = Session::new(opts(&dir));
-            assert_eq!(sess.load_report().rejected, rejected);
-            assert_eq!(sess.translate(SRC).expect("translate").stats.dirty_fns, 0);
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -658,10 +592,17 @@ mod tests {
         let sess = Session::new(opts(&dir));
         let out = sess.translate(SRC).expect("translate");
         assert_eq!(out.stats.dirty_fns, 0);
-        assert_eq!(
-            sess.check_all_report(&out, 1).expect("check").cache_misses,
-            0
-        );
+        // The warm check validates every node, as a check without a cache
+        // directory does.
+        let warm = sess.check_all_report(&out, 1).expect("check");
+        let in_memory = Session::new(Options {
+            cache_dir: None,
+            ..opts(&dir)
+        });
+        let cold = in_memory.translate(SRC).expect("translate");
+        let cold = in_memory.check_all_report(&cold, 1).expect("check");
+        assert!(warm.cache_misses > 0);
+        assert_eq!(warm.cache_misses, cold.cache_misses);
         assert!(stamp() == before, "a warm start rewrote the store");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -677,7 +618,7 @@ mod tests {
         let at = records(&bytes)[1].start;
         let foreign = [
             record(ART_MAGIC, |e| e.str("not an artifact")),
-            record(RPL_MAGIC, |_| {}),
+            record(ART_MAGIC, |_| {}),
         ]
         .concat();
         bytes.splice(at..at, foreign);
@@ -726,14 +667,10 @@ mod tests {
         std::fs::remove_file(dir.join(SEGMENT)).unwrap();
         std::fs::create_dir_all(dir.join("artifacts")).unwrap();
         std::fs::write(dir.join("meta"), header()).unwrap();
+        std::fs::write(dir.join("replay.bin"), b"replay digests").unwrap();
         for (i, span) in records(&bytes).iter().enumerate() {
             let sealed = &bytes[span.start + FRAME..span.end];
-            let path = if is_artifact(&bytes, span) {
-                dir.join(format!("artifacts/entry-{i}.bin"))
-            } else {
-                dir.join("replay.bin")
-            };
-            std::fs::write(path, sealed).unwrap();
+            std::fs::write(dir.join(format!("artifacts/entry-{i}.bin")), sealed).unwrap();
         }
         {
             let sess = Session::new(opts(&dir));

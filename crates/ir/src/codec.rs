@@ -18,7 +18,7 @@
 //! * [`digest128_bytes`], the stable 128-bit content digest, and the
 //!   [`seal`]/[`unseal`] framing (magic, payload, digest) that the store
 //!   entries and `cert-v2` certificates share, and [`digest128`], the
-//!   in-process 128-bit hash of phase input digests and replay keys.
+//!   in-process 128-bit hash of phase input digests.
 //!
 //! Decoding is **total**: corrupt, truncated, or adversarial input
 //! produces a [`DecodeError`], never a panic, unbounded allocation, or
@@ -139,9 +139,9 @@ pub fn digest128_bytes(bytes: &[u8]) -> u128 {
 /// The 128-bit digest of whatever `write` feeds a hasher: two independent
 /// fixed-key [`DefaultHasher`] passes, each seeded with its own constant,
 /// concatenated. It hashes values through their `Hash` impls without
-/// encoding them (phase input digests, replay-cache keys), so unlike
-/// [`digest128_bytes`] it is stable only within one Rust release: the
-/// store's `meta` probe records it.
+/// encoding them (phase input digests), so unlike [`digest128_bytes`] it
+/// is stable only within one Rust release: the store's header probe
+/// records it.
 #[must_use]
 pub fn digest128(write: impl Fn(&mut DefaultHasher)) -> u128 {
     let pass = |seed: u64| {

@@ -10,26 +10,38 @@
 //! is sharded so concurrent pool workers rarely contend on one lock.
 //!
 //! [`Interned<T>`] replaces `Box<T>` for the children of [`crate::Expr`]
-//! (and `monadic::Prog`, which implements [`Internable`] in its own crate):
+//! (and `monadic::Prog`, `kernel::Thm`'s derivation nodes and the
+//! kernel's checking contexts, which implement [`Internable`] in their own
+//! crates):
 //!
 //! * `clone()` is a reference-count bump,
-//! * `PartialEq` takes a pointer-equality fast path — two handles produced
-//!   by the same interner are equal iff they are the same allocation — and
-//!   falls back to hash-then-structure comparison only for values that
-//!   bypassed the table (e.g. nodes deserialised or built across interner
-//!   generations in tests),
+//! * `PartialEq` takes a pointer-equality fast path — two live handles are
+//!   equal iff they are the same allocation — and falls back to
+//!   hash-then-structure comparison, which only ever finds the difference
+//!   between two unequal nodes whose hashes collide,
 //! * the *term size* metric of Table 5 reads the cached size instead of
 //!   walking the tree.
+//!
+//! # Reclamation
+//!
+//! The table holds [`Weak`] entries, so a node lives exactly as long as
+//! some handle does: terms and proofs are freed with the outputs and
+//! sessions that hold them. A lookup drops the dead entries of its bucket;
+//! a shard that has doubled in buckets since its last sweep drops all of
+//! its dead ones. Node identity is structural equality among *live* nodes,
+//! so a table keyed by [`Interned::key`] is valid only while its keys'
+//! nodes live.
 //!
 //! # Determinism
 //!
 //! The interner never affects observable output: handles carry no identity
-//! visible to `Display`/`Debug`/`Ord`, the table is never iterated, and the
-//! structural hash is computed with a fixed-key hasher
-//! ([`std::collections::hash_map::DefaultHasher`]), so equality decisions
-//! are identical at any worker count. Interning a node that already exists
-//! returns the existing allocation regardless of which thread got there
-//! first — the *content* of a handle is a pure function of the term.
+//! visible to `Display`/`Debug`/`Ord`, the table is never iterated (but to
+//! sweep dead entries), and the structural hash is computed with a
+//! fixed-key hasher ([`std::collections::hash_map::DefaultHasher`]), so
+//! equality decisions are identical at any worker count. Interning a node
+//! that already exists returns the existing allocation regardless of which
+//! thread got there first — the *content* of a handle is a pure function
+//! of the term.
 //!
 //! # Soundness
 //!
@@ -44,7 +56,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Number of independently locked table shards. A power of two large
 /// enough that a full worker pool hammering the table (every phase job
@@ -114,13 +126,15 @@ impl InternStats {
 }
 
 /// One lock-protected slice of the table: structural hash → bucket of
-/// nodes with that hash, scanned structurally on insert (64-bit collisions
-/// are rare enough that buckets are almost always singletons).
-type Shard<T> = Mutex<HashMap<u64, Vec<Arc<Node<T>>>>>;
+/// weak entries with that hash, scanned structurally on insert (64-bit
+/// collisions are rare enough that buckets are almost always singletons),
+/// and the number of buckets its last sweep left.
+type Shard<T> = Mutex<(HashMap<u64, Vec<Weak<Node<T>>>>, usize)>;
 
 /// A concurrent hash-consing table for values of one type.
 ///
-/// Sharded `Mutex<HashMap<hash, bucket>>` — no external dependencies.
+/// Sharded `Mutex<HashMap<hash, bucket>>` of weak entries — no external
+/// dependencies.
 pub struct Interner<T> {
     shards: [Shard<T>; SHARDS],
     hits: AtomicU64,
@@ -138,7 +152,7 @@ impl<T> Interner<T> {
     #[must_use]
     pub fn new() -> Interner<T> {
         Interner {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -155,15 +169,30 @@ impl<T> Interner<T> {
 }
 
 impl<T: Internable> Interner<T> {
-    /// Interns `val`: the existing node for an equal term, else a new one.
+    /// Interns `val`: the live node for an equal term, else a new one.
+    /// Dead entries of the bucket it scans are dropped, and a shard that
+    /// has doubled in buckets since its last sweep drops all of its dead
+    /// entries.
     fn intern(&self, val: T) -> Interned<T> {
         let hash = structural_hash(&val);
-        let shard = &self.shards[(hash as usize) % SHARDS];
-        let mut table = shard.lock().expect("interner shard poisoned");
+        let mut shard = self.shards[(hash as usize) % SHARDS]
+            .lock()
+            .expect("interner shard poisoned");
+        let (table, swept) = &mut *shard;
         let bucket = table.entry(hash).or_default();
-        if let Some(existing) = bucket.iter().find(|n| n.val == val) {
+        let mut found = None;
+        bucket.retain(|w| {
+            let Some(node) = w.upgrade() else {
+                return false;
+            };
+            if found.is_none() && node.val == val {
+                found = Some(node);
+            }
+            true
+        });
+        if let Some(existing) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Interned(Arc::clone(existing));
+            return Interned(existing);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let node = Arc::new(Node {
@@ -171,7 +200,14 @@ impl<T: Internable> Interner<T> {
             size: val.shallow_size(),
             val,
         });
-        bucket.push(Arc::clone(&node));
+        bucket.push(Arc::downgrade(&node));
+        if table.len() > 2 * *swept {
+            table.retain(|_, bucket| {
+                bucket.retain(|w| w.strong_count() > 0);
+                !bucket.is_empty()
+            });
+            *swept = table.len();
+        }
         Interned(node)
     }
 }
@@ -211,17 +247,20 @@ impl<T: Internable> Interned<T> {
         self.0.hash
     }
 
-    /// Do two handles point at the same allocation? (Complete for handles
-    /// from the same interner: the table guarantees structurally equal
-    /// values share one node.)
+    /// Do two handles point at the same allocation? (Complete for live
+    /// handles: the table guarantees structurally equal live values share
+    /// one node.)
     #[must_use]
     pub fn ptr_eq(a: &Interned<T>, b: &Interned<T>) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
     }
 
     /// A stable per-allocation key, usable for memoisation tables keyed on
-    /// node identity (e.g. sharing-aware tree rewrites). Valid only while
-    /// the handle (or any clone) is alive; never serialise it.
+    /// node identity (e.g. sharing-aware tree rewrites, the codec's
+    /// back-references). A table keyed by `key()` is valid only while the
+    /// nodes it keys are alive: a freed node's address can be reused by a
+    /// different node. Hold the handles (or a term containing them) for
+    /// as long as the table is consulted, and never serialise a key.
     #[must_use]
     pub fn key(&self) -> usize {
         Arc::as_ptr(&self.0) as *const () as usize
@@ -259,9 +298,9 @@ impl<T: Internable> PartialEq for Interned<T> {
         if Arc::ptr_eq(&self.0, &other.0) {
             return true;
         }
-        // Distinct allocations can only be equal across interner
-        // generations (not produced in normal operation): reject on hash,
-        // confirm structurally.
+        // Equal live values share one allocation, so distinct allocations
+        // differ: reject on hash, and tell colliding hashes apart
+        // structurally.
         self.0.hash == other.0.hash && self.0.val == other.0.val
     }
 }
@@ -388,5 +427,62 @@ mod tests {
         assert!(after.hits >= 1, "second intern must hit: {after:?}");
         assert!(after.misses >= 1, "first intern must miss: {after:?}");
         assert!(after.dedup_ratio() > 1.0);
+    }
+
+    /// A value type of its own interner, counting its drops.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Probe(u64);
+
+    static PROBE_DROPS: AtomicU64 = AtomicU64::new(0);
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            PROBE_DROPS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl Internable for Probe {
+        fn shallow_size(&self) -> usize {
+            1
+        }
+        fn interner() -> &'static Interner<Probe> {
+            static INTERNER: std::sync::OnceLock<Interner<Probe>> = std::sync::OnceLock::new();
+            INTERNER.get_or_init(Interner::new)
+        }
+    }
+
+    fn probe_entries() -> usize {
+        let shards = Probe::interner().shards.iter();
+        shards
+            .map(|s| s.lock().unwrap().0.values().map(Vec::len).sum::<usize>())
+            .sum()
+    }
+
+    #[test]
+    fn unreferenced_nodes_are_freed_and_their_entries_swept() {
+        // A live node is shared; its last handle frees it, and an equal
+        // value interned afterwards gets a fresh node.
+        let a = Interned::new(Probe(0));
+        let b = Interned::new(Probe(0));
+        assert!(Interned::ptr_eq(&a, &b));
+        let drops = PROBE_DROPS.load(Ordering::Relaxed);
+        drop((a, b));
+        assert_eq!(PROBE_DROPS.load(Ordering::Relaxed), drops + 1, "not freed");
+        let misses = Probe::interner().stats().misses;
+        let c = Interned::new(Probe(0));
+        assert_eq!(Probe::interner().stats().misses, misses + 1);
+        // Touching the bucket dropped the dead entry: one entry is left.
+        assert_eq!(probe_entries(), 1);
+        // Nodes that die right away leave a bounded number of entries per
+        // shard, however many were interned: a sweep here keeps at most
+        // `Probe(0)` and the node being interned, and the next sweep comes
+        // once the shard holds more than twice that.
+        for i in 1..=4096 {
+            drop(Interned::new(Probe(i)));
+        }
+        let left = probe_entries();
+        assert!(left <= 5 * SHARDS, "{left} entries left of 4097");
+        // A live node survives every sweep.
+        assert!(Interned::ptr_eq(&c, &Interned::new(Probe(0))));
     }
 }

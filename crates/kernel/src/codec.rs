@@ -9,9 +9,9 @@
 //! The reader takes each row's constructor from its caller: certificates
 //! admit every row through the validating kernel, while the
 //! `persist`-gated [`Thm`] codec rebuilds rows **without** validation for
-//! the disk-backed store, whose entries carry an integrity digest and sit
-//! in the trusted base (see DESIGN.md §6g). Adversarial-grade transport is
-//! the certificate path, never the store.
+//! the disk-backed store. Nothing records a rebuilt row as checked, so
+//! `--check` validates store theorems like any other (see DESIGN.md §6g).
+//! Adversarial-grade transport is the certificate path, never the store.
 
 use std::collections::HashMap;
 
@@ -146,55 +146,44 @@ ir::codec! {
 
 ir::codec! { struct CheckCtx { tenv, fn_abs } }
 
-/// One row of a node table: judgment, rule, side and premise row ids.
-type Row<'a> = (&'a Judgment, Rule, &'a Side, Vec<u64>);
-
 /// Writes the node table of `roots` (a varint row count, then per row its
 /// judgment, rule, side, varint premise count and premise row ids) and
 /// returns each root's row id. Rows are in postorder, so a premise id is
-/// below its row's own. A node's row is found by hashing (rule, judgment,
-/// side, premise ids) and comparing rows, so equal sub-derivations share
-/// a row whether or not they share an allocation, and reading the table
-/// rebuilds every theorem exactly, `proof_size` included. The walk is
-/// iterative: derivations can be deeper than the stack.
+/// below its row's own. Theorems are hash-consed, so a row is a node:
+/// rows are numbered by node address (every root, and so every node under
+/// it, is alive for the call), equal sub-derivations share a row, and
+/// reading the table rebuilds every theorem exactly, `proof_size`
+/// included. The walk is iterative: derivations can be deeper than the
+/// stack.
 pub(crate) fn write_table(e: &mut Encoder, roots: &[&Thm]) -> Vec<u64> {
-    // Row ids by node address, so a premise slice shared between clones
-    // is walked once.
-    let mut by_addr: HashMap<*const Thm, u64> = HashMap::new();
-    let mut rows: HashMap<Row<'_>, u64> = HashMap::new();
-    let mut root_ids = Vec::with_capacity(roots.len());
+    let mut ids: HashMap<usize, u64> = HashMap::new();
+    let mut rows: Vec<&Thm> = Vec::new();
     for &root in roots {
         let mut stack = vec![(root, false)];
         while let Some((t, expanded)) = stack.pop() {
-            let addr = std::ptr::from_ref(t);
-            if by_addr.contains_key(&addr) {
+            if ids.contains_key(&t.key()) {
                 continue;
             }
-            if !expanded {
+            if expanded {
+                ids.insert(t.key(), rows.len() as u64);
+                rows.push(t);
+            } else {
                 stack.push((t, true));
                 stack.extend(t.premises().iter().rev().map(|p| (p, false)));
-                continue;
             }
-            let premises = t.premises().iter().map(|p| by_addr[&std::ptr::from_ref(p)]);
-            let row = (t.judgment(), t.rule(), t.side(), premises.collect());
-            let next = rows.len() as u64;
-            by_addr.insert(addr, *rows.entry(row).or_insert(next));
-        }
-        root_ids.push(by_addr[&std::ptr::from_ref(root)]);
-    }
-    let mut table: Vec<(Row<'_>, u64)> = rows.into_iter().collect();
-    table.sort_unstable_by_key(|&(_, id)| id);
-    e.varint(table.len() as u64);
-    for ((judgment, rule, side, premises), _) in &table {
-        judgment.encode(e);
-        rule.encode(e);
-        side.encode(e);
-        e.varint(premises.len() as u64);
-        for &p in premises {
-            e.varint(p);
         }
     }
-    root_ids
+    e.varint(rows.len() as u64);
+    for t in &rows {
+        t.judgment().encode(e);
+        t.rule().encode(e);
+        t.side().encode(e);
+        e.varint(t.premises().len() as u64);
+        for p in t.premises() {
+            e.varint(ids[&p.key()]);
+        }
+    }
+    roots.iter().map(|r| ids[&r.key()]).collect()
 }
 
 /// Reads a table [`write_table`] wrote, one theorem per row in row order:
@@ -298,13 +287,13 @@ mod tests {
         let sum = |a: Thm, b: Thm| {
             crate::rules::word::w_arith(&cx, Rule::WSum, ir::ty::Width::W32, a, b).expect("w_arith")
         };
-        // Equal sub-derivations share a row whether they share an
-        // allocation (clones of `inner` share its premise slice) or not.
+        // Equal sub-derivations are one node however they were built, and
+        // one row.
         let inner = sum(lit(), lit());
         let shared = sum(inner.clone(), inner);
         let unshared = sum(sum(lit(), lit()), sum(lit(), lit()));
+        assert_eq!(shared.key(), unshared.key());
         let bytes = encode_to_vec(&shared);
-        assert_eq!(bytes, encode_to_vec(&unshared));
         let rows = Decoder::new(&bytes).seq_len().expect("row count");
         assert_eq!(rows, 3, "leaf, inner sum, outer sum");
         let back: Thm = decode_from_slice(&bytes).expect("decode");

@@ -154,6 +154,28 @@ fn word_value_rows(cx: &CheckCtx) -> Vec<Row> {
     let contexts = same_conclusion(cx, &cong, &[&var(&ux, "p"), &var(&wider(&ux), "q")]);
     rows.push(row_broken(cong, vec![("equal premise contexts", contexts)]));
     rows.push(row(word::w_id_cong(cx, &ux, &Expr::u32(3), vec![]).unwrap()));
+    // A λ-bound leaf is the identity only where the context says so: `p`
+    // is not abstracted, `x` is abstracted by `unat`.
+    let unat_leaf = Judgment::WVal {
+        ctx: ux.clone(),
+        pre: Expr::tt(),
+        f: AbsFun::Id,
+        abs: Expr::var("x"),
+        conc: Expr::var("x"),
+    };
+    rows.push(row_broken(
+        word::w_id_cong(cx, &ux, &Expr::var("p"), vec![]).unwrap(),
+        vec![
+            (
+                "identity-abstracted variable",
+                word::w_id_cong(cx, &ux, &Expr::var("x"), vec![]),
+            ),
+            (
+                "identity-abstracted variable (proposed)",
+                propose(cx, WIdCong, &[], unat_leaf),
+            ),
+        ],
+    ));
 
     let ite = word::w_ite(cx, cmp.clone(), var(&ux, "x"), var(&ux, "y")).unwrap();
     let contexts = same_conclusion(cx, &ite, &[&cmp, &var(&ux, "x"), &var(&wider(&ux), "y")]);

@@ -322,8 +322,16 @@ pub(super) fn wrap(prems: &[&Judgment], rule: Rule) -> Concl {
 }
 
 /// `WIdCong`: `conc`'s operator over id-abstracted operands, one premise
-/// per child in [`Expr::children`] order.
+/// per child in [`Expr::children`] order. A λ-bound variable is a leaf
+/// only if the context abstracts it by the identity.
 pub(super) fn id_cong(prems: &[&Judgment], ctx: &VarCtx, conc: &Expr) -> Concl {
+    if let Expr::Var(x) = conc {
+        if let Some(f) = ctx.get(x.as_str()).filter(|f| !f.is_identity()) {
+            return Err(format!(
+                "WIdCong: `{x}` is abstracted by {f}, not the identity"
+            ));
+        }
+    }
     let kids = conc.children();
     if kids.len() != prems.len() {
         return Err("WIdCong premise count must match the operator arity".into());

@@ -1,11 +1,18 @@
 //! Theorems, rules, and the proof checker.
+//!
+//! A [`Thm`] is a handle to a hash-consed derivation node (`ir::intern`,
+//! the machinery terms use), so structurally equal derivations are one
+//! allocation. [`check`] and [`check_all`] replay derivations through
+//! `rules::validate`; a [`ReplayCache`] remembers, by node identity, the
+//! nodes validated under a context, and nothing else marks a node as
+//! checked — not its construction, and not the disk store that rebuilt it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-use ir::codec::digest128;
+use ir::intern::{Internable, Interned, Interner};
 use ir::sched::{par_map, plan_workers, PoolStats};
 
 use crate::judgment::{AbsFun, Judgment};
@@ -220,50 +227,78 @@ pub enum Side {
 /// `Thm` has no public constructor; instances can only be produced by the
 /// rule functions in [`crate::rules`], each of which checks its side
 /// conditions while it computes the conclusion (the LCF discipline).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Thm {
-    judgment: Judgment,
+///
+/// A `Thm` is a handle to a hash-consed derivation node (`ir::intern`, the
+/// machinery terms use): structurally equal derivations are one
+/// allocation, so a derivation is a DAG of distinct nodes, `clone` is a
+/// reference-count bump and equality is a pointer comparison. A node lives
+/// as long as some theorem holds it.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Thm(Interned<ThmNode>);
+
+/// One derivation node: the rule, its conclusion, the premise derivations
+/// and the side data, hashed and compared in full (premises by their
+/// interned handles).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct ThmNode {
     rule: Rule,
-    /// Refcounted so `Thm::clone` is O(1) instead of copying the whole
-    /// derivation — session artifact stores clone theorems on every
-    /// retrieval.
-    premises: std::sync::Arc<[Thm]>,
+    judgment: Judgment,
+    premises: Vec<Thm>,
     side: Side,
-    /// Rule applications in the derivation, computed once at construction
+}
+
+impl Internable for ThmNode {
+    /// The node's proof size: rule applications in its derivation tree
     /// (saturating, so a hostile node table cannot overflow it).
-    proof_size: usize,
+    fn shallow_size(&self) -> usize {
+        self.premises
+            .iter()
+            .fold(1, |n: usize, p| n.saturating_add(p.proof_size()))
+    }
+
+    fn interner() -> &'static Interner<ThmNode> {
+        static INTERNER: OnceLock<Interner<ThmNode>> = OnceLock::new();
+        INTERNER.get_or_init(Interner::new)
+    }
 }
 
 impl Thm {
     /// The statement this theorem proves.
     #[must_use]
     pub fn judgment(&self) -> &Judgment {
-        &self.judgment
+        &self.0.judgment
     }
 
     /// The rule that admitted the conclusion.
     #[must_use]
     pub fn rule(&self) -> Rule {
-        self.rule
+        self.0.rule
     }
 
     /// The premise derivations.
     #[must_use]
     pub fn premises(&self) -> &[Thm] {
-        &self.premises
+        &self.0.premises
     }
 
     /// Side data for oracle rules.
     #[must_use]
     pub fn side(&self) -> &Side {
-        &self.side
+        &self.0.side
     }
 
-    /// Number of rule applications in the derivation (proof size). O(1):
-    /// cached at `admit` time.
+    /// Number of rule applications in the derivation tree (proof size),
+    /// counting a shared sub-derivation once per use. O(1): cached on the
+    /// node.
     #[must_use]
     pub fn proof_size(&self) -> usize {
-        self.proof_size
+        self.0.size()
+    }
+
+    /// The node's identity (its address), for tables keyed by node; valid
+    /// only while the node is alive (see `ir::intern::Interned::key`).
+    pub(crate) fn key(&self) -> usize {
+        self.0.key()
     }
 
     /// Audit-only constructor that **skips validation** (`forge` feature).
@@ -284,28 +319,24 @@ impl Thm {
     /// from one row of a node table **without validating it**.
     ///
     /// Only the store's node-table reader (the `Thm` codec in
-    /// `kernel::codec`) calls this (`scripts/tier1.sh` checks): a store
-    /// entry is part of the local trusted base, behind its integrity
-    /// digest, and `check`/`check_all` replay its theorems like any other.
-    /// Certificates never take this path — `kernel::cert` admits every row
-    /// through the validating [`Thm::admit`].
+    /// `kernel::codec`) calls this (`scripts/tier1.sh` checks). Nothing
+    /// records a rebuilt node as checked: `check`/`check_all` validate it
+    /// like any other. Certificates never take this path — `kernel::cert`
+    /// admits every row through the validating [`Thm::admit`].
     #[cfg(feature = "persist")]
     #[must_use]
     pub(crate) fn from_row(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
         Thm::assemble(rule, premises, judgment, side)
     }
 
+    /// The one constructor every other ends in: interns the node.
     fn assemble(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
-        let proof_size = premises
-            .iter()
-            .fold(1, |n: usize, p| n.saturating_add(p.proof_size));
-        Thm {
-            judgment,
+        Thm(Interned::new(ThmNode {
             rule,
-            premises: premises.into(),
+            judgment,
+            premises,
             side,
-            proof_size,
-        }
+        }))
     }
 
     /// Kernel-internal constructor for the rule constructors in
@@ -336,11 +367,24 @@ impl Thm {
         side: Side,
         cx: &CheckCtx,
     ) -> Result<Thm, KernelError> {
-        let prem_judgments: Vec<&Judgment> = premises.iter().map(Thm::judgment).collect();
-        crate::rules::validate(rule, &prem_judgments, &judgment, &side, cx)
-            .map_err(|msg| KernelError { rule, msg })?;
+        validate(rule, &premises, &judgment, &side, cx)?;
         Ok(Thm::assemble(rule, premises, judgment, side))
     }
+}
+
+/// Runs `rules::validate` on one node: its rule, recomputed from the
+/// premises' judgments and the parameters read off `judgment`, must give
+/// back `judgment`.
+fn validate(
+    rule: Rule,
+    premises: &[Thm],
+    judgment: &Judgment,
+    side: &Side,
+    cx: &CheckCtx,
+) -> Result<(), KernelError> {
+    let prem_judgments: Vec<&Judgment> = premises.iter().map(Thm::judgment).collect();
+    crate::rules::validate(rule, &prem_judgments, judgment, side, cx)
+        .map_err(|msg| KernelError { rule, msg })
 }
 
 impl fmt::Display for Thm {
@@ -348,8 +392,8 @@ impl fmt::Display for Thm {
         write!(
             f,
             "⊢ {} [by {:?}, {} steps]",
-            self.judgment.describe(),
-            self.rule,
+            self.judgment().describe(),
+            self.rule(),
             self.proof_size()
         )
     }
@@ -374,13 +418,26 @@ impl std::error::Error for KernelError {}
 
 /// The checking context: structure layouts and the signatures of abstracted
 /// functions, needed by layout-dependent and call rules.
-#[derive(Clone, Debug, Default, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CheckCtx {
     /// Structure layouts (for field-offset rules).
     pub tenv: ir::ty::TypeEnv,
     /// For each word-abstracted function: parameter abstractions, return
     /// abstraction, exception abstraction.
     pub fn_abs: BTreeMap<String, (Vec<AbsFun>, AbsFun, AbsFun)>,
+}
+
+/// Interned so a [`ReplayCache`] entry names the context it was validated
+/// under by identity.
+impl Internable for CheckCtx {
+    fn shallow_size(&self) -> usize {
+        1
+    }
+
+    fn interner() -> &'static Interner<CheckCtx> {
+        static INTERNER: OnceLock<Interner<CheckCtx>> = OnceLock::new();
+        INTERNER.get_or_init(Interner::new)
+    }
 }
 
 /// Replays a theorem's entire derivation: every node's rule recomputes its
@@ -393,62 +450,60 @@ pub struct CheckCtx {
 ///
 /// Returns the first failing rule application.
 pub fn check(thm: &Thm, cx: &CheckCtx) -> Result<(), KernelError> {
-    check_cached(thm, cx, None)
+    check_cached(thm, &Interned::new(cx.clone()), &ReplayCache::new())
 }
 
-/// [`check`], skipping nodes `cache` holds. The cache comes with the
-/// digest of `cx`, which joins every key.
+/// [`check`], skipping the nodes `cache` holds as validated under `cx`
+/// and recording each node it validates. The walk is iterative, because
+/// derivations can be deeper than the stack, and postorder, so a node is
+/// validated after its premises; within one walk each distinct node is
+/// validated at most once.
 fn check_cached(
     thm: &Thm,
-    cx: &CheckCtx,
-    cache: Option<(&ReplayCache, u128)>,
+    cx: &Interned<CheckCtx>,
+    cache: &ReplayCache,
 ) -> Result<(), KernelError> {
-    let key = cache.map(|(c, cx_digest)| (c, ReplayCache::digest(thm, cx_digest)));
-    if let Some((c, d)) = key {
-        if c.contains(d) {
-            return Ok(());
+    let mut stack = vec![(thm, false)];
+    while let Some((t, expanded)) = stack.pop() {
+        if expanded {
+            validate(t.rule(), t.premises(), t.judgment(), t.side(), cx)?;
+            cache.insert(t, cx);
+        } else if !cache.contains(t, cx) {
+            stack.push((t, true));
+            stack.extend(t.premises().iter().rev().map(|p| (p, false)));
         }
-    }
-    for p in thm.premises.iter() {
-        check_cached(p, cx, cache)?;
-    }
-    let prem_judgments: Vec<&Judgment> = thm.premises.iter().map(Thm::judgment).collect();
-    crate::rules::validate(thm.rule, &prem_judgments, &thm.judgment, &thm.side, cx).map_err(
-        |msg| KernelError {
-            rule: thm.rule,
-            msg,
-        },
-    )?;
-    if let Some((c, d)) = key {
-        c.insert(d);
     }
     Ok(())
 }
 
+/// The validated nodes of one [`ReplayCache`] shard, keyed by the
+/// addresses of the node and of the context it was checked under. The
+/// entry holds both handles, so neither address is reused while it keys
+/// the entry.
+type Validated = HashMap<(usize, usize), (Thm, Interned<CheckCtx>)>;
+
 /// A replay-side cache of validated proof nodes, shared across theorems and
-/// workers. A node is identified by a 128-bit structural digest of
-/// everything `rules::validate` consumes — the checking context (one
-/// digest per [`check_all_with`] call), the rule, the conclusion
-/// judgment, the premise judgments, and the side data — so an identical
-/// `(rule, premises)` application appearing in several derivations (common
-/// once terms are hash-consed: shared subprograms produce shared
-/// sub-derivations) is validated once and skipped thereafter.
+/// workers. A node is remembered by identity, paired with the interned
+/// checking context it was validated under: theorems are hash-consed, so a
+/// sub-derivation shared by several theorems (or several premises) is one
+/// node, validated once and skipped thereafter (two workers that reach it
+/// at the same time may both validate it), and a node checked under one
+/// context is checked again under another.
 ///
-/// Soundness: `validate` is a deterministic pure function of exactly the
-/// digested data, so skipping a re-run cannot change any verdict; only
-/// *successful* validations are inserted. The digest is
-/// [`ir::codec::digest128`] (collision probability ~2⁻¹²⁸ per pair — far below
-/// any hardware error rate). That bound holds for theorems the pipeline
-/// derives, not for ones an adversary picks: symbols and interned terms
-/// reach the hasher as 64-bit values, so colliding names are cheap to
-/// find. Certificates therefore never consult a cache (`kernel::cert`).
+/// Soundness: `rules::validate` is a deterministic pure function of the
+/// node and the context, identity among live interned values is
+/// structural equality (compared in full, symbols by identity), and only
+/// *successful* validations are inserted — so a hit is a node that was
+/// validated under an equal context, never one that merely hashes like it.
+/// Nothing but a validation inserts: constructing a theorem, or rebuilding
+/// one from the disk store, records nothing as checked.
 /// Determinism: cache state never affects output, only whether a
 /// validation is re-executed.
 #[derive(Default)]
 pub struct ReplayCache {
-    shards: [std::sync::Mutex<std::collections::HashSet<u128>>; 16],
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    shards: [Mutex<Validated>; 16],
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl ReplayCache {
@@ -458,112 +513,35 @@ impl ReplayCache {
         ReplayCache::default()
     }
 
-    /// The key of `thm`'s root node checked under the context whose
-    /// digest is `cx`.
-    fn digest(thm: &Thm, cx: u128) -> u128 {
-        digest128(|h| {
-            cx.hash(h);
-            thm.rule.hash(h);
-            thm.judgment.hash(h);
-            for p in thm.premises.iter() {
-                p.judgment.hash(h);
-            }
-            thm.side.hash(h);
-        })
+    fn shard(&self, thm: &Thm) -> &Mutex<Validated> {
+        &self.shards[(thm.0.structural_hash() as usize) % self.shards.len()]
     }
 
-    fn contains(&self, d: u128) -> bool {
-        let shard = &self.shards[(d as usize) % self.shards.len()];
-        let hit = shard.lock().expect("replay cache poisoned").contains(&d);
+    fn contains(&self, thm: &Thm, cx: &Interned<CheckCtx>) -> bool {
+        let key = (thm.key(), cx.key());
+        let hit = self
+            .shard(thm)
+            .lock()
+            .expect("replay cache poisoned")
+            .contains_key(&key);
         let ctr = if hit { &self.hits } else { &self.misses };
-        ctr.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ctr.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
-    fn insert(&self, d: u128) {
-        let shard = &self.shards[(d as usize) % self.shards.len()];
-        shard.lock().expect("replay cache poisoned").insert(d);
-    }
-
-    /// Validated nodes held, preloaded digests included.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("replay cache poisoned").len())
-            .sum()
-    }
-
-    /// Is the cache empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Audit-only (`forge` feature): snapshot of every stored digest.
-    #[cfg(feature = "forge")]
-    #[must_use]
-    pub fn forge_digests(&self) -> Vec<u128> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.lock().expect("replay cache poisoned").iter().copied().collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// Audit-only (`forge` feature): removes a stored digest, returning
-    /// whether it was present.
-    #[cfg(feature = "forge")]
-    pub fn forge_remove(&self, d: u128) -> bool {
-        let shard = &self.shards[(d as usize) % self.shards.len()];
-        shard.lock().expect("replay cache poisoned").remove(&d)
-    }
-
-    /// Audit-only (`forge` feature): inserts a raw digest — the
-    /// cache-corruption attack of the audit harness.
-    #[cfg(feature = "forge")]
-    pub fn forge_insert(&self, d: u128) {
-        self.insert(d);
-    }
-
-    /// Persistence (`persist` feature): snapshot of every stored digest,
-    /// for writing the warm-start file. Digests are opaque: the store
-    /// records them verbatim and feeds them back via [`Self::preload`].
-    #[cfg(feature = "persist")]
-    #[must_use]
-    pub fn export_digests(&self) -> Vec<u128> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("replay cache poisoned")
-                    .iter()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// Persistence (`persist` feature): seeds the cache with digests of
-    /// validations that succeeded in an earlier process.
-    ///
-    /// Soundness is unchanged from the in-process case — a preloaded
-    /// digest only ever *skips a re-run* of the deterministic `validate`;
-    /// it can never flip a verdict. A wrong digest (corruption the store's
-    /// integrity check somehow missed) simply never matches a real lookup,
-    /// costing nothing but a stale entry.
-    #[cfg(feature = "persist")]
-    pub fn preload(&self, digests: &[u128]) {
-        for &d in digests {
-            self.insert(d);
-        }
+    fn insert(&self, thm: &Thm, cx: &Interned<CheckCtx>) {
+        let key = (thm.key(), cx.key());
+        self.shard(thm)
+            .lock()
+            .expect("replay cache poisoned")
+            .insert(key, (thm.clone(), cx.clone()));
     }
 
     /// (hits, misses) lookup counters.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64) {
+    fn counters(&self) -> (u64, u64) {
         (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            self.misses.load(std::sync::atomic::Ordering::Relaxed),
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
         )
     }
 }
@@ -575,27 +553,14 @@ pub struct ReplayReport {
     pub checked: usize,
     /// Total rule applications in the replayed derivations.
     pub proof_nodes: usize,
-    /// Proof nodes skipped because an identical (rule, premises) node was
-    /// already validated (shared-node replay cache).
+    /// Lookups of a proof node that was already validated under this
+    /// context (shared-node replay cache), so its derivation was skipped.
     pub cache_hits: u64,
-    /// Proof nodes that had to be validated.
+    /// Lookups that missed: proof nodes that had to be validated.
     pub cache_misses: u64,
     /// Occupancy of the replay: requested vs granted workers, busy and
     /// wall time.
     pub pool: PoolStats,
-}
-
-impl ReplayReport {
-    /// Fraction of cache lookups that hit (0.0 when the cache was unused).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Replays a batch of theorems through [`check`] on the shared executor
@@ -622,10 +587,9 @@ where
 
 /// [`check_all`] against a caller-supplied [`ReplayCache`]. A session-scoped
 /// cache lets incremental re-checks skip proof nodes validated by earlier
-/// runs under the same `cx` (its digest joins every key, so a node
-/// validated under one context is checked again under another); the
-/// report's hit/miss counters cover *this run only* (counter deltas), not
-/// the cache's lifetime totals.
+/// runs under an equal `cx` (a node validated under one context is
+/// checked again under another); the report's hit/miss counters cover
+/// *this run only* (counter deltas), not the cache's lifetime totals.
 ///
 /// # Errors
 ///
@@ -641,7 +605,7 @@ where
 {
     let items: Vec<(&str, &Thm)> = items.into_iter().collect();
     let (hits0, misses0) = cache.counters();
-    let bound = Some((cache, digest128(|h| cx.hash(h))));
+    let cx = Interned::new(cx.clone());
     let proof_nodes = items
         .iter()
         .fold(0, |n: usize, (_, t)| n.saturating_add(t.proof_size()));
@@ -653,7 +617,7 @@ where
         if i > first_failure.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let r = check_cached(thm, cx, bound);
+        let r = check_cached(thm, &cx, cache);
         if r.is_err() {
             first_failure.fetch_min(i, Ordering::Relaxed);
         }

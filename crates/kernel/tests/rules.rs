@@ -373,3 +373,31 @@ fn replay_cache_is_bound_to_the_checking_context() {
     let (_, err) = kernel::check_all_with(items(), &empty, 1, &cache).unwrap_err();
     assert!(err.msg.contains("no field of `S` at offset 4"), "{err}");
 }
+
+#[test]
+fn replay_cache_is_bound_to_the_checking_context_across_threads() {
+    // Two workers check the same node through one cache at the same time,
+    // one under the context that makes it valid and one under a context
+    // without the layout: the second fails whichever validates first.
+    let mut cx = CheckCtx::default();
+    cx.tenv
+        .define_struct("S", vec![("a".into(), Ty::U32), ("b".into(), Ty::U32)])
+        .unwrap();
+    let p = heap::h_leaf(&cx, &Expr::var("p")).unwrap();
+    let fread = heap::h_read_field(&cx, "S", &Ty::U32, 4, p).unwrap();
+    let empty = CheckCtx::default();
+    let cache = kernel::ReplayCache::new();
+    for _ in 0..8 {
+        let both_started = std::sync::Barrier::new(2);
+        let (results, pool) = ir::sched::par_map(&[&cx, &empty], 2, |_, c| {
+            both_started.wait();
+            kernel::check_all_with(std::iter::once(("fread", &fread)), c, 1, &cache)
+        });
+        assert_eq!(pool.workers, 2);
+        assert!(results[0].is_ok());
+        let Err((_, err)) = &results[1] else {
+            panic!("checked under a context without the layout");
+        };
+        assert!(err.msg.contains("no field of `S` at offset 4"), "{err}");
+    }
+}

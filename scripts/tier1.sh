@@ -47,6 +47,17 @@ if [[ $(grep -c . <<< "$from_row") -ne 1 ]] || ! grep -q '^crates/kernel/src/cod
     echo "$from_row" >&2; exit 1
 fi
 
+# No hash is evidence (DESIGN.md §6g): replay keys validated nodes by
+# identity, not by a digest, and no process inherits another's replay
+# state — the store's segment holds artifact records only.
+if grep -rn 'digest128' crates/kernel/src --include='*.rs'; then
+    echo "tier1: digest128 in crates/kernel/src; the kernel accepts nothing on a hash" >&2; exit 1
+fi
+if grep -rnE 'ACRSRPL|export_digests|replay[A-Za-z_]*\.preload\(' crates/*/src src --include='*.rs' \
+    || grep -rn 'fn preload' crates/kernel/src --include='*.rs'; then
+    echo "tier1: persisted replay state; replay validates what its own process has not" >&2; exit 1
+fi
+
 # One rule definition (DESIGN.md §2): each rule is one conclusion function,
 # applied once by its constructor through `Thm::infer` and recomputed by
 # `rules::validate`. Only the certificate reader proposes nodes through

@@ -21,9 +21,9 @@
 //!                            unreachable code, use-before-init, definite
 //!                            overflow); `=deny` exits nonzero on any lint
 //!   --no-absint              disable the abstract-interpretation phase
-//!   --cache-dir DIR          persist the artifact store and replay cache in
-//!                            DIR so a later run (any process) warm-starts;
-//!                            corrupt or version-skewed entries degrade to
+//!   --cache-dir DIR          persist the artifact store in DIR so a later
+//!                            run (any process) warm-starts; corrupt or
+//!                            version-skewed entries degrade to
 //!                            recomputation, never to different output
 //!   --emit-cert FILE         export every checked theorem as a
 //!                            self-contained proof certificate, replayable
@@ -40,8 +40,14 @@
 //! and prints the divergence trace; the exit code is nonzero when the
 //! recorded input no longer falsifies the spec (the regression is fixed or
 //! the pipeline drifted).
+//!
+//! Output goes through one locked stdout handle. If its reader closes it
+//! early (`autocorres FILE.c | head -1`), the run stops quietly with a
+//! nonzero status: what was left unprinted, and any `--check` after it,
+//! did not run.
 
 use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use autocorres::{Options, Session};
@@ -66,6 +72,28 @@ struct Cli {
     playback: Option<String>,
     corpus: Option<String>,
     quiet: bool,
+}
+
+/// Why a run stopped before its end: a failure to report on stderr, or
+/// stdout's reader closed it.
+enum Stop {
+    Fail(String),
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Fail(msg)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Fail(format!("stdout: {e}")),
+        }
+    }
 }
 
 fn usage() -> &'static str {
@@ -182,7 +210,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 /// Replays a counterexample seed file: prints the recorded input, the
 /// fresh divergence trace, and whether the verdict still holds.
-fn run_playback(path: &str, quiet: bool) -> Result<(), String> {
+fn run_playback(path: &str, quiet: bool, out: &mut impl Write) -> Result<(), Stop> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let pb = counterexample::playback(&text)?;
     if !quiet {
@@ -193,37 +221,38 @@ fn run_playback(path: &str, quiet: bool) -> Result<(), String> {
     }
     match &pb.cex {
         Some(cex) => {
-            print!("{}", cex.trace);
+            write!(out, "{}", cex.trace)?;
             if !pb.observed_matches {
-                println!(
+                writeln!(
+                    out,
                     "playback: input still falsifies the spec, but the observed outcome \
                      drifted (recorded {}, now {})",
                     pb.seed.observed.render(),
                     cex.observed.render()
-                );
-                print!("{}", pb.seed.describe_input());
-                return Err("observed outcome drifted".into());
+                )?;
+                write!(out, "{}", pb.seed.describe_input())?;
+                return Err(Stop::Fail("observed outcome drifted".into()));
             }
-            println!("playback: verdict reproduced (still falsified)");
+            writeln!(out, "playback: verdict reproduced (still falsified)")?;
             Ok(())
         }
         None => {
-            print!("{}", pb.seed.describe_input());
-            println!("playback: recorded input no longer falsifies the spec");
-            Err("verdict not reproduced".into())
+            write!(out, "{}", pb.seed.describe_input())?;
+            writeln!(out, "playback: recorded input no longer falsifies the spec")?;
+            Err(Stop::Fail("verdict not reproduced".into()))
         }
     }
 }
 
-fn print_ctx(ctx: &ProgramCtx, only: &[String]) -> Result<(), String> {
+fn print_ctx(ctx: &ProgramCtx, only: &[String], out: &mut impl Write) -> Result<(), Stop> {
     for name in only {
         if ctx.function(name).is_none() {
-            return Err(format!("no function named `{name}`"));
+            return Err(format!("no function named `{name}`").into());
         }
     }
     for (name, f) in &ctx.fns {
         if only.is_empty() || only.iter().any(|o| o == name) {
-            println!("{f}");
+            writeln!(out, "{f}")?;
         }
     }
     Ok(())
@@ -233,7 +262,7 @@ fn print_ctx(ctx: &ProgramCtx, only: &[String]) -> Result<(), String> {
 /// validated counterexample (via the extractor, with a trivial spec — the
 /// guards themselves are the obligations) to each definite-overflow lint.
 /// Returns the lint count.
-fn print_lints(out: &autocorres::Output) -> Result<usize, String> {
+fn print_lints(out: &autocorres::Output, stdout: &mut impl Write) -> Result<usize, Stop> {
     let mut diags = out.lint_diags();
     // Eager counterexamples for definite overflows: analyze each affected
     // function once and attach the first validated counterexample.
@@ -269,9 +298,9 @@ fn print_lints(out: &autocorres::Output) -> Result<usize, String> {
             (Some(f), None) => f.clone(),
             _ => String::new(),
         };
-        println!("warning[{at}]: {}", d.message);
+        writeln!(stdout, "warning[{at}]: {}", d.message)?;
         if let Some(cex) = &d.counterexample {
-            println!("    counterexample: {cex}");
+            writeln!(stdout, "    counterexample: {cex}")?;
         }
     }
     Ok(diags.len())
@@ -280,11 +309,11 @@ fn print_lints(out: &autocorres::Output) -> Result<usize, String> {
 /// Sweeps a corpus directory and prints the per-function table. Exits
 /// with an error when any file is rejected or any theorem fails to
 /// replay, so CI can gate on a known-good corpus.
-fn run_corpus(dir: &str, opts: &Options) -> Result<(), String> {
+fn run_corpus(dir: &str, opts: &Options, out: &mut impl Write) -> Result<(), Stop> {
     let report = autocorres::corpus::sweep(std::path::Path::new(dir), opts)?;
-    println!("{report}");
+    writeln!(out, "{report}")?;
     if report.failures() > 0 {
-        return Err(format!("--corpus: {} failure(s)", report.failures()));
+        return Err(format!("--corpus: {} failure(s)", report.failures()).into());
     }
     Ok(())
 }
@@ -310,9 +339,9 @@ fn emit_cert(path: &str, out: &autocorres::Output) -> Result<(), String> {
     Ok(())
 }
 
-fn run(cli: &Cli) -> Result<(), String> {
+fn run(cli: &Cli, stdout: &mut impl Write) -> Result<(), Stop> {
     if let Some(path) = &cli.playback {
-        return run_playback(path, cli.quiet);
+        return run_playback(path, cli.quiet, stdout);
     }
     let opts_of = |cli: &Cli| Options {
         concrete_fns: cli.concrete.clone(),
@@ -325,7 +354,7 @@ fn run(cli: &Cli) -> Result<(), String> {
         ..Options::default()
     };
     if let Some(dir) = &cli.corpus {
-        return run_corpus(dir, &opts_of(cli));
+        return run_corpus(dir, &opts_of(cli), stdout);
     }
     let src = std::fs::read_to_string(&cli.file)
         .map_err(|e| format!("{}: {e}", cli.file))?;
@@ -353,18 +382,27 @@ fn run(cli: &Cli) -> Result<(), String> {
     if cli.metrics {
         let pm = out.parser_metrics();
         let am = out.output_metrics();
-        println!("{:<18} {:>8} {:>12}", "", "lines", "term size");
-        println!("{:<18} {:>8} {:>12}", "parser output", pm.lines, pm.term_size);
-        println!("{:<18} {:>8} {:>12}", "autocorres output", am.lines, am.term_size);
+        writeln!(stdout, "{:<18} {:>8} {:>12}", "", "lines", "term size")?;
+        writeln!(
+            stdout,
+            "{:<18} {:>8} {:>12}",
+            "parser output", pm.lines, pm.term_size
+        )?;
+        writeln!(
+            stdout,
+            "{:<18} {:>8} {:>12}",
+            "autocorres output", am.lines, am.term_size
+        )?;
         if cli.cache_dir.is_some() {
             let s = &out.stats;
-            println!(
+            writeln!(
+                stdout,
                 "store: hits={} misses={} rejected={} dirty_fns={}",
                 s.cached_nodes,
                 s.computed_nodes,
                 sess.load_report().rejected,
                 s.dirty_fns
-            );
+            )?;
         }
     } else {
         let ctx = match cli.level.as_str() {
@@ -373,17 +411,15 @@ fn run(cli: &Cli) -> Result<(), String> {
             "hl" => &out.hl,
             _ => &out.wa,
         };
-        print_ctx(ctx, &cli.only)?;
+        print_ctx(ctx, &cli.only, stdout)?;
     }
     if cli.lint {
-        let n = print_lints(&out)?;
+        let n = print_lints(&out, stdout)?;
         if cli.lint_deny && n > 0 {
-            return Err(format!("--lint=deny: {n} lint(s)"));
+            return Err(format!("--lint=deny: {n} lint(s)").into());
         }
     }
     if cli.check {
-        // Through the session (not `out.check_all()`) so a `--cache-dir`
-        // run persists the newly validated replay digests too.
         sess.check_all_report(&out, out.stats.workers)
             .map_err(|(f, e)| format!("proof check failed: {f}: {e}"))?;
         out.check_absint()
@@ -404,9 +440,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match run(&cli) {
+    let mut stdout = io::stdout().lock();
+    match run(&cli, &mut stdout).and_then(|()| Ok(stdout.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Stop::Closed) => ExitCode::FAILURE,
+        Err(Stop::Fail(msg)) => {
             eprintln!("autocorres: {msg}");
             ExitCode::FAILURE
         }

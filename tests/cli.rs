@@ -214,3 +214,33 @@ fn concrete_flag_keeps_function_at_byte_level() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("exec_concrete"), "{stdout}");
 }
+
+#[test]
+fn a_reader_that_closes_stdout_early_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // eChronos-sized: its L1 output (~80 KB) is larger than a pipe
+    // buffer, so the CLI is still writing when the reader goes away.
+    let path = write_temp(
+        "cli_closed_stdout.c",
+        &codegen::generate(&codegen::TABLE5[3], 0xAC),
+    );
+    let mut child = bin()
+        .args(["--quiet", "--level", "l1", "--trials", "1"])
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(!first.is_empty(), "no output before the pipe closed");
+    // The reader (and with it the pipe's read end) is dropped here.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}

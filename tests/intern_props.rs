@@ -615,3 +615,46 @@ fn codegen_pipeline_is_worker_count_independent() {
         assert_eq!(renders[0], renders[2], "seed {seed}: workers 1 vs 5 diverge");
     }
 }
+
+/// Theorems are hash-consed like terms: walking every derivation of an
+/// eChronos-sized program by node identity meets exactly one node per row
+/// of its certificate, whose node table holds each structurally distinct
+/// sub-derivation once.
+#[test]
+fn every_distinct_derivation_is_one_allocation() {
+    let src = codegen::generate(&codegen::TABLE5[3], 0xAC);
+    let opts = Options {
+        l2_trials: 2,
+        seed: 0xAC,
+        ..Options::default()
+    };
+    let out = translate(&src, &opts).expect("translates");
+    let absint = out
+        .absint
+        .values()
+        .flat_map(|a| a.thms.iter().map(|(_, t)| t));
+    let roots: Vec<(&str, &kernel::Thm)> = out
+        .thms
+        .iter()
+        .map(|(_, _, t)| t)
+        .chain(absint)
+        .map(|t| ("", t))
+        .collect();
+    // A node's judgment lives in the node's allocation, so its address
+    // names the node.
+    let mut nodes = std::collections::HashSet::new();
+    let mut stack: Vec<&kernel::Thm> = roots.iter().map(|&(_, t)| t).collect();
+    while let Some(t) = stack.pop() {
+        if nodes.insert(std::ptr::from_ref(t.judgment())) {
+            stack.extend(t.premises());
+        }
+    }
+    let cert = kernel::cert::encode_cert(&out.check_ctx, &roots);
+    let rows = kernel::cert::check_cert(&cert).expect("replays").nodes;
+    assert_eq!(nodes.len(), rows);
+    let tree: usize = roots.iter().map(|(_, t)| t.proof_size()).sum();
+    assert!(
+        rows < tree,
+        "no sharing: {rows} rows for {tree} rule applications"
+    );
+}
