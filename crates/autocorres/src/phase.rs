@@ -799,15 +799,16 @@ impl Phase for AdaptPhase {
         let Some((new_body, old_body)) = sh.plans.get(name) else {
             return Ok(Artifact::Adapt(None));
         };
-        let fn_seed = derive_seed(cx.opts.seed, name);
+        let seed = derive_seed(cx.opts.seed, name);
+        let trials = effective_l2_trials(cx.opts);
         let thm = kernel::rules::refine::exec_tested(
             &wash.check_ctx,
             new_body,
             old_body,
-            60,
-            fn_seed,
+            trials,
+            seed,
             || {
-                test_adapted_fn(&sh.wactx, &wash.hlctx, name, &sh.heap_types, 60, fn_seed)
+                test_adapted_fn(&sh.wactx, &wash.hlctx, name, &sh.heap_types, trials, seed)
                     .map_err(|m| Diag::new(ir::diag::Phase::Wa, DiagKind::Testing, m))
             },
         )
@@ -1161,7 +1162,6 @@ pub(crate) fn run_pipeline(
         busy: parse_start.elapsed(),
         wall: parse_start.elapsed(),
         steals: 0,
-        tasks: 1,
     };
     let mut phases: Vec<PhaseStat> =
         vec![PhaseStat::from_pool("parse", parse_pool, sp.fns.len(), 0, 0)];

@@ -67,9 +67,9 @@ pub struct Options {
     /// never affects output bytes.
     pub force_pool: bool,
     /// Disk-backed warm start: a directory (created on demand) where a
-    /// [`crate::Session`] persists its artifact store and replay cache so
-    /// a *fresh process* can reuse them (DESIGN.md §6g). `None` disables
-    /// persistence. Not part of [`crate::options_digest`]: where the cache
+    /// [`crate::Session`] persists its artifact store so a *fresh process*
+    /// can reuse it (DESIGN.md §6g); the replay cache is never persisted.
+    /// `None` disables persistence. Not part of [`crate::options_digest`]: where the cache
     /// lives cannot affect what is computed.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Disables the abstract-interpretation phase (guard discharge and

@@ -23,7 +23,8 @@
 //! [`crate::phase`]) keys nothing into the digests, so the same session
 //! produces the same bytes at any worker count. Likewise
 //! [`Session::check_all_report`] validates only the proof nodes this
-//! session's replay cache has not seen validated.
+//! session's replay cache has not seen validated, each exactly once at any
+//! worker count.
 //!
 //! With [`Options::cache_dir`] set, the artifact store additionally
 //! persists to disk through a [`DiskStore`] (DESIGN.md §6g):
@@ -173,7 +174,7 @@ impl Session {
     /// Replays `out`'s theorems through the independent checker, skipping
     /// proof nodes this session already validated under the same checking
     /// context (the reported `cache_hits`/`cache_misses` cover this call
-    /// only). Persists nothing.
+    /// only, at any `workers`). Persists nothing.
     ///
     /// # Errors
     ///

@@ -253,7 +253,6 @@ mod tests {
             busy: Duration::from_millis(4),
             wall: Duration::from_millis(2),
             steals: 3,
-            tasks: 7,
         };
         let p = PhaseStat::from_pool("wa", pool, 10, 10, 100);
         assert_eq!(p.requested, 8);

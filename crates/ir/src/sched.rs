@@ -1,8 +1,10 @@
 //! The one executor: every thread the workspace spawns is spawned here.
 //!
 //! * [`run_dag`] — the scheduling primitive, a dependency-respecting
-//!   scheduler. With `workers <= 1` it runs a deterministic lowest-index
-//!   topological order inline on the calling thread — zero pool setup.
+//!   scheduler for an acyclic graph (it panics on a cycle, naming it,
+//!   before any job runs). With `workers <= 1` it runs a deterministic
+//!   lowest-index topological order inline on the calling thread — zero
+//!   pool setup.
 //!   With more workers it runs a *work-stealing* pool: each worker owns a
 //!   deque, pushes the nodes it unblocks onto its own deque (LIFO,
 //!   cache-warm), and steals from the front of a victim's deque (FIFO,
@@ -21,10 +23,11 @@
 //! Sequential and parallel schedules execute the *same* closures —
 //! byte-identical output is a property of the closures (per-function
 //! seeds, name/slot-keyed result collection), not of scheduling luck. Both
-//! report [`PoolStats`]. A panicking job is re-raised on the caller's
-//! thread with its original payload.
+//! report [`PoolStats`], whose busy time is the jobs' own. A panicking job
+//! is re-raised on the caller's thread with its original payload.
 
 use std::any::Any;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -40,15 +43,13 @@ pub struct PoolStats {
     /// clamping to the job count). `1` means the inline fast path: no
     /// threads were spawned at all.
     pub workers: usize,
-    /// Sum of per-worker busy time.
+    /// Sum of the jobs' durations: time a worker spent parked, stealing
+    /// or starting is not busy.
     pub busy: Duration,
     /// Wall-clock time of the run.
     pub wall: Duration,
     /// Tasks executed by a worker other than the one that made them ready.
     pub steals: u64,
-    /// Scheduled units (graph nodes for [`run_dag`], items for
-    /// [`par_map`]).
-    pub tasks: usize,
 }
 
 impl PoolStats {
@@ -154,73 +155,73 @@ pub fn with_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-/// Sentinel marking a node as enqueued (or executed): its pending-dependency
-/// counter can no longer reach the enqueue threshold.
-const SCHEDULED: usize = usize::MAX;
-
-/// A deterministic, cycle-tolerant lowest-index topological order of a
-/// dependency graph: the exact order the sequential scheduler executes.
-/// Cycles are broken at the lowest-index stuck node.
+/// The deterministic lowest-index topological order of a dependency graph
+/// (Kahn's algorithm): the order the sequential scheduler executes, and
+/// the pool's check. Panics, naming one cycle, on a cycle or a self-edge.
 fn topo_order(deps: &[Vec<usize>]) -> Vec<usize> {
-    let n = deps.len();
     let (dependents, mut indegree) = reverse_edges(deps);
-    let mut ready: BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..deps.len())
         .filter(|&i| indegree[i] == 0)
-        .map(std::cmp::Reverse)
+        .map(Reverse)
         .collect();
-    for std::cmp::Reverse(i) in ready.iter().copied().collect::<Vec<_>>() {
-        indegree[i] = SCHEDULED;
-    }
-    let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let Some(std::cmp::Reverse(i)) = ready.pop() else {
-            // Stuck: break the cycle at the lowest-index blocked node.
-            let i = (0..n)
-                .find(|&i| indegree[i] != SCHEDULED)
-                .expect("unfinished node exists while order is short");
-            indegree[i] = SCHEDULED;
-            ready.push(std::cmp::Reverse(i));
-            continue;
-        };
+    let mut order = Vec::with_capacity(deps.len());
+    while let Some(Reverse(i)) = ready.pop() {
         order.push(i);
         for &dep in &dependents[i] {
-            if indegree[dep] != SCHEDULED {
-                indegree[dep] -= 1;
-                if indegree[dep] == 0 {
-                    indegree[dep] = SCHEDULED;
-                    ready.push(std::cmp::Reverse(dep));
-                }
+            indegree[dep] -= 1;
+            if indegree[dep] == 0 {
+                ready.push(Reverse(dep));
             }
         }
     }
+    assert!(
+        order.len() == deps.len(),
+        "run_dag: dependency cycle {}",
+        cycle(deps, &indegree)
+    );
     order
 }
 
+/// A cycle among the nodes Kahn's algorithm stalled on, as `a -> b -> a`
+/// (each depends on the next): each waits on another, so a walk repeats.
+fn cycle(deps: &[Vec<usize>], indegree: &[usize]) -> String {
+    let stalled = |i: &usize| indegree[*i] > 0;
+    let mut path: Vec<usize> = (0..deps.len()).filter(stalled).take(1).collect();
+    while let Some(next) = path
+        .last()
+        .and_then(|&i| deps[i].iter().copied().find(stalled))
+    {
+        if let Some(at) = path.iter().position(|&i| i == next) {
+            path.drain(..at);
+            path.push(next);
+            break;
+        }
+        path.push(next);
+    }
+    let names: Vec<String> = path.iter().map(usize::to_string).collect();
+    names.join(" -> ")
+}
+
 /// Reverse adjacency (which nodes each node unblocks) and per-node
-/// indegree. Self-edges impose no ordering (self-recursion) and are
-/// dropped.
+/// indegree.
 fn reverse_edges(deps: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) {
     let n = deps.len();
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indegree = vec![0usize; n];
     for (i, ds) in deps.iter().enumerate() {
         for &d in ds {
             assert!(d < n, "run_dag: dependency index out of range");
-            if d != i {
-                dependents[d].push(i);
-                indegree[i] += 1;
-            }
+            dependents[d].push(i);
         }
     }
-    (dependents, indegree)
+    (dependents, deps.iter().map(Vec::len).collect())
 }
 
 /// A job's panic caught on a pool worker: the node it hit and its payload.
 type Caught = (usize, Box<dyn Any + Send>);
 
-/// Runs one job per node of a dependency graph, never starting a node
-/// before all of `deps[node]` have finished. Results are returned in node
-/// order.
+/// Runs one job per node of an acyclic dependency graph, never starting a
+/// node before all of `deps[node]` have finished. Results are returned in
+/// node order.
 ///
 /// With `workers <= 1` this runs the deterministic lowest-index
 /// topological order inline on the calling thread, with zero pool setup.
@@ -228,9 +229,7 @@ type Caught = (usize, Box<dyn Any + Send>);
 /// it unblocked onto the finisher's own deque (popped LIFO), and a worker
 /// whose deque is empty steals the oldest node from a victim's deque
 /// (counted in [`PoolStats::steals`]). Workers with nothing to run or
-/// steal park on a condvar; the last parked worker breaks dependency
-/// cycles deterministically at the lowest-index stuck node, exactly as the
-/// sequential order does.
+/// steal park on a condvar.
 ///
 /// A panicking job stops the pool: no new node starts, and once the
 /// running ones finish the panic of the lowest-index node that panicked is
@@ -238,7 +237,8 @@ type Caught = (usize, Box<dyn Any + Send>);
 ///
 /// # Panics
 ///
-/// Panics if `deps.len() != n` or an edge index is out of range, and
+/// Panics before any job runs if `deps.len() != n`, an edge index is out
+/// of range or the graph has a cycle (the message names it), and
 /// re-raises a job's panic.
 pub fn run_dag<R, F>(n: usize, deps: &[Vec<usize>], workers: usize, job: F) -> (Vec<R>, PoolStats)
 where
@@ -247,6 +247,7 @@ where
 {
     assert_eq!(deps.len(), n, "run_dag: deps length mismatch");
     let start = Instant::now();
+    let order = topo_order(deps);
     let requested = workers.max(1);
     let workers = requested.clamp(1, n.max(1));
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -255,10 +256,11 @@ where
     let mut steals = 0;
 
     if workers <= 1 {
-        for i in topo_order(deps) {
+        for i in order {
+            let t0 = Instant::now();
             slots[i] = Some(job(i));
+            busy += t0.elapsed();
         }
-        busy = start.elapsed();
     } else {
         let (dependents, indegree) = reverse_edges(deps);
         let pool = WsPool::new(workers, indegree);
@@ -273,9 +275,10 @@ where
                     // a worker's, so workers get the `with_stack` size.
                     let worker = std::thread::Builder::new().stack_size(BIG_STACK_BYTES);
                     let spawned = worker.spawn_scoped(s, move || {
-                        let t0 = Instant::now();
                         let mut mine: Vec<(usize, R)> = Vec::new();
+                        let mut busy = Duration::ZERO;
                         while let Some(i) = pool.acquire(w) {
+                            let t0 = Instant::now();
                             match catch_unwind(AssertUnwindSafe(|| job(i))) {
                                 Ok(r) => mine.push((i, r)),
                                 Err(payload) => {
@@ -283,9 +286,10 @@ where
                                     return Err((i, payload));
                                 }
                             }
+                            busy += t0.elapsed();
                             pool.complete(w, i, dependents);
                         }
-                        Ok((mine, t0.elapsed()))
+                        Ok((mine, busy))
                     });
                     spawned.expect("spawn pool worker")
                 })
@@ -324,7 +328,6 @@ where
             busy,
             wall: start.elapsed(),
             steals,
-            tasks: n,
         },
     )
 }
@@ -335,7 +338,7 @@ struct WsPool {
     /// at the front. Each deque has its own lock, so owners and thieves
     /// only contend pairwise.
     deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Unresolved dependency count per node; [`SCHEDULED`] once enqueued.
+    /// Unresolved dependency count per node.
     pending: Vec<AtomicUsize>,
     /// Nodes fully executed (forced to `n` by [`WsPool::abort`]).
     finished: AtomicUsize,
@@ -361,10 +364,7 @@ impl WsPool {
         }
         WsPool {
             deques: deques.into_iter().map(Mutex::new).collect(),
-            pending: indegree
-                .into_iter()
-                .map(|d| AtomicUsize::new(if d == 0 { SCHEDULED } else { d }))
-                .collect(),
+            pending: indegree.into_iter().map(AtomicUsize::new).collect(),
             finished: AtomicUsize::new(0),
             n,
             idle: AtomicUsize::new(0),
@@ -386,7 +386,7 @@ impl WsPool {
             if let Some(i) = own.or_else(|| self.try_steal(w)) {
                 return Some(i);
             }
-            self.park(w);
+            self.park();
         }
     }
 
@@ -412,7 +412,6 @@ impl WsPool {
         let mut released = 0usize;
         for &dep in &dependents[i] {
             if self.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.pending[dep].store(SCHEDULED, Ordering::Relaxed);
                 self.deques[w]
                     .lock()
                     .expect("deque poisoned")
@@ -435,11 +434,8 @@ impl WsPool {
         self.cond.notify_all();
     }
 
-    /// Parks worker `w` until new work may exist. The last worker to park
-    /// while the graph is unfinished has proven a dependency cycle (no
-    /// node running, none ready): it breaks the cycle deterministically at
-    /// the lowest-index stuck node and continues.
-    fn park(&self, w: usize) {
+    /// Parks the calling worker until new work may exist.
+    fn park(&self) {
         self.idle.fetch_add(1, Ordering::SeqCst);
         let mut g = self.park.lock().expect("park lock poisoned");
         loop {
@@ -452,20 +448,6 @@ impl WsPool {
                 .any(|d| !d.lock().expect("deque poisoned").is_empty())
             {
                 break;
-            }
-            if self.idle.load(Ordering::SeqCst) == self.deques.len() {
-                // Every worker is idle and every deque is empty, so no
-                // pending counter can move: the scan below is exact.
-                if let Some(i) = (0..self.n)
-                    .find(|&i| self.pending[i].load(Ordering::Relaxed) != SCHEDULED)
-                {
-                    self.pending[i].store(SCHEDULED, Ordering::Relaxed);
-                    self.deques[w].lock().expect("deque poisoned").push_back(i);
-                    self.cond.notify_all();
-                    break;
-                }
-                // All nodes scheduled; stragglers are mid-`complete`. Fall
-                // through to the timed wait for the final finish count.
             }
             // Timed wait: a bounded backstop against any lost-wakeup
             // window between the deque re-check and the wait.
@@ -539,14 +521,49 @@ mod tests {
     }
 
     #[test]
-    fn run_dag_breaks_cycles_instead_of_deadlocking() {
-        // 0 ⇄ 1 cycle plus 2 depending on both; self-loop on 3.
-        let deps = vec![vec![1], vec![0], vec![0, 1], vec![3]];
-        for workers in [1, 4] {
-            let (out, _) = run_dag(4, &deps, workers, |i| i);
-            assert_eq!(out, vec![0, 1, 2, 3]);
+    fn run_dag_rejects_a_cycle() {
+        // A 0 ⇄ 1 cycle with 2 depending on both, and a self-edge on 1.
+        for (deps, named) in [
+            (
+                vec![vec![1], vec![0], vec![0, 1]],
+                "dependency cycle 0 -> 1 -> 0",
+            ),
+            (vec![vec![], vec![1]], "dependency cycle 1 -> 1"),
+        ] {
+            for workers in [1, 4] {
+                let ran = AtomicUsize::new(0);
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    run_dag(deps.len(), &deps, workers, |_| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    })
+                }))
+                .expect_err("a cyclic graph is rejected");
+                let msg = caught
+                    .downcast_ref::<String>()
+                    .expect("a formatted message");
+                assert!(msg.contains(named), "workers={workers}: {msg}");
+                assert_eq!(
+                    ran.load(Ordering::SeqCst),
+                    0,
+                    "workers={workers}: a job ran"
+                );
+            }
         }
-        assert_eq!(topo_order(&deps), vec![3, 0, 1, 2]);
+    }
+
+    #[test]
+    fn busy_time_counts_jobs_not_parked_workers() {
+        // A chain runs one job at a time, so three of four workers wait
+        // throughout: job time over capacity is about a quarter.
+        let deps: Vec<Vec<usize>> = (0..8usize)
+            .map(|i| i.checked_sub(1).into_iter().collect())
+            .collect();
+        let (_, stats) = run_dag(8, &deps, 4, |_| {
+            std::thread::sleep(Duration::from_millis(2));
+        });
+        assert_eq!(stats.workers, 4);
+        assert!(stats.busy >= Duration::from_millis(16), "{stats:?}");
+        assert!(stats.utilization() <= 0.5, "{}", stats.utilization());
     }
 
     #[test]
@@ -572,7 +589,6 @@ mod tests {
             std::thread::yield_now();
         });
         assert!(stats.steals <= 64);
-        assert_eq!(stats.tasks, 64);
         assert_eq!(stats.workers, 4);
     }
 

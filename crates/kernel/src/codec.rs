@@ -13,12 +13,12 @@
 //! `--check` validates store theorems like any other (see DESIGN.md §6g).
 //! Adversarial-grade transport is the certificate path, never the store.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ir::codec::{Codec, DecodeError, Decoder, Encoder};
 
 use crate::judgment::{AbsFun, Judgment};
-use crate::thm::{CheckCtx, Rule, Side, Thm};
+use crate::thm::{postorder, CheckCtx, Rule, Side, Thm};
 
 /// Every rule, in a fixed order that defines the on-disk tag. Append new
 /// rules at the end — reordering is a format break.
@@ -150,29 +150,21 @@ ir::codec! { struct CheckCtx { tenv, fn_abs } }
 /// judgment, rule, side, varint premise count and premise row ids) and
 /// returns each root's row id. Rows are in postorder, so a premise id is
 /// below its row's own. Theorems are hash-consed, so a row is a node:
-/// rows are numbered by node address (every root, and so every node under
-/// it, is alive for the call), equal sub-derivations share a row, and
-/// reading the table rebuilds every theorem exactly, `proof_size`
-/// included. The walk is iterative: derivations can be deeper than the
-/// stack.
+/// the kernel's one derivation walk ([`postorder`]) takes each node at its
+/// first sight by address (every root, and so every node under it, is
+/// alive for the call), equal sub-derivations share a row, and reading the
+/// table rebuilds every theorem exactly, `proof_size` included.
 pub(crate) fn write_table(e: &mut Encoder, roots: &[&Thm]) -> Vec<u64> {
-    let mut ids: HashMap<usize, u64> = HashMap::new();
+    let mut seen = HashSet::new();
     let mut rows: Vec<&Thm> = Vec::new();
     for &root in roots {
-        let mut stack = vec![(root, false)];
-        while let Some((t, expanded)) = stack.pop() {
-            if ids.contains_key(&t.key()) {
-                continue;
-            }
-            if expanded {
-                ids.insert(t.key(), rows.len() as u64);
-                rows.push(t);
-            } else {
-                stack.push((t, true));
-                stack.extend(t.premises().iter().rev().map(|p| (p, false)));
-            }
-        }
+        postorder(root, |t| seen.insert(t.key()), &mut rows);
     }
+    let ids: HashMap<usize, u64> = rows
+        .iter()
+        .enumerate()
+        .map(|(id, t)| (t.key(), id as u64))
+        .collect();
     e.varint(rows.len() as u64);
     for t in &rows {
         t.judgment().encode(e);

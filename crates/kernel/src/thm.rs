@@ -3,13 +3,14 @@
 //! A [`Thm`] is a handle to a hash-consed derivation node (`ir::intern`,
 //! the machinery terms use), so structurally equal derivations are one
 //! allocation. [`check`] and [`check_all`] replay derivations through
-//! `rules::validate`; a [`ReplayCache`] remembers, by node identity, the
-//! nodes validated under a context, and nothing else marks a node as
-//! checked — not its construction, and not the disk store that rebuilt it.
+//! `rules::validate`, planned by the one derivation walk ([`postorder`]) so
+//! that each distinct node is validated once per call at any worker count;
+//! a [`ReplayCache`] remembers, by node identity, the nodes validated under
+//! a context, and nothing else marks a node as checked — not its
+//! construction, and not the disk store that rebuilt it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use ir::intern::{Internable, Interned, Interner};
@@ -440,8 +441,9 @@ impl Internable for CheckCtx {
     }
 }
 
-/// Replays a theorem's entire derivation: every node's rule recomputes its
-/// conclusion from the node's premises, and the node must state it.
+/// Replays a theorem's entire derivation ([`check_all`] on one root): every
+/// node's rule recomputes its conclusion from the node's premises, and the
+/// node must state it.
 ///
 /// This is the independent proof checker: it does not trust the engine that
 /// constructed the theorem, only the kernel rules.
@@ -450,45 +452,43 @@ impl Internable for CheckCtx {
 ///
 /// Returns the first failing rule application.
 pub fn check(thm: &Thm, cx: &CheckCtx) -> Result<(), KernelError> {
-    check_cached(thm, &Interned::new(cx.clone()), &ReplayCache::new())
+    check_all([("", thm)], cx, 1)
+        .map(|_| ())
+        .map_err(|(_, e)| e)
 }
 
-/// [`check`], skipping the nodes `cache` holds as validated under `cx`
-/// and recording each node it validates. The walk is iterative, because
-/// derivations can be deeper than the stack, and postorder, so a node is
-/// validated after its premises; within one walk each distinct node is
-/// validated at most once.
-fn check_cached(
-    thm: &Thm,
-    cx: &Interned<CheckCtx>,
-    cache: &ReplayCache,
-) -> Result<(), KernelError> {
-    let mut stack = vec![(thm, false)];
+/// The one derivation walk: appends to `out`, in postorder, the nodes under
+/// `root` that `enter` admits when the walk reaches them (a refused node is
+/// not expanded; both callers admit a node once). Iterative, because
+/// derivations can be deeper than the stack.
+pub(crate) fn postorder<'a>(
+    root: &'a Thm,
+    mut enter: impl FnMut(&'a Thm) -> bool,
+    out: &mut Vec<&'a Thm>,
+) {
+    let mut stack = vec![(root, false)];
     while let Some((t, expanded)) = stack.pop() {
         if expanded {
-            validate(t.rule(), t.premises(), t.judgment(), t.side(), cx)?;
-            cache.insert(t, cx);
-        } else if !cache.contains(t, cx) {
+            out.push(t);
+        } else if enter(t) {
             stack.push((t, true));
             stack.extend(t.premises().iter().rev().map(|p| (p, false)));
         }
     }
-    Ok(())
 }
 
-/// The validated nodes of one [`ReplayCache`] shard, keyed by the
-/// addresses of the node and of the context it was checked under. The
-/// entry holds both handles, so neither address is reused while it keys
-/// the entry.
+/// Validated nodes, keyed by the addresses of the node and of the context
+/// it was checked under. The entry holds both handles, so neither address
+/// is reused while it keys the entry.
 type Validated = HashMap<(usize, usize), (Thm, Interned<CheckCtx>)>;
 
-/// A replay-side cache of validated proof nodes, shared across theorems and
-/// workers. A node is remembered by identity, paired with the interned
-/// checking context it was validated under: theorems are hash-consed, so a
+/// A replay-side cache of validated proof nodes, shared across calls. A
+/// node is remembered by identity, paired with the interned checking
+/// context it was validated under: theorems are hash-consed, so a
 /// sub-derivation shared by several theorems (or several premises) is one
-/// node, validated once and skipped thereafter (two workers that reach it
-/// at the same time may both validate it), and a node checked under one
-/// context is checked again under another.
+/// node, validated once and skipped thereafter, and a node checked under
+/// one context is checked again under another. Calls through one cache
+/// take turns.
 ///
 /// Soundness: `rules::validate` is a deterministic pure function of the
 /// node and the context, identity among live interned values is
@@ -500,49 +500,13 @@ type Validated = HashMap<(usize, usize), (Thm, Interned<CheckCtx>)>;
 /// Determinism: cache state never affects output, only whether a
 /// validation is re-executed.
 #[derive(Default)]
-pub struct ReplayCache {
-    shards: [Mutex<Validated>; 16],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub struct ReplayCache(Mutex<Validated>);
 
 impl ReplayCache {
     /// An empty cache.
     #[must_use]
     pub fn new() -> ReplayCache {
         ReplayCache::default()
-    }
-
-    fn shard(&self, thm: &Thm) -> &Mutex<Validated> {
-        &self.shards[(thm.0.structural_hash() as usize) % self.shards.len()]
-    }
-
-    fn contains(&self, thm: &Thm, cx: &Interned<CheckCtx>) -> bool {
-        let key = (thm.key(), cx.key());
-        let hit = self
-            .shard(thm)
-            .lock()
-            .expect("replay cache poisoned")
-            .contains_key(&key);
-        let ctr = if hit { &self.hits } else { &self.misses };
-        ctr.fetch_add(1, Ordering::Relaxed);
-        hit
-    }
-
-    fn insert(&self, thm: &Thm, cx: &Interned<CheckCtx>) {
-        let key = (thm.key(), cx.key());
-        self.shard(thm)
-            .lock()
-            .expect("replay cache poisoned")
-            .insert(key, (thm.clone(), cx.clone()));
-    }
-
-    /// (hits, misses) lookup counters.
-    fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -553,23 +517,23 @@ pub struct ReplayReport {
     pub checked: usize,
     /// Total rule applications in the replayed derivations.
     pub proof_nodes: usize,
-    /// Lookups of a proof node that was already validated under this
-    /// context (shared-node replay cache), so its derivation was skipped.
+    /// Times the walk reached a proof node already validated under this
+    /// context or planned by this call, so its derivation was skipped.
     pub cache_hits: u64,
-    /// Lookups that missed: proof nodes that had to be validated.
+    /// Distinct proof nodes this call validated.
     pub cache_misses: u64,
     /// Occupancy of the replay: requested vs granted workers, busy and
     /// wall time.
     pub pool: PoolStats,
 }
 
-/// Replays a batch of theorems through [`check`] on the shared executor
+/// Replays a batch of theorems on the shared executor
 /// ([`ir::sched::par_map`]), at the width [`plan_workers`] grants
 /// `workers` for the batch's proof-node count (`workers <= 1` replays on
-/// the caller's thread). Theorems are independent per-function
-/// certificates, so replay order is irrelevant to soundness; on failure
-/// the error reported is the *first* failing theorem in input order,
-/// independent of scheduling.
+/// the caller's thread). Each distinct node is validated exactly once,
+/// whatever the width (see [`check_all_with`]). On failure the error
+/// reported is the *first* failing theorem in input order, independent of
+/// scheduling. Nothing is remembered after the call.
 ///
 /// # Errors
 ///
@@ -582,14 +546,19 @@ pub fn check_all<'a, I>(
 where
     I: IntoIterator<Item = (&'a str, &'a Thm)>,
 {
-    check_all_with(items, cx, workers, &ReplayCache::new())
+    replay(items, cx, workers, None)
 }
 
-/// [`check_all`] against a caller-supplied [`ReplayCache`]. A session-scoped
-/// cache lets incremental re-checks skip proof nodes validated by earlier
-/// runs under an equal `cx` (a node validated under one context is
-/// checked again under another); the report's hit/miss counters cover
-/// *this run only* (counter deltas), not the cache's lifetime totals.
+/// [`check_all`] against a caller-supplied [`ReplayCache`], which lets
+/// re-checks skip proof nodes validated by earlier calls under an equal
+/// `cx`; the report counts *this call's* walk.
+///
+/// Under the cache's lock, the [`postorder`] walk visits the roots in input
+/// order and gives each node that neither the cache nor the walk holds to
+/// the first theorem that reaches it; [`par_map`] validates each theorem's
+/// nodes in postorder, and they enter the cache if every theorem passed.
+/// Every node an earlier theorem owns is valid, so the first failing
+/// theorem fails on a node of its own, as a sequential replay would.
 ///
 /// # Errors
 ///
@@ -603,36 +572,69 @@ pub fn check_all_with<'a, I>(
 where
     I: IntoIterator<Item = (&'a str, &'a Thm)>,
 {
+    let mut validated = cache.0.lock().expect("replay cache poisoned");
+    replay(items, cx, workers, Some(&mut validated))
+}
+
+/// [`check_all_with`], with `cache` absent for [`check_all`].
+fn replay<'a, I>(
+    items: I,
+    cx: &CheckCtx,
+    workers: usize,
+    cache: Option<&mut Validated>,
+) -> Result<ReplayReport, (String, KernelError)>
+where
+    I: IntoIterator<Item = (&'a str, &'a Thm)>,
+{
     let items: Vec<(&str, &Thm)> = items.into_iter().collect();
-    let (hits0, misses0) = cache.counters();
     let cx = Interned::new(cx.clone());
+    let none = Validated::new();
+    let validated = cache.as_deref().unwrap_or(&none);
+    let mut planned = HashSet::new();
+    let mut lookups = 0;
+    let plans: Vec<Vec<&Thm>> = items
+        .iter()
+        .map(|&(_, root)| {
+            let mut nodes = Vec::new();
+            postorder(
+                root,
+                |t| {
+                    lookups += 1;
+                    !validated.contains_key(&(t.key(), cx.key())) && planned.insert(t.key())
+                },
+                &mut nodes,
+            );
+            nodes
+        })
+        .collect();
+    let cache_misses = planned.len() as u64;
     let proof_nodes = items
         .iter()
         .fold(0, |n: usize, (_, t)| n.saturating_add(t.proof_size()));
     let width = plan_workers(workers, proof_nodes as u64, false);
-    // Only the first failure in input order is reported, so theorems
-    // after a known failure need not be replayed.
-    let first_failure = AtomicUsize::new(usize::MAX);
-    let (results, mut pool) = par_map(&items, width, |i, (_, thm)| {
-        if i > first_failure.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let r = check_cached(thm, &cx, cache);
-        if r.is_err() {
-            first_failure.fetch_min(i, Ordering::Relaxed);
-        }
-        r
+    let (results, mut pool) = par_map(&plans, width, |_, nodes| {
+        nodes
+            .iter()
+            .try_for_each(|t| validate(t.rule(), t.premises(), t.judgment(), t.side(), &cx))
     });
     pool.requested = workers.max(1);
     for (r, (name, _)) in results.into_iter().zip(&items) {
         r.map_err(|e| ((*name).to_owned(), e))?;
     }
-    let (hits1, misses1) = cache.counters();
+    if let Some(cache) = cache {
+        cache.reserve(planned.len());
+        cache.extend(
+            plans
+                .into_iter()
+                .flatten()
+                .map(|t| ((t.key(), cx.key()), (t.clone(), cx.clone()))),
+        );
+    }
     Ok(ReplayReport {
         checked: items.len(),
         proof_nodes,
-        cache_hits: hits1 - hits0,
-        cache_misses: misses1 - misses0,
+        cache_hits: lookups - cache_misses,
+        cache_misses,
         pool,
     })
 }

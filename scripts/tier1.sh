@@ -58,6 +58,18 @@ if grep -rnE 'ACRSRPL|export_digests|replay[A-Za-z_]*\.preload\(' crates/*/src s
     echo "tier1: persisted replay state; replay validates what its own process has not" >&2; exit 1
 fi
 
+# One derivation walk (DESIGN.md §7): replay is planned by one walk and
+# counted by it, so the kernel needs no atomics, and the node-table writer
+# numbers its rows with the same walk instead of a second loop.
+if grep -rn 'std::sync::atomic' crates/kernel/src --include='*.rs'; then
+    echo "tier1: std::sync::atomic in crates/kernel/src; replay is planned, not raced" >&2; exit 1
+fi
+walks=$(grep -rn 'premises().iter().rev()' crates/kernel/src --include='*.rs' || true)
+if [[ $(grep -c . <<< "$walks") -gt 1 ]]; then
+    echo "tier1: more than one derivation walk in crates/kernel/src:" >&2
+    echo "$walks" >&2; exit 1
+fi
+
 # One rule definition (DESIGN.md §2): each rule is one conclusion function,
 # applied once by its constructor through `Thm::infer` and recomputed by
 # `rules::validate`. Only the certificate reader proposes nodes through

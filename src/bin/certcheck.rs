@@ -11,22 +11,37 @@
 //! of the translation pipeline — so a certificate's acceptance depends on
 //! nothing but the kernel's rule checker: a mutated, truncated, or forged
 //! certificate cannot pass, because every row is rebuilt through
-//! `Thm::admit` (DESIGN.md §6g).
+//! `Thm::admit` (DESIGN.md §6g). Root lines go through one locked stdout
+//! handle: if its reader closes it early, the run stops quietly, failing.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-fn run(path: &str, quiet: bool) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let report = kernel::cert::check_cert(&bytes).map_err(|e| format!("{path}: {e}"))?;
+/// Why a run failed: a message for stderr, or stdout's reader closed it.
+enum Stop {
+    Fail(String),
+    Closed,
+}
+
+fn run(path: &str, quiet: bool) -> Result<(), Stop> {
+    let rejected = |e: &dyn std::fmt::Display| Stop::Fail(format!("REJECTED — {path}: {e}"));
+    let bytes = std::fs::read(path).map_err(|e| rejected(&e))?;
+    let report = kernel::cert::check_cert(&bytes).map_err(|e| rejected(&e))?;
     if !quiet {
         eprintln!(
             "{path}: OK — {} proof node(s), {} theorem(s) replayed",
             report.nodes,
             report.roots.len()
         );
+        let stop = |e: io::Error| match e.kind() {
+            io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Fail(format!("stdout: {e}")),
+        };
+        let mut stdout = io::stdout().lock();
         for (label, thm) in &report.roots {
-            println!("{label}: [{:?}] {:?}", thm.rule(), thm.judgment());
+            writeln!(stdout, "{label}: [{:?}] {:?}", thm.rule(), thm.judgment()).map_err(stop)?;
         }
+        stdout.flush().map_err(stop)?;
     }
     Ok(())
 }
@@ -60,8 +75,9 @@ fn main() -> ExitCode {
     };
     match run(&file, quiet) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("certcheck: REJECTED — {msg}");
+        Err(Stop::Closed) => ExitCode::FAILURE,
+        Err(Stop::Fail(msg)) => {
+            eprintln!("certcheck: {msg}");
             ExitCode::FAILURE
         }
     }

@@ -154,3 +154,33 @@ fn trial_budget_is_respected_in_theorems() {
         assert!(dbg.contains("Tested"), "{name} should be exec-tested: {dbg}");
     }
 }
+
+#[test]
+fn caller_adaptation_runs_the_trial_budget() {
+    // The concrete caller of a word-abstracted callee is adapted, and its
+    // adaptation is admitted after differential testing at the L2 budget.
+    for trials in [3u32, 17] {
+        let out = translate(
+            SRC,
+            &Options {
+                concrete_fns: names(&["twice"]),
+                l2_trials: trials,
+                ..Options::default()
+            },
+        )
+        .unwrap();
+        out.check_all().unwrap();
+        let (_, adapted) = out
+            .thms
+            .wa
+            .iter()
+            .find(|(n, _)| n == "twice")
+            .expect("adaptation theorem for twice");
+        assert_eq!(adapted.rule(), kernel::Rule::ExecTested);
+        assert!(
+            matches!(adapted.side(), kernel::Side::Tested { trials: t, .. } if *t == trials),
+            "budget {trials}: {:?}",
+            adapted.side()
+        );
+    }
+}

@@ -297,6 +297,43 @@ fn certificates_replay_and_reject_mutations() {
 }
 
 #[test]
+fn certcheck_ends_quietly_when_its_reader_closes_stdout_early() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // eChronos-sized: its root lines are larger than a pipe buffer, so
+    // certcheck is still writing when the reader goes away.
+    let dir = tmpdir("cert-closed-stdout");
+    let src = dir.join("echronos.c");
+    std::fs::write(&src, codegen::generate(&codegen::TABLE5[3], 0xAC)).unwrap();
+    let cert = dir.join("echronos.cert");
+    run_ok(
+        bin()
+            .arg(&src)
+            .args(["--quiet", "--level", "wa", "--trials", "1"])
+            .arg("--emit-cert")
+            .arg(&cert),
+    );
+    let mut child = certcheck()
+        .arg(&cert)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(!first.is_empty(), "no root line before the pipe closed");
+    // The reader (and with it the pipe's read end) is dropped here.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn quickstart_certificate_matches_golden_snapshot() {
     let dir = tmpdir("golden");
     let src = dir.join("quickstart.c");

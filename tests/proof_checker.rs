@@ -112,6 +112,40 @@ fn parallel_replay_covers_every_theorem() {
 }
 
 #[test]
+fn replay_counts_do_not_depend_on_the_worker_count() {
+    // One walk plans the replay, so every distinct node is validated once
+    // and the hits and misses are those of the sequential replay.
+    let out = pool_sized_output();
+    let seq = out.check_all_report(1).unwrap();
+    assert!(seq.cache_hits > 0 && seq.cache_misses > 0, "{seq:?}");
+    for workers in [2usize, 4, 8] {
+        for _ in 0..10 {
+            let report = out.check_all_report(workers).unwrap();
+            assert_pooled(&report.pool, workers, report.proof_nodes);
+            assert_eq!(
+                (report.cache_hits, report.cache_misses),
+                (seq.cache_hits, seq.cache_misses),
+                "workers={workers}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_theorem_listed_twice_is_validated_once() {
+    // Adjacent copies of each theorem start on different workers' deques,
+    // so two workers reach the same new nodes at the same time.
+    let out = pool_sized_output();
+    let items: Vec<(&str, &kernel::Thm)> = out.thms.iter().map(|(_, n, t)| (n, t)).collect();
+    let once = kernel::check_all(items.iter().copied(), &out.check_ctx, 1).unwrap();
+    let twice: Vec<(&str, &kernel::Thm)> = items.iter().flat_map(|&it| [it, it]).collect();
+    let report = kernel::check_all(twice, &out.check_ctx, 2).unwrap();
+    assert_pooled(&report.pool, 2, report.proof_nodes);
+    assert_eq!(report.cache_misses, once.cache_misses);
+    assert_eq!(report.cache_hits, once.cache_hits + items.len() as u64);
+}
+
+#[test]
 fn replay_never_oversubscribes() {
     // Schorr-Waite's few hundred proof nodes are far below what one extra
     // worker needs to pay off, so replay must run inline whatever the
