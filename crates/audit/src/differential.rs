@@ -27,14 +27,12 @@
 use autocorres::testing::{gen_state, heap_types_of, random_arg};
 use autocorres::{translate, Options, Output};
 use codegen::{generate_mix, Mix, Profile};
+use ir::ty::Ty;
 use ir::value::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::layers::{
-    abs_states_agree, conc_states_agree, exact_pair, lifted_states_agree, refine_pair, run_all,
-    wa_val_related, LayerRun,
-};
+use crate::layers::{first_divergence, pair_checks, run_all, Divergence, LayerRun, LAYER_NAMES};
 
 /// Objects allocated per heap type in each generated initial state.
 const HEAP_OBJS: usize = 4;
@@ -182,7 +180,6 @@ pub fn diff_output(out: &Output, seed: u64, trials: u32) -> DiffStats {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA0D1_7000);
     for (name, simpl_f) in &out.simpl.fns {
         stats.functions += 1;
-        let wa_f = out.wa.fns.get(name).expect("wa keeps every function");
         for trial in 0..trials {
             stats.trials += 1;
             let conc0 = gen_state(&mut rng, tenv, &heap_types, HEAP_OBJS);
@@ -214,38 +211,54 @@ pub fn diff_output(out: &Output, seed: u64, trials: u32) -> DiffStats {
 
             // Simpl <-> L1 is exact; the three refinement pairs follow,
             // concrete side first (see `layers` for the relations).
-            record(&mut stats, &at, "simpl/l1", exact_pair(&runs[0], &runs[1]));
-            record(
-                &mut stats,
-                &at,
-                "l1/l2",
-                refine_pair(&runs[1], &runs[2], |va, vc| va == vc, conc_states_agree),
-            );
-            record(
-                &mut stats,
-                &at,
-                "l2/hl",
-                refine_pair(
-                    &runs[2],
-                    &runs[3],
-                    |va, vc| va == vc,
-                    |sa, sc| lifted_states_agree(sa, sc, tenv, &heap_types),
-                ),
-            );
-            record(
-                &mut stats,
-                &at,
-                "hl/wa",
-                refine_pair(
-                    &runs[3],
-                    &runs[4],
-                    |va, vc| wa_val_related(va, vc, &wa_f.ret_ty),
-                    abs_states_agree,
-                ),
-            );
+            let checks = pair_checks(out, name, &runs, &heap_types);
+            for (i, res) in checks.into_iter().enumerate() {
+                let pair = format!("{}/{}", LAYER_NAMES[i], LAYER_NAMES[i + 1]);
+                record(&mut stats, &at, &pair, res);
+            }
         }
     }
     stats
+}
+
+/// Runs `name` through the five layers on `trials` shared random inputs
+/// drawn from `seed`, and walks each run's layer pairs with
+/// [`first_divergence`]. A trial in which some layer ran out of fuel
+/// decides nothing; any other divergence is an error. Returns the number
+/// of trials whose WA run ended normally.
+///
+/// # Errors
+///
+/// The first divergence, naming the function and the trial.
+pub fn check_layers(
+    out: &Output,
+    name: &str,
+    heap_types: &[Ty],
+    trials: u32,
+    seed: u64,
+) -> Result<u32, String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let params = &out
+        .simpl
+        .function(name)
+        .ok_or_else(|| format!("unknown function {name}"))?
+        .params;
+    let mut normal = 0;
+    for i in 0..trials {
+        let conc0 = gen_state(&mut rng, &out.simpl.tenv, heap_types, HEAP_OBJS);
+        let args: Vec<Value> = params
+            .iter()
+            .map(|(_, t)| random_arg(&mut rng, t, heap_types, HEAP_OBJS))
+            .collect();
+        let runs = run_all(out, name, &args, &conc0, heap_types)
+            .map_err(|e| format!("{name} trial {i}: {e}"))?;
+        match first_divergence(out, name, &runs, heap_types) {
+            None => normal += u32::from(matches!(runs[4], LayerRun::Normal(..))),
+            Some(Divergence::Fuel { .. }) => {}
+            Some(d) => return Err(format!("{name} trial {i}: {d}")),
+        }
+    }
+    Ok(normal)
 }
 
 /// Folds one pair-check result into the campaign stats.

@@ -281,6 +281,40 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// Checks the four adjacent layer pairs of one [`run_all`] result, most
+/// concrete pair first: [`exact_pair`] for Simpl ↔ L1, then
+/// [`refine_pair`] under each boundary's value and state relations.
+/// Callers rule out `Broken` and `Fuel` runs first, as
+/// [`first_divergence`] does.
+pub fn pair_checks(
+    out: &Output,
+    name: &str,
+    runs: &[LayerRun; 5],
+    heap_types: &[Ty],
+) -> [Result<bool, String>; 4] {
+    let wa_ret_ty = out.wa.fns.get(name).map(|f| f.ret_ty.clone());
+    let tenv = &out.simpl.tenv;
+    [
+        exact_pair(&runs[0], &runs[1]),
+        refine_pair(&runs[1], &runs[2], |va, vc| va == vc, conc_states_agree),
+        refine_pair(
+            &runs[2],
+            &runs[3],
+            |va, vc| va == vc,
+            |sa, sc| lifted_states_agree(sa, sc, tenv, heap_types),
+        ),
+        refine_pair(
+            &runs[3],
+            &runs[4],
+            |va, vc| match &wa_ret_ty {
+                Some(t) => wa_val_related(va, vc, t),
+                None => va == vc,
+            },
+            abs_states_agree,
+        ),
+    ]
+}
+
 /// Walks the four adjacent layer pairs of one [`run_all`] result and
 /// returns the first divergence (most concrete pair first), or `None`
 /// when all decided pairs agree.
@@ -306,28 +340,7 @@ pub fn first_divergence(
             });
         }
     }
-    let wa_ret_ty = out.wa.fns.get(name).map(|f| f.ret_ty.clone());
-    let tenv = &out.simpl.tenv;
-    let checks: [Result<bool, String>; 4] = [
-        exact_pair(&runs[0], &runs[1]),
-        refine_pair(&runs[1], &runs[2], |va, vc| va == vc, conc_states_agree),
-        refine_pair(
-            &runs[2],
-            &runs[3],
-            |va, vc| va == vc,
-            |sa, sc| lifted_states_agree(sa, sc, tenv, heap_types),
-        ),
-        refine_pair(
-            &runs[3],
-            &runs[4],
-            |va, vc| match &wa_ret_ty {
-                Some(t) => wa_val_related(va, vc, t),
-                None => va == vc,
-            },
-            abs_states_agree,
-        ),
-    ];
-    for (i, c) in checks.into_iter().enumerate() {
+    for (i, c) in pair_checks(out, name, runs, heap_types).into_iter().enumerate() {
         if let Err(detail) = c {
             return Some(Divergence::Pair {
                 conc: LAYER_NAMES[i],

@@ -2,11 +2,12 @@
 //!
 //! The pipeline's trust story has two halves, and this crate attacks both:
 //!
-//! 1. **Fault injection** ([`mutate`]): forge lying derivations and
-//!    corrupted cache state through audit-only backdoors
-//!    (`kernel/forge`, `autocorres/audit` features) and assert the
-//!    independent checker kills every mutant — 100%, reported as a kill
-//!    matrix per mutation kind × pipeline phase.
+//! 1. **Fault injection** ([`mutate`]): forge lying derivations through
+//!    the disk store's node-table reader, the one unvalidated way
+//!    production builds a theorem, plant them in the store's segment
+//!    file, and assert the independent checker kills every mutant — 100%,
+//!    reported as a kill matrix per mutation kind × pipeline phase. No
+//!    build carries an audit-only constructor or store hook.
 //! 2. **Differential execution** ([`differential`]): run generated
 //!    programs through all five executable layers (Simpl, L1, L2, HL, WA)
 //!    on shared inputs and require agreement, covering the
@@ -25,14 +26,13 @@ pub mod discharge;
 pub mod layers;
 pub mod mutate;
 
-pub use differential::{diff_output, run_campaign, DiffConfig, DiffStats};
+pub use differential::{check_layers, diff_output, run_campaign, DiffConfig, DiffStats};
 pub use discharge::{
     check_discharges, run_discharge_campaign, DischargeConfig, DischargeStats,
 };
 pub use layers::{first_divergence, run_all, Divergence, LayerRun};
 pub use mutate::{
-    attack_artifact_store, attack_disk_store, attack_theorems, DiskAttackReport, KillMatrix,
-    Mutation, StoreAttackReport, MUTATIONS,
+    attack_disk_store, attack_theorems, forge, DiskAttackReport, KillMatrix, Mutation, MUTATIONS,
 };
 
 /// Handcrafted audit source: signed arithmetic (SDiv/SNeg guards), struct

@@ -2,13 +2,17 @@
 //!
 //! The kernel's trust story is LCF-style: `Thm` has no public constructor,
 //! and `kernel::check` replays every rule application bottom-up. This
-//! module attacks that story head-on. Using the kernel's audit-only
-//! `forge` backdoor it mints derivations that are *lies* — a swapped rule
-//! name, a perturbed conclusion, a dropped, extra or reordered premise,
-//! zeroed testing evidence, a renamed symbol on one side of a
-//! correspondence — and asserts the checker rejects **every single one**
-//! (a 100% mutation-kill rate, reported per mutation kind × pipeline
-//! phase).
+//! module attacks that story head-on. It mints derivations that are
+//! *lies* — a swapped rule name, a perturbed conclusion, a dropped, extra
+//! or reordered premise, zeroed testing evidence, a renamed symbol on one
+//! side of a correspondence — and asserts the checker rejects **every
+//! single one** (a 100% mutation-kill rate, reported per mutation kind ×
+//! pipeline phase).
+//!
+//! Mutants are minted through the one unvalidated reader production has,
+//! the disk store's node-table codec ([`forge`]): a lie reaches the checker
+//! the way a damaged cache record would, and no build carries a backdoor
+//! constructor for the audit.
 //!
 //! Two mutation classes are deliberately *not* in the matrix and covered
 //! elsewhere (DESIGN.md §6c):
@@ -18,17 +22,17 @@
 //!   than recomputing the conclusion, so a judgment tweak is only caught
 //!   probabilistically. The cross-layer differential oracle
 //!   ([`crate::differential`]) owns that half of the trust argument.
-//! * Cache corruption ([`attack_artifact_store`], [`attack_disk_store`]):
-//!   reported separately because the property is different — a corrupted
-//!   cache must never cause a forged theorem to be *accepted* (nor a
-//!   valid one to be rejected), but it is allowed to cost a cache miss.
+//! * Store corruption ([`attack_disk_store`]): reported separately
+//!   because the property is different — a corrupted cache must never
+//!   cause a forged theorem to be *accepted* (nor a valid one to be
+//!   rejected), but it is allowed to cost a cache miss.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use autocorres::phase::Artifact;
 use autocorres::{Options, Output, Session};
-use ir::codec::{seal, unseal, Codec, Decoder, Encoder};
+use ir::codec::{decode_from_slice, seal, unseal, Codec, Decoder, Encoder};
 use ir::expr::Expr;
 use ir::intern::Interned;
 use ir::names::Symbol;
@@ -306,7 +310,7 @@ fn applicable(thm: &Thm, kind: Mutation) -> bool {
 }
 
 /// Builds the mutated root: applies `kind` at `path`, then rebuilds every
-/// ancestor with `Thm::forge` (ancestor conclusions unchanged — the lie is
+/// ancestor with [`forge`] (ancestor conclusions unchanged — the lie is
 /// local).
 fn mutate_at(thm: &Thm, path: &[usize], kind: Mutation) -> Option<Thm> {
     if path.is_empty() {
@@ -315,7 +319,7 @@ fn mutate_at(thm: &Thm, path: &[usize], kind: Mutation) -> Option<Thm> {
     let i = path[0];
     let mut prems: Vec<Thm> = thm.premises().to_vec();
     prems[i] = mutate_at(&prems[i], &path[1..], kind)?;
-    Some(Thm::forge(
+    Some(forge(
         thm.rule(),
         prems,
         thm.judgment().clone(),
@@ -333,7 +337,7 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
                 Judgment::L1 { .. } => Rule::ReflRefines,
                 _ => Rule::L1Skip,
             };
-            Some(Thm::forge(new_rule, prems, j, side))
+            Some(forge(new_rule, prems, j, side))
         }
         Mutation::SwapRuleShape => {
             let new_rule = match thm.rule() {
@@ -348,24 +352,24 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
                 Rule::L1Call => Rule::L1Skip,
                 _ => return None,
             };
-            Some(Thm::forge(new_rule, prems, j, side))
+            Some(forge(new_rule, prems, j, side))
         }
         Mutation::PerturbJudgment => {
             let j2 = perturb_judgment(thm.judgment());
-            Some(Thm::forge(thm.rule(), prems, j2, side))
+            Some(forge(thm.rule(), prems, j2, side))
         }
         Mutation::DropPremise => {
-            Some(Thm::forge(thm.rule(), prems[1..].to_vec(), j, side))
+            Some(forge(thm.rule(), prems[1..].to_vec(), j, side))
         }
         Mutation::AddPremise => {
             let mut prems = prems;
             prems.push(thm.clone());
-            Some(Thm::forge(thm.rule(), prems, j, side))
+            Some(forge(thm.rule(), prems, j, side))
         }
         Mutation::ReorderPremises => {
             let mut prems = prems;
             prems.swap(0, 1);
-            Some(Thm::forge(thm.rule(), prems, j, side))
+            Some(forge(thm.rule(), prems, j, side))
         }
         Mutation::ZeroTestEvidence => {
             let new_side = match thm.side() {
@@ -375,15 +379,74 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
                 Side::SampledWVal { .. } => Side::None,
                 Side::None => return None,
             };
-            Some(Thm::forge(thm.rule(), prems, j, new_side))
+            Some(forge(thm.rule(), prems, j, new_side))
         }
         Mutation::CorruptSymbol => {
             let sym = conc_symbol(thm.judgment())?;
             let forged = Symbol::intern(&format!("{}\u{b7}forged", sym.as_str()));
             let j2 = rename_conc(thm.judgment(), sym, forged);
-            Some(Thm::forge(thm.rule(), prems, j2, side))
+            Some(forge(thm.rule(), prems, j2, side))
         }
     }
+}
+
+/// Builds the derivation node `rule` ⊢ `judgment` over `premises` without
+/// validating it, as the disk store would read a damaged record: writes a
+/// node table (`kernel::codec`'s layout: a varint row count, then per row
+/// its judgment, rule, side, varint premise count and premise row ids)
+/// whose rows are the premises' distinct nodes in postorder and whose last
+/// row is the new node, and decodes it with the store's `Thm` codec.
+/// Theorems are hash-consed, so the premise rows decode to the very nodes
+/// passed in and only the last row is new.
+///
+/// # Panics
+///
+/// Panics if the store's codec no longer reads this layout back to the
+/// requested node.
+#[must_use]
+pub fn forge(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
+    // Iterative postorder over distinct nodes: derivations can be deep.
+    let mut entered = HashSet::new();
+    let mut rows: Vec<&Thm> = Vec::new();
+    let mut stack: Vec<(&Thm, bool)> = premises.iter().rev().map(|p| (p, false)).collect();
+    while let Some((t, expanded)) = stack.pop() {
+        if expanded {
+            rows.push(t);
+        } else if entered.insert(t) {
+            stack.push((t, true));
+            stack.extend(t.premises().iter().rev().map(|p| (p, false)));
+        }
+    }
+    let ids: HashMap<&Thm, u64> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (*t, i as u64))
+        .collect();
+    let mut e = Encoder::new();
+    e.varint(rows.len() as u64 + 1);
+    let mut row = |judgment: &Judgment, rule: Rule, side: &Side, premises: &[Thm]| {
+        judgment.encode(&mut e);
+        rule.encode(&mut e);
+        side.encode(&mut e);
+        e.varint(premises.len() as u64);
+        for p in premises {
+            e.varint(ids[p]);
+        }
+    };
+    for t in &rows {
+        row(t.judgment(), t.rule(), t.side(), t.premises());
+    }
+    row(&judgment, rule, &side, &premises);
+    let thm = decode_from_slice::<Thm>(&e.finish())
+        .unwrap_or_else(|err| panic!("the store's Thm codec rejected a node table: {err:?}"));
+    assert!(
+        thm.rule() == rule
+            && *thm.judgment() == judgment
+            && *thm.side() == side
+            && thm.premises() == premises,
+        "the store's Thm codec did not read back the forged {rule:?} node"
+    );
+    thm
 }
 
 /// An opaque, unprovable extra conjunct ('·' cannot appear in parsed C, so
@@ -544,93 +607,6 @@ fn first_symbol_prog(p: &Prog) -> Option<Symbol> {
 }
 
 // ---------------------------------------------------------------------------
-// Cache and store corruption
-// ---------------------------------------------------------------------------
-
-/// Result of one artifact-store corruption attack.
-#[derive(Clone, Debug)]
-pub struct StoreAttackReport {
-    /// The phase whose stored artifact was corrupted.
-    pub phase: &'static str,
-    /// The function whose artifact was corrupted.
-    pub function: String,
-    /// The re-translation was answered from the (poisoned) cache.
-    pub cache_hit: bool,
-    /// `Session::check_all_report` rejected the poisoned output.
-    pub rejected: bool,
-}
-
-/// For each theorem-bearing phase, corrupts one stored artifact's theorem
-/// in a warm session, re-translates (a full cache hit, so the poisoned
-/// artifact flows into the output), and asserts the session checker
-/// rejects the result — cached state is *untrusted*; only replay is.
-///
-/// # Panics
-///
-/// Panics if `src` does not translate or a phase has no theorem-bearing
-/// artifact to corrupt.
-#[must_use]
-pub fn attack_artifact_store(src: &str, opts: &Options) -> Vec<StoreAttackReport> {
-    let mut reports = Vec::new();
-    for target in ["l1", "l2thm", "hl", "wa"] {
-        let sess = Session::new(opts.clone());
-        sess.translate(src).expect("audit source translates");
-        let store = sess.audit_store();
-        let key = store
-            .audit_keys()
-            .into_iter()
-            .find(|(phase, name, digest)| {
-                *phase == target
-                    && store.audit_get(phase, name, *digest).is_some_and(|a| {
-                        corrupt_artifact(&a.value, Mutation::SwapRuleFamily).is_some()
-                    })
-            })
-            .unwrap_or_else(|| panic!("no theorem-bearing `{target}` artifact"));
-        let art = store
-            .audit_get(key.0, &key.1, key.2)
-            .expect("artifact just found");
-        let poisoned =
-            corrupt_artifact(&art.value, Mutation::SwapRuleFamily).expect("artifact has a theorem");
-        assert!(store.audit_replace(key.0, &key.1, key.2, poisoned));
-        let out2 = sess.translate(src).expect("cached re-translation");
-        reports.push(StoreAttackReport {
-            phase: target,
-            function: key.1,
-            cache_hit: out2.stats.dirty_fns == 0,
-            rejected: sess.check_all_report(&out2, 1).is_err(),
-        });
-    }
-    reports
-}
-
-/// Replaces the artifact's theorem with a `kind` mutant of its root
-/// (`SwapRuleFamily` applies at any root). `None` if the artifact carries
-/// no theorem or `kind` does not apply to its root.
-fn corrupt_artifact(a: &Artifact, kind: Mutation) -> Option<Artifact> {
-    let forge = |thm: &Thm| {
-        applicable(thm, kind)
-            .then(|| mutate_at(thm, &[], kind))
-            .flatten()
-    };
-    Some(match a {
-        Artifact::L1 { fun, thm } => Artifact::L1 {
-            fun: fun.clone(),
-            thm: forge(thm)?,
-        },
-        Artifact::L2Thm(thm) => Artifact::L2Thm(forge(thm)?),
-        Artifact::Hl { fun, thm: Some(thm) } => Artifact::Hl {
-            fun: fun.clone(),
-            thm: Some(forge(thm)?),
-        },
-        Artifact::Wa { fun, thm: Some(thm) } => Artifact::Wa {
-            fun: fun.clone(),
-            thm: Some(forge(thm)?),
-        },
-        _ => return None,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Disk-store corruption (DESIGN.md §6g)
 // ---------------------------------------------------------------------------
 
@@ -649,11 +625,15 @@ pub struct DiskAttackReport {
     /// `check_all_report` accepted the (recomputed) theorems after every
     /// attack.
     pub verdicts_stable: bool,
-    /// A segment whose artifact record carries a forged false theorem,
-    /// re-sealed and re-framed, loaded without a rejection, and a warm
-    /// translation used it without recomputing anything.
+    /// The theorem-bearing phases that had one artifact record rewritten
+    /// to carry a forged false theorem, in pipeline order.
+    pub forged_phases: Vec<&'static str>,
+    /// Every such segment, re-sealed and re-framed, loaded without a
+    /// rejection, and a warm translation used it without recomputing
+    /// anything.
     pub forged_loaded: bool,
-    /// A fresh session's `check_all_report` rejected that translation.
+    /// A fresh session's `check_all_report` rejected every such
+    /// translation.
     pub forged_rejected: bool,
 }
 
@@ -661,26 +641,67 @@ impl DiskAttackReport {
     /// Did the disk store uphold the persistence trust property?
     #[must_use]
     pub fn sound(&self) -> bool {
-        self.output_stable && self.verdicts_stable && self.forged_loaded && self.forged_rejected
+        self.output_stable
+            && self.verdicts_stable
+            && self.forged_phases == FORGED_PHASES
+            && self.forged_loaded
+            && self.forged_rejected
     }
 }
+
+/// The phases whose store records carry theorems, in pipeline order.
+const FORGED_PHASES: [&str; 4] = ["l1", "l2thm", "hl", "wa"];
 
 /// The magic of an artifact record, as `autocorres::store` writes it.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
 
-/// `segment` with its first artifact record whose theorem admits a
-/// `CorruptSymbol` mutant at the root rewritten to carry that mutant — a
-/// false theorem, written through the store's `Thm` codec — then re-sealed
-/// and re-framed (the sealed record's length and its complement) as the
-/// store writes records.
-fn forge_record(segment: &[u8]) -> Option<Vec<u8>> {
+/// `a` with its theorem replaced by a mutant of the theorem's root:
+/// `CorruptSymbol` where it applies, else `SwapRuleFamily`, which applies
+/// at any root (`ExecTested` leaves carry no symbol to corrupt). `None` if
+/// `a` carries no theorem.
+fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
+    let lie = |thm: &Thm| {
+        let kind = if applicable(thm, Mutation::CorruptSymbol) {
+            Mutation::CorruptSymbol
+        } else {
+            Mutation::SwapRuleFamily
+        };
+        apply(thm, kind).expect("the mutation applies at the root")
+    };
+    Some(match a {
+        Artifact::L1 { fun, thm } => Artifact::L1 {
+            fun: fun.clone(),
+            thm: lie(thm),
+        },
+        Artifact::L2Thm(thm) => Artifact::L2Thm(lie(thm)),
+        Artifact::Hl { fun, thm: Some(thm) } => Artifact::Hl {
+            fun: fun.clone(),
+            thm: Some(lie(thm)),
+        },
+        Artifact::Wa { fun, thm: Some(thm) } => Artifact::Wa {
+            fun: fun.clone(),
+            thm: Some(lie(thm)),
+        },
+        _ => return None,
+    })
+}
+
+/// `segment` with its first `phase` artifact record that carries a theorem
+/// rewritten to carry a mutant of that theorem ([`corrupt_artifact`]) — a
+/// false theorem, written through the store's `Thm` codec — then
+/// re-sealed and re-framed (the sealed record's length and its
+/// complement) as the store writes records.
+fn forge_record(segment: &[u8], phase: &str) -> Option<Vec<u8>> {
     let records = autocorres::store::frames(segment).into_iter().flatten();
     records.into_iter().find_map(|span| {
         let mut d = Decoder::new(unseal(ART_MAGIC, &segment[span.start + 16..span.end]).ok()?);
-        let (phase, name, digest) = (d.str().ok()?, d.str().ok()?, d.u128_fixed().ok()?);
-        let forged = corrupt_artifact(&Artifact::decode(&mut d).ok()?, Mutation::CorruptSymbol)?;
+        let (rec_phase, name, digest) = (d.str().ok()?, d.str().ok()?, d.u128_fixed().ok()?);
+        if rec_phase != phase {
+            return None;
+        }
+        let forged = corrupt_artifact(&Artifact::decode(&mut d).ok()?)?;
         let mut e = Encoder::new();
-        e.str(&phase);
+        e.str(&rec_phase);
         e.str(&name);
         e.u128_fixed(digest);
         forged.encode(&mut e);
@@ -691,16 +712,17 @@ fn forge_record(segment: &[u8]) -> Option<Vec<u8>> {
     })
 }
 
-/// Translates `src` through a disk-backed session and checks it, then
-/// forges a false theorem into one artifact record (see
-/// [`DiskAttackReport::forged_rejected`]), then runs `rounds` of
-/// randomized on-disk corruption — each round mutates the store's segment
-/// (a bit flip inside a random record, truncation, appended garbage, or
-/// deletion), warm-starts a fresh session from the damaged directory, and
-/// requires byte-identical WA output plus a passing checker replay. The
-/// disk path must uphold the same property as the in-memory caches:
-/// corruption may cost cache misses, never a changed verdict or changed
-/// output bytes, and the cache directory is never evidence.
+/// Translates `src` through a disk-backed session and checks it, then, for
+/// each theorem-bearing phase, forges a false theorem into one of its
+/// artifact records (see [`DiskAttackReport::forged_rejected`]), then runs
+/// `rounds` of randomized on-disk corruption — each round mutates the
+/// store's segment (a bit flip inside a random record, truncation,
+/// appended garbage, or deletion), warm-starts a fresh session from the
+/// damaged directory, and requires byte-identical WA output plus a
+/// passing checker replay. The disk path must uphold the same property as
+/// the in-memory caches: corruption may cost cache misses, never a
+/// changed verdict or changed output bytes, and the cache directory is
+/// never evidence.
 ///
 /// # Panics
 ///
@@ -733,21 +755,22 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
     };
 
     // A false theorem in the cache directory, under valid seals and
-    // frames: the warm translation takes it from the store, and the check
-    // of a fresh session, which remembers no earlier validation, must
-    // reject it.
+    // frames, as anyone who can write the directory can plant it: the warm
+    // translation takes it from the store, and the check of a fresh
+    // session, which remembers no earlier validation, must reject it.
     let segment = dir.join(autocorres::store::SEGMENT);
     let clean = std::fs::read(&segment).expect("store populated");
-    let forged = forge_record(&clean).expect("a record with a forgeable theorem");
-    std::fs::write(&segment, forged).expect("writable");
-    let (forged_loaded, forged_rejected) = {
+    let (mut forged_phases, mut forged_loaded, mut forged_rejected) = (Vec::new(), true, true);
+    for phase in FORGED_PHASES {
+        let forged = forge_record(&clean, phase)
+            .unwrap_or_else(|| panic!("no `{phase}` record carries a theorem"));
+        std::fs::write(&segment, forged).expect("writable");
         let sess = Session::new(opts.clone());
         let out = sess.translate(src).expect("a forged record translates");
-        (
-            sess.load_report().rejected == 0 && out.stats.dirty_fns == 0,
-            sess.check_all_report(&out, 1).is_err(),
-        )
-    };
+        forged_loaded &= sess.load_report().rejected == 0 && out.stats.dirty_fns == 0;
+        forged_rejected &= sess.check_all_report(&out, 1).is_err();
+        forged_phases.push(phase);
+    }
     std::fs::write(&segment, &clean).expect("writable");
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -756,6 +779,7 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
         loads_degraded: 0,
         output_stable: true,
         verdicts_stable: true,
+        forged_phases,
         forged_loaded,
         forged_rejected,
     };

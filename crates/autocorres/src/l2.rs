@@ -25,15 +25,11 @@ use cparser::typecheck::{ctype_to_ty, TExprKind, TFunDef, TProgram, TStmt};
 use ir::diag::{Diag, DiagKind};
 use ir::expr::Expr;
 use ir::guard::GuardKind;
-use ir::state::State;
 use ir::ty::Ty;
 use ir::update::Update;
 use kernel::rules::refine;
 use kernel::{CheckCtx, Thm};
-use monadic::interp::MonadFault;
 use monadic::{MonadicFn, Prog, ProgramCtx};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use simpl::stmt::SimplStmt;
 use simpl::translate::FnTranslator;
 
@@ -111,7 +107,7 @@ pub fn l2_fn_theorem(
     let l2b = &l2ctx.fns[name].body;
     let l1b = &l1ctx.fns[name].body;
     refine::exec_tested(cx, l2b, l1b, trials, fn_seed, || {
-        test_fn_refines(l2ctx, l1ctx, name, heap_types, trials, fn_seed)
+        crate::testing::exec_test_fn(l2ctx, l1ctx, name, heap_types, trials, fn_seed)
             .map_err(|m| Diag::new(ir::diag::Phase::L2, DiagKind::Testing, m))
     })
     .map_err(|e| {
@@ -122,59 +118,6 @@ pub fn l2_fn_theorem(
         )
         .with_function(name)
     })
-}
-
-/// Differential test: the L2 function refines the L1 function (equal
-/// results and equal heap/global state whenever L2 does not fail).
-fn test_fn_refines(
-    l2ctx: &ProgramCtx,
-    l1ctx: &ProgramCtx,
-    fname: &str,
-    heap_types: &[Ty],
-    trials: u32,
-    seed: u64,
-) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f = &l1ctx.fns[fname];
-    let void = f.ret_ty == Ty::Unit;
-    for i in 0..trials {
-        let conc = crate::testing::gen_state(&mut rng, &l1ctx.tenv, heap_types, 4);
-        let mut st = State::Conc(conc);
-        for (g, v) in &l1ctx.globals {
-            st.set_global(g, v.clone());
-        }
-        let args: Vec<_> = f
-            .params
-            .iter()
-            .map(|(_, t)| crate::testing::random_arg(&mut rng, t, heap_types, 4))
-            .collect();
-        let r2 = monadic::exec_fn(l2ctx, fname, &args, st.clone(), 100_000);
-        let r2 = match r2 {
-            Ok(pair) => pair,
-            Err(MonadFault::Failure(_) | MonadFault::OutOfFuel) => continue,
-            Err(e) => return Err(format!("trial {i}: L2 stuck: {e}")),
-        };
-        let r1 = match monadic::exec_fn(l1ctx, fname, &args, st, 100_000) {
-            Ok(pair) => pair,
-            // L1 spends more fuel per call (locals live in the state), so
-            // it can time out where L2 finished: inconclusive, not a
-            // violation.
-            Err(MonadFault::OutOfFuel) => continue,
-            Err(e) => return Err(format!("trial {i}: L1 fails ({e}) but L2 succeeds")),
-        };
-        let (v2, mut s2) = r2;
-        let (v1, mut s1) = r1;
-        if !void && v1 != v2 {
-            return Err(format!("trial {i}: values differ: L1 {v1:?} vs L2 {v2:?}"));
-        }
-        // Locals are a calling-convention artefact; compare heap + globals.
-        s1.swap_locals(std::collections::BTreeMap::new());
-        s2.swap_locals(std::collections::BTreeMap::new());
-        if s1 != s2 {
-            return Err(format!("trial {i}: states differ after {fname}"));
-        }
-    }
-    Ok(())
 }
 
 /// Translates one function to its L2 form.

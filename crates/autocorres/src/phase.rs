@@ -808,8 +808,15 @@ impl Phase for AdaptPhase {
             trials,
             seed,
             || {
-                test_adapted_fn(&sh.wactx, &wash.hlctx, name, &sh.heap_types, trials, seed)
-                    .map_err(|m| Diag::new(ir::diag::Phase::Wa, DiagKind::Testing, m))
+                crate::testing::exec_test_fn(
+                    &sh.wactx,
+                    &wash.hlctx,
+                    name,
+                    &sh.heap_types,
+                    trials,
+                    seed,
+                )
+                .map_err(|m| Diag::new(ir::diag::Phase::Wa, DiagKind::Testing, m))
             },
         )
         .map_err(|e| {
@@ -958,54 +965,6 @@ impl ArtifactStore {
     /// a miss, never a wrong answer.
     pub(crate) fn preload(&self, phase: &'static str, name: &str, artifact: Arc<PhaseArtifact>) {
         self.put(phase, name, artifact);
-    }
-
-    /// Audit-only (`audit` feature): every stored key, sorted.
-    #[cfg(feature = "audit")]
-    #[must_use]
-    pub fn audit_keys(&self) -> Vec<(&'static str, String, u128)> {
-        let mut keys: Vec<ArtifactKey> = self
-            .map
-            .lock()
-            .expect("artifact store poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        keys.sort();
-        keys
-    }
-
-    /// Audit-only (`audit` feature): reads a stored artifact by key.
-    #[cfg(feature = "audit")]
-    #[must_use]
-    pub fn audit_get(
-        &self,
-        phase: &'static str,
-        name: &str,
-        digest: u128,
-    ) -> Option<Arc<PhaseArtifact>> {
-        self.get(phase, name, digest)
-    }
-
-    /// Audit-only (`audit` feature): overwrites the artifact stored under
-    /// an existing key — the store-corruption attack. Returns `false`
-    /// (storing nothing) when the key was never populated, so the attack
-    /// cannot accidentally *grow* the store.
-    #[cfg(feature = "audit")]
-    pub fn audit_replace(
-        &self,
-        phase: &'static str,
-        name: &str,
-        digest: u128,
-        value: Artifact,
-    ) -> bool {
-        let mut map = self.map.lock().expect("artifact store poisoned");
-        let key = (phase, name.to_owned(), digest);
-        if !map.contains_key(&key) {
-            return false;
-        }
-        map.insert(key, Arc::new(PhaseArtifact { digest, value }));
-        true
     }
 }
 
@@ -1406,43 +1365,6 @@ fn plan_caller_adaptations(
             }
         })
         .collect()
-}
-
-/// Differential test for an adapted concrete caller: final-level run vs
-/// HL-level run on identical concrete states and arguments.
-fn test_adapted_fn(
-    wactx: &ProgramCtx,
-    hlctx: &ProgramCtx,
-    fname: &str,
-    heap_types: &[Ty],
-    trials: u32,
-    seed: u64,
-) -> Result<(), String> {
-    use ir::state::State;
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-    let f = &hlctx.fns[fname];
-    for i in 0..trials {
-        let conc = crate::testing::gen_state(&mut rng, &hlctx.tenv, heap_types, 4);
-        let args: Vec<ir::value::Value> = f
-            .params
-            .iter()
-            .map(|(_, t)| crate::testing::random_arg(&mut rng, t, heap_types, 4))
-            .collect();
-        let st = State::Conc(conc);
-        let new_run = monadic::exec_fn(wactx, fname, &args, st.clone(), 200_000);
-        let old_run = monadic::exec_fn(hlctx, fname, &args, st, 200_000);
-        match (new_run, old_run) {
-            (Ok((v1, s1)), Ok((v2, s2))) => {
-                if v1 != v2 || s1 != s2 {
-                    return Err(format!("trial {i}: adapted caller diverges"));
-                }
-            }
-            (Err(monadic::MonadFault::Failure(_)), _) => continue,
-            (_, Err(monadic::MonadFault::Failure(_))) => continue,
-            (a, b) => return Err(format!("trial {i}: outcomes diverge: {a:?} vs {b:?}")),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -139,14 +139,6 @@ impl Session {
         }
     }
 
-    /// Audit-only (`audit` feature): direct access to the session's
-    /// artifact store, for the store-corruption attacks.
-    #[cfg(feature = "audit")]
-    #[must_use]
-    pub fn audit_store(&self) -> &ArtifactStore {
-        &self.store
-    }
-
     /// Translates C source, reusing unchanged per-function artifacts from
     /// earlier runs of this session (and, with a cache dir, earlier
     /// processes).

@@ -1,5 +1,6 @@
 //! Random program-state generation for the differential refinement
-//! validators.
+//! validators, and the one differential tester behind `ExecTested`
+//! theorems ([`exec_test_fn`]).
 //!
 //! Generates concrete byte-level states populated with tagged heap objects
 //! whose pointer fields point at each other (or NULL), so that
@@ -7,13 +8,16 @@
 //! shapes, plus random argument values whose pointer arguments hit the
 //! allocated objects.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use std::collections::BTreeMap;
 
-use ir::state::ConcState;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use ir::state::{ConcState, State};
 use ir::ty::{Signedness, Ty, TypeEnv};
 use ir::value::{Ptr, Value};
 use ir::word::Word;
+use monadic::{MonadFault, ProgramCtx};
 
 /// Base address of generated objects (each object slot is 0x100 apart).
 pub const OBJ_BASE: u64 = 0x1000;
@@ -27,7 +31,7 @@ pub const OBJ_STRIDE: u64 = 0x100;
 pub fn gen_state(rng: &mut StdRng, tenv: &TypeEnv, heap_types: &[Ty], n: usize) -> ConcState {
     let mut st = ConcState::default();
     // Pre-compute the addresses each type's objects will live at.
-    let mut addrs_of: std::collections::BTreeMap<Ty, Vec<u64>> = Default::default();
+    let mut addrs_of: BTreeMap<Ty, Vec<u64>> = Default::default();
     let mut next = OBJ_BASE;
     for ty in heap_types {
         let mut addrs = Vec::new();
@@ -51,7 +55,7 @@ pub fn gen_state(rng: &mut StdRng, tenv: &TypeEnv, heap_types: &[Ty], n: usize) 
 pub fn random_ptr_into(
     rng: &mut StdRng,
     ty: &Ty,
-    addrs_of: &std::collections::BTreeMap<Ty, Vec<u64>>,
+    addrs_of: &BTreeMap<Ty, Vec<u64>>,
 ) -> Ptr {
     let addrs = addrs_of.get(ty).map(Vec::as_slice).unwrap_or(&[]);
     if addrs.is_empty() || rng.gen_bool(0.3) {
@@ -65,7 +69,7 @@ fn random_object(
     rng: &mut StdRng,
     tenv: &TypeEnv,
     ty: &Ty,
-    addrs_of: &std::collections::BTreeMap<Ty, Vec<u64>>,
+    addrs_of: &BTreeMap<Ty, Vec<u64>>,
 ) -> Value {
     match ty {
         Ty::Word(w, s) => {
@@ -132,7 +136,7 @@ pub fn random_arg(rng: &mut StdRng, ty: &Ty, heap_types: &[Ty], n: usize) -> Val
 /// types appearing anywhere) — used both by state generation and by the
 /// heap-abstraction engine's `abs_globals` construction.
 #[must_use]
-pub fn heap_types_of(tenv: &TypeEnv, fns: &monadic::ProgramCtx) -> Vec<Ty> {
+pub fn heap_types_of(tenv: &TypeEnv, fns: &ProgramCtx) -> Vec<Ty> {
     let mut out = std::collections::BTreeSet::new();
     for f in fns.fns.values() {
         collect_prog_heap_types(&f.body, &mut out);
@@ -170,67 +174,142 @@ fn collect_prog_heap_types(p: &monadic::Prog, out: &mut std::collections::BTreeS
     });
 }
 
-/// End-to-end differential refinement check between the Simpl (parser)
-/// level and the final WA output of a pipeline run: whenever the abstract
-/// run succeeds normally, the concrete run must succeed with the related
-/// result and an equal lifted heap. Returns the number of decided trials.
+/// The differential test behind an `ExecTested` theorem that `abs`'s
+/// version of `fname` refines `conc`'s. Each of `trials` trials runs both
+/// on one generated concrete state (`conc`'s globals seeded) and one set
+/// of generated arguments. A trial in which the abstract side fails or
+/// either side runs out of fuel decides nothing and is skipped. Otherwise
+/// the concrete side must not fail either, and both must agree on the
+/// result (its value, unless the function is void) and on the final heap
+/// and globals; locals are a calling-convention artefact and are not
+/// compared.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a refinement violation.
-pub fn check_e2e_refinement(
-    out: &crate::Output,
+/// A description of the first trial that violates the refinement.
+pub fn exec_test_fn(
+    abs: &ProgramCtx,
+    conc: &ProgramCtx,
     fname: &str,
     heap_types: &[Ty],
     trials: u32,
     seed: u64,
-) -> u32 {
-    use ir::state::State;
-    use monadic::MonadResult;
-    let mut rng = rand::SeedableRng::seed_from_u64(seed);
-    let f = out.wa.function(fname).expect("function exists");
-    let simpl_f = out.simpl.function(fname).expect("function exists");
-    let mut decided = 0;
+) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let f = &conc.fns[fname];
+    let void = f.ret_ty == Ty::Unit;
     for i in 0..trials {
-        let conc = gen_state(&mut rng, &out.simpl.tenv, heap_types, 4);
-        let args: Vec<Value> = simpl_f
+        let mut st = State::Conc(gen_state(&mut rng, &conc.tenv, heap_types, 4));
+        for (g, v) in &conc.globals {
+            st.set_global(g, v.clone());
+        }
+        let args: Vec<Value> = f
             .params
             .iter()
             .map(|(_, t)| random_arg(&mut rng, t, heap_types, 4))
             .collect();
-        let abs_args: Vec<Value> = args
-            .iter()
-            .zip(&simpl_f.params)
-            .map(|(v, (_, t))| {
-                kernel::AbsFun::for_ty(t).apply(v).expect("abstractable argument")
-            })
-            .collect();
-        let abs_state =
-            State::Abs(heapmodel::lift_state(&conc, &out.simpl.tenv, heap_types));
-        let (abs_val, abs_final) =
-            match monadic::exec_fn(&out.wa, fname, &abs_args, abs_state, 400_000) {
-                Ok((MonadResult::Normal(v), st)) => (v, st),
-                _ => continue,
-            };
-        let (conc_val, conc_final) = simpl::exec_fn(
-            &out.simpl,
-            fname,
-            &args,
-            State::Conc(conc),
-            400_000,
-        )
-        .unwrap_or_else(|e| panic!("{fname} trial {i}: concrete faults: {e}"));
-        let expect = match (&conc_val, &f.ret_ty) {
-            (Value::Word(w), Ty::Nat) => Value::Nat(w.unat()),
-            (Value::Word(w), Ty::Int) => Value::Int(w.sint()),
-            (other, _) => other.clone(),
+        let (va, mut sa) = match monadic::exec_fn(abs, fname, &args, st.clone(), 100_000) {
+            Ok(pair) => pair,
+            Err(MonadFault::Failure(_) | MonadFault::OutOfFuel) => continue,
+            Err(e) => return Err(format!("trial {i}: abstract side stuck: {e}")),
         };
-        assert_eq!(abs_val, expect, "{fname} trial {i}: results unrelated");
-        let State::Conc(cf) = conc_final else { unreachable!() };
-        let lifted = heapmodel::lift_state(&cf, &out.simpl.tenv, heap_types);
-        let State::Abs(af) = abs_final else { unreachable!() };
-        assert_eq!(lifted.heaps, af.heaps, "{fname} trial {i}: heaps differ");
-        decided += 1;
+        let (vc, mut sc) = match monadic::exec_fn(conc, fname, &args, st, 100_000) {
+            Ok(pair) => pair,
+            // The concrete side can spend more fuel per call (L1 keeps
+            // its locals in the state), so it can time out where the
+            // abstract side finished: inconclusive, not a violation.
+            Err(MonadFault::OutOfFuel) => continue,
+            Err(e) => {
+                return Err(format!(
+                    "trial {i}: concrete side fails ({e}) but abstract side succeeds"
+                ))
+            }
+        };
+        if !void && va != vc {
+            return Err(format!(
+                "trial {i}: values differ: concrete {vc:?} vs abstract {va:?}"
+            ));
+        }
+        sa.swap_locals(BTreeMap::new());
+        sc.swap_locals(BTreeMap::new());
+        if sa != sc {
+            return Err(format!("trial {i}: states differ after {fname}"));
+        }
     }
-    decided
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ir::expr::Expr;
+    use ir::update::Update;
+    use monadic::{MonadicFn, Prog};
+
+    /// A program with one global `g` and one lambda-bound function
+    /// `f(x: u32, p: u32*)` returning `ret_ty` by `body`.
+    fn ctx(ret_ty: Ty, body: Prog) -> ProgramCtx {
+        let f = MonadicFn {
+            name: "f".into(),
+            params: vec![("x".into(), Ty::U32), ("p".into(), Ty::U32.ptr_to())],
+            ret_ty,
+            frame: None,
+            body,
+        };
+        ProgramCtx {
+            fns: [("f".to_owned(), f)].into_iter().collect(),
+            globals: vec![("g".into(), Value::Word(Word::u32(0)))],
+            ..ProgramCtx::default()
+        }
+    }
+
+    fn exec_test(ret_ty: Ty, abs: Prog, conc: Prog) -> Result<(), String> {
+        let (abs, conc) = (ctx(ret_ty.clone(), abs), ctx(ret_ty, conc));
+        exec_test_fn(&abs, &conc, "f", &[Ty::U32], 16, 7)
+    }
+
+    fn ret_x() -> Prog {
+        Prog::ret(Expr::var("x"))
+    }
+
+    #[test]
+    fn equal_functions_pass() {
+        assert_eq!(exec_test(Ty::U32, ret_x(), ret_x()), Ok(()));
+    }
+
+    #[test]
+    fn a_concrete_failure_under_an_abstract_return_is_a_violation() {
+        let err = exec_test(Ty::U32, ret_x(), Prog::Fail).unwrap_err();
+        assert!(err.contains("concrete side fails"), "{err}");
+    }
+
+    #[test]
+    fn an_abstract_failure_decides_nothing() {
+        let conc = Prog::ret(Expr::word(Word::u32(1)));
+        assert_eq!(exec_test(Ty::U32, Prog::Fail, conc), Ok(()));
+    }
+
+    #[test]
+    fn different_values_heaps_or_globals_are_violations() {
+        let one = Expr::word(Word::u32(1));
+        let err = exec_test(Ty::U32, ret_x(), Prog::ret(one.clone())).unwrap_err();
+        assert!(err.contains("values differ"), "{err}");
+
+        let p = Expr::var("p");
+        let write = Prog::Modify(Update::Heap(Ty::U32, p.clone(), Expr::word(Word::u32(0x7777))));
+        let nonnull = Expr::not(Expr::eq(p, Expr::null(Ty::U32)));
+        let heap_write = Prog::cond(nonnull, write, Prog::skip());
+        let err = exec_test(Ty::Unit, Prog::skip(), heap_write).unwrap_err();
+        assert!(err.contains("states differ"), "{err}");
+
+        let global_write = Prog::Modify(Update::Global("g".into(), one));
+        let err = exec_test(Ty::Unit, Prog::skip(), global_write).unwrap_err();
+        assert!(err.contains("states differ"), "{err}");
+    }
+
+    #[test]
+    fn differing_locals_pass() {
+        let abs = Prog::then(Prog::Modify(Update::Local("t".into(), Expr::var("x"))), ret_x());
+        assert_eq!(exec_test(Ty::U32, abs, ret_x()), Ok(()));
+    }
 }

@@ -466,12 +466,6 @@ impl<'a> Decoder<'a> {
     pub fn shared_push<T: Clone + 'static>(&mut self, v: T) {
         self.shared_table::<T>().push(v);
     }
-
-    /// Number of shared nodes of type `T` decoded so far.
-    #[must_use]
-    pub fn shared_count<T: Clone + 'static>(&mut self) -> usize {
-        self.shared_table::<T>().len()
-    }
 }
 
 // ---------------------------------------------------------------------------

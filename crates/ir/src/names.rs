@@ -198,13 +198,6 @@ impl VarGen {
         self.reserved.insert(name.to_owned());
     }
 
-    /// Marks many names as taken.
-    pub fn reserve_all<'a>(&mut self, names: impl IntoIterator<Item = &'a str>) {
-        for n in names {
-            self.reserve(n);
-        }
-    }
-
     /// Produces a fresh name starting with `prefix`.
     pub fn fresh(&mut self, prefix: &str) -> String {
         loop {

@@ -110,12 +110,6 @@ impl Ty {
         Ty::Arr(Box::new(self), n)
     }
 
-    /// Is this a machine-word type?
-    #[must_use]
-    pub fn is_word(&self) -> bool {
-        matches!(self, Ty::Word(..))
-    }
-
     /// Is this a pointer type?
     #[must_use]
     pub fn is_ptr(&self) -> bool {

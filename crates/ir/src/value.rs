@@ -157,24 +157,6 @@ impl Value {
         }
     }
 
-    /// Extracts a natural.
-    #[must_use]
-    pub fn as_nat(&self) -> Option<&Nat> {
-        match self {
-            Value::Nat(n) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Extracts an integer.
-    #[must_use]
-    pub fn as_int(&self) -> Option<&Int> {
-        match self {
-            Value::Int(i) => Some(i),
-            _ => None,
-        }
-    }
-
     /// Looks up a struct field value.
     #[must_use]
     pub fn field(&self, name: &str) -> Option<&Value> {

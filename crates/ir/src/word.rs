@@ -114,15 +114,6 @@ impl Word {
         Int::from(self.signed_value())
     }
 
-    /// The value as an ideal integer using this word's own signedness.
-    #[must_use]
-    pub fn to_int(&self) -> Int {
-        match self.sign {
-            Signedness::Signed => self.sint(),
-            Signedness::Unsigned => Int::from(self.bits),
-        }
-    }
-
     /// `of_nat`: builds a word from a natural, reducing modulo 2ⁿ.
     #[must_use]
     pub fn of_nat(n: &Nat, width: Width, sign: Signedness) -> Word {

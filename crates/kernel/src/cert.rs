@@ -216,7 +216,7 @@ mod tests {
 
     /// A sealed certificate under `cx` with the node table `rows`
     /// (judgment, rule, premise ids; no side data) and the roots `roots`.
-    fn forge(cx: &CheckCtx, rows: &[(&Judgment, Rule, &[u64])], roots: &[u64]) -> Vec<u8> {
+    fn raw_cert(cx: &CheckCtx, rows: &[(&Judgment, Rule, &[u64])], roots: &[u64]) -> Vec<u8> {
         let mut e = Encoder::new();
         cx.encode(&mut e);
         e.varint(rows.len() as u64);
@@ -249,9 +249,9 @@ mod tests {
     fn malformed_tables_and_other_versions_are_format_errors() {
         let (cx, t) = sample();
         let j = t.judgment();
-        let self_premise = forge(&cx, &[(j, Rule::WLit, &[0])], &[]);
-        let root_out_of_range = forge(&cx, &[(j, Rule::WLit, &[])], &[1]);
-        assert!(check_cert(&forge(&cx, &[(j, Rule::WLit, &[])], &[0])).is_ok());
+        let self_premise = raw_cert(&cx, &[(j, Rule::WLit, &[0])], &[]);
+        let root_out_of_range = raw_cert(&cx, &[(j, Rule::WLit, &[])], &[1]);
+        assert!(check_cert(&raw_cert(&cx, &[(j, Rule::WLit, &[])], &[0])).is_ok());
         let mut v1 = encode_cert(&cx, &[("lit5", &t)]);
         v1[..8].copy_from_slice(b"ACRCERT1");
         for bytes in [self_premise, root_out_of_range, v1] {
@@ -267,11 +267,11 @@ mod tests {
         // `return 6` refines `return 5`, "by reflexivity".
         let lie = refines(&six, &five);
         let refl = |j| (j, Rule::ReflRefines, &[][..]);
-        assert!(check_cert(&forge(&cx, &[refl(&truth)], &[0])).is_ok());
+        assert!(check_cert(&raw_cert(&cx, &[refl(&truth)], &[0])).is_ok());
         // The lie as a root, as the only premise path of a root whose own
         // step is valid, and in a row no root reaches.
-        let as_root = forge(&cx, &[refl(&truth), refl(&lie)], &[1]);
-        let as_premise = forge(
+        let as_root = raw_cert(&cx, &[refl(&truth), refl(&lie)], &[1]);
+        let as_premise = raw_cert(
             &cx,
             &[
                 refl(&lie),
@@ -280,7 +280,7 @@ mod tests {
             ],
             &[2],
         );
-        let unreachable = forge(&cx, &[refl(&truth), refl(&lie)], &[0]);
+        let unreachable = raw_cert(&cx, &[refl(&truth), refl(&lie)], &[0]);
         for (bytes, row) in [(as_root, 1), (as_premise, 0), (unreachable, 1)] {
             match check_cert(&bytes) {
                 Err(CertError::Replay { node, .. }) => assert_eq!(node, row),
@@ -314,7 +314,7 @@ mod tests {
             (&valid, Rule::ReflRefines, &[][..]),
             (&forged, Rule::ReflRefines, &[]),
         ];
-        match check_cert(&forge(&cx, &rows, &[0, 1])) {
+        match check_cert(&raw_cert(&cx, &rows, &[0, 1])) {
             Err(CertError::Replay { node, .. }) => assert_eq!(node, 1),
             other => panic!("the forged row was not rejected: {other:?}"),
         }

@@ -70,17 +70,6 @@ impl AbsFun {
         }
     }
 
-    /// The cast that *undoes* this abstraction on expressions
-    /// (`of_nat`/`of_int`), given the concrete word shape.
-    #[must_use]
-    pub fn inverse_cast(&self, ty: &Ty) -> Option<CastKind> {
-        match (self, ty) {
-            (AbsFun::Unat, Ty::Word(w, s)) => Some(CastKind::OfNat(*w, *s)),
-            (AbsFun::Sint, Ty::Word(w, s)) => Some(CastKind::OfInt(*w, *s)),
-            _ => None,
-        }
-    }
-
     /// The cast implementing this abstraction on expressions (`unat`/`sint`).
     #[must_use]
     pub fn forward_cast(&self) -> Option<CastKind> {

@@ -225,9 +225,13 @@ pub enum Side {
 
 /// A theorem: a judgment together with its full derivation.
 ///
-/// `Thm` has no public constructor; instances can only be produced by the
-/// rule functions in [`crate::rules`], each of which checks its side
-/// conditions while it computes the conclusion (the LCF discipline).
+/// `Thm` has no public constructor. A theorem is built in three ways only:
+/// by a rule function in [`crate::rules`], which checks its side
+/// conditions while it computes the conclusion (the LCF discipline); by
+/// the certificate reader through the validating `Thm::admit`; or by the
+/// store's node-table reader through `Thm::from_row` (`persist` feature),
+/// the one path that does not validate, whose theorems replay checks like
+/// any other.
 ///
 /// A `Thm` is a handle to a hash-consed derivation node (`ir::intern`, the
 /// machinery terms use): structurally equal derivations are one
@@ -300,20 +304,6 @@ impl Thm {
     /// only while the node is alive (see `ir::intern::Interned::key`).
     pub(crate) fn key(&self) -> usize {
         self.0.key()
-    }
-
-    /// Audit-only constructor that **skips validation** (`forge` feature).
-    ///
-    /// This deliberately breaks the LCF discipline: it mints a theorem
-    /// from arbitrary parts so the fault-injection harness
-    /// (`crates/audit`) can hand the checker derivations that are *lies*
-    /// and assert every one is rejected. `proof_size` is computed normally
-    /// so forged trees are indistinguishable from real ones except through
-    /// replay. Nothing outside audit builds may enable the feature.
-    #[cfg(feature = "forge")]
-    #[must_use]
-    pub fn forge(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
-        Thm::assemble(rule, premises, judgment, side)
     }
 
     /// Store-only constructor (`persist` feature) that rebuilds a theorem

@@ -691,25 +691,6 @@ impl ProgramCtx {
         }
         st
     }
-
-    /// The call graph: for every function, the set of functions its body
-    /// calls that are defined in this context (external names are dropped).
-    /// Deterministic by construction (`BTreeMap`/`BTreeSet` ordering).
-    #[must_use]
-    pub fn call_graph(&self) -> BTreeMap<String, BTreeSet<String>> {
-        self.fns
-            .iter()
-            .map(|(name, f)| {
-                let callees: BTreeSet<String> = f
-                    .body
-                    .calls()
-                    .into_iter()
-                    .filter(|c| self.fns.contains_key(c))
-                    .collect();
-                (name.clone(), callees)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -176,17 +176,6 @@ pub fn wa_signatures(cx: &CheckCtx, hlctx: &ProgramCtx, opts: &WaOptions) -> Che
     cx
 }
 
-/// Abstracts one function (no surrounding program — calls cannot be
-/// type-resolved; prefer [`wa_program`]).
-///
-/// # Errors
-///
-/// As for [`wa_program`].
-pub fn wa_function(cx: &CheckCtx, f: &MonadicFn, opts: &WaOptions) -> R<(MonadicFn, Thm)> {
-    let empty = ProgramCtx::default();
-    wa_function_in(cx, &empty, f, opts)
-}
-
 /// Abstracts one function of a program.
 ///
 /// # Errors

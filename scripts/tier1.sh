@@ -103,6 +103,31 @@ if grep -rnE 'fn +(expr_children|kernel_children|update_exprs|update_with_exprs|
     echo "tier1: private copy of a shared term decomposition; use the ir/kernel/monadic methods" >&2; exit 1
 fi
 
+# No audit backdoor (DESIGN.md §6c): the audit mints its mutants through
+# the store's node-table reader and plants them in the segment file, so
+# no build carries an unvalidated constructor, an audit-only feature or an
+# artifact-store hook, and `ExecTested` has one differential tester
+# (`autocorres::testing::exec_test_fn`).
+kernel_features=$(cargo tree --offline -e features,no-dev -i kernel -p autocorres-repro \
+    | grep -oE 'kernel feature "[^"]*"' | sort -u | grep -vE '"(default|persist)"' || true)
+if [[ -n "$kernel_features" ]]; then
+    echo "tier1: the build enables kernel features besides default and persist:" >&2
+    echo "$kernel_features" >&2; exit 1
+fi
+if grep -rnE 'Thm::forge|fn +forge\b' crates/kernel/src --include='*.rs'; then
+    echo "tier1: a forge constructor in crates/kernel/src; a Thm comes from a rule, a certificate or the store" >&2; exit 1
+fi
+if grep -nE '^ *(forge|audit) *= *\[' Cargo.toml crates/*/Cargo.toml \
+    || grep -rnE 'feature *= *"(forge|audit)"' crates/*/src src --include='*.rs'; then
+    echo "tier1: an audit-only build feature; the audit uses production's own paths" >&2; exit 1
+fi
+if grep -rnE 'audit_(keys|get|replace|store)' crates/*/src --include='*.rs'; then
+    echo "tier1: an audit hook into the artifact store; poison the segment file instead" >&2; exit 1
+fi
+if grep -rnE 'fn +(test_adapted_fn|test_fn_refines)\b' crates/*/src --include='*.rs'; then
+    echo "tier1: a second ExecTested tester; use autocorres::testing::exec_test_fn" >&2; exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 

@@ -119,8 +119,8 @@ fn replay(name: &str) {
     let names: Vec<String> = out.wa.fns.keys().cloned().collect();
     let mut total_decided = 0;
     for fname in &names {
-        total_decided +=
-            autocorres::testing::check_e2e_refinement(&out, fname, &heap_types, 12, seed ^ 0x55);
+        total_decided += audit::check_layers(&out, fname, &heap_types, 12, seed ^ 0x55)
+            .unwrap_or_else(|e| panic!("corpus {name} (seed {seed}): {e}\n{src}"));
     }
     assert!(
         total_decided > 0,

@@ -151,12 +151,12 @@ fn enqueue_to_invalid_queue_fails_guards() {
 
 #[test]
 fn queue_functions_refine_the_c_level() {
-    // Differential Simpl-vs-final check on random states, as for the
-    // paper's case studies.
+    // Differential check of every adjacent layer pair (Simpl, L1, L2, HL,
+    // WA) on random states, as for the paper's case studies.
     let out = pipeline();
     for f in ["enqueue", "dequeue", "length"] {
-        let decided =
-            autocorres::testing::check_e2e_refinement(out, f, &[node_ty(), queue_ty()], 120, 99);
+        let decided = audit::check_layers(out, f, &[node_ty(), queue_ty()], 120, 99)
+            .unwrap_or_else(|e| panic!("{e}"));
         assert!(decided > 20, "{f}: only {decided} conclusive trials");
     }
 }
