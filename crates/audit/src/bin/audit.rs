@@ -85,9 +85,10 @@ fn store_attacks(full: bool) -> bool {
     // rejected by a fresh session's check (DESIGN.md §6g).
     let rounds = if full { 48 } else { 12 };
     let disk = attack_disk_store(SIGNED_MIX_SRC, &Options::default(), rounds, 0xD15C);
+    let c = &disk.corruption;
     println!(
         "disk store: {} mutations ({} degraded loads); output stable: {}; verdicts stable: {}",
-        disk.mutations, disk.loads_degraded, disk.output_stable, disk.verdicts_stable
+        c.mutations, c.loads_degraded, c.output_stable, c.verdicts_stable
     );
     println!(
         "disk store: forged theorems in {} records loaded warm: {}; rejected by a fresh session's check: {}",

@@ -32,7 +32,8 @@ pub use discharge::{
 };
 pub use layers::{first_divergence, run_all, Divergence, LayerRun};
 pub use mutate::{
-    attack_disk_store, attack_theorems, forge, DiskAttackReport, KillMatrix, Mutation, MUTATIONS,
+    attack_disk_store, attack_theorems, corrupt_disk_store, forge, CorruptionReport,
+    DiskAttackReport, KillMatrix, Mutation, MUTATIONS,
 };
 
 /// Handcrafted audit source: signed arithmetic (SDiv/SNeg guards), struct

@@ -309,25 +309,38 @@ fn applicable(thm: &Thm, kind: Mutation) -> bool {
     }
 }
 
-/// Builds the mutated root: applies `kind` at `path`, then rebuilds every
-/// ancestor with [`forge`] (ancestor conclusions unchanged — the lie is
-/// local).
+/// Mints the mutant of `thm` with `kind` applied at `path` and every
+/// ancestor's conclusion unchanged (the lie is local): one node table
+/// holding `thm`'s rows, then the mutated node, then one new row per
+/// ancestor from the deepest up, decoded once by the store's `Thm` codec.
 fn mutate_at(thm: &Thm, path: &[usize], kind: Mutation) -> Option<Thm> {
-    if path.is_empty() {
-        return apply(thm, kind);
+    let mut chain = vec![thm];
+    for &i in path {
+        chain.push(&chain[chain.len() - 1].premises()[i]);
     }
-    let i = path[0];
-    let mut prems: Vec<Thm> = thm.premises().to_vec();
-    prems[i] = mutate_at(&prems[i], &path[1..], kind)?;
-    Some(forge(
-        thm.rule(),
-        prems,
-        thm.judgment().clone(),
-        thm.side().clone(),
-    ))
+    let (rule, premises, judgment, side) = apply(chain[path.len()], kind)?;
+    let mut table = Table::new(std::slice::from_ref(thm), 1 + path.len());
+    let mut id = table.row(&judgment, rule, &side, &table.ids(&premises));
+    for (ancestor, &i) in chain.iter().zip(path).rev() {
+        let mut ids = table.ids(ancestor.premises());
+        ids[i] = id;
+        id = table.row(ancestor.judgment(), ancestor.rule(), ancestor.side(), &ids);
+    }
+    let mutant = table.decode();
+    let node = node_at(&mutant, path);
+    assert!(
+        node.rule() == rule
+            && *node.judgment() == judgment
+            && *node.side() == side
+            && node.premises() == premises,
+        "the store's Thm codec did not read back the {kind} mutant"
+    );
+    Some(mutant)
 }
 
-fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
+/// The node `kind` makes of `thm`: its rule, premises, conclusion and
+/// side record.
+fn apply(thm: &Thm, kind: Mutation) -> Option<(Rule, Vec<Thm>, Judgment, Side)> {
     let prems = thm.premises().to_vec();
     let j = thm.judgment().clone();
     let side = thm.side().clone();
@@ -337,7 +350,7 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
                 Judgment::L1 { .. } => Rule::ReflRefines,
                 _ => Rule::L1Skip,
             };
-            Some(forge(new_rule, prems, j, side))
+            Some((new_rule, prems, j, side))
         }
         Mutation::SwapRuleShape => {
             let new_rule = match thm.rule() {
@@ -352,24 +365,22 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
                 Rule::L1Call => Rule::L1Skip,
                 _ => return None,
             };
-            Some(forge(new_rule, prems, j, side))
+            Some((new_rule, prems, j, side))
         }
         Mutation::PerturbJudgment => {
             let j2 = perturb_judgment(thm.judgment());
-            Some(forge(thm.rule(), prems, j2, side))
+            Some((thm.rule(), prems, j2, side))
         }
-        Mutation::DropPremise => {
-            Some(forge(thm.rule(), prems[1..].to_vec(), j, side))
-        }
+        Mutation::DropPremise => Some((thm.rule(), prems[1..].to_vec(), j, side)),
         Mutation::AddPremise => {
             let mut prems = prems;
             prems.push(thm.clone());
-            Some(forge(thm.rule(), prems, j, side))
+            Some((thm.rule(), prems, j, side))
         }
         Mutation::ReorderPremises => {
             let mut prems = prems;
             prems.swap(0, 1);
-            Some(forge(thm.rule(), prems, j, side))
+            Some((thm.rule(), prems, j, side))
         }
         Mutation::ZeroTestEvidence => {
             let new_side = match thm.side() {
@@ -379,25 +390,89 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
                 Side::SampledWVal { .. } => Side::None,
                 Side::None => return None,
             };
-            Some(forge(thm.rule(), prems, j, new_side))
+            Some((thm.rule(), prems, j, new_side))
         }
         Mutation::CorruptSymbol => {
             let sym = conc_symbol(thm.judgment())?;
             let forged = Symbol::intern(&format!("{}\u{b7}forged", sym.as_str()));
             let j2 = rename_conc(thm.judgment(), sym, forged);
-            Some(forge(thm.rule(), prems, j2, side))
+            Some((thm.rule(), prems, j2, side))
         }
     }
 }
 
+/// A node table in `kernel::codec`'s layout (a varint row count, then per
+/// row its judgment, rule, side, varint premise count and premise row
+/// ids) that starts with the distinct nodes under some roots in postorder
+/// and is read back by the store's `Thm` codec, without validation, as the
+/// disk store reads a damaged record. Theorems are hash-consed, so the
+/// existing rows decode to the very nodes they were written from.
+struct Table<'t> {
+    e: Encoder,
+    ids: HashMap<&'t Thm, u64>,
+    next: u64,
+}
+
+impl<'t> Table<'t> {
+    /// The rows of every distinct node under `roots`, with room declared
+    /// for `new_rows` more.
+    fn new(roots: &'t [Thm], new_rows: usize) -> Table<'t> {
+        // Iterative postorder over distinct nodes: derivations can be deep.
+        let mut entered = HashSet::new();
+        let mut rows: Vec<&Thm> = Vec::new();
+        let mut stack: Vec<(&Thm, bool)> = roots.iter().rev().map(|p| (p, false)).collect();
+        while let Some((t, expanded)) = stack.pop() {
+            if expanded {
+                rows.push(t);
+            } else if entered.insert(t) {
+                stack.push((t, true));
+                stack.extend(t.premises().iter().rev().map(|p| (p, false)));
+            }
+        }
+        let mut e = Encoder::new();
+        e.varint((rows.len() + new_rows) as u64);
+        let mut table = Table {
+            e,
+            ids: HashMap::new(),
+            next: 0,
+        };
+        for t in rows {
+            let id = table.row(t.judgment(), t.rule(), t.side(), &table.ids(t.premises()));
+            table.ids.insert(t, id);
+        }
+        table
+    }
+
+    /// The row ids of `nodes`, each a row already.
+    fn ids(&self, nodes: &[Thm]) -> Vec<u64> {
+        nodes.iter().map(|t| self.ids[t]).collect()
+    }
+
+    /// Appends a row whose premises are the rows `premises`; returns its
+    /// id.
+    fn row(&mut self, judgment: &Judgment, rule: Rule, side: &Side, premises: &[u64]) -> u64 {
+        judgment.encode(&mut self.e);
+        rule.encode(&mut self.e);
+        side.encode(&mut self.e);
+        self.e.varint(premises.len() as u64);
+        for &id in premises {
+            self.e.varint(id);
+        }
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// The last row's theorem.
+    fn decode(self) -> Thm {
+        decode_from_slice::<Thm>(&self.e.finish())
+            .unwrap_or_else(|err| panic!("the store's Thm codec rejected a node table: {err:?}"))
+    }
+}
+
 /// Builds the derivation node `rule` ⊢ `judgment` over `premises` without
-/// validating it, as the disk store would read a damaged record: writes a
-/// node table (`kernel::codec`'s layout: a varint row count, then per row
-/// its judgment, rule, side, varint premise count and premise row ids)
-/// whose rows are the premises' distinct nodes in postorder and whose last
-/// row is the new node, and decodes it with the store's `Thm` codec.
-/// Theorems are hash-consed, so the premise rows decode to the very nodes
-/// passed in and only the last row is new.
+/// validating it, as the disk store would read a damaged record: a node
+/// table whose rows are the premises' distinct nodes and whose last row is
+/// the new node, decoded with the store's `Thm` codec.
 ///
 /// # Panics
 ///
@@ -405,40 +480,9 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<Thm> {
 /// requested node.
 #[must_use]
 pub fn forge(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
-    // Iterative postorder over distinct nodes: derivations can be deep.
-    let mut entered = HashSet::new();
-    let mut rows: Vec<&Thm> = Vec::new();
-    let mut stack: Vec<(&Thm, bool)> = premises.iter().rev().map(|p| (p, false)).collect();
-    while let Some((t, expanded)) = stack.pop() {
-        if expanded {
-            rows.push(t);
-        } else if entered.insert(t) {
-            stack.push((t, true));
-            stack.extend(t.premises().iter().rev().map(|p| (p, false)));
-        }
-    }
-    let ids: HashMap<&Thm, u64> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (*t, i as u64))
-        .collect();
-    let mut e = Encoder::new();
-    e.varint(rows.len() as u64 + 1);
-    let mut row = |judgment: &Judgment, rule: Rule, side: &Side, premises: &[Thm]| {
-        judgment.encode(&mut e);
-        rule.encode(&mut e);
-        side.encode(&mut e);
-        e.varint(premises.len() as u64);
-        for p in premises {
-            e.varint(ids[p]);
-        }
-    };
-    for t in &rows {
-        row(t.judgment(), t.rule(), t.side(), t.premises());
-    }
-    row(&judgment, rule, &side, &premises);
-    let thm = decode_from_slice::<Thm>(&e.finish())
-        .unwrap_or_else(|err| panic!("the store's Thm codec rejected a node table: {err:?}"));
+    let mut table = Table::new(&premises, 1);
+    table.row(&judgment, rule, &side, &table.ids(&premises));
+    let thm = table.decode();
     assert!(
         thm.rule() == rule
             && *thm.judgment() == judgment
@@ -610,9 +654,10 @@ fn first_symbol_prog(p: &Prog) -> Option<Symbol> {
 // Disk-store corruption (DESIGN.md §6g)
 // ---------------------------------------------------------------------------
 
-/// Result of the on-disk store corruption campaign.
+/// Result of randomized corruption rounds on the store's segment
+/// ([`corrupt_disk_store`]).
 #[derive(Clone, Debug)]
-pub struct DiskAttackReport {
+pub struct CorruptionReport {
     /// Segment mutations performed (a bit flip inside a random record,
     /// truncation — into the header too —, appended garbage, deletion).
     pub mutations: usize,
@@ -625,6 +670,13 @@ pub struct DiskAttackReport {
     /// `check_all_report` accepted the (recomputed) theorems after every
     /// attack.
     pub verdicts_stable: bool,
+}
+
+/// Result of the on-disk store attack campaign ([`attack_disk_store`]).
+#[derive(Clone, Debug)]
+pub struct DiskAttackReport {
+    /// The randomized corruption rounds.
+    pub corruption: CorruptionReport,
     /// The theorem-bearing phases that had one artifact record rewritten
     /// to carry a forged false theorem, in pipeline order.
     pub forged_phases: Vec<&'static str>,
@@ -641,8 +693,8 @@ impl DiskAttackReport {
     /// Did the disk store uphold the persistence trust property?
     #[must_use]
     pub fn sound(&self) -> bool {
-        self.output_stable
-            && self.verdicts_stable
+        self.corruption.output_stable
+            && self.corruption.verdicts_stable
             && self.forged_phases == FORGED_PHASES
             && self.forged_loaded
             && self.forged_rejected
@@ -666,7 +718,7 @@ fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
         } else {
             Mutation::SwapRuleFamily
         };
-        apply(thm, kind).expect("the mutation applies at the root")
+        mutate_at(thm, &[], kind).expect("the mutation applies at the root")
     };
     Some(match a {
         Artifact::L1 { fun, thm } => Artifact::L1 {
@@ -712,119 +764,161 @@ fn forge_record(segment: &[u8], phase: &str) -> Option<Vec<u8>> {
     })
 }
 
-/// Translates `src` through a disk-backed session and checks it, then, for
-/// each theorem-bearing phase, forges a false theorem into one of its
-/// artifact records (see [`DiskAttackReport::forged_rejected`]), then runs
-/// `rounds` of randomized on-disk corruption — each round mutates the
-/// store's segment (a bit flip inside a random record, truncation,
-/// appended garbage, or deletion), warm-starts a fresh session from the
-/// damaged directory, and requires byte-identical WA output plus a
-/// passing checker replay. The disk path must uphold the same property as
-/// the in-memory caches: corruption may cost cache misses, never a
-/// changed verdict or changed output bytes, and the cache directory is
-/// never evidence.
+/// The segment of a cache directory that a checked translation of `src`
+/// filled, the session options pointing at it, and the translation as
+/// [`render`]ed.
+struct Filled {
+    segment: std::path::PathBuf,
+    opts: Options,
+    baseline: String,
+}
+
+/// The deterministic stats plus the WA functions: what corruption must
+/// never change.
+fn render(out: &Output) -> String {
+    let mut s = out.stats.deterministic_summary();
+    for f in out.wa.fns.values() {
+        s.push_str(&f.to_string());
+        s.push('\n');
+    }
+    s
+}
+
+impl Filled {
+    /// Translates `src` through a session backed by a fresh scratch
+    /// directory and checks it.
+    fn new(src: &str, opts: &Options, seed: u64) -> Filled {
+        let dir =
+            std::env::temp_dir().join(format!("acr-audit-disk-{}-{seed:x}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = Options {
+            cache_dir: Some(dir.clone()),
+            ..opts.clone()
+        };
+        let sess = Session::new(opts.clone());
+        let out = sess.translate(src).expect("audit source translates");
+        sess.check_all_report(&out, 1).expect("baseline checks");
+        Filled {
+            segment: dir.join(autocorres::store::SEGMENT),
+            opts,
+            baseline: render(&out),
+        }
+    }
+
+    /// `rounds` of randomized corruption: each round mutates the segment
+    /// (a bit flip inside a random record, truncation, appended garbage,
+    /// or deletion), warm-starts a fresh session from the damaged
+    /// directory, requires the baseline output plus a passing checker
+    /// replay, and restores the segment. Removes the directory after.
+    fn corrupt(self, src: &str, rounds: usize, seed: u64) -> CorruptionReport {
+        let segment = &self.segment;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut report = CorruptionReport {
+            mutations: 0,
+            loads_degraded: 0,
+            output_stable: true,
+            verdicts_stable: true,
+        };
+        for _ in 0..rounds {
+            let orig = std::fs::read(segment).expect("store populated");
+            match rng.gen_range(0..4u8) {
+                0 => {
+                    let records: Vec<_> = autocorres::store::frames(&orig)
+                        .into_iter()
+                        .filter_map(Result::ok)
+                        .collect();
+                    let span = records[rng.gen_range(0..records.len())].clone();
+                    let mut bad = orig.clone();
+                    bad[rng.gen_range(span)] ^= 1 << rng.gen_range(0..8u8);
+                    std::fs::write(segment, &bad).expect("writable");
+                }
+                1 => {
+                    let keep = rng.gen_range(0..orig.len());
+                    std::fs::write(segment, &orig[..keep]).expect("writable");
+                }
+                2 => {
+                    let garbage: Vec<u8> =
+                        (0..rng.gen_range(1..128u8)).map(|_| rng.gen()).collect();
+                    std::fs::write(segment, [&orig[..], &garbage].concat()).expect("writable");
+                }
+                _ => std::fs::remove_file(segment).expect("removable"),
+            }
+            report.mutations += 1;
+
+            let sess = Session::new(self.opts.clone());
+            let load = sess.load_report().clone();
+            if load.rejected > 0 || load.version_skew {
+                report.loads_degraded += 1;
+            }
+            let out = sess
+                .translate(src)
+                .expect("translation survives corruption");
+            if render(&out) != self.baseline {
+                report.output_stable = false;
+            }
+            if sess.check_all_report(&out, 1).is_err() {
+                report.verdicts_stable = false;
+            }
+            // Restore for the next round (the load healed the segment and
+            // the session's own save appended what it recomputed; the
+            // explicit restore makes the rounds independent).
+            std::fs::write(segment, &orig).expect("writable");
+        }
+        let _ = std::fs::remove_dir_all(segment.parent().expect("in the cache directory"));
+        report
+    }
+}
+
+/// Translates `src` through a disk-backed session and checks it, then
+/// runs `rounds` of randomized on-disk corruption of the store's segment,
+/// each warm-starting a fresh session from the damaged directory and
+/// requiring byte-identical WA output plus a passing checker replay:
+/// corruption may cost cache misses, never a changed verdict or changed
+/// output bytes.
 ///
 /// # Panics
 ///
 /// Panics if `src` does not translate or the scratch directory is not
 /// writable (audit environments control their tempdir).
 #[must_use]
-pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) -> DiskAttackReport {
-    let dir = std::env::temp_dir().join(format!(
-        "acr-audit-disk-{}-{seed:x}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = Options {
-        cache_dir: Some(dir.clone()),
-        ..opts.clone()
-    };
-    let render = |out: &Output| {
-        let mut s = out.stats.deterministic_summary();
-        for f in out.wa.fns.values() {
-            s.push_str(&f.to_string());
-            s.push('\n');
-        }
-        s
-    };
-    let baseline = {
-        let sess = Session::new(opts.clone());
-        let out = sess.translate(src).expect("audit source translates");
-        sess.check_all_report(&out, 1).expect("baseline checks");
-        render(&out)
-    };
+pub fn corrupt_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) -> CorruptionReport {
+    Filled::new(src, opts, seed).corrupt(src, rounds, seed)
+}
 
+/// [`corrupt_disk_store`], preceded by forged records: for each
+/// theorem-bearing phase, a false theorem is forged into one of its
+/// artifact records (see [`DiskAttackReport::forged_rejected`]). The disk
+/// path must uphold the same property as the in-memory caches, and the
+/// cache directory is never evidence.
+///
+/// # Panics
+///
+/// As for [`corrupt_disk_store`].
+#[must_use]
+pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) -> DiskAttackReport {
+    let filled = Filled::new(src, opts, seed);
     // A false theorem in the cache directory, under valid seals and
     // frames, as anyone who can write the directory can plant it: the warm
     // translation takes it from the store, and the check of a fresh
     // session, which remembers no earlier validation, must reject it.
-    let segment = dir.join(autocorres::store::SEGMENT);
-    let clean = std::fs::read(&segment).expect("store populated");
+    let segment = &filled.segment;
+    let clean = std::fs::read(segment).expect("store populated");
     let (mut forged_phases, mut forged_loaded, mut forged_rejected) = (Vec::new(), true, true);
     for phase in FORGED_PHASES {
         let forged = forge_record(&clean, phase)
             .unwrap_or_else(|| panic!("no `{phase}` record carries a theorem"));
-        std::fs::write(&segment, forged).expect("writable");
-        let sess = Session::new(opts.clone());
+        std::fs::write(segment, forged).expect("writable");
+        let sess = Session::new(filled.opts.clone());
         let out = sess.translate(src).expect("a forged record translates");
         forged_loaded &= sess.load_report().rejected == 0 && out.stats.dirty_fns == 0;
         forged_rejected &= sess.check_all_report(&out, 1).is_err();
         forged_phases.push(phase);
     }
-    std::fs::write(&segment, &clean).expect("writable");
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut report = DiskAttackReport {
-        mutations: 0,
-        loads_degraded: 0,
-        output_stable: true,
-        verdicts_stable: true,
+    std::fs::write(segment, &clean).expect("writable");
+    DiskAttackReport {
+        corruption: filled.corrupt(src, rounds, seed),
         forged_phases,
         forged_loaded,
         forged_rejected,
-    };
-    for _ in 0..rounds {
-        let orig = std::fs::read(&segment).expect("store populated");
-        match rng.gen_range(0..4u8) {
-            0 => {
-                let records: Vec<_> = autocorres::store::frames(&orig)
-                    .into_iter()
-                    .filter_map(Result::ok)
-                    .collect();
-                let span = records[rng.gen_range(0..records.len())].clone();
-                let mut bad = orig.clone();
-                bad[rng.gen_range(span)] ^= 1 << rng.gen_range(0..8u8);
-                std::fs::write(&segment, &bad).expect("writable");
-            }
-            1 => {
-                let keep = rng.gen_range(0..orig.len());
-                std::fs::write(&segment, &orig[..keep]).expect("writable");
-            }
-            2 => {
-                let garbage: Vec<u8> = (0..rng.gen_range(1..128u8)).map(|_| rng.gen()).collect();
-                std::fs::write(&segment, [&orig[..], &garbage].concat()).expect("writable");
-            }
-            _ => std::fs::remove_file(&segment).expect("removable"),
-        }
-        report.mutations += 1;
-
-        let sess = Session::new(opts.clone());
-        let load = sess.load_report().clone();
-        if load.rejected > 0 || load.version_skew {
-            report.loads_degraded += 1;
-        }
-        let out = sess.translate(src).expect("translation survives corruption");
-        if render(&out) != baseline {
-            report.output_stable = false;
-        }
-        if sess.check_all_report(&out, 1).is_err() {
-            report.verdicts_stable = false;
-        }
-        // Restore for the next round (the load healed the segment and the
-        // session's own save appended what it recomputed; the explicit
-        // restore makes the rounds independent).
-        std::fs::write(&segment, &orig).expect("writable");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    report
 }

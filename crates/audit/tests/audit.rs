@@ -116,14 +116,14 @@ fn differential_oracle_smoke_has_zero_disagreements() {
 #[test]
 fn disk_store_corruption_never_changes_output_or_verdicts() {
     let report = audit::attack_disk_store(SIGNED_MIX_SRC, &Options::default(), 8, 0xD15C);
-    assert_eq!(report.mutations, 8, "attack rounds did not all fire");
-    assert!(report.loads_degraded > 0, "no corruption was ever visible");
+    assert_eq!(report.corruption.mutations, 8, "attack rounds did not all fire");
+    assert!(report.corruption.loads_degraded > 0, "no corruption was ever visible");
     assert!(
-        report.output_stable,
+        report.corruption.output_stable,
         "on-disk corruption changed output bytes"
     );
     assert!(
-        report.verdicts_stable,
+        report.corruption.verdicts_stable,
         "on-disk corruption flipped a verdict"
     );
     assert_eq!(
@@ -154,7 +154,7 @@ proptest::proptest! {
             workers: 1,
             ..Options::default()
         };
-        let report = audit::attack_disk_store(SIGNED_MIX_SRC, &opts, 2, seed);
+        let report = audit::corrupt_disk_store(SIGNED_MIX_SRC, &opts, 2, seed);
         proptest::prop_assert!(report.output_stable, "seed={seed}: output changed");
         proptest::prop_assert!(report.verdicts_stable, "seed={seed}: verdict flipped");
     }

@@ -53,6 +53,24 @@ pub fn l1_function(cx: &CheckCtx, f: &SimplFn) -> Result<L1Fn, KernelError> {
     })
 }
 
+/// The Simpl function an L1 translation states, read back from its parts:
+/// the name, parameters, locals and return type [`l1_function`] copied
+/// into `fun`, and the body its `l1corres` theorem `thm` relates `fun`'s
+/// body to.
+#[must_use]
+pub fn simpl_fn(fun: &MonadicFn, thm: &Thm) -> SimplFn {
+    let Judgment::L1 { simpl, .. } = thm.judgment() else {
+        unreachable!("l1 rules conclude l1corres");
+    };
+    SimplFn {
+        name: fun.name.clone(),
+        params: fun.params.clone(),
+        locals: fun.frame.clone().expect("L1 keeps locals in the frame"),
+        ret_ty: fun.ret_ty.clone(),
+        body: simpl.clone(),
+    }
+}
+
 /// Structural fold applying the kernel's L1 rules.
 fn l1_stmt(cx: &CheckCtx, s: &SimplStmt) -> Result<Thm, KernelError> {
     let subs = match s {

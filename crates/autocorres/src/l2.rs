@@ -130,7 +130,7 @@ pub fn l2_function(tp: &TProgram, f: &TFunDef) -> R<MonadicFn> {
     let body = normalize(&f.body);
     let direct = returns_only_in_tail(&body, true);
     let mut tr = L2Tr {
-        fx: FnTranslator::new(tp, ret_ty.clone()),
+        fx: FnTranslator::new(&tp.tenv),
         scope: f.params.iter().map(|(n, _)| n.clone()).collect(),
         locals_order: f.locals.iter().map(|(n, _)| n.clone()).collect(),
         direct,
@@ -520,8 +520,7 @@ impl<'a> L2Tr<'a> {
                 let (steps, e) = match init {
                     Some(e) => self.value(e)?,
                     None => {
-                        let zero =
-                            ir::value::Value::zero_of(&ctype_to_ty(ty), &self.fx_tenv());
+                        let zero = ir::value::Value::zero_of(&ctype_to_ty(ty), self.fx.tenv());
                         (Vec::new(), Expr::Lit(zero))
                     }
                 };
@@ -774,12 +773,6 @@ impl<'a> L2Tr<'a> {
             );
         }
         Ok((loop_prog, vars))
-    }
-
-    fn fx_tenv(&self) -> ir::ty::TypeEnv {
-        // The type environment lives in the typed program the translator
-        // borrows; locals need zero values of struct types occasionally.
-        self.fx.tenv().clone()
     }
 }
 

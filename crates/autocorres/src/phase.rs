@@ -23,7 +23,7 @@
 //! # Content-addressed incremental recomputation
 //!
 //! Every node computes a 128-bit *input digest* before running: a
-//! double-pass hash over the function's typed + Simpl terms, the global
+//! double-pass hash over the function's typed terms, the global
 //! environment (layouts, globals, the signature table), the normalized
 //! driver options, and — for the exec-testing phases — the transitive
 //! callee cone. The typed terms are hashed position-free
@@ -45,7 +45,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -56,7 +55,7 @@ use ir::sched::{plan_workers, run_dag, PoolStats};
 use ir::ty::Ty;
 use kernel::{CheckCtx, Thm};
 use monadic::{MonadicFn, Prog, ProgramCtx};
-use simpl::stmt::{SimplProgram, SimplStmt};
+use simpl::stmt::SimplProgram;
 
 use crate::pipeline::{derive_seed, Options, Output, PhaseTheorems};
 use crate::stats::{PhaseStat, PipelineStats};
@@ -112,6 +111,33 @@ pub enum Artifact {
     /// Abstract-interpretation result: the guard/lint report plus the
     /// discharge theorems. Empty when `--no-absint` disabled the phase.
     Absint(AbsintFn),
+}
+
+impl Artifact {
+    /// The function an `L1`, `L2Fn`, `Hl` or `Wa` artifact holds.
+    #[must_use]
+    pub fn fun(&self) -> Option<&MonadicFn> {
+        match self {
+            Artifact::L1 { fun, .. }
+            | Artifact::L2Fn(fun)
+            | Artifact::Hl { fun, .. }
+            | Artifact::Wa { fun, .. } => Some(fun),
+            Artifact::L2Thm(_) | Artifact::Adapt(_) | Artifact::Absint(_) => None,
+        }
+    }
+
+    /// The theorems the artifact holds: its refinement theorem, if any, or
+    /// absint's discharge theorems in guard order.
+    #[must_use]
+    pub fn theorems(&self) -> Vec<&Thm> {
+        match self {
+            Artifact::L1 { thm, .. } | Artifact::L2Thm(thm) => vec![thm],
+            Artifact::Hl { thm, .. } | Artifact::Wa { thm, .. } => thm.iter().collect(),
+            Artifact::Adapt(a) => a.iter().map(|a| &a.thm).collect(),
+            Artifact::L2Fn(_) => Vec::new(),
+            Artifact::Absint(a) => a.thms.iter().map(|(_, t)| t).collect(),
+        }
+    }
 }
 
 /// The abstract-interpretation artifact for one function.
@@ -272,8 +298,9 @@ pub(crate) fn effective_l2_trials(opts: &Options) -> u32 {
 pub struct PhaseCx<'a> {
     /// The typed C program.
     pub typed: &'a cparser::TProgram,
-    /// The Simpl translation (trusted front end output).
-    pub sp: &'a SimplProgram,
+    /// Its Simpl environment: struct layouts and initialised globals, no
+    /// functions (each `l1` job translates its own function).
+    pub env: SimplProgram,
     /// Driver options.
     pub opts: &'a Options,
     /// Base kernel context (struct layouts only).
@@ -282,8 +309,7 @@ pub struct PhaseCx<'a> {
     pub names: Vec<String>,
     /// For each name index, the index into `typed.functions`.
     pub typed_idx: Vec<usize>,
-    /// Per-function term digest (position-free typed def + Simpl
-    /// translation).
+    /// Per-function term digest (the position-free typed def).
     pub fn_digests: Vec<u128>,
     /// Per-function transitive-callee cone digest (includes the function).
     pub cone_digests: Vec<u128>,
@@ -327,45 +353,36 @@ struct AdaptShared {
 }
 
 impl<'a> PhaseCx<'a> {
-    /// Builds the shared context: sorted name order, the static call
-    /// graph, and all per-function digests.
-    #[must_use]
-    pub fn new(typed: &'a cparser::TProgram, sp: &'a SimplProgram, opts: &'a Options) -> Self {
-        let names: Vec<String> = sp.fns.keys().cloned().collect();
+    /// Builds the shared context: the Simpl environment, sorted name
+    /// order, the static call graph, and all per-function digests.
+    ///
+    /// # Errors
+    ///
+    /// A global initialiser the Simpl translation rejects.
+    pub fn new(typed: &'a cparser::TProgram, opts: &'a Options) -> Result<Self, Diag> {
+        let env = simpl::translate_env(typed)?;
+        let mut typed_idx: Vec<usize> = (0..typed.functions.len()).collect();
+        typed_idx.sort_by(|&a, &b| typed.functions[a].name.cmp(&typed.functions[b].name));
+        let names: Vec<String> = typed_idx
+            .iter()
+            .map(|&t| typed.functions[t].name.clone())
+            .collect();
         let name_idx: BTreeMap<&str, usize> = names
             .iter()
             .enumerate()
             .map(|(i, n)| (n.as_str(), i))
             .collect();
-        let typed_idx: Vec<usize> = names
+        let callees: Vec<Vec<usize>> = typed_idx
             .iter()
-            .map(|n| {
-                typed
-                    .functions
-                    .iter()
-                    .position(|f| &f.name == n)
-                    .expect("simpl translates exactly the typed functions")
+            .map(|&t| {
+                let mut out = Vec::new();
+                typed.functions[t].each_call(|c| out.extend(name_idx.get(c)));
+                out
             })
             .collect();
-        let callees: Vec<Vec<usize>> = names
+        let fn_digests: Vec<u128> = typed_idx
             .iter()
-            .map(|n| {
-                let mut out = BTreeSet::new();
-                collect_calls(&sp.fns[n].body, &mut out);
-                out.iter()
-                    .filter_map(|c| name_idx.get(c.as_str()).copied())
-                    .collect()
-            })
-            .collect();
-        let fn_digests: Vec<u128> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                digest128(|h| {
-                    typed.functions[typed_idx[i]].hash_position_free(h);
-                    sp.fns[n].hash(h);
-                })
-            })
+            .map(|&t| digest128(|h| typed.functions[t].hash_position_free(h)))
             .collect();
         let cone_digests: Vec<u128> = (0..names.len())
             .map(|i| {
@@ -389,26 +406,27 @@ impl<'a> PhaseCx<'a> {
             })
             .collect();
         let env_digest = digest128(|h| {
-            sp.tenv.hash(h);
-            sp.globals.hash(h);
+            env.tenv.hash(h);
+            env.globals.hash(h);
             typed.globals.hash(h);
-            for (n, f) in &sp.fns {
-                n.hash(h);
+            for &t in &typed_idx {
+                let f = &typed.functions[t];
+                f.name.hash(h);
                 f.params.hash(h);
-                f.ret_ty.hash(h);
+                f.ret.hash(h);
             }
         });
         let n_slots = PHASES.len() * names.len();
         let mut slots = Vec::with_capacity(n_slots);
         slots.resize_with(n_slots, OnceLock::new);
-        PhaseCx {
+        Ok(PhaseCx {
             typed,
-            sp,
-            opts,
             cx: CheckCtx {
-                tenv: sp.tenv.clone(),
+                tenv: env.tenv.clone(),
                 ..CheckCtx::default()
             },
+            env,
+            opts,
             names,
             typed_idx,
             fn_digests,
@@ -419,7 +437,7 @@ impl<'a> PhaseCx<'a> {
             l2sh: OnceLock::new(),
             wash: OnceLock::new(),
             adsh: OnceLock::new(),
-        }
+        })
     }
 
     fn slot_id(&self, phase: usize, f: usize) -> usize {
@@ -464,29 +482,40 @@ impl<'a> PhaseCx<'a> {
         })
     }
 
+    /// The program as `phase` produced it: the Simpl environment plus
+    /// every function's artifact [`Artifact::fun`].
+    fn program_ctx(&self, phase: &str) -> Result<ProgramCtx, Failure> {
+        let mut ctx = ProgramCtx {
+            tenv: self.env.tenv.clone(),
+            globals: self.env.globals.clone(),
+            ..ProgramCtx::default()
+        };
+        for (i, name) in self.names.iter().enumerate() {
+            let artifact = self.artifact(phase, i)?;
+            let fun = artifact.value.fun().expect("the phase produces functions");
+            ctx.fns.insert(name.clone(), fun.clone());
+        }
+        Ok(ctx)
+    }
+
+    /// `phase`'s theorems, function by function in `order`, each with its
+    /// function's name — panics unless every node succeeded.
+    fn theorems(&self, phase: &str, order: &[usize]) -> Vec<(String, Thm)> {
+        let mut out = Vec::new();
+        for &f in order {
+            let artifact = self.artifact(phase, f).expect("graph reported success");
+            for thm in artifact.value.theorems() {
+                out.push((self.names[f].clone(), thm.clone()));
+            }
+        }
+        out
+    }
+
     fn l2_shared(&self) -> Result<&L2Shared, Failure> {
         self.l2sh
             .get_or_init(|| {
-                let mut l1ctx = ProgramCtx {
-                    tenv: self.sp.tenv.clone(),
-                    globals: self.sp.globals.clone(),
-                    ..ProgramCtx::default()
-                };
-                let mut l2ctx = ProgramCtx {
-                    tenv: self.sp.tenv.clone(),
-                    globals: self.sp.globals.clone(),
-                    ..ProgramCtx::default()
-                };
-                for (i, name) in self.names.iter().enumerate() {
-                    let Artifact::L1 { fun, .. } = &self.artifact("l1", i)?.value else {
-                        unreachable!("l1 nodes produce L1 artifacts");
-                    };
-                    l1ctx.fns.insert(name.clone(), fun.clone());
-                    let Artifact::L2Fn(fun) = &self.artifact("l2", i)?.value else {
-                        unreachable!("l2 nodes produce L2Fn artifacts");
-                    };
-                    l2ctx.fns.insert(name.clone(), fun.clone());
-                }
+                let l1ctx = self.program_ctx("l1")?;
+                let l2ctx = self.program_ctx("l2")?;
                 let heap_types = crate::testing::heap_types_of(&l1ctx.tenv, &l1ctx);
                 let ht = heap_types.clone();
                 let ht_digest = digest128(move |h| ht.hash(h));
@@ -504,17 +533,7 @@ impl<'a> PhaseCx<'a> {
     fn wa_shared(&self) -> Result<&WaShared, Failure> {
         self.wash
             .get_or_init(|| {
-                let mut hlctx = ProgramCtx {
-                    tenv: self.sp.tenv.clone(),
-                    globals: self.sp.globals.clone(),
-                    ..ProgramCtx::default()
-                };
-                for (i, name) in self.names.iter().enumerate() {
-                    let Artifact::Hl { fun, .. } = &self.artifact("hl", i)?.value else {
-                        unreachable!("hl nodes produce Hl artifacts");
-                    };
-                    hlctx.fns.insert(name.clone(), fun.clone());
-                }
+                let hlctx = self.program_ctx("hl")?;
                 let opts = self.opts;
                 let wa_opts = wordabs::WaOptions {
                     abstract_fns: match &opts.word_abstract_fns {
@@ -549,17 +568,7 @@ impl<'a> PhaseCx<'a> {
         self.adsh
             .get_or_init(|| {
                 let wash = self.wa_shared().map_err(|e| e.inherit())?;
-                let mut wactx = ProgramCtx {
-                    tenv: self.sp.tenv.clone(),
-                    globals: self.sp.globals.clone(),
-                    ..ProgramCtx::default()
-                };
-                for (i, name) in self.names.iter().enumerate() {
-                    let Artifact::Wa { fun, .. } = &self.artifact("wa", i)?.value else {
-                        unreachable!("wa nodes produce Wa artifacts");
-                    };
-                    wactx.fns.insert(name.clone(), fun.clone());
-                }
+                let mut wactx = self.program_ctx("wa")?;
                 let plans: BTreeMap<String, (Prog, Prog)> =
                     plan_caller_adaptations(&wash.check_ctx, &wash.hlctx, &wactx)
                         .into_iter()
@@ -588,25 +597,11 @@ impl<'a> PhaseCx<'a> {
     }
 }
 
-/// Direct callees of a Simpl body.
-fn collect_calls(s: &SimplStmt, out: &mut BTreeSet<String>) {
-    match s {
-        SimplStmt::Call { fname, .. } => {
-            out.insert(fname.clone());
-        }
-        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) | SimplStmt::Cond(_, a, b) => {
-            collect_calls(a, out);
-            collect_calls(b, out);
-        }
-        SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => collect_calls(b, out),
-        SimplStmt::Skip | SimplStmt::Basic(_) | SimplStmt::Throw => {}
-    }
-}
-
 // ---- the seven phases -------------------------------------------------------
 
-/// Simpl → monadic with state-stored locals (one kernel rule per
-/// construct, Table 1).
+/// C → Simpl → monadic with state-stored locals: the trusted literal
+/// translation of the function, then one kernel rule per Simpl construct
+/// (Table 1).
 struct L1Phase;
 
 impl Phase for L1Phase {
@@ -620,8 +615,9 @@ impl Phase for L1Phase {
         Ok(cx.fn_scope_digest("l1", f))
     }
     fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let sf = &cx.sp.fns[&cx.names[f]];
-        let out = crate::l1::l1_function(&cx.cx, sf).map_err(|e| {
+        let tf = &cx.typed.functions[cx.typed_idx[f]];
+        let sf = simpl::translate_function(&cx.env.tenv, tf)?;
+        let out = crate::l1::l1_function(&cx.cx, &sf).map_err(|e| {
             Failure::from(
                 Diag::new(ir::diag::Phase::L1, DiagKind::Kernel, e.to_string())
                     .with_function(&cx.names[f]),
@@ -713,9 +709,8 @@ impl Phase for HlPhase {
     }
     fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
         let name = &cx.names[f];
-        let Artifact::L2Fn(fun) = &cx.artifact("l2", f)?.value else {
-            unreachable!("l2 nodes produce L2Fn artifacts");
-        };
+        let l2 = cx.artifact("l2", f)?;
+        let fun = l2.value.fun().expect("l2 nodes produce functions");
         let hl_opts = heapabs::HlOptions {
             concrete_fns: cx.opts.concrete_fns.clone(),
         };
@@ -868,7 +863,7 @@ impl Phase for AbsintPhase {
         let wash = cx.wa_shared()?;
         let name = &cx.names[f];
         let fun = &sh.wactx.fns[name];
-        let mut report = absint::analyze_fn(fun, &cx.sp.tenv);
+        let mut report = absint::analyze_fn(fun, &cx.env.tenv);
         // Lint spans are stored relative to the header, like the spans in
         // the function digest, so a hit after the function moved stays
         // right; `run_pipeline` anchors them at the current header.
@@ -987,7 +982,10 @@ pub(crate) struct NodeRun {
 /// barrier node per phase (encoding `AllFns` edges linearly) and executes
 /// the graph on [`run_dag`]. Results land in `cx`'s slots; the returned
 /// records are indexed `phase × (functions + 1) + function`, each phase's
-/// barrier last.
+/// barrier last. Once a phase has a root failure, jobs of later phases are
+/// skipped (an inherited failure, no store lookup): the reported error is
+/// the earliest failing phase's ([`first_error`]), and every phase depends
+/// only on earlier ones, so they could not change it.
 pub(crate) fn run_phases(
     cx: &PhaseCx<'_>,
     store: &ArtifactStore,
@@ -1009,6 +1007,8 @@ pub(crate) fn run_phases(
         }
     }
     let epoch = Instant::now();
+    // The earliest phase with a root failure so far, and that failure.
+    let failed: Mutex<Option<(usize, Failure)>> = Mutex::new(None);
     run_dag(deps.len(), &deps, workers, |node| {
         let (p, f) = (node / stride, node % stride);
         if f == n {
@@ -1016,7 +1016,20 @@ pub(crate) fn run_phases(
             return NodeRun::default();
         }
         let start = epoch.elapsed();
-        let (result, hit) = exec_node(cx, store, PHASES[p], f);
+        let earlier = match &*failed.lock().expect("failure record poisoned") {
+            Some((q, e)) if *q < p => Some(e.inherit()),
+            _ => None,
+        };
+        let (result, hit) = match earlier {
+            Some(e) => (Err(e), None),
+            None => exec_node(cx, store, PHASES[p], f),
+        };
+        if let Err(e) = &result {
+            let mut failed = failed.lock().expect("failure record poisoned");
+            if e.root && failed.as_ref().is_none_or(|(q, _)| p < *q) {
+                *failed = Some((p, e.clone()));
+            }
+        }
         let busy = epoch.elapsed() - start;
         let _ = cx.slots[cx.slot_id(p, f)].set(result);
         NodeRun { start, busy, hit }
@@ -1073,14 +1086,15 @@ fn exec_node(
 
 /// The error a failed run reports: the first root failure of the earliest
 /// failing phase, in that phase's fixed iteration order (source order for
-/// the L2 phases, name order elsewhere) — the error the old strictly-phased
-/// pipeline reported. Falls back to the first inherited failure.
+/// `l1`, whose jobs include the Simpl translation, and the L2 phases,
+/// name order elsewhere) — the error the old strictly-phased pipeline
+/// reported. Falls back to the first inherited failure.
 fn first_error(cx: &PhaseCx<'_>) -> Option<Diag> {
     let n = cx.names.len();
     let mut fallback: Option<Diag> = None;
     for (p, phase) in PHASES.iter().enumerate() {
         let mut order: Vec<usize> = (0..n).collect();
-        if matches!(phase.name(), "l2" | "l2thm") {
+        if matches!(phase.name(), "l1" | "l2" | "l2thm") {
             order.sort_by_key(|&i| cx.typed_idx[i]);
         }
         for i in order {
@@ -1100,9 +1114,9 @@ fn first_error(cx: &PhaseCx<'_>) -> Option<Diag> {
 // ---- the pipeline entry point -----------------------------------------------
 
 /// Runs the whole phase graph over `typed` and assembles the legacy
-/// [`Output`] — theorem lists in the historical per-phase orders, stats
-/// per phase — so the result is byte-identical to the old strictly-phased
-/// driver (and to any cached re-run).
+/// [`Output`] — theorem lists in the historical per-phase orders, one
+/// stats row per phase — so the result is byte-identical to the old
+/// strictly-phased driver (and to any cached re-run).
 pub(crate) fn run_pipeline(
     typed: &cparser::TProgram,
     opts: &Options,
@@ -1110,24 +1124,11 @@ pub(crate) fn run_pipeline(
 ) -> Result<Output, Diag> {
     let total_start = Instant::now();
     let requested = opts.workers.max(1);
-
-    // Parse (trusted, sequential, never cached — the frontend is cheap
-    // relative to the proof-producing phases).
-    let parse_start = Instant::now();
-    let sp = simpl::translate_program(typed)?;
-    let parse_pool = PoolStats {
-        requested: 1,
-        workers: 1,
-        busy: parse_start.elapsed(),
-        wall: parse_start.elapsed(),
-        steals: 0,
-    };
-    let mut phases: Vec<PhaseStat> =
-        vec![PhaseStat::from_pool("parse", parse_pool, sp.fns.len(), 0, 0)];
-
-    let cx = PhaseCx::new(typed, &sp, opts);
-    // Size the pool from the estimated work: Simpl term sizes × phases.
-    let cost: u64 = sp.fns.values().map(|f| f.body.term_size() as u64 + 1).sum();
+    let cx = PhaseCx::new(typed, opts)?;
+    // Size the pool from the estimated work: typed-AST sizes × 4, about
+    // the Simpl term size (2.5–6.4× the typed size per program), times
+    // the phases.
+    let cost: u64 = typed.functions.iter().map(|f| 4 * f.size() as u64).sum();
     let workers = plan_workers(
         requested,
         cost.saturating_mul(PHASES.len() as u64),
@@ -1139,58 +1140,63 @@ pub(crate) fn run_pipeline(
         return Err(d);
     }
     let n = cx.names.len();
+    let by_name: Vec<usize> = (0..n).collect();
+    let mut by_source = by_name.clone();
+    by_source.sort_by_key(|&i| cx.typed_idx[i]);
+
+    // One row per phase, folded over its function nodes' records, and the
+    // per-function theorem counts over every phase.
+    let mut stats = PipelineStats {
+        workers,
+        requested_workers: requested,
+        ..PipelineStats::default()
+    };
+    for (p, phase) in PHASES.iter().enumerate() {
+        let runs = &runs[p * (n + 1)..][..n];
+        let thms = cx.theorems(phase.name(), &by_name);
+        for (name, thm) in &thms {
+            *stats.fn_theorems.entry(name.clone()).or_insert(0) += 1;
+            *stats.fn_proof_nodes.entry(name.clone()).or_insert(0) += thm.proof_size();
+        }
+        let start = runs.iter().map(|r| r.start).min().unwrap_or_default();
+        let end = runs
+            .iter()
+            .map(|r| r.start + r.busy)
+            .max()
+            .unwrap_or_default();
+        stats.phases.push(PhaseStat {
+            name: phase.name(),
+            wall: end - start,
+            busy: runs.iter().map(|r| r.busy).sum(),
+            workers,
+            requested,
+            fns: n,
+            thms: thms.len(),
+            proof_nodes: thms.iter().map(|(_, t)| t.proof_size()).sum(),
+            cached: runs.iter().filter(|r| r.hit == Some(true)).count(),
+        });
+    }
+    let fn_runs = || runs.chunks(n + 1).flat_map(|phase| &phase[..n]);
+    stats.dirty_fns = (0..n)
+        .filter(|&f| (0..PHASES.len()).any(|p| runs[p * (n + 1) + f].hit == Some(false)))
+        .count();
+    stats.cached_nodes = fn_runs().filter(|r| r.hit == Some(true)).count();
+    stats.computed_nodes = fn_runs().filter(|r| r.hit == Some(false)).count();
 
     // Theorem lists in the legacy orders: l1/hl/wa in sorted-name order,
     // l2 in source order, adaptation theorems appended to `wa`.
-    let take = |phase: &str, i: usize| -> Arc<PhaseArtifact> {
-        cx.artifact(phase, i).expect("graph reported success")
+    let mut wa = cx.theorems("wa", &by_name);
+    wa.extend(cx.theorems("adapt", &by_name));
+    let thms = PhaseTheorems {
+        l1: cx.theorems("l1", &by_name),
+        l2: cx.theorems("l2thm", &by_source),
+        hl: cx.theorems("hl", &by_name),
+        wa,
     };
-    let mut l1_thms: Vec<(String, Thm)> = Vec::with_capacity(n);
-    for i in 0..n {
-        let Artifact::L1 { thm, .. } = &take("l1", i).value else {
-            unreachable!("l1 nodes produce L1 artifacts");
-        };
-        l1_thms.push((cx.names[i].clone(), thm.clone()));
-    }
-    let mut src_order: Vec<usize> = (0..n).collect();
-    src_order.sort_by_key(|&i| cx.typed_idx[i]);
-    let mut l2_thms: Vec<(String, Thm)> = Vec::with_capacity(n);
-    for &i in &src_order {
-        let Artifact::L2Thm(thm) = &take("l2thm", i).value else {
-            unreachable!("l2thm nodes produce L2Thm artifacts");
-        };
-        l2_thms.push((cx.names[i].clone(), thm.clone()));
-    }
-    let mut hl_thms: Vec<(String, Thm)> = Vec::new();
-    for i in 0..n {
-        let Artifact::Hl { thm, .. } = &take("hl", i).value else {
-            unreachable!("hl nodes produce Hl artifacts");
-        };
-        if let Some(thm) = thm {
-            hl_thms.push((cx.names[i].clone(), thm.clone()));
-        }
-    }
-    let mut wa_thms: Vec<(String, Thm)> = Vec::new();
-    for i in 0..n {
-        let Artifact::Wa { thm, .. } = &take("wa", i).value else {
-            unreachable!("wa nodes produce Wa artifacts");
-        };
-        if let Some(thm) = thm {
-            wa_thms.push((cx.names[i].clone(), thm.clone()));
-        }
-    }
-    let mut adapt_thms: Vec<(String, Thm)> = Vec::new();
-    for i in 0..n {
-        let Artifact::Adapt(adapted) = &take("adapt", i).value else {
-            unreachable!("adapt nodes produce Adapt artifacts");
-        };
-        if let Some(a) = adapted {
-            adapt_thms.push((cx.names[i].clone(), a.thm.clone()));
-        }
-    }
-    let mut absint_map: BTreeMap<String, AbsintFn> = BTreeMap::new();
-    for i in 0..n {
-        let Artifact::Absint(a) = &take("absint", i).value else {
+    let mut absint: BTreeMap<String, AbsintFn> = BTreeMap::new();
+    for (i, name) in cx.names.iter().enumerate() {
+        let artifact = cx.artifact("absint", i).expect("graph reported success");
+        let Artifact::Absint(a) = &artifact.value else {
             unreachable!("absint nodes produce Absint artifacts");
         };
         let mut a = a.clone();
@@ -1198,76 +1204,10 @@ pub(crate) fn run_pipeline(
         for l in &mut a.report.lints {
             l.span = l.span.anchored_at(header);
         }
-        absint_map.insert(cx.names[i].clone(), a);
-    }
-
-    // Per-phase rows fold the function nodes' records; `l2`/`l2thm` share
-    // the single legacy `l2` row so the deterministic summary is unchanged.
-    let fn_runs = |ps: Range<usize>| ps.flat_map(|p| &runs[p * (n + 1)..p * (n + 1) + n]);
-    let row = |name, ps: Range<usize>, fns, thms: &[(String, Thm)]| {
-        let start = fn_runs(ps.clone())
-            .map(|r| r.start)
-            .min()
-            .unwrap_or_default();
-        let end = fn_runs(ps.clone())
-            .map(|r| r.start + r.busy)
-            .max()
-            .unwrap_or_default();
-        PhaseStat {
-            name,
-            wall: end - start,
-            busy: fn_runs(ps.clone()).map(|r| r.busy).sum(),
-            workers,
-            requested,
-            fns,
-            thms: thms.len(),
-            proof_nodes: thms.iter().map(|(_, t)| t.proof_size()).sum(),
-            cached: fn_runs(ps).filter(|r| r.hit == Some(true)).count(),
-        }
-    };
-    phases.push(row("l1", 0..1, n, &l1_thms));
-    phases.push(row("l2", 1..3, n, &l2_thms));
-    phases.push(row("hl", 3..4, n, &hl_thms));
-    phases.push(row("wa", 4..5, n, &wa_thms));
-    phases.push(row("adapt", 5..6, adapt_thms.len(), &adapt_thms));
-    wa_thms.extend(adapt_thms);
-    // Discharge theorems are (guard index, Thm) pairs and stay out of the
-    // refinement-theorem lists, so their counts are filled in by hand.
-    phases.push(PhaseStat {
-        thms: absint_map.values().map(|a| a.thms.len()).sum(),
-        proof_nodes: absint_map
-            .values()
-            .flat_map(|a| a.thms.iter().map(|(_, t)| t.proof_size()))
-            .sum(),
-        ..row("absint", 6..7, n, &[])
-    });
-    let all_runs = || fn_runs(0..PHASES.len());
-    let dirty_fns = (0..n)
-        .filter(|&f| (0..PHASES.len()).any(|p| runs[p * (n + 1) + f].hit == Some(false)))
-        .count();
-
-    let thms = PhaseTheorems {
-        l1: l1_thms,
-        l2: l2_thms,
-        hl: hl_thms,
-        wa: wa_thms,
-    };
-    let mut stats = PipelineStats {
-        workers,
-        requested_workers: requested,
-        phases,
-        total_wall: total_start.elapsed(),
-        dirty_fns,
-        cached_nodes: all_runs().filter(|r| r.hit == Some(true)).count(),
-        computed_nodes: all_runs().filter(|r| r.hit == Some(false)).count(),
-        guards_total: absint_map.values().map(|a| a.report.guards.len()).sum(),
-        guards_discharged: absint_map.values().map(|a| a.report.discharged()).sum(),
-        guards_refuted: absint_map.values().map(|a| a.report.refuted()).sum(),
-        ..PipelineStats::default()
-    };
-    for (_, name, thm) in thms.iter() {
-        *stats.fn_theorems.entry(name.to_owned()).or_insert(0) += 1;
-        *stats.fn_proof_nodes.entry(name.to_owned()).or_insert(0) += thm.proof_size();
+        stats.guards_total += a.report.guards.len();
+        stats.guards_discharged += a.report.discharged();
+        stats.guards_refuted += a.report.refuted();
+        absint.insert(name.clone(), a);
     }
 
     // Success implies every shared context exists (or is trivially
@@ -1275,20 +1215,28 @@ pub(crate) fn run_pipeline(
     let l2sh = cx.l2_shared().map_err(|f| f.diag.clone())?;
     let wash = cx.wa_shared().map_err(|f| f.diag.clone())?;
     let adsh = cx.adapt_shared().map_err(|f| f.diag.clone())?;
-    let (l1ctx, l2ctx) = (l2sh.l1ctx.clone(), l2sh.l2ctx.clone());
-    let (hlctx, check_ctx) = (wash.hlctx.clone(), wash.check_ctx.clone());
-    let wactx = adsh.wactx.clone();
-    drop(cx);
+    // The Simpl program is the one the l1corres theorems state.
+    let simpl = SimplProgram {
+        fns: l2sh
+            .l1ctx
+            .fns
+            .values()
+            .zip(&thms.l1)
+            .map(|(fun, (name, thm))| (name.clone(), crate::l1::simpl_fn(fun, thm)))
+            .collect(),
+        ..cx.env.clone()
+    };
+    stats.total_wall = total_start.elapsed();
     Ok(Output {
         typed: typed.clone(),
-        simpl: sp,
-        l1: l1ctx,
-        l2: l2ctx,
-        hl: hlctx,
-        wa: wactx,
+        simpl,
+        l1: l2sh.l1ctx.clone(),
+        l2: l2sh.l2ctx.clone(),
+        hl: wash.hlctx.clone(),
+        wa: adsh.wactx.clone(),
         thms,
-        absint: absint_map,
-        check_ctx,
+        absint,
+        check_ctx: wash.check_ctx.clone(),
         stats,
     })
 }
@@ -1436,9 +1384,8 @@ mod tests {
         const G: &str = "unsigned g(unsigned x) { return x * 2u; }\n";
         let digests = |src: &str| {
             let typed = cparser::parse_and_check(src).unwrap();
-            let sp = simpl::translate_program(&typed).unwrap();
             let opts = Options::default();
-            let cx = PhaseCx::new(&typed, &sp, &opts);
+            let cx = PhaseCx::new(&typed, &opts).unwrap();
             // names are sorted: [f, g].
             (cx.fn_digests.clone(), cx.env_digest)
         };
@@ -1480,6 +1427,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_phase_skips_the_jobs_of_later_phases() {
+        // `zz` fails its Simpl translation inside its `l1` job; inline, the
+        // `l1` jobs run first, and no job of a later phase runs after.
+        let typed = cparser::parse_and_check(
+            "unsigned f(unsigned x) { return x + 1u; }
+             void zz(unsigned n) { while (f(n) > 0u) { n = n - 1u; } }
+",
+        )
+        .unwrap();
+        let opts = Options::default();
+        let cx = PhaseCx::new(&typed, &opts).unwrap();
+        let (runs, _) = run_phases(&cx, &ArtifactStore::new(), 1);
+        let n = cx.names.len();
+        assert_eq!(runs[0].hit, Some(false), "f's l1 job ran");
+        assert!(
+            runs[n + 1..].iter().all(|r| r.hit.is_none()),
+            "a later job ran"
+        );
+        let d = first_error(&cx).expect("zz failed");
+        assert_eq!(d.phase, ir::diag::Phase::Simpl);
+    }
+
+    #[test]
     fn a_panicking_job_fails_its_own_node() {
         let typed = cparser::parse_and_check(
             "unsigned f(unsigned x) { return x + 1u; }
@@ -1487,9 +1457,8 @@ mod tests {
 ",
         )
         .unwrap();
-        let sp = simpl::translate_program(&typed).unwrap();
         let opts = Options::default();
-        let cx = PhaseCx::new(&typed, &sp, &opts);
+        let cx = PhaseCx::new(&typed, &opts).unwrap();
         let store = ArtifactStore::new();
         // names are sorted: [f, g]. Both pool workers hit the panic, and
         // each node still returns its own failure.

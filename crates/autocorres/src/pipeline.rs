@@ -160,7 +160,8 @@ impl PhaseTheorems {
 pub struct Output {
     /// The typed C program.
     pub typed: cparser::TProgram,
-    /// The parser output (Simpl).
+    /// The parser output (Simpl), read back from the L1 artifacts: the
+    /// program the `l1corres` theorems state.
     pub simpl: SimplProgram,
     /// L1: monadic with state-stored locals.
     pub l1: ProgramCtx,

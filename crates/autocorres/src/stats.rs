@@ -20,12 +20,14 @@ use std::time::Duration;
 
 use ir::sched::PoolStats;
 
-/// One pipeline phase's measurements.
+/// One pipeline phase's measurements, folded over its function nodes.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseStat {
-    /// Phase name (`parse`, `l1`, `l2`, `hl`, `wa`, `adapt`).
+    /// Phase name, as in [`crate::PHASES`] (`l1`, `l2`, `l2thm`, `hl`,
+    /// `wa`, `adapt`, `absint`).
     pub name: &'static str,
-    /// Wall-clock time of the phase.
+    /// Wall-clock time of the phase: from its first job's start to its
+    /// last job's end.
     pub wall: Duration,
     /// Sum of per-worker busy time.
     pub busy: Duration,
@@ -45,28 +47,6 @@ pub struct PhaseStat {
 }
 
 impl PhaseStat {
-    /// Builds the phase entry from pool occupancy plus counts.
-    #[must_use]
-    pub fn from_pool(
-        name: &'static str,
-        pool: PoolStats,
-        fns: usize,
-        thms: usize,
-        proof_nodes: usize,
-    ) -> PhaseStat {
-        PhaseStat {
-            name,
-            wall: pool.wall,
-            busy: pool.busy,
-            workers: pool.workers,
-            requested: pool.requested,
-            fns,
-            thms,
-            proof_nodes,
-            cached: 0,
-        }
-    }
-
     /// Raw busy time over capacity, as [`PoolStats::utilization`].
     #[must_use]
     pub fn utilization(&self) -> f64 {
@@ -243,21 +223,6 @@ mod tests {
             "oversubscription must be visible: {}",
             lying.utilization()
         );
-    }
-
-    #[test]
-    fn requested_vs_effective_workers_survive_from_pool() {
-        let pool = PoolStats {
-            requested: 8,
-            workers: 2,
-            busy: Duration::from_millis(4),
-            wall: Duration::from_millis(2),
-            steals: 3,
-        };
-        let p = PhaseStat::from_pool("wa", pool, 10, 10, 100);
-        assert_eq!(p.requested, 8);
-        assert_eq!(p.workers, 2);
-        assert_eq!(p.utilization(), pool.utilization());
     }
 
     #[test]

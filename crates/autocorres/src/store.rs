@@ -6,7 +6,7 @@
 //! `(phase, function, input digest)` → phase artifact — is one record.
 //!
 //! ```text
-//! b"ACRSTOR3" + two 16-byte scheme probes                  header
+//! b"ACRSTOR4" + two 16-byte scheme probes                  header
 //! per record: len, !len (u64 LE), then one sealed container:
 //!   b"ACRSART2" + (phase, fn, digest, artifact) + digest   an artifact
 //! ```
@@ -34,7 +34,8 @@
 //!
 //! Version skew is safe twice over. The header records the store version
 //! (`META_MAGIC`, bumped whenever what a key digest covers or what a
-//! segment holds changes: `ACRSTOR3` holds artifact records only) and
+//! segment holds changes: `ACRSTOR4` keys hash a function's typed AST
+//! alone, and the segment holds artifact records only) and
 //! probes of the digest schemes (the codec's FNV construction and
 //! `DefaultHasher`, whose fixed SipHash key may change between Rust
 //! releases). A mismatch, or an older build's per-file layout (`meta`,
@@ -67,7 +68,7 @@ use crate::phase::{
 };
 
 /// Magic + version of the segment header.
-const META_MAGIC: &[u8; 8] = b"ACRSTOR3";
+const META_MAGIC: &[u8; 8] = b"ACRSTOR4";
 /// Magic + version of one artifact record.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
 /// The segment's file name in the cache directory.

@@ -347,6 +347,15 @@ fn run_profile(p: &codegen::Profile, seed: u64) -> RowOut {
         "{}: the shifted lines re-ran more than the edited function",
         p.name
     );
+    // Simpl is translated inside the `l1` jobs, so only the edited
+    // function's `l1` job (and Simpl translation) ran.
+    let l1 = incr.stats.phases.iter().find(|s| s.name == "l1");
+    assert_eq!(
+        l1.map(|s| s.cached),
+        Some(incr.wa.fns.len() - edits),
+        "{}: the edit re-translated more than the edited function",
+        p.name
+    );
     // Replay joins the overhead gate, measured at the recorded pool width
     // too; both recorded replay times are the gate's own samples. Each
     // `check_all_report` starts from an empty replay cache, so every

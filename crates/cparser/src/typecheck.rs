@@ -225,6 +225,28 @@ impl TFunDef {
         self.volatile_locals.hash(h);
         hash_stmts(&self.body, self.span, h);
     }
+
+    /// Calls `f` with the callee of every call in the body, in source
+    /// order.
+    pub fn each_call(&self, mut f: impl FnMut(&str)) {
+        each_node(&self.body, &mut |n| {
+            if let Node::Expr(TExpr {
+                kind: TExprKind::Call(name, _),
+                ..
+            }) = n
+            {
+                f(name);
+            }
+        });
+    }
+
+    /// The body's size: its statements plus its expression nodes.
+    #[must_use]
+    pub fn size(&self) -> usize {
+        let mut n = 0;
+        each_node(&self.body, &mut |_| n += 1);
+        n
+    }
 }
 
 /// The statement walk of [`TFunDef::hash_position_free`]: per statement
@@ -406,9 +428,15 @@ pub fn typecheck(prog: &Program) -> Result<TProgram> {
     }
 
     let mut functions = Vec::new();
+    let mut defined = std::collections::HashSet::new();
     for f in &prog.functions {
         if !f.is_definition {
             continue; // prototype
+        }
+        if !defined.insert(f.name.as_str()) {
+            return Err(
+                TypeError::new(format!("function `{}` is defined twice", f.name)).with_span(f.span),
+            );
         }
         let cx = Ctx {
             tenv: &tenv,
@@ -425,23 +453,20 @@ pub fn typecheck(prog: &Program) -> Result<TProgram> {
         .iter()
         .map(|f| (f.name.as_str(), f.span))
         .collect();
-    let defined: std::collections::HashSet<&str> =
-        functions.iter().map(|f| f.name.as_str()).collect();
     for f in &functions {
-        let span = decl_spans.get(f.name.as_str()).copied();
-        each_call(&f.body, &mut |name| {
-            if defined.contains(name) {
-                Ok(())
-            } else {
-                let e = TypeError::new(format!(
-                    "function `{name}` is declared but never defined"
-                ));
-                Err(match span {
-                    Some(s) => e.with_span(s),
-                    None => e,
-                })
+        let mut undefined = None;
+        f.each_call(|name| {
+            if undefined.is_none() && !defined.contains(name) {
+                undefined = Some(name.to_owned());
             }
-        })?;
+        });
+        if let Some(name) = undefined {
+            let e = TypeError::new(format!("function `{name}` is declared but never defined"));
+            return Err(match decl_spans.get(f.name.as_str()) {
+                Some(&s) => e.with_span(s),
+                None => e,
+            });
+        }
     }
 
     Ok(TProgram {
@@ -451,43 +476,48 @@ pub fn typecheck(prog: &Program) -> Result<TProgram> {
     })
 }
 
-fn each_call(stmts: &[TStmt], f: &mut impl FnMut(&str) -> Result<()>) -> Result<()> {
-    fn in_expr(e: &TExpr, f: &mut impl FnMut(&str) -> Result<()>) -> Result<()> {
-        if let TExprKind::Call(n, _) = &e.kind {
-            f(n)?;
-        }
+/// What [`each_node`] visits: a statement, or an expression node.
+enum Node<'a> {
+    Stmt,
+    Expr(&'a TExpr),
+}
+
+/// Calls `f` on every statement of `stmts` and every expression node in
+/// them, each before what it contains, in source order.
+fn each_node<'a>(stmts: &'a [TStmt], f: &mut impl FnMut(Node<'a>)) {
+    fn in_expr<'a>(e: &'a TExpr, f: &mut impl FnMut(Node<'a>)) {
+        f(Node::Expr(e));
         match &e.kind {
             TExprKind::Unary(_, a) | TExprKind::Member(a, _) | TExprKind::Cast(_, a) => {
-                in_expr(a, f)?;
+                in_expr(a, f);
             }
             TExprKind::Binary(_, a, b) | TExprKind::Index(a, b) => {
-                in_expr(a, f)?;
-                in_expr(b, f)?;
+                in_expr(a, f);
+                in_expr(b, f);
             }
             TExprKind::Cond(a, b, c) => {
-                in_expr(a, f)?;
-                in_expr(b, f)?;
-                in_expr(c, f)?;
+                in_expr(a, f);
+                in_expr(b, f);
+                in_expr(c, f);
             }
             TExprKind::Call(_, args) => {
                 for a in args {
-                    in_expr(a, f)?;
+                    in_expr(a, f);
                 }
             }
-            _ => {}
+            TExprKind::IntLit(_) | TExprKind::Null | TExprKind::Local(_) | TExprKind::Global(_) => {
+            }
         }
-        Ok(())
     }
     for s in stmts {
+        f(Node::Stmt);
         match s {
             TStmt::Decl { init: Some(e), .. }
             | TStmt::ExprCall(e, _)
-            | TStmt::Return(Some(e), _) => {
-                in_expr(e, f)?;
-            }
+            | TStmt::Return(Some(e), _) => in_expr(e, f),
             TStmt::Assign { lhs, rhs, .. } => {
-                in_expr(lhs, f)?;
-                in_expr(rhs, f)?;
+                in_expr(lhs, f);
+                in_expr(rhs, f);
             }
             TStmt::If {
                 cond,
@@ -495,19 +525,21 @@ fn each_call(stmts: &[TStmt], f: &mut impl FnMut(&str) -> Result<()>) -> Result<
                 else_branch,
                 ..
             } => {
-                in_expr(cond, f)?;
-                each_call(then_branch, f)?;
-                each_call(else_branch, f)?;
+                in_expr(cond, f);
+                each_node(then_branch, f);
+                each_node(else_branch, f);
             }
             TStmt::While { cond, body, .. } | TStmt::DoWhile { body, cond, .. } => {
-                in_expr(cond, f)?;
-                each_call(body, f)?;
+                in_expr(cond, f);
+                each_node(body, f);
             }
-            TStmt::Block(b) => each_call(b, f)?,
-            _ => {}
+            TStmt::Block(b) => each_node(b, f),
+            TStmt::Decl { init: None, .. }
+            | TStmt::Return(None, _)
+            | TStmt::Break(_)
+            | TStmt::Continue(_) => {}
         }
     }
-    Ok(())
 }
 
 /// Shared checking context.

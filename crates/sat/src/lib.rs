@@ -107,8 +107,6 @@ enum Assign {
 #[derive(Clone)]
 struct Clause {
     lits: Vec<Lit>,
-    #[allow(dead_code)]
-    learnt: bool,
 }
 
 /// Statistics from a solve run.
@@ -267,11 +265,6 @@ impl Solver {
         v
     }
 
-    /// The registered names with their variables, in registration order.
-    pub fn named_vars(&self) -> impl Iterator<Item = (&str, Var)> {
-        self.names.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
     /// Number of variables allocated.
     #[must_use]
     pub fn num_vars(&self) -> usize {
@@ -294,10 +287,7 @@ impl Solver {
                 let idx = self.clauses.len();
                 self.watches[lits[0].code()].push(idx);
                 self.watches[lits[1].code()].push(idx);
-                self.clauses.push(Clause {
-                    lits,
-                    learnt: false,
-                });
+                self.clauses.push(Clause { lits });
             }
         }
     }
@@ -619,10 +609,7 @@ impl Solver {
                     self.watches[clause[0].code()].push(idx);
                     self.watches[clause[1].code()].push(idx);
                     let first = clause[0];
-                    self.clauses.push(Clause {
-                        lits: clause,
-                        learnt: true,
-                    });
+                    self.clauses.push(Clause { lits: clause });
                     self.stats.learnt_clauses += 1;
                     self.enqueue(first, Some(idx));
                 }

@@ -35,7 +35,7 @@ pub mod translate;
 
 pub use interp::{exec_fn, exec_stmt, Fault, Outcome};
 pub use stmt::{GuardKind, SimplFn, SimplProgram, SimplStmt};
-pub use translate::translate_program;
+pub use translate::{translate_env, translate_function, translate_program};
 
 /// Name of the ghost local recording the abrupt-termination reason.
 pub const EXN_VAR: &str = "global_exn_var";

@@ -183,7 +183,7 @@ impl fmt::Display for SimplFn {
 }
 
 /// A translated program: functions, layouts, and global initial values.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimplProgram {
     /// Structure layouts.
     pub tenv: TypeEnv,

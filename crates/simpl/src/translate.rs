@@ -8,7 +8,7 @@ use cparser::ast::{CBinOp, CType, CUnOp};
 use cparser::typecheck::{ctype_to_ty, TExpr, TExprKind, TFunDef, TProgram, TStmt};
 use ir::diag::{Diag, DiagKind, Phase};
 use ir::expr::{BinOp, CastKind, Expr, UnOp};
-use ir::ty::{Signedness, Ty, Width};
+use ir::ty::{Signedness, Ty, TypeEnv, Width};
 use ir::update::Update;
 use ir::value::Value;
 use ir::word::Word;
@@ -35,7 +35,9 @@ type IndexParts = (String, bool, Expr, Expr, Vec<(GuardKind, Expr)>);
 
 type Result<T> = std::result::Result<T, Diag>;
 
-/// Translates a typechecked program into Simpl.
+/// Translates a typechecked program into Simpl: its environment
+/// ([`translate_env`]), then each function ([`translate_function`]) in
+/// source order.
 ///
 /// # Errors
 ///
@@ -43,6 +45,22 @@ type Result<T> = std::result::Result<T, Diag>;
 /// encode (calls in loop conditions or short-circuit operands, `break`
 /// outside a loop).
 pub fn translate_program(tp: &TProgram) -> Result<SimplProgram> {
+    let mut out = translate_env(tp)?;
+    for f in &tp.functions {
+        out.fns
+            .insert(f.name.clone(), translate_function(&tp.tenv, f)?);
+    }
+    Ok(out)
+}
+
+/// The program's Simpl environment: its struct layouts and its globals
+/// with their initial values, and no functions.
+///
+/// # Errors
+///
+/// Returns a [`Diag`] for a global initialiser that is not a guard-free
+/// constant.
+pub fn translate_env(tp: &TProgram) -> Result<SimplProgram> {
     let mut out = SimplProgram {
         tenv: tp.tenv.clone(),
         ..SimplProgram::default()
@@ -52,7 +70,7 @@ pub fn translate_program(tp: &TProgram) -> Result<SimplProgram> {
         let value = match &g.init {
             None => Value::zero_of(&ty, &tp.tenv),
             Some(e) => {
-                let mut tr = FnTranslator::new(tp, Ty::Unit);
+                let mut tr = FnTranslator::new(&tp.tenv);
                 let mut pre = Vec::new();
                 let te = tr.rvalue(e, &mut pre)?;
                 if !pre.is_empty() || !te.guards.is_empty() {
@@ -68,16 +86,17 @@ pub fn translate_program(tp: &TProgram) -> Result<SimplProgram> {
         };
         out.globals.push((g.name.clone(), value));
     }
-    for f in &tp.functions {
-        out.fns.insert(f.name.clone(), translate_function(tp, f)?);
-    }
     Ok(out)
 }
 
-/// Translates one function.
-fn translate_function(tp: &TProgram, f: &TFunDef) -> Result<SimplFn> {
+/// Translates one function; `tenv` holds the program's struct layouts.
+///
+/// # Errors
+///
+/// As for [`translate_program`].
+pub fn translate_function(tenv: &TypeEnv, f: &TFunDef) -> Result<SimplFn> {
     let ret_ty = ctype_to_ty(&f.ret);
-    let mut tr = FnTranslator::new(tp, ret_ty.clone());
+    let mut tr = FnTranslator::new(tenv);
     for (n, t) in &f.locals {
         tr.locals.push((n.clone(), ctype_to_ty(t)));
     }
@@ -134,9 +153,7 @@ impl TrExpr {
 /// theorems to line up.
 #[derive(Debug)]
 pub struct FnTranslator<'a> {
-    tp: &'a TProgram,
-    #[allow(dead_code)]
-    ret_ty: Ty,
+    tenv: &'a TypeEnv,
     /// Locals registered so far (including generated temporaries).
     pub locals: Vec<(String, Ty)>,
     tmp_counter: u64,
@@ -144,12 +161,11 @@ pub struct FnTranslator<'a> {
 }
 
 impl<'a> FnTranslator<'a> {
-    /// Creates a translator for expressions of a function returning `ret_ty`.
+    /// Creates a translator for a program with the struct layouts `tenv`.
     #[must_use]
-    pub fn new(tp: &'a TProgram, ret_ty: Ty) -> FnTranslator<'a> {
+    pub fn new(tenv: &'a TypeEnv) -> FnTranslator<'a> {
         FnTranslator {
-            tp,
-            ret_ty,
+            tenv,
             locals: Vec::new(),
             tmp_counter: 0,
             loop_depth: 0,
@@ -158,8 +174,8 @@ impl<'a> FnTranslator<'a> {
 
     /// The structure layouts of the program being translated.
     #[must_use]
-    pub fn tenv(&self) -> &ir::ty::TypeEnv {
-        &self.tp.tenv
+    pub fn tenv(&self) -> &'a TypeEnv {
+        self.tenv
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
@@ -406,7 +422,6 @@ impl<'a> FnTranslator<'a> {
                         let mut fty = Ty::Unit;
                         for (f, t) in &path {
                             offset += self
-                                .tp
                                 .tenv
                                 .field_offset(&sname, f)
                                 .map_err(|e| terr(e.to_string()))?;
@@ -628,7 +643,6 @@ impl<'a> FnTranslator<'a> {
                         return self.err("member access through non-struct pointer");
                     };
                     let offset = self
-                        .tp
                         .tenv
                         .field_offset(sname, field)
                         .map_err(|e| terr(e.to_string()))?;
@@ -734,7 +748,6 @@ impl<'a> FnTranslator<'a> {
             let CType::Ptr(pointee) = &l.ty else { unreachable!() };
             let elem = ctype_to_ty(pointee);
             let size = self
-                .tp
                 .tenv
                 .size_of(&elem)
                 .map_err(|e| terr(e.to_string()))?;

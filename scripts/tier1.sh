@@ -128,6 +128,16 @@ if grep -rnE 'fn +(test_adapted_fn|test_fn_refines)\b' crates/*/src --include='*
     echo "tier1: a second ExecTested tester; use autocorres::testing::exec_test_fn" >&2; exit 1
 fi
 
+# Simpl inside the phase graph (DESIGN.md §6b): each `l1` job translates
+# its own function, so an L1 cache hit skips it, and `Output::simpl` is read
+# back from the L1 artifacts; the pipeline never translates the whole
+# program (test modules, which start at `#[cfg(test)]`, may).
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /simpl::(translate::)?translate_program/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/autocorres/src/*.rs; then
+    echo "tier1: whole-program Simpl translation in crates/autocorres/src; the l1 jobs translate per function" >&2; exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 

@@ -36,6 +36,10 @@ fn unsupported_c_features_are_reported() {
         "void f(void) { const int c = 1; c = 2; }",
         "const",
     );
+    expect_frontend_error(
+        "unsigned f(void) { return 1u; }\nunsigned f(void) { return 2u; }",
+        "defined twice",
+    );
 }
 
 #[test]
@@ -50,6 +54,37 @@ fn translation_limits_are_reported() {
             assert!(d.message.contains("loop conditions"), "{}", d.message);
         }
         other => panic!("expected a Simpl-phase error, got {other:?}"),
+    }
+}
+
+#[test]
+fn the_first_simpl_failure_in_source_order_is_reported() {
+    // Both `zz` and `aa` fail the Simpl translation, and name order is the
+    // reverse of source order. Each `l1` job translates its own function,
+    // yet the run reports what translating the whole program reports: the
+    // first failure in source order, `zz`'s.
+    let src = "unsigned id(unsigned x) { return x; }\n\
+               void zz(unsigned n) { while (id(n) > 0u) { n = n - 1u; } }\n\
+               void aa(unsigned n) { if (n > 0u) { break; } }\n";
+    let typed = cparser::parse_and_check(src).unwrap();
+    let whole = simpl::translate_program(&typed).unwrap_err();
+    assert!(
+        whole.message.contains("loop conditions"),
+        "{}",
+        whole.message
+    );
+    for workers in [1, 2] {
+        let opts = Options {
+            workers,
+            force_pool: true,
+            ..Options::default()
+        };
+        let d = translate(src, &opts).unwrap_err();
+        assert_eq!(
+            (d.phase, &d.message, d.span, &d.function),
+            (whole.phase, &whole.message, whole.span, &whole.function),
+            "workers={workers}"
+        );
     }
 }
 

@@ -99,10 +99,10 @@ fn editing_one_function_reruns_exactly_the_dirty_cone() {
     );
     // Translation phases are per-function: only `leaf` re-ran there.
     assert_eq!(phase_cached(&incr, "l1"), 3);
+    assert_eq!(phase_cached(&incr, "l2"), 3);
     assert_eq!(phase_cached(&incr, "hl"), 3);
-    // l2 merges translation (3 cached) + testing (only `lone`'s callee
-    // cone is unchanged: 1 cached).
-    assert_eq!(phase_cached(&incr, "l2"), 4);
+    // The L2 theorem tests calls: only `lone`'s callee cone is unchanged.
+    assert_eq!(phase_cached(&incr, "l2thm"), 1);
     // Exec-testing phases re-run the whole caller cone.
     assert_eq!(phase_cached(&incr, "wa"), 1);
     assert_eq!(phase_cached(&incr, "adapt"), 1);
@@ -141,6 +141,35 @@ fn cache_counts_are_folds_over_every_graph_node() {
                 s.cached_nodes + s.computed_nodes,
                 autocorres::PHASES.len() * fns,
                 "workers={workers}, leaf_const={leaf_const}"
+            );
+        }
+    }
+}
+
+#[test]
+fn simpl_is_read_back_from_the_l1_artifacts() {
+    // Each `l1` job translates its own function to Simpl, so a hit skips
+    // the translation, and `Output::simpl` is read back from the L1
+    // artifacts: cold, warm and after an edit of `leaf` it must be the
+    // whole-program translation, and the `l1` row must hit exactly the
+    // functions the edit left clean.
+    for workers in [1usize, 2] {
+        let sess = Session::new(Options {
+            force_pool: true,
+            ..opts(workers)
+        });
+        for (run, leaf_const, clean) in [("cold", 1, 0), ("warm", 1, 4), ("edited", 9, 3)] {
+            let typed = cparser::parse_and_check(&diamond(leaf_const)).unwrap();
+            let out = sess.translate_program(&typed).unwrap();
+            assert_eq!(
+                out.simpl,
+                simpl::translate_program(&typed).unwrap(),
+                "{run} run, workers={workers}"
+            );
+            assert_eq!(
+                phase_cached(&out, "l1"),
+                clean,
+                "{run} run, workers={workers}"
             );
         }
     }
