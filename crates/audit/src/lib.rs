@@ -2,12 +2,14 @@
 //!
 //! The pipeline's trust story has two halves, and this crate attacks both:
 //!
-//! 1. **Fault injection** ([`mutate`]): forge lying derivations through
-//!    the disk store's node-table reader, the one unvalidated way
-//!    production builds a theorem, plant them in the store's segment
-//!    file, and assert the independent checker kills every mutant — 100%,
-//!    reported as a kill matrix per mutation kind × pipeline phase. No
-//!    build carries an audit-only constructor or store hook.
+//! 1. **Fault injection** ([`mutate`]): write lying derivations with the
+//!    kernel's node-table writer and read them through the disk store's
+//!    node-table reader, the one unvalidated way production builds a
+//!    theorem, plant them in the store's segment file through the store's
+//!    record codec, and assert the independent checker kills every mutant
+//!    — 100%, reported as a kill matrix per mutation kind × pipeline
+//!    phase. No build carries an audit-only constructor or store hook,
+//!    and the audit has no copy of either format.
 //! 2. **Differential execution** ([`differential`]): run generated
 //!    programs through all five executable layers (Simpl, L1, L2, HL, WA)
 //!    on shared inputs and require agreement, covering the

@@ -9,10 +9,13 @@
 //! single one** (a 100% mutation-kill rate, reported per mutation kind ×
 //! pipeline phase).
 //!
-//! Mutants are minted through the one unvalidated reader production has,
-//! the disk store's node-table codec ([`forge`]): a lie reaches the checker
-//! the way a damaged cache record would, and no build carries a backdoor
-//! constructor for the audit.
+//! Mutants are written by the kernel's node-table writer
+//! (`kernel::codec::NodeTable`) and minted through the one unvalidated
+//! reader production has, the disk store's node-table codec ([`forge`]):
+//! a lie reaches the checker the way a damaged cache record would, and no
+//! build carries a backdoor constructor for the audit. Forged store
+//! records go through the store's own record codec
+//! (`autocorres::store::{encode_record, decode_record}`).
 //!
 //! Two mutation classes are deliberately *not* in the matrix and covered
 //! elsewhere (DESIGN.md §6c):
@@ -27,15 +30,16 @@
 //!   cause a forged theorem to be *accepted* (nor a valid one to be
 //!   rejected), but it is allowed to cost a cache miss.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use autocorres::phase::Artifact;
-use autocorres::{Options, Output, Session};
-use ir::codec::{decode_from_slice, seal, unseal, Codec, Decoder, Encoder};
+use autocorres::phase::{Artifact, PhaseArtifact};
+use autocorres::{store, Options, Output, Session};
+use ir::codec::{decode_from_slice, Encoder};
 use ir::expr::Expr;
 use ir::intern::Interned;
 use ir::names::Symbol;
+use kernel::codec::NodeTable;
 use kernel::{check, Judgment, Rule, Side, Thm};
 use monadic::Prog;
 use rand::rngs::StdRng;
@@ -311,31 +315,26 @@ fn applicable(thm: &Thm, kind: Mutation) -> bool {
 
 /// Mints the mutant of `thm` with `kind` applied at `path` and every
 /// ancestor's conclusion unchanged (the lie is local): one node table
-/// holding `thm`'s rows, then the mutated node, then one new row per
-/// ancestor from the deepest up, decoded once by the store's `Thm` codec.
+/// holding the mutated node and then one new row per ancestor from the
+/// deepest up, each over the existing rows of its other premises, read
+/// back once by the store's `Thm` codec.
 fn mutate_at(thm: &Thm, path: &[usize], kind: Mutation) -> Option<Thm> {
     let mut chain = vec![thm];
     for &i in path {
         chain.push(&chain[chain.len() - 1].premises()[i]);
     }
     let (rule, premises, judgment, side) = apply(chain[path.len()], kind)?;
-    let mut table = Table::new(std::slice::from_ref(thm), 1 + path.len());
-    let mut id = table.row(&judgment, rule, &side, &table.ids(&premises));
+    let mut table = NodeTable::default();
+    let ids = premises.iter().map(|p| table.add(p)).collect();
+    let mut id = table.row(judgment, rule, side, ids);
     for (ancestor, &i) in chain.iter().zip(path).rev() {
-        let mut ids = table.ids(ancestor.premises());
-        ids[i] = id;
-        id = table.row(ancestor.judgment(), ancestor.rule(), ancestor.side(), &ids);
+        let ids = (ancestor.premises().iter().enumerate())
+            .map(|(j, p)| if j == i { id } else { table.add(p) })
+            .collect();
+        let (judgment, side) = (ancestor.judgment().clone(), ancestor.side().clone());
+        id = table.row(judgment, ancestor.rule(), side, ids);
     }
-    let mutant = table.decode();
-    let node = node_at(&mutant, path);
-    assert!(
-        node.rule() == rule
-            && *node.judgment() == judgment
-            && *node.side() == side
-            && node.premises() == premises,
-        "the store's Thm codec did not read back the {kind} mutant"
-    );
-    Some(mutant)
+    Some(read_back(&table))
 }
 
 /// The node `kind` makes of `thm`: its rule, premises, conclusion and
@@ -401,96 +400,25 @@ fn apply(thm: &Thm, kind: Mutation) -> Option<(Rule, Vec<Thm>, Judgment, Side)> 
     }
 }
 
-/// A node table in `kernel::codec`'s layout (a varint row count, then per
-/// row its judgment, rule, side, varint premise count and premise row
-/// ids) that starts with the distinct nodes under some roots in postorder
-/// and is read back by the store's `Thm` codec, without validation, as the
-/// disk store reads a damaged record. Theorems are hash-consed, so the
-/// existing rows decode to the very nodes they were written from.
-struct Table<'t> {
-    e: Encoder,
-    ids: HashMap<&'t Thm, u64>,
-    next: u64,
-}
-
-impl<'t> Table<'t> {
-    /// The rows of every distinct node under `roots`, with room declared
-    /// for `new_rows` more.
-    fn new(roots: &'t [Thm], new_rows: usize) -> Table<'t> {
-        // Iterative postorder over distinct nodes: derivations can be deep.
-        let mut entered = HashSet::new();
-        let mut rows: Vec<&Thm> = Vec::new();
-        let mut stack: Vec<(&Thm, bool)> = roots.iter().rev().map(|p| (p, false)).collect();
-        while let Some((t, expanded)) = stack.pop() {
-            if expanded {
-                rows.push(t);
-            } else if entered.insert(t) {
-                stack.push((t, true));
-                stack.extend(t.premises().iter().rev().map(|p| (p, false)));
-            }
-        }
-        let mut e = Encoder::new();
-        e.varint((rows.len() + new_rows) as u64);
-        let mut table = Table {
-            e,
-            ids: HashMap::new(),
-            next: 0,
-        };
-        for t in rows {
-            let id = table.row(t.judgment(), t.rule(), t.side(), &table.ids(t.premises()));
-            table.ids.insert(t, id);
-        }
-        table
-    }
-
-    /// The row ids of `nodes`, each a row already.
-    fn ids(&self, nodes: &[Thm]) -> Vec<u64> {
-        nodes.iter().map(|t| self.ids[t]).collect()
-    }
-
-    /// Appends a row whose premises are the rows `premises`; returns its
-    /// id.
-    fn row(&mut self, judgment: &Judgment, rule: Rule, side: &Side, premises: &[u64]) -> u64 {
-        judgment.encode(&mut self.e);
-        rule.encode(&mut self.e);
-        side.encode(&mut self.e);
-        self.e.varint(premises.len() as u64);
-        for &id in premises {
-            self.e.varint(id);
-        }
-        self.next += 1;
-        self.next - 1
-    }
-
-    /// The last row's theorem.
-    fn decode(self) -> Thm {
-        decode_from_slice::<Thm>(&self.e.finish())
-            .unwrap_or_else(|err| panic!("the store's Thm codec rejected a node table: {err:?}"))
-    }
-}
-
 /// Builds the derivation node `rule` ⊢ `judgment` over `premises` without
-/// validating it, as the disk store would read a damaged record: a node
-/// table whose rows are the premises' distinct nodes and whose last row is
-/// the new node, decoded with the store's `Thm` codec.
-///
-/// # Panics
-///
-/// Panics if the store's codec no longer reads this layout back to the
-/// requested node.
+/// validating it, as the disk store would read a damaged record: the
+/// kernel's node-table writer takes the premises' distinct nodes and one
+/// new row for the node, and the store's `Thm` codec reads the table back
+/// (`kernel::codec` tests that this yields exactly the requested node).
 #[must_use]
 pub fn forge(rule: Rule, premises: Vec<Thm>, judgment: Judgment, side: Side) -> Thm {
-    let mut table = Table::new(&premises, 1);
-    table.row(&judgment, rule, &side, &table.ids(&premises));
-    let thm = table.decode();
-    assert!(
-        thm.rule() == rule
-            && *thm.judgment() == judgment
-            && *thm.side() == side
-            && thm.premises() == premises,
-        "the store's Thm codec did not read back the forged {rule:?} node"
-    );
-    thm
+    let mut table = NodeTable::default();
+    let ids = premises.iter().map(|p| table.add(p)).collect();
+    table.row(judgment, rule, side, ids);
+    read_back(&table)
+}
+
+/// The last row of `table`, read by the store's `Thm` codec.
+fn read_back(table: &NodeTable) -> Thm {
+    let mut e = Encoder::new();
+    table.write(&mut e);
+    decode_from_slice::<Thm>(&e.finish())
+        .unwrap_or_else(|err| panic!("the store's Thm codec rejected a node table: {err:?}"))
 }
 
 /// An opaque, unprovable extra conjunct ('·' cannot appear in parsed C, so
@@ -704,9 +632,6 @@ impl DiskAttackReport {
 /// The phases whose store records carry theorems, in pipeline order.
 const FORGED_PHASES: [&str; 4] = ["l1", "l2thm", "hl", "wa"];
 
-/// The magic of an artifact record, as `autocorres::store` writes it.
-const ART_MAGIC: &[u8; 8] = b"ACRSART2";
-
 /// `a` with its theorem replaced by a mutant of the theorem's root:
 /// `CorruptSymbol` where it applies, else `SwapRuleFamily`, which applies
 /// at any root (`ExecTested` leaves carry no symbol to corrupt). `None` if
@@ -740,27 +665,21 @@ fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
 
 /// `segment` with its first `phase` artifact record that carries a theorem
 /// rewritten to carry a mutant of that theorem ([`corrupt_artifact`]) — a
-/// false theorem, written through the store's `Thm` codec — then
-/// re-sealed and re-framed (the sealed record's length and its
-/// complement) as the store writes records.
+/// false theorem — through the store's own record codec, so the record is
+/// sealed and framed as the store writes records.
 fn forge_record(segment: &[u8], phase: &str) -> Option<Vec<u8>> {
-    let records = autocorres::store::frames(segment).into_iter().flatten();
+    let records = store::frames(segment).into_iter().flatten();
     records.into_iter().find_map(|span| {
-        let mut d = Decoder::new(unseal(ART_MAGIC, &segment[span.start + 16..span.end]).ok()?);
-        let (rec_phase, name, digest) = (d.str().ok()?, d.str().ok()?, d.u128_fixed().ok()?);
+        let (rec_phase, name, artifact) = store::decode_record(&segment[span.clone()]).ok()?;
         if rec_phase != phase {
             return None;
         }
-        let forged = corrupt_artifact(&Artifact::decode(&mut d).ok()?)?;
-        let mut e = Encoder::new();
-        e.str(&rec_phase);
-        e.str(&name);
-        e.u128_fixed(digest);
-        forged.encode(&mut e);
-        let sealed = seal(ART_MAGIC, &e.finish());
-        let len = sealed.len() as u64;
-        let framed = [&len.to_le_bytes()[..], &(!len).to_le_bytes(), &sealed].concat();
-        Some([&segment[..span.start], &framed, &segment[span.end..]].concat())
+        let forged = PhaseArtifact {
+            digest: artifact.digest,
+            value: corrupt_artifact(&artifact.value)?,
+        };
+        let record = store::encode_record(phase, &name, &forged);
+        Some([&segment[..span.start], &record, &segment[span.end..]].concat())
     })
 }
 
@@ -799,7 +718,7 @@ impl Filled {
         let out = sess.translate(src).expect("audit source translates");
         sess.check_all_report(&out, 1).expect("baseline checks");
         Filled {
-            segment: dir.join(autocorres::store::SEGMENT),
+            segment: dir.join(store::SEGMENT),
             opts,
             baseline: render(&out),
         }
@@ -823,7 +742,7 @@ impl Filled {
             let orig = std::fs::read(segment).expect("store populated");
             match rng.gen_range(0..4u8) {
                 0 => {
-                    let records: Vec<_> = autocorres::store::frames(&orig)
+                    let records: Vec<_> = store::frames(&orig)
                         .into_iter()
                         .filter_map(Result::ok)
                         .collect();

@@ -51,39 +51,6 @@ fn err<T>(msg: impl Into<String>) -> Result<T, Diag> {
 
 type R<T> = Result<T, Diag>;
 
-/// Translates a typed program to L2 and proves each function refines its L1
-/// counterpart.
-///
-/// # Errors
-///
-/// Returns an error when translation fails or a differential test finds a
-/// refinement violation (which would indicate a driver bug).
-pub fn l2_program(
-    cx: &CheckCtx,
-    tp: &TProgram,
-    l1ctx: &ProgramCtx,
-    trials: u32,
-    seed: u64,
-) -> R<(ProgramCtx, Vec<(String, Thm)>)> {
-    let mut l2ctx = ProgramCtx {
-        tenv: l1ctx.tenv.clone(),
-        globals: l1ctx.globals.clone(),
-        ..ProgramCtx::default()
-    };
-    for f in &tp.functions {
-        let fun = l2_function(tp, f)?;
-        l2ctx.fns.insert(f.name.clone(), fun);
-    }
-    // Differential refinement theorems, one per function.
-    let heap_types = crate::testing::heap_types_of(&l1ctx.tenv, l1ctx);
-    let mut thms = Vec::new();
-    for f in &tp.functions {
-        let thm = l2_fn_theorem(cx, &l2ctx, l1ctx, &heap_types, &f.name, trials, seed)?;
-        thms.push((f.name.clone(), thm));
-    }
-    Ok((l2ctx, thms))
-}
-
 /// The L2 `refines` theorem of one function: an `ExecTested` certificate
 /// that the L2 body refines the L1 body, validated differentially. The RNG
 /// stream is derived from `(seed, name)` so the theorem statement (which

@@ -6,13 +6,16 @@
 //! `(phase, function, input digest)` → phase artifact — is one record.
 //!
 //! ```text
-//! b"ACRSTOR4" + two 16-byte scheme probes                  header
+//! b"ACRSTOR5" + two 16-byte scheme probes                  header
 //! per record: len, !len (u64 LE), then one sealed container:
 //!   b"ACRSART2" + (phase, fn, digest, artifact) + digest   an artifact
 //! ```
 //!
 //! Theorems are written in the kernel's one derivation encoding, a node
 //! table per theorem (`kernel::codec`), the encoding certificates use.
+//! This module owns the record format: [`encode_record`] and
+//! [`decode_record`] are its one writer and one reader, for the store and
+//! for the soundness audit's forged records alike.
 //!
 //! # Integrity and trust model
 //!
@@ -34,8 +37,9 @@
 //!
 //! Version skew is safe twice over. The header records the store version
 //! (`META_MAGIC`, bumped whenever what a key digest covers or what a
-//! segment holds changes: `ACRSTOR4` keys hash a function's typed AST
-//! alone, and the segment holds artifact records only) and
+//! segment holds changes: `ACRSTOR5` keys hash a function's typed AST
+//! alone and no signature table, and the segment holds artifact records
+//! only) and
 //! probes of the digest schemes (the codec's FNV construction and
 //! `DefaultHasher`, whose fixed SipHash key may change between Rust
 //! releases). A mismatch, or an older build's per-file layout (`meta`,
@@ -68,7 +72,7 @@ use crate::phase::{
 };
 
 /// Magic + version of the segment header.
-const META_MAGIC: &[u8; 8] = b"ACRSTOR4";
+const META_MAGIC: &[u8; 8] = b"ACRSTOR5";
 /// Magic + version of one artifact record.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
 /// The segment's file name in the cache directory.
@@ -159,8 +163,8 @@ pub struct DiskStore {
     on_disk: Mutex<HashSet<ArtifactKey>>,
 }
 
-/// One decoded artifact record.
-type Record = (&'static str, String, Arc<PhaseArtifact>);
+/// One decoded artifact record: its phase, function and artifact.
+pub type Record = (&'static str, String, Arc<PhaseArtifact>);
 
 impl DiskStore {
     /// Opens (creating if needed) a cache directory.
@@ -232,9 +236,8 @@ impl DiskStore {
             let frames = frames(&bytes);
             let cost = frames.len() as u64 * MIN_TASK_COST;
             let (decoded, _) = par_map(&frames, plan_workers(workers, cost, false), |_, frame| {
-                let range = frame.as_ref().ok()?;
-                let sealed = &bytes[range.start + FRAME..range.end];
-                std::panic::catch_unwind(|| decode_record(sealed).ok())
+                let record = &bytes[frame.clone().ok()?];
+                std::panic::catch_unwind(|| decode_record(record).ok())
                     .ok()
                     .flatten()
             });
@@ -300,12 +303,7 @@ impl DiskStore {
         entries.retain(|(key, _)| !keys.contains(key));
         let width = plan_workers(workers, entries.len() as u64 * MIN_TASK_COST, false);
         let (mut records, _) = par_map(&entries, width, |_, ((phase, name, _), artifact)| {
-            record(ART_MAGIC, |e| {
-                e.str(phase);
-                e.str(name);
-                e.u128_fixed(artifact.digest);
-                artifact.value.encode(e);
-            })
+            encode_record(phase, name, artifact)
         });
         let mut file = self.lock_segment()?;
         if file.metadata()?.len() == 0 {
@@ -357,18 +355,41 @@ fn frame_end(bytes: &[u8], pos: usize) -> Option<usize> {
         .then_some(end)
 }
 
-/// One record: what `write` encodes, sealed under `magic`, behind its
-/// frame.
-fn record(magic: &[u8; 8], write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+/// One record: what `write` encodes, sealed under the record magic,
+/// behind its frame.
+fn record(write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
     let mut e = Encoder::new();
     write(&mut e);
-    let sealed = seal(magic, &e.finish());
+    let sealed = seal(ART_MAGIC, &e.finish());
     let len = sealed.len() as u64;
     [&len.to_le_bytes()[..], &(!len).to_le_bytes(), &sealed].concat()
 }
 
-fn decode_record(sealed: &[u8]) -> Result<Record, DecodeError> {
-    let mut d = Decoder::new(unseal(ART_MAGIC, sealed)?);
+/// The framed, sealed segment record of `phase`'s artifact for the
+/// function `name`, as [`DiskStore::save`] appends it.
+#[must_use]
+pub fn encode_record(phase: &str, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
+    record(|e| {
+        e.str(phase);
+        e.str(name);
+        e.u128_fixed(artifact.digest);
+        artifact.value.encode(e);
+    })
+}
+
+/// Reads one record of a segment, frame included (a span [`frames`]
+/// returns), as [`DiskStore::load_into`] does: its phase, function and
+/// artifact.
+///
+/// # Errors
+///
+/// A broken frame, a foreign magic, a digest mismatch, an unknown phase,
+/// an undecodable artifact or trailing bytes.
+pub fn decode_record(record: &[u8]) -> Result<Record, DecodeError> {
+    if frame_end(record, 0) != Some(record.len()) {
+        return Err(DecodeError("broken record frame".into()));
+    }
+    let mut d = Decoder::new(unseal(ART_MAGIC, &record[FRAME..])?);
     let phase_name = d.str()?;
     // The store key's phase component is `&'static str`; a record naming
     // an unknown phase (a future format, a renamed phase) is rejected.
@@ -438,6 +459,114 @@ mod tests {
             .into_iter()
             .map(|f| f.expect("a clean segment"))
             .collect()
+    }
+
+    /// An `l2` artifact of a function `inc` whose body fails.
+    fn fail_fn() -> PhaseArtifact {
+        PhaseArtifact {
+            digest: 42,
+            value: Artifact::L2Fn(MonadicFn {
+                name: "inc".into(),
+                params: vec![],
+                ret_ty: ir::ty::Ty::Unit,
+                frame: None,
+                body: monadic::Prog::Fail,
+            }),
+        }
+    }
+
+    /// Which variant `a` is, telling a theorem's absence apart.
+    fn shape(a: &Artifact) -> &'static str {
+        match a {
+            Artifact::L1 { .. } => "l1",
+            Artifact::L2Fn(_) => "l2",
+            Artifact::L2Thm(_) => "l2thm",
+            Artifact::Hl { thm: Some(_), .. } => "hl",
+            Artifact::Hl { thm: None, .. } => "hl, concrete",
+            Artifact::Wa { thm: Some(_), .. } => "wa",
+            Artifact::Wa { thm: None, .. } => "wa, not selected",
+            Artifact::Adapt(Some(_)) => "adapt",
+            Artifact::Adapt(None) => "adapt, nothing to adapt",
+            Artifact::Absint(_) => "absint",
+        }
+    }
+
+    #[test]
+    fn records_round_trip_every_artifact_variant() {
+        let dir = tmpdir("variants");
+        // `twice` is kept concrete, so it is neither heap- nor
+        // word-abstracted, and its calls of the abstracted `inc` are
+        // adapted.
+        let src = format!("{SRC}\nunsigned twice(unsigned x) {{ return inc(inc(x)); }}");
+        let opts = Options {
+            concrete_fns: ["twice".to_owned()].into(),
+            ..opts(&dir)
+        };
+        let out = Session::new(opts).translate(&src).expect("translate");
+        let mut known: HashSet<&kernel::Thm> = out.thms.iter().map(|(_, _, t)| t).collect();
+        known.extend(out.absint.values().flat_map(|a| a.thms.iter().map(|(_, t)| t)));
+        let bytes = segment(&dir);
+        let mut shapes = HashSet::new();
+        for span in records(&bytes) {
+            let (phase, name, artifact) = decode_record(&bytes[span.clone()]).expect("decodes");
+            assert_eq!(encode_record(phase, &name, &artifact), bytes[span]);
+            for thm in artifact.value.theorems() {
+                assert!(known.contains(thm), "{phase} {name}: not the output's theorem");
+            }
+            shapes.insert(shape(&artifact.value));
+        }
+        let mut shapes: Vec<_> = shapes.into_iter().collect();
+        shapes.sort_unstable();
+        assert_eq!(
+            shapes,
+            [
+                "absint",
+                "adapt",
+                "adapt, nothing to adapt",
+                "hl",
+                "hl, concrete",
+                "l1",
+                "l2",
+                "l2thm",
+                "wa",
+                "wa, not selected"
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_record_is_rejected_and_its_neighbours_are_not() {
+        let good = encode_record("l2", "inc", &fail_fn());
+        assert!(decode_record(&good).is_ok());
+        let foreign = {
+            let mut r = good.clone();
+            let sealed = seal(b"ACRSART1", unseal(ART_MAGIC, &r[FRAME..]).unwrap());
+            r.splice(FRAME.., sealed);
+            r
+        };
+        // A foreign magic, and a flipped bit anywhere: in the frame (which
+        // breaks it), the magic, the payload or its digest.
+        let mut damaged = vec![foreign];
+        for i in 0..good.len() {
+            let mut r = good.clone();
+            r[i] ^= 0x10;
+            damaged.push(r);
+        }
+        for bad in damaged {
+            assert!(decode_record(&bad).is_err());
+            // Between two good records, the damage costs itself alone.
+            let segment = [header(), good.clone(), bad, good.clone()].concat();
+            let decoded: Vec<bool> = frames(&segment)
+                .into_iter()
+                .map(|span| span.is_ok_and(|r| decode_record(&segment[r]).is_ok()))
+                .collect();
+            assert_eq!(decoded, [true, false, true]);
+        }
+        // A record cut short is a torn tail.
+        for cut in 0..good.len() {
+            assert!(decode_record(&good[..cut]).is_err());
+        }
     }
 
     #[test]
@@ -618,8 +747,8 @@ mod tests {
         let mut bytes = segment(&dir);
         let at = records(&bytes)[1].start;
         let foreign = [
-            record(ART_MAGIC, |e| e.str("not an artifact")),
-            record(ART_MAGIC, |_| {}),
+            record(|e| e.str("not an artifact")),
+            record(|_| {}),
         ]
         .concat();
         bytes.splice(at..at, foreign);
@@ -698,19 +827,7 @@ mod tests {
         // A self-consistent record (valid frame, magic and digest) naming
         // a phase this build does not know: must be rejected by name, not
         // trusted.
-        let l9 = record(ART_MAGIC, |e| {
-            e.str("l9");
-            e.str("inc");
-            e.u128_fixed(42);
-            Artifact::L2Fn(MonadicFn {
-                name: "inc".into(),
-                params: vec![],
-                ret_ty: ir::ty::Ty::Unit,
-                frame: None,
-                body: monadic::Prog::Fail,
-            })
-            .encode(e);
-        });
+        let l9 = encode_record("l9", "inc", &fail_fn());
         let bytes = [segment(&dir), l9].concat();
         std::fs::write(dir.join(SEGMENT), bytes).unwrap();
         let sess = Session::new(opts(&dir));

@@ -1,32 +1,29 @@
 //! L2 phase tests: output shapes match the paper's figures, and the
 //! differential refinement theorems hold.
 
-use autocorres::l1::l1_program;
-use autocorres::l2::l2_program;
-use kernel::{check, CheckCtx};
+use autocorres::{translate_program, Options};
+use kernel::check;
 use monadic::ProgramCtx;
 
-fn run_l2(src: &str) -> (ProgramCtx, ProgramCtx, CheckCtx) {
+/// The L1 and L2 programs of `src` as the pipeline translates them, every
+/// L1 and L2 theorem checked.
+fn run_l2(src: &str) -> (ProgramCtx, ProgramCtx) {
     let typed = cparser::parse_and_check(src).unwrap();
-    let sp = simpl::translate_program(&typed).unwrap();
-    let cx = CheckCtx {
-        tenv: sp.tenv.clone(),
-        ..CheckCtx::default()
+    let opts = Options {
+        l2_trials: 120,
+        seed: 2024,
+        ..Options::default()
     };
-    let (l1ctx, l1thms) = l1_program(&cx, &sp).unwrap();
-    for (_, t) in &l1thms {
-        check(t, &cx).unwrap();
+    let out = translate_program(&typed, &opts).unwrap();
+    for (_, t) in out.thms.l1.iter().chain(&out.thms.l2) {
+        check(t, &out.check_ctx).unwrap();
     }
-    let (l2ctx, l2thms) = l2_program(&cx, &typed, &l1ctx, 120, 2024).unwrap();
-    for (_, t) in &l2thms {
-        check(t, &cx).unwrap();
-    }
-    (l1ctx, l2ctx, cx)
+    (out.l1, out.l2)
 }
 
 #[test]
 fn fig2_max_becomes_ideal_conditional() {
-    let (_, l2, _) = run_l2("int max(int a, int b) { if (a < b) return b; return a; }");
+    let (_, l2) = run_l2("int max(int a, int b) { if (a < b) return b; return a; }");
     let f = l2.function("max").unwrap();
     // The paper's max': if a < b then b else a (still on words at L2).
     assert_eq!(
@@ -39,7 +36,7 @@ fn fig2_max_becomes_ideal_conditional() {
 
 #[test]
 fn gcd_loop_lifts_locals_into_iterators() {
-    let (_, l2, _) = run_l2(
+    let (_, l2) = run_l2(
         "unsigned gcd(unsigned a, unsigned b) {\n\
            while (b != 0u) { unsigned t = b; b = a % b; a = t; }\n\
            return a;\n\
@@ -55,7 +52,7 @@ fn gcd_loop_lifts_locals_into_iterators() {
 
 #[test]
 fn fig6_reverse_shape() {
-    let (_, l2, _) = run_l2(
+    let (_, l2) = run_l2(
         "struct node { struct node *next; unsigned data; };\n\
          struct node *reverse(struct node *list) {\n\
            struct node *rev = NULL;\n\
@@ -78,7 +75,7 @@ fn fig6_reverse_shape() {
 
 #[test]
 fn break_and_continue_translate_with_tagged_exceptions() {
-    let (l1, l2, _) = run_l2(
+    let (l1, l2) = run_l2(
         "unsigned f(unsigned n) {\n\
            unsigned s = 0;\n\
            unsigned i = 0;\n\
@@ -91,8 +88,8 @@ fn break_and_continue_translate_with_tagged_exceptions() {
            return s;\n\
          }",
     );
-    // Differential check at the function level (also done inside l2_program;
-    // re-assert on concrete inputs here).
+    // Differential check at the function level (also done by the
+    // pipeline's L2 theorem; re-assert on concrete inputs here).
     for n in 0..8u32 {
         let st = ir::state::State::conc_empty();
         let (v1, _) =
@@ -106,7 +103,7 @@ fn break_and_continue_translate_with_tagged_exceptions() {
 
 #[test]
 fn early_return_in_loop_uses_exception_encoding() {
-    let (l1, l2, _) = run_l2(
+    let (l1, l2) = run_l2(
         "unsigned find(unsigned n) {\n\
            unsigned i = 0;\n\
            while (i < n) {\n\
@@ -131,7 +128,7 @@ fn early_return_in_loop_uses_exception_encoding() {
 
 #[test]
 fn do_while_runs_body_first() {
-    let (l1, l2, _) = run_l2(
+    let (l1, l2) = run_l2(
         "unsigned f(unsigned n) {\n\
            unsigned c = 0;\n\
            do { c = c + 1u; n = n / 2u; } while (n > 0u);\n\
@@ -151,7 +148,7 @@ fn do_while_runs_body_first() {
 
 #[test]
 fn calls_and_heap_writes() {
-    let (_, l2, _) = run_l2(
+    let (_, l2) = run_l2(
         "unsigned sq(unsigned x) { return x * x; }\n\
          void store(unsigned *p, unsigned v) { *p = sq(v) + 1u; }",
     );
@@ -164,7 +161,7 @@ fn calls_and_heap_writes() {
 
 #[test]
 fn globals_stay_in_state() {
-    let (l1, l2, _) = run_l2(
+    let (l1, l2) = run_l2(
         "unsigned counter = 10;\n\
          void bump(void) { counter = counter + 1u; }",
     );

@@ -1,23 +1,27 @@
 //! Heap-abstraction engine tests: Fig 3 → Fig 5 (swap), field accesses,
 //! checker replay, and semantic differential validation of the theorems.
 
-use autocorres::l1::l1_program;
-use autocorres::l2::l2_program;
+use autocorres::{translate_program, Options};
 use heapabs::{hl_program, HlOptions};
 use ir::eval::Env;
 use kernel::{check, CheckCtx, Judgment};
 use monadic::ProgramCtx;
 use rand::{Rng, SeedableRng};
 
+/// The L2 program of `src` as the pipeline translates it, and a kernel
+/// context with its struct layouts.
 fn to_l2(src: &str) -> (ProgramCtx, CheckCtx) {
     let typed = cparser::parse_and_check(src).unwrap();
-    let sp = simpl::translate_program(&typed).unwrap();
+    let opts = Options {
+        l2_trials: 60,
+        seed: 7,
+        ..Options::default()
+    };
+    let l2ctx = translate_program(&typed, &opts).unwrap().l2;
     let cx = CheckCtx {
-        tenv: sp.tenv.clone(),
+        tenv: l2ctx.tenv.clone(),
         ..CheckCtx::default()
     };
-    let (l1ctx, _) = l1_program(&cx, &sp).unwrap();
-    let (l2ctx, _) = l2_program(&cx, &typed, &l1ctx, 60, 7).unwrap();
     (l2ctx, cx)
 }
 

@@ -33,7 +33,7 @@ use std::fmt;
 
 use ir::codec::{seal, unseal, Codec, DecodeError, Decoder, Encoder, SealError};
 
-use crate::codec::{read_table, write_table};
+use crate::codec::{read_table, NodeTable};
 use crate::thm::{CheckCtx, KernelError, Thm};
 
 /// Magic + version prefix of a `cert-v2` file.
@@ -92,8 +92,9 @@ pub struct CertReport {
 pub fn encode_cert(cx: &CheckCtx, roots: &[(&str, &Thm)]) -> Vec<u8> {
     let mut e = Encoder::new();
     cx.encode(&mut e);
-    let thms: Vec<&Thm> = roots.iter().map(|&(_, t)| t).collect();
-    let ids = write_table(&mut e, &thms);
+    let mut table = NodeTable::default();
+    let ids: Vec<u64> = roots.iter().map(|(_, t)| table.add(t)).collect();
+    table.write(&mut e);
     e.varint(roots.len() as u64);
     for ((label, _), id) in roots.iter().zip(ids) {
         e.str(label);
@@ -215,20 +216,16 @@ mod tests {
     }
 
     /// A sealed certificate under `cx` with the node table `rows`
-    /// (judgment, rule, premise ids; no side data) and the roots `roots`.
+    /// (judgment, rule, premise ids; no side data), written as new rows of
+    /// a [`NodeTable`], and the roots `roots`.
     fn raw_cert(cx: &CheckCtx, rows: &[(&Judgment, Rule, &[u64])], roots: &[u64]) -> Vec<u8> {
         let mut e = Encoder::new();
         cx.encode(&mut e);
-        e.varint(rows.len() as u64);
-        for (judgment, rule, premises) in rows {
-            judgment.encode(&mut e);
-            rule.encode(&mut e);
-            Side::None.encode(&mut e);
-            e.varint(premises.len() as u64);
-            for &p in *premises {
-                e.varint(p);
-            }
+        let mut table = NodeTable::default();
+        for &(judgment, rule, premises) in rows {
+            table.row(judgment.clone(), rule, Side::None, premises.to_vec());
         }
+        table.write(&mut e);
         e.varint(roots.len() as u64);
         for &r in roots {
             e.str(&format!("row{r}"));

@@ -1,10 +1,12 @@
 //! Binary codec impls for kernel statements and derivations.
 //!
 //! Judgments, rules, and side data are plain data. Derivations have one
-//! encoding, the *node table* ([`write_table`], [`read_table`]): one row
+//! encoding, the *node table* ([`NodeTable`], [`read_table`]): one row
 //! per structurally distinct subtree, in postorder. Certificates
 //! (`kernel::cert`) write one table for all their roots; the store writes
-//! one per theorem through the [`Thm`] codec at the bottom.
+//! one per theorem through the [`Thm`] codec at the bottom; the soundness
+//! audit writes its mutants as new rows over existing ones. Rules and side
+//! data are encoded here only, so no other module writes a row.
 //!
 //! The reader takes each row's constructor from its caller: certificates
 //! admit every row through the validating kernel, while the
@@ -13,7 +15,7 @@
 //! `--check` validates store theorems like any other (see DESIGN.md §6g).
 //! Adversarial-grade transport is the certificate path, never the store.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 
 use ir::codec::{Codec, DecodeError, Decoder, Encoder};
 
@@ -146,39 +148,99 @@ ir::codec! {
 
 ir::codec! { struct CheckCtx { tenv, fn_abs } }
 
-/// Writes the node table of `roots` (a varint row count, then per row its
-/// judgment, rule, side, varint premise count and premise row ids) and
-/// returns each root's row id. Rows are in postorder, so a premise id is
-/// below its row's own. Theorems are hash-consed, so a row is a node:
-/// the kernel's one derivation walk ([`postorder`]) takes each node at its
-/// first sight by address (every root, and so every node under it, is
-/// alive for the call), equal sub-derivations share a row, and reading the
-/// table rebuilds every theorem exactly, `proof_size` included.
-pub(crate) fn write_table(e: &mut Encoder, roots: &[&Thm]) -> Vec<u64> {
-    let mut seen = HashSet::new();
-    let mut rows: Vec<&Thm> = Vec::new();
-    for &root in roots {
-        postorder(root, |t| seen.insert(t.key()), &mut rows);
-    }
-    let ids: HashMap<usize, u64> = rows
-        .iter()
-        .enumerate()
-        .map(|(id, t)| (t.key(), id as u64))
-        .collect();
-    e.varint(rows.len() as u64);
-    for t in &rows {
-        t.judgment().encode(e);
-        t.rule().encode(e);
-        t.side().encode(e);
-        e.varint(t.premises().len() as u64);
-        for p in t.premises() {
-            e.varint(ids[&p.key()]);
-        }
-    }
-    roots.iter().map(|r| ids[&r.key()]).collect()
+/// A node table being written: a varint row count, then per row its
+/// judgment, rule, side, varint premise count and premise row ids. The
+/// kernel's one writer of derivations, for certificates, the store and the
+/// audit's mutants alike. It only writes bytes: a theorem still comes
+/// only from a rule, `Thm::admit` or the store's reader ([`read_table`]).
+#[derive(Default)]
+pub struct NodeTable {
+    rows: Vec<Row>,
+    /// Each node row's id, keyed by the node's address: `rows` holds the
+    /// node, so the address keys no other node while the table lives.
+    ids: HashMap<usize, u64>,
 }
 
-/// Reads a table [`write_table`] wrote, one theorem per row in row order:
+enum Row {
+    /// A node; its premises are rows already.
+    Node(Thm),
+    /// A node that does not exist yet: its judgment, rule, side and
+    /// premise rows.
+    New(Box<(Judgment, Rule, Side, Vec<u64>)>),
+}
+
+impl NodeTable {
+    /// Adds the distinct nodes under `root` that are not rows yet and
+    /// returns `root`'s row id. Rows are in postorder, so a premise id is
+    /// below its row's own. Theorems are hash-consed, so a row is a node:
+    /// the kernel's one derivation walk ([`postorder`]) takes each node at
+    /// its first sight by address, equal sub-derivations share a row, and
+    /// reading the table rebuilds every theorem exactly, `proof_size`
+    /// included.
+    pub fn add(&mut self, root: &Thm) -> u64 {
+        let mut nodes = Vec::new();
+        let ids = &mut self.ids;
+        // A node the walk enters gets its id when the walk leaves it.
+        let enter = |t: &Thm| match ids.entry(t.key()) {
+            Entry::Vacant(id) => {
+                id.insert(u64::MAX);
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
+        postorder(root, enter, &mut nodes);
+        for t in nodes {
+            self.ids.insert(t.key(), self.rows.len() as u64);
+            self.rows.push(Row::Node(t.clone()));
+        }
+        self.ids[&root.key()]
+    }
+
+    /// Appends a row for a node that does not exist yet, `rule` ⊢
+    /// `judgment` over the rows `premises` (written as given: a reader
+    /// rejects an id not below the row's own), and returns its id.
+    pub fn row(&mut self, judgment: Judgment, rule: Rule, side: Side, premises: Vec<u64>) -> u64 {
+        self.rows.push(Row::New(Box::new((judgment, rule, side, premises))));
+        self.rows.len() as u64 - 1
+    }
+
+    /// Writes the row count, then the rows, into `e`: the caller's encoder,
+    /// because interned terms in the rows back-reference terms `e` already
+    /// wrote.
+    pub fn write(&self, e: &mut Encoder) {
+        e.varint(self.rows.len() as u64);
+        for row in &self.rows {
+            match row {
+                Row::Node(t) => {
+                    let premises = t.premises().iter().map(|p| self.ids[&p.key()]);
+                    write_row(e, t.judgment(), t.rule(), t.side(), premises);
+                }
+                Row::New(row) => {
+                    let (judgment, rule, side, premises) = &**row;
+                    write_row(e, judgment, *rule, side, premises.iter().copied());
+                }
+            }
+        }
+    }
+}
+
+fn write_row(
+    e: &mut Encoder,
+    judgment: &Judgment,
+    rule: Rule,
+    side: &Side,
+    premises: impl ExactSizeIterator<Item = u64>,
+) {
+    judgment.encode(e);
+    rule.encode(e);
+    side.encode(e);
+    e.varint(premises.len() as u64);
+    for id in premises {
+        e.varint(id);
+    }
+}
+
+/// Reads a table a [`NodeTable`] wrote, one theorem per row in row order:
 /// `build(id, rule, premises, judgment, side)` makes row `id`'s theorem,
 /// its premises being the earlier rows it names. A premise id not below
 /// its row's own is an error.
@@ -214,7 +276,9 @@ pub(crate) fn read_table<E: From<DecodeError>>(
 #[cfg(feature = "persist")]
 impl Codec for Thm {
     fn encode(&self, e: &mut Encoder) {
-        write_table(e, &[self]);
+        let mut table = NodeTable::default();
+        table.add(self);
+        table.write(e);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         read_table(d, |_, rule, premises, judgment, side| {
@@ -298,6 +362,42 @@ mod tests {
             let _ = decode_from_slice::<Thm>(&m);
             let _ = decode_from_slice::<Thm>(&bytes[..i]);
         }
+    }
+
+    /// The audit mints its mutants this way: the rows of existing
+    /// premises, then a new row over them, read back by the store's `Thm`
+    /// codec as exactly that node over exactly those premises.
+    #[cfg(feature = "persist")]
+    #[test]
+    fn a_new_row_over_added_premises_reads_back_as_that_node() {
+        let cx = CheckCtx::default();
+        let lit = |n| {
+            crate::rules::word::w_lit(
+                &cx,
+                &Default::default(),
+                AbsFun::Unat,
+                &ir::value::Value::u32(n),
+            )
+            .expect("w_lit")
+        };
+        let sum = crate::rules::word::w_arith(&cx, Rule::WSum, ir::ty::Width::W32, lit(5), lit(5))
+            .expect("w_arith");
+        let premises = vec![sum, lit(6), lit(5)];
+        let mut table = NodeTable::default();
+        let ids: Vec<u64> = premises.iter().map(|p| table.add(p)).collect();
+        assert_eq!(ids, [1, 2, 0], "5, 5 + 5, 6; the last premise is row 0");
+        // A node no rule made: three premises under a two-premise rule.
+        let judgment = premises[1].judgment().clone();
+        let side = Side::Tested { trials: 3, seed: 9 };
+        assert_eq!(table.row(judgment.clone(), Rule::WSum, side.clone(), ids), 3);
+        let mut e = Encoder::new();
+        table.write(&mut e);
+        let thm: Thm = decode_from_slice(&e.finish()).expect("decode");
+        assert_eq!(thm.rule(), Rule::WSum);
+        assert_eq!(*thm.judgment(), judgment);
+        assert_eq!(*thm.side(), side);
+        assert_eq!(thm.premises(), premises);
+        assert!(crate::check(&thm, &cx).is_err(), "the checker rejects it");
     }
 
     #[test]

@@ -4,22 +4,26 @@
 
 use std::collections::BTreeMap;
 
-use autocorres::l1::l1_program;
-use autocorres::l2::l2_program;
+use autocorres::{translate_program, Options};
 use heapabs::{hl_program, HlOptions};
 use kernel::{check, CheckCtx};
 use monadic::ProgramCtx;
 use wordabs::{overflow_idiom_rule, wa_program, WaOptions};
 
+/// The HL program of `src`, abstracted from the pipeline's L2, and a
+/// kernel context with its struct layouts.
 fn to_hl(src: &str) -> (ProgramCtx, CheckCtx) {
     let typed = cparser::parse_and_check(src).unwrap();
-    let sp = simpl::translate_program(&typed).unwrap();
+    let opts = Options {
+        l2_trials: 60,
+        seed: 7,
+        ..Options::default()
+    };
+    let l2ctx = translate_program(&typed, &opts).unwrap().l2;
     let cx = CheckCtx {
-        tenv: sp.tenv.clone(),
+        tenv: l2ctx.tenv.clone(),
         ..CheckCtx::default()
     };
-    let (l1ctx, _) = l1_program(&cx, &sp).unwrap();
-    let (l2ctx, _) = l2_program(&cx, &typed, &l1ctx, 60, 7).unwrap();
     let (hlctx, _) = hl_program(&cx, &l2ctx, &HlOptions::default()).unwrap();
     (hlctx, cx)
 }

@@ -60,14 +60,29 @@ fi
 
 # One derivation walk (DESIGN.md §7): replay is planned by one walk and
 # counted by it, so the kernel needs no atomics, and the node-table writer
-# numbers its rows with the same walk instead of a second loop.
+# numbers its rows with the same walk instead of a second loop; no other
+# crate walks derivations to write them either.
 if grep -rn 'std::sync::atomic' crates/kernel/src --include='*.rs'; then
     echo "tier1: std::sync::atomic in crates/kernel/src; replay is planned, not raced" >&2; exit 1
 fi
-walks=$(grep -rn 'premises().iter().rev()' crates/kernel/src --include='*.rs' || true)
+walks=$(grep -rn 'premises().iter().rev()' crates/*/src src --include='*.rs' || true)
 if [[ $(grep -c . <<< "$walks") -gt 1 ]]; then
-    echo "tier1: more than one derivation walk in crates/kernel/src:" >&2
+    echo "tier1: more than one derivation walk in crates/*/src and src:" >&2
     echo "$walks" >&2; exit 1
+fi
+
+# One writer per persisted format (DESIGN.md §6c, §6g): node-table rows are
+# written only by `kernel::codec::NodeTable` (a `Rule` or `Side` encoded
+# anywhere else is a second row writer), and segment records only by
+# `autocorres::store::encode_record` (the record magic appears nowhere
+# else), so the audit forges through the production writers.
+if grep -rnE '([Rr]ule|[Ss]ide)(::[A-Za-z]+|\(\))?\.encode\(' crates src tests --include='*.rs' \
+    | grep -v '^crates/kernel/src/codec\.rs:'; then
+    echo "tier1: a Rule or Side encoded outside crates/kernel/src/codec.rs; write rows with kernel::codec::NodeTable" >&2; exit 1
+fi
+if grep -rn 'ACRSART' crates src tests --include='*.rs' \
+    | grep -v '^crates/autocorres/src/store\.rs:'; then
+    echo "tier1: a store record magic outside crates/autocorres/src/store.rs; use store::{encode_record, decode_record}" >&2; exit 1
 fi
 
 # One rule definition (DESIGN.md §2): each rule is one conclusion function,

@@ -121,6 +121,47 @@ fn editing_one_function_reruns_exactly_the_dirty_cone() {
     }
 }
 
+/// Translates `before` and then `after` through one session at each of
+/// one and two workers, and checks that the second run re-ran exactly
+/// `dirty` functions and printed what a fresh translation of `after` does.
+fn edit(before: &str, after: &str, dirty: usize) {
+    for workers in [1usize, 2] {
+        let sess = Session::new(opts(workers));
+        sess.translate(before).unwrap();
+        let incr = sess.translate(after).unwrap();
+        assert_eq!(incr.stats.dirty_fns, dirty, "workers={workers}:\n{after}");
+        let typed = cparser::parse_and_check(after).unwrap();
+        let fresh = translate_program(&typed, &opts(workers)).unwrap();
+        assert_eq!(render(&incr), render(&fresh), "workers={workers}:\n{after}");
+    }
+}
+
+#[test]
+fn adding_a_function_dirties_only_that_function() {
+    // No key hashes the table of every signature, so a new function that
+    // declares no type leaves every other function's jobs clean.
+    let added = format!("{}unsigned extra(unsigned x) {{ return x + 1u; }}\n", diamond(1));
+    edit(&diamond(1), &added, 1);
+}
+
+#[test]
+fn a_callee_signature_change_dirties_the_callee_and_its_callers() {
+    // A caller reads its callee's signature through the call in its own
+    // typed AST (the argument conversions, the result type); `lone` calls
+    // nothing and stays clean.
+    let src = |leaf: &str| {
+        format!(
+            "{leaf} {{ return x + 1u; }}\n\
+             unsigned mid(unsigned x) {{ return leaf(x) + 2u; }}\n\
+             unsigned lone(unsigned x) {{ return x * 3u; }}\n"
+        )
+    };
+    let before = src("unsigned leaf(unsigned x)");
+    for leaf in ["int leaf(unsigned x)", "unsigned leaf(int x)"] {
+        edit(&before, &src(leaf), 2);
+    }
+}
+
 #[test]
 fn cache_counts_are_folds_over_every_graph_node() {
     // Every `(phase, function)` node either hits the store or runs, so the
