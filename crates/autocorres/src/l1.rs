@@ -10,7 +10,7 @@ use ir::ty::Ty;
 use kernel::rules::refine;
 use kernel::{CheckCtx, Judgment, KernelError, Thm};
 use monadic::{MonadicFn, Prog, ProgramCtx};
-use simpl::stmt::{SimplFn, SimplProgram, SimplStmt};
+use simpl::stmt::{ISimpl, SimplFn, SimplProgram};
 use simpl::RET_VAR;
 
 /// The L1 translation of one function: the monadic function plus the
@@ -71,16 +71,14 @@ pub fn simpl_fn(fun: &MonadicFn, thm: &Thm) -> SimplFn {
     }
 }
 
-/// Structural fold applying the kernel's L1 rules.
-fn l1_stmt(cx: &CheckCtx, s: &SimplStmt) -> Result<Thm, KernelError> {
-    let subs = match s {
-        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => {
-            vec![l1_stmt(cx, a)?, l1_stmt(cx, b)?]
-        }
-        SimplStmt::Cond(_, a, b) => vec![l1_stmt(cx, a)?, l1_stmt(cx, b)?],
-        SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => vec![l1_stmt(cx, b)?],
-        _ => vec![],
-    };
+/// Structural fold applying the kernel's L1 rules: each node's theorem
+/// states the statement handle its parent holds.
+fn l1_stmt(cx: &CheckCtx, s: &ISimpl) -> Result<Thm, KernelError> {
+    let subs = s
+        .children()
+        .into_iter()
+        .map(|c| l1_stmt(cx, c))
+        .collect::<Result<_, _>>()?;
     refine::l1(cx, s, subs)
 }
 
@@ -169,6 +167,88 @@ mod tests {
             st
         })
         .unwrap();
+    }
+
+    /// Statements are interned: every node of an L1 theorem states the
+    /// very handles its statement holds as the sub-statements its premises
+    /// state, the root states the function body, and `simpl_fn` reads that
+    /// handle back.
+    #[test]
+    fn l1_nodes_share_statements_with_their_premises() {
+        let (sp, ctx, thms, _) = compile(
+            "unsigned gcd(unsigned a, unsigned b) {\n\
+               while (b != 0u) { unsigned t = b; if (t > 7u) { t = t / 2u; } b = a % b; a = t; }\n\
+               return a;\n\
+             }",
+        );
+        let (name, thm) = &thms[0];
+        let body = &sp.fns[name].body;
+        let Judgment::L1 { simpl, .. } = thm.judgment() else {
+            panic!("not an l1corres theorem")
+        };
+        assert!(ISimpl::ptr_eq(simpl, body), "the root states another body");
+        assert!(ISimpl::ptr_eq(&simpl_fn(&ctx.fns[name], thm).body, body));
+        let mut stack = vec![thm];
+        let mut nodes = 0;
+        while let Some(t) = stack.pop() {
+            nodes += 1;
+            let Judgment::L1 { simpl, .. } = t.judgment() else {
+                panic!("an L1 premise that is not l1corres")
+            };
+            let children = simpl.children();
+            assert_eq!(children.len(), t.premises().len());
+            for (child, p) in children.into_iter().zip(t.premises()) {
+                let Judgment::L1 { simpl: stated, .. } = p.judgment() else {
+                    panic!("an L1 premise that is not l1corres")
+                };
+                assert!(
+                    ISimpl::ptr_eq(child, stated),
+                    "a premise copies its statement"
+                );
+            }
+            stack.extend(t.premises());
+        }
+        assert_eq!(nodes, thm.proof_size());
+    }
+
+    /// The statements of a function's L1 derivation are written once per
+    /// encoder: doubling a straight-line body at most about doubles its
+    /// certificate and its store record, where writing every node's whole
+    /// suffix of the body grew them quadratically.
+    #[test]
+    fn l1_encodings_grow_linearly_with_the_body() {
+        let sizes = |statements: usize| {
+            let body: String = (0..statements)
+                .map(|i| format!("  x = x + {}u;\n", i % 7))
+                .collect();
+            let (_, ctx, thms, cx) = compile(&format!(
+                "unsigned line(unsigned x) {{\n{body}  return x;\n}}"
+            ));
+            let (name, thm) = &thms[0];
+            let cert = kernel::cert::encode_cert(&cx, &[(name.as_str(), thm)]);
+            let artifact = crate::phase::PhaseArtifact {
+                digest: 0,
+                value: crate::phase::Artifact::L1 {
+                    fun: ctx.fns[name].clone(),
+                    thm: thm.clone(),
+                },
+            };
+            let record = crate::store::encode_record("l1", name, &artifact);
+            (cert.len(), record.len())
+        };
+        for k in [40, 80] {
+            let ((cert_k, record_k), (cert_2k, record_2k)) = (sizes(k), sizes(2 * k));
+            assert!(
+                cert_2k * 10 <= cert_k * 22,
+                "{k} → {} statements: certificate {cert_k} → {cert_2k} bytes",
+                2 * k
+            );
+            assert!(
+                record_2k * 10 <= record_k * 22,
+                "{k} → {} statements: store record {record_k} → {record_2k} bytes",
+                2 * k
+            );
+        }
     }
 
     #[test]

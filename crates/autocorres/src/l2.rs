@@ -371,28 +371,31 @@ impl<'a> L2Tr<'a> {
     /// L2 pre-steps.
     fn convert_pre(&mut self, pre: Vec<SimplStmt>) -> R<Vec<PreStep>> {
         let mut out = Vec::new();
-        for s in pre {
+        for s in &pre {
             self.convert_pre_one(s, &mut out)?;
         }
         Ok(out)
     }
 
-    fn convert_pre_one(&mut self, s: SimplStmt, out: &mut Vec<PreStep>) -> R<()> {
+    fn convert_pre_one(&mut self, s: &SimplStmt, out: &mut Vec<PreStep>) -> R<()> {
         match s {
             SimplStmt::Guard(k, g, inner) => {
-                out.push(PreStep::Guard(k, delocal(&g)));
-                self.convert_pre_one(*inner, out)
+                out.push(PreStep::Guard(k.clone(), delocal(g)));
+                self.convert_pre_one(inner, out)
             }
             SimplStmt::Call {
                 fname,
                 args,
                 ret_local,
             } => {
-                let tmp = ret_local.unwrap_or_else(|| self.fresh());
+                let tmp = ret_local.clone().unwrap_or_else(|| self.fresh());
                 let args = self.hoist_heap_args(args.iter().map(delocal).collect(), out);
                 out.push(PreStep::Call {
                     tmp,
-                    prog: Prog::Call { fname, args },
+                    prog: Prog::Call {
+                        fname: fname.clone(),
+                        args,
+                    },
                 });
                 Ok(())
             }

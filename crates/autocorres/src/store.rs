@@ -6,7 +6,7 @@
 //! `(phase, function, input digest)` → phase artifact — is one record.
 //!
 //! ```text
-//! b"ACRSTOR5" + two 16-byte scheme probes                  header
+//! b"ACRSTOR6" + two 16-byte scheme probes                  header
 //! per record: len, !len (u64 LE), then one sealed container:
 //!   b"ACRSART2" + (phase, fn, digest, artifact) + digest   an artifact
 //! ```
@@ -20,7 +20,7 @@
 //! # Integrity and trust model
 //!
 //! Every record is an [`ir::codec::seal`]ed container (magic, payload,
-//! and a trailing [`ir::codec::digest128_bytes`], the framing `cert-v2`
+//! and a trailing [`ir::codec::digest128_bytes`], the framing `cert-v3`
 //! uses too) behind a frame that stores its length with the length's
 //! complement. A corrupt or foreign record is **rejected individually**;
 //! damage that breaks a frame (a torn tail, appended garbage, a flipped
@@ -39,7 +39,8 @@
 //! (`META_MAGIC`, bumped whenever what a key digest covers or what a
 //! segment holds changes: `ACRSTOR5` keys hash a function's typed AST
 //! alone and no signature table, and the segment holds artifact records
-//! only) and
+//! only; `ACRSTOR6` records write each distinct Simpl statement and
+//! word-abstraction context once per record) and
 //! probes of the digest schemes (the codec's FNV construction and
 //! `DefaultHasher`, whose fixed SipHash key may change between Rust
 //! releases). A mismatch, or an older build's per-file layout (`meta`,
@@ -56,7 +57,7 @@
 //! write and one `sync_data`, so processes sharing a directory keep each
 //! other's work; a save with nothing new touches nothing.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::ops::Range;
@@ -72,7 +73,7 @@ use crate::phase::{
 };
 
 /// Magic + version of the segment header.
-const META_MAGIC: &[u8; 8] = b"ACRSTOR5";
+const META_MAGIC: &[u8; 8] = b"ACRSTOR6";
 /// Magic + version of one artifact record.
 const ART_MAGIC: &[u8; 8] = b"ACRSART2";
 /// The segment's file name in the cache directory.
@@ -230,22 +231,10 @@ impl DiskStore {
                 )));
                 return file.set_len(0);
             }
-            // Decoding is pure per record (the interner is sharded and
-            // thread-safe), so it fans out; results come back in file
-            // order. A decode that panics rejects its own record only.
-            let frames = frames(&bytes);
-            let cost = frames.len() as u64 * MIN_TASK_COST;
-            let (decoded, _) = par_map(&frames, plan_workers(workers, cost, false), |_, frame| {
-                let record = &bytes[frame.clone().ok()?];
-                std::panic::catch_unwind(|| decode_record(record).ok())
-                    .ok()
-                    .flatten()
-            });
             // Where the first rejected span starts, and the records after
             // it that are kept.
             let (mut cut, mut kept) = (None, Vec::new());
-            for (frame, record) in frames.into_iter().zip(decoded) {
-                let range = frame.unwrap_or_else(|damage| damage);
+            for (range, record) in decode_spans(&bytes, workers) {
                 let Some((phase, name, artifact)) = record else {
                     rep.rejected += 1;
                     cut.get_or_insert(range.start);
@@ -316,14 +305,72 @@ impl DiskStore {
     }
 }
 
+/// A segment's spans after the header, in file order, each with its
+/// record if it decodes: the records of [`frames`], decoded at the width
+/// [`plan_workers`] grants `workers`, and the damage between them.
+///
+/// A well-framed record that does not decode may have been cut short, its
+/// frame swallowing the head of the next record; then the span ends at
+/// the first well-framed record inside it and framing resumes there, so
+/// the cut costs one rejection. Decoding is pure per record (the interner
+/// is sharded and thread-safe), so it fans out, and no record is decoded
+/// twice; a clean segment is framed and decoded once. A decode that panics
+/// rejects its own record only.
+fn decode_spans(bytes: &[u8], workers: usize) -> Vec<(Range<usize>, Option<Record>)> {
+    let mut spans = Vec::new();
+    let mut decoded: HashMap<usize, Option<Record>> = HashMap::new();
+    let mut pos = header().len();
+    'scan: loop {
+        let frames = frames_from(bytes, pos);
+        let todo: Vec<Range<usize>> = frames
+            .iter()
+            .filter_map(|frame| frame.clone().ok())
+            .filter(|range| !decoded.contains_key(&range.start))
+            .collect();
+        let cost = todo.len() as u64 * MIN_TASK_COST;
+        let (records, _) = par_map(&todo, plan_workers(workers, cost, false), |_, range| {
+            let record = &bytes[range.clone()];
+            std::panic::catch_unwind(|| decode_record(record).ok())
+                .ok()
+                .flatten()
+        });
+        decoded.extend(todo.iter().map(|range| range.start).zip(records));
+        for frame in frames {
+            let range = match frame {
+                Ok(range) => range,
+                Err(damage) => {
+                    spans.push((damage, None));
+                    continue;
+                }
+            };
+            let record = decoded.remove(&range.start).flatten();
+            if record.is_none() {
+                let inner = (range.start + 1..range.end).find(|&at| frame_end(bytes, at).is_some());
+                if let Some(at) = inner {
+                    spans.push((range.start..at, None));
+                    pos = at;
+                    continue 'scan;
+                }
+            }
+            spans.push((range, record));
+        }
+        return spans;
+    }
+}
+
 /// Splits a segment's records after the header into byte spans: `Ok` for
 /// a well-framed record (frame included), `Err` for damage — a torn tail,
 /// garbage, a record whose frame broke — which ends at the next
 /// well-framed record, so it costs one rejection.
 #[must_use]
 pub fn frames(bytes: &[u8]) -> Vec<Result<Range<usize>, Range<usize>>> {
+    frames_from(bytes, header().len())
+}
+
+/// [`frames`] from byte `pos` on.
+fn frames_from(bytes: &[u8], mut pos: usize) -> Vec<Result<Range<usize>, Range<usize>>> {
     let mut out = Vec::new();
-    let (mut pos, mut damage) = (header().len(), None);
+    let mut damage = None;
     while pos < bytes.len() {
         let Some(end) = frame_end(bytes, pos) else {
             damage.get_or_insert(pos);
@@ -703,6 +750,49 @@ mod tests {
             drop(sess);
             let rep = Session::new(opts(&dir)).load_report().clone();
             assert_eq!((rep.rejected, rep.artifacts), (0, total), "{}", bytes.len());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_cut_short_mid_segment_costs_one_rejection() {
+        let dir = tmpdir("cut");
+        let src = format!("{SRC}\nunsigned dec(unsigned x) {{ return x - 1u; }}");
+        let translate = |sess: &Session| {
+            let out = sess.translate(&src).expect("translate");
+            out.wa
+                .fns
+                .values()
+                .map(ToString::to_string)
+                .collect::<String>()
+        };
+        let clean = translate(&Session::new(opts(&dir)));
+        let orig = segment(&dir);
+        let spans = records(&orig);
+        let total = spans.len();
+        // An interior record loses its last `cut` bytes. Its frame still
+        // agrees, so the span it claims runs into the next record: the
+        // load must resume at that record, not inside it.
+        for victim in [&spans[1], &spans[total / 2]] {
+            for cut in 1..=24 {
+                let bytes = [&orig[..victim.end - cut], &orig[victim.end..]].concat();
+                std::fs::write(dir.join(SEGMENT), bytes).unwrap();
+                let sess = Session::new(opts(&dir));
+                let rep = sess.load_report();
+                assert_eq!(
+                    (rep.rejected, rep.artifacts),
+                    (1, total - 1),
+                    "{victim:?} cut {cut}"
+                );
+                assert_eq!(translate(&sess), clean);
+                drop(sess);
+                let rep = Session::new(opts(&dir)).load_report().clone();
+                assert_eq!(
+                    (rep.rejected, rep.artifacts),
+                    (0, total),
+                    "{victim:?} cut {cut}"
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kernel::rules::refine;
 use kernel::{CheckCtx, Judgment};
-use simpl::stmt::SimplStmt;
+use simpl::stmt::{ISimpl, SimplStmt};
 
 fn print_table() {
     println!("Table 1 — Simpl commands and their monadic counterparts (from the L1 rules)");
@@ -20,31 +20,21 @@ fn print_table() {
         ("Throw", SimplStmt::Throw),
         (
             "Cond c L R",
-            SimplStmt::Cond(
-                ir::Expr::var("c"),
-                Box::new(SimplStmt::Skip),
-                Box::new(SimplStmt::Throw),
-            ),
+            SimplStmt::cond(ir::Expr::var("c"), SimplStmt::Skip, SimplStmt::Throw),
         ),
         (
             "Guard t g B",
-            SimplStmt::Guard(
-                ir::GuardKind::DivByZero,
-                ir::Expr::var("g"),
-                Box::new(SimplStmt::Skip),
-            ),
+            SimplStmt::guard(ir::GuardKind::DivByZero, ir::Expr::var("g"), SimplStmt::Skip),
         ),
     ];
     for (name, stmt) in rows {
-        let subs: Vec<kernel::Thm> = match &stmt {
-            SimplStmt::Cond(..) => vec![
-                refine::l1(&cx, &SimplStmt::Skip, vec![]).unwrap(),
-                refine::l1(&cx, &SimplStmt::Throw, vec![]).unwrap(),
-            ],
-            SimplStmt::Guard(..) => vec![refine::l1(&cx, &SimplStmt::Skip, vec![]).unwrap()],
-            _ => vec![],
-        };
-        let thm = refine::l1(&cx, &stmt, subs).unwrap();
+        // The rows' sub-statements are leaves.
+        let subs: Vec<kernel::Thm> = stmt
+            .children()
+            .into_iter()
+            .map(|c| refine::l1(&cx, c, vec![]).unwrap())
+            .collect();
+        let thm = refine::l1(&cx, &ISimpl::new(stmt), subs).unwrap();
         let Judgment::L1 { prog, .. } = thm.judgment() else {
             unreachable!()
         };

@@ -17,7 +17,7 @@
 //!   on-disk size mirrors the in-memory DAG, not the expanded tree,
 //! * [`digest128_bytes`], the stable 128-bit content digest, and the
 //!   [`seal`]/[`unseal`] framing (magic, payload, digest) that the store
-//!   entries and `cert-v2` certificates share, and [`digest128`], the
+//!   entries and `cert-v3` certificates share, and [`digest128`], the
 //!   in-process 128-bit hash of phase input digests.
 //!
 //! Decoding is **total**: corrupt, truncated, or adversarial input

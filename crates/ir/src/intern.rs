@@ -328,6 +328,13 @@ impl<T: Internable + fmt::Display> fmt::Display for Interned<T> {
     }
 }
 
+impl<T: Internable + Default> Default for Interned<T> {
+    /// The interned default value (an empty context, say).
+    fn default() -> Self {
+        Interned::new(T::default())
+    }
+}
+
 impl<T: Internable> From<T> for Interned<T> {
     fn from(val: T) -> Self {
         Interned::new(val)

@@ -1,4 +1,4 @@
-//! Self-contained proof certificates (`cert-v2`).
+//! Self-contained proof certificates (`cert-v3`).
 //!
 //! A certificate packages checked theorems for transport to an
 //! *independent* checker (`certcheck`): the file carries the checking
@@ -7,7 +7,7 @@
 //! it. Layout:
 //!
 //! ```text
-//! b"ACRCERT2"                                  8-byte magic + version
+//! b"ACRCERT3"                                  8-byte magic + version
 //! payload:
 //!   CheckCtx                                   layouts + fn signatures
 //!   node table   varint row-count, then per row: judgment, rule, side,
@@ -36,13 +36,15 @@ use ir::codec::{seal, unseal, Codec, DecodeError, Decoder, Encoder, SealError};
 use crate::codec::{read_table, NodeTable};
 use crate::thm::{CheckCtx, KernelError, Thm};
 
-/// Magic + version prefix of a `cert-v2` file.
-pub const CERT_MAGIC: &[u8; 8] = b"ACRCERT2";
+/// Magic + version prefix of a `cert-v3` file. Version 3 writes each
+/// distinct Simpl statement and word-abstraction context once (interned
+/// terms back-reference earlier ones); a `cert-v2` file is malformed.
+pub const CERT_MAGIC: &[u8; 8] = b"ACRCERT3";
 
 /// Why a certificate was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CertError {
-    /// Not a `cert-v2` file, or the structure is malformed.
+    /// Not a `cert-v3` file, or the structure is malformed.
     Format(String),
     /// The payload digest does not match — the file was corrupted.
     Digest,
@@ -86,7 +88,7 @@ pub struct CertReport {
     pub cx: CheckCtx,
 }
 
-/// Serializes checked theorems into a `cert-v2` byte vector: the context,
+/// Serializes checked theorems into a `cert-v3` byte vector: the context,
 /// one node table for all roots, and the labelled root ids.
 #[must_use]
 pub fn encode_cert(cx: &CheckCtx, roots: &[(&str, &Thm)]) -> Vec<u8> {
@@ -103,7 +105,7 @@ pub fn encode_cert(cx: &CheckCtx, roots: &[(&str, &Thm)]) -> Vec<u8> {
     seal(CERT_MAGIC, &e.finish())
 }
 
-/// Replays a `cert-v2` file, admitting every row of its node table
+/// Replays a `cert-v3` file, admitting every row of its node table
 /// through the validating kernel as it is read.
 ///
 /// # Errors
@@ -249,9 +251,13 @@ mod tests {
         let self_premise = raw_cert(&cx, &[(j, Rule::WLit, &[0])], &[]);
         let root_out_of_range = raw_cert(&cx, &[(j, Rule::WLit, &[])], &[1]);
         assert!(check_cert(&raw_cert(&cx, &[(j, Rule::WLit, &[])], &[0])).is_ok());
-        let mut v1 = encode_cert(&cx, &[("lit5", &t)]);
-        v1[..8].copy_from_slice(b"ACRCERT1");
-        for bytes in [self_premise, root_out_of_range, v1] {
+        let older = |magic: &[u8; 8]| {
+            let mut bytes = encode_cert(&cx, &[("lit5", &t)]);
+            bytes[..8].copy_from_slice(magic);
+            bytes
+        };
+        let (v1, v2) = (older(b"ACRCERT1"), older(b"ACRCERT2"));
+        for bytes in [self_premise, root_out_of_range, v1, v2] {
             assert!(matches!(check_cert(&bytes), Err(CertError::Format(_))));
         }
     }

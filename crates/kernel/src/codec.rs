@@ -19,7 +19,7 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use ir::codec::{Codec, DecodeError, Decoder, Encoder};
 
-use crate::judgment::{AbsFun, Judgment};
+use crate::judgment::{AbsFun, Judgment, VarMap};
 use crate::thm::{postorder, CheckCtx, Rule, Side, Thm};
 
 /// Every rule, in a fixed order that defines the on-disk tag. Append new
@@ -132,6 +132,8 @@ ir::codec! {
 }
 
 ir::codec! { enum AbsFun @depth { 0 => Id, 1 => Unat, 2 => Sint, 3 => Tuple(fs) } }
+
+ir::codec! { struct VarMap { vars } }
 
 ir::codec! {
     enum Judgment @depth {

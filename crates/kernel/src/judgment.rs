@@ -2,14 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use ir::expr::{CastKind, Expr};
 use ir::guard::GuardKind;
+use ir::intern::{Internable, Interned, Interner};
 use ir::ty::{Signedness, Ty};
 use ir::update::Update;
 use ir::value::Value;
 use monadic::Prog;
-use simpl::SimplStmt;
+use simpl::ISimpl;
 
 /// A value-abstraction function: how an abstract value relates to a concrete
 /// one (the `rx`/`ex` of `abs_w_stmt` and the `f` of `abs_w_val`).
@@ -105,7 +107,66 @@ impl fmt::Display for AbsFun {
 /// concrete program are word-abstracted, and how. Shared by the abstract
 /// and concrete sides (the variables keep their names; their *meaning*
 /// differs by the recorded `AbsFun`).
-pub type VarCtx = BTreeMap<String, AbsFun>;
+///
+/// A handle to an interned [`VarMap`] (`ir::intern`): the nodes of a word
+/// abstraction derivation that agree on their context hold one
+/// allocation, so cloning a context is a reference-count bump and
+/// comparing two is a pointer comparison.
+pub type VarCtx = Interned<VarMap>;
+
+/// The variables of a [`VarCtx`] and their abstractions. Reads through to
+/// the map; [`VarMap::with`] makes the context a binder enters.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct VarMap {
+    pub(crate) vars: BTreeMap<String, AbsFun>,
+}
+
+/// Transparent, like the handle: printed judgments show the map.
+impl fmt::Debug for VarMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.vars.fmt(f)
+    }
+}
+
+impl VarMap {
+    /// This context with `binds` added (a later binding of a name replaces
+    /// an earlier one): the context a continuation, handler or loop body
+    /// is abstracted in.
+    #[must_use]
+    pub fn with<'a>(&self, binds: impl IntoIterator<Item = (&'a str, &'a AbsFun)>) -> VarCtx {
+        let mut vars = self.vars.clone();
+        for (v, f) in binds {
+            vars.insert(v.to_owned(), f.clone());
+        }
+        VarCtx::new(VarMap { vars })
+    }
+}
+
+impl std::ops::Deref for VarMap {
+    type Target = BTreeMap<String, AbsFun>;
+    fn deref(&self) -> &Self::Target {
+        &self.vars
+    }
+}
+
+impl FromIterator<(String, AbsFun)> for VarMap {
+    fn from_iter<I: IntoIterator<Item = (String, AbsFun)>>(iter: I) -> VarMap {
+        VarMap {
+            vars: iter.into_iter().collect(),
+        }
+    }
+}
+
+impl Internable for VarMap {
+    fn shallow_size(&self) -> usize {
+        1
+    }
+
+    fn interner() -> &'static Interner<VarMap> {
+        static INTERNER: OnceLock<Interner<VarMap>> = OnceLock::new();
+        INTERNER.get_or_init(Interner::new)
+    }
+}
 
 /// A kernel judgment.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -172,8 +233,9 @@ pub enum Judgment {
     L1 {
         /// Monadic program.
         prog: Prog,
-        /// Simpl statement.
-        simpl: SimplStmt,
+        /// Simpl statement: the handle its premises' statements are
+        /// children of.
+        simpl: ISimpl,
     },
     /// Plain monadic refinement on the same state representation:
     /// if `abs` does not fail, then `conc`'s behaviour is contained in

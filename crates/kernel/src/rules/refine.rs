@@ -5,13 +5,13 @@ use ir::expr::Expr;
 use ir::guard::GuardKind;
 use ir::intern::Interned;
 use monadic::Prog;
-use simpl::stmt::SimplStmt;
+use simpl::stmt::{ISimpl, SimplStmt};
 
 use crate::judgment::Judgment;
 use crate::rules::{premises, Concl};
 use crate::thm::{CheckCtx, KernelError, Rule, Side, Thm};
 
-fn as_l1(j: &Judgment) -> Result<(&Prog, &SimplStmt), String> {
+fn as_l1(j: &Judgment) -> Result<(&Prog, &ISimpl), String> {
     match j {
         Judgment::L1 { prog, simpl } => Ok((prog, simpl)),
         other => Err(format!("expected l1corres, got {}", other.describe())),
@@ -40,15 +40,6 @@ fn l1_rule(simpl: &SimplStmt) -> Rule {
     }
 }
 
-fn sub_stmts(simpl: &SimplStmt) -> Vec<&SimplStmt> {
-    match simpl {
-        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => vec![a, b],
-        SimplStmt::Cond(_, a, b) => vec![a, b],
-        SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => vec![b],
-        _ => vec![],
-    }
-}
-
 // ---- conclusion functions --------------------------------------------------
 //
 // One per rule (the nine L1 rules share one): premises and parameters in,
@@ -58,19 +49,20 @@ fn sub_stmts(simpl: &SimplStmt) -> Vec<&SimplStmt> {
 /// `L1Skip` … `L1Call`: the canonical L1 image of `simpl` (the content of
 /// Table 1), given `l1corres` premises for its sub-statements in order.
 /// The statement is the rule's parameter, so this returns the monadic
-/// program only; `l1_concl` pairs the two.
+/// program only; `l1_concl` pairs the two. Statements are interned, so a
+/// premise states the sub-statement exactly when it holds the same handle.
 pub(super) fn l1_prog(prems: &[&Judgment], rule: Rule, simpl: &SimplStmt) -> Result<Prog, String> {
     if rule != l1_rule(simpl) {
         return Err(format!("rule {rule:?} does not apply to this statement"));
     }
-    let subs = sub_stmts(simpl);
+    let subs = simpl.children();
     if prems.len() != subs.len() {
         return Err("premise count must match sub-statement count".into());
     }
     let mut sub = Vec::with_capacity(subs.len());
     for (p, s) in prems.iter().zip(subs) {
         let (pp, ps) = as_l1(p)?;
-        if ps != s {
+        if !ISimpl::ptr_eq(ps, s) {
             return Err("premise Simpl side must be the sub-statement".into());
         }
         sub.push(pp);
@@ -115,7 +107,7 @@ pub(super) fn l1_prog(prems: &[&Judgment], rule: Rule, simpl: &SimplStmt) -> Res
 }
 
 /// The L1 rules' conclusion: `simpl` and its image.
-fn l1_concl(prems: &[&Judgment], rule: Rule, simpl: &SimplStmt) -> Concl {
+fn l1_concl(prems: &[&Judgment], rule: Rule, simpl: &ISimpl) -> Concl {
     Ok(Judgment::L1 {
         prog: l1_prog(prems, rule, simpl)?,
         simpl: simpl.clone(),
@@ -257,12 +249,13 @@ pub(super) fn tested(prems: &[&Judgment], abs: &Prog, conc: &Prog, side: &Side) 
 type R = Result<Thm, KernelError>;
 
 /// L1 translation of one Simpl statement given premises for its
-/// sub-statements; picks the matching Table 1 rule.
+/// sub-statements ([`SimplStmt::children`]); picks the matching Table 1
+/// rule.
 ///
 /// # Errors
 ///
 /// Fails when the premises do not match the statement's children.
-pub fn l1(_cx: &CheckCtx, simpl: &SimplStmt, subs: Vec<Thm>) -> R {
+pub fn l1(_cx: &CheckCtx, simpl: &ISimpl, subs: Vec<Thm>) -> R {
     let rule = l1_rule(simpl);
     Thm::infer(rule, subs, Side::None, |p| l1_concl(p, rule, simpl))
 }

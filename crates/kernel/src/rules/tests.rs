@@ -15,7 +15,7 @@ use ir::ty::{Signedness, Ty, Width};
 use ir::update::Update;
 use ir::value::Value;
 use monadic::Prog;
-use simpl::stmt::SimplStmt;
+use simpl::stmt::{ISimpl, SimplStmt};
 
 use super::{heap, refine, word};
 use crate::codec::RULES;
@@ -68,17 +68,17 @@ fn same_conclusion(cx: &CheckCtx, valid: &Thm, premises: &[&Thm]) -> Result<Thm,
 }
 
 fn ctx(vars: &[(&str, AbsFun)]) -> VarCtx {
-    vars.iter()
-        .map(|(n, f)| ((*n).to_owned(), f.clone()))
-        .collect()
+    VarCtx::new(
+        vars.iter()
+            .map(|(n, f)| ((*n).to_owned(), f.clone()))
+            .collect(),
+    )
 }
 
 /// `ctx` plus a variable nothing mentions: premises built in it differ
 /// from their twins in `ctx` only in the context.
 fn wider(c: &VarCtx) -> VarCtx {
-    let mut c = c.clone();
-    c.insert("·unused".into(), AbsFun::Id);
-    c
+    c.with([("·unused", &AbsFun::Id)])
 }
 
 fn checking_context() -> CheckCtx {
@@ -287,13 +287,7 @@ fn word_stmt_rows(cx: &CheckCtx) -> Vec<Row> {
     // The right premise sees the bound variable at the left side's
     // abstraction; `w_lit` premises differ only in their context.
     let lit_in = |c: &VarCtx, f: AbsFun| word::w_lit(cx, c, f, &Value::u32(1)).unwrap();
-    let with = |binds: &[(&str, AbsFun)]| {
-        let mut c = ux.clone();
-        for (v, f) in binds {
-            c.insert((*v).to_owned(), f.clone());
-        }
-        c
-    };
+    let with = |binds: &[(&str, AbsFun)]| ux.with(binds.iter().map(|(v, f)| (*v, f)));
     let left = ret(WsRet, AbsFun::Id, var(&ux, "x"));
     let right = |c: &VarCtx| ret(WsRet, AbsFun::Id, lit_in(c, AbsFun::Unat));
     let bind = word::ws_bind(cx, "v", left.clone(), right(&with(&[("v", AbsFun::Unat)]))).unwrap();
@@ -515,12 +509,12 @@ fn heap_rows(cx: &CheckCtx) -> Vec<Row> {
 }
 
 fn l1_rows(cx: &CheckCtx) -> Vec<Row> {
-    let l1 = |s: &SimplStmt, subs: Vec<Thm>| refine::l1(cx, s, subs).unwrap();
+    let l1 = |s: &SimplStmt, subs: Vec<Thm>| refine::l1(cx, &ISimpl::new(s.clone()), subs).unwrap();
     let basic = SimplStmt::Basic(Update::Local("x".into(), Expr::u32(1)));
     let skip = l1(&SimplStmt::Skip, vec![]);
     let set = l1(&basic, vec![]);
     let throw = l1(&SimplStmt::Throw, vec![]);
-    let boxed = |s: &SimplStmt| Box::new(s.clone());
+    let handle = |s: &SimplStmt| ISimpl::new(s.clone());
     let c = Expr::binop(BinOp::Lt, Expr::var("x"), Expr::u32(3));
     let call = |ret_local: Option<String>| SimplStmt::Call {
         fname: "f".into(),
@@ -531,24 +525,24 @@ fn l1_rows(cx: &CheckCtx) -> Vec<Row> {
         row(skip.clone()),
         row(set.clone()),
         row(l1(
-            &SimplStmt::Seq(boxed(&SimplStmt::Skip), boxed(&basic)),
+            &SimplStmt::Seq(handle(&SimplStmt::Skip), handle(&basic)),
             vec![skip.clone(), set.clone()],
         )),
         row(l1(
-            &SimplStmt::Cond(c.clone(), boxed(&basic), boxed(&SimplStmt::Skip)),
+            &SimplStmt::Cond(c.clone(), handle(&basic), handle(&SimplStmt::Skip)),
             vec![set.clone(), skip.clone()],
         )),
         row(l1(
-            &SimplStmt::While(c.clone(), boxed(&basic)),
+            &SimplStmt::While(c.clone(), handle(&basic)),
             vec![set.clone()],
         )),
         row(l1(
-            &SimplStmt::Guard(GuardKind::DivByZero, c, boxed(&basic)),
+            &SimplStmt::Guard(GuardKind::DivByZero, c, handle(&basic)),
             vec![set],
         )),
         row(throw.clone()),
         row(l1(
-            &SimplStmt::TryCatch(boxed(&SimplStmt::Throw), boxed(&SimplStmt::Skip)),
+            &SimplStmt::TryCatch(handle(&SimplStmt::Throw), handle(&SimplStmt::Skip)),
             vec![throw, skip],
         )),
         row(l1(&call(Some("r".into())), vec![])),

@@ -61,16 +61,6 @@ fn as_wstmt(j: &Judgment) -> Result<(&VarCtx, &AbsFun, &AbsFun, &Prog, &Prog), S
     }
 }
 
-/// `ctx` with `binds` added: the context a continuation, handler or loop
-/// body sees.
-fn extend<'a>(ctx: &VarCtx, binds: impl IntoIterator<Item = (&'a str, &'a AbsFun)>) -> VarCtx {
-    let mut ctx = ctx.clone();
-    for (v, f) in binds {
-        ctx.insert(v.to_owned(), f.clone());
-    }
-    ctx
-}
-
 /// `UINT_MAX` for a width, as a nat literal expression.
 fn nat_max(w: Width) -> Expr {
     Expr::nat(Nat::pow2(w.bits()) - Nat::one())
@@ -561,7 +551,7 @@ pub(super) fn bind(prems: &[&Judgment], v: &str) -> Concl {
     let [l, r] = premises(prems)?;
     let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
     let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
-    if *rctx != extend(lctx, [(v, lrx)]) {
+    if *rctx != lctx.with([(v, lrx)]) {
         return Err("WsBind context discipline violated".into());
     }
     if rex != lex {
@@ -587,7 +577,7 @@ pub(super) fn bind_tuple(prems: &[&Judgment], vs: &[String]) -> Concl {
         f if vs.len() == 1 => std::slice::from_ref(f),
         _ => return Err("WsBindTuple rx arity mismatch".into()),
     };
-    if *rctx != extend(lctx, vs.iter().map(String::as_str).zip(fs)) {
+    if *rctx != lctx.with(vs.iter().map(String::as_str).zip(fs)) {
         return Err("WsBindTuple context discipline violated".into());
     }
     if rex != lex {
@@ -656,7 +646,7 @@ pub(super) fn while_loop(prems: &[&Judgment], ctx: &VarCtx, vars: &[String]) -> 
         ainit.push(pa.clone());
         cinit.push(pc.clone());
     }
-    let inner = extend(ctx, vars.iter().map(String::as_str).zip(&fs));
+    let inner = ctx.with(vars.iter().map(String::as_str).zip(&fs));
     let packed = if fs.len() == 1 {
         fs[0].clone()
     } else {
@@ -758,7 +748,7 @@ pub(super) fn catch(prems: &[&Judgment], v: &str) -> Concl {
     let [l, r] = premises(prems)?;
     let (lctx, lrx, lex, la, lc) = as_wstmt(l)?;
     let (rctx, rrx, rex, ra, rc) = as_wstmt(r)?;
-    if *rctx != extend(lctx, [(v, lex)]) {
+    if *rctx != lctx.with([(v, lex)]) {
         return Err("WsCatch context discipline violated".into());
     }
     if rrx != lrx {

@@ -11,13 +11,16 @@ use ir::update::Update;
 use ir::value::Value;
 use kernel::rules::{heap, refine, word};
 use kernel::semantics::sample_wval;
+use kernel::judgment::VarCtx;
 use kernel::{check, AbsFun, CheckCtx, Judgment, Thm};
 use monadic::Prog;
 
-fn ctx_with(vars: &[(&str, AbsFun)]) -> BTreeMap<String, AbsFun> {
-    vars.iter()
-        .map(|(n, f)| ((*n).to_owned(), f.clone()))
-        .collect()
+fn ctx_with(vars: &[(&str, AbsFun)]) -> VarCtx {
+    VarCtx::new(
+        vars.iter()
+            .map(|(n, f)| ((*n).to_owned(), f.clone()))
+            .collect(),
+    )
 }
 
 fn var_tys(vars: &[(&str, Ty)]) -> BTreeMap<String, Ty> {
@@ -139,7 +142,7 @@ fn kernel_rejects_bogus_applications() {
     let cx = CheckCtx::default();
     let vctx = ctx_with(&[("x", AbsFun::Unat)]);
     // Variable not in context.
-    assert!(word::w_var(&cx, &BTreeMap::new(), "x")
+    assert!(word::w_var(&cx, &VarCtx::default(), "x")
         .map(|t| matches!(
             t.judgment(),
             Judgment::WVal { f: AbsFun::Id, .. }
@@ -271,22 +274,25 @@ fn heap_guard_becomes_is_valid() {
 #[test]
 fn l1_rules_translate_table1() {
     let cx = CheckCtx::default();
-    use simpl::stmt::SimplStmt;
+    use simpl::stmt::{ISimpl, SimplStmt};
 
-    let skip = refine::l1(&cx, &SimplStmt::Skip, vec![]).unwrap();
+    let skip = refine::l1(&cx, &ISimpl::new(SimplStmt::Skip), vec![]).unwrap();
     let Judgment::L1 { prog, .. } = skip.judgment() else {
         panic!()
     };
     assert_eq!(*prog, Prog::skip());
 
-    let basic = SimplStmt::Basic(ir::update::Update::Local("x".into(), Expr::u32(1)));
+    let basic = ISimpl::new(SimplStmt::Basic(ir::update::Update::Local(
+        "x".into(),
+        Expr::u32(1),
+    )));
     let b = refine::l1(&cx, &basic, vec![]).unwrap();
     let Judgment::L1 { prog, .. } = b.judgment() else {
         panic!()
     };
     assert!(matches!(prog, Prog::Modify(_)));
 
-    let seq = SimplStmt::Seq(Box::new(SimplStmt::Skip), Box::new(basic.clone()));
+    let seq = ISimpl::new(SimplStmt::Seq(ISimpl::new(SimplStmt::Skip), basic.clone()));
     let s = refine::l1(&cx, &seq, vec![skip.clone(), b.clone()]).unwrap();
     check(&s, &cx).unwrap();
 

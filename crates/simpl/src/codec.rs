@@ -2,7 +2,8 @@
 //!
 //! Needed because `kernel::Judgment::L1` embeds the Simpl statement a
 //! monadic program was translated from, so persisted theorems carry
-//! Simpl terms.
+//! Simpl terms. Sub-statements are interned handles, so an encoder writes
+//! each distinct statement once and back-references it after.
 
 use crate::stmt::SimplStmt;
 
@@ -30,21 +31,21 @@ mod tests {
 
     #[test]
     fn simpl_round_trips() {
-        let s = SimplStmt::Guard(
+        let s = SimplStmt::guard(
             GuardKind::DivByZero,
             Expr::var("b"),
-            Box::new(SimplStmt::seq(
+            SimplStmt::seq(
                 SimplStmt::Basic(Update::Local("x".into(), Expr::u32(1))),
-                SimplStmt::Cond(
+                SimplStmt::cond(
                     Expr::var("c"),
-                    Box::new(SimplStmt::Throw),
-                    Box::new(SimplStmt::Call {
+                    SimplStmt::Throw,
+                    SimplStmt::Call {
                         fname: "f".into(),
                         args: vec![Expr::var("x")],
                         ret_local: Some("r".into()),
-                    }),
+                    },
                 ),
-            )),
+            ),
         );
         let bytes = encode_to_vec(&s);
         let back: SimplStmt = decode_from_slice(&bytes).expect("decode");
@@ -53,7 +54,7 @@ mod tests {
 
     #[test]
     fn corrupt_simpl_never_panics() {
-        let s = SimplStmt::While(Expr::var("c"), Box::new(SimplStmt::Skip));
+        let s = SimplStmt::while_loop(Expr::var("c"), SimplStmt::Skip);
         let bytes = encode_to_vec(&s);
         for i in 0..bytes.len() {
             let mut m = bytes.clone();

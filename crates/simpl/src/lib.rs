@@ -34,7 +34,7 @@ pub mod stmt;
 pub mod translate;
 
 pub use interp::{exec_fn, exec_stmt, Fault, Outcome};
-pub use stmt::{GuardKind, SimplFn, SimplProgram, SimplStmt};
+pub use stmt::{GuardKind, ISimpl, SimplFn, SimplProgram, SimplStmt};
 pub use translate::{translate_env, translate_function, translate_program};
 
 /// Name of the ghost local recording the abrupt-termination reason.

@@ -4,11 +4,17 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ir::expr::Expr;
+use ir::intern::{Internable, Interned, Interner};
 use ir::metrics::SpecMetrics;
 use ir::ty::{Ty, TypeEnv};
 use ir::update::Update;
 
 pub use ir::guard::GuardKind;
+
+/// An interned (hash-consed) statement handle — what a compound statement
+/// holds its sub-statements in (see `ir::intern`), so an `l1corres`
+/// theorem and its premises share their statements.
+pub type ISimpl = Interned<SimplStmt>;
 
 /// A Simpl statement.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -18,17 +24,17 @@ pub enum SimplStmt {
     /// `Basic m` — a state update.
     Basic(Update),
     /// `c1 ;; c2`.
-    Seq(Box<SimplStmt>, Box<SimplStmt>),
+    Seq(ISimpl, ISimpl),
     /// `IF b THEN c1 ELSE c2 FI`.
-    Cond(Expr, Box<SimplStmt>, Box<SimplStmt>),
+    Cond(Expr, ISimpl, ISimpl),
     /// `WHILE b DO c OD`.
-    While(Expr, Box<SimplStmt>),
+    While(Expr, ISimpl),
     /// `GUARD kind g c` — execute `c` if `g` holds, otherwise *fault*.
-    Guard(GuardKind, Expr, Box<SimplStmt>),
+    Guard(GuardKind, Expr, ISimpl),
     /// `THROW` — abrupt termination; the reason is in `global_exn_var`.
     Throw,
     /// `TRY c1 CATCH c2 END`.
-    TryCatch(Box<SimplStmt>, Box<SimplStmt>),
+    TryCatch(ISimpl, ISimpl),
     /// Procedure call: evaluate arguments, run the callee, store the result
     /// (if any) into a caller local.
     Call {
@@ -41,6 +47,17 @@ pub enum SimplStmt {
     },
 }
 
+impl Internable for SimplStmt {
+    fn shallow_size(&self) -> usize {
+        self.term_size()
+    }
+
+    fn interner() -> &'static Interner<SimplStmt> {
+        static INTERNER: std::sync::OnceLock<Interner<SimplStmt>> = std::sync::OnceLock::new();
+        INTERNER.get_or_init(Interner::new)
+    }
+}
+
 impl SimplStmt {
     /// Sequencing that drops `SKIP` units.
     #[must_use]
@@ -48,7 +65,45 @@ impl SimplStmt {
         match (a, b) {
             (SimplStmt::Skip, b) => b,
             (a, SimplStmt::Skip) => a,
-            (a, b) => SimplStmt::Seq(Box::new(a), Box::new(b)),
+            (a, b) => SimplStmt::Seq(ISimpl::new(a), ISimpl::new(b)),
+        }
+    }
+
+    /// `IF c THEN t ELSE e FI`.
+    #[must_use]
+    pub fn cond(c: Expr, t: SimplStmt, e: SimplStmt) -> SimplStmt {
+        SimplStmt::Cond(c, ISimpl::new(t), ISimpl::new(e))
+    }
+
+    /// `WHILE c DO body OD`.
+    #[must_use]
+    pub fn while_loop(c: Expr, body: SimplStmt) -> SimplStmt {
+        SimplStmt::While(c, ISimpl::new(body))
+    }
+
+    /// `GUARD kind g body`.
+    #[must_use]
+    pub fn guard(kind: GuardKind, g: Expr, body: SimplStmt) -> SimplStmt {
+        SimplStmt::Guard(kind, g, ISimpl::new(body))
+    }
+
+    /// `TRY body CATCH handler END`.
+    #[must_use]
+    pub fn try_catch(body: SimplStmt, handler: SimplStmt) -> SimplStmt {
+        SimplStmt::TryCatch(ISimpl::new(body), ISimpl::new(handler))
+    }
+
+    /// The sub-statements, in order (the premises of its Table 1 rule).
+    #[must_use]
+    pub fn children(&self) -> Vec<&ISimpl> {
+        match self {
+            SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) | SimplStmt::Cond(_, a, b) => {
+                vec![a, b]
+            }
+            SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => vec![b],
+            SimplStmt::Skip | SimplStmt::Basic(_) | SimplStmt::Throw | SimplStmt::Call { .. } => {
+                vec![]
+            }
         }
     }
 
@@ -66,19 +121,20 @@ impl SimplStmt {
         guards
             .into_iter()
             .rev()
-            .fold(self, |acc, (k, g)| SimplStmt::Guard(k, g, Box::new(acc)))
+            .fold(self, |acc, (k, g)| SimplStmt::guard(k, g, acc))
     }
 
     /// Number of statement + expression AST nodes (term-size metric).
+    /// O(immediate children): interned sub-statements carry their size.
     #[must_use]
     pub fn term_size(&self) -> usize {
         match self {
             SimplStmt::Skip | SimplStmt::Throw => 1,
             SimplStmt::Basic(u) => 1 + u.term_size(),
-            SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => 1 + a.term_size() + b.term_size(),
-            SimplStmt::Cond(c, a, b) => 1 + c.term_size() + a.term_size() + b.term_size(),
-            SimplStmt::While(c, b) => 1 + c.term_size() + b.term_size(),
-            SimplStmt::Guard(_, g, c) => 1 + g.term_size() + c.term_size(),
+            SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => 1 + a.size() + b.size(),
+            SimplStmt::Cond(c, a, b) => 1 + c.term_size() + a.size() + b.size(),
+            SimplStmt::While(c, b) => 1 + c.term_size() + b.size(),
+            SimplStmt::Guard(_, g, c) => 1 + g.term_size() + c.size(),
             SimplStmt::Call { args, .. } => {
                 1 + args.iter().map(Expr::term_size).sum::<usize>()
             }
@@ -160,7 +216,7 @@ pub struct SimplFn {
     /// Semantic return type (`Ty::Unit` for `void`).
     pub ret_ty: Ty,
     /// The body (already wrapped in the outer `TRY … CATCH SKIP END`).
-    pub body: SimplStmt,
+    pub body: ISimpl,
 }
 
 impl SimplFn {
@@ -237,22 +293,15 @@ mod tests {
 
     #[test]
     fn term_size_counts() {
-        let s = SimplStmt::Cond(
-            Expr::var("c"),
-            Box::new(SimplStmt::Skip),
-            Box::new(SimplStmt::Throw),
-        );
+        let s = SimplStmt::cond(Expr::var("c"), SimplStmt::Skip, SimplStmt::Throw);
         assert_eq!(s.term_size(), 4);
     }
 
     #[test]
     fn rendering_shape() {
-        let s = SimplStmt::TryCatch(
-            Box::new(SimplStmt::While(
-                Expr::var("c"),
-                Box::new(SimplStmt::Throw),
-            )),
-            Box::new(SimplStmt::Skip),
+        let s = SimplStmt::try_catch(
+            SimplStmt::while_loop(Expr::var("c"), SimplStmt::Throw),
+            SimplStmt::Skip,
         );
         let out = s.to_string();
         assert!(out.contains("TRY"));

@@ -13,7 +13,7 @@ use ir::update::Update;
 use ir::value::Value;
 use ir::word::Word;
 
-use crate::stmt::{GuardKind, SimplFn, SimplProgram, SimplStmt};
+use crate::stmt::{GuardKind, ISimpl, SimplFn, SimplProgram, SimplStmt};
 use crate::{EXN_BREAK, EXN_CONTINUE, EXN_RETURN, EXN_VAR, RET_VAR};
 
 /// Builds a translation diagnostic. The message keeps the historic
@@ -110,10 +110,10 @@ pub fn translate_function(tenv: &TypeEnv, f: &TFunDef) -> Result<SimplFn> {
         // Fig 2: falling off the end of a non-void function is undefined.
         body = SimplStmt::seq(
             body,
-            SimplStmt::Guard(GuardKind::DontReach, Expr::ff(), Box::new(SimplStmt::Skip)),
+            SimplStmt::guard(GuardKind::DontReach, Expr::ff(), SimplStmt::Skip),
         );
     }
-    let wrapped = SimplStmt::TryCatch(Box::new(body), Box::new(SimplStmt::Skip));
+    let wrapped = ISimpl::new(SimplStmt::try_catch(body, SimplStmt::Skip));
     Ok(SimplFn {
         name: f.name.clone(),
         params: f
@@ -230,7 +230,7 @@ impl<'a> FnTranslator<'a> {
                 let c = self.cond(cond, &mut pre)?;
                 let t = self.stmts(then_branch)?;
                 let e = self.stmts(else_branch)?;
-                let body = SimplStmt::Cond(c.expr, Box::new(t), Box::new(e)).with_guards(c.guards);
+                let body = SimplStmt::cond(c.expr, t, e).with_guards(c.guards);
                 Ok(SimplStmt::seq(SimplStmt::seq_all(pre), body))
             }
             TStmt::While { cond, body, .. } => self.while_loop(cond, body, None),
@@ -301,45 +301,38 @@ impl<'a> FnTranslator<'a> {
         self.loop_depth -= 1;
 
         let exn_is = |v: u32| Expr::eq(Expr::Local(EXN_VAR.into()), Expr::u32(v));
-        let continue_handler = SimplStmt::Cond(
-            exn_is(EXN_CONTINUE),
-            Box::new(SimplStmt::Skip),
-            Box::new(SimplStmt::Throw),
-        );
-        let break_handler = SimplStmt::Cond(
-            exn_is(EXN_BREAK),
-            Box::new(SimplStmt::Skip),
-            Box::new(SimplStmt::Throw),
-        );
+        let continue_handler =
+            SimplStmt::cond(exn_is(EXN_CONTINUE), SimplStmt::Skip, SimplStmt::Throw);
+        let break_handler = SimplStmt::cond(exn_is(EXN_BREAK), SimplStmt::Skip, SimplStmt::Throw);
 
         let cond_guards = |this: &TrExpr| {
             SimplStmt::seq_all(
                 this.guards
                     .iter()
                     .cloned()
-                    .map(|(k, g)| SimplStmt::Guard(k, g, Box::new(SimplStmt::Skip))),
+                    .map(|(k, g)| SimplStmt::guard(k, g, SimplStmt::Skip)),
             )
         };
 
         let guarded_body = SimplStmt::seq(
-            SimplStmt::TryCatch(Box::new(body_tr), Box::new(continue_handler.clone())),
+            SimplStmt::try_catch(body_tr, continue_handler.clone()),
             cond_guards(&c),
         );
         let mut inner = SimplStmt::seq(
             cond_guards(&c),
-            SimplStmt::While(c.expr.clone(), Box::new(guarded_body)),
+            SimplStmt::while_loop(c.expr.clone(), guarded_body),
         );
         if let Some(first) = first_tr {
             // do/while: run the body once before the loop proper.
             inner = SimplStmt::seq(
                 SimplStmt::seq(
-                    SimplStmt::TryCatch(Box::new(first), Box::new(continue_handler)),
+                    SimplStmt::try_catch(first, continue_handler),
                     SimplStmt::Skip,
                 ),
                 inner,
             );
         }
-        Ok(SimplStmt::TryCatch(Box::new(inner), Box::new(break_handler)))
+        Ok(SimplStmt::try_catch(inner, break_handler))
     }
 
     /// `local := e` with call hoisting and guards.

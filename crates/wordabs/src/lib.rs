@@ -192,11 +192,12 @@ pub fn wa_function_in(
         prog,
         opts,
         vars: f.params.iter().cloned().collect(),
-        ctx: f
-            .params
-            .iter()
-            .map(|(n, t)| (n.clone(), AbsFun::for_ty(t)))
-            .collect(),
+        ctx: VarCtx::new(
+            f.params
+                .iter()
+                .map(|(n, t)| (n.clone(), AbsFun::for_ty(t)))
+                .collect(),
+        ),
         seed: 0xC0FFEE,
     };
     let want_rx = AbsFun::for_ty(&f.ret_ty);
@@ -218,6 +219,13 @@ pub fn wa_function_in(
         },
         thm,
     ))
+}
+
+/// What entering a binder replaced: the outer context, and each bound
+/// variable's outer type.
+struct Scope {
+    ctx: VarCtx,
+    tys: Vec<(String, Option<Ty>)>,
 }
 
 struct Engine<'a> {
@@ -496,9 +504,9 @@ impl<'a> Engine<'a> {
                 let lt = self.stmt(l, None)?;
                 let lrx = Self::rx_of(&lt);
                 let lty = self.prog_value_ty(l);
-                let (saved_t, saved_f) = self.push_var(v, lty, lrx);
+                let scope = self.enter([(v.as_str(), lty, lrx)]);
                 let rt = self.stmt(r, want_rx);
-                self.pop_var(v, saved_t, saved_f);
+                self.leave(scope);
                 Ok(wr::ws_bind(self.cx, v, lt, rt?)?)
             }
             Prog::BindTuple(l, vs, r) => {
@@ -512,22 +520,19 @@ impl<'a> Engine<'a> {
                     }
                 };
                 let tys = self.prog_tuple_tys(l, vs.len());
-                let mut saves = Vec::new();
-                for ((v, f), t) in vs.iter().zip(&fs).zip(tys) {
-                    saves.push(self.push_var(v, t, f.clone()));
-                }
+                let scope = self.enter(vs.iter().map(String::as_str).zip(tys).zip(fs).map(
+                    |((v, t), f)| (v, t, f),
+                ));
                 let rt = self.stmt(r, want_rx);
-                for (v, (st, sf)) in vs.iter().zip(saves).rev() {
-                    self.pop_var(v, st, sf);
-                }
+                self.leave(scope);
                 Ok(wr::ws_bind_tuple(self.cx, vs, lt, rt?)?)
             }
             Prog::Catch(l, v, r) => {
                 let lt = self.stmt(l, want_rx)?;
                 let lrx = Self::rx_of(&lt);
-                let (saved_t, saved_f) = self.push_var(v, None, AbsFun::Id);
+                let scope = self.enter([(v.as_str(), None, AbsFun::Id)]);
                 let rt = self.stmt(r, Some(&lrx));
-                self.pop_var(v, saved_t, saved_f);
+                self.leave(scope);
                 Ok(wr::ws_catch(self.cx, v, lt, rt?)?)
             }
             Prog::Condition(c, t, e) => {
@@ -587,20 +592,21 @@ impl<'a> Engine<'a> {
         } else {
             AbsFun::Tuple(fs.clone())
         };
-        let mut saves = Vec::new();
-        for ((v, f), t) in vars.iter().zip(&fs).zip(&tys) {
-            saves.push(self.push_var(v, t.clone(), f.clone()));
-        }
-        // Condition and body are abstracted in the extended context; the
-        // saves are restored before any error propagates.
+        let scope = self.enter(
+            vars.iter()
+                .map(String::as_str)
+                .zip(tys)
+                .zip(fs)
+                .map(|((v, t), f)| (v, t, f)),
+        );
+        // Condition and body are abstracted in the extended context, which
+        // is left before any error propagates.
         let ct_res = self.val(cond, &AbsFun::Id);
         let bt_res = match &ct_res {
             Ok(_) => self.stmt(body, Some(&packed)),
             Err(_) => Err(WaError::Unsupported("skipped".into())),
         };
-        for (v, (st, sf)) in vars.iter().zip(saves).rev() {
-            self.pop_var(v, st, sf);
-        }
+        self.leave(scope);
         let ct = ct_res?;
         if !Self::pre_of(&ct).is_true_lit() {
             // Should not happen: id-mode conditions have trivial pres.
@@ -626,36 +632,39 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn push_var(
+    /// Enters a binder of `binds` (variable, concrete type if known,
+    /// abstraction), later ones shadowing earlier ones: records the types
+    /// and interns the one context the binder's scope is abstracted in.
+    /// Returns what [`Engine::leave`] restores.
+    fn enter<'v>(
         &mut self,
-        v: &str,
-        ty: Option<Ty>,
-        f: AbsFun,
-    ) -> (Option<Ty>, Option<AbsFun>) {
-        let old_t = match ty {
-            Some(t) => self.vars.insert(v.to_owned(), t),
-            None => self.vars.remove(v),
-        };
-        let old_f = self.ctx.insert(v.to_owned(), f);
-        (old_t, old_f)
+        binds: impl IntoIterator<Item = (&'v str, Option<Ty>, AbsFun)>,
+    ) -> Scope {
+        let mut tys = Vec::new();
+        let mut fs = Vec::new();
+        for (v, ty, f) in binds {
+            let old = match ty {
+                Some(t) => self.vars.insert(v.to_owned(), t),
+                None => self.vars.remove(v),
+            };
+            tys.push((v.to_owned(), old));
+            fs.push((v, f));
+        }
+        let ctx = self.ctx.with(fs.iter().map(|(v, f)| (*v, f)));
+        Scope {
+            ctx: std::mem::replace(&mut self.ctx, ctx),
+            tys,
+        }
     }
 
-    fn pop_var(&mut self, v: &str, old_t: Option<Ty>, old_f: Option<AbsFun>) {
-        match old_t {
-            Some(t) => {
-                self.vars.insert(v.to_owned(), t);
-            }
-            None => {
-                self.vars.remove(v);
-            }
-        }
-        match old_f {
-            Some(f) => {
-                self.ctx.insert(v.to_owned(), f);
-            }
-            None => {
-                self.ctx.remove(v);
-            }
+    /// Leaves the binder `scope` entered: the outer context and types.
+    fn leave(&mut self, scope: Scope) {
+        self.ctx = scope.ctx;
+        for (v, old) in scope.tys.into_iter().rev() {
+            match old {
+                Some(t) => self.vars.insert(v, t),
+                None => self.vars.remove(&v),
+            };
         }
     }
 

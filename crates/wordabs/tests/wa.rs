@@ -2,11 +2,11 @@
 //! max, gcd), per-function selection, custom idiom rules, checker replay,
 //! and semantic differential validation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use autocorres::{translate_program, Options};
 use heapabs::{hl_program, HlOptions};
-use kernel::{check, CheckCtx};
+use kernel::{check, CheckCtx, Judgment};
 use monadic::ProgramCtx;
 use wordabs::{overflow_idiom_rule, wa_program, WaOptions};
 
@@ -192,4 +192,36 @@ fn division_by_zero_still_guarded_concretely() {
     let s = wactx.function("d").unwrap().body.to_string();
     assert!(s.contains("b ≠ 0"), "{s}");
     validate_wa(&hlctx, &wactx, &thms, &kcx, 28);
+}
+
+/// Contexts are interned: the nodes of a word-abstraction theorem whose
+/// variable contexts are equal hold one context allocation, whichever
+/// binder built it (the engine entering a scope, or a rule's premise).
+#[test]
+fn equal_contexts_are_one_allocation() {
+    let (hlctx, cx) = to_hl(
+        "unsigned sum(unsigned n) {\n\
+           unsigned s = 0u;\n\
+           unsigned i = 0u;\n\
+           while (i < n) { unsigned d = i % 3u; s = s + d; i = i + 1u; }\n\
+           return s;\n\
+         }",
+    );
+    let (_, thms, _) = wa_program(&cx, &hlctx, &WaOptions::default()).unwrap();
+    let mut allocation: HashMap<kernel::judgment::VarMap, usize> = HashMap::new();
+    let (mut nodes, mut stack) = (0, vec![&thms[0].1]);
+    while let Some(t) = stack.pop() {
+        stack.extend(t.premises());
+        let (Judgment::WVal { ctx, .. } | Judgment::WStmt { ctx, .. }) = t.judgment() else {
+            continue;
+        };
+        nodes += 1;
+        let first = *allocation.entry((**ctx).clone()).or_insert(ctx.key());
+        assert_eq!(first, ctx.key(), "two allocations of the context {ctx:?}");
+    }
+    assert!(
+        allocation.len() >= 2 && nodes > 3 * allocation.len(),
+        "{nodes} nodes in {} contexts",
+        allocation.len()
+    );
 }

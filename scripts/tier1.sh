@@ -143,6 +143,18 @@ if grep -rnE 'fn +(test_adapted_fn|test_fn_refines)\b' crates/*/src --include='*
     echo "tier1: a second ExecTested tester; use autocorres::testing::exec_test_fn" >&2; exit 1
 fi
 
+# Shared statements and contexts (DESIGN.md §6a): Simpl statements hold
+# their sub-statements as interned handles (`simpl::ISimpl`), and a word
+# abstraction context is an interned handle (`kernel::judgment::VarCtx`),
+# so an L1 or WA proof node shares them with its premises; a boxed child
+# or a plain map alias would be a deep copy per node again.
+if grep -rnE 'Box<SimplStmt>|Box::new\(SimplStmt' crates/*/src src --include='*.rs'; then
+    echo "tier1: a boxed Simpl sub-statement; children are simpl::ISimpl handles" >&2; exit 1
+fi
+if grep -rnE 'type +VarCtx *= *([A-Za-z_]+::)*BTreeMap' crates/*/src src --include='*.rs'; then
+    echo "tier1: VarCtx is a plain BTreeMap alias; it is an interned kernel::judgment::VarMap" >&2; exit 1
+fi
+
 # Simpl inside the phase graph (DESIGN.md §6b): each `l1` job translates
 # its own function, so an L1 cache hit skips it, and `Output::simpl` is read
 # back from the L1 artifacts; the pipeline never translates the whole
@@ -248,7 +260,7 @@ grep -q '^warning' "$tmp_out" \
     || { echo "tier1: shifted warm-start lints diverged from a run without a cache" >&2; exit 1; }
 
 # Certificate smoke: the exported proof certificate must replay through
-# the independent certcheck binary, match the golden cert-v2 snapshot,
+# the independent certcheck binary, match the golden cert-v3 snapshot,
 # and any mutation must be rejected.
 cert="$cache_dir/quickstart.cert"
 ./target/release/autocorres --quiet --emit-cert "$cert" "$tmp_c" > /dev/null

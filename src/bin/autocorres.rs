@@ -319,7 +319,7 @@ fn run_corpus(dir: &str, opts: &Options, out: &mut impl Write) -> Result<(), Sto
 }
 
 /// Exports every theorem of `out` (refinement phases + absint discharge)
-/// as a `cert-v2` proof certificate, independently replayable with the
+/// as a `cert-v3` proof certificate, independently replayable with the
 /// `certcheck` binary.
 fn emit_cert(path: &str, out: &autocorres::Output) -> Result<(), String> {
     let mut labels: Vec<(String, &kernel::Thm)> = out

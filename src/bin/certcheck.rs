@@ -4,7 +4,7 @@
 //! certcheck FILE.cert [--quiet]
 //! ```
 //!
-//! Reads a `cert-v2` file produced by `autocorres --emit-cert`, admits
+//! Reads a `cert-v3` file produced by `autocorres --emit-cert`, admits
 //! every row of its node table through the validating kernel in row order
 //! ([`kernel::cert::check_cert`]), and exits 0 iff every row checks. The
 //! binary links only the term language (`ir`) and the proof kernel — none

@@ -17,6 +17,7 @@ use ir::update::Update;
 use monadic::{IProg, Prog};
 use proptest::prelude::*;
 use proptest::sample;
+use simpl::{ISimpl, SimplStmt};
 
 // ---------------------------------------------------------------------------
 // Reference implementations (deliberately interner-blind: they never touch
@@ -118,6 +119,44 @@ fn deep_eq_prog(a: &Prog, b: &Prog) -> bool {
     }
 }
 
+fn deep_eq_simpl(a: &SimplStmt, b: &SimplStmt) -> bool {
+    match (a, b) {
+        (SimplStmt::Skip, SimplStmt::Skip) | (SimplStmt::Throw, SimplStmt::Throw) => true,
+        (SimplStmt::Basic(u), SimplStmt::Basic(v)) => deep_eq_update(u, v),
+        (SimplStmt::Seq(l, r), SimplStmt::Seq(l2, r2))
+        | (SimplStmt::TryCatch(l, r), SimplStmt::TryCatch(l2, r2)) => {
+            deep_eq_simpl(l, l2) && deep_eq_simpl(r, r2)
+        }
+        (SimplStmt::Cond(c, t, e), SimplStmt::Cond(c2, t2, e2)) => {
+            deep_eq(c, c2) && deep_eq_simpl(t, t2) && deep_eq_simpl(e, e2)
+        }
+        (SimplStmt::While(c, b), SimplStmt::While(c2, b2)) => {
+            deep_eq(c, c2) && deep_eq_simpl(b, b2)
+        }
+        (SimplStmt::Guard(k, g, b), SimplStmt::Guard(k2, g2, b2)) => {
+            k == k2 && deep_eq(g, g2) && deep_eq_simpl(b, b2)
+        }
+        (
+            SimplStmt::Call {
+                fname,
+                args,
+                ret_local,
+            },
+            SimplStmt::Call {
+                fname: f2,
+                args: a2,
+                ret_local: r2,
+            },
+        ) => {
+            fname == f2
+                && ret_local == r2
+                && args.len() == a2.len()
+                && args.iter().zip(a2).all(|(x, y)| deep_eq(x, y))
+        }
+        _ => false,
+    }
+}
+
 /// Reference term size: the documented Table 5 node-count semantics,
 /// recomputed by plain recursion (never `Interned::size`).
 fn ref_size_expr(e: &Expr) -> usize {
@@ -171,6 +210,21 @@ fn ref_size_prog(p: &Prog) -> usize {
         }
         Prog::Call { args, .. } => 1 + args.iter().map(ref_size_expr).sum::<usize>(),
         Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => 1 + ref_size_prog(p),
+    }
+}
+
+fn ref_size_simpl(s: &SimplStmt) -> usize {
+    match s {
+        SimplStmt::Skip | SimplStmt::Throw => 1,
+        SimplStmt::Basic(u) => 1 + ref_size_update(u),
+        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => {
+            1 + ref_size_simpl(a) + ref_size_simpl(b)
+        }
+        SimplStmt::Cond(c, a, b) => 1 + ref_size_expr(c) + ref_size_simpl(a) + ref_size_simpl(b),
+        SimplStmt::While(c, b) | SimplStmt::Guard(_, c, b) => {
+            1 + ref_size_expr(c) + ref_size_simpl(b)
+        }
+        SimplStmt::Call { args, .. } => 1 + args.iter().map(ref_size_expr).sum::<usize>(),
     }
 }
 
@@ -266,6 +320,29 @@ fn rebuild_prog(p: &Prog) -> Prog {
     }
 }
 
+fn rebuild_simpl(s: &SimplStmt) -> SimplStmt {
+    let sub = |s: &SimplStmt| ISimpl::new(rebuild_simpl(s));
+    match s {
+        SimplStmt::Skip => SimplStmt::Skip,
+        SimplStmt::Throw => SimplStmt::Throw,
+        SimplStmt::Basic(u) => SimplStmt::Basic(rebuild_update(u)),
+        SimplStmt::Seq(a, b) => SimplStmt::Seq(sub(a), sub(b)),
+        SimplStmt::TryCatch(a, b) => SimplStmt::TryCatch(sub(a), sub(b)),
+        SimplStmt::Cond(c, a, b) => SimplStmt::Cond(rebuild_expr(c), sub(a), sub(b)),
+        SimplStmt::While(c, b) => SimplStmt::While(rebuild_expr(c), sub(b)),
+        SimplStmt::Guard(k, g, b) => SimplStmt::Guard(k.clone(), rebuild_expr(g), sub(b)),
+        SimplStmt::Call {
+            fname,
+            args,
+            ret_local,
+        } => SimplStmt::Call {
+            fname: fname.clone(),
+            args: args.iter().map(rebuild_expr).collect(),
+            ret_local: ret_local.clone(),
+        },
+    }
+}
+
 fn std_hash<T: Hash + ?Sized>(t: &T) -> u64 {
     let mut h = DefaultHasher::new();
     t.hash(&mut h);
@@ -303,6 +380,20 @@ fn check_prog(p: &Prog) {
     assert!(IProg::ptr_eq(&a, &b), "equal programs must share one allocation");
     assert_eq!(a.structural_hash(), b.structural_hash());
     assert_eq!(a.size(), ref_size_prog(p), "cached size wrong for {p:?}");
+}
+
+/// The full consistency bundle for one Simpl statement.
+fn check_simpl(s: &SimplStmt) {
+    let rebuilt = rebuild_simpl(s);
+    assert!(deep_eq_simpl(s, &rebuilt), "rebuild must be deep-equal: {s:?}");
+    assert_eq!(*s, rebuilt, "interned Eq disagrees with deep-equal rebuild");
+    assert_eq!(std_hash(s), std_hash(&rebuilt));
+    let a = ISimpl::new(s.clone());
+    let b = ISimpl::new(rebuilt);
+    assert!(ISimpl::ptr_eq(&a, &b), "equal statements must share one allocation");
+    assert_eq!(a.structural_hash(), b.structural_hash());
+    assert_eq!(a.size(), ref_size_simpl(s), "cached size wrong for {s:?}");
+    assert_eq!(s.term_size(), ref_size_simpl(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -402,6 +493,41 @@ fn arb_prog() -> BoxedStrategy<Prog> {
     .boxed()
 }
 
+fn arb_simpl() -> BoxedStrategy<SimplStmt> {
+    let leaf = prop_oneof![
+        Just(SimplStmt::Skip),
+        Just(SimplStmt::Throw),
+        arb_update().prop_map(SimplStmt::Basic),
+        (
+            "[fg]",
+            proptest::collection::vec(arb_expr(), 0..3),
+            sample::select(vec![None, Some("a".to_owned()), Some("b".to_owned())]),
+        )
+            .prop_map(|(fname, args, ret_local)| SimplStmt::Call {
+                fname,
+                args,
+                ret_local,
+            }),
+    ];
+    leaf.prop_recursive(4, 32, 2, |inner| {
+        let kind = sample::select(vec![GuardKind::DivByZero, GuardKind::UnsignedOverflow]);
+        prop_oneof![
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| SimplStmt::Seq(ISimpl::new(a), ISimpl::new(b))),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| SimplStmt::TryCatch(ISimpl::new(a), ISimpl::new(b))),
+            (arb_expr(), inner.clone(), inner.clone()).prop_map(|(c, a, b)| SimplStmt::Cond(
+                c,
+                ISimpl::new(a),
+                ISimpl::new(b)
+            )),
+            (arb_expr(), inner.clone()).prop_map(|(c, b)| SimplStmt::While(c, ISimpl::new(b))),
+            (kind, arb_expr(), inner).prop_map(|(k, g, b)| SimplStmt::Guard(k, g, ISimpl::new(b))),
+        ]
+    })
+    .boxed()
+}
+
 proptest! {
     /// On random expression pairs, interned `==` is exactly reference
     /// deep-structural equality, and deep-equal terms hash alike.
@@ -422,6 +548,17 @@ proptest! {
             prop_assert_eq!(std_hash(&a), std_hash(&b));
         }
         check_prog(&a);
+    }
+
+    /// Same for random Simpl statements: equal exactly when structurally
+    /// equal, hashed alike when equal, and one allocation however built.
+    #[test]
+    fn simpl_eq_and_hash_agree_with_deep_structural(a in arb_simpl(), b in arb_simpl()) {
+        prop_assert_eq!(a == b, deep_eq_simpl(&a, &b), "Eq/deep_eq disagree:\n{:?}\n{:?}", a, b);
+        if deep_eq_simpl(&a, &b) {
+            prop_assert_eq!(std_hash(&a), std_hash(&b));
+        }
+        check_simpl(&a);
     }
 
     /// The shared decomposition round-trips: a node rebuilt from its own
@@ -568,6 +705,9 @@ fn pipeline_terms_satisfy_intern_properties() {
     }
     for p in progs.iter().step_by(progs.len().div_ceil(100)) {
         check_prog(p);
+    }
+    for f in out.simpl.fns.values() {
+        check_simpl(&f.body);
     }
     // Pairwise Eq agreement on a sample: interned == iff deep-structural ==.
     let sample: Vec<&Expr> = exprs.iter().step_by(exprs.len().div_ceil(60)).copied().collect();

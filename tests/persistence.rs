@@ -358,7 +358,7 @@ fn quickstart_certificate_matches_golden_snapshot() {
     assert_eq!(
         got,
         golden,
-        "cert-v2 bytes for the quickstart drifted; inspect with certcheck, then \
+        "cert-v3 bytes for the quickstart drifted; inspect with certcheck, then \
          re-bless with UPDATE_GOLDEN=1"
     );
     // And the checked-in snapshot must itself replay.

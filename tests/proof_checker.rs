@@ -233,8 +233,11 @@ fn kernel_rejects_malformed_applications() {
     assert!(refine::refines_trans(&cx, a, b).is_err());
 
     // Arithmetic across mismatched abstraction functions.
-    let ctx: kernel::judgment::VarCtx =
-        [("x".to_owned(), AbsFun::Unat), ("y".to_owned(), AbsFun::Sint)].into();
+    let ctx = kernel::judgment::VarCtx::new(
+        [("x".to_owned(), AbsFun::Unat), ("y".to_owned(), AbsFun::Sint)]
+            .into_iter()
+            .collect(),
+    );
     let x = word::w_var(&cx, &ctx, "x").unwrap();
     let y = word::w_var(&cx, &ctx, "y").unwrap();
     assert!(word::w_arith(&cx, kernel::Rule::WSum, ir::Width::W32, x, y).is_err());

@@ -11,22 +11,15 @@ use kernel::{CheckCtx, Judgment};
 use monadic::{Prog, ProgramCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simpl::stmt::SimplStmt;
+use simpl::stmt::{ISimpl, SimplStmt};
 
-fn l1_thm(cx: &CheckCtx, s: &SimplStmt) -> kernel::Thm {
-    let subs = match s {
-        SimplStmt::Seq(a, b) | SimplStmt::TryCatch(a, b) => {
-            vec![l1_thm(cx, a), l1_thm(cx, b)]
-        }
-        SimplStmt::Cond(_, a, b) => vec![l1_thm(cx, a), l1_thm(cx, b)],
-        SimplStmt::While(_, b) | SimplStmt::Guard(_, _, b) => vec![l1_thm(cx, b)],
-        _ => vec![],
-    };
+fn l1_thm(cx: &CheckCtx, s: &ISimpl) -> kernel::Thm {
+    let subs = s.children().into_iter().map(|c| l1_thm(cx, c)).collect();
     refine::l1(cx, s, subs).unwrap()
 }
 
 fn l1_of(cx: &CheckCtx, s: &SimplStmt) -> Prog {
-    let thm = l1_thm(cx, s);
+    let thm = l1_thm(cx, &ISimpl::new(s.clone()));
     let Judgment::L1 { prog, .. } = thm.judgment() else {
         unreachable!()
     };
@@ -46,7 +39,7 @@ fn table1_shapes() {
     let guard = SimplStmt::Guard(
         ir::GuardKind::DivByZero,
         Expr::var("g"),
-        Box::new(SimplStmt::Skip),
+        ISimpl::new(SimplStmt::Skip),
     );
     // Guard t g B ≡ guard g; B  (the condition/skip/fail composite of
     // Table 1's last row).
@@ -109,14 +102,14 @@ fn random_stmt(rng: &mut StdRng, depth: u32) -> SimplStmt {
                     Expr::Local("y".into()),
                     Expr::u32(rng.gen_range(1..200)),
                 ),
-                Box::new(SimplStmt::Skip),
+                ISimpl::new(SimplStmt::Skip),
             ),
         }
     } else {
         match rng.gen_range(0..3) {
             0 => SimplStmt::Seq(
-                Box::new(random_stmt(rng, depth - 1)),
-                Box::new(random_stmt(rng, depth - 1)),
+                ISimpl::new(random_stmt(rng, depth - 1)),
+                ISimpl::new(random_stmt(rng, depth - 1)),
             ),
             1 => SimplStmt::Cond(
                 Expr::binop(
@@ -124,12 +117,12 @@ fn random_stmt(rng: &mut StdRng, depth: u32) -> SimplStmt {
                     Expr::Local("x".into()),
                     Expr::u32(rng.gen_range(0..100)),
                 ),
-                Box::new(random_stmt(rng, depth - 1)),
-                Box::new(random_stmt(rng, depth - 1)),
+                ISimpl::new(random_stmt(rng, depth - 1)),
+                ISimpl::new(random_stmt(rng, depth - 1)),
             ),
             _ => SimplStmt::TryCatch(
-                Box::new(random_stmt(rng, depth - 1)),
-                Box::new(random_stmt(rng, depth - 1)),
+                ISimpl::new(random_stmt(rng, depth - 1)),
+                ISimpl::new(random_stmt(rng, depth - 1)),
             ),
         }
     }
