@@ -21,7 +21,7 @@
 
 use std::collections::BTreeSet;
 
-use cparser::typecheck::{TExpr, TExprKind, TFunDef, TStmt};
+use cparser::typecheck::{Node, TExpr, TExprKind, TFunDef, TStmt};
 use ir::diag::Span;
 
 /// What a lint is about.
@@ -77,35 +77,12 @@ pub fn lint_fn(f: &TFunDef) -> Vec<Lint> {
 
 /// Collects local-variable reads of an expression into `acc`.
 fn expr_reads(e: &TExpr, acc: &mut BTreeSet<String>) {
-    match &e.kind {
-        TExprKind::Local(n) => {
+    e.walk(&mut |x| {
+        if let TExprKind::Local(n) = &x.kind {
             acc.insert(n.clone());
         }
-        TExprKind::IntLit(_) | TExprKind::Null | TExprKind::Global(_) => {}
-        TExprKind::Unary(_, a) | TExprKind::Member(a, _) | TExprKind::Cast(_, a) => {
-            expr_reads(a, acc);
-        }
-        TExprKind::Binary(_, a, b) | TExprKind::Index(a, b) => {
-            expr_reads(a, acc);
-            expr_reads(b, acc);
-        }
-        TExprKind::Call(_, args) => {
-            for a in args {
-                expr_reads(a, acc);
-            }
-        }
-        TExprKind::Cond(c, t, e) => {
-            expr_reads(c, acc);
-            expr_reads(t, acc);
-            expr_reads(e, acc);
-        }
-    }
-}
-
-fn reads_of(e: &TExpr) -> BTreeSet<String> {
-    let mut s = BTreeSet::new();
-    expr_reads(e, &mut s);
-    s
+        true
+    });
 }
 
 /// Constant-evaluates a condition, when it is built from literals alone.
@@ -261,7 +238,9 @@ struct InitState {
 }
 
 fn check_reads(e: &TExpr, span: Span, st: &mut InitState, out: &mut Vec<Lint>) {
-    for n in reads_of(e) {
+    let mut reads = BTreeSet::new();
+    expr_reads(e, &mut reads);
+    for n in reads {
         if st.uninit.contains(&n) && st.reported.insert(n.clone()) {
             out.push(Lint {
                 kind: LintKind::UseBeforeInit,
@@ -349,46 +328,23 @@ fn use_before_init_pass(f: &TFunDef, out: &mut Vec<Lint>) {
 // ---- dead stores ----------------------------------------------------------
 
 /// Every local read anywhere inside `stmts` (used to close loop back
-/// edges: a variable read anywhere in a loop body is live around it).
+/// edges: a variable read anywhere in a loop body is live around it). A
+/// store to a local does not read it.
 fn all_reads(stmts: &[TStmt], acc: &mut BTreeSet<String>) {
-    for s in stmts {
-        match s {
-            TStmt::Decl { init, .. } => {
-                if let Some(e) = init {
-                    expr_reads(e, acc);
-                }
-            }
-            TStmt::Assign { lhs, rhs, .. } => {
-                expr_reads(rhs, acc);
-                if let TExprKind::Local(_) = &lhs.kind {
-                } else {
-                    expr_reads(lhs, acc);
-                }
-            }
-            TStmt::ExprCall(e, _) => expr_reads(e, acc),
-            TStmt::Return(Some(e), _) => expr_reads(e, acc),
-            TStmt::Return(None, _) | TStmt::Break(_) | TStmt::Continue(_) => {}
-            TStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                expr_reads(cond, acc);
-                all_reads(then_branch, acc);
-                all_reads(else_branch, acc);
-            }
-            TStmt::While { cond, body, .. } => {
-                expr_reads(cond, acc);
-                all_reads(body, acc);
-            }
-            TStmt::DoWhile { body, cond, .. } => {
-                all_reads(body, acc);
-                expr_reads(cond, acc);
-            }
-            TStmt::Block(inner) => all_reads(inner, acc),
+    cparser::walk(stmts, &mut |n| match n {
+        Node::Stmt(TStmt::Assign { lhs, rhs, .. }) if matches!(lhs.kind, TExprKind::Local(_)) => {
+            expr_reads(rhs, acc);
+            false
         }
-    }
+        Node::Expr(TExpr {
+            kind: TExprKind::Local(n),
+            ..
+        }) => {
+            acc.insert(n.clone());
+            true
+        }
+        _ => true,
+    });
 }
 
 /// Backward liveness over a statement list. `live` is the live-after set

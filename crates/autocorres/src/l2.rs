@@ -19,9 +19,9 @@
 //! randomized differential test over generated heaps and arguments (the
 //! documented substitute for Isabelle's rewrite-rule proofs, DESIGN.md §2).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use cparser::typecheck::{ctype_to_ty, TExprKind, TFunDef, TProgram, TStmt};
+use cparser::typecheck::{ctype_to_ty, Node, TExprKind, TFunDef, TProgram, TStmt};
 use ir::diag::{Diag, DiagKind};
 use ir::expr::Expr;
 use ir::guard::GuardKind;
@@ -29,7 +29,7 @@ use ir::ty::Ty;
 use ir::update::Update;
 use kernel::rules::refine;
 use kernel::{CheckCtx, Thm};
-use monadic::{MonadicFn, Prog, ProgramCtx};
+use monadic::{IProg, MonadicFn, Prog, ProgramCtx};
 use simpl::stmt::SimplStmt;
 use simpl::translate::FnTranslator;
 
@@ -131,7 +131,7 @@ pub fn l2_function(tp: &TProgram, f: &TFunDef) -> R<MonadicFn> {
         .map(|(n, t)| (n.clone(), ctype_to_ty(t)))
         .collect();
     let prog = discharge_guards(&prog, &var_tys);
-    let prog = dedup_guards(&prog, &mut std::collections::BTreeSet::new());
+    let prog = dedup_guards(&prog, &mut Established::new());
     Ok(MonadicFn {
         name: f.name.clone(),
         params: f
@@ -252,84 +252,56 @@ fn returns_only_in_tail(stmts: &[TStmt], tail: bool) -> bool {
 }
 
 fn contains_return(stmts: &[TStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        TStmt::Return(..) => true,
-        TStmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => contains_return(then_branch) || contains_return(else_branch),
-        TStmt::While { body, .. } | TStmt::DoWhile { body, .. } => contains_return(body),
-        TStmt::Block(b) => contains_return(b),
-        _ => false,
-    })
+    let mut found = false;
+    cparser::walk(stmts, &mut |n| {
+        found |= matches!(n, Node::Stmt(TStmt::Return(..)));
+        !found && matches!(n, Node::Stmt(_))
+    });
+    found
 }
 
+/// Does the block `break` or `continue` its own loop? Nested loops capture
+/// their own.
 fn contains_break_or_continue(stmts: &[TStmt]) -> (bool, bool) {
     let mut brk = false;
     let mut cont = false;
-    fn walk(stmts: &[TStmt], brk: &mut bool, cont: &mut bool) {
-        for s in stmts {
-            match s {
-                TStmt::Break(_) => *brk = true,
-                TStmt::Continue(_) => *cont = true,
-                TStmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, brk, cont);
-                    walk(else_branch, brk, cont);
-                }
-                TStmt::Block(b) => walk(b, brk, cont),
-                // Nested loops capture their own break/continue.
-                TStmt::While { .. } | TStmt::DoWhile { .. } => {}
-                _ => {}
-            }
+    cparser::walk(stmts, &mut |n| match n {
+        Node::Stmt(TStmt::Break(_)) => {
+            brk = true;
+            false
         }
-    }
-    walk(stmts, &mut brk, &mut cont);
+        Node::Stmt(TStmt::Continue(_)) => {
+            cont = true;
+            false
+        }
+        Node::Stmt(TStmt::While { .. } | TStmt::DoWhile { .. }) | Node::Expr(_) => false,
+        Node::Stmt(_) => true,
+    });
     (brk, cont)
 }
 
 /// Locals (by unique name) assigned anywhere in the block, in `order`.
 fn assigned_locals(stmts: &[TStmt], order: &[String], scope: &BTreeSet<String>) -> Vec<String> {
     let mut set = BTreeSet::new();
-    fn walk(stmts: &[TStmt], set: &mut BTreeSet<String>) {
-        for s in stmts {
-            match s {
-                TStmt::Assign { lhs, .. } => {
-                    if let TExprKind::Local(n) = &lhs.kind {
-                        set.insert(n.clone());
-                    }
-                    // Member/index chains rooted at a local also assign it.
-                    let mut cur = lhs;
-                    while let TExprKind::Member(inner, _) | TExprKind::Index(inner, _) = &cur.kind
-                    {
-                        cur = inner;
-                    }
-                    if let TExprKind::Local(n) = &cur.kind {
-                        set.insert(n.clone());
-                    }
+    cparser::walk(stmts, &mut |n| {
+        match n {
+            // Member/index chains rooted at a local also assign it.
+            Node::Stmt(TStmt::Assign { lhs, .. }) => {
+                let mut cur = lhs;
+                while let TExprKind::Member(inner, _) | TExprKind::Index(inner, _) = &cur.kind {
+                    cur = inner;
                 }
-                TStmt::Decl { name, .. } => {
-                    set.insert(name.clone());
+                if let TExprKind::Local(n) = &cur.kind {
+                    set.insert(n.clone());
                 }
-                TStmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, set);
-                    walk(else_branch, set);
-                }
-                TStmt::While { body, .. } | TStmt::DoWhile { body, .. } => walk(body, set),
-                TStmt::Block(b) => walk(b, set),
-                _ => {}
             }
+            Node::Stmt(TStmt::Decl { name, .. }) => {
+                set.insert(name.clone());
+            }
+            _ => {}
         }
-    }
-    walk(stmts, &mut set);
+        matches!(n, Node::Stmt(_))
+    });
     order
         .iter()
         .filter(|n| set.contains(*n) && scope.contains(*n))
@@ -791,72 +763,42 @@ fn tidy(p: &Prog, pinned: &BTreeSet<String>) -> Prog {
 }
 
 fn tidy_once(p: &Prog, pinned: &BTreeSet<String>) -> Prog {
+    p.rewrite(&|q| tidy_node(q, pinned))
+}
+
+/// One `tidy` rewrite at a node whose sub-programs are already tidied.
+fn tidy_node(p: &Prog, pinned: &BTreeSet<String>) -> Option<Prog> {
     match p {
         Prog::Bind(l, v, r) => {
-            let l = tidy_once(l, pinned);
-            let r = tidy_once(r, pinned);
             // v ← return e; return v  →  return e
-            if let Prog::Return(e) = &r {
+            if let Prog::Return(e) = &**r {
                 if *e == Expr::var(v.clone()) {
-                    return l;
+                    return Some((**l).clone());
                 }
             }
             // v ← return lit/var; r  →  r[v := e], substituting only the
             // free occurrences of v (binder-aware, capture-avoiding).
             // Volatile locals are pinned: their binding survives.
-            if let Prog::Return(e) = &l {
-                if matches!(e, Expr::Lit(_) | Expr::Var(_))
-                    && v != "_"
-                    && !pinned.contains(v)
-                {
-                    if let Some(substituted) = subst_free(&r, v, e) {
-                        return tidy_once(&substituted, pinned);
+            if let Prog::Return(e) = &**l {
+                if matches!(e, Expr::Lit(_) | Expr::Var(_)) && v != "_" && !pinned.contains(v) {
+                    if let Some(substituted) = r.subst_var(v, e) {
+                        return Some(tidy_once(&substituted, pinned));
                     }
                 }
             }
             // _ ← return (); r  →  r
-            if l == Prog::skip() {
-                return r;
-            }
-            Prog::bind(l, v.clone(), r)
+            (**l == Prog::skip()).then(|| (**r).clone())
         }
-        Prog::BindTuple(l, vs, r) => {
-            Prog::bind_tuple(tidy_once(l, pinned), vs.clone(), tidy_once(r, pinned))
-        }
-        Prog::Condition(c, t, e) => {
-            let t = tidy_once(t, pinned);
-            let e = tidy_once(e, pinned);
-            if let (Prog::Return(a), Prog::Return(b)) = (&t, &e) {
-                return Prog::Return(Expr::ite(c.clone(), a.clone(), b.clone()));
+        Prog::Condition(c, t, e) => match (&**t, &**e) {
+            (Prog::Return(a), Prog::Return(b)) => {
+                Some(Prog::Return(Expr::ite(c.clone(), a.clone(), b.clone())))
             }
-            if let (Prog::Gets(a), Prog::Gets(b)) = (&t, &e) {
-                return Prog::Gets(Expr::ite(c.clone(), a.clone(), b.clone()));
+            (Prog::Gets(a), Prog::Gets(b)) => {
+                Some(Prog::Gets(Expr::ite(c.clone(), a.clone(), b.clone())))
             }
-            Prog::cond(c.clone(), t, e)
-        }
-        Prog::Catch(l, v, r) => Prog::Catch(
-            ir::intern::Interned::new(tidy_once(l, pinned)),
-            v.clone(),
-            ir::intern::Interned::new(tidy_once(r, pinned)),
-        ),
-        Prog::While {
-            vars,
-            cond,
-            body,
-            init,
-        } => Prog::While {
-            vars: vars.clone(),
-            cond: cond.clone(),
-            body: ir::intern::Interned::new(tidy_once(body, pinned)),
-            init: init.clone(),
+            _ => None,
         },
-        Prog::ExecConcrete(q) => {
-            Prog::ExecConcrete(ir::intern::Interned::new(tidy_once(q, pinned)))
-        }
-        Prog::ExecAbstract(q) => {
-            Prog::ExecAbstract(ir::intern::Interned::new(tidy_once(q, pinned)))
-        }
-        other => other.clone(),
+        _ => None,
     }
 }
 
@@ -876,144 +818,102 @@ fn discharge_guards(p: &Prog, var_tys: &std::collections::HashMap<String, ir::ty
     p.rewrite(&rewrite)
 }
 
+/// State-free guards that have executed on every path to a point, each
+/// with its free variables.
+type Established = HashMap<Expr, BTreeSet<String>>;
+
 /// Drops a guard when an identical, state-independent guard has already
 /// executed on every path to it (guards are idempotent; state-free guard
 /// expressions are only invalidated by rebinding one of their variables).
-fn dedup_guards(p: &Prog, established: &mut std::collections::BTreeSet<String>) -> Prog {
-    match p {
-        Prog::Bind(l, v, r) => {
-            // Is `l` a pure guard?
-            if let Prog::Guard(k, g) = &**l {
-                if v == "_" && !g.reads_state() {
-                    let key = format!("{g:?}");
-                    if established.contains(&key) {
-                        return dedup_guards(r, established);
-                    }
-                    established.insert(key);
-                    return Prog::bind(
-                        Prog::Guard(k.clone(), g.clone()),
-                        "_",
-                        dedup_guards(r, established),
-                    );
+/// Guards a sub-program establishes do not flow out of it.
+fn dedup_guards(p: &Prog, established: &mut Established) -> Prog {
+    if let Prog::Bind(l, v, r) = p {
+        if let Prog::Guard(_, g) = &**l {
+            if v == "_" && !g.reads_state() {
+                if established.contains_key(g) {
+                    return dedup_guards(r, established);
                 }
+                established.insert(g.clone(), g.free_vars());
+                return Prog::Bind(
+                    l.clone(),
+                    v.clone(),
+                    IProg::new(dedup_guards(r, established)),
+                );
             }
-            let l2 = dedup_guards(l, &mut established.clone());
-            // Rebinding v invalidates guards mentioning it.
-            established.retain(|key| !key.contains(&format!("Var(\"{v}\")")));
-            Prog::bind(l2, v.clone(), dedup_guards(r, established))
         }
-        Prog::BindTuple(l, vs, r) => {
-            let l2 = dedup_guards(l, &mut established.clone());
-            for v in vs {
-                established.retain(|key| !key.contains(&format!("Var(\"{v}\")")));
-            }
-            Prog::bind_tuple(l2, vs.clone(), dedup_guards(r, established))
-        }
-        Prog::Condition(c, t, e) => Prog::cond(
-            c.clone(),
-            dedup_guards(t, &mut established.clone()),
-            dedup_guards(e, &mut established.clone()),
-        ),
-        Prog::Catch(l, v, r) => Prog::Catch(
-            ir::intern::Interned::new(dedup_guards(l, &mut established.clone())),
-            v.clone(),
-            ir::intern::Interned::new(dedup_guards(r, &mut std::collections::BTreeSet::new())),
-        ),
-        Prog::While {
-            vars,
-            cond,
-            body,
-            init,
-        } => Prog::While {
-            vars: vars.clone(),
-            cond: cond.clone(),
-            body: ir::intern::Interned::new(dedup_guards(body, &mut std::collections::BTreeSet::new())),
-            init: init.clone(),
-        },
-        other => other.clone(),
     }
+    // The level-mixing markers are left alone. A handler runs after an
+    // exception and a loop body after any number of iterations: neither
+    // inherits what is established here (a loop binds at least `_`).
+    if p.mixes_levels() {
+        return p.clone();
+    }
+    let restart = matches!(p, Prog::Catch(..) | Prog::While { .. });
+    p.map_children(&mut |e, _| e.clone(), &mut |q, bound| {
+        IProg::new(if bound.is_empty() {
+            dedup_guards(q, &mut established.clone())
+        } else if restart {
+            dedup_guards(q, &mut Established::new())
+        } else {
+            // Rebinding a variable forgets the guards over it.
+            established.retain(|_, vars| !bound.iter().any(|b| vars.contains(b)));
+            dedup_guards(q, established)
+        })
+    })
 }
 
-/// Capture-avoiding substitution of the *free* occurrences of variable `v`
-/// by expression `e`. Returns `None` when a binder would capture a free
-/// variable of `e` (the rewrite is then skipped).
-fn subst_free(p: &Prog, v: &str, e: &Expr) -> Option<Prog> {
-    let efv = e.free_vars();
-    fn go(p: &Prog, v: &str, e: &Expr, efv: &std::collections::BTreeSet<String>) -> Option<Prog> {
-        let subst_expr = |x: &Expr| x.subst_var(v, e);
-        Some(match p {
-            Prog::Return(a) => Prog::Return(subst_expr(a)),
-            Prog::Gets(a) => Prog::Gets(subst_expr(a)),
-            Prog::Throw(a) => Prog::Throw(subst_expr(a)),
-            Prog::Guard(k, a) => Prog::Guard(k.clone(), subst_expr(a)),
-            Prog::Modify(u) => Prog::Modify(u.map_exprs(&subst_expr)),
-            Prog::Fail => Prog::Fail,
-            Prog::Bind(l, u, r) => {
-                let l2 = go(l, v, e, efv)?;
-                let r2 = if u == v {
-                    (**r).clone() // v shadowed: stop
-                } else if efv.contains(u) {
-                    return None; // capture
-                } else {
-                    go(r, v, e, efv)?
-                };
-                Prog::bind(l2, u.clone(), r2)
-            }
-            Prog::BindTuple(l, us, r) => {
-                let l2 = go(l, v, e, efv)?;
-                let r2 = if us.iter().any(|u| u == v) {
-                    (**r).clone()
-                } else if us.iter().any(|u| efv.contains(u)) {
-                    return None;
-                } else {
-                    go(r, v, e, efv)?
-                };
-                Prog::bind_tuple(l2, us.clone(), r2)
-            }
-            Prog::Catch(l, u, r) => {
-                let l2 = go(l, v, e, efv)?;
-                let r2 = if u == v {
-                    (**r).clone()
-                } else if efv.contains(u) {
-                    return None;
-                } else {
-                    go(r, v, e, efv)?
-                };
-                Prog::Catch(ir::intern::Interned::new(l2), u.clone(), ir::intern::Interned::new(r2))
-            }
-            Prog::Condition(c, t, f2) => Prog::cond(
-                subst_expr(c),
-                go(t, v, e, efv)?,
-                go(f2, v, e, efv)?,
-            ),
-            Prog::While {
-                vars,
-                cond,
-                body,
-                init,
-            } => {
-                let init2: Vec<Expr> = init.iter().map(subst_expr).collect();
-                let (cond2, body2) = if vars.iter().any(|u| u == v) {
-                    (cond.clone(), (**body).clone()) // shadowed inside
-                } else if vars.iter().any(|u| efv.contains(u)) {
-                    return None;
-                } else {
-                    (subst_expr(cond), go(body, v, e, efv)?)
-                };
-                Prog::While {
-                    vars: vars.clone(),
-                    cond: cond2,
-                    body: ir::intern::Interned::new(body2),
-                    init: init2,
-                }
-            }
-            Prog::Call { fname, args } => Prog::Call {
-                fname: fname.clone(),
-                args: args.iter().map(subst_expr).collect(),
-            },
-            Prog::ExecConcrete(q) => Prog::ExecConcrete(ir::intern::Interned::new(go(q, v, e, efv)?)),
-            Prog::ExecAbstract(q) => Prog::ExecAbstract(ir::intern::Interned::new(go(q, v, e, efv)?)),
-        })
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ir::expr::BinOp;
+
+    fn nonzero(v: &str) -> Expr {
+        Expr::binop(BinOp::Ne, Expr::var(v), Expr::u32(0))
     }
-    go(p, v, e, &efv)
+
+    fn guard(v: &str) -> Prog {
+        Prog::guard(GuardKind::DivByZero, nonzero(v))
+    }
+
+    #[test]
+    fn a_rebound_variable_forgets_only_its_own_guards() {
+        // guard x; guard y; x ← return (x + 1); guard x; guard y; return x
+        let after = Prog::seq_all([guard("x"), guard("y"), Prog::ret(Expr::var("x"))]);
+        let rebind = Prog::ret(Expr::binop(BinOp::Add, Expr::var("x"), Expr::u32(1)));
+        let p = Prog::seq_all([guard("x"), guard("y"), Prog::bind(rebind, "x", after)]);
+        let out = dedup_guards(&p, &mut Established::new());
+        let mut guards = Vec::new();
+        out.visit(&mut |q| {
+            if let Prog::Guard(_, g) = q {
+                guards.push(g.clone());
+            }
+        });
+        assert_eq!(guards, [nonzero("x"), nonzero("y"), nonzero("x")], "{out}");
+    }
+
+    #[test]
+    fn a_break_in_a_nested_loop_belongs_to_that_loop() {
+        let tp = cparser::parse_and_check(
+            "unsigned f(unsigned n) {
+                unsigned i = 0u;
+                while (i < n) {
+                    i = i + 1u;
+                    while (i < n) { if (i == 5u) break; i = i + 2u; }
+                    if (i == 3u) continue;
+                }
+                return i;
+            }",
+        )
+        .unwrap();
+        let first_loop = |stmts: &[TStmt]| {
+            stmts.iter().find_map(|s| match s {
+                TStmt::While { body, .. } => Some(body.clone()),
+                _ => None,
+            })
+        };
+        let outer = first_loop(&tp.functions[0].body).unwrap();
+        assert_eq!(contains_break_or_continue(&outer), (false, true));
+        let inner = first_loop(&outer).unwrap();
+        assert_eq!(contains_break_or_continue(&inner), (true, false));
+    }
 }

@@ -201,8 +201,10 @@ impl Output {
         SpecMetrics::combine(self.wa.fns.values().map(monadic::MonadicFn::metrics))
     }
 
-    /// Replays every produced theorem through the independent checker,
-    /// using the worker count the pipeline was configured with.
+    /// Replays the refinement theorems ([`Output::thms`]: L1, L2, HL and
+    /// WA) through the independent checker, using the worker count the
+    /// pipeline was configured with. The absint discharge theorems are
+    /// replayed by [`Output::check_absint`].
     ///
     /// # Errors
     ///
@@ -213,7 +215,7 @@ impl Output {
             .map_err(|(_, e)| e)
     }
 
-    /// Replays every produced theorem across `workers` threads, reporting
+    /// Replays the refinement theorems across `workers` threads, reporting
     /// replay occupancy ([`kernel::check_all`]).
     ///
     /// # Errors
@@ -320,38 +322,15 @@ impl Output {
         let f = self.typed.function(name)?;
         let mut loops = Vec::new();
         collect_loop_spans(&f.body, &mut loops);
-        let main = last_return_span(&f.body).unwrap_or(f.span);
-        Some((main, loops))
-    }
-}
-
-/// The span of the last `return` statement in source order, if any.
-fn last_return_span(stmts: &[cparser::TStmt]) -> Option<ir::diag::Span> {
-    use cparser::TStmt;
-    let mut found = None;
-    for s in stmts {
-        match s {
-            TStmt::Return(_, span) => found = Some(*span),
-            TStmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                let sp = last_return_span(else_branch)
-                    .or_else(|| last_return_span(then_branch));
-                if let Some(sp) = sp {
-                    found = Some(sp);
-                }
+        let mut last_return = None;
+        cparser::walk(&f.body, &mut |n| {
+            if let cparser::Node::Stmt(cparser::TStmt::Return(_, span)) = n {
+                last_return = Some(*span);
             }
-            TStmt::While { body, .. } | TStmt::DoWhile { body, .. } | TStmt::Block(body) => {
-                if let Some(sp) = last_return_span(body) {
-                    found = Some(sp);
-                }
-            }
-            _ => {}
-        }
+            matches!(n, cparser::Node::Stmt(_))
+        });
+        Some((last_return.unwrap_or(f.span), loops))
     }
-    found
 }
 
 /// Collects loop-keyword spans in WP traversal order (see

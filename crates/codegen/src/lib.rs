@@ -61,55 +61,11 @@ pub const TABLE5: &[Profile] = &[
 ];
 
 /// Generates a synthetic C translation unit with approximately the
-/// profile's function count and line count.
+/// profile's function count and line count: [`generate_mix`] with the
+/// Table 5 weights ([`Mix::table5`]).
 #[must_use]
 pub fn generate(profile: &Profile, seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = String::new();
-    out.push_str(
-        "struct obj { struct obj *next; unsigned state; unsigned refcount; int prio; };\n\n",
-    );
-    out.push_str("unsigned helper(unsigned x) { return x ^ 0x5au; }\n\n");
-    // Lines each function template produces (roughly); used to hit the
-    // LoC target with the requested number of functions.
-    let per_fn = (profile.loc / profile.functions.max(1)).max(4);
-    // Earlier `unsigned → unsigned` functions that caller functions may
-    // call — gives the generated code a real (acyclic) call graph, as in
-    // the systems code the profiles model.
-    let mut callable: Vec<usize> = Vec::new();
-    for i in 0..profile.functions {
-        let body_budget = per_fn.saturating_sub(3).max(1);
-        let f = gen_function(&mut rng, i, body_budget, &mut callable);
-        out.push_str(&f);
-        out.push('\n');
-    }
-    out
-}
-
-fn gen_function(
-    rng: &mut StdRng,
-    idx: usize,
-    body_lines: usize,
-    callable: &mut Vec<usize>,
-) -> String {
-    let mut s = String::new();
-    // Weighted towards the control-flow- and pointer-heavy shapes of
-    // systems code (the workloads where the paper's wins are largest);
-    // straight-line arithmetic is the minority case.
-    match rng.gen_range(0..8) {
-        0 => gen_arith_fn(rng, idx, body_lines, &mut s),
-        1 | 2 => gen_struct_fn(rng, idx, body_lines, &mut s),
-        3 | 4 => {
-            gen_loop_fn(rng, idx, body_lines, &mut s);
-            callable.push(idx);
-        }
-        5 | 6 => gen_dispatch_fn(rng, idx, body_lines, &mut s),
-        _ => {
-            gen_caller_fn(rng, idx, body_lines, callable, &mut s);
-            callable.push(idx);
-        }
-    }
-    s
+    generate_mix(profile, &Mix::table5(), seed)
 }
 
 /// A random acyclic call graph with the same shape the generator produces:
@@ -320,7 +276,10 @@ pub struct Mix {
 }
 
 impl Mix {
-    /// The weights [`generate`] has always used — no new shapes.
+    /// The weights [`generate`] uses, towards the control-flow- and
+    /// pointer-heavy shapes of systems code (the workloads where the
+    /// paper's wins are largest); straight-line arithmetic is the minority
+    /// case. None of the audit shapes.
     #[must_use]
     pub fn table5() -> Mix {
         Mix {
@@ -378,15 +337,12 @@ impl Mix {
     }
 }
 
-/// Generates a synthetic C translation unit like [`generate`], but with
-/// the function templates drawn according to `mix`. A second struct type
-/// (`struct node`) is always declared so the heap-walk template (and any
+/// Generates a synthetic C translation unit with approximately the
+/// profile's function count and line count, drawing each function's
+/// template according to `mix`. A mix with heap walks also declares a
+/// second struct type (`struct node`), so the heap-walk template (and any
 /// consumer seeding heaps from the program's actual struct types) sees
 /// more than one typed heap.
-///
-/// `generate` itself is untouched by this entry point: its output is
-/// byte-identical to what it produced before `Mix` existed, so the
-/// Table 5 bench rows stay reproducible.
 #[must_use]
 pub fn generate_mix(profile: &Profile, mix: &Mix, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -394,11 +350,18 @@ pub fn generate_mix(profile: &Profile, mix: &Mix, seed: u64) -> String {
     out.push_str(
         "struct obj { struct obj *next; unsigned state; unsigned refcount; int prio; };\n\n",
     );
-    out.push_str("struct node { struct node *next; unsigned val; };\n\n");
+    if mix.heap_walks > 0 {
+        out.push_str("struct node { struct node *next; unsigned val; };\n\n");
+    }
     out.push_str("unsigned helper(unsigned x) { return x ^ 0x5au; }\n\n");
+    // Lines each function template produces (roughly); used to hit the
+    // LoC target with the requested number of functions.
     let per_fn = (profile.loc / profile.functions.max(1)).max(4);
     let weights = mix.weights();
     let total: u32 = weights.iter().sum::<u32>().max(1);
+    // Earlier `unsigned → unsigned` functions that caller functions may
+    // call — gives the generated code a real (acyclic) call graph, as in
+    // the systems code the profiles model.
     let mut callable: Vec<usize> = Vec::new();
     for i in 0..profile.functions {
         let body_budget = per_fn.saturating_sub(3).max(1);
@@ -818,13 +781,43 @@ mod tests {
     }
 
     #[test]
-    fn table5_mix_matches_legacy_generate_weights() {
-        // The zero weights for the new shapes keep the roll modulus at 8,
-        // so `generate_mix(Mix::table5())` must keep drawing the same
-        // shapes `generate` always has (byte-identity of `generate` itself
-        // is covered by `generation_is_deterministic`).
-        let w = Mix::table5().weights();
-        assert_eq!(w.iter().sum::<u32>(), 8);
-        assert_eq!(&w[5..], &[0; 7]);
+    fn generate_keeps_its_bytes() {
+        // FNV-1a over each profile's output at three seeds, recorded from
+        // the generator before `generate` became `generate_mix` with the
+        // Table 5 weights. Any change to those weights, the shared
+        // templates or the preamble moves a digest; the seL4 row's bytes
+        // feed the benchmark's recorded WA digest.
+        fn fnv(h: u64, bytes: &[u8]) -> u64 {
+            bytes
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        }
+        let small = [(40, 3), (60, 4), (300, 24)].map(|(loc, functions)| Profile {
+            name: "small",
+            loc,
+            functions,
+        });
+        let want: [u64; 8] = [
+            0x93d6_762a_f88b_5391,
+            0xbfcb_01a0_09c1_6919,
+            0xecff_2f21_f128_2be0,
+            0x1363_e050_3095_a926,
+            0x46be_79d9_c698_3c09,
+            0x6ecc_ec4d_007a_dbee,
+            0x7c4b_d270_b23a_6f6e,
+            0x8c8d_9ab0_0d24_733f,
+        ];
+        let got: Vec<u64> = TABLE5
+            .iter()
+            .chain(&small)
+            .map(|p| {
+                [0u64, 7, 0xAC]
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325, |h, &seed| {
+                        fnv(h, generate(p, seed).as_bytes())
+                    })
+            })
+            .collect();
+        assert_eq!(got, want, "{got:#x?}");
     }
 }

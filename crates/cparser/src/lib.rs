@@ -45,7 +45,7 @@ use ir::diag::{Diag, DiagKind, Phase};
 pub use ast::{CBinOp, CExpr, CType, CUnOp, FunDef, Program, Stmt};
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse, ParseError};
-pub use typecheck::{typecheck, TExpr, TExprKind, TFunDef, TProgram, TStmt, TypeError};
+pub use typecheck::{typecheck, walk, Node, TExpr, TExprKind, TFunDef, TProgram, TStmt, TypeError};
 
 /// Parses and typechecks a complete C translation unit.
 ///

@@ -109,16 +109,39 @@ impl TExpr {
     /// Does this expression (transitively) contain a function call?
     #[must_use]
     pub fn has_call(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            found |= matches!(e.kind, TExprKind::Call(..));
+            !found
+        });
+        found
+    }
+
+    /// Calls `f` on this expression and every subexpression, each before
+    /// its own subexpressions, in source order; `false` from `f` skips a
+    /// node's subexpressions. [`walk`] enters expressions through this.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TExpr) -> bool) {
+        if !f(self) {
+            return;
+        }
         match &self.kind {
-            TExprKind::Call(..) => true,
+            TExprKind::Unary(_, a) | TExprKind::Member(a, _) | TExprKind::Cast(_, a) => a.walk(f),
+            TExprKind::Binary(_, a, b) | TExprKind::Index(a, b) => {
+                a.walk(f);
+                b.walk(f);
+            }
+            TExprKind::Cond(a, b, c) => {
+                a.walk(f);
+                b.walk(f);
+                c.walk(f);
+            }
+            TExprKind::Call(_, args) => {
+                for a in args {
+                    a.walk(f);
+                }
+            }
             TExprKind::IntLit(_) | TExprKind::Null | TExprKind::Local(_) | TExprKind::Global(_) => {
-                false
             }
-            TExprKind::Unary(_, a) | TExprKind::Member(a, _) | TExprKind::Cast(_, a) => {
-                a.has_call()
-            }
-            TExprKind::Binary(_, a, b) | TExprKind::Index(a, b) => a.has_call() || b.has_call(),
-            TExprKind::Cond(a, b, c) => a.has_call() || b.has_call() || c.has_call(),
         }
     }
 }
@@ -226,10 +249,10 @@ impl TFunDef {
         hash_stmts(&self.body, self.span, h);
     }
 
-    /// Calls `f` with the callee of every call in the body, in source
+    /// Calls `f` with the callee of every call in the body, in [`walk`]
     /// order.
     pub fn each_call(&self, mut f: impl FnMut(&str)) {
-        each_node(&self.body, &mut |n| {
+        walk(&self.body, &mut |n| {
             if let Node::Expr(TExpr {
                 kind: TExprKind::Call(name, _),
                 ..
@@ -237,6 +260,7 @@ impl TFunDef {
             {
                 f(name);
             }
+            true
         });
     }
 
@@ -244,7 +268,10 @@ impl TFunDef {
     #[must_use]
     pub fn size(&self) -> usize {
         let mut n = 0;
-        each_node(&self.body, &mut |_| n += 1);
+        walk(&self.body, &mut |_| {
+            n += 1;
+            true
+        });
         n
     }
 }
@@ -476,48 +503,33 @@ pub fn typecheck(prog: &Program) -> Result<TProgram> {
     })
 }
 
-/// What [`each_node`] visits: a statement, or an expression node.
-enum Node<'a> {
-    Stmt,
+/// What [`walk`] visits: a statement, or an expression node.
+#[derive(Clone, Copy, Debug)]
+pub enum Node<'a> {
+    /// A statement, before its expressions and sub-blocks.
+    Stmt(&'a TStmt),
+    /// An expression node, before its subexpressions.
     Expr(&'a TExpr),
 }
 
-/// Calls `f` on every statement of `stmts` and every expression node in
-/// them, each before what it contains, in source order.
-fn each_node<'a>(stmts: &'a [TStmt], f: &mut impl FnMut(Node<'a>)) {
-    fn in_expr<'a>(e: &'a TExpr, f: &mut impl FnMut(Node<'a>)) {
-        f(Node::Expr(e));
-        match &e.kind {
-            TExprKind::Unary(_, a) | TExprKind::Member(a, _) | TExprKind::Cast(_, a) => {
-                in_expr(a, f);
-            }
-            TExprKind::Binary(_, a, b) | TExprKind::Index(a, b) => {
-                in_expr(a, f);
-                in_expr(b, f);
-            }
-            TExprKind::Cond(a, b, c) => {
-                in_expr(a, f);
-                in_expr(b, f);
-                in_expr(c, f);
-            }
-            TExprKind::Call(_, args) => {
-                for a in args {
-                    in_expr(a, f);
-                }
-            }
-            TExprKind::IntLit(_) | TExprKind::Null | TExprKind::Local(_) | TExprKind::Global(_) => {
-            }
-        }
-    }
+/// The one walk of typed statements: calls `f` on every statement of
+/// `stmts` and every expression node in them, each before what it
+/// contains, in source order (a loop's condition before its body). When `f` returns `false` the walk does not
+/// enter that node: a statement's expressions and sub-blocks (so a query
+/// can stop at nested loops), or an expression's subexpressions.
+pub fn walk<'a>(stmts: &'a [TStmt], f: &mut impl FnMut(Node<'a>) -> bool) {
     for s in stmts {
-        f(Node::Stmt);
+        if !f(Node::Stmt(s)) {
+            continue;
+        }
+        let mut expr = |e: &'a TExpr| e.walk(&mut |x| f(Node::Expr(x)));
         match s {
             TStmt::Decl { init: Some(e), .. }
             | TStmt::ExprCall(e, _)
-            | TStmt::Return(Some(e), _) => in_expr(e, f),
+            | TStmt::Return(Some(e), _) => expr(e),
             TStmt::Assign { lhs, rhs, .. } => {
-                in_expr(lhs, f);
-                in_expr(rhs, f);
+                expr(lhs);
+                expr(rhs);
             }
             TStmt::If {
                 cond,
@@ -525,15 +537,15 @@ fn each_node<'a>(stmts: &'a [TStmt], f: &mut impl FnMut(Node<'a>)) {
                 else_branch,
                 ..
             } => {
-                in_expr(cond, f);
-                each_node(then_branch, f);
-                each_node(else_branch, f);
+                expr(cond);
+                walk(then_branch, f);
+                walk(else_branch, f);
             }
             TStmt::While { cond, body, .. } | TStmt::DoWhile { body, cond, .. } => {
-                in_expr(cond, f);
-                each_node(body, f);
+                expr(cond);
+                walk(body, f);
             }
-            TStmt::Block(b) => each_node(b, f),
+            TStmt::Block(b) => walk(b, f),
             TStmt::Decl { init: None, .. }
             | TStmt::Return(None, _)
             | TStmt::Break(_)

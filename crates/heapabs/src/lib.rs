@@ -32,7 +32,7 @@ use ir::typing::{infer_ty, ptr_pointee};
 use ir::update::Update;
 use kernel::rules::heap as hr;
 use kernel::{CheckCtx, Judgment, KernelError, Thm};
-use monadic::{MonadicFn, Prog, ProgramCtx};
+use monadic::{MonadicFn, Prog, ProgTyping, ProgramCtx};
 
 /// Heap-abstraction options.
 #[derive(Clone, Debug, Default)]
@@ -303,7 +303,7 @@ impl<'a> Engine<'a> {
             Prog::BindTuple(l, vs, r) => {
                 let lt = self.stmt(l)?;
                 let mut saves = Vec::new();
-                let comps = self.prog_tuple_tys(l, vs.len());
+                let comps = self.typing().tuple_tys(l, vs.len());
                 for (v, t) in vs.iter().zip(comps) {
                     let old = match t {
                         Some(t) => self.vars.insert(v.clone(), t),
@@ -379,7 +379,7 @@ impl<'a> Engine<'a> {
     }
 
     fn bind_var(&mut self, v: &str, l: &Prog) -> Option<Ty> {
-        match self.prog_value_ty(l) {
+        match self.typing().value_ty(l) {
             Some(t) => self.vars.insert(v.to_owned(), t),
             None => self.vars.remove(v),
         }
@@ -396,35 +396,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Best-effort value type of a program (for variable-type tracking).
-    fn prog_value_ty(&self, p: &Prog) -> Option<Ty> {
-        match p {
-            Prog::Return(e) | Prog::Gets(e) => infer_ty(e, &self.vars, &self.cx.tenv),
-            Prog::Bind(_, _, r) | Prog::BindTuple(_, _, r) => self.prog_value_ty(r),
-            Prog::Condition(_, t, e) => {
-                self.prog_value_ty(t).or_else(|| self.prog_value_ty(e))
-            }
-            Prog::While { init, .. } => {
-                if init.len() == 1 {
-                    infer_ty(&init[0], &self.vars, &self.cx.tenv)
-                } else {
-                    let ts: Option<Vec<Ty>> = init
-                        .iter()
-                        .map(|i| infer_ty(i, &self.vars, &self.cx.tenv))
-                        .collect();
-                    ts.map(Ty::Tuple)
-                }
-            }
-            Prog::Catch(l, _, _) => self.prog_value_ty(l),
-            _ => None,
-        }
-    }
-
-    fn prog_tuple_tys(&self, p: &Prog, n: usize) -> Vec<Option<Ty>> {
-        match self.prog_value_ty(p) {
-            Some(Ty::Tuple(ts)) if ts.len() == n => ts.into_iter().map(Some).collect(),
-            Some(t) if n == 1 => vec![Some(t)],
-            _ => vec![None; n],
+    /// Value types of programs against the variables in scope (calls
+    /// are left untyped).
+    fn typing(&self) -> ProgTyping<'_> {
+        ProgTyping {
+            vars: &self.vars,
+            tenv: &self.cx.tenv,
+            callees: None,
         }
     }
 }

@@ -132,12 +132,26 @@ impl Update {
         if es.len() != expect {
             return Err(format!("expected {expect} expressions, got {}", es.len()));
         }
+        let mut es = es.iter().cloned();
+        self.try_map_exprs(&mut |_| es.next().ok_or_else(String::new))
+    }
+
+    /// Rebuilds the update (same target, same shape) with each expression
+    /// replaced by `f` of it, in [`Update::exprs`] order.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_map_exprs<E>(
+        &self,
+        f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Update, E> {
         Ok(match self {
-            Update::Local(n, _) => Update::Local(n.clone(), es[0].clone()),
-            Update::Global(n, _) => Update::Global(n.clone(), es[0].clone()),
-            Update::TagRegion(t, _) => Update::TagRegion(t.clone(), es[0].clone()),
-            Update::Heap(t, _, _) => Update::Heap(t.clone(), es[0].clone(), es[1].clone()),
-            Update::Byte(_, _) => Update::Byte(es[0].clone(), es[1].clone()),
+            Update::Local(n, e) => Update::Local(n.clone(), f(e)?),
+            Update::Global(n, e) => Update::Global(n.clone(), f(e)?),
+            Update::TagRegion(t, e) => Update::TagRegion(t.clone(), f(e)?),
+            Update::Heap(t, p, e) => Update::Heap(t.clone(), f(p)?, f(e)?),
+            Update::Byte(p, e) => Update::Byte(f(p)?, f(e)?),
         })
     }
 
@@ -150,9 +164,8 @@ impl Update {
     /// Rewrites contained expressions with `f`.
     #[must_use]
     pub fn map_exprs(&self, f: &impl Fn(&Expr) -> Expr) -> Update {
-        let es: Vec<Expr> = self.exprs().into_iter().map(f).collect();
-        self.with_exprs(&es)
-            .expect("one rewritten expression per contained expression")
+        let Ok(u) = self.try_map_exprs::<std::convert::Infallible>(&mut |e| Ok(f(e)));
+        u
     }
 
     /// Total number of expression AST nodes (for the term-size metric).

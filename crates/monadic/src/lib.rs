@@ -34,6 +34,8 @@
 pub mod codec;
 pub mod interp;
 pub mod prog;
+pub mod typing;
 
 pub use interp::{exec, exec_fn, MonadFault, MonadResult};
-pub use prog::{IProg, MonadicFn, Prog, ProgramCtx};
+pub use prog::{Child, IProg, MonadicFn, Prog, ProgramCtx};
+pub use typing::ProgTyping;

@@ -1,6 +1,7 @@
 //! The deep-embedded monadic program language.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
 
 use ir::expr::Expr;
@@ -66,6 +67,18 @@ pub enum Prog {
     ExecConcrete(IProg),
     /// `exec_abstract M` — run a heap-abstracted program from low-level code.
     ExecAbstract(IProg),
+}
+
+/// One immediate part of a program node, as [`Prog::each_child`] hands it
+/// out.
+#[derive(Clone, Copy, Debug)]
+pub enum Child<'a> {
+    /// An expression.
+    Expr(&'a Expr),
+    /// The update of a `modify` (its expressions are bound by nothing).
+    Update(&'a Update),
+    /// A sub-program.
+    Prog(&'a IProg),
 }
 
 impl Internable for Prog {
@@ -145,60 +158,32 @@ impl Prog {
         }
     }
 
-    /// Number of AST nodes including contained expressions (term size).
-    /// O(immediate children): interned sub-programs carry their size.
-    #[must_use]
-    pub fn term_size(&self) -> usize {
+    /// Calls `f` on each immediate part of this node, in order, with the
+    /// names the node binds over that part: a bind's continuation is under
+    /// its pattern, a handler under the exception variable, and a loop's
+    /// condition and body under its iterators (its initial values are not).
+    /// This is the one decomposition of programs (as [`Expr::children`] is
+    /// of expressions); [`Prog::try_map_children`] takes the parts back in
+    /// the same order. It allocates nothing.
+    pub fn each_child<'a>(&'a self, f: &mut impl FnMut(Child<'a>, &'a [String])) {
         match self {
             Prog::Return(e) | Prog::Gets(e) | Prog::Throw(e) | Prog::Guard(_, e) => {
-                1 + e.term_size()
+                f(Child::Expr(e), &[]);
             }
-            Prog::Modify(u) => 1 + u.term_size(),
-            Prog::Fail => 1,
-            Prog::Bind(l, _, r) | Prog::BindTuple(l, _, r) | Prog::Catch(l, _, r) => {
-                1 + l.size() + r.size()
-            }
-            Prog::Condition(c, t, e) => 1 + c.term_size() + t.size() + e.size(),
-            Prog::While {
-                cond, body, init, ..
-            } => {
-                1 + cond.term_size()
-                    + body.size()
-                    + init.iter().map(Expr::term_size).sum::<usize>()
-            }
-            Prog::Call { args, .. } => 1 + args.iter().map(Expr::term_size).sum::<usize>(),
-            Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => 1 + p.size(),
-        }
-    }
-
-    /// Free lambda-bound variables (iterator/bind variables are binders).
-    #[must_use]
-    pub fn free_vars(&self) -> BTreeSet<String> {
-        match self {
-            Prog::Return(e) | Prog::Gets(e) | Prog::Throw(e) | Prog::Guard(_, e) => e.free_vars(),
-            Prog::Modify(u) => u.free_vars(),
-            Prog::Fail => BTreeSet::new(),
+            Prog::Modify(u) => f(Child::Update(u), &[]),
+            Prog::Fail => {}
             Prog::Bind(l, v, r) | Prog::Catch(l, v, r) => {
-                let mut out = l.free_vars();
-                let mut rv = r.free_vars();
-                rv.remove(v);
-                out.extend(rv);
-                out
+                f(Child::Prog(l), &[]);
+                f(Child::Prog(r), std::slice::from_ref(v));
             }
             Prog::BindTuple(l, vs, r) => {
-                let mut out = l.free_vars();
-                let mut rv = r.free_vars();
-                for v in vs {
-                    rv.remove(v);
-                }
-                out.extend(rv);
-                out
+                f(Child::Prog(l), &[]);
+                f(Child::Prog(r), vs);
             }
             Prog::Condition(c, t, e) => {
-                let mut out = c.free_vars();
-                out.extend(t.free_vars());
-                out.extend(e.free_vars());
-                out
+                f(Child::Expr(c), &[]);
+                f(Child::Prog(t), &[]);
+                f(Child::Prog(e), &[]);
             }
             Prog::While {
                 vars,
@@ -206,85 +191,50 @@ impl Prog {
                 body,
                 init,
             } => {
-                let mut inner = cond.free_vars();
-                inner.extend(body.free_vars());
-                for v in vars {
-                    inner.remove(v);
-                }
+                f(Child::Expr(cond), vars);
+                f(Child::Prog(body), vars);
                 for i in init {
-                    inner.extend(i.free_vars());
-                }
-                inner
-            }
-            Prog::Call { args, .. } => args.iter().flat_map(Expr::free_vars).collect(),
-            Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => p.free_vars(),
-        }
-    }
-
-    /// Visits every contained expression (preorder over the program).
-    pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
-        match self {
-            Prog::Return(e) | Prog::Gets(e) | Prog::Throw(e) | Prog::Guard(_, e) => f(e),
-            Prog::Modify(u) => u.exprs().into_iter().for_each(f),
-            Prog::Fail => {}
-            Prog::Bind(l, _, r) | Prog::BindTuple(l, _, r) | Prog::Catch(l, _, r) => {
-                l.visit_exprs(f);
-                r.visit_exprs(f);
-            }
-            Prog::Condition(c, t, e) => {
-                f(c);
-                t.visit_exprs(f);
-                e.visit_exprs(f);
-            }
-            Prog::While {
-                cond, body, init, ..
-            } => {
-                f(cond);
-                body.visit_exprs(f);
-                for i in init {
-                    f(i);
+                    f(Child::Expr(i), &[]);
                 }
             }
             Prog::Call { args, .. } => {
                 for a in args {
-                    f(a);
+                    f(Child::Expr(a), &[]);
                 }
             }
-            Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => p.visit_exprs(f),
+            Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => f(Child::Prog(p), &[]),
         }
     }
 
-    /// Rewrites every contained expression with `f` (does not descend into
-    /// binder structure — names are left untouched).
-    #[must_use]
-    pub fn map_exprs(&self, f: &impl Fn(&Expr) -> Expr) -> Prog {
-        match self {
-            Prog::Return(e) => Prog::Return(f(e)),
-            Prog::Gets(e) => Prog::Gets(f(e)),
-            Prog::Throw(e) => Prog::Throw(f(e)),
-            Prog::Guard(k, e) => Prog::Guard(k.clone(), f(e)),
-            Prog::Modify(u) => Prog::Modify(u.map_exprs(f)),
+    /// Rebuilds this node (same variant, binder names, guard kind and
+    /// callee) with each expression replaced by `fe(e, bound)` and each
+    /// sub-program by `fp(p, bound)`, in [`Prog::each_child`]'s order and
+    /// with its `bound` names; an update's expressions go through `fe` one
+    /// by one. The first error abandons the rebuild.
+    ///
+    /// # Errors
+    ///
+    /// The first error `fe` or `fp` returns.
+    pub fn try_map_children<E>(
+        &self,
+        fe: &mut impl FnMut(&Expr, &[String]) -> Result<Expr, E>,
+        fp: &mut impl FnMut(&IProg, &[String]) -> Result<IProg, E>,
+    ) -> Result<Prog, E> {
+        Ok(match self {
+            Prog::Return(e) => Prog::Return(fe(e, &[])?),
+            Prog::Gets(e) => Prog::Gets(fe(e, &[])?),
+            Prog::Throw(e) => Prog::Throw(fe(e, &[])?),
+            Prog::Guard(k, e) => Prog::Guard(k.clone(), fe(e, &[])?),
+            Prog::Modify(u) => Prog::Modify(u.try_map_exprs(&mut |e| fe(e, &[]))?),
             Prog::Fail => Prog::Fail,
-            Prog::Bind(l, v, r) => Prog::Bind(
-                IProg::new(l.map_exprs(f)),
-                v.clone(),
-                IProg::new(r.map_exprs(f)),
-            ),
-            Prog::BindTuple(l, vs, r) => Prog::BindTuple(
-                IProg::new(l.map_exprs(f)),
-                vs.clone(),
-                IProg::new(r.map_exprs(f)),
-            ),
-            Prog::Catch(l, v, r) => Prog::Catch(
-                IProg::new(l.map_exprs(f)),
-                v.clone(),
-                IProg::new(r.map_exprs(f)),
-            ),
-            Prog::Condition(c, t, e) => Prog::Condition(
-                f(c),
-                IProg::new(t.map_exprs(f)),
-                IProg::new(e.map_exprs(f)),
-            ),
+            Prog::Bind(l, v, r) => {
+                Prog::Bind(fp(l, &[])?, v.clone(), fp(r, std::slice::from_ref(v))?)
+            }
+            Prog::BindTuple(l, vs, r) => Prog::BindTuple(fp(l, &[])?, vs.clone(), fp(r, vs)?),
+            Prog::Catch(l, v, r) => {
+                Prog::Catch(fp(l, &[])?, v.clone(), fp(r, std::slice::from_ref(v))?)
+            }
+            Prog::Condition(c, t, e) => Prog::Condition(fe(c, &[])?, fp(t, &[])?, fp(e, &[])?),
             Prog::While {
                 vars,
                 cond,
@@ -292,17 +242,77 @@ impl Prog {
                 init,
             } => Prog::While {
                 vars: vars.clone(),
-                cond: f(cond),
-                body: IProg::new(body.map_exprs(f)),
-                init: init.iter().map(f).collect(),
+                cond: fe(cond, vars)?,
+                body: fp(body, vars)?,
+                init: init.iter().map(|i| fe(i, &[])).collect::<Result<_, E>>()?,
             },
             Prog::Call { fname, args } => Prog::Call {
                 fname: fname.clone(),
-                args: args.iter().map(f).collect(),
+                args: args.iter().map(|a| fe(a, &[])).collect::<Result<_, E>>()?,
             },
-            Prog::ExecConcrete(p) => Prog::ExecConcrete(IProg::new(p.map_exprs(f))),
-            Prog::ExecAbstract(p) => Prog::ExecAbstract(IProg::new(p.map_exprs(f))),
-        }
+            Prog::ExecConcrete(p) => Prog::ExecConcrete(fp(p, &[])?),
+            Prog::ExecAbstract(p) => Prog::ExecAbstract(fp(p, &[])?),
+        })
+    }
+
+    /// [`Prog::try_map_children`] with rewrites that cannot fail.
+    #[must_use]
+    pub fn map_children(
+        &self,
+        fe: &mut impl FnMut(&Expr, &[String]) -> Expr,
+        fp: &mut impl FnMut(&IProg, &[String]) -> IProg,
+    ) -> Prog {
+        let Ok(p) = self
+            .try_map_children::<Infallible>(&mut |e, bound| Ok(fe(e, bound)), &mut |p, bound| {
+                Ok(fp(p, bound))
+            });
+        p
+    }
+
+    /// Number of AST nodes including contained expressions (term size).
+    /// O(immediate children): interned sub-programs carry their size.
+    #[must_use]
+    pub fn term_size(&self) -> usize {
+        let mut n = 1;
+        self.each_child(&mut |c, _| {
+            n += match c {
+                Child::Expr(e) => e.term_size(),
+                Child::Update(u) => u.term_size(),
+                Child::Prog(p) => p.size(),
+            };
+        });
+        n
+    }
+
+    /// Free lambda-bound variables (iterator/bind variables are binders).
+    #[must_use]
+    pub fn free_vars(&self) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        self.each_child(&mut |c, bound| {
+            let fv = match c {
+                Child::Expr(e) => e.free_vars(),
+                Child::Update(u) => u.free_vars(),
+                Child::Prog(p) => p.free_vars(),
+            };
+            out.extend(fv.into_iter().filter(|v| !bound.contains(v)));
+        });
+        out
+    }
+
+    /// Visits every contained expression (preorder over the program).
+    pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        self.each_child(&mut |c, _| match c {
+            Child::Expr(e) => f(e),
+            Child::Update(u) => u.exprs().into_iter().for_each(&mut *f),
+            Child::Prog(p) => p.visit_exprs(f),
+        });
+    }
+
+    /// Rewrites every contained expression with `f` (does not descend into
+    /// binder structure — names are left untouched).
+    #[must_use]
+    pub fn map_exprs(&self, f: &impl Fn(&Expr) -> Expr) -> Prog {
+        self.map_children(&mut |e, _| f(e), &mut |p, _| IProg::new(p.map_exprs(f)))
     }
 
     /// Substitutes a state-stored local read by an expression everywhere
@@ -312,29 +322,53 @@ impl Prog {
         self.map_exprs(&|e| e.subst_local(name, repl))
     }
 
+    /// Capture-avoiding substitution of the free occurrences of variable
+    /// `name` by `repl`: a part under a binder of `name` is left alone.
+    /// Returns `None` when a binder would capture a free variable of
+    /// `repl`.
+    #[must_use]
+    pub fn subst_var(&self, name: &str, repl: &Expr) -> Option<Prog> {
+        self.subst_var_free(name, repl, &repl.free_vars())
+    }
+
+    fn subst_var_free(&self, name: &str, repl: &Expr, free: &BTreeSet<String>) -> Option<Prog> {
+        // Whether a part under `bound` is substituted; `Err` is a capture.
+        let enter = |bound: &[String]| {
+            if bound.iter().any(|b| b == name) {
+                Ok(false)
+            } else if bound.iter().any(|b| free.contains(b)) {
+                Err(())
+            } else {
+                Ok(true)
+            }
+        };
+        self.try_map_children(
+            &mut |e, bound| {
+                Ok(if enter(bound)? {
+                    e.subst_var(name, repl)
+                } else {
+                    e.clone()
+                })
+            },
+            &mut |p, bound| {
+                if !enter(bound)? {
+                    return Ok(p.clone());
+                }
+                p.subst_var_free(name, repl, free).map(IProg::new).ok_or(())
+            },
+        )
+        .ok()
+    }
+
     /// Applies `f` to this program and every sub-program (preorder),
     /// including those under `exec_concrete`/`exec_abstract` markers.
     pub fn visit(&self, f: &mut impl FnMut(&Prog)) {
         f(self);
-        match self {
-            Prog::Return(_)
-            | Prog::Gets(_)
-            | Prog::Modify(_)
-            | Prog::Guard(..)
-            | Prog::Throw(_)
-            | Prog::Fail
-            | Prog::Call { .. } => {}
-            Prog::Bind(l, _, r)
-            | Prog::BindTuple(l, _, r)
-            | Prog::Catch(l, _, r)
-            | Prog::Condition(_, l, r) => {
-                l.visit(f);
-                r.visit(f);
-            }
-            Prog::While { body: p, .. } | Prog::ExecConcrete(p) | Prog::ExecAbstract(p) => {
+        self.each_child(&mut |c, _| {
+            if let Child::Prog(p) = c {
                 p.visit(f);
             }
-        }
+        });
     }
 
     /// Rebuilds the program bottom-up: every sub-program is rewritten
@@ -343,31 +377,23 @@ impl Prog {
     /// are left untouched.
     #[must_use]
     pub fn rewrite(&self, f: &impl Fn(&Prog) -> Option<Prog>) -> Prog {
-        let rebuilt = match self {
-            Prog::Bind(l, v, r) => Prog::bind(l.rewrite(f), v.clone(), r.rewrite(f)),
-            Prog::BindTuple(l, vs, r) => Prog::bind_tuple(l.rewrite(f), vs.clone(), r.rewrite(f)),
-            Prog::Catch(l, v, r) => Prog::Catch(
-                IProg::new(l.rewrite(f)),
-                v.clone(),
-                IProg::new(r.rewrite(f)),
-            ),
-            Prog::Condition(c, t, e) => Prog::cond(c.clone(), t.rewrite(f), e.rewrite(f)),
-            Prog::While {
-                vars,
-                cond,
-                body,
-                init,
-            } => Prog::While {
-                vars: vars.clone(),
-                cond: cond.clone(),
-                body: IProg::new(body.rewrite(f)),
-                init: init.clone(),
-            },
-            Prog::ExecConcrete(q) => Prog::ExecConcrete(IProg::new(q.rewrite(f))),
-            Prog::ExecAbstract(q) => Prog::ExecAbstract(IProg::new(q.rewrite(f))),
-            other => other.clone(),
-        };
+        // A child the rewrite leaves as it was keeps its handle: no second
+        // intern lookup for an unchanged subtree.
+        let rebuilt = self.map_children(&mut |e, _| e.clone(), &mut |p, _| {
+            let q = p.rewrite(f);
+            if q == **p {
+                p.clone()
+            } else {
+                IProg::new(q)
+            }
+        });
         f(&rebuilt).unwrap_or(rebuilt)
+    }
+
+    /// Is this an `exec_concrete`/`exec_abstract` level-mixing marker?
+    #[must_use]
+    pub fn mixes_levels(&self) -> bool {
+        matches!(self, Prog::ExecConcrete(_) | Prog::ExecAbstract(_))
     }
 
     /// The names of all functions this program calls (directly, at any

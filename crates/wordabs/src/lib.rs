@@ -31,7 +31,7 @@ use ir::typing::infer_ty;
 use kernel::judgment::VarCtx;
 use kernel::rules::word as wr;
 use kernel::{AbsFun, CheckCtx, Judgment, KernelError, Rule, Thm};
-use monadic::{MonadicFn, Prog, ProgramCtx};
+use monadic::{MonadicFn, Prog, ProgTyping, ProgramCtx};
 
 /// The result of a custom rule application.
 #[derive(Clone, Debug)]
@@ -503,7 +503,7 @@ impl<'a> Engine<'a> {
             Prog::Bind(l, v, r) => {
                 let lt = self.stmt(l, None)?;
                 let lrx = Self::rx_of(&lt);
-                let lty = self.prog_value_ty(l);
+                let lty = self.typing().value_ty(l);
                 let scope = self.enter([(v.as_str(), lty, lrx)]);
                 let rt = self.stmt(r, want_rx);
                 self.leave(scope);
@@ -519,7 +519,7 @@ impl<'a> Engine<'a> {
                         return self.unsupported("tuple bind over a non-tuple abstraction")
                     }
                 };
-                let tys = self.prog_tuple_tys(l, vs.len());
+                let tys = self.typing().tuple_tys(l, vs.len());
                 let scope = self.enter(vs.iter().map(String::as_str).zip(tys).zip(fs).map(
                     |((v, t), f)| (v, t, f),
                 ));
@@ -668,67 +668,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Best-effort concrete value type of a program.
-    fn prog_value_ty(&self, p: &Prog) -> Option<Ty> {
-        let mut vars = self.vars.clone();
-        self.prog_value_ty_in(&mut vars, p)
-    }
-
-    /// `prog_value_ty` against a local variable environment. Bindings
-    /// introduced by `Bind`/`BindTuple` along the way are recorded so that
-    /// a trailing `return (x, y)` of locally bound words still infers —
-    /// the L2 simplifier inlines initializers, so the enclosing engine
-    /// environment often has no entry for them (e.g. a do-while's
-    /// run-once body feeding its `whileLoop` inits).
-    fn prog_value_ty_in(&self, vars: &mut HashMap<String, Ty>, p: &Prog) -> Option<Ty> {
-        match p {
-            Prog::Return(e) | Prog::Gets(e) => infer_ty(e, vars, &self.cx.tenv),
-            Prog::Bind(l, v, r) => {
-                if let Some(t) = self.prog_value_ty_in(vars, l) {
-                    vars.insert(v.clone(), t);
-                }
-                self.prog_value_ty_in(vars, r)
-            }
-            Prog::BindTuple(l, vs, r) => {
-                if let Some(Ty::Tuple(ts)) = self.prog_value_ty_in(vars, l) {
-                    if ts.len() == vs.len() {
-                        for (v, t) in vs.iter().zip(ts) {
-                            vars.insert(v.clone(), t);
-                        }
-                    }
-                }
-                self.prog_value_ty_in(vars, r)
-            }
-            Prog::Condition(_, t, e) => {
-                let tt = self.prog_value_ty_in(vars, t);
-                if tt.is_some() {
-                    return tt;
-                }
-                self.prog_value_ty_in(vars, e)
-            }
-            Prog::While { init, .. } => {
-                if init.len() == 1 {
-                    infer_ty(&init[0], vars, &self.cx.tenv)
-                } else {
-                    init.iter()
-                        .map(|i| infer_ty(i, vars, &self.cx.tenv))
-                        .collect::<Option<Vec<_>>>()
-                        .map(Ty::Tuple)
-                }
-            }
-            Prog::Catch(l, _, _) => self.prog_value_ty_in(vars, l),
-            Prog::Call { fname, .. } => {
-                self.prog.function(fname).map(|f| f.ret_ty.clone())
-            }
-            _ => None,
-        }
-    }
-
-    fn prog_tuple_tys(&self, p: &Prog, n: usize) -> Vec<Option<Ty>> {
-        match self.prog_value_ty(p) {
-            Some(Ty::Tuple(ts)) if ts.len() == n => ts.into_iter().map(Some).collect(),
-            Some(t) if n == 1 => vec![Some(t)],
-            _ => vec![None; n],
+    /// Concrete value types of programs against the variables in scope,
+    /// calls typed by their callees' return types.
+    fn typing(&self) -> ProgTyping<'_> {
+        ProgTyping {
+            vars: &self.vars,
+            tenv: &self.cx.tenv,
+            callees: Some(self.prog),
         }
     }
 }

@@ -107,15 +107,30 @@ fi
 # One term decomposition (DESIGN.md §2): the kernel's congruence rules and
 # every engine split terms with `Expr::children`/`with_children` (ir::expr),
 # `Update::exprs`/`with_exprs` (ir::update), `AbsFun::is_identity`
-# (kernel::judgment) and `Prog::rewrite`/`visit` (monadic::prog), so a
-# second child list or a revived private copy fails here.
+# (kernel::judgment) and `Prog::each_child`/`try_map_children`
+# (monadic::prog), which carry `Prog::rewrite`/`visit`, the one
+# capture-avoiding substitution (`Prog::subst_var`) and, beside them, the one
+# program typing (monadic::typing); typed C statements and expressions are
+# walked by `cparser::walk`/`TExpr::walk`. So a second child list, a revived
+# private copy, a second walk of typed expressions, a program rebuilt by
+# hand in autocorres or a term matched by its `Debug` text fails here.
 if grep -rnF 'Expr::Ite(a, b, c) | Expr::ArrUpd(a, b, c) => vec![a, b, c]' crates/*/src src --include='*.rs' \
     | grep -v '^crates/ir/src/expr\.rs:'; then
     echo "tier1: second Expr child list outside crates/ir/src/expr.rs; use Expr::children" >&2; exit 1
 fi
-if grep -rnE 'fn +(expr_children|kernel_children|update_exprs|update_with_exprs|map_prog|absfun_id_like)\b' \
-    crates/*/src src --include='*.rs'; then
+if grep -rnE 'fn +(expr_children|kernel_children|update_exprs|update_with_exprs|map_prog|absfun_id_like|subst_free|prog_value_ty|prog_value_ty_in|prog_tuple_tys)\b' \
+    crates/*/src src --include='*.rs' | grep -v '^crates/monadic/src/'; then
     echo "tier1: private copy of a shared term decomposition; use the ir/kernel/monadic methods" >&2; exit 1
+fi
+if grep -rnF 'TExprKind::Cond(' crates/*/src src --include='*.rs' \
+    | grep -vE '^(crates/cparser/src/|crates/simpl/src/translate\.rs:)'; then
+    echo "tier1: second walk of typed expressions; use cparser::walk or TExpr::walk" >&2; exit 1
+fi
+if grep -rnE 'Prog::Exec(Concrete|Abstract)' crates/autocorres/src --include='*.rs'; then
+    echo "tier1: a program rebuilt by hand in crates/autocorres/src; use the monadic decomposition" >&2; exit 1
+fi
+if grep -rnF 'format!("Var(' crates/*/src --include='*.rs'; then
+    echo "tier1: a term matched by its Debug text; compare terms or use Expr::free_vars" >&2; exit 1
 fi
 
 # No audit backdoor (DESIGN.md §6c): the audit mints its mutants through

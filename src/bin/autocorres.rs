@@ -32,7 +32,8 @@
 //!   --corpus DIR             sweep every .c file in DIR, print a
 //!                            per-function proof-status table, and exit
 //!                            nonzero on any failure
-//!   --quiet                  suppress the banner
+//!   --quiet                  suppress the banner (cache-directory
+//!                            warnings still go to stderr)
 //! ```
 //!
 //! With `--playback` no C file argument is taken: the seed embeds the
@@ -359,10 +360,10 @@ fn run(cli: &Cli, stdout: &mut impl Write) -> Result<(), Stop> {
     let src = std::fs::read_to_string(&cli.file)
         .map_err(|e| format!("{}: {e}", cli.file))?;
     let sess = Session::new(opts_of(cli));
-    if !cli.quiet {
-        for w in &sess.load_report().warnings {
-            eprintln!("warning: {}", w.message);
-        }
+    // A cleared or damaged cache directory is reported even with
+    // `--quiet`, which only drops the banner lines.
+    for w in &sess.load_report().warnings {
+        eprintln!("warning: {}", w.message);
     }
     let out = sess.translate(&src).map_err(|e| e.to_string())?;
     // Refinement theorems plus absint discharge theorems: what a

@@ -170,6 +170,32 @@ fn version_skewed_meta_degrades_to_cold_start() {
 }
 
 #[test]
+fn quiet_runs_still_report_a_cleared_cache() {
+    let dir = tmpdir("quiet");
+    let src = dir.join("one.c");
+    std::fs::write(&src, "unsigned f(unsigned x) { return x + 1u; }\n").unwrap();
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    std::fs::write(segment(&cache), b"FOREIGN0 not a store segment").unwrap();
+    let out = run_ok(
+        bin()
+            .arg(&src)
+            .args(["--quiet", "--metrics", "--cache-dir"])
+            .arg(&cache),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("format or digest-scheme mismatch"),
+        "--quiet hid the cache warning: {stderr:?}"
+    );
+    assert!(
+        !stderr.contains("translated"),
+        "--quiet printed the banner: {stderr:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn garbage_cache_directory_never_panics_or_fails() {
     let dir = tmpdir("garbage");
     let src = gen_source(&dir, 0xAC);
