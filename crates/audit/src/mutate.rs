@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use autocorres::phase::{Artifact, PhaseArtifact};
+use autocorres::phase::{Artifact, Phase, PhaseArtifact};
 use autocorres::{store, Options, Output, Session};
 use ir::codec::{decode_from_slice, Encoder};
 use ir::expr::Expr;
@@ -623,14 +623,14 @@ impl DiskAttackReport {
     pub fn sound(&self) -> bool {
         self.corruption.output_stable
             && self.corruption.verdicts_stable
-            && self.forged_phases == FORGED_PHASES
+            && self.forged_phases == FORGED_PHASES.map(Phase::name)
             && self.forged_loaded
             && self.forged_rejected
     }
 }
 
 /// The phases whose store records carry theorems, in pipeline order.
-const FORGED_PHASES: [&str; 4] = ["l1", "l2thm", "hl", "wa"];
+const FORGED_PHASES: [Phase; 4] = [Phase::L1, Phase::L2Thm, Phase::Hl, Phase::Wa];
 
 /// `a` with its theorem replaced by a mutant of the theorem's root:
 /// `CorruptSymbol` where it applies, else `SwapRuleFamily`, which applies
@@ -667,7 +667,7 @@ fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
 /// rewritten to carry a mutant of that theorem ([`corrupt_artifact`]) — a
 /// false theorem — through the store's own record codec, so the record is
 /// sealed and framed as the store writes records.
-fn forge_record(segment: &[u8], phase: &str) -> Option<Vec<u8>> {
+fn forge_record(segment: &[u8], phase: Phase) -> Option<Vec<u8>> {
     let records = store::frames(segment).into_iter().flatten();
     records.into_iter().find_map(|span| {
         let (rec_phase, name, artifact) = store::decode_record(&segment[span.clone()]).ok()?;
@@ -825,13 +825,13 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
     let (mut forged_phases, mut forged_loaded, mut forged_rejected) = (Vec::new(), true, true);
     for phase in FORGED_PHASES {
         let forged = forge_record(&clean, phase)
-            .unwrap_or_else(|| panic!("no `{phase}` record carries a theorem"));
+            .unwrap_or_else(|| panic!("no `{}` record carries a theorem", phase.name()));
         std::fs::write(segment, forged).expect("writable");
         let sess = Session::new(filled.opts.clone());
         let out = sess.translate(src).expect("a forged record translates");
         forged_loaded &= sess.load_report().rejected == 0 && out.stats.dirty_fns == 0;
         forged_rejected &= sess.check_all_report(&out, 1).is_err();
-        forged_phases.push(phase);
+        forged_phases.push(phase.name());
     }
     std::fs::write(segment, &clean).expect("writable");
     DiskAttackReport {

@@ -233,7 +233,7 @@ mod tests {
                     thm: thm.clone(),
                 },
             };
-            let record = crate::store::encode_record("l1", name, &artifact);
+            let record = crate::store::encode_record(crate::Phase::L1, name, &artifact);
             (cert.len(), record.len())
         };
         for k in [40, 80] {

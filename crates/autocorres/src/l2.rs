@@ -27,7 +27,6 @@ use ir::expr::Expr;
 use ir::guard::GuardKind;
 use ir::ty::Ty;
 use ir::update::Update;
-use kernel::rules::refine;
 use kernel::{CheckCtx, Thm};
 use monadic::{IProg, MonadicFn, Prog, ProgramCtx};
 use simpl::stmt::SimplStmt;
@@ -70,21 +69,8 @@ pub fn l2_fn_theorem(
     trials: u32,
     seed: u64,
 ) -> R<Thm> {
-    let fn_seed = crate::pipeline::derive_seed(seed, name);
-    let l2b = &l2ctx.fns[name].body;
-    let l1b = &l1ctx.fns[name].body;
-    refine::exec_tested(cx, l2b, l1b, trials, fn_seed, || {
-        crate::testing::exec_test_fn(l2ctx, l1ctx, name, heap_types, trials, fn_seed)
-            .map_err(|m| Diag::new(ir::diag::Phase::L2, DiagKind::Testing, m))
-    })
-    .map_err(|e| {
-        Diag::new(
-            ir::diag::Phase::L2,
-            DiagKind::Testing,
-            format!("{name}: {e}"),
-        )
-        .with_function(name)
-    })
+    let stage = ir::diag::Phase::L2;
+    crate::testing::exec_tested_fn(stage, cx, l2ctx, l1ctx, name, heap_types, trials, seed)
 }
 
 /// Translates one function to its L2 form.

@@ -46,7 +46,7 @@ pub mod store;
 pub mod testing;
 
 pub use ir::diag::Diag;
-pub use phase::{options_digest, ArtifactStore, Dep, DepScope, Phase, PHASES};
+pub use phase::{options_digest, ArtifactStore, Phase, PHASES};
 pub use pipeline::{derive_seed, translate, translate_program, Options, Output, PhaseTheorems};
 pub use session::Session;
 pub use stats::{PhaseStat, PipelineStats};

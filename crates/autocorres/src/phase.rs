@@ -1,18 +1,20 @@
 //! The phase graph: L1, L2, HL, and WA as uniform nodes.
 //!
-//! Each pipeline phase implements the [`Phase`] trait — a name, a static
-//! dependency shape ([`Dep`]), a content digest of everything its
+//! The pipeline's phases are one closed enum, [`Phase`], whose methods
+//! state each phase's facts once: its name, its dependencies (the same
+//! function's node of a phase, or every node of a phase through its
+//! barrier), its diagnostic stage, a content digest of everything its
 //! per-function job consumes, and the job itself. The driver
-//! ([`run_phases`]) expands the phase list into one node per `(phase,
+//! ([`run_phases`]) expands [`PHASES`] into one node per `(phase,
 //! function)` pair plus one barrier node per phase, wires the edges from
-//! the declared [`DepScope`]s, and hands the whole graph to the generic
+//! [`Phase::deps`], and hands the whole graph to the generic
 //! [`ir::sched::run_dag`] work-stealing scheduler. There is no barrier
 //! between phases unless a phase declares one: a function's HL node runs
 //! the moment its own L2 node finishes, even while other functions are
-//! still in L1. The graph is acyclic — no phase waits on a callee's node —
-//! so recursion needs no special case. No phase owns its own scheduling
-//! code: adding a phase means adding a `Phase` impl and listing it in
-//! [`PHASES`].
+//! still in L1. Every dependency is an earlier phase and no phase waits on
+//! a callee's node, so the graph is acyclic and recursion needs no special
+//! case. No phase owns its own scheduling code: adding a phase means
+//! adding a variant, and the compiler asks for its facts.
 //!
 //! Each node returns its start, duration and store outcome through
 //! `run_dag`; the per-phase stats and cache counts are folds over those
@@ -45,6 +47,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -57,26 +60,8 @@ use kernel::{CheckCtx, Thm};
 use monadic::{MonadicFn, Prog, ProgramCtx};
 use simpl::stmt::SimplProgram;
 
-use crate::pipeline::{derive_seed, Options, Output, PhaseTheorems};
+use crate::pipeline::{Options, Output, PhaseTheorems};
 use crate::stats::{PhaseStat, PipelineStats};
-
-/// Which nodes of a dependency phase a node waits for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DepScope {
-    /// The dependency phase's node for the *same* function.
-    SameFn,
-    /// The dependency phase's barrier — every function's node.
-    AllFns,
-}
-
-/// One declared dependency of a phase.
-#[derive(Clone, Copy, Debug)]
-pub struct Dep {
-    /// Name of the phase depended on.
-    pub phase: &'static str,
-    /// Which of its nodes to wait for.
-    pub scope: DepScope,
-}
 
 /// A per-function phase result.
 #[derive(Clone, Debug)]
@@ -202,47 +187,137 @@ impl Failure {
 
 type NodeResult = Result<Arc<PhaseArtifact>, Failure>;
 
-/// A pipeline phase: one node per function, scheduled generically.
-pub trait Phase: Sync {
-    /// Unique phase name (also the artifact-store key component).
-    fn name(&self) -> &'static str;
-    /// Dependency shape, wired into the node graph by [`run_phases`].
-    fn deps(&self) -> &'static [Dep];
-    /// Content digest of everything [`Phase::run`] consumes for function
-    /// `f` — called after this node's dependencies completed, so it may
-    /// read shared contexts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures of the dependencies the digest covers.
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure>;
-    /// Produces the function's artifact.
-    ///
-    /// # Errors
-    ///
-    /// A root `Failure` for genuine phase errors, an inherited one when a
-    /// dependency already failed.
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure>;
+/// A pipeline phase: one node per function, scheduled generically. The
+/// set is closed, so each fact about a phase is one `match` below.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Phase {
+    /// C → Simpl → monadic with state-stored locals: the trusted literal
+    /// translation of the function, then one kernel rule per Simpl
+    /// construct (Table 1).
+    L1,
+    /// L1 → L2 translation (lambda-bound locals, structured control flow).
+    L2,
+    /// The L2 `refines` theorem (differential test against L1; executes
+    /// calls, so it needs the complete L1/L2 contexts).
+    L2Thm,
+    /// Byte-level heap → typed split heaps (Sec 4).
+    Hl,
+    /// Machine words → ideal `nat`/`int` arithmetic (Sec 3). A job reads
+    /// only the complete HL context and the signature table
+    /// `wa_signatures` builds behind the HL barrier, so the functions run
+    /// in any order.
+    Wa,
+    /// Caller adaptation (Sec 4.6's value direction): rewrite
+    /// non-abstracted callers of abstracted callees and exec-test each
+    /// rewritten function against the final context.
+    Adapt,
+    /// Abstract interpretation over the final (adapted) bodies: wrapping
+    /// intervals, nullness/validity, and reachability, feeding guard
+    /// discharge (one `absint_discharge` theorem per proved guard) and the
+    /// source-level lint passes. Purely observational — it never rewrites
+    /// a body or a spec, so disabling it cannot change translation output.
+    Absint,
 }
 
-/// The phase list, in pipeline order. Order matters only for error
-/// reporting (first failing phase wins) and stats display; scheduling is
-/// purely dependency-driven.
-pub static PHASES: &[&dyn Phase] = &[
-    &L1Phase,
-    &L2TrPhase,
-    &L2ThmPhase,
-    &HlPhase,
-    &WaPhase,
-    &AdaptPhase,
-    &AbsintPhase,
+/// The phase list, in pipeline order (the enum's declaration order, so
+/// `phase as usize` is its index). Order matters only for error reporting
+/// (first failing phase wins) and stats display; scheduling is purely
+/// dependency-driven.
+pub const PHASES: [Phase; 7] = [
+    Phase::L1,
+    Phase::L2,
+    Phase::L2Thm,
+    Phase::Hl,
+    Phase::Wa,
+    Phase::Adapt,
+    Phase::Absint,
 ];
 
-fn phase_index(name: &str) -> usize {
-    PHASES
-        .iter()
-        .position(|p| p.name() == name)
-        .expect("dependency on an unknown phase")
+impl Phase {
+    /// The phase's name: hashed into its input digests, written into its
+    /// store records and shown in its stats row.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::L1 => "l1",
+            Phase::L2 => "l2",
+            Phase::L2Thm => "l2thm",
+            Phase::Hl => "hl",
+            Phase::Wa => "wa",
+            Phase::Adapt => "adapt",
+            Phase::Absint => "absint",
+        }
+    }
+
+    /// The phase called `name`, if any.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Phase> {
+        PHASES.into_iter().find(|p| p.name() == name)
+    }
+
+    /// The phases a node of this phase waits for: the same function's
+    /// node of each phase in the first list, and every function's node
+    /// (the barrier) of each phase in the second. All are earlier phases.
+    #[must_use]
+    pub fn deps(self) -> (&'static [Phase], &'static [Phase]) {
+        match self {
+            Phase::L1 | Phase::L2 => (&[], &[]),
+            Phase::L2Thm => (&[], &[Phase::L1, Phase::L2]),
+            Phase::Hl => (&[Phase::L2], &[]),
+            Phase::Wa => (&[], &[Phase::Hl]),
+            Phase::Adapt => (&[], &[Phase::Wa]),
+            Phase::Absint => (&[], &[Phase::Adapt]),
+        }
+    }
+
+    /// The diagnostic stage a panic in this phase's job reports.
+    #[must_use]
+    pub fn stage(self) -> ir::diag::Phase {
+        match self {
+            Phase::L1 => ir::diag::Phase::L1,
+            Phase::L2 | Phase::L2Thm => ir::diag::Phase::L2,
+            Phase::Hl => ir::diag::Phase::Hl,
+            Phase::Wa | Phase::Adapt => ir::diag::Phase::Wa,
+            Phase::Absint => ir::diag::Phase::Absint,
+        }
+    }
+
+    /// Content digest of everything the job consumes for function `f` —
+    /// called after this node's dependencies completed, so it may read
+    /// shared contexts. Propagates failures of the dependencies the digest
+    /// covers.
+    fn input_digest(self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
+        Ok(match self {
+            Phase::L1 | Phase::L2 | Phase::Hl => cx.fn_scope_digest(self, f),
+            Phase::L2Thm => cx.cone_scope_digest(self, f, cx.l2_shared()?.ht_digest),
+            Phase::Wa => cx.cone_scope_digest(self, f, 0),
+            Phase::Adapt => cx.cone_scope_digest(self, f, cx.adapt_shared()?.ht_digest),
+            // The analysis reads the function's final body (callee kills
+            // are name-only, so the own-function digest covers the
+            // inputs), but adapted bodies depend on the callee cone — use
+            // the cone digest like the other post-WA phases. `no_absint` is
+            // hashed here, not in the options digest, so flipping it cannot
+            // invalidate the translation phases' cache entries.
+            Phase::Absint => {
+                let extra = cx.adapt_shared()?.ht_digest ^ u128::from(cx.opts.no_absint);
+                cx.cone_scope_digest(self, f, extra)
+            }
+        })
+    }
+
+    /// The job: function `f`'s artifact. A root `Failure` for genuine
+    /// phase errors, an inherited one when a dependency already failed.
+    fn run(self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+        match self {
+            Phase::L1 => l1_job(cx, f),
+            Phase::L2 => l2_job(cx, f),
+            Phase::L2Thm => l2thm_job(cx, f),
+            Phase::Hl => hl_job(cx, f),
+            Phase::Wa => wa_job(cx, f),
+            Phase::Adapt => adapt_job(cx, f),
+            Phase::Absint => absint_job(cx, f),
+        }
+    }
 }
 
 // ---- digests ----------------------------------------------------------------
@@ -297,26 +372,26 @@ pub(crate) fn effective_l2_trials(opts: &Options) -> u32 {
 /// of the barrier-dependent phases.
 pub struct PhaseCx<'a> {
     /// The typed C program.
-    pub typed: &'a cparser::TProgram,
+    typed: &'a cparser::TProgram,
     /// Its Simpl environment: struct layouts and initialised globals, no
     /// functions (each `l1` job translates its own function).
-    pub env: SimplProgram,
+    env: SimplProgram,
     /// Driver options.
-    pub opts: &'a Options,
+    opts: &'a Options,
     /// Base kernel context (struct layouts only).
-    pub cx: CheckCtx,
+    cx: CheckCtx,
     /// Function names, sorted — node index order for every phase.
-    pub names: Vec<String>,
+    names: Vec<String>,
     /// For each name index, the index into `typed.functions`.
-    pub typed_idx: Vec<usize>,
+    typed_idx: Vec<usize>,
     /// Per-function term digest (the position-free typed def).
-    pub fn_digests: Vec<u128>,
+    fn_digests: Vec<u128>,
     /// Per-function transitive-callee cone digest (includes the function).
-    pub cone_digests: Vec<u128>,
+    cone_digests: Vec<u128>,
     /// Digest of layouts and globals.
-    pub env_digest: u128,
+    env_digest: u128,
     /// Digest of the normalized options.
-    pub opts_digest: u128,
+    opts_digest: u128,
     slots: Vec<OnceLock<NodeResult>>,
     l2sh: OnceLock<Result<L2Shared, Failure>>,
     wash: OnceLock<Result<WaShared, Failure>>,
@@ -347,7 +422,7 @@ struct WaShared {
 /// adaptation tests use.
 struct AdaptShared {
     wactx: ProgramCtx,
-    plans: BTreeMap<String, (Prog, Prog)>,
+    plans: BTreeMap<String, Prog>,
     heap_types: Vec<Ty>,
     ht_digest: u128,
 }
@@ -437,15 +512,17 @@ impl<'a> PhaseCx<'a> {
         })
     }
 
-    fn slot_id(&self, phase: usize, f: usize) -> usize {
-        phase * self.names.len() + f
+    fn slot_id(&self, phase: Phase, f: usize) -> usize {
+        phase as usize * self.names.len() + f
     }
 
     /// The finished artifact of `(phase, f)` — panics if scheduling let us
     /// read it before its node ran (a driver bug, not a user error).
-    fn artifact(&self, phase: &str, f: usize) -> Result<Arc<PhaseArtifact>, Failure> {
-        let id = self.slot_id(phase_index(phase), f);
-        match self.slots[id].get().expect("dependency node finished") {
+    fn artifact(&self, phase: Phase, f: usize) -> Result<Arc<PhaseArtifact>, Failure> {
+        match self.slots[self.slot_id(phase, f)]
+            .get()
+            .expect("dependency node finished")
+        {
             Ok(a) => Ok(Arc::clone(a)),
             Err(e) => Err(e.inherit()),
         }
@@ -453,11 +530,11 @@ impl<'a> PhaseCx<'a> {
 
     /// A plain per-function digest: the phase name, the function's own
     /// term, the environment, and the options.
-    fn fn_scope_digest(&self, phase: &str, f: usize) -> u128 {
+    fn fn_scope_digest(&self, phase: Phase, f: usize) -> u128 {
         let fd = self.fn_digests[f];
         let (env, opts) = (self.env_digest, self.opts_digest);
         digest128(move |h| {
-            phase.hash(h);
+            phase.name().hash(h);
             fd.hash(h);
             env.hash(h);
             opts.hash(h);
@@ -467,11 +544,11 @@ impl<'a> PhaseCx<'a> {
     /// A cone digest for the exec-testing phases: like
     /// [`PhaseCx::fn_scope_digest`] but covering the transitive callee
     /// cone (tests execute calls) plus any phase-shared extra.
-    fn cone_scope_digest(&self, phase: &str, f: usize, extra: u128) -> u128 {
+    fn cone_scope_digest(&self, phase: Phase, f: usize, extra: u128) -> u128 {
         let cd = self.cone_digests[f];
         let (env, opts) = (self.env_digest, self.opts_digest);
         digest128(move |h| {
-            phase.hash(h);
+            phase.name().hash(h);
             cd.hash(h);
             env.hash(h);
             opts.hash(h);
@@ -481,7 +558,7 @@ impl<'a> PhaseCx<'a> {
 
     /// The program as `phase` produced it: the Simpl environment plus
     /// every function's artifact [`Artifact::fun`].
-    fn program_ctx(&self, phase: &str) -> Result<ProgramCtx, Failure> {
+    fn program_ctx(&self, phase: Phase) -> Result<ProgramCtx, Failure> {
         let mut ctx = ProgramCtx {
             tenv: self.env.tenv.clone(),
             globals: self.env.globals.clone(),
@@ -497,7 +574,7 @@ impl<'a> PhaseCx<'a> {
 
     /// `phase`'s theorems, function by function in `order`, each with its
     /// function's name — panics unless every node succeeded.
-    fn theorems(&self, phase: &str, order: &[usize]) -> Vec<(String, Thm)> {
+    fn theorems(&self, phase: Phase, order: &[usize]) -> Vec<(String, Thm)> {
         let mut out = Vec::new();
         for &f in order {
             let artifact = self.artifact(phase, f).expect("graph reported success");
@@ -511,8 +588,8 @@ impl<'a> PhaseCx<'a> {
     fn l2_shared(&self) -> Result<&L2Shared, Failure> {
         self.l2sh
             .get_or_init(|| {
-                let l1ctx = self.program_ctx("l1")?;
-                let l2ctx = self.program_ctx("l2")?;
+                let l1ctx = self.program_ctx(Phase::L1)?;
+                let l2ctx = self.program_ctx(Phase::L2)?;
                 let heap_types = crate::testing::heap_types_of(&l1ctx.tenv, &l1ctx);
                 let ht = heap_types.clone();
                 let ht_digest = digest128(move |h| ht.hash(h));
@@ -530,7 +607,7 @@ impl<'a> PhaseCx<'a> {
     fn wa_shared(&self) -> Result<&WaShared, Failure> {
         self.wash
             .get_or_init(|| {
-                let hlctx = self.program_ctx("hl")?;
+                let hlctx = self.program_ctx(Phase::Hl)?;
                 let opts = self.opts;
                 let wa_opts = wordabs::WaOptions {
                     abstract_fns: match &opts.word_abstract_fns {
@@ -565,13 +642,9 @@ impl<'a> PhaseCx<'a> {
         self.adsh
             .get_or_init(|| {
                 let wash = self.wa_shared().map_err(|e| e.inherit())?;
-                let mut wactx = self.program_ctx("wa")?;
-                let plans: BTreeMap<String, (Prog, Prog)> =
-                    plan_caller_adaptations(&wash.check_ctx, &wash.hlctx, &wactx)
-                        .into_iter()
-                        .map(|(n, new, old)| (n, (new, old)))
-                        .collect();
-                for (name, (new_body, _)) in &plans {
+                let mut wactx = self.program_ctx(Phase::Wa)?;
+                let plans = plan_caller_adaptations(&wash.check_ctx, &wash.hlctx, &wactx);
+                for (name, new_body) in &plans {
                     wactx
                         .fns
                         .get_mut(name)
@@ -594,313 +667,165 @@ impl<'a> PhaseCx<'a> {
     }
 }
 
-// ---- the seven phases -------------------------------------------------------
+// ---- the seven jobs ---------------------------------------------------------
 
-/// C → Simpl → monadic with state-stored locals: the trusted literal
-/// translation of the function, then one kernel rule per Simpl construct
-/// (Table 1).
-struct L1Phase;
+fn l1_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    let tf = &cx.typed.functions[cx.typed_idx[f]];
+    let sf = simpl::translate_function(&cx.env.tenv, tf)?;
+    let out = crate::l1::l1_function(&cx.cx, &sf).map_err(|e| {
+        Failure::from(
+            Diag::new(ir::diag::Phase::L1, DiagKind::Kernel, e.to_string())
+                .with_function(&cx.names[f]),
+        )
+    })?;
+    Ok(Artifact::L1 {
+        fun: out.fun,
+        thm: out.thm,
+    })
+}
 
-impl Phase for L1Phase {
-    fn name(&self) -> &'static str {
-        "l1"
-    }
-    fn deps(&self) -> &'static [Dep] {
-        &[]
-    }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        Ok(cx.fn_scope_digest("l1", f))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let tf = &cx.typed.functions[cx.typed_idx[f]];
-        let sf = simpl::translate_function(&cx.env.tenv, tf)?;
-        let out = crate::l1::l1_function(&cx.cx, &sf).map_err(|e| {
-            Failure::from(
-                Diag::new(ir::diag::Phase::L1, DiagKind::Kernel, e.to_string())
-                    .with_function(&cx.names[f]),
-            )
-        })?;
-        Ok(Artifact::L1 {
-            fun: out.fun,
-            thm: out.thm,
+fn l2_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    let tf = &cx.typed.functions[cx.typed_idx[f]];
+    let fun = crate::l2::l2_function(cx.typed, tf)
+        .map_err(|d| Failure::from(d.with_function(&cx.names[f])))?;
+    Ok(Artifact::L2Fn(fun))
+}
+
+fn l2thm_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    let sh = cx.l2_shared()?;
+    let thm = crate::l2::l2_fn_theorem(
+        &cx.cx,
+        &sh.l2ctx,
+        &sh.l1ctx,
+        &sh.heap_types,
+        &cx.names[f],
+        effective_l2_trials(cx.opts),
+        cx.opts.seed,
+    )?;
+    Ok(Artifact::L2Thm(thm))
+}
+
+fn hl_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    let name = &cx.names[f];
+    let l2 = cx.artifact(Phase::L2, f)?;
+    let fun = l2.value.fun().expect("l2 nodes produce functions");
+    let hl_opts = heapabs::HlOptions {
+        concrete_fns: cx.opts.concrete_fns.clone(),
+    };
+    if hl_opts.concrete_fns.contains(name) {
+        Ok(Artifact::Hl {
+            fun: heapabs::hl_keep_concrete(fun, &hl_opts),
+            thm: None,
+        })
+    } else {
+        let (fun, thm) = heapabs::hl_function(&cx.cx, fun, &hl_opts)
+            .map_err(|e| Failure::from(Diag::from(e).with_function(name)))?;
+        Ok(Artifact::Hl {
+            fun,
+            thm: Some(thm),
         })
     }
 }
 
-/// L1 → L2 translation (lambda-bound locals, structured control flow).
-struct L2TrPhase;
-
-impl Phase for L2TrPhase {
-    fn name(&self) -> &'static str {
-        "l2"
-    }
-    fn deps(&self) -> &'static [Dep] {
-        &[]
-    }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        Ok(cx.fn_scope_digest("l2", f))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let tf = &cx.typed.functions[cx.typed_idx[f]];
-        let fun = crate::l2::l2_function(cx.typed, tf)
-            .map_err(|d| Failure::from(d.with_function(&cx.names[f])))?;
-        Ok(Artifact::L2Fn(fun))
+fn wa_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    let sh = cx.wa_shared()?;
+    let name = &cx.names[f];
+    let fun = &sh.hlctx.fns[name];
+    if sh.wa_opts.selects(name) {
+        let (fun, thm) = wordabs::wa_function_in(&sh.check_ctx, &sh.hlctx, fun, &sh.wa_opts)
+            .map_err(|e| Failure::from(Diag::from(e).with_function(name)))?;
+        Ok(Artifact::Wa {
+            fun,
+            thm: Some(thm),
+        })
+    } else {
+        Ok(Artifact::Wa {
+            fun: fun.clone(),
+            thm: None,
+        })
     }
 }
 
-/// The L2 `refines` theorem (differential test against L1; executes
-/// calls, so it needs the complete L1/L2 contexts).
-struct L2ThmPhase;
-
-impl Phase for L2ThmPhase {
-    fn name(&self) -> &'static str {
-        "l2thm"
-    }
-    fn deps(&self) -> &'static [Dep] {
-        &[
-            Dep {
-                phase: "l1",
-                scope: DepScope::AllFns,
-            },
-            Dep {
-                phase: "l2",
-                scope: DepScope::AllFns,
-            },
-        ]
-    }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        let sh = cx.l2_shared()?;
-        Ok(cx.cone_scope_digest("l2thm", f, sh.ht_digest))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let sh = cx.l2_shared()?;
-        let thm = crate::l2::l2_fn_theorem(
-            &cx.cx,
-            &sh.l2ctx,
-            &sh.l1ctx,
-            &sh.heap_types,
-            &cx.names[f],
-            effective_l2_trials(cx.opts),
-            cx.opts.seed,
-        )
-        .map_err(Failure::from)?;
-        Ok(Artifact::L2Thm(thm))
-    }
+/// A planned adaptation's theorem: the adapted function (in the final
+/// context) refines the HL function, which is also its unadapted WA form,
+/// since only functions word abstraction passed through are adapted.
+fn adapt_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    let sh = cx.adapt_shared()?;
+    let wash = cx.wa_shared()?;
+    let name = &cx.names[f];
+    let Some(new_body) = sh.plans.get(name) else {
+        return Ok(Artifact::Adapt(None));
+    };
+    let thm = crate::testing::exec_tested_fn(
+        ir::diag::Phase::Wa,
+        &wash.check_ctx,
+        &sh.wactx,
+        &wash.hlctx,
+        name,
+        &sh.heap_types,
+        effective_l2_trials(cx.opts),
+        cx.opts.seed,
+    )?;
+    Ok(Artifact::Adapt(Some(AdaptedFn {
+        body: new_body.clone(),
+        thm,
+    })))
 }
 
-/// Byte-level heap → typed split heaps (Sec 4).
-struct HlPhase;
-
-impl Phase for HlPhase {
-    fn name(&self) -> &'static str {
-        "hl"
+fn absint_job(cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
+    if cx.opts.no_absint {
+        return Ok(Artifact::Absint(AbsintFn::default()));
     }
-    fn deps(&self) -> &'static [Dep] {
-        &[Dep {
-            phase: "l2",
-            scope: DepScope::SameFn,
-        }]
+    let sh = cx.adapt_shared()?;
+    let wash = cx.wa_shared()?;
+    let name = &cx.names[f];
+    let fun = &sh.wactx.fns[name];
+    let mut report = absint::analyze_fn(fun, &cx.env.tenv);
+    // Lint spans are stored relative to the header, like the spans in the
+    // function digest, so a hit after the function moved stays right;
+    // `run_pipeline` anchors them at the current header.
+    let tf = &cx.typed.functions[cx.typed_idx[f]];
+    report.lints = absint::lint_fn(tf);
+    for l in &mut report.lints {
+        l.span = l.span.relative_to(tf.span);
     }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        Ok(cx.fn_scope_digest("hl", f))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let name = &cx.names[f];
-        let l2 = cx.artifact("l2", f)?;
-        let fun = l2.value.fun().expect("l2 nodes produce functions");
-        let hl_opts = heapabs::HlOptions {
-            concrete_fns: cx.opts.concrete_fns.clone(),
-        };
-        if hl_opts.concrete_fns.contains(name) {
-            Ok(Artifact::Hl {
-                fun: heapabs::hl_keep_concrete(fun, &hl_opts),
-                thm: None,
-            })
-        } else {
-            let (fun, thm) = heapabs::hl_function(&cx.cx, fun, &hl_opts)
-                .map_err(|e| Failure::from(Diag::from(e).with_function(name)))?;
-            Ok(Artifact::Hl {
-                fun,
-                thm: Some(thm),
-            })
-        }
-    }
-}
-
-/// Machine words → ideal `nat`/`int` arithmetic (Sec 3). A job reads only
-/// the complete HL context and the signature table `wa_signatures` builds
-/// behind the HL barrier, so the functions run in any order.
-struct WaPhase;
-
-impl Phase for WaPhase {
-    fn name(&self) -> &'static str {
-        "wa"
-    }
-    fn deps(&self) -> &'static [Dep] {
-        &[Dep {
-            phase: "hl",
-            scope: DepScope::AllFns,
-        }]
-    }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        Ok(cx.cone_scope_digest("wa", f, 0))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let sh = cx.wa_shared()?;
-        let name = &cx.names[f];
-        let fun = &sh.hlctx.fns[name];
-        if sh.wa_opts.selects(name) {
-            let (fun, thm) = wordabs::wa_function_in(&sh.check_ctx, &sh.hlctx, fun, &sh.wa_opts)
-                .map_err(|e| Failure::from(Diag::from(e).with_function(name)))?;
-            Ok(Artifact::Wa {
-                fun,
-                thm: Some(thm),
-            })
-        } else {
-            Ok(Artifact::Wa {
-                fun: fun.clone(),
-                thm: None,
-            })
-        }
-    }
-}
-
-/// Caller adaptation (Sec 4.6's value direction): rewrite non-abstracted
-/// callers of abstracted callees and exec-test each rewritten function
-/// against the final context.
-struct AdaptPhase;
-
-impl Phase for AdaptPhase {
-    fn name(&self) -> &'static str {
-        "adapt"
-    }
-    fn deps(&self) -> &'static [Dep] {
-        &[Dep {
-            phase: "wa",
-            scope: DepScope::AllFns,
-        }]
-    }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        let sh = cx.adapt_shared()?;
-        Ok(cx.cone_scope_digest("adapt", f, sh.ht_digest))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        let sh = cx.adapt_shared()?;
-        let wash = cx.wa_shared()?;
-        let name = &cx.names[f];
-        let Some((new_body, old_body)) = sh.plans.get(name) else {
-            return Ok(Artifact::Adapt(None));
-        };
-        let seed = derive_seed(cx.opts.seed, name);
-        let trials = effective_l2_trials(cx.opts);
-        let thm = kernel::rules::refine::exec_tested(
-            &wash.check_ctx,
-            new_body,
-            old_body,
-            trials,
-            seed,
-            || {
-                crate::testing::exec_test_fn(
-                    &sh.wactx,
-                    &wash.hlctx,
-                    name,
-                    &sh.heap_types,
-                    trials,
-                    seed,
-                )
-                .map_err(|m| Diag::new(ir::diag::Phase::Wa, DiagKind::Testing, m))
-            },
-        )
-        .map_err(|e| {
-            Failure::from(
-                Diag::new(ir::diag::Phase::Wa, DiagKind::Kernel, e.to_string())
-                    .with_function(name),
+    let mut thms = Vec::new();
+    for g in &report.guards {
+        if let absint::Verdict::ProvedTrue { hyp } = &g.verdict {
+            let thm = kernel::rules::refine::absint_discharge(
+                &wash.check_ctx,
+                hyp,
+                g.kind.clone(),
+                &g.guard,
             )
-        })?;
-        Ok(Artifact::Adapt(Some(AdaptedFn {
-            body: new_body.clone(),
-            thm,
-        })))
-    }
-}
-
-/// Abstract interpretation over the final (adapted) bodies: wrapping
-/// intervals, nullness/validity, and reachability, feeding guard
-/// discharge (one `absint_discharge` theorem per proved guard) and the
-/// source-level lint passes. Purely observational — it never rewrites a
-/// body or a spec, so disabling it cannot change translation output.
-struct AbsintPhase;
-
-impl Phase for AbsintPhase {
-    fn name(&self) -> &'static str {
-        "absint"
-    }
-    fn deps(&self) -> &'static [Dep] {
-        &[Dep {
-            phase: "adapt",
-            scope: DepScope::AllFns,
-        }]
-    }
-    fn input_digest(&self, cx: &PhaseCx<'_>, f: usize) -> Result<u128, Failure> {
-        // The analysis reads the function's final body (callee kills are
-        // name-only, so the own-function digest covers the inputs), but
-        // adapted bodies depend on the callee cone — use the cone digest
-        // like the other post-WA phases. `no_absint` is hashed here, not
-        // in the options digest, so flipping it cannot invalidate the
-        // translation phases' cache entries.
-        let sh = cx.adapt_shared()?;
-        let extra = sh.ht_digest ^ u128::from(cx.opts.no_absint);
-        Ok(cx.cone_scope_digest("absint", f, extra))
-    }
-    fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-        if cx.opts.no_absint {
-            return Ok(Artifact::Absint(AbsintFn::default()));
-        }
-        let sh = cx.adapt_shared()?;
-        let wash = cx.wa_shared()?;
-        let name = &cx.names[f];
-        let fun = &sh.wactx.fns[name];
-        let mut report = absint::analyze_fn(fun, &cx.env.tenv);
-        // Lint spans are stored relative to the header, like the spans in
-        // the function digest, so a hit after the function moved stays
-        // right; `run_pipeline` anchors them at the current header.
-        let tf = &cx.typed.functions[cx.typed_idx[f]];
-        report.lints = absint::lint_fn(tf);
-        for l in &mut report.lints {
-            l.span = l.span.relative_to(tf.span);
-        }
-        let mut thms = Vec::new();
-        for g in &report.guards {
-            if let absint::Verdict::ProvedTrue { hyp } = &g.verdict {
-                let thm = kernel::rules::refine::absint_discharge(
-                    &wash.check_ctx,
-                    hyp,
-                    g.kind.clone(),
-                    &g.guard,
+            .map_err(|e| {
+                Failure::from(
+                    Diag::new(ir::diag::Phase::Absint, DiagKind::Kernel, e.to_string())
+                        .with_function(name),
                 )
-                .map_err(|e| {
-                    Failure::from(
-                        Diag::new(ir::diag::Phase::Absint, DiagKind::Kernel, e.to_string())
-                            .with_function(name),
-                    )
-                })?;
-                thms.push((g.index, thm));
-            }
+            })?;
+            thms.push((g.index, thm));
         }
-        Ok(Artifact::Absint(AbsintFn { report, thms }))
     }
+    Ok(Artifact::Absint(AbsintFn { report, thms }))
 }
 
 // ---- the artifact store -----------------------------------------------------
 
-/// `(phase name, function name, input digest)` — the store key.
-pub(crate) type ArtifactKey = (&'static str, String, u128);
+/// `(phase, function name, input digest)` — the store key.
+pub(crate) type ArtifactKey = (Phase, String, u128);
+
+/// A stored artifact under its key.
+pub(crate) type Entry = (ArtifactKey, Arc<PhaseArtifact>);
 
 /// Session-scoped artifact store: `(phase, function, input_digest)` →
-/// artifact. Lookups that hit skip the phase job entirely.
+/// artifact. Lookups that hit skip the phase job entirely. The store also
+/// knows which artifacts the pipeline added since the last save, so a
+/// disk-backed session appends exactly those ([`crate::DiskStore::save`]).
 #[derive(Default)]
 pub struct ArtifactStore {
     map: Mutex<HashMap<ArtifactKey, Arc<PhaseArtifact>>>,
+    unsaved: Mutex<Vec<Entry>>,
 }
 
 impl ArtifactStore {
@@ -922,7 +847,7 @@ impl ArtifactStore {
         self.len() == 0
     }
 
-    fn get(&self, phase: &'static str, name: &str, digest: u128) -> Option<Arc<PhaseArtifact>> {
+    fn get(&self, phase: Phase, name: &str, digest: u128) -> Option<Arc<PhaseArtifact>> {
         self.map
             .lock()
             .expect("artifact store poisoned")
@@ -930,33 +855,45 @@ impl ArtifactStore {
             .map(Arc::clone)
     }
 
-    fn put(&self, phase: &'static str, name: &str, artifact: Arc<PhaseArtifact>) {
+    /// Stores an artifact the pipeline computed; the next save writes it.
+    fn put(&self, phase: Phase, name: &str, artifact: Arc<PhaseArtifact>) {
+        let key = (phase, name.to_owned(), artifact.digest);
+        let entry = (key.clone(), Arc::clone(&artifact));
+        self.unsaved
+            .lock()
+            .expect("artifact store poisoned")
+            .push(entry);
+        self.insert(key, artifact);
+    }
+
+    /// Stores an artifact loaded from disk, which is saved already. It
+    /// only ever *answers* a lookup whose freshly computed input digest
+    /// matches, so a stale or mismatched load is a miss, never a wrong
+    /// answer.
+    pub(crate) fn insert(&self, key: ArtifactKey, artifact: Arc<PhaseArtifact>) {
         self.map
             .lock()
             .expect("artifact store poisoned")
-            .insert((phase, name.to_owned(), artifact.digest), artifact);
+            .insert(key, artifact);
     }
 
-    /// Every stored entry, sorted by key — the disk write-back snapshot
-    /// (`crate::store`).
-    pub(crate) fn entries(&self) -> Vec<(ArtifactKey, Arc<PhaseArtifact>)> {
-        let mut v: Vec<(ArtifactKey, Arc<PhaseArtifact>)> = self
-            .map
-            .lock()
-            .expect("artifact store poisoned")
-            .iter()
-            .map(|(k, a)| (k.clone(), Arc::clone(a)))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// Inserts an artifact loaded from disk. Identical to the pipeline's
-    /// own `put`: the entry only ever *answers* a lookup whose freshly
-    /// computed input digest matches, so a stale or mismatched preload is
-    /// a miss, never a wrong answer.
-    pub(crate) fn preload(&self, phase: &'static str, name: &str, artifact: Arc<PhaseArtifact>) {
-        self.put(phase, name, artifact);
+    /// Hands `write` the artifacts the pipeline added since the last save,
+    /// sorted by phase name, function and digest; they count as saved
+    /// unless `write` fails, when the next save retries them. With none,
+    /// `write` is not called.
+    pub(crate) fn save(&self, write: impl FnOnce(&[Entry]) -> io::Result<()>) -> io::Result<()> {
+        let unsaved = || self.unsaved.lock().expect("artifact store poisoned");
+        let mut entries = std::mem::take(&mut *unsaved());
+        if entries.is_empty() {
+            return Ok(());
+        }
+        entries.sort_by(|(a, _), (b, _)| (a.0.name(), &a.1, a.2).cmp(&(b.0.name(), &b.1, b.2)));
+        entries.dedup_by(|a, b| a.0 == b.0);
+        let written = write(&entries);
+        if written.is_err() {
+            unsaved().extend(entries);
+        }
+        written
     }
 }
 
@@ -990,17 +927,14 @@ pub(crate) fn run_phases(
 ) -> (Vec<NodeRun>, PoolStats) {
     let n = cx.names.len();
     let stride = n + 1;
+    let node = |phase: Phase, f: usize| phase as usize * stride + f;
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); PHASES.len() * stride];
-    for (p, phase) in PHASES.iter().enumerate() {
-        deps[p * stride + n] = (p * stride..p * stride + n).collect();
-        for d in phase.deps() {
-            let q = phase_index(d.phase) * stride;
-            for f in 0..n {
-                deps[p * stride + f].push(match d.scope {
-                    DepScope::SameFn => q + f,
-                    DepScope::AllFns => q + n,
-                });
-            }
+    for phase in PHASES {
+        deps[node(phase, n)] = (node(phase, 0)..node(phase, n)).collect();
+        let (same_fn, all_fns) = phase.deps();
+        for f in 0..n {
+            let edges = same_fn.iter().map(|&q| node(q, f));
+            deps[node(phase, f)] = edges.chain(all_fns.iter().map(|&q| node(q, n))).collect();
         }
     }
     let epoch = Instant::now();
@@ -1008,6 +942,7 @@ pub(crate) fn run_phases(
     let failed: Mutex<Option<(usize, Failure)>> = Mutex::new(None);
     run_dag(deps.len(), &deps, workers, |node| {
         let (p, f) = (node / stride, node % stride);
+        let phase = PHASES[p];
         if f == n {
             // Barriers do no work.
             return NodeRun::default();
@@ -1019,7 +954,7 @@ pub(crate) fn run_phases(
         };
         let (result, hit) = match earlier {
             Some(e) => (Err(e), None),
-            None => exec_node(cx, store, PHASES[p], f),
+            None => exec_node(cx, store, phase, f, || phase.run(cx, f)),
         };
         if let Err(e) = &result {
             let mut failed = failed.lock().expect("failure record poisoned");
@@ -1028,33 +963,36 @@ pub(crate) fn run_phases(
             }
         }
         let busy = epoch.elapsed() - start;
-        let _ = cx.slots[cx.slot_id(p, f)].set(result);
+        let _ = cx.slots[cx.slot_id(phase, f)].set(result);
         NodeRun { start, busy, hit }
     })
 }
 
 /// Runs one `(phase, function)` node: the input digest, the store lookup,
-/// and on a miss the job. Returns the result and the store's answer (see
+/// and on a miss `job`. Returns the result and the store's answer (see
 /// [`NodeRun::hit`]). A panic in the digest or the job becomes this node's
 /// root failure, so it fails one function instead of the whole run.
 fn exec_node(
     cx: &PhaseCx<'_>,
     store: &ArtifactStore,
-    phase: &dyn Phase,
+    phase: Phase,
     f: usize,
+    job: impl FnOnce() -> Result<Artifact, Failure>,
 ) -> (NodeResult, Option<bool>) {
     let name = &cx.names[f];
     let mut hit = None;
     let result = catch_unwind(AssertUnwindSafe(|| {
         let digest = phase.input_digest(cx, f)?;
-        if let Some(cached) = store.get(phase.name(), name, digest) {
+        if let Some(cached) = store.get(phase, name, digest) {
             hit = Some(true);
             return Ok(cached);
         }
         hit = Some(false);
-        let value = phase.run(cx, f)?;
-        let artifact = Arc::new(PhaseArtifact { digest, value });
-        store.put(phase.name(), name, Arc::clone(&artifact));
+        let artifact = Arc::new(PhaseArtifact {
+            digest,
+            value: job()?,
+        });
+        store.put(phase, name, Arc::clone(&artifact));
         Ok(artifact)
     }))
     .unwrap_or_else(|payload| {
@@ -1063,17 +1001,9 @@ fn exec_node(
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
             .unwrap_or("non-string panic payload");
-        let stage = match phase.name() {
-            "l1" => ir::diag::Phase::L1,
-            "l2" | "l2thm" => ir::diag::Phase::L2,
-            "hl" => ir::diag::Phase::Hl,
-            "wa" | "adapt" => ir::diag::Phase::Wa,
-            "absint" => ir::diag::Phase::Absint,
-            _ => ir::diag::Phase::Kernel,
-        };
         let message = format!("{name}: `{}` job panicked: {text}", phase.name());
         Err(Failure::from(
-            Diag::new(stage, DiagKind::Internal, message).with_function(name),
+            Diag::new(phase.stage(), DiagKind::Internal, message).with_function(name),
         ))
     });
     (result, hit)
@@ -1089,13 +1019,13 @@ fn exec_node(
 fn first_error(cx: &PhaseCx<'_>) -> Option<Diag> {
     let n = cx.names.len();
     let mut fallback: Option<Diag> = None;
-    for (p, phase) in PHASES.iter().enumerate() {
+    for phase in PHASES {
         let mut order: Vec<usize> = (0..n).collect();
-        if matches!(phase.name(), "l1" | "l2" | "l2thm") {
+        if matches!(phase, Phase::L1 | Phase::L2 | Phase::L2Thm) {
             order.sort_by_key(|&i| cx.typed_idx[i]);
         }
         for i in order {
-            if let Some(Err(f)) = cx.slots[cx.slot_id(p, i)].get() {
+            if let Some(Err(f)) = cx.slots[cx.slot_id(phase, i)].get() {
                 if f.root {
                     return Some(f.diag.clone());
                 }
@@ -1148,9 +1078,9 @@ pub(crate) fn run_pipeline(
         requested_workers: requested,
         ..PipelineStats::default()
     };
-    for (p, phase) in PHASES.iter().enumerate() {
-        let runs = &runs[p * (n + 1)..][..n];
-        let thms = cx.theorems(phase.name(), &by_name);
+    for phase in PHASES {
+        let runs = &runs[phase as usize * (n + 1)..][..n];
+        let thms = cx.theorems(phase, &by_name);
         for (name, thm) in &thms {
             *stats.fn_theorems.entry(name.clone()).or_insert(0) += 1;
             *stats.fn_proof_nodes.entry(name.clone()).or_insert(0) += thm.proof_size();
@@ -1182,17 +1112,19 @@ pub(crate) fn run_pipeline(
 
     // Theorem lists in the legacy orders: l1/hl/wa in sorted-name order,
     // l2 in source order, adaptation theorems appended to `wa`.
-    let mut wa = cx.theorems("wa", &by_name);
-    wa.extend(cx.theorems("adapt", &by_name));
+    let mut wa = cx.theorems(Phase::Wa, &by_name);
+    wa.extend(cx.theorems(Phase::Adapt, &by_name));
     let thms = PhaseTheorems {
-        l1: cx.theorems("l1", &by_name),
-        l2: cx.theorems("l2thm", &by_source),
-        hl: cx.theorems("hl", &by_name),
+        l1: cx.theorems(Phase::L1, &by_name),
+        l2: cx.theorems(Phase::L2Thm, &by_source),
+        hl: cx.theorems(Phase::Hl, &by_name),
         wa,
     };
     let mut absint: BTreeMap<String, AbsintFn> = BTreeMap::new();
     for (i, name) in cx.names.iter().enumerate() {
-        let artifact = cx.artifact("absint", i).expect("graph reported success");
+        let artifact = cx
+            .artifact(Phase::Absint, i)
+            .expect("graph reported success");
         let Artifact::Absint(a) = &artifact.value else {
             unreachable!("absint nodes produce Absint artifacts");
         };
@@ -1244,19 +1176,19 @@ pub(crate) fn run_pipeline(
 /// value direction): for every function outside the `fn_abs` table whose
 /// body calls an abstracted callee, computes the rewritten body — arguments
 /// lifted with `unat`/`sint`, results re-concretised with
-/// `of_nat`/`of_int`. Pure: no context mutation, no testing. Returns
-/// `(name, new_body, old_body)` in name order, changed functions only.
+/// `of_nat`/`of_int`. Pure: no context mutation, no testing. Returns the
+/// new bodies of the changed functions by name.
 fn plan_caller_adaptations(
     cx: &CheckCtx,
     hlctx: &ProgramCtx,
     wactx: &ProgramCtx,
-) -> Vec<(String, Prog, Prog)> {
+) -> BTreeMap<String, Prog> {
     use ir::expr::{CastKind, Expr};
     use ir::ty::Signedness;
 
     let abstracted: BTreeSet<String> = cx.fn_abs.keys().cloned().collect();
     if abstracted.is_empty() {
-        return Vec::new();
+        return BTreeMap::new();
     }
     let lift_arg = |a: &Expr, conc_ty: &Ty| -> Expr {
         match conc_ty {
@@ -1303,11 +1235,7 @@ fn plan_caller_adaptations(
         .filter(|(name, _)| !abstracted.contains(*name))
         .filter_map(|(name, old)| {
             let new_body = old.body.rewrite(&rewrite_call);
-            if new_body == old.body {
-                None
-            } else {
-                Some((name.clone(), new_body, old.body.clone()))
-            }
+            (new_body != old.body).then(|| (name.clone(), new_body))
         })
         .collect()
 }
@@ -1315,6 +1243,69 @@ fn plan_caller_adaptations(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_names_round_trip() {
+        for p in PHASES {
+            assert_eq!(Phase::from_name(p.name()), Some(p));
+        }
+        for unknown in ["", "l9", "L1", "l1 ", "parse"] {
+            assert_eq!(Phase::from_name(unknown), None, "{unknown:?}");
+        }
+    }
+
+    #[test]
+    fn every_dependency_is_an_earlier_phase() {
+        for (i, p) in PHASES.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{p:?} is not at its index in PHASES");
+            let (same_fn, all_fns) = p.deps();
+            for &q in same_fn.iter().chain(all_fns) {
+                assert!((q as usize) < i, "{p:?} depends on the later {q:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn theorem_phases_report_their_translation_stage() {
+        use ir::diag::Phase as S;
+        let stages = PHASES.map(Phase::stage);
+        assert_eq!(
+            stages,
+            [S::L1, S::L2, S::L2, S::Hl, S::Wa, S::Wa, S::Absint]
+        );
+    }
+
+    #[test]
+    fn a_save_takes_what_the_pipeline_added_once() {
+        let store = ArtifactStore::new();
+        let artifact = |digest| {
+            let value = Artifact::Adapt(None);
+            Arc::new(PhaseArtifact { digest, value })
+        };
+        store.insert((Phase::L1, "loaded".into(), 1), artifact(1));
+        store.put(Phase::Wa, "b", artifact(2));
+        store.put(Phase::Absint, "a", artifact(3));
+        store.put(Phase::Wa, "a", artifact(4));
+        assert!(store.save(|_| Err(io::Error::other("disk full"))).is_err());
+        // The failed write is retried, in phase *name* order ("absint"
+        // before "wa"), then function; the loaded artifact is not saved.
+        let mut saved = Vec::new();
+        store
+            .save(|entries| {
+                saved.extend(entries.iter().map(|(key, _)| key.clone()));
+                Ok(())
+            })
+            .unwrap();
+        let key = |p, f: &str, d| (p, f.to_owned(), d);
+        let want = [
+            key(Phase::Absint, "a", 3),
+            key(Phase::Wa, "a", 4),
+            key(Phase::Wa, "b", 2),
+        ];
+        assert_eq!(saved, want);
+        store.save(|_| panic!("nothing is unsaved")).unwrap();
+        assert_eq!(store.len(), 4);
+    }
 
     #[test]
     fn options_digest_is_normalized() {
@@ -1405,24 +1396,6 @@ mod tests {
         assert_eq!(base[1], blank[1], "g only moved down");
     }
 
-    /// A phase whose job panics for every function.
-    struct PanicPhase;
-
-    impl Phase for PanicPhase {
-        fn name(&self) -> &'static str {
-            "boom"
-        }
-        fn deps(&self) -> &'static [Dep] {
-            &[]
-        }
-        fn input_digest(&self, _: &PhaseCx<'_>, _: usize) -> Result<u128, Failure> {
-            Ok(0)
-        }
-        fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
-            panic!("injected fault in {}", cx.names[f])
-        }
-    }
-
     #[test]
     fn a_failed_phase_skips_the_jobs_of_later_phases() {
         // `zz` fails its Simpl translation inside its `l1` job; inline, the
@@ -1460,16 +1433,19 @@ mod tests {
         // names are sorted: [f, g]. Both pool workers hit the panic, and
         // each node still returns its own failure.
         let (results, _) = run_dag(2, &[vec![], vec![]], 2, |f| {
-            exec_node(&cx, &store, &PanicPhase, f)
+            exec_node(&cx, &store, Phase::Hl, f, || {
+                panic!("injected fault in {}", cx.names[f])
+            })
         });
         for (f, (result, hit)) in results.into_iter().enumerate() {
             let failure = result.expect_err("the job panicked");
             assert!(failure.root, "a panic is the root cause");
             assert_eq!(failure.diag.kind, DiagKind::Internal);
+            assert_eq!(failure.diag.phase, ir::diag::Phase::Hl);
             assert_eq!(failure.diag.function.as_deref(), Some(cx.names[f].as_str()));
             let payload = format!("injected fault in {}", cx.names[f]);
             assert!(
-                failure.diag.message.contains("`boom`") && failure.diag.message.contains(&payload),
+                failure.diag.message.contains("`hl`") && failure.diag.message.contains(&payload),
                 "{}",
                 failure.diag.message
             );

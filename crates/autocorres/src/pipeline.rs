@@ -30,6 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use ir::codec::{fnv1a, splitmix64, FNV_BASIS};
 use ir::diag::Diag;
 use ir::metrics::SpecMetrics;
 use kernel::{CheckCtx, ReplayReport, Thm};
@@ -53,7 +54,7 @@ pub struct Options {
     /// RNG seed for the testing-validated rules.
     pub seed: u64,
     /// Worker threads for the per-function phases and theorem replay
-    /// (`0` or `1` = run inline on the calling thread). This is a
+    /// (`0` or `1` = run inline, on one big-stack thread). This is a
     /// *request*: [`ir::sched::plan_workers`] may grant fewer —
     /// never more than the host has CPUs, and `1` when the estimated
     /// work is too small to amortize a pool. Output is byte-identical at
@@ -103,15 +104,8 @@ impl fmt::Debug for Options {
 /// statements (which record their seed) byte-identical across schedules.
 #[must_use]
 pub fn derive_seed(seed: u64, fn_name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in fn_name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = seed ^ h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let h = fnv1a(fn_name.as_bytes(), FNV_BASIS);
+    splitmix64(seed ^ h.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Per-function theorems for every verified phase.

@@ -124,8 +124,8 @@ impl Session {
         &self.load
     }
 
-    /// Appends the artifacts the disk store does not hold yet; with none,
-    /// writes nothing. Called automatically
+    /// Appends the artifacts this session computed since its last save;
+    /// with none, writes nothing. Called automatically
     /// (best-effort, errors swallowed) after successful translations; call
     /// explicitly when a write failure must surface.
     ///

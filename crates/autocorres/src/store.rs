@@ -53,24 +53,23 @@
 //! # Concurrency
 //!
 //! Loads and saves hold an exclusive [`File::lock`] on the segment. A save
-//! appends only the records its process has not seen on disk, in one
-//! write and one `sync_data`, so processes sharing a directory keep each
-//! other's work; a save with nothing new touches nothing.
+//! appends only the artifacts the session's pipeline computed since its
+//! last save (the [`ArtifactStore`] knows which), in one write and one
+//! `sync_data`, so processes sharing a directory keep each other's work; a
+//! save with nothing new touches nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ir::codec::{digest128, digest128_bytes, seal, unseal, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{par_map, plan_workers, MIN_TASK_COST};
 
-use crate::phase::{
-    AbsintFn, AdaptedFn, Artifact, ArtifactKey, ArtifactStore, PhaseArtifact, PHASES,
-};
+use crate::phase::{AbsintFn, AdaptedFn, Artifact, ArtifactStore, Phase, PhaseArtifact};
 
 /// Magic + version of the segment header.
 const META_MAGIC: &[u8; 8] = b"ACRSTOR6";
@@ -159,13 +158,10 @@ pub struct LoadReport {
 /// docs.
 pub struct DiskStore {
     dir: PathBuf,
-    /// The artifact keys known to be in the segment, filled by the load
-    /// and by every save: a save appends the rest.
-    on_disk: Mutex<HashSet<ArtifactKey>>,
 }
 
 /// One decoded artifact record: its phase, function and artifact.
-pub type Record = (&'static str, String, Arc<PhaseArtifact>);
+pub type Record = (Phase, String, Arc<PhaseArtifact>);
 
 impl DiskStore {
     /// Opens (creating if needed) a cache directory.
@@ -177,7 +173,6 @@ impl DiskStore {
         std::fs::create_dir_all(dir)?;
         Ok(DiskStore {
             dir: dir.to_path_buf(),
-            on_disk: Mutex::default(),
         })
     }
 
@@ -212,7 +207,6 @@ impl DiskStore {
     pub fn load_into(&self, store: &ArtifactStore, workers: usize) -> LoadReport {
         let mut rep = LoadReport::default();
         let dir = self.dir.display();
-        let keys = &mut *self.on_disk.lock().expect("disk store poisoned");
         let mut load = || -> io::Result<()> {
             // An older build's per-file layout always has `meta`.
             let legacy = std::fs::remove_file(self.dir.join("meta")).is_ok();
@@ -240,8 +234,7 @@ impl DiskStore {
                     cut.get_or_insert(range.start);
                     continue;
                 };
-                keys.insert((phase, name.clone(), artifact.digest));
-                store.preload(phase, &name, artifact);
+                store.insert((phase, name, artifact.digest), artifact);
                 rep.artifacts += 1;
                 if cut.is_some() {
                     kept.extend_from_slice(&bytes[range]);
@@ -272,36 +265,29 @@ impl DiskStore {
         rep
     }
 
-    /// Appends the session store's new contents to the segment: every
-    /// artifact not yet on disk, encoded at the width [`plan_workers`]
+    /// Appends the artifacts the session's pipeline computed since the
+    /// last save to the segment, encoded at the width [`plan_workers`]
     /// grants `workers`, in one write and one `sync_data`. A session with
-    /// nothing new writes nothing.
+    /// nothing new writes nothing; after a failed write the next save
+    /// retries.
     ///
     /// # Errors
     ///
     /// Filesystem errors; a partly written append is a torn tail, which
     /// the next load cuts off.
     pub fn save(&self, store: &ArtifactStore, workers: usize) -> io::Result<()> {
-        let keys = &mut *self.on_disk.lock().expect("disk store poisoned");
-        // Everything on disk was loaded into (or saved from) the store,
-        // which never forgets an entry: equal counts mean nothing is new.
-        if store.len() == keys.len() {
-            return Ok(());
-        }
-        let mut entries = store.entries();
-        entries.retain(|(key, _)| !keys.contains(key));
-        let width = plan_workers(workers, entries.len() as u64 * MIN_TASK_COST, false);
-        let (mut records, _) = par_map(&entries, width, |_, ((phase, name, _), artifact)| {
-            encode_record(phase, name, artifact)
-        });
-        let mut file = self.lock_segment()?;
-        if file.metadata()?.len() == 0 {
-            records.insert(0, header());
-        }
-        file.write_all(&records.concat())?;
-        file.sync_data()?;
-        keys.extend(entries.into_iter().map(|(key, _)| key));
-        Ok(())
+        store.save(|entries| {
+            let width = plan_workers(workers, entries.len() as u64 * MIN_TASK_COST, false);
+            let (mut records, _) = par_map(entries, width, |_, ((phase, name, _), artifact)| {
+                encode_record(*phase, name, artifact)
+            });
+            let mut file = self.lock_segment()?;
+            if file.metadata()?.len() == 0 {
+                records.insert(0, header());
+            }
+            file.write_all(&records.concat())?;
+            file.sync_data()
+        })
     }
 }
 
@@ -415,9 +401,9 @@ fn record(write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
 /// The framed, sealed segment record of `phase`'s artifact for the
 /// function `name`, as [`DiskStore::save`] appends it.
 #[must_use]
-pub fn encode_record(phase: &str, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
+pub fn encode_record(phase: Phase, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
     record(|e| {
-        e.str(phase);
+        e.str(phase.name());
         e.str(name);
         e.u128_fixed(artifact.digest);
         artifact.value.encode(e);
@@ -438,12 +424,9 @@ pub fn decode_record(record: &[u8]) -> Result<Record, DecodeError> {
     }
     let mut d = Decoder::new(unseal(ART_MAGIC, &record[FRAME..])?);
     let phase_name = d.str()?;
-    // The store key's phase component is `&'static str`; a record naming
-    // an unknown phase (a future format, a renamed phase) is rejected.
-    let phase = PHASES
-        .iter()
-        .map(|p| p.name())
-        .find(|n| *n == phase_name)
+    // A record naming an unknown phase (a future format, a renamed phase)
+    // is rejected.
+    let phase = Phase::from_name(&phase_name)
         .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
     let name = d.str()?;
     let digest = d.u128_fixed()?;
@@ -459,6 +442,7 @@ mod tests {
     use super::*;
     use crate::{Options, Session};
     use monadic::MonadicFn;
+    use std::collections::HashSet;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -558,7 +542,10 @@ mod tests {
             let (phase, name, artifact) = decode_record(&bytes[span.clone()]).expect("decodes");
             assert_eq!(encode_record(phase, &name, &artifact), bytes[span]);
             for thm in artifact.value.theorems() {
-                assert!(known.contains(thm), "{phase} {name}: not the output's theorem");
+                assert!(
+                    known.contains(thm),
+                    "{phase:?} {name}: not the output's theorem"
+                );
             }
             shapes.insert(shape(&artifact.value));
         }
@@ -584,7 +571,7 @@ mod tests {
 
     #[test]
     fn a_damaged_record_is_rejected_and_its_neighbours_are_not() {
-        let good = encode_record("l2", "inc", &fail_fn());
+        let good = encode_record(Phase::L2, "inc", &fail_fn());
         assert!(decode_record(&good).is_ok());
         let foreign = {
             let mut r = good.clone();
@@ -669,6 +656,25 @@ mod tests {
         assert_eq!(warm(&sess), clean);
         let out = sess.translate(OTHER).expect("translate");
         assert_eq!(out.stats.dirty_fns, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_save_appends_exactly_what_the_translation_computed() {
+        let dir = tmpdir("edit");
+        let src = format!("{SRC}\nunsigned dec(unsigned x) {{ return x - 1u; }}");
+        let sess = Session::new(opts(&dir));
+        sess.translate(&src).expect("translate");
+        let before = segment(&dir);
+        // One function edited: its own nodes and its callers' cones rerun.
+        let out = sess
+            .translate(&src.replace("x - 1u", "x - 2u"))
+            .expect("translate");
+        let after = segment(&dir);
+        assert!(after.starts_with(&before), "a save rewrote earlier records");
+        assert!(out.stats.computed_nodes > 0 && out.stats.cached_nodes > 0);
+        let appended = records(&after).len() - records(&before).len();
+        assert_eq!(appended, out.stats.computed_nodes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -917,7 +923,13 @@ mod tests {
         // A self-consistent record (valid frame, magic and digest) naming
         // a phase this build does not know: must be rejected by name, not
         // trusted.
-        let l9 = encode_record("l9", "inc", &fail_fn());
+        let l9 = record(|e| {
+            e.str("l9");
+            e.str("inc");
+            e.u128_fixed(42);
+            fail_fn().value.encode(e);
+        });
+        assert!(decode_record(&l9).is_err_and(|e| e.0.contains("unknown phase")));
         let bytes = [segment(&dir), l9].concat();
         std::fs::write(dir.join(SEGMENT), bytes).unwrap();
         let sess = Session::new(opts(&dir));

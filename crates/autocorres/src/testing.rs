@@ -13,10 +13,13 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ir::diag::{Diag, DiagKind};
 use ir::state::{ConcState, State};
 use ir::ty::{Signedness, Ty, TypeEnv};
 use ir::value::{Ptr, Value};
 use ir::word::Word;
+use kernel::rules::refine;
+use kernel::{CheckCtx, Thm};
 use monadic::{MonadFault, ProgramCtx};
 
 /// Base address of generated objects (each object slot is 0x100 apart).
@@ -239,6 +242,36 @@ pub fn exec_test_fn(
     Ok(())
 }
 
+/// The `ExecTested` theorem that `abs`'s body of `name` refines `conc`'s:
+/// [`exec_test_fn`] over `trials` trials on the function's seed
+/// ([`crate::derive_seed`] of `seed` and `name`), which the theorem
+/// records. Both pipeline phases that test a function (L2 against L1, an
+/// adapted caller against HL) make their theorem here.
+///
+/// # Errors
+///
+/// A `stage` testing diagnostic for the first trial that violates the
+/// refinement, which would be a driver bug.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn exec_tested_fn(
+    stage: ir::diag::Phase,
+    cx: &CheckCtx,
+    abs: &ProgramCtx,
+    conc: &ProgramCtx,
+    name: &str,
+    heap_types: &[Ty],
+    trials: u32,
+    seed: u64,
+) -> Result<Thm, Diag> {
+    let seed = crate::pipeline::derive_seed(seed, name);
+    let (abs_body, conc_body) = (&abs.fns[name].body, &conc.fns[name].body);
+    refine::exec_tested(cx, abs_body, conc_body, trials, seed, || {
+        exec_test_fn(abs, conc, name, heap_types, trials, seed)
+            .map_err(|m| Diag::new(stage, DiagKind::Testing, m))
+    })
+    .map_err(|e| Diag::new(stage, DiagKind::Testing, format!("{name}: {e}")).with_function(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +303,14 @@ mod tests {
 
     fn ret_x() -> Prog {
         Prog::ret(Expr::var("x"))
+    }
+
+    #[test]
+    fn derived_seeds_are_pinned() {
+        // `ExecTested` theorems record these seeds: a change moves every
+        // certificate and store entry that holds one.
+        assert_eq!(crate::derive_seed(0xAC, "max"), 0xb724_baec_7522_f9c1);
+        assert_eq!(crate::derive_seed(7, "f"), 0xf1f8_9e80_499a_f8fb);
     }
 
     #[test]

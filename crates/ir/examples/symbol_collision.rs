@@ -22,6 +22,8 @@
 
 use std::collections::HashMap;
 
+use ir::codec::{fnv1a, splitmix64, FNV_BASIS};
+
 /// A point ends a trail when its low `DP_BITS` bits are zero.
 const DP_BITS: u32 = 20;
 /// Trails longer than this are abandoned (they are caught in a cycle).
@@ -39,22 +41,13 @@ fn name(x: u64) -> [u8; 14] {
 }
 
 /// FNV-1a, as `ir::names` computes a symbol's content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn step(x: u64) -> u64 {
-    fnv1a(&name(x))
+    fnv1a(&name(x), FNV_BASIS)
 }
 
 /// SplitMix64: the trail starts.
 fn start(k: u64) -> u64 {
-    let mut z = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Walks from `x` to the end of its trail: `(end, length)`, or `None`

@@ -114,25 +114,36 @@ pub fn decode_from_slice<T: Codec>(bytes: &[u8]) -> Result<T, DecodeError> {
     Ok(v)
 }
 
+/// The 64-bit FNV-1a offset basis.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over `bytes`, starting from offset basis `basis`. The one
+/// byte hash of the workspace: symbol content hashes, seed derivation and
+/// [`digest128_bytes`] are built on it.
+#[must_use]
+pub fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
+    bytes.iter().fold(basis, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The SplitMix64 finaliser: spreads every input bit over the output
+/// (FNV alone diffuses low bits poorly).
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The stable 128-bit content digest of a byte string: two independent
-/// FNV-1a passes (distinct offset bases), each finished with a SplitMix64
-/// avalanche. Depends only on the bytes — never on process, platform, or
-/// compiler version — so it is safe to persist.
+/// FNV-1a passes (distinct offset bases), each finished with
+/// [`splitmix64`]. Depends only on the bytes — never on process, platform,
+/// or compiler version — so it is safe to persist.
 #[must_use]
 pub fn digest128_bytes(bytes: &[u8]) -> u128 {
-    fn fnv(bytes: &[u8], basis: u64) -> u64 {
-        let mut h = basis;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // SplitMix64 finaliser: FNV alone diffuses low bits poorly.
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
-    }
-    let lo = fnv(bytes, 0xcbf2_9ce4_8422_2325);
-    let hi = fnv(bytes, 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15);
+    let lo = splitmix64(fnv1a(bytes, FNV_BASIS));
+    let hi = splitmix64(fnv1a(bytes, FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15));
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
@@ -1079,6 +1090,16 @@ mod tests {
             0xe9d3_2759_6b86_9820_f52a_15e9_a9b5_e89b
         );
         assert_eq!(d1, 0x3969_2385_cbee_4815_05cb_5851_12be_1151);
+    }
+
+    #[test]
+    fn fnv1a_and_splitmix64_match_their_references() {
+        // The FNV-1a 64 test vectors, and SplitMix64's first output from
+        // state 0.
+        assert_eq!(fnv1a(b"", FNV_BASIS), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a", FNV_BASIS), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar", FNV_BASIS), 0x8594_4171_f739_67e8);
+        assert_eq!(splitmix64(0x9e37_79b9_7f4a_7c15), 0xe220_a839_7b1d_cdaf);
     }
 
     #[test]

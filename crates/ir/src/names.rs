@@ -28,12 +28,7 @@ static SYMBOLS: Mutex<Option<HashMap<&'static str, Symbol>>> = Mutex::new(None);
 /// Fixed offset basis and prime, so the value depends only on the text —
 /// never on intern order, worker count, or process.
 fn content_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::codec::fnv1a(name.as_bytes(), crate::codec::FNV_BASIS)
 }
 
 /// An interned name. `Copy`, integer `Eq`, content-based `Hash`, string

@@ -3,8 +3,8 @@
 //! * [`run_dag`] — the scheduling primitive, a dependency-respecting
 //!   scheduler for an acyclic graph (it panics on a cycle, naming it,
 //!   before any job runs). With `workers <= 1` it runs a deterministic
-//!   lowest-index topological order inline on the calling thread — zero
-//!   pool setup.
+//!   lowest-index topological order inline, on one [`with_stack`] thread —
+//!   zero pool setup.
 //!   With more workers it runs a *work-stealing* pool: each worker owns a
 //!   deque, pushes the nodes it unblocks onto its own deque (LIFO,
 //!   cache-warm), and steals from the front of a victim's deque (FIFO,
@@ -20,6 +20,12 @@
 //! * [`with_stack`] — one closure on a big-stack thread, for the
 //!   interpreters' native recursion.
 //!
+//! One stack rule: every job and every `with_stack` closure runs on a
+//! thread spawned here with [`BIG_STACK_BYTES`] — a pool worker, or the
+//! one thread of an inline run — and `with_stack` called on such a thread
+//! runs its closure in place. So a job has the same stack at every width,
+//! and how deep an input may nest does not depend on the worker count.
+//!
 //! Sequential and parallel schedules execute the *same* closures —
 //! byte-identical output is a property of the closures (per-function
 //! seeds, name/slot-keyed result collection), not of scheduling luck. Both
@@ -27,6 +33,7 @@
 //! is re-raised on the caller's thread with its original payload.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -134,22 +141,44 @@ where
     run_dag(items.len(), &no_edges, workers, |i| job(i, &items[i]))
 }
 
-/// Stack size of a [`with_stack`] thread and of every [`run_dag`] pool
-/// worker. Debug builds spend on the order of 100 KiB of host stack per
-/// interpreted call level, so the interpreters' call-depth caps need far
-/// more than a default 2 MiB thread stack; the translation phases recurse
-/// on term depth too, and a worker must hold whatever the caller's own
-/// thread holds inline.
+/// Stack size of every thread spawned here: [`with_stack`] threads and
+/// [`run_dag`]'s pool workers. Debug builds spend on the order of 100 KiB
+/// of host stack per interpreted call level, so the interpreters'
+/// call-depth caps need far more than a default 2 MiB thread stack, and
+/// the translation phases recurse on term depth too.
 pub const BIG_STACK_BYTES: usize = 64 * 1024 * 1024;
 
-/// Runs `f` on a fresh thread with a [`BIG_STACK_BYTES`] stack and returns
-/// its result, re-raising its panic with the original payload.
+thread_local! {
+    /// Whether this thread was spawned here, with [`BIG_STACK_BYTES`].
+    static BIG_STACK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Spawns `f` on a scoped thread with a [`BIG_STACK_BYTES`] stack, which
+/// marks itself as such a thread first.
+fn big_stack_thread<'s, T: Send + 's>(
+    scope: &'s std::thread::Scope<'s, '_>,
+    f: impl FnOnce() -> T + Send + 's,
+) -> std::thread::ScopedJoinHandle<'s, T> {
+    let marked = move || {
+        BIG_STACK.set(true);
+        f()
+    };
+    let builder = std::thread::Builder::new().stack_size(BIG_STACK_BYTES);
+    builder
+        .spawn_scoped(scope, marked)
+        .expect("spawn big-stack thread")
+}
+
+/// Runs `f` on a thread with a [`BIG_STACK_BYTES`] stack and returns its
+/// result, re-raising its panic with the original payload. On a thread
+/// spawned here (a pool worker or a `with_stack` thread) `f` runs in
+/// place; elsewhere on one fresh thread.
 pub fn with_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    if BIG_STACK.get() {
+        return f();
+    }
     std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(BIG_STACK_BYTES)
-            .spawn_scoped(scope, f)
-            .expect("spawn big-stack thread")
+        big_stack_thread(scope, f)
             .join()
             .unwrap_or_else(|e| resume_unwind(e))
     })
@@ -224,7 +253,8 @@ type Caught = (usize, Box<dyn Any + Send>);
 /// node order.
 ///
 /// With `workers <= 1` this runs the deterministic lowest-index
-/// topological order inline on the calling thread, with zero pool setup.
+/// topological order inline on one [`with_stack`] thread, with zero pool
+/// setup.
 /// Otherwise each worker owns a deque: finishing a node pushes the nodes
 /// it unblocked onto the finisher's own deque (popped LIFO), and a worker
 /// whose deque is empty steals the oldest node from a victim's deque
@@ -256,11 +286,15 @@ where
     let mut steals = 0;
 
     if workers <= 1 {
-        for i in order {
-            let t0 = Instant::now();
-            slots[i] = Some(job(i));
-            busy += t0.elapsed();
-        }
+        busy = with_stack(|| {
+            let mut busy = Duration::ZERO;
+            for i in order {
+                let t0 = Instant::now();
+                slots[i] = Some(job(i));
+                busy += t0.elapsed();
+            }
+            busy
+        });
     } else {
         let (dependents, indegree) = reverse_edges(deps);
         let pool = WsPool::new(workers, indegree);
@@ -271,10 +305,7 @@ where
                     let pool = &pool;
                     let dependents = &dependents;
                     let job = &job;
-                    // A job that fits the caller's stack inline must fit
-                    // a worker's, so workers get the `with_stack` size.
-                    let worker = std::thread::Builder::new().stack_size(BIG_STACK_BYTES);
-                    let spawned = worker.spawn_scoped(s, move || {
+                    big_stack_thread(s, move || {
                         let mut mine: Vec<(usize, R)> = Vec::new();
                         let mut busy = Duration::ZERO;
                         while let Some(i) = pool.acquire(w) {
@@ -290,8 +321,7 @@ where
                             pool.complete(w, i, dependents);
                         }
                         Ok((mine, busy))
-                    });
-                    spawned.expect("spawn pool worker")
+                    })
                 })
                 .collect();
             for h in handles {
@@ -614,6 +644,25 @@ mod tests {
         assert_eq!(with_stack(|| 6 * 7), 42);
         let caught = catch_unwind(|| with_stack(|| std::panic::panic_any("deep"))).unwrap_err();
         assert_eq!(caught.downcast_ref::<&str>(), Some(&"deep"));
+    }
+
+    #[test]
+    fn with_stack_in_a_job_runs_on_the_jobs_own_thread() {
+        let caller = std::thread::current().id();
+        let deps = vec![Vec::new(); 4];
+        for workers in [1, 2] {
+            let (threads, _) = run_dag(4, &deps, workers, |_| {
+                let job = std::thread::current().id();
+                (job, with_stack(|| std::thread::current().id()))
+            });
+            for (job, inner) in threads {
+                assert_eq!(job, inner, "workers={workers}: with_stack spawned a thread");
+                assert_ne!(
+                    job, caller,
+                    "workers={workers}: a job ran on the caller's stack"
+                );
+            }
+        }
     }
 
     #[test]

@@ -342,8 +342,14 @@ pub fn absint_discharge(_cx: &CheckCtx, hyp: &Expr, kind: GuardKind, guard: &Exp
 }
 
 /// Refinement admitted after randomized differential testing: runs
-/// `validate` (the caller's differential tester, typically built from
-/// [`crate::semantics::test_refines`]) and records the evidence.
+/// `validate`, the caller's differential tester, and records its evidence
+/// (the trial count and seed), which is all that replay checks. The
+/// pipeline's tester is `autocorres::testing::exec_test_fn`: it runs the
+/// two sides as whole functions, skips a trial when the abstract side
+/// fails or either side runs out of fuel, and compares return values,
+/// heaps and globals, not locals. So the theorem rests on that test, not
+/// on [`crate::semantics::test_refines`], which compares whole states,
+/// locals included.
 ///
 /// # Errors
 ///

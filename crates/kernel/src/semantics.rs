@@ -5,9 +5,19 @@
 //! and for all. We cannot do that in Rust, so every judgment form gets an
 //! *executable* meaning here, and the validators sample it — this is the
 //! documented substitute (DESIGN.md §2). The validators are used
-//! (i) by the `WCustomSampled`/`ExecTested` oracle rules, and (ii) broadly
-//! in the test suites, where every end-to-end theorem produced by the
-//! engines is also checked semantically on random inputs.
+//! (i) by the `WCustomSampled` oracle rule ([`sample_wval`]), and (ii)
+//! broadly in the test suites, where every end-to-end theorem produced by
+//! the engines is also checked semantically on random inputs.
+//!
+//! The `ExecTested` rule does not use them: it records the evidence of
+//! whatever tester its caller passes
+//! ([`crate::rules::refine::exec_tested`]). The pipeline's tester is
+//! `autocorres::testing::exec_test_fn`, which runs whole functions
+//! (callees included), skips a trial when the abstract side fails or
+//! either side runs out of fuel, and compares return values, heaps and
+//! globals but not locals. [`test_refines`], which the kernel's own tests
+//! use, runs two program bodies under one environment and compares whole
+//! final states, locals included.
 
 use std::collections::BTreeMap;
 

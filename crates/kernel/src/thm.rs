@@ -519,11 +519,11 @@ pub struct ReplayReport {
 
 /// Replays a batch of theorems on the shared executor
 /// ([`ir::sched::par_map`]), at the width [`plan_workers`] grants
-/// `workers` for the batch's proof-node count (`workers <= 1` replays on
-/// the caller's thread). Each distinct node is validated exactly once,
-/// whatever the width (see [`check_all_with`]). On failure the error
-/// reported is the *first* failing theorem in input order, independent of
-/// scheduling. Nothing is remembered after the call.
+/// `workers` for the batch's proof-node count (`workers <= 1` replays
+/// inline, on one big-stack thread). Each distinct node is validated
+/// exactly once, whatever the width (see [`check_all_with`]). On failure
+/// the error reported is the *first* failing theorem in input order,
+/// independent of scheduling. Nothing is remembered after the call.
 ///
 /// # Errors
 ///

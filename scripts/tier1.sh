@@ -24,6 +24,14 @@ if grep -rnE 'thread::scope|thread::spawn|spawn_scoped' crates/*/src src --inclu
     echo "tier1: thread spawned outside crates/ir/src/sched.rs" >&2; exit 1
 fi
 
+# One stack rule (DESIGN.md §6e): every job and every `with_stack` closure
+# runs on a thread `ir::sched` spawned with `BIG_STACK_BYTES` (a pool worker
+# or the one thread of an inline run), so no other code sets a stack size.
+if grep -rn 'stack_size(' crates/*/src crates/*/examples src tests --include='*.rs' \
+    | grep -v '^crates/ir/src/sched\.rs:'; then
+    echo "tier1: a thread stack size set outside crates/ir/src/sched.rs" >&2; exit 1
+fi
+
 # One codec macro (DESIGN.md §6g): plain struct/enum codecs are
 # `ir::codec!` invocations; hand-written `Codec` impls (encodings that are
 # not "tag, then fields") live only in the ir and kernel codec modules.
@@ -178,6 +186,25 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
         /simpl::(translate::)?translate_program/ { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }' crates/autocorres/src/*.rs; then
     echo "tier1: whole-program Simpl translation in crates/autocorres/src; the l1 jobs translate per function" >&2; exit 1
+fi
+
+# A closed phase table (DESIGN.md §6b): the pipeline's phases are one enum,
+# `autocorres::phase::Phase`, which states each phase's name, dependencies,
+# stage, digest and job once; no phase is a trait object, and no `PhaseCx`
+# lookup names a phase by a string.
+if grep -rnE 'impl +Phase +for|dyn +Phase\b' crates/*/src src --include='*.rs'; then
+    echo "tier1: a Phase trait object or impl; the phases are one enum in autocorres::phase" >&2; exit 1
+fi
+if grep -rnE '\b(artifact|program_ctx|theorems)\("' crates/autocorres/src --include='*.rs'; then
+    echo "tier1: a phase named by a string in a PhaseCx lookup; use the Phase enum" >&2; exit 1
+fi
+
+# One byte hash (DESIGN.md §6g): FNV-1a and its SplitMix64 finaliser are
+# `ir::codec::{fnv1a, splitmix64}`; symbol hashes, derived seeds and
+# `digest128_bytes` call them, so the FNV prime appears once.
+if grep -rnE '0x0000_0100_0000_01b3|0x100000001b3' crates/*/src crates/*/examples src --include='*.rs' \
+    | grep -v '^crates/ir/src/codec\.rs:'; then
+    echo "tier1: a second FNV-1a outside crates/ir/src/codec.rs; use ir::codec::fnv1a" >&2; exit 1
 fi
 
 cargo build --release

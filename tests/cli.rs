@@ -244,3 +244,36 @@ fn a_reader_that_closes_stdout_early_ends_the_run_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
+
+#[test]
+fn a_long_straight_line_function_prints_the_same_at_any_width() {
+    // Every job gets the same big stack at every width, so a body that
+    // nests one level per statement translates inline (`--workers 1`) as it
+    // does on the pool.
+    let mut src = String::from("unsigned line(unsigned x) {\n");
+    for k in 0..600 {
+        src.push_str(&format!("    x = x + {}u;\n", k % 7 + 1));
+    }
+    src.push_str("    return x;\n}\n\nunsigned caller(unsigned y) {\n    return line(y);\n}\n");
+    let path = write_temp("cli_straight_line.c", &src);
+    let run = |workers: &str| {
+        let out = bin()
+            .args(["--quiet", "--trials", "2", "--workers", workers])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "--workers {workers}: {:?} {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let inline = run("1");
+    assert!(String::from_utf8_lossy(&inline).contains("caller"));
+    assert!(
+        inline == run("2"),
+        "stdout differs between --workers 1 and 2"
+    );
+}
